@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-scale bench-serve bench-gate profile cover docs golden golden-check golden-parallel ci
+.PHONY: build vet test race fuzz bench bench-scale bench-serve bench-gate profile cover docs golden golden-check golden-parallel ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Short fuzz smoke: the timer queue against its sorted-slice reference
+# model (internal/sim FuzzClockOrder). The committed seed corpus under
+# internal/sim/testdata/fuzz runs in every plain `go test` as well.
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzClockOrder -fuzztime 10s -parallel 2 ./internal/sim
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x .
@@ -39,7 +45,8 @@ bench-serve:
 
 # Allocation gate only (short benchtime, no baseline regeneration):
 # proves the steady-state scheduler tick and view-update rounds stay
-# allocation-free, snapshot reads allocate nothing, a snapshot
+# allocation-free, as does the whole kernel loop of a churning host
+# (ScaleSteadyChurn: churn timers re-arm in place), snapshot reads allocate nothing, a snapshot
 # publication costs exactly its three buffers (header + two slices;
 # DESIGN.md §11), a steady-state cluster step — four host steps plus a
 # no-move rebalance round (DESIGN.md §12) — amortizes to zero, and a
@@ -95,4 +102,4 @@ golden-check:
 golden-parallel:
 	$(GO) test -count=1 -run TestExperimentsMatchGolden -golden-workers 8 .
 
-ci: build vet docs test race bench bench-gate cover golden-check golden-parallel
+ci: build vet docs test race fuzz bench bench-gate cover golden-check golden-parallel

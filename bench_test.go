@@ -210,7 +210,8 @@ func BenchmarkKernelDense(b *testing.B) { benchKernel(b, true) }
 // SCALING.md) runs synthetic hosts with 64..16384 flat containers under
 // per-container limit churn and reports wall-clock cost per simulated
 // second. The SteadyTick/SteadyUpdate variants isolate the two per-round
-// hot paths — cfs.Scheduler.Tick and sysns.Monitor.UpdateAll — and must
+// hot paths — cfs.Scheduler.Tick and sysns.Monitor.UpdateAll — and
+// SteadyChurn runs the whole churning kernel loop; all three must
 // report 0 allocs/op (gated in CI by internal/tools/benchgate via
 // `make bench-gate`; `make bench-scale` regenerates the committed
 // BENCH_scale.json trajectory).
@@ -272,6 +273,25 @@ func BenchmarkScaleSteadyUpdate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sb.H.Monitor.UpdateAll(now)
+			}
+		})
+	}
+}
+
+// BenchmarkScaleSteadyChurn is 240 ticks of the kernel loop on a host
+// with limit churn armed on every container and no view readers: churn
+// timer firings re-arming in place, the cgroup events they raise, the
+// batched view rounds, and the scheduler ticks. Must be 0 allocs/op.
+func BenchmarkScaleSteadyChurn(b *testing.B) {
+	for _, n := range []int{1024, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cfg := scalebench.Defaults(n)
+			sb := scalebench.Build(cfg)
+			sb.H.Run(cfg.Warmup)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sb.H.Run(240 * time.Millisecond)
 			}
 		})
 	}

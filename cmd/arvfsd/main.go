@@ -87,7 +87,7 @@ func main() {
 	srv := fsd.NewServer(h)
 	stop := srv.Pump(*pump)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting, drain
 	// in-flight reads, then stop the pump. Reads resolve from immutable
@@ -115,6 +115,27 @@ func main() {
 	<-shutdownDone // drain in-flight reads
 	stop()         // then halt the simulation pump
 	fmt.Printf("arvfsd: drained after %d reads, stopping\n", srv.Reads())
+}
+
+// Every route is a short GET, so a client gets a few seconds to send its
+// request and a few KiB of headers; a slow or oversized request is cut
+// off rather than left holding a connection.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	maxHeaderBytes    = 16 << 10
+)
+
+// newHTTPServer returns the daemon's HTTP server with its request
+// limits set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 // demoHost builds the canned scenario: a quota-limited web container

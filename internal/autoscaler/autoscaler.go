@@ -98,7 +98,7 @@ type Config struct {
 }
 
 // Autoscaler is the control loop: a host.Subsystem whose rounds fire on
-// the virtual clock's timer wheel. All methods must be called from the
+// the virtual clock's timer queue. All methods must be called from the
 // simulation goroutine.
 type Autoscaler struct {
 	h     *host.Host
@@ -415,12 +415,12 @@ func sharesFor(cpus float64) int64 {
 // host kernel's Subsystem interface.
 func (a *Autoscaler) SubsystemName() string { return "autoscaler" }
 
-// Tick is a no-op: control rounds ride the clock's timer wheel, which
+// Tick is a no-op: control rounds ride the clock's timer queue, which
 // the kernel already drives.
 func (a *Autoscaler) Tick(now sim.Time, dt time.Duration) {}
 
 // NextEvent reports no self-scheduled instant: the control timer lives
-// in the clock's timer wheel, and the timers subsystem already bounds
+// in the clock's timer queue, and the timers subsystem already bounds
 // every fast-forward jump by it.
 func (a *Autoscaler) NextEvent(now sim.Time) (sim.Time, bool) { return 0, false }
 

@@ -31,7 +31,7 @@
 //   - lifecycle events (Created/Removed) are never dropped or delayed —
 //     only CPUChanged/MemChanged are fault candidates (see
 //     cgroups.Interceptor);
-//   - all fault timing rides the virtual clock's timer wheel, so faults
+//   - all fault timing rides the virtual clock's timer queue, so faults
 //     land on the same tick boundaries under idle-span fast-forwarding
 //     as under dense stepping;
 //   - with Config's zero value and no rules armed, the injector draws
@@ -82,8 +82,9 @@ type Config struct {
 // fresh values uniformly from the configured ranges; a range left zero
 // is not churned.
 type ChurnRule struct {
-	// Target is the cgroup (container or pod) name. Resolution happens
-	// at each firing, so the rule survives kill/restart cycles; firings
+	// Target is the cgroup (container or pod) name. A firing resolves
+	// it whenever no live cgroup is cached, so the rule survives
+	// kill/restart cycles and picks up a target created later; firings
 	// while the target does not exist are no-ops that still consume the
 	// same random draws (keeping the schedule aligned).
 	Target string
@@ -238,13 +239,14 @@ func (inj *Injector) StartChurn(r ChurnRule) {
 		r.SoftFrac = 0.5
 	}
 	fired := 0
-	var fire func(now sim.Time)
-	schedule := func() {
-		d := inj.jittered(r.Interval, r.Jitter)
-		inj.h.Clock.After(d, fire)
-	}
-	fire = func(now sim.Time) {
-		cg := inj.h.Cgroups.Lookup(r.Target)
+	// Names are unique among live cgroups, so a cached live target is
+	// the cgroup Lookup would return.
+	var cg *cgroups.Cgroup
+	var tm sim.Timer
+	fire := func(now sim.Time) {
+		if cg == nil || cg.Removed() {
+			cg = inj.h.Cgroups.Lookup(r.Target)
+		}
 		// Draw before the existence check so the schedule is identical
 		// whether or not the target is alive at this instant.
 		var quota float64
@@ -273,10 +275,10 @@ func (inj *Injector) StartChurn(r ChurnRule) {
 		}
 		fired++
 		if r.Count == 0 || fired < r.Count {
-			schedule()
+			tm.Reset(inj.jittered(r.Interval, r.Jitter))
 		}
 	}
-	schedule()
+	tm = inj.h.Clock.After(inj.jittered(r.Interval, r.Jitter), fire)
 }
 
 // ScheduleKill arms a kill(-and-restart) rule.
@@ -329,7 +331,7 @@ func (inj *Injector) ScheduleKill(r KillRule) {
 func (inj *Injector) SubsystemName() string { return "faults" }
 
 // Tick is a no-op: every fault the injector schedules rides the clock's
-// timer wheel, which the kernel already drives.
+// timer queue, which the kernel already drives.
 func (inj *Injector) Tick(now sim.Time, dt time.Duration) {}
 
 // NextEvent reports no self-scheduled instant: churn firings, kill

@@ -177,6 +177,74 @@ func TestChurnExactCountAndRange(t *testing.T) {
 	}
 }
 
+// A churn rule caches its target cgroup but follows it across a
+// kill-and-restart and picks up a target that is created only after the
+// rule is armed. Firings on a missing target still draw, so the churned
+// values are exactly the injector's RNG stream in firing order.
+func TestChurnReresolvesRestartedAndLateTargets(t *testing.T) {
+	const seed = 5
+	h := newHost()
+	tr := h.EnableTelemetry(1 << 12)
+	inj := Attach(h, Config{Seed: seed})
+	victim := h.Runtime.Create(container.Spec{Name: "victim"})
+	victim.Exec("app")
+
+	rule := func(target string) ChurnRule {
+		return ChurnRule{Target: target, Interval: 50 * time.Millisecond, MinQuotaCPUs: 1, MaxQuotaCPUs: 4}
+	}
+	inj.StartChurn(rule("victim"))
+	inj.StartChurn(rule("late"))
+	var restarted, late *container.Container
+	// victim is gone over (110ms, 170ms), so its 150ms firing is a no-op.
+	inj.ScheduleKill(KillRule{
+		Target: "victim", At: 110 * time.Millisecond,
+		Restart: true, RestartDelay: 60 * time.Millisecond,
+		OnRestart: func(nc *container.Container) { restarted = nc },
+	})
+	// late exists from 220ms, so its first live firing is at 250ms.
+	h.Clock.After(220*time.Millisecond, func(sim.Time) {
+		late = h.Runtime.Create(container.Spec{Name: "late"})
+		late.Exec("app")
+	})
+	h.Run(500 * time.Millisecond)
+
+	// Both rules fire every 50ms, victim's first: draw k belongs to
+	// firing k/2 of rule k%2.
+	rng := sim.NewRNG(seed)
+	var want []telemetry.Event
+	var lastQuota [2]int64
+	for k := 0; k < 20; k++ {
+		quota := 1 + rng.Float64()*3
+		at := time.Duration(k/2+1) * 50 * time.Millisecond
+		alive := at != 150*time.Millisecond
+		if k%2 == 1 {
+			alive = at > 220*time.Millisecond
+		}
+		if alive {
+			want = append(want, telemetry.Event{At: at, Kind: telemetry.KindFault, Actor: "churn", A: int64(quota * 1000)})
+			lastQuota[k%2] = int64(quota * 100_000)
+		}
+	}
+	var got []telemetry.Event
+	for _, e := range tr.EventsOf(telemetry.KindFault) {
+		if e.Actor == "churn" {
+			got = append(got, e)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("churn firings diverge from the RNG stream:\n got %v\nwant %v", got, want)
+	}
+	if restarted == nil || late == nil {
+		t.Fatal("restart or late creation never ran")
+	}
+	if q := restarted.Cgroup.CPU.QuotaUS; q != lastQuota[0] {
+		t.Fatalf("restarted victim quota = %d, want the last churned %d", q, lastQuota[0])
+	}
+	if q := late.Cgroup.CPU.QuotaUS; q != lastQuota[1] {
+		t.Fatalf("late target quota = %d, want the last churned %d", q, lastQuota[1])
+	}
+}
+
 // Kill-and-restart: the victim's workload self-terminates instead of
 // panicking in the scheduler, and the restarted container is live with
 // the same spec.

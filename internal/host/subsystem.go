@@ -9,7 +9,7 @@ import (
 
 // Subsystem is one resource-control component driven by the kernel loop:
 // the fluid CFS scheduler, the memory controller, ns_monitor, and the
-// timer wheel all implement it, and the phase pipeline iterates the
+// timer queue all implement it, and the phase pipeline iterates the
 // host's subsystem list instead of hard-wiring named fields. Additional
 // components (scenario drivers, custom controllers) can join the loop
 // through Host.AddSubsystem.

@@ -52,7 +52,7 @@ type Config struct {
 	// Span is the simulated duration of the measured run (default 2s).
 	Span time.Duration
 	// Warmup is simulated time executed before measurement starts, so
-	// scratch buffers, telemetry rings, and the timer wheel reach steady
+	// scratch buffers, telemetry rings, and the timer queue reach steady
 	// state (default 250ms).
 	Warmup time.Duration
 	// Seed drives the host RNG and the churn schedule.

@@ -1,0 +1,306 @@
+package sim
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+)
+
+// FuzzClockOrder drives the clock and a reference model with the same
+// decoded op sequence and requires identical behaviour: the sequence of
+// (timer id, now) firings, Reset's result, and NextDeadline and
+// PendingTimers after every op. The model keeps pending timers in a
+// slice sorted by (when, seq), so it shares nothing with the heap.
+func FuzzClockOrder(f *testing.F) {
+	for _, seed := range [][]byte{
+		{},
+		{0, 4, 0, 0, 4, 0, 5},                             // two one-shots, same deadline: FIFO
+		{1, 3, 0, 2, 0, 5, 5, 5},                          // periodic, then stopped
+		{0, 8, 0, 3, 0, 2, 5, 5, 5},                       // Reset of a pending timer
+		{0, 1, 0, 5, 3, 0, 4, 5, 5},                       // Reset of a fired timer
+		{0, 6, 0, 2, 0, 3, 0, 1, 5, 5},                    // Reset of a stopped timer
+		{1, 2, 1, 6, 40},                                  // periodic stops itself, across Advance
+		{1, 4, 13, 0, 2, 0, 5, 5, 5, 5},                   // periodic resets itself
+		{0, 4, 2, 0, 4, 0, 5, 5},                          // callback stops another timer
+		{1, 1, 19, 6, 12, 4, 0, 9, 6, 30},                 // callback spawns same-instant timers; SetPeriod
+		{1, 3, 0, 1, 5, 0, 0, 7, 3, 6, 9, 4, 1, 2, 6, 63}, // mixed
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runOps(t, data, &realClock{c: NewClock(4 * quantum)}, &modelClock{tick: 4 * quantum})
+	})
+}
+
+// quantum is the fuzz time unit: a quarter tick, so deadlines also fall
+// between tick boundaries.
+const quantum = 250 * time.Microsecond
+
+// firing is one observed timer callback.
+type firing struct {
+	id  int
+	now Time
+}
+
+// clockUnderTest is the surface both the real clock and the model expose
+// to the op interpreter. Timers are named by creation index.
+type clockUnderTest interface {
+	after(d time.Duration, fn func(Time)) int
+	every(p time.Duration, fn func(Time)) int
+	stop(id int)
+	reset(id int, d time.Duration) bool
+	setPeriod(id int, p time.Duration)
+	step()
+	advance(to Time)
+	now() Time
+	nextDeadline() (Time, bool)
+	pending() int
+	timers() int
+}
+
+// action is what a timer's callback does besides recording its firing.
+type action struct {
+	kind int // 0 none, 1 stop self, 2 stop another, 3 reset self, 4 spawn a one-shot
+	arg  int
+}
+
+func decodeAction(b byte) action { return action{kind: int(b % 5), arg: int(b / 5)} }
+
+// harness runs one clock implementation and records its firings.
+type harness struct {
+	clk   clockUnderTest
+	fired []firing
+}
+
+func (h *harness) callback(id *int, a action) func(Time) {
+	return func(now Time) {
+		h.fired = append(h.fired, firing{*id, now})
+		switch a.kind {
+		case 1:
+			h.clk.stop(*id)
+		case 2:
+			h.clk.stop(a.arg % h.clk.timers())
+		case 3:
+			h.clk.reset(*id, time.Duration(1+a.arg%16)*quantum)
+		case 4:
+			// Spawned timers carry no action, so chains stay finite;
+			// a zero delay fires within the same Step.
+			child := new(int)
+			*child = h.clk.after(time.Duration(a.arg%4)*quantum, h.callback(child, action{}))
+		}
+	}
+}
+
+func runOps(t *testing.T, data []byte, impls ...clockUnderTest) {
+	hs := make([]*harness, len(impls))
+	for i, c := range impls {
+		hs[i] = &harness{clk: c}
+	}
+	pos, checked := 0, 0
+	next := func() byte {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return data[pos-1]
+	}
+	// The firing budget keeps one input's cost bounded: periodic timers
+	// with quarter-tick periods fire up to 64 times per Advance.
+	for ops := 0; pos < len(data) && ops < 256 && len(hs[0].fired) < 2048; ops++ {
+		op := next() % 7
+		var desc string
+		var results []bool
+		switch op {
+		case 0, 1:
+			d := time.Duration(next()%16) * quantum
+			a := decodeAction(next())
+			if op == 1 {
+				d += quantum
+			}
+			desc = fmt.Sprintf("op %d: After/Every[%d](%v, %+v)", ops, op, d, a)
+			for _, h := range hs {
+				id := new(int)
+				if op == 0 {
+					*id = h.clk.after(d, h.callback(id, a))
+				} else {
+					*id = h.clk.every(d, h.callback(id, a))
+				}
+			}
+		case 2, 3, 4:
+			b, arg := next(), next()
+			n := hs[0].clk.timers()
+			if n == 0 {
+				continue
+			}
+			id := int(b) % n
+			switch op {
+			case 2:
+				desc = fmt.Sprintf("op %d: Stop(%d)", ops, id)
+				for _, h := range hs {
+					h.clk.stop(id)
+				}
+			case 3:
+				d := time.Duration(arg%16) * quantum
+				desc = fmt.Sprintf("op %d: Reset(%d, %v)", ops, id, d)
+				for _, h := range hs {
+					results = append(results, h.clk.reset(id, d))
+				}
+			case 4:
+				p := time.Duration(1+arg%16) * quantum
+				desc = fmt.Sprintf("op %d: SetPeriod(%d, %v)", ops, id, p)
+				for _, h := range hs {
+					h.clk.setPeriod(id, p)
+				}
+			}
+		case 5:
+			desc = fmt.Sprintf("op %d: Step", ops)
+			for _, h := range hs {
+				h.clk.step()
+			}
+		case 6:
+			to := hs[0].clk.now() + time.Duration(next()%64)*quantum
+			desc = fmt.Sprintf("op %d: Advance(%v)", ops, to)
+			for _, h := range hs {
+				h.clk.advance(to)
+			}
+		}
+		want := hs[0]
+		for i, h := range hs[1:] {
+			if len(results) > 0 && results[i+1] != results[0] {
+				t.Fatalf("%s: Reset reported pending=%v, model %v", desc, results[0], results[i+1])
+			}
+			if !slices.Equal(h.fired[checked:], want.fired[checked:]) {
+				t.Fatalf("%s: firings diverge\n clock: %v\n model: %v", desc, want.fired, h.fired)
+			}
+			wd, wok := want.clk.nextDeadline()
+			d, ok := h.clk.nextDeadline()
+			if wd != d || wok != ok {
+				t.Fatalf("%s: NextDeadline = %v,%v, model %v,%v", desc, wd, wok, d, ok)
+			}
+			if want.clk.pending() != h.clk.pending() {
+				t.Fatalf("%s: PendingTimers = %d, model %d", desc, want.clk.pending(), h.clk.pending())
+			}
+		}
+		checked = len(want.fired)
+	}
+}
+
+// realClock adapts *Clock to clockUnderTest.
+type realClock struct {
+	c  *Clock
+	tm []Timer
+}
+
+func (r *realClock) after(d time.Duration, fn func(Time)) int {
+	r.tm = append(r.tm, r.c.After(d, fn))
+	return len(r.tm) - 1
+}
+
+func (r *realClock) every(p time.Duration, fn func(Time)) int {
+	r.tm = append(r.tm, r.c.Every(p, fn))
+	return len(r.tm) - 1
+}
+
+func (r *realClock) stop(id int)                        { r.tm[id].Stop() }
+func (r *realClock) reset(id int, d time.Duration) bool { return r.tm[id].Reset(d) }
+func (r *realClock) setPeriod(id int, p time.Duration)  { r.tm[id].SetPeriod(p) }
+func (r *realClock) step()                              { r.c.Step() }
+func (r *realClock) advance(to Time)                    { r.c.Advance(to) }
+func (r *realClock) now() Time                          { return r.c.Now() }
+func (r *realClock) nextDeadline() (Time, bool)         { return r.c.NextDeadline() }
+func (r *realClock) pending() int                       { return r.c.PendingTimers() }
+func (r *realClock) timers() int                        { return len(r.tm) }
+
+// modelClock is the reference: pending timers in a slice kept sorted by
+// (when, seq), fired from the front.
+type modelClock struct {
+	t, tick time.Duration
+	seq     uint64
+	ts      []*modelTimer
+	queue   []*modelTimer
+}
+
+type modelTimer struct {
+	id      int
+	when    Time
+	seq     uint64
+	period  time.Duration
+	fn      func(Time)
+	stopped bool
+	queued  bool
+}
+
+func (m *modelClock) enqueue(mt *modelTimer, when Time, seq uint64) {
+	mt.when, mt.seq, mt.queued = when, seq, true
+	i := sort.Search(len(m.queue), func(i int) bool {
+		q := m.queue[i]
+		return q.when > when || (q.when == when && q.seq > seq)
+	})
+	m.queue = slices.Insert(m.queue, i, mt)
+}
+
+func (m *modelClock) dequeue(mt *modelTimer) {
+	m.queue = slices.DeleteFunc(m.queue, func(q *modelTimer) bool { return q == mt })
+	mt.queued = false
+}
+
+func (m *modelClock) add(when Time, period time.Duration, fn func(Time)) int {
+	mt := &modelTimer{id: len(m.ts), period: period, fn: fn}
+	m.ts = append(m.ts, mt)
+	m.seq++
+	m.enqueue(mt, when, m.seq)
+	return mt.id
+}
+
+func (m *modelClock) after(d time.Duration, fn func(Time)) int { return m.add(m.t+d, 0, fn) }
+func (m *modelClock) every(p time.Duration, fn func(Time)) int { return m.add(m.t+p, p, fn) }
+
+func (m *modelClock) stop(id int) {
+	mt := m.ts[id]
+	mt.stopped = true
+	if mt.queued {
+		m.dequeue(mt)
+	}
+}
+
+func (m *modelClock) reset(id int, d time.Duration) bool {
+	mt := m.ts[id]
+	was := mt.queued
+	if was {
+		m.dequeue(mt)
+	}
+	mt.stopped = false
+	m.seq++
+	m.enqueue(mt, m.t+d, m.seq)
+	return was
+}
+
+func (m *modelClock) setPeriod(id int, p time.Duration) { m.ts[id].period = p }
+func (m *modelClock) step()                             { m.advance(m.t + m.tick) }
+
+func (m *modelClock) advance(to Time) {
+	m.t = to
+	for len(m.queue) > 0 && m.queue[0].when <= m.t {
+		mt := m.queue[0]
+		when, seq := mt.when, mt.seq
+		m.dequeue(mt)
+		mt.fn(m.t)
+		if mt.period > 0 && !mt.stopped && !mt.queued {
+			m.enqueue(mt, when+mt.period, seq)
+		}
+	}
+}
+
+func (m *modelClock) now() Time { return m.t }
+
+func (m *modelClock) nextDeadline() (Time, bool) {
+	if len(m.queue) == 0 {
+		return 0, false
+	}
+	return m.queue[0].when, true
+}
+
+func (m *modelClock) pending() int { return len(m.queue) }
+func (m *modelClock) timers() int  { return len(m.ts) }

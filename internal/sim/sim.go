@@ -1,15 +1,23 @@
 // Package sim provides the discrete-time simulation engine underneath the
-// host model: a virtual clock, a timer wheel ordered by firing time, and a
+// host model: a virtual clock, a timer queue ordered by firing time, and a
 // deterministic pseudo-random number generator.
 //
 // The engine advances in fixed ticks (Clock.Step). Timers scheduled between
 // ticks fire, in timestamp order, when the clock passes their deadline.
 // Everything is single-goroutine and deterministic: two runs with the same
 // seed and the same sequence of Step calls produce identical histories.
+//
+// The timer queue is a binary min-heap of (when, seq, *timer) entries.
+// seq is a per-clock counter stamped when a timer is scheduled or reset,
+// so (when, seq) is a total order: equal deadlines fire in scheduling
+// order. Keys live inline in the heap slice, so sifting compares without
+// dereferencing timers. Each timer records its heap index, which lets
+// Stop remove it eagerly and Reset re-key it in place; a self-re-arming
+// callback that calls Reset on its own handle therefore schedules
+// without allocating.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -21,10 +29,10 @@ type Time = time.Duration
 // Clock is the virtual clock plus the timer queue that drives the
 // simulation. The zero value is not usable; call NewClock.
 type Clock struct {
-	now    Time
-	tick   time.Duration
-	timers timerHeap
-	seq    uint64
+	now   Time
+	tick  time.Duration
+	queue []entry
+	seq   uint64
 }
 
 // NewClock returns a clock at time zero advancing in steps of tick.
@@ -67,17 +75,17 @@ func (c *Clock) Advance(to Time) Time {
 	return c.now
 }
 
-// fireDue pops and runs every timer due at or before now.
+// fireDue pops and runs every timer due at or before now. A periodic
+// timer is re-queued after its callback with its original sequence
+// number, unless the callback stopped or reset it.
 func (c *Clock) fireDue() {
-	for len(c.timers) > 0 && c.timers[0].when <= c.now {
-		t := heap.Pop(&c.timers).(*timer)
-		if t.cancelled {
-			continue
-		}
+	for len(c.queue) > 0 && c.queue[0].when <= c.now {
+		e := c.queue[0]
+		c.remove(0)
+		t := e.t
 		t.fn(c.now)
-		if t.period > 0 && !t.cancelled {
-			t.when += t.period
-			heap.Push(&c.timers, t)
+		if t.period > 0 && !t.stopped && t.idx < 0 {
+			c.push(entry{when: e.when + t.period, seq: e.seq, t: t})
 		}
 	}
 }
@@ -86,10 +94,10 @@ func (c *Clock) fireDue() {
 // ok is false when no timer is scheduled. Cancelled timers are removed
 // eagerly by Stop, so the returned deadline is always live.
 func (c *Clock) NextDeadline() (Time, bool) {
-	if len(c.timers) == 0 {
+	if len(c.queue) == 0 {
 		return 0, false
 	}
-	return c.timers[0].when, true
+	return c.queue[0].when, true
 }
 
 // RunUntil steps the clock until now >= deadline.
@@ -108,13 +116,40 @@ type Timer struct{ t *timer }
 // within the timer's own callback.
 func (t Timer) Stop() {
 	tm := t.t
-	if tm == nil || tm.cancelled {
+	if tm == nil || tm.stopped {
 		return
 	}
-	tm.cancelled = true
+	tm.stopped = true
 	if tm.idx >= 0 {
-		heap.Remove(&tm.c.timers, tm.idx)
+		tm.c.remove(tm.idx)
 	}
+}
+
+// Reset reschedules the timer to fire at now+d, whether it is pending,
+// has fired, or was stopped, and reports whether it was pending. Like
+// time.Timer.Reset it reuses the timer, so it does not allocate. The
+// timer takes a fresh place in the FIFO order among equal deadlines,
+// exactly as if After had scheduled it anew. A periodic timer fires
+// first at now+d and every period after that. Reset may be called from
+// within the timer's own callback.
+func (t Timer) Reset(d time.Duration) bool {
+	tm := t.t
+	if tm == nil {
+		panic("sim: Reset of zero Timer")
+	}
+	c := tm.c
+	c.seq++
+	tm.stopped = false
+	e := entry{when: c.now + d, seq: c.seq, t: tm}
+	if i := tm.idx; i >= 0 {
+		c.queue[i] = e
+		if !c.down(i) {
+			c.up(i)
+		}
+		return true
+	}
+	c.push(e)
+	return false
 }
 
 // SetPeriod changes the repeat interval of a periodic timer. The new
@@ -145,50 +180,97 @@ func (c *Clock) Every(period time.Duration, fn func(now Time)) Timer {
 
 func (c *Clock) schedule(when Time, period time.Duration, fn func(Time)) Timer {
 	c.seq++
-	t := &timer{c: c, when: when, period: period, fn: fn, seq: c.seq}
-	heap.Push(&c.timers, t)
+	t := &timer{c: c, period: period, fn: fn, idx: -1}
+	c.push(entry{when: when, seq: c.seq, t: t})
 	return Timer{t}
 }
 
 // PendingTimers reports how many live timers are scheduled. Stopped
 // timers are removed from the queue eagerly and never counted.
-func (c *Clock) PendingTimers() int { return len(c.timers) }
+func (c *Clock) PendingTimers() int { return len(c.queue) }
 
 type timer struct {
-	c         *Clock
-	when      Time
-	period    time.Duration
-	fn        func(Time)
-	seq       uint64
-	cancelled bool
-	idx       int // position in the heap; -1 while not enqueued
+	c       *Clock
+	period  time.Duration
+	fn      func(Time)
+	stopped bool
+	idx     int // position in the queue; -1 while not enqueued
 }
 
-type timerHeap []*timer
+// entry is one queued timer with its ordering key stored inline.
+type entry struct {
+	when Time
+	seq  uint64
+	t    *timer
+}
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+func (a *entry) less(b *entry) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+}
+
+// set stores e at position i and records the position in its timer.
+func (c *Clock) set(i int, e entry) {
+	c.queue[i] = e
+	e.t.idx = i
+}
+
+func (c *Clock) push(e entry) {
+	c.queue = append(c.queue, e)
+	c.up(len(c.queue) - 1)
+}
+
+// remove deletes the entry at position i, marking its timer unqueued.
+func (c *Clock) remove(i int) {
+	q := c.queue
+	n := len(q) - 1
+	q[i].t.idx = -1
+	if i != n {
+		c.set(i, q[n])
 	}
-	return h[i].seq < h[j].seq
+	q[n] = entry{}
+	c.queue = q[:n]
+	if i != n && !c.down(i) {
+		c.up(i)
+	}
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+// up sifts the entry at position i toward the root.
+func (c *Clock) up(i int) {
+	q := c.queue
+	e := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.less(&q[p]) {
+			break
+		}
+		c.set(i, q[p])
+		i = p
+	}
+	c.set(i, e)
 }
-func (h *timerHeap) Push(x any) {
-	t := x.(*timer)
-	t.idx = len(*h)
-	*h = append(*h, t)
-}
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.idx = -1
-	*h = old[:n-1]
-	return t
+
+// down sifts the entry at position i toward the leaves and reports
+// whether it moved.
+func (c *Clock) down(i0 int) bool {
+	q := c.queue
+	n := len(q)
+	e := q[i0]
+	i := i0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && q[r].less(&q[l]) {
+			m = r
+		}
+		if !q[m].less(&e) {
+			break
+		}
+		c.set(i, q[m])
+		i = m
+	}
+	c.set(i, e)
+	return i > i0
 }

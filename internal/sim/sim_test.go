@@ -227,6 +227,65 @@ func TestPeriodicTimerSurvivesAdvance(t *testing.T) {
 	}
 }
 
+func TestResetOrdersLikeAfter(t *testing.T) {
+	c := NewClock(time.Millisecond)
+	var order []string
+	a := c.After(time.Millisecond, func(Time) { order = append(order, "a") })
+	c.After(2*time.Millisecond, func(Time) { order = append(order, "b") })
+	// Re-keyed to b's deadline, a now ranks after b: a fresh place in
+	// the FIFO order, as if After had scheduled it anew.
+	if !a.Reset(2 * time.Millisecond) {
+		t.Fatal("Reset of a pending timer reported not pending")
+	}
+	c.RunUntil(3 * time.Millisecond)
+	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
+		t.Fatalf("order = %v, want [b a]", order)
+	}
+}
+
+func TestResetRevivesStoppedAndFiredTimers(t *testing.T) {
+	c := NewClock(time.Millisecond)
+	var fired []Time
+	tm := c.After(time.Millisecond, func(now Time) { fired = append(fired, now) })
+	c.Step()
+	if tm.Reset(2 * time.Millisecond) {
+		t.Fatal("Reset of a fired timer reported pending")
+	}
+	tm.Stop()
+	if tm.Reset(3*time.Millisecond) || c.PendingTimers() != 1 {
+		t.Fatalf("Reset of a stopped timer: pending=%d, want 1", c.PendingTimers())
+	}
+	c.RunUntil(10 * time.Millisecond)
+	if len(fired) != 2 || fired[1] != 4*time.Millisecond {
+		t.Fatalf("fired = %v, want [1ms 4ms]", fired)
+	}
+}
+
+func TestResetFromCallbackDoesNotAllocate(t *testing.T) {
+	c := NewClock(time.Millisecond)
+	n := 0
+	var tm Timer
+	tm = c.After(time.Millisecond, func(Time) {
+		n++
+		tm.Reset(time.Millisecond)
+	})
+	if allocs := testing.AllocsPerRun(100, func() { c.Step() }); allocs != 0 {
+		t.Fatalf("self-re-arming timer allocates %.1f per step, want 0", allocs)
+	}
+	if n != 101 { // AllocsPerRun adds one warm-up call
+		t.Fatalf("fired %d times, want 101", n)
+	}
+}
+
+func TestResetZeroTimerPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic resetting a zero Timer")
+		}
+	}()
+	Timer{}.Reset(time.Millisecond)
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
 	for i := 0; i < 100; i++ {

@@ -81,6 +81,7 @@ type Monitor struct {
 	lastUpdate sim.Time
 	timer      sim.Timer
 	started    bool
+	late       bool // the pending firing runs a postponed round
 
 	// Graceful-degradation state (see Options.StalenessBudget and
 	// Options.ResyncMin; all zero — fully disabled — by default).
@@ -603,8 +604,18 @@ func (m *Monitor) Start() {
 	m.arm()
 }
 
-func (m *Monitor) arm() {
-	m.timer = m.clock.After(m.Period(), m.fire)
+// arm schedules the next round one period from now.
+func (m *Monitor) arm() { m.schedule(m.Period()) }
+
+// schedule fires the update timer d from now. The timer (and the m.fire
+// method value it calls) is created once and re-armed in place after,
+// so a round schedules its successor without allocating.
+func (m *Monitor) schedule(d time.Duration) {
+	if m.timer == (sim.Timer{}) {
+		m.timer = m.clock.After(d, m.fire)
+		return
+	}
+	m.timer.Reset(d)
 }
 
 // fire is the periodic timer's callback: it consults the update
@@ -612,18 +623,18 @@ func (m *Monitor) arm() {
 // runs it now — re-arming for the next period in every case. With no
 // interceptor the path is identical to running UpdateAll directly.
 func (m *Monitor) fire(now sim.Time) {
-	if m.intercept != nil {
+	if m.late {
+		// A postponed round: the interceptor already ruled on it.
+		m.late = false
+	} else if m.intercept != nil {
 		delay, skip := m.intercept(now)
 		if skip {
 			m.arm()
 			return
 		}
 		if delay > 0 {
-			m.timer = m.clock.After(delay, func(late sim.Time) {
-				m.UpdateAll(late)
-				m.publishRound(late)
-				m.arm()
-			})
+			m.late = true
+			m.schedule(delay)
 			return
 		}
 	}
@@ -639,6 +650,7 @@ func (m *Monitor) fire(now sim.Time) {
 func (m *Monitor) Stop() {
 	m.timer.Stop()
 	m.started = false
+	m.late = false
 }
 
 // SubsystemName identifies the monitor in telemetry and diagnostics;
@@ -647,7 +659,7 @@ func (m *Monitor) Stop() {
 func (m *Monitor) SubsystemName() string { return "sysns" }
 
 // Tick is the monitor's dense per-tick hook. Updates are driven by the
-// periodic timer (armed in the clock's timer wheel) and by cgroup
+// periodic timer (armed in the clock's timer queue) and by cgroup
 // events, so with no staleness budget configured it is a no-op. With a
 // budget, the tick is where bounded-staleness detection runs: any
 // namespace whose view age exceeds the budget falls back to the
@@ -676,7 +688,7 @@ func (m *Monitor) Tick(now sim.Time, dt time.Duration) {
 }
 
 // NextEvent reports the monitor's next self-scheduled instant. The
-// periodic update timer lives in the clock's timer wheel, which already
+// periodic update timer lives in the clock's timer queue, which already
 // bounds every fast-forward jump; the monitor itself only contributes
 // an instant when a staleness budget is armed: the earliest moment a
 // live namespace's view can expire, so fallback engagement lands on the
