@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz bench bench-scale bench-serve bench-gate profile cover docs golden golden-check golden-parallel ci
+.PHONY: build vet fmt test race fuzz bench bench-scale bench-serve bench-gate profile cover docs golden golden-check golden-parallel ci
 
 build:
 	$(GO) build ./...
@@ -8,17 +8,26 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: every Go file in the tree must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
+
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke: the timer queue against its sorted-slice reference
-# model (internal/sim FuzzClockOrder). The committed seed corpus under
-# internal/sim/testdata/fuzz runs in every plain `go test` as well.
+# Short fuzz smokes, 10 s each: the timer queue against its sorted-slice
+# reference model (internal/sim FuzzClockOrder), the scheduler's
+# dirty-set repair against the eager oracle (internal/cfs
+# FuzzRepairMirror), and fsd's HTTP routes against arbitrary paths
+# (internal/fsd FuzzRoutes). The committed seed corpora under each
+# package's testdata/fuzz run in every plain `go test` as well.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzClockOrder -fuzztime 10s -parallel 2 ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzRepairMirror -fuzztime 10s -parallel 2 ./internal/cfs
+	$(GO) test -run xxx -fuzz FuzzRoutes -fuzztime 10s -parallel 2 ./internal/fsd
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x .
@@ -102,4 +111,4 @@ golden-check:
 golden-parallel:
 	$(GO) test -count=1 -run TestExperimentsMatchGolden -golden-workers 8 .
 
-ci: build vet docs test race fuzz bench bench-gate cover golden-check golden-parallel
+ci: build vet fmt docs test race fuzz bench bench-gate cover golden-check golden-parallel

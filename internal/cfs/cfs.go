@@ -31,13 +31,10 @@
 // configuration (shares, quota, cpuset, group topology) and the runnable
 // counts. The scheduler therefore computes it only when one of those
 // inputs changes: every mutating entry point (SetShares, SetQuota,
-// SetCpuset, SetRunnable, task/group lifecycle, SkipIdle) invalidates the
-// memo, and the next Tick recomputes caps and the water fill with the
-// exact loop a non-memoizing scheduler would run every tick — so results
-// are bit-identical, just not recomputed when nothing changed. Ticks in
-// between advance accounting for the active groups only (the groups with
-// a non-zero rate), touching one groupAcct slot and the runnable tasks of
-// each.
+// SetCpuset, SetRunnable, task/group lifecycle, SkipIdle) records the
+// change, and the next Tick recomputes what it affects with the exact
+// float operations a non-memoizing scheduler would run every tick — so
+// results are bit-identical, just not recomputed when nothing changed.
 //
 // Per-group hot state lives in struct-of-arrays form on the Scheduler
 // (gCap, gRate, gAcct), indexed by the group's slot in Groups(). Slots
@@ -49,17 +46,18 @@
 //
 // # Incremental repair
 //
-// Schedulers built with Options.IncrementalRepair replace the binary
-// invalidate-and-rebuild memo protocol with dirty-set repair: mutators
-// mark the touched group in a dirty set, and the next Tick recomputes
-// caps, water fills, and accounting only for the dirty groups, the
-// affected parents, and the top level — O(changes + tops) instead of
-// O(groups) — escalating to one full rebuild when the dirty set grows
-// to a sizable fraction of the active set. Accounting for quiet groups
-// (active groups with no runnable OnTick task) is deferred and settled
-// on read, replaying the memoized per-tick deltas so every observable
-// value stays bit-identical to the eager protocol. See repair.go and
-// DESIGN.md §15.
+// The memo is maintained by dirty-set repair rather than by binary
+// invalidate-and-rebuild: mutators mark the touched group in a dirty
+// set, and the next Tick recomputes caps, water fills, and accounting
+// only for the dirty groups, the affected parents, and the top level —
+// O(changes + tops) instead of O(groups) — escalating to one full
+// rebuild when the dirty set grows to a sizable fraction of the active
+// set. Accounting for quiet groups (active groups with no runnable
+// OnTick task) is deferred and settled on read, replaying the memoized
+// per-tick deltas so every observable value stays bit-identical to
+// rebuilding on every change. The invalidate-and-rebuild protocol
+// survives only as the test oracle repair is checked against. See
+// repair.go and DESIGN.md §15.
 package cfs
 
 import (
@@ -92,6 +90,14 @@ type Task struct {
 	// (CPU time discounted by the oversubscription penalty) and the
 	// raw CPU time consumed. State changes made by the callback
 	// (blocking tasks, waking tasks) take effect from the next tick.
+	//
+	// The callback must be installed before the task's first
+	// SetRunnable: the scheduler defers the accounting of groups with no
+	// runnable OnTick task and replays it on read, and that replay
+	// (settleTo) panics on a task that gained a callback while runnable.
+	// A wake of a task in another group made from the callback takes
+	// effect the next tick, even for a group later in the same tick's
+	// walk.
 	OnTick func(now sim.Time, useful, raw units.CPUSeconds)
 
 	group    *Group
@@ -136,9 +142,7 @@ const (
 	// since the last tick; its throttle state must be re-evaluated
 	// (alloc provably unchanged, so no full rebuild is needed).
 	acctFlagsDirty
-	// The remaining bits are incremental-repair state (repair.go) and
-	// are maintained only on schedulers built with
-	// Options.IncrementalRepair.
+	// The remaining bits are incremental-repair state (repair.go).
 
 	// acctAllocDirty: the group is queued in Scheduler.dirty for
 	// allocation repair on the next tick.
@@ -346,18 +350,20 @@ type Scheduler struct {
 	scratchTop   []int
 	scratchChild []int
 
-	// Incremental-repair state (Options.IncrementalRepair; repair.go).
-	// All index lists are ascending schedIdx and kept exact across
-	// RemoveGroup compaction.
-	repair         bool
-	dirty          []int // groups queued for allocation repair (acctAllocDirty)
-	parked         []int // absorbed mid-walk marks (acctAllocParked)
-	pendingAbsorb  bool  // the eager protocol would rebuild on the next tick with no repair work queued
-	walkAbsorbs    bool  // the running walk matches an eager rebuild: mid-walk marks are absorbed (parked)
-	pendingTopFill bool  // top-level fill must rerun (active top membership changed)
-	pendingResum   bool  // slack/loadContrib sums must re-derive (an active group left)
-	activeTop      []int // top-level groups with cap > 0 (acctTop)
-	eagerIdx       []int // active groups with runnable OnTick tasks (acctEager)
+	// eager selects the invalidate-and-rebuild memo protocol instead of
+	// dirty-set repair. Only the test oracle sets it (export_test.go).
+	eager bool
+
+	// Incremental-repair state (repair.go). All index lists are
+	// ascending schedIdx and kept exact across RemoveGroup compaction.
+	dirty          []int    // groups queued for allocation repair (acctAllocDirty)
+	parked         []int    // absorbed mid-walk marks (acctAllocParked)
+	pendingAbsorb  bool     // the eager protocol would rebuild on the next tick with no repair work queued
+	walkAbsorbs    bool     // the running walk matches an eager rebuild: mid-walk marks are absorbed (parked)
+	pendingTopFill bool     // top-level fill must rerun (active top membership changed)
+	pendingResum   bool     // slack/loadContrib sums must re-derive (an active group left)
+	activeTop      []int    // top-level groups with cap > 0 (acctTop)
+	eagerIdx       []int    // active groups with runnable OnTick tasks (acctEager)
 	gSettled       []uint64 // tick through which each group's accounting is settled
 	lastDt         time.Duration
 	lastDtSec      float64
@@ -432,12 +438,6 @@ func (s *Scheduler) Groups() []*Group { return s.groups }
 // group lifecycle paths, not scanned.
 func (s *Scheduler) TopShares() int64 { return s.topShares }
 
-// Invalidate marks the memoized allocation stale, forcing the next Tick
-// to recompute caps and the water fill from current state. Every
-// Scheduler mutator calls it; exported so tests that poke Group
-// configuration fields directly on a live scheduler can stay correct.
-func (s *Scheduler) Invalidate() { s.allocValid = false }
-
 // SetShares writes g's cpu.shares weight while keeping the share
 // aggregates (TopShares, the parent's ChildShares) consistent. All
 // share changes on a live group must go through here (the cgroups layer
@@ -475,13 +475,13 @@ func (s *Scheduler) SetShares(g *Group, shares int64) {
 func (s *Scheduler) SetQuota(g *Group, quotaUS, periodUS int64) {
 	if !s.allocValid || g.removed {
 		g.QuotaUS, g.PeriodUS = quotaUS, periodUS
-		// A removed group cannot affect the allocation; under repair the
+		// A removed group cannot affect the allocation, so the repair
 		// memo stays valid (the eager protocol conservatively rebuilds,
 		// so absorbed marks go live to match that refresh).
-		if !g.removed || !s.repair {
-			s.allocValid = false
-		} else {
+		if g.removed {
 			s.noteEagerRebuild()
+		} else {
+			s.allocValid = false
 		}
 		return
 	}
@@ -517,10 +517,10 @@ func (s *Scheduler) SetQuota(g *Group, quotaUS, periodUS int64) {
 func (s *Scheduler) SetCpuset(g *Group, n int) {
 	if !s.allocValid || g.removed {
 		g.CpusetN = n
-		if !g.removed || !s.repair {
-			s.allocValid = false
-		} else {
+		if g.removed {
 			s.noteEagerRebuild()
+		} else {
+			s.allocValid = false
 		}
 		return
 	}
@@ -589,14 +589,10 @@ func (s *Scheduler) NewGroup(name string) *Group {
 	s.growHot()
 	s.topShares += g.Shares
 	// A new group has no runnable tasks, so cap 0: it joins no fill and
-	// moves no allocation. Under repair the memo therefore stays valid,
-	// but marks absorbed during an earlier repair walk go live, because
-	// the rebuild this forces on the eager protocol refreshes them.
-	if s.repair {
-		s.noteEagerRebuild()
-	} else {
-		s.allocValid = false
-	}
+	// moves no allocation. The repair memo therefore stays valid, but
+	// marks absorbed during an earlier repair walk go live, because the
+	// rebuild this forces on the eager protocol refreshes them.
+	s.noteEagerRebuild()
 	return g
 }
 
@@ -626,11 +622,7 @@ func (s *Scheduler) NewChildGroup(parent *Group, name string) *Group {
 	parent.childShares += g.Shares
 	s.groups = append(s.groups, g)
 	s.growHot()
-	if s.repair {
-		s.noteEagerRebuild()
-	} else {
-		s.allocValid = false
-	}
+	s.noteEagerRebuild()
 	return g
 }
 
@@ -649,7 +641,7 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	for _, c := range append([]*Group(nil), g.children...) {
 		s.RemoveGroup(c)
 	}
-	if s.repair {
+	if !s.eager {
 		// Freeze fully settled accounting, and queue the repair the
 		// removal causes before the group's bookkeeping disappears. The
 		// eager protocol rebuilds after every removal, so absorbed marks
@@ -706,7 +698,7 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	for j := i; j < len(s.groups); j++ {
 		s.groups[j].schedIdx = j
 	}
-	if s.repair {
+	if !s.eager {
 		// The index lists stay exact: drop the removed slot and shift
 		// the entries the compaction moved.
 		s.active = patchIdxList(s.active, i)
@@ -740,7 +732,7 @@ func (s *Scheduler) NewTask(g *Group, name string) *Task {
 func (s *Scheduler) RemoveTask(t *Task) {
 	t.removed = true
 	if t.runnable {
-		if s.repair {
+		if !s.eager {
 			// Account the task's deferred ticks before it leaves the
 			// replay set.
 			s.settleLive(t.group.schedIdx)
@@ -770,7 +762,7 @@ func (s *Scheduler) SetRunnable(t *Task, runnable bool) {
 	if t.runnable == runnable {
 		return
 	}
-	if s.repair {
+	if !s.eager {
 		// Settle at the old rate and runnable count before the flip: the
 		// deferred ticks all ran under them.
 		s.settleLive(t.group.schedIdx)
@@ -850,12 +842,12 @@ func waterfill(groups []*Group, caps, alloc []float64, active []int, capacity fl
 
 // Tick advances the scheduler by dt: allocates CPU, advances task work,
 // and updates accounting and the load average. It is called once per
-// simulation tick by the host. When no allocation input changed since
-// the previous tick the memoized rates are replayed over the active
-// groups only; otherwise the full recompute runs, with results
-// bit-identical to recomputing every tick.
+// simulation tick by the host. With nothing dirty it walks only the
+// groups whose OnTick callbacks must fire (quietTick); a bounded dirty
+// set is repaired in place (repairTick); a large one escalates to one
+// full rebuild. Results are bit-identical to recomputing every change.
 func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
-	if s.repair && dt != s.lastDt {
+	if !s.eager && dt != s.lastDt {
 		// The deferred-accounting replay assumes a constant tick length;
 		// a change (hosts never do this, direct drivers may) settles
 		// everything at the old length first.
@@ -869,7 +861,7 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	dtSec := dt.Seconds()
 
 	switch {
-	case !s.repair:
+	case s.eager:
 		if s.allocValid {
 			s.fastTick(now, dt, dtSec)
 		} else {
@@ -920,8 +912,9 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	}
 }
 
-// fastTick replays the memoized allocation: accounting advances for the
-// active groups and their runnable tasks, nothing else can have changed.
+// fastTick is the eager oracle's tick while its memo holds: accounting
+// advances for the active groups and their runnable tasks, nothing else
+// can have changed.
 func (s *Scheduler) fastTick(now sim.Time, dt time.Duration, dtSec float64) {
 	groups := s.groups
 	contribDirty := false
@@ -963,31 +956,49 @@ func (s *Scheduler) tickGroup(now sim.Time, i int, g *Group, dt time.Duration, d
 		// Parent group, or a leaf with no runnable tasks.
 		return contribDirty
 	}
-	perTask, over := a.perTask, a.over
-	// Snapshot: OnTick may append tasks for future ticks.
-	tasks := g.tasks
-	for _, t := range tasks {
+	runTasks(now, g, a.perTask, a.over, dtSec)
+	return contribDirty
+}
+
+// runTasks advances a leaf's runnable tasks by one tick at perTask CPUs
+// each: their rate and usage, and their OnTick callbacks with the raw
+// CPU time discounted by the oversubscription penalty 1/(1+gamma*over).
+// The discount is computed once per distinct gamma rather than per task;
+// the float operations, and so the results, are the same.
+func runTasks(now sim.Time, g *Group, perTask, over, dtSec float64) {
+	rawT := units.CPUSeconds(perTask * dtSec)
+	groupEff := discount(g.Gamma, over)
+	taskGamma, taskEff := 0.0, 1.0
+	// Ranging over the slice header snapshots the task list: OnTick may
+	// append tasks for future ticks.
+	for _, t := range g.tasks {
 		if !t.runnable {
 			continue
 		}
 		t.LastRate = perTask
-		rawT := units.CPUSeconds(perTask * dtSec)
 		t.Usage += rawT
-		if t.OnTick != nil {
-			eff := 1.0
-			if over > 0 {
-				gamma := g.Gamma
-				if t.Gamma > 0 {
-					gamma = t.Gamma
-				}
-				if gamma > 0 {
-					eff = 1 / (1 + gamma*over)
-				}
-			}
-			t.OnTick(now, units.CPUSeconds(float64(rawT)*eff), rawT)
+		if t.OnTick == nil {
+			continue
 		}
+		eff := groupEff
+		if t.Gamma > 0 {
+			if t.Gamma != taskGamma {
+				taskGamma, taskEff = t.Gamma, discount(t.Gamma, over)
+			}
+			eff = taskEff
+		}
+		t.OnTick(now, units.CPUSeconds(float64(rawT)*eff), rawT)
 	}
-	return contribDirty
+}
+
+// discount is the useful-work factor 1/(1+gamma*over) of the package
+// comment, or 1 when the group is not oversubscribed or the sensitivity
+// is zero.
+func discount(gamma, over float64) float64 {
+	if over > 0 && gamma > 0 {
+		return 1 / (1 + gamma*over)
+	}
+	return 1
 }
 
 // recomputeLoadContrib re-derives the load contribution as the same
@@ -1125,11 +1136,9 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 			top = append(top, i)
 		}
 	}
-	if s.repair {
-		// Snapshot the fill participants before waterfill consumes the
-		// list in place: repair ticks refill over this set.
-		s.activeTop = append(s.activeTop[:0], top...)
-	}
+	// Snapshot the fill participants before waterfill consumes the list
+	// in place: repair ticks refill over this set.
+	s.activeTop = append(s.activeTop[:0], top...)
 	waterfill(s.groups, caps, alloc, top, float64(s.ncpu))
 
 	// Second level: each parent's grant is filled among its children.
@@ -1148,10 +1157,8 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 
 	s.active = s.active[:0]
 	s.throttledIdx = s.throttledIdx[:0]
-	if s.repair {
-		s.eagerIdx = s.eagerIdx[:0]
-		s.inWalk = true
-	}
+	s.eagerIdx = s.eagerIdx[:0]
+	s.inWalk = true
 	var used float64
 	loadContribution := 0.0
 	for i, g := range s.groups {
@@ -1159,17 +1166,14 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 		a := &s.gAcct[i]
 		a.perTask, a.over = 0, 0
 		a.flags &^= acctFlagsDirty
-		if s.repair {
-			s.walkPos = i
-			s.gSettled[i] = s.ticks
-			a.setFlag(acctActive, rate > 0)
-			a.setFlag(acctTop, g.parent == nil && caps[i] > 0)
-			// Eager membership is settled after the task walk below: an
-			// OnTick callback may block the group's last OnTick task,
-			// and a group that ends the tick without any must be
-			// deferrable.
-			a.setFlag(acctEager, false)
-		}
+		s.walkPos = i
+		s.gSettled[i] = s.ticks
+		a.setFlag(acctActive, rate > 0)
+		a.setFlag(acctTop, g.parent == nil && caps[i] > 0)
+		// Eager membership is settled after the task walk below: an
+		// OnTick callback may block the group's last OnTick task, and a
+		// group that ends the tick without any must be deferrable.
+		a.setFlag(acctEager, false)
 		if len(g.children) > 0 {
 			// Parent accounting only; its children execute the tasks.
 			thr := false
@@ -1239,30 +1243,8 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 			over = 0
 		}
 		a.perTask, a.over = perTask, over
-		// Snapshot: OnTick may mutate runnable state for future ticks.
-		tasks := g.tasks
-		for _, t := range tasks {
-			if !t.runnable {
-				continue
-			}
-			t.LastRate = perTask
-			rawT := units.CPUSeconds(perTask * dtSec)
-			t.Usage += rawT
-			if t.OnTick != nil {
-				eff := 1.0
-				if over > 0 {
-					gamma := g.Gamma
-					if t.Gamma > 0 {
-						gamma = t.Gamma
-					}
-					if gamma > 0 {
-						eff = 1 / (1 + gamma*over)
-					}
-				}
-				t.OnTick(now, units.CPUSeconds(float64(rawT)*eff), rawT)
-			}
-		}
-		if s.repair && g.runnableOnTick > 0 {
+		runTasks(now, g, perTask, over, dtSec)
+		if g.runnableOnTick > 0 {
 			a.setFlag(acctEager, true)
 			s.eagerIdx = append(s.eagerIdx, i)
 		}
@@ -1328,7 +1310,7 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 	if s.runnableNow != 0 {
 		panic(fmt.Sprintf("cfs: SkipIdle with %d runnable tasks", s.runnableNow))
 	}
-	if s.repair {
+	if !s.eager {
 		// Settle any deferred accounting at the pre-skip rates; the
 		// skipped span itself accrues nothing (all rates are zero).
 		s.settleAllTo(s.ticks)
@@ -1338,9 +1320,7 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 	for i, g := range s.groups {
 		s.gRate[i] = 0
 		s.noteThrottle(now, i, g, false, 0)
-		if s.repair {
-			s.gSettled[i] = s.ticks
-		}
+		s.gSettled[i] = s.ticks
 	}
 	s.allocValid = false
 	dtSec := dt.Seconds()

@@ -1,0 +1,212 @@
+package cfs
+
+import (
+	"fmt"
+	"math"
+	"testing"
+	"time"
+)
+
+// FuzzRepairMirror decodes a byte string into scheduler operations,
+// applies each to a repair scheduler and to the eager oracle through the
+// mirror harness, and compares every observable after every tick, as
+// TestRepairMirrorsEagerLockstep does for its random op streams.
+//
+// Encoding: the first byte picks the host size (1-8 CPUs). Each op is
+// one opcode byte followed by up to two argument bytes (missing bytes
+// read as zero); opcodes cover group and child-group creation, removal,
+// shares/quota/cpuset writes, tasks with and without OnTick,
+// SetRunnable, Tick, SkipIdle, tick-length changes, and usage reads.
+func FuzzRepairMirror(f *testing.F) {
+	for _, seed := range [][]byte{
+		{},
+		{3, opGroup, opTask, 0, 0, opRunnable, 0, opTick, 3},
+		{3, opGroup, opChild, 0, opChild, 0, opTask, 1, 5, opTask, 2, 0,
+			opRunnable, 0, opRunnable, 1, opQuota, 0, 4, opTick, 3, opRead, 1, 1, opTick, 3},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 2048 {
+			data = data[:2048] // bound the work per input
+		}
+		ncpu, ops := decodeMirrorOps(data)
+		runMirrorOps(t, ncpu, ops)
+	})
+}
+
+// Fuzz opcodes (taken modulo opCount).
+const (
+	opGroup    = iota // new top-level group
+	opChild           // arg: parent; new child group under a task-free top-level group
+	opRemove          // arg: group; remove it (and its children)
+	opRmTask          // arg: task; remove it
+	opShares          // args: group, palette index
+	opQuota           // args: group, palette index
+	opCpuset          // args: group, mask size
+	opTask            // args: leaf, OnTick kind (0 none, 255 never blocks, else blocks every arg-th call)
+	opRunnable        // arg: task; toggle runnable
+	opTick            // arg: tick count - 1 (low two bits)
+	opSkipIdle        // arg: span in ticks; only when nothing is runnable
+	opDt              // arg: tick length selector
+	opRead            // args: group, accessor
+	opCount
+)
+
+// Growth caps keep one fuzz input's work bounded. The group cap still
+// exceeds 2*repairEscalateMin, so a dirty storm can escalate.
+const (
+	fuzzMaxGroups = 160
+	fuzzMaxTasks  = 256
+)
+
+var fuzzDts = []time.Duration{time.Millisecond, 2 * time.Millisecond, 500 * time.Microsecond, 3 * time.Millisecond}
+
+// mirrorOp is one decoded fuzz operation.
+type mirrorOp struct {
+	code, a, b int
+}
+
+// opArgs is the number of argument bytes each opcode consumes.
+var opArgs = [opCount]int{
+	opGroup: 0, opChild: 1, opRemove: 1, opRmTask: 1, opShares: 2, opQuota: 2,
+	opCpuset: 2, opTask: 2, opRunnable: 1, opTick: 1, opSkipIdle: 1, opDt: 1, opRead: 2,
+}
+
+// decodeMirrorOps splits a fuzz input into the host size and its op
+// sequence; bytes missing at the end read as zero.
+func decodeMirrorOps(data []byte) (ncpu int, ops []mirrorOp) {
+	i := 0
+	next := func() int {
+		if i >= len(data) {
+			return 0
+		}
+		v := data[i]
+		i++
+		return int(v)
+	}
+	ncpu = 1 + next()%8
+	for i < len(data) {
+		o := mirrorOp{code: next() % opCount}
+		if opArgs[o.code] > 0 {
+			o.a = next()
+		}
+		if opArgs[o.code] > 1 {
+			o.b = next()
+		}
+		ops = append(ops, o)
+	}
+	return ncpu, ops
+}
+
+// runMirrorOps applies ops to a fresh mirror and fails t on the first
+// divergence between the two arms.
+func runMirrorOps(t *testing.T, ncpu int, ops []mirrorOp) {
+	m := newMirror(t, ncpu)
+	// group returns the live group an argument byte names, or -1.
+	group := func(arg int) int {
+		if len(m.groups) == 0 {
+			return -1
+		}
+		gi := arg % len(m.groups)
+		if m.groups[gi].e.removed {
+			return -1
+		}
+		return gi
+	}
+	for k, o := range ops {
+		switch o.code {
+		case opGroup:
+			if len(m.groups) < fuzzMaxGroups {
+				m.newGroup(fmt.Sprintf("g%d", len(m.groups)))
+			}
+		case opChild:
+			p := group(o.a)
+			if p < 0 || len(m.groups) >= fuzzMaxGroups {
+				break
+			}
+			if pg := m.groups[p].e; pg.parent != nil || len(pg.tasks) > 0 {
+				break
+			}
+			m.newChild(p, fmt.Sprintf("g%d", len(m.groups)))
+		case opRemove:
+			if gi := group(o.a); gi >= 0 {
+				m.removeGroup(gi)
+			}
+		case opRmTask:
+			if len(m.tasks) > 0 {
+				m.removeTask(o.a % len(m.tasks))
+			}
+		case opShares:
+			if gi := group(o.a); gi >= 0 {
+				sh := sharesPalette[o.b%len(sharesPalette)]
+				m.eager.SetShares(m.groups[gi].e, sh)
+				m.rep.SetShares(m.groups[gi].r, sh)
+			}
+		case opQuota:
+			if gi := group(o.a); gi >= 0 {
+				q := quotaPalette[o.b%len(quotaPalette)]
+				m.eager.SetQuota(m.groups[gi].e, q[0], q[1])
+				m.rep.SetQuota(m.groups[gi].r, q[0], q[1])
+			}
+		case opCpuset:
+			if gi := group(o.a); gi >= 0 {
+				m.eager.SetCpuset(m.groups[gi].e, o.b%5)
+				m.rep.SetCpuset(m.groups[gi].r, o.b%5)
+			}
+		case opTask:
+			gi := group(o.a)
+			if gi < 0 || len(m.groups[gi].e.children) > 0 || len(m.tasks) >= fuzzMaxTasks {
+				break
+			}
+			every := o.b
+			if every == 255 {
+				every = 1 << 30
+			}
+			m.newTask(gi, fmt.Sprintf("t%d", len(m.tasks)), every)
+		case opRunnable:
+			if len(m.tasks) > 0 {
+				ti := o.a % len(m.tasks)
+				m.setRunnable(ti, !m.tasks[ti].e.runnable)
+			}
+		case opTick:
+			for n := 1 + o.a%4; n > 0; n-- {
+				m.tick()
+				m.check(fmt.Sprintf("op %d: tick %d", k, m.rep.ticks))
+			}
+		case opSkipIdle:
+			if m.eager.RunnableNow() != 0 {
+				break
+			}
+			n := 1 + o.a%32
+			m.now += time.Duration(n) * m.dt
+			m.eager.SkipIdle(m.now, m.dt, n)
+			m.rep.SkipIdle(m.now, m.dt, n)
+			m.check(fmt.Sprintf("op %d: skip %d", k, n))
+		case opDt:
+			m.dt = fuzzDts[o.a%len(fuzzDts)]
+		case opRead:
+			gi := group(o.a)
+			if gi < 0 {
+				break
+			}
+			ge, gr := m.groups[gi].e, m.groups[gi].r
+			switch o.b % 4 {
+			case 0:
+				ge.Usage()
+				gr.Usage()
+			case 1:
+				if a, b := ge.TakeWindowUsage(), gr.TakeWindowUsage(); math.Float64bits(float64(a)) != math.Float64bits(float64(b)) {
+					t.Fatalf("op %d: TakeWindowUsage diverged on %s: %v vs %v", k, ge.Name, a, b)
+				}
+			case 2:
+				ge.PeekWindowUsage()
+				gr.PeekWindowUsage()
+			default:
+				ge.ThrottledTime()
+				gr.ThrottledTime()
+			}
+		}
+	}
+	m.check("final")
+}

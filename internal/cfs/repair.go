@@ -1,10 +1,10 @@
-// Incremental tick-allocation repair (Options.IncrementalRepair).
+// Incremental tick-allocation repair, the scheduler's tick protocol.
 //
-// The eager memo protocol in cfs.go is binary: any allocation-affecting
-// mutation invalidates the whole memo and the next Tick rebuilds caps,
-// both water-fill levels, and accounting for every group — O(groups)
-// even when one group changed. Repair mode replaces the invalidate bit
-// with a dirty set and splits Tick into three regimes:
+// An eager memo protocol is binary: any allocation-affecting mutation
+// invalidates the whole memo and the next Tick rebuilds caps, both
+// water-fill levels, and accounting for every group — O(groups) even
+// when one group changed. Repair replaces the invalidate bit with a
+// dirty set and splits Tick into three regimes:
 //
 //   - quietTick: nothing dirty. Only the eager groups (active groups
 //     with runnable OnTick tasks, whose callbacks must fire every tick)
@@ -36,10 +36,13 @@
 //     repair lists — pathological churn degrades gracefully to the
 //     eager cost, mirroring sysns's batched-recompute escalation.
 //
-// Equivalence with the eager protocol is not asserted, it is tested:
-// repair_test.go drives mirrored schedulers through randomized op
-// sequences and compares the full observable state every tick, and the
-// integration differential test does the same under the fault mix.
+// Equivalence with the eager protocol is not asserted, it is tested.
+// The eager protocol (fastTick and the s.eager branches) is kept as the
+// oracle, switched on only through export_test.go: repair_test.go and
+// FuzzRepairMirror drive mirrored schedulers through op sequences and
+// compare the full observable state every tick, and
+// TestRepairMatchesEagerUnderFaultMix does the same for two whole hosts
+// under the fault mix.
 package cfs
 
 import (
@@ -50,33 +53,6 @@ import (
 	"arv/internal/sim"
 	"arv/internal/units"
 )
-
-// Options configures optional Scheduler behavior. The zero value is the
-// default eager configuration NewScheduler uses.
-type Options struct {
-	// IncrementalRepair enables dirty-set allocation repair with
-	// deferred (settle-on-read) accounting for quiet groups; see the
-	// package comment. Every observable value — rates, caps, usage,
-	// throttle state, load average, slack — stays bit-identical to the
-	// eager protocol.
-	//
-	// Contract: a task's OnTick callback must be installed before the
-	// task is first made runnable (all in-tree workloads do), so the
-	// scheduler knows which groups cannot defer accounting; settleTo
-	// panics on violations. Mid-tick cross-group wakes made by an
-	// OnTick callback take effect the next tick, where the eager walk
-	// would expose them to groups later in the same walk; no in-tree
-	// workload wakes tasks outside its own group mid-tick.
-	IncrementalRepair bool
-}
-
-// NewSchedulerOpts returns a scheduler for a host with ncpu cores,
-// configured by opts. NewScheduler(n) is NewSchedulerOpts(n, Options{}).
-func NewSchedulerOpts(ncpu int, opts Options) *Scheduler {
-	s := NewScheduler(ncpu)
-	s.repair = opts.IncrementalRepair
-	return s
-}
 
 // repairEscalateMin is the dirty-set floor below which a repair never
 // escalates: a handful of dirty groups on a mostly idle host repairs in
@@ -89,9 +65,9 @@ func (s *Scheduler) escalate() bool {
 	return len(s.dirty) >= repairEscalateMin && 2*len(s.dirty) >= len(s.active)
 }
 
-// noteAllocChange records that g's allocation inputs changed: the eager
-// protocol invalidates the whole memo, repair queues g in the dirty set
-// (unless a full rebuild is already pending).
+// noteAllocChange records that g's allocation inputs changed: repair
+// queues g in the dirty set (unless a full rebuild is already pending),
+// the eager oracle invalidates the whole memo.
 //
 // A change made from inside a walk that matches an eager rebuild
 // (walkAbsorbs — see the Tick dispatch) is parked instead of queued
@@ -100,7 +76,7 @@ func (s *Scheduler) escalate() bool {
 // protocol must leave the same staleness in place to stay
 // bit-identical.
 func (s *Scheduler) noteAllocChange(g *Group) {
-	if !s.repair {
+	if s.eager {
 		s.allocValid = false
 		return
 	}
@@ -133,6 +109,10 @@ func (s *Scheduler) noteAllocChange(g *Group) {
 // refreshes them on the eager side — and the next quiet tick absorbs
 // mid-walk marks the way that rebuild would.
 func (s *Scheduler) noteEagerRebuild() {
+	if s.eager {
+		s.allocValid = false
+		return
+	}
 	s.pendingAbsorb = true
 	s.promoteParked()
 }
@@ -174,10 +154,10 @@ func (s *Scheduler) resetRepairState() {
 }
 
 // settle brings the group's deferred accounting current before a read.
-// No-op outside repair mode and for removed groups (whose accounting
-// was settled when they were frozen).
+// No-op for removed groups (whose accounting was settled when they were
+// frozen) and under the eager oracle, which defers nothing.
 func (g *Group) settle() {
-	if g.removed || g.sched == nil || !g.sched.repair {
+	if g.removed || g.sched == nil || g.sched.eager {
 		return
 	}
 	g.sched.settleLive(g.schedIdx)
@@ -230,7 +210,7 @@ func (s *Scheduler) settleTo(i int, target uint64) {
 			continue
 		}
 		if t.OnTick != nil {
-			panic("cfs: OnTick installed after SetRunnable under IncrementalRepair (install OnTick before making the task runnable)")
+			panic("cfs: OnTick installed after SetRunnable (install OnTick before making the task runnable)")
 		}
 		t.LastRate = perTask
 		for j := uint64(0); j < k; j++ {
@@ -247,10 +227,10 @@ func (s *Scheduler) settleAllTo(target uint64) {
 	}
 }
 
-// quietTick is repair mode's steady-state tick: nothing is dirty, so
-// only the eager groups (whose OnTick callbacks must fire) and any
-// flag-dirty groups are walked, merged in ascending slot order. All
-// other accounting is deferred to settleTo.
+// quietTick is the steady-state tick: nothing is dirty, so only the
+// eager groups (whose OnTick callbacks must fire) and any flag-dirty
+// groups are walked, merged in ascending slot order. All other
+// accounting is deferred to settleTo.
 func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
 	if len(s.flagsDirty) > 1 {
 		sort.Ints(s.flagsDirty)
@@ -645,6 +625,9 @@ func (s *Scheduler) repairAccount(now sim.Time, i int, g *Group, dt time.Duratio
 			}
 		}
 		s.markActive(i, rate > 0)
+		// A leaf that just gained its first child leaves the eager set:
+		// its tasks are gone and its children carry their own callbacks.
+		s.markEager(i, false)
 		a.setFlag(acctDurBinding, thr)
 		s.noteThrottleTracked(now, i, g, thr, rate)
 		return
@@ -685,29 +668,7 @@ func (s *Scheduler) repairAccount(now sim.Time, i int, g *Group, dt time.Duratio
 		over = 0
 	}
 	a.perTask, a.over = perTask, over
-	// Snapshot: OnTick may mutate runnable state for future ticks.
-	tasks := g.tasks
-	for _, t := range tasks {
-		if !t.runnable {
-			continue
-		}
-		t.LastRate = perTask
-		rawT := units.CPUSeconds(perTask * dtSec)
-		t.Usage += rawT
-		if t.OnTick != nil {
-			eff := 1.0
-			if over > 0 {
-				gamma := g.Gamma
-				if t.Gamma > 0 {
-					gamma = t.Gamma
-				}
-				if gamma > 0 {
-					eff = 1 / (1 + gamma*over)
-				}
-			}
-			t.OnTick(now, units.CPUSeconds(float64(rawT)*eff), rawT)
-		}
-	}
+	runTasks(now, g, perTask, over, dtSec)
 	// Eager membership is evaluated after the task walk so a callback
 	// that just blocked the last OnTick task leaves the group deferred
 	// (its accounting from here on is pure accrual, which settles).

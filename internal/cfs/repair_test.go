@@ -39,8 +39,8 @@ type mirrorTask struct {
 func newMirror(t *testing.T, ncpu int) *mirror {
 	m := &mirror{
 		t:     t,
-		eager: NewScheduler(ncpu),
-		rep:   NewSchedulerOpts(ncpu, Options{IncrementalRepair: true}),
+		eager: newEagerScheduler(ncpu),
+		rep:   NewScheduler(ncpu),
 		dt:    time.Millisecond,
 	}
 	m.eager.LoadAvgTau = time.Second
@@ -125,23 +125,25 @@ func (m *mirror) tick() {
 
 // check compares every observable across the two arms. Float values are
 // compared bitwise: the repair protocol promises the identical sequence
-// of float operations, not approximate equality.
+// of float operations, not approximate equality. Value names are
+// formatted only on failure, and eq does not call t.Helper (which walks
+// the stack): check runs after every tick of every mirror and fuzz
+// input.
 func (m *mirror) check(ctx string) {
 	t := m.t
 	t.Helper()
-	eq := func(what string, a, b float64) {
-		t.Helper()
+	eq := func(a, b float64, what string, args ...any) {
 		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("%s: %s diverged: eager %v (%x) repair %v (%x)",
-				ctx, what, a, math.Float64bits(a), b, math.Float64bits(b))
+				ctx, fmt.Sprintf(what, args...), a, math.Float64bits(a), b, math.Float64bits(b))
 		}
 	}
 	if len(m.eager.groups) != len(m.rep.groups) {
 		t.Fatalf("%s: group count diverged: %d vs %d", ctx, len(m.eager.groups), len(m.rep.groups))
 	}
 	for i := range m.eager.groups {
-		eq(fmt.Sprintf("gCap[%d] (%s)", i, m.eager.groups[i].Name), m.eager.gCap[i], m.rep.gCap[i])
-		eq(fmt.Sprintf("gRate[%d] (%s)", i, m.eager.groups[i].Name), m.eager.gRate[i], m.rep.gRate[i])
+		eq(m.eager.gCap[i], m.rep.gCap[i], "gCap[%d] (%s)", i, m.eager.groups[i].Name)
+		eq(m.eager.gRate[i], m.rep.gRate[i], "gRate[%d] (%s)", i, m.eager.groups[i].Name)
 	}
 	// The eager arm leaves its active list stale after RemoveGroup
 	// (listsValid=false, rebuilt next tick); the repair arm patches it
@@ -149,10 +151,10 @@ func (m *mirror) check(ctx string) {
 	if la, lb := m.eager.active, m.rep.active; m.eager.listsValid && !intSliceEq(la, lb) {
 		t.Fatalf("%s: active diverged: eager %v repair %v", ctx, la, lb)
 	}
-	eq("loadContrib", m.eager.loadContrib, m.rep.loadContrib)
-	eq("slackLast", m.eager.slackLast, m.rep.slackLast)
-	eq("loadAvg", m.eager.loadAvg, m.rep.loadAvg)
-	eq("slackWindow", float64(m.eager.slackWindow), float64(m.rep.slackWindow))
+	eq(m.eager.loadContrib, m.rep.loadContrib, "loadContrib")
+	eq(m.eager.slackLast, m.rep.slackLast, "slackLast")
+	eq(m.eager.loadAvg, m.rep.loadAvg, "loadAvg")
+	eq(float64(m.eager.slackWindow), float64(m.rep.slackWindow), "slackWindow")
 	if m.eager.totalRunnable != m.rep.totalRunnable {
 		t.Fatalf("%s: totalRunnable diverged: %d vs %d", ctx, m.eager.totalRunnable, m.rep.totalRunnable)
 	}
@@ -166,8 +168,8 @@ func (m *mirror) check(ctx string) {
 		}
 		// The reads below settle the repair arm's deferred accounting —
 		// reads are part of the contract under test.
-		eq("usage "+ge.Name, float64(ge.Usage()), float64(gr.Usage()))
-		eq("windowUsage "+ge.Name, float64(ge.PeekWindowUsage()), float64(gr.PeekWindowUsage()))
+		eq(float64(ge.Usage()), float64(gr.Usage()), "usage %s", ge.Name)
+		eq(float64(ge.PeekWindowUsage()), float64(gr.PeekWindowUsage()), "windowUsage %s", ge.Name)
 		if ge.ThrottledTime() != gr.ThrottledTime() {
 			t.Fatalf("%s: throttledDur %s diverged: %v vs %v", ctx, ge.Name, ge.ThrottledTime(), gr.ThrottledTime())
 		}
@@ -177,7 +179,7 @@ func (m *mirror) check(ctx string) {
 		if ge.RunnableTasks() != gr.RunnableTasks() {
 			t.Fatalf("%s: runnable count %s diverged", ctx, ge.Name)
 		}
-		eq("lastRate "+ge.Name, ge.LastRate(), gr.LastRate())
+		eq(ge.LastRate(), gr.LastRate(), "lastRate %s", ge.Name)
 	}
 	for ti := range m.tasks {
 		tk := &m.tasks[ti]
@@ -185,9 +187,9 @@ func (m *mirror) check(ctx string) {
 			t.Fatalf("%s: task %d runnable diverged", ctx, ti)
 		}
 		// Group reads above settled the task replay too.
-		eq(fmt.Sprintf("task[%d].Usage", ti), float64(tk.e.Usage), float64(tk.r.Usage))
-		eq(fmt.Sprintf("task[%d].LastRate", ti), tk.e.LastRate, tk.r.LastRate)
-		eq(fmt.Sprintf("task[%d] useful work", ti), tk.useful[0], tk.useful[1])
+		eq(float64(tk.e.Usage), float64(tk.r.Usage), "task[%d].Usage", ti)
+		eq(tk.e.LastRate, tk.r.LastRate, "task[%d].LastRate", ti)
+		eq(tk.useful[0], tk.useful[1], "task[%d] useful work", ti)
 	}
 	ne, oke := m.eager.NextEvent(m.now)
 	nr, okr := m.rep.NextEvent(m.now)
@@ -609,7 +611,7 @@ func TestRepairEscalationBoundary(t *testing.T) {
 		// values, which would leave the dirty set short.
 		round++
 		for i := 0; i < k; i++ {
-			sh := int64(512 + 512*(i%3)) + round
+			sh := int64(512+512*(i%3)) + round
 			m.eager.SetShares(m.groups[gis[i]].e, sh)
 			m.rep.SetShares(m.groups[gis[i]].r, sh)
 		}

@@ -76,23 +76,6 @@ type Hierarchy struct {
 	subs        []func(Event)
 	interceptor Interceptor
 	suppressed  uint64
-
-	// Sharded deferred dispatch (SetShardedDispatch; DESIGN.md §14).
-	// When shards is non-nil, publish appends each delivered event to
-	// its cgroup's shard queue instead of fanning out synchronously;
-	// Drain delivers the backlog in deterministic order. nextSeq numbers
-	// cgroups at creation — the shard key, so one cgroup's events stay
-	// FIFO relative to each other.
-	shards   []eventShard
-	queued   int
-	draining bool
-	nextSeq  uint64
-}
-
-// eventShard is one deferred-dispatch queue. The slice is reused across
-// drains, so a warmed-up churn storm enqueues without allocating.
-type eventShard struct {
-	q []Event
 }
 
 // NewHierarchy returns an empty hierarchy bound to the host's scheduler
@@ -139,67 +122,10 @@ func (h *Hierarchy) publish(e Event) {
 			return
 		}
 	}
-	if h.shards != nil {
-		s := &h.shards[e.Cgroup.seq%uint64(len(h.shards))]
-		s.q = append(s.q, e)
-		h.queued++
-		return
-	}
 	for _, fn := range h.subs {
 		fn(e)
 	}
 }
-
-// SetShardedDispatch switches the hierarchy between synchronous event
-// delivery (n <= 0, the default — every golden experiment uses it) and
-// sharded deferred delivery across n per-cgroup-keyed FIFO queues. In
-// sharded mode a churn storm costs one append per event; subscribers
-// see the whole backlog in one deterministic batch when Drain runs —
-// which ns_monitor does at every batched-recompute flush boundary, so
-// the two levers compose (host.Config.EventShards pairs them).
-//
-// Per-cgroup event order is preserved (a cgroup always lands in the
-// same shard); cross-cgroup order is relaxed to shard order, which the
-// monitor's share-aggregate cache tolerates because its per-event
-// deltas commute. Any backlog is drained before the mode changes.
-func (h *Hierarchy) SetShardedDispatch(n int) {
-	h.Drain()
-	if n <= 0 {
-		h.shards = nil
-		return
-	}
-	h.shards = make([]eventShard, n)
-}
-
-// Drain delivers every queued event to the subscribers: shards in
-// ascending order, FIFO within a shard, repeating until no event is
-// left (subscribers may trigger further publications while draining).
-// It is a no-op when nothing is queued, when dispatch is synchronous,
-// and on re-entry from a subscriber.
-func (h *Hierarchy) Drain() {
-	if h.queued == 0 || h.draining {
-		return
-	}
-	h.draining = true
-	for h.queued > 0 {
-		for i := range h.shards {
-			s := &h.shards[i]
-			for j := 0; j < len(s.q); j++ {
-				e := s.q[j]
-				h.queued--
-				for _, fn := range h.subs {
-					fn(e)
-				}
-			}
-			s.q = s.q[:0]
-		}
-	}
-	h.draining = false
-}
-
-// Queued returns the number of events waiting in shard queues (0 under
-// synchronous dispatch). Tests use it to pin deferral semantics.
-func (h *Hierarchy) Queued() int { return h.queued }
 
 // Cgroups returns the live cgroups in creation order.
 func (h *Hierarchy) Cgroups() []*Cgroup { return h.cgroups }
@@ -222,9 +148,7 @@ func (h *Hierarchy) Create(name string) *Cgroup {
 		CPU:  h.sched.NewGroup(name),
 		Mem:  h.mem.NewGroup(name),
 		hier: h,
-		seq:  h.nextSeq,
 	}
-	h.nextSeq++
 	h.cgroups = append(h.cgroups, cg)
 	h.byName[name] = cg
 	h.publish(Event{Created, cg})
@@ -249,9 +173,7 @@ func (h *Hierarchy) CreateChild(parent *Cgroup, name string) *Cgroup {
 		Mem:    h.mem.NewChildGroup(parent.Mem, name),
 		Parent: parent,
 		hier:   h,
-		seq:    h.nextSeq,
 	}
-	h.nextSeq++
 	parent.children = append(parent.children, cg)
 	h.cgroups = append(h.cgroups, cg)
 	h.byName[name] = cg
@@ -298,7 +220,6 @@ type Cgroup struct {
 	children []*Cgroup
 	hier     *Hierarchy
 	removed  bool
-	seq      uint64 // creation number; the sharded-dispatch shard key
 }
 
 // Children returns the nested cgroups.

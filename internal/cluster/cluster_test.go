@@ -219,9 +219,9 @@ type clusterSample struct {
 
 func clusterHistory(workers int) ([]clusterSample, uint64, uint64) {
 	c := New(Config{
-		Workers: workers,
-		Lens:    LensAdaptive,
-		Scorer:  Composite{{S: BinPack{}, W: -1}, {S: Health{}, W: 1}},
+		Workers:        workers,
+		Lens:           LensAdaptive,
+		Scorer:         Composite{{S: BinPack{}, W: -1}, {S: Health{}, W: 1}},
 		RebalanceEvery: 100 * time.Millisecond,
 		Hysteresis:     0.05,
 	},
@@ -247,7 +247,7 @@ func clusterHistory(workers int) ([]clusterSample, uint64, uint64) {
 	}
 	for k := 0; k < 2; k++ {
 		spec := container.Spec{
-			Name: []string{"svc0", "svc1"}[k],
+			Name:       []string{"svc0", "svc1"}[k],
 			CPUQuotaUS: 300_000, CPUPeriodUS: 100_000,
 			ImageSize: 10 * units.MiB,
 		}

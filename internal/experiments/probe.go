@@ -22,10 +22,10 @@ func init() {
 // background CPU work.
 const (
 	probeSpan        = 8 * time.Second
-	probeLoadStart   = time.Second        // background sysbench waves begin
-	probeChurnKill   = 3 * time.Second    // one background container dies
-	probeChurnSpawn  = 4 * time.Second    // a replacement arrives
-	probeQuotaChange = 5 * time.Second    // the probed container's quota halves
+	probeLoadStart   = time.Second     // background sysbench waves begin
+	probeChurnKill   = 3 * time.Second // one background container dies
+	probeChurnSpawn  = 4 * time.Second // a replacement arrives
+	probeQuotaChange = 5 * time.Second // the probed container's quota halves
 )
 
 // ExtProbe runs three probers of very different cadence against one

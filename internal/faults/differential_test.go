@@ -21,21 +21,17 @@ import (
 // schedules — any divergence in view state is the incremental cache's
 // fault.
 func buildDifferentialHost(disableIncremental bool) *host.Host {
-	return buildDifferentialHostOpts(sysns.Options{DisableIncremental: disableIncremental}, 0)
+	return buildDifferentialHostOpts(sysns.Options{DisableIncremental: disableIncremental})
 }
 
 // buildDifferentialHostOpts is the generalized constructor: nsOpts picks
-// the monitor path (eager incremental, full recompute, or batched), and
-// eventShards > 0 additionally routes cgroup events through sharded
-// deferred dispatch — the full scale configuration the batched
-// differential arm exercises.
-func buildDifferentialHostOpts(nsOpts sysns.Options, eventShards int) *host.Host {
+// the monitor path (eager incremental, full recompute, or batched).
+func buildDifferentialHostOpts(nsOpts sysns.Options) *host.Host {
 	h := host.New(host.Config{
-		CPUs:        8,
-		Memory:      16 * units.GiB,
-		Seed:        11,
-		NSOptions:   nsOpts,
-		EventShards: eventShards,
+		CPUs:      8,
+		Memory:    16 * units.GiB,
+		Seed:      11,
+		NSOptions: nsOpts,
 	})
 	inj := Attach(h, Config{
 		Seed:             5,
@@ -131,21 +127,21 @@ func TestIncrementalMatchesFullUnderFaults(t *testing.T) {
 
 // TestBatchedMatchesFullUnderFaults is the batched-mode differential
 // arm: the same mirrored-host construction, but the candidate runs the
-// full scale configuration — BatchedRecompute plus sharded event
-// dispatch — against the full-recompute reference. The fleet is flat
-// (no pods), so the batched flush-boundary contract ("bounds reflect
-// live hierarchy state") coincides with the eager trigger-time one, and
-// CPU bounds must match the reference exactly at every sample, across
-// dropped events (the suppression-recovery FullRecompute runs at drain
-// time), delayed redeliveries (which bypass the shard queues), lagged
-// and missed update rounds, and the kill-restart. Effective memory
+// scale configuration — BatchedRecompute — against the full-recompute
+// reference. The fleet is flat (no pods), so the batched flush-boundary
+// contract ("bounds reflect live hierarchy state") coincides with the
+// eager trigger-time one, and CPU bounds must match the reference
+// exactly at every sample, across dropped events (the
+// suppression-recovery FullRecompute runs at the next delivered
+// trigger), delayed redeliveries, lagged and missed update rounds, and
+// the kill-restart. Effective memory
 // never reads bounds, so it must match exactly too. Effective CPU is
 // only pinned inside the bounds: the clamp is stateful, and coalescing
 // the intermediate bounds states it would have clamped through is
 // precisely what batching does (see sysns.Options.BatchedRecompute).
 func TestBatchedMatchesFullUnderFaults(t *testing.T) {
-	hA := buildDifferentialHostOpts(sysns.Options{BatchedRecompute: true}, 4)
-	hB := buildDifferentialHostOpts(sysns.Options{DisableIncremental: true}, 0)
+	hA := buildDifferentialHostOpts(sysns.Options{BatchedRecompute: true})
+	hB := buildDifferentialHostOpts(sysns.Options{DisableIncremental: true})
 
 	for step := 0; step < 40; step++ {
 		hA.Run(25 * time.Millisecond)

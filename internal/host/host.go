@@ -89,21 +89,6 @@ type Config struct {
 	// published).
 	NSOptions sysns.Options
 
-	// CFSOptions tunes the CFS fluid scheduler (zero = the eager
-	// rebuild protocol every golden experiment uses; see cfs.Options
-	// for the incremental-repair knob scalebench turns on).
-	CFSOptions cfs.Options
-
-	// EventShards, when positive, switches the cgroup hierarchy to
-	// sharded deferred event dispatch (cgroups.SetShardedDispatch):
-	// churn-storm events append to per-shard FIFO queues and are
-	// delivered in one deterministic batch at the monitor's next flush
-	// boundary instead of synchronously per event. Pair it with
-	// NSOptions.BatchedRecompute — the monitor's batched flush is what
-	// drains the queues. Zero (the default, and what every golden
-	// experiment uses) keeps synchronous dispatch.
-	EventShards int
-
 	// Seed seeds the host's deterministic RNG.
 	Seed uint64
 
@@ -152,16 +137,13 @@ func New(cfg Config) *Host {
 		tick = time.Millisecond
 	}
 	clock := sim.NewClock(tick)
-	sched := cfs.NewSchedulerOpts(cfg.CPUs, cfg.CFSOptions)
+	sched := cfs.NewScheduler(cfg.CPUs)
 	mem := memctl.New(memctl.Config{
 		Total:         cfg.Memory,
 		SwapCapacity:  cfg.SwapCapacity,
 		SwapBandwidth: cfg.SwapBandwidth,
 	})
 	hier := cgroups.NewHierarchy(sched, mem)
-	if cfg.EventShards > 0 {
-		hier.SetShardedDispatch(cfg.EventShards)
-	}
 	mon := sysns.NewMonitor(hier, clock, cfg.NSOptions)
 	resolver := sysfs.NewResolver(&sysfs.HostView{Sched: sched, Mem: mem})
 	rt := container.NewRuntime(hier, mon, resolver)

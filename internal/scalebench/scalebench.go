@@ -8,9 +8,11 @@
 // servers): the point is to measure the substrate itself — the per-tick
 // CFS allocation round, the ns_monitor view-update pipeline, and the
 // cgroup event path under churn — at Borg/Kubernetes-scale container
-// counts (see PAPERS.md on cluster managers). cmd/arvbench exposes it
-// via -scalebench, and bench_test.go's BenchmarkScale* family wraps it
-// in testing.B form.
+// counts (see PAPERS.md on cluster managers). The host runs the same
+// kernel as every experiment; the one lever the benchmark sets is the
+// monitor's batched recompute. cmd/arvbench exposes it via -scalebench,
+// and bench_test.go's BenchmarkScale* family wraps it in testing.B
+// form.
 package scalebench
 
 import (
@@ -18,7 +20,6 @@ import (
 	"runtime"
 	"time"
 
-	"arv/internal/cfs"
 	"arv/internal/container"
 	"arv/internal/faults"
 	"arv/internal/host"
@@ -63,23 +64,13 @@ type Config struct {
 	// on — it is the mode the BENCH_scale.json trajectory measures; set
 	// it false (with Defaults, clear it after) to A/B the eager path.
 	Batched bool
-	// Shards sizes sharded cgroup event dispatch (0 = synchronous
-	// delivery). Defaults to 8 via Defaults.
-	Shards int
-	// Repair enables the scheduler's dirty-set incremental tick repair
-	// (cfs.Options.IncrementalRepair): churn marks groups dirty instead
-	// of invalidating the whole allocation, and quiet groups settle
-	// their accounting on read. Defaults on via Defaults — it is the
-	// mode the BENCH_scale.json trajectory measures; clear it after
-	// Defaults to A/B the eager rebuild path.
-	Repair bool
 }
 
 // Defaults returns the canonical scale configuration for n containers
 // with churn on, as reported in BENCH_scale.json. All duration and size
 // fields are resolved, so callers can read Span/Warmup directly.
 func Defaults(n int) Config {
-	return Config{Containers: n, Churn: true, Batched: true, Shards: 8, Repair: true}.withDefaults()
+	return Config{Containers: n, Churn: true, Batched: true}.withDefaults()
 }
 
 // withDefaults resolves zero fields.
@@ -123,12 +114,10 @@ type Bench struct {
 func Build(cfg Config) *Bench {
 	cfg = cfg.withDefaults()
 	h := host.New(host.Config{
-		CPUs:        cfg.CPUs,
-		Memory:      cfg.Memory,
-		Seed:        cfg.Seed,
-		NSOptions:   sysns.Options{BatchedRecompute: cfg.Batched},
-		CFSOptions:  cfs.Options{IncrementalRepair: cfg.Repair},
-		EventShards: cfg.Shards,
+		CPUs:      cfg.CPUs,
+		Memory:    cfg.Memory,
+		Seed:      cfg.Seed,
+		NSOptions: sysns.Options{BatchedRecompute: cfg.Batched},
 	})
 	// Pin the view-update interval at the paper's 24ms base period: with
 	// hundreds of runnable tasks the CFS scheduling period scales to

@@ -12,7 +12,7 @@ import (
 )
 
 // batchedPair is a batched monitor and a full-recompute reference over
-// one sharded hierarchy. The reference rebuilds from live state at every
+// one hierarchy. The reference rebuilds from live state at every
 // delivered trigger, so wherever the batched contract promises "live
 // state at a flush boundary" the two must agree exactly.
 type batchedPair struct {
@@ -22,12 +22,11 @@ type batchedPair struct {
 	mR    *Monitor // DisableIncremental: full recompute per trigger
 }
 
-func newBatchedPair(cpus, shards int) *batchedPair {
+func newBatchedPair(cpus int) *batchedPair {
 	clock := sim.NewClock(time.Millisecond)
 	sched := cfs.NewScheduler(cpus)
 	mem := memctl.New(memctl.Config{Total: 64 * units.GiB})
 	hier := cgroups.NewHierarchy(sched, mem)
-	hier.SetShardedDispatch(shards)
 	return &batchedPair{
 		clock: clock,
 		hier:  hier,
@@ -42,6 +41,12 @@ func (p *batchedPair) addContainer(t *testing.T, name string) *cgroups.Cgroup {
 	p.mB.Attach(cg)
 	p.mR.Attach(cg)
 	return cg
+}
+
+// deferred reports whether the batched monitor holds recompute marks
+// for its next flush boundary.
+func (p *batchedPair) deferred() bool {
+	return p.mB.boundsDirtyAll || len(p.mB.dirtyTops) > 0
 }
 
 // checkBounds flushes both monitors (the bounds read is the batched
@@ -65,12 +70,12 @@ func (p *batchedPair) checkBounds(t *testing.T, when string, cg *cgroups.Cgroup)
 
 // TestBatchedEventOnUpdateBoundary pins trigger-atomicity when a limit
 // change lands at exactly the same instant as the update round, on
-// either side of it: the round's flush must deliver and absorb an event
-// queued before UpdateAll runs, and an event published right after the
+// either side of it: the round's flush must absorb the mark an event
+// left before UpdateAll runs, and an event published right after the
 // round must be absorbed by the next read — in both cases the flushed
 // bounds equal the full-recompute reference.
 func TestBatchedEventOnUpdateBoundary(t *testing.T) {
-	p := newBatchedPair(8, 2)
+	p := newBatchedPair(8)
 	c0 := p.addContainer(t, "c0")
 	c1 := p.addContainer(t, "c1")
 	p.checkBounds(t, "setup", c0)
@@ -79,13 +84,13 @@ func TestBatchedEventOnUpdateBoundary(t *testing.T) {
 	// Event, then the round at the same instant: UpdateAll's flush must
 	// see it.
 	c1.SetQuotaCPUs(2)
-	if p.hier.Queued() == 0 {
-		t.Fatal("quota change was not queued under sharded dispatch")
+	if !p.deferred() {
+		t.Fatal("quota change left no deferred recompute mark")
 	}
 	p.mB.UpdateAll(now)
 	p.mR.UpdateAll(now)
-	if q := p.hier.Queued(); q != 0 {
-		t.Fatalf("UpdateAll left %d events queued", q)
+	if p.deferred() {
+		t.Fatal("UpdateAll left recompute marks behind")
 	}
 	if _, upper := p.checkBounds(t, "event-then-round", c1); upper != 2 {
 		t.Fatalf("c1 upper bound = %d after 2-CPU quota landed on the round boundary, want 2", upper)
@@ -104,36 +109,33 @@ func TestBatchedEventOnUpdateBoundary(t *testing.T) {
 
 // TestBatchedCreateRemoveWithinInterval covers a container whose whole
 // lifetime — create, attach, limit changes, remove — fits inside one
-// coalesced interval: every event sits in the same shard queue (one
-// cgroup, FIFO) until a single flush delivers creation through removal
-// back-to-back. The flush must detach the namespace, roll its share
-// contribution out of the cache, freeze the handle for post-mortem
-// readers, and leave the survivors exactly where the full-recompute
-// reference puts them.
+// coalesced interval: its events leave only recompute marks until a
+// single flush applies creation through removal at once. The removal
+// must detach the namespace, roll its share contribution out of the
+// cache, and freeze the handle for post-mortem readers, and the flush
+// must leave the survivors exactly where the full-recompute reference
+// puts them.
 func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
-	p := newBatchedPair(8, 2)
+	p := newBatchedPair(8)
 	c0 := p.addContainer(t, "c0")
 	c1 := p.addContainer(t, "c1")
 	p.checkBounds(t, "setup", c0)
 
 	tmp := p.addContainer(t, "tmp")
+	nsTmp := p.mB.Lookup(tmp)
 	tmp.SetShares(4096)
 	tmp.SetQuotaCPUs(1)
 	p.hier.Remove(tmp)
-	nsTmp := p.mB.Lookup(tmp)
-	if nsTmp == nil {
-		t.Fatal("tmp namespace missing before the flush delivers Removed")
+	if p.mB.Lookup(tmp) != nil {
+		t.Fatal("tmp still attached after its Removed event was delivered")
 	}
-	if p.hier.Queued() == 0 {
-		t.Fatal("tmp lifecycle events were not queued")
+	if !p.deferred() {
+		t.Fatal("tmp lifecycle events left no deferred recompute mark")
 	}
 
-	// One flush boundary delivers the whole lifetime.
+	// One flush boundary applies the whole lifetime.
 	l0, _ := p.checkBounds(t, "after-flush", c0)
 	p.checkBounds(t, "after-flush", c1)
-	if p.mB.Lookup(tmp) != nil {
-		t.Fatal("tmp still attached after its Removed event was drained")
-	}
 	if want := p.mR.totalTop; p.mB.totalTop != want {
 		t.Fatalf("batched totalTop = %d after create+remove coalesced, reference %d", p.mB.totalTop, want)
 	}
@@ -168,7 +170,7 @@ func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
 // eagerly, exactly as on the synchronous path — bringing the dropped
 // change into the bounds.
 func TestBatchedSuppressionRecovery(t *testing.T) {
-	p := newBatchedPair(8, 2)
+	p := newBatchedPair(8)
 	c0 := p.addContainer(t, "c0")
 	c1 := p.addContainer(t, "c1")
 	l0, _ := p.checkBounds(t, "setup", c0)
@@ -180,16 +182,13 @@ func TestBatchedSuppressionRecovery(t *testing.T) {
 	if p.hier.Suppressed() != 1 {
 		t.Fatalf("Suppressed() = %d, want 1", p.hier.Suppressed())
 	}
-	if p.hier.Queued() != 0 {
-		t.Fatal("suppressed event was queued anyway")
-	}
 	// No delivered trigger yet: the batched monitor must still hold the
 	// pre-drop bounds (stale, as the contract allows until recovery).
 	if l, _ := p.mB.Lookup(c0).CPUBounds(); l != l0 {
 		t.Fatalf("c0 lower bound %d before any delivered trigger, want stale %d", l, l0)
 	}
 
-	// A delivered trigger forces the recovery FullRecompute at drain
+	// A delivered trigger forces the recovery FullRecompute at delivery
 	// time; both monitors then reflect the dropped change.
 	c1.SetShares(900)
 	lower, _ := p.checkBounds(t, "post-recovery", c0)

@@ -62,9 +62,8 @@ type Monitor struct {
 	// Batched-recompute state (Options.BatchedRecompute; DESIGN.md §14).
 	// boundsDirtyAll coalesces "every fraction changed" triggers,
 	// dirtyTops the per-subtree ones; flushBounds applies both in one
-	// pass at the next read boundary. inFlush suppresses re-entry (and
-	// immediate snapshot publication) while a flush is delivering queued
-	// events. All idle on the default eager path.
+	// pass at the next read boundary. inFlush suppresses re-entry. All
+	// idle on the default eager path.
 	boundsDirtyAll bool
 	inFlush        bool
 	dirtyTops      []*cgroups.Cgroup
@@ -375,28 +374,21 @@ func (m *Monitor) markBoundsDirty(top *cgroups.Cgroup) {
 	m.dirtyTops = append(m.dirtyTops, top)
 }
 
-// flushBounds is the read boundary for every deferred-work mode
-// (DESIGN.md §14): it drains any sharded cgroup event queues —
-// delivering the cache deltas and dirty marks their events carry — then
-// applies every deferred bounds-recompute mark in one pass. A whole
-// churn interval's worth of events thus costs one recompute pass
-// instead of one per event. It runs whenever there is deferred work,
-// whatever produced it: queued events exist even with eager recompute
-// when sharded dispatch is on (each drained event then recomputes
-// synchronously, just time-shifted to the boundary), and dirty marks
-// exist only in batched mode. With neither — the default configuration —
-// it is three loads and a return; re-entry while a flush is running is
-// likewise a no-op.
+// flushBounds is the read boundary of batched recompute (DESIGN.md
+// §14): it applies every deferred bounds-recompute mark in one pass, so
+// a whole churn interval's worth of events costs one recompute pass
+// instead of one per event. Dirty marks exist only in batched mode;
+// without them — the default configuration — it is a few loads and a
+// return, and re-entry while a flush is running is likewise a no-op.
 func (m *Monitor) flushBounds() {
 	if m.inFlush {
 		return
 	}
-	if m.hier.Queued() == 0 && !m.boundsDirtyAll && len(m.dirtyTops) == 0 &&
+	if !m.boundsDirtyAll && len(m.dirtyTops) == 0 &&
 		(len(m.pendingTops) == 0 || !m.batched()) {
 		return
 	}
 	m.inFlush = true
-	m.hier.Drain()
 	if m.boundsDirtyAll {
 		m.boundsDirtyAll = false
 		m.pendingTops = m.pendingTops[:0]
@@ -405,8 +397,8 @@ func (m *Monitor) flushBounds() {
 		// Pending sibling dilutions flush here only in batched mode: its
 		// contract is "live state at every flush boundary". The eager
 		// contract instead preserves them until the next recompute
-		// trigger (the historical walk's behavior), which drained events
-		// honor on their own via onCPUChanged/onEvent.
+		// trigger (the historical walk's behavior), which delivered
+		// events honor on their own via onCPUChanged/onEvent.
 		if m.batched() {
 			m.flushPending()
 		}

@@ -78,8 +78,8 @@ type CgroupView struct {
 
 	// Shares, QuotaUS, PeriodUS, and CpusetN are the cpu controller's
 	// administrator-set knobs.
-	Shares  int64
-	QuotaUS int64
+	Shares   int64
+	QuotaUS  int64
 	PeriodUS int64
 	CpusetN  int
 	// ThrottledNS and UsageNS are cumulative throttled time and CPU
@@ -186,15 +186,9 @@ func (m *Monitor) WarmSnapshot() {
 
 // publishTopo is the gated publication for topology triggers (attach,
 // detach): immediate when the monitor has consumers, recorded as
-// pending dirtiness otherwise. While a batched-mode flush is delivering
-// queued events the publication is deferred too — the read boundary
-// that triggered the flush cuts one consistent snapshot for the whole
-// batch right after.
+// pending dirtiness otherwise.
 func (m *Monitor) publishTopo(now sim.Time) {
 	m.markTopoDirty()
-	if m.inFlush {
-		return
-	}
 	if m.observed.Load() {
 		m.Publish(now)
 	}

@@ -93,9 +93,17 @@ type Options struct {
 	// differential test asserts it — but because the E_CPU clamp is
 	// stateful, deferral is observable: a view clamped through an
 	// intermediate bounds state under eager recompute may settle one
-	// step away under batching. It is therefore an opt-in scale lever
-	// (the scalebench fleet runs it), never a default: every golden
-	// experiment stays on the eager path.
+	// step away under batching.
+	//
+	// It is the kernel's one mode split, kept on purpose. Forced on for
+	// every monitor it leaves all 21 goldens byte-identical, but it
+	// changes seven tests: a pending flush mark recomputes bounds from
+	// live hierarchy state, so a dropped or delayed event no longer
+	// leaves the view stale, which the fault model of DESIGN.md §9
+	// relies on; pod dilution lands at the flush instead of the next
+	// trigger; and Algorithm-1 unit tests that write slot state before
+	// a flush see it overwritten. So it stays an opt-in scale lever
+	// (the scalebench fleet runs it), off by default.
 	BatchedRecompute bool
 }
 

@@ -38,16 +38,16 @@ type Prober struct {
 	done     bool
 
 	// Accumulated statistics (valid any time; final once Done).
-	Probes       uint64 // individual probes issued
-	Bursts       uint64 // bursts completed
-	FreshBursts  uint64 // bursts that saw a snapshot cut this tick (age 0)
-	StaleBursts  uint64 // bursts that saw an older snapshot
-	MaxAge       time.Duration
-	VersionsSeen uint64 // distinct snapshot versions observed
+	Probes        uint64 // individual probes issued
+	Bursts        uint64 // bursts completed
+	FreshBursts   uint64 // bursts that saw a snapshot cut this tick (age 0)
+	StaleBursts   uint64 // bursts that saw an older snapshot
+	MaxAge        time.Duration
+	VersionsSeen  uint64 // distinct snapshot versions observed
 	MaxVersionLag uint64 // largest version jump between consecutive bursts
-	MissedBursts uint64 // bursts skipped: snapshot did not carry the container yet
-	MinECPU      int
-	MaxECPU      int
+	MissedBursts  uint64 // bursts skipped: snapshot did not carry the container yet
+	MinECPU       int
+	MaxECPU       int
 
 	lastVersion uint64
 	probeSum    int64 // consumes probe results so none can be elided
