@@ -53,7 +53,8 @@ bench-serve:
 	$(GO) test -run xxx -bench ServeParallel -benchtime=2000x .
 
 # Allocation gate only (short benchtime, no baseline regeneration):
-# proves the steady-state scheduler tick and view-update rounds stay
+# proves the steady-state scheduler tick (SchedulerTick: ten groups on
+# the eager walk, one team callback each) and view-update rounds stay
 # allocation-free, as does the whole kernel loop of a churning host
 # (ScaleSteadyChurn: churn timers re-arm in place), snapshot reads allocate nothing, a snapshot
 # publication costs exactly its three buffers (header + two slices;
@@ -67,8 +68,8 @@ bench-serve:
 # alloc budget are gated alongside the mid-size wall number. Part of
 # `make ci`.
 bench-gate:
-	$(GO) test -run xxx -bench 'ScaleSteady|Snapshot|ClusterSteady|AutoscaleSteady' -benchmem -benchtime=20x . | tee bench-steady.txt
-	$(GO) run ./internal/tools/benchgate -match 'ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
+	$(GO) test -run xxx -bench 'SchedulerTick|ScaleSteady|Snapshot|ClusterSteady|AutoscaleSteady' -benchmem -benchtime=20x . | tee bench-steady.txt
+	$(GO) run ./internal/tools/benchgate -match 'SchedulerTick|ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
 	$(GO) run ./internal/tools/benchgate -match SnapshotPublish -max-allocs 3 bench-steady.txt
 	rm -f bench-steady.txt
 	$(GO) run ./cmd/arvbench -scalebench 1024,16384 -scalebench-reps 3 -json bench-scale-fresh.json

@@ -64,19 +64,27 @@ func BenchmarkFig12(b *testing.B) { runExperiment(b, "fig12") }
 // --- §5.4 overhead: the cost of maintaining and querying the views ---
 
 // overheadHost builds a host with ten busy containers, the densest
-// configuration the paper measures.
+// configuration the paper measures. Each runs a two-thread team whose
+// callback accrues its work, as the programs' thread pools do, so every
+// tick walks all ten groups instead of deferring their accounting.
 func overheadHost() (*host.Host, *container.Container) {
 	h := host.New(host.Config{CPUs: 20, Memory: 128 * units.GiB, Seed: 1})
 	var first *container.Container
+	work := make([]units.CPUSeconds, 10)
 	for i := 0; i < 10; i++ {
 		c := h.Runtime.Create(container.Spec{Name: fmt.Sprintf("c%d", i)})
 		c.Exec("app")
 		if first == nil {
 			first = c
 		}
+		w := &work[i]
+		team := h.Sched.NewTeam(c.Cgroup.CPU, 0, func(now sim.Time, n int, useful, raw units.CPUSeconds) {
+			for k := 0; k < n; k++ {
+				*w += useful
+			}
+		})
 		for k := 0; k < 2; k++ {
-			t := h.Sched.NewTask(c.Cgroup.CPU, "t")
-			h.Sched.SetRunnable(t, true)
+			h.Sched.SetRunnable(h.Sched.NewTeamTask(team, "t"), true)
 		}
 	}
 	h.Run(100 * time.Millisecond)
@@ -140,9 +148,12 @@ func BenchmarkVirtualSysfsRead(b *testing.B) {
 }
 
 // BenchmarkSchedulerTick measures the fluid CFS allocation round with
-// ten contending groups — the per-tick cost of the whole substrate.
+// ten contending groups — the per-tick cost of the whole substrate. The
+// groups' team callbacks keep them on the tick's eager walk, so the
+// per-group accounting and one callback per group run every tick.
 func BenchmarkSchedulerTick(b *testing.B) {
 	h, _ := overheadHost()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Sched.Tick(h.Now(), time.Millisecond)

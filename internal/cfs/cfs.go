@@ -25,6 +25,14 @@
 // per-group sensitivity. This reproduces the over-threading penalties the
 // paper measures (Figs. 2a, 6, 7, 10) that a pure fluid model would hide.
 //
+// # Teams
+//
+// Programs see their progress through teams: tasks of one group that
+// share a sensitivity and one tick callback. Every runnable task of a
+// leaf gets the same share, so a team is called once per tick with its
+// runnable count instead of once per member (see Team). Tasks created by
+// NewTask have no callback.
+//
 // # Allocation memoization and hot-state layout
 //
 // The division of CPU among groups is a pure function of the scheduler's
@@ -52,8 +60,8 @@
 // only for the dirty groups, the affected parents, and the top level —
 // O(changes + tops) instead of O(groups) — escalating to one full
 // rebuild when the dirty set grows to a sizable fraction of the active
-// set. Accounting for quiet groups (active groups with no runnable
-// OnTick task) is deferred and settled on read, replaying the memoized
+// set. Accounting for quiet groups (active groups with no runnable team
+// member) is deferred and settled on read, replaying the memoized
 // per-tick deltas so every observable value stays bit-identical to
 // rebuilding on every change. The invalidate-and-rebuild protocol
 // survives only as the test oracle repair is checked against. See
@@ -74,48 +82,44 @@ import (
 const DefaultShares = 1024
 
 // Task is a schedulable entity (a thread). Tasks belong to exactly one
-// Group and are either runnable or blocked.
+// Group, at most one Team, and are either runnable or blocked.
 type Task struct {
 	ID   int
 	Name string
 
-	// Gamma overrides the group's oversubscription sensitivity for
-	// this task when positive (e.g. GC worker threads, whose work
-	// stealing and termination protocols degrade under time-slicing
-	// much faster than independent mutator threads).
-	Gamma float64
-
-	// OnTick, if non-nil, is invoked after every scheduling tick in
-	// which the task was runnable, with the useful work accomplished
-	// (CPU time discounted by the oversubscription penalty) and the
-	// raw CPU time consumed. State changes made by the callback
-	// (blocking tasks, waking tasks) take effect from the next tick.
-	//
-	// The callback must be installed before the task's first
-	// SetRunnable: the scheduler defers the accounting of groups with no
-	// runnable OnTick task and replays it on read, and that replay
-	// (settleTo) panics on a task that gained a callback while runnable.
-	// A wake of a task in another group made from the callback takes
-	// effect the next tick, even for a group later in the same tick's
-	// walk.
-	OnTick func(now sim.Time, useful, raw units.CPUSeconds)
-
 	group    *Group
+	team     *Team
 	runnable bool
 	removed  bool
-
-	// LastRate is the CPU rate (in CPUs) the task received in the most
-	// recent tick in which it was runnable.
-	LastRate float64
-	// Usage is the total raw CPU time consumed.
-	Usage units.CPUSeconds
 }
 
 // Runnable reports whether the task is currently runnable.
 func (t *Task) Runnable() bool { return t.runnable }
 
-// Group returns the scheduling group the task belongs to.
-func (t *Task) Group() *Group { return t.group }
+// TeamFunc is a team's tick callback: n members were runnable, each
+// consumed raw CPU time, and useful is raw after the oversubscription
+// discount. One call stands for n member calls with equal arguments.
+type TeamFunc func(now sim.Time, n int, useful, raw units.CPUSeconds)
+
+// Team is a set of tasks in one group that share an oversubscription
+// sensitivity and one tick callback: a thread pool whose members do
+// interchangeable work (JVM mutators, an OpenMP team). A team lives as
+// long as its group; membership is fixed at task creation.
+//
+// After each tick in which its group has CPU, the group's teams take
+// their turn in creation order, and each with a runnable member gets one
+// call. n is read live when the team's turn comes: a callback's block or
+// wake of a member of a later team in the group counts in the same tick,
+// one in its own or an earlier team from the next. The rates, share and
+// discount stay those computed at the start of the tick. Whether a
+// member woken in another group runs this tick depends on whether the
+// tick visits that group, so callbacks must not rely on it.
+type Team struct {
+	group    *Group
+	gamma    float64
+	fn       TeamFunc
+	runnable int // live runnable-member count (kept by SetRunnable)
+}
 
 // groupAcct is a group's per-tick hot state: the accounting accumulators
 // the tick loop writes and the cached water-fill derivatives it reads.
@@ -150,7 +154,7 @@ const (
 	// acctActive: the group is a member of Scheduler.active.
 	acctActive
 	// acctEager: the group is a member of Scheduler.eagerIdx (active
-	// with at least one runnable OnTick task, so its accounting cannot
+	// with at least one runnable team member, so its accounting cannot
 	// be deferred).
 	acctEager
 	// acctTop: the group is a member of Scheduler.activeTop (top-level
@@ -160,7 +164,7 @@ const (
 	// is queued for recomputation this tick.
 	acctRefill
 	// acctAllocParked: the group's allocation inputs changed during a
-	// repair tick's own walk (an OnTick callback blocked or woke a
+	// repair tick's own walk (a team callback blocked or woke a
 	// task). The eager protocol absorbs such changes — its rebuild
 	// finishes with allocValid = true and the stale allocation stands
 	// until the next invalidation — so a parked mark does not trigger
@@ -192,14 +196,13 @@ type Group struct {
 	Gamma float64
 
 	tasks    []*Task
-	runnable int // live runnable-task count (kept by Scheduler.SetRunnable)
-	// runnableOnTick counts runnable tasks carrying an OnTick callback.
-	// Incremental repair keys eager-vs-deferred accounting on it: a
-	// group with zero runnable OnTick tasks can have its per-tick
-	// accrual replayed later, one with any cannot (the callback must
-	// fire every tick). Requires OnTick to be installed before the task
-	// is first made runnable; settleTo panics otherwise.
-	runnableOnTick int
+	teams    []*Team // in creation order, the order of their callbacks
+	runnable int     // live runnable-task count (kept by Scheduler.SetRunnable)
+	// teamRunnable counts runnable team members. Incremental repair
+	// keys eager-vs-deferred accounting on it: a group with none can have
+	// its per-tick accrual replayed later, one with any cannot (a team
+	// callback must fire every tick).
+	teamRunnable int
 
 	parent   *Group
 	children []*Group
@@ -363,7 +366,7 @@ type Scheduler struct {
 	pendingTopFill bool     // top-level fill must rerun (active top membership changed)
 	pendingResum   bool     // slack/loadContrib sums must re-derive (an active group left)
 	activeTop      []int    // top-level groups with cap > 0 (acctTop)
-	eagerIdx       []int    // active groups with runnable OnTick tasks (acctEager)
+	eagerIdx       []int    // active groups with runnable team members (acctEager)
 	gSettled       []uint64 // tick through which each group's accounting is settled
 	lastDt         time.Duration
 	lastDtSec      float64
@@ -675,9 +678,12 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 		}
 		t.runnable = false
 	}
+	for _, tm := range g.teams {
+		tm.runnable = 0
+	}
 	g.tasks = nil
 	g.runnable = 0
-	g.runnableOnTick = 0
+	g.teamRunnable = 0
 	if g.parent != nil {
 		g.parent.childShares -= g.Shares
 		for i, x := range g.parent.children {
@@ -714,7 +720,8 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	s.listsValid = false
 }
 
-// NewTask creates a task in group g. Tasks start blocked; call SetRunnable.
+// NewTask creates a task in group g with no tick callback. Tasks start
+// blocked; call SetRunnable.
 func (s *Scheduler) NewTask(g *Group, name string) *Task {
 	if g.removed {
 		panic("cfs: NewTask on removed group " + g.Name)
@@ -728,6 +735,23 @@ func (s *Scheduler) NewTask(g *Group, name string) *Task {
 	return t
 }
 
+// NewTeam creates an empty team in group g. Its members' useful work is
+// discounted with gamma, or with the group's Gamma (read live each tick)
+// when gamma is 0; fn runs once per tick in which any member is
+// runnable. See Team.
+func (s *Scheduler) NewTeam(g *Group, gamma float64, fn TeamFunc) *Team {
+	tm := &Team{group: g, gamma: gamma, fn: fn}
+	g.teams = append(g.teams, tm)
+	return tm
+}
+
+// NewTeamTask creates a member of team tm in the team's group.
+func (s *Scheduler) NewTeamTask(tm *Team, name string) *Task {
+	t := s.NewTask(tm.group, name)
+	t.team = tm
+	return t
+}
+
 // RemoveTask removes a task from its group.
 func (s *Scheduler) RemoveTask(t *Task) {
 	t.removed = true
@@ -737,11 +761,7 @@ func (s *Scheduler) RemoveTask(t *Task) {
 			// replay set.
 			s.settleLive(t.group.schedIdx)
 		}
-		s.runnableNow--
-		t.group.runnable--
-		if t.OnTick != nil {
-			t.group.runnableOnTick--
-		}
+		s.countRunnable(t, -1)
 		s.noteAllocChange(t.group)
 	}
 	t.runnable = false
@@ -768,20 +788,23 @@ func (s *Scheduler) SetRunnable(t *Task, runnable bool) {
 		s.settleLive(t.group.schedIdx)
 	}
 	t.runnable = runnable
+	d := -1
 	if runnable {
-		s.runnableNow++
-		t.group.runnable++
-		if t.OnTick != nil {
-			t.group.runnableOnTick++
-		}
-	} else {
-		s.runnableNow--
-		t.group.runnable--
-		if t.OnTick != nil {
-			t.group.runnableOnTick--
-		}
+		d = 1
 	}
+	s.countRunnable(t, d)
 	s.noteAllocChange(t.group)
+}
+
+// countRunnable moves the runnable counts of the scheduler, the task's
+// group, and its team by d.
+func (s *Scheduler) countRunnable(t *Task, d int) {
+	s.runnableNow += d
+	t.group.runnable += d
+	if t.team != nil {
+		t.team.runnable += d
+		t.group.teamRunnable += d
+	}
 }
 
 // RunnableNow returns the live count of runnable tasks — unlike
@@ -843,7 +866,7 @@ func waterfill(groups []*Group, caps, alloc []float64, active []int, capacity fl
 // Tick advances the scheduler by dt: allocates CPU, advances task work,
 // and updates accounting and the load average. It is called once per
 // simulation tick by the host. With nothing dirty it walks only the
-// groups whose OnTick callbacks must fire (quietTick); a bounded dirty
+// groups whose team callbacks must fire (quietTick); a bounded dirty
 // set is repaired in place (repairTick); a large one escalates to one
 // full rebuild. Results are bit-identical to recomputing every change.
 func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
@@ -890,7 +913,7 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 		s.Trace.Add(telemetry.CtrTickRebuilds, 1)
 		s.settleAllTo(s.ticks - 1)
 		// Reset before the walk: pre-existing marks are refreshed by
-		// the rebuild itself, while marks its OnTick callbacks make
+		// the rebuild itself, while marks its team callbacks make
 		// mid-walk must survive as parked.
 		s.resetRepairState()
 		s.pendingAbsorb = false
@@ -935,9 +958,9 @@ func (s *Scheduler) fastTick(now sim.Time, dt time.Duration, dtSec float64) {
 }
 
 // tickGroup advances one active group's accounting by one tick at the
-// memoized allocation: usage accrual, throttle upkeep, and the runnable
-// tasks' rates, usage, and OnTick callbacks. It reports whether a leaf
-// throttle flag moved (which changes the load contribution).
+// memoized allocation: usage accrual, throttle upkeep, and the team
+// callbacks. It reports whether a leaf throttle flag moved (which
+// changes the load contribution).
 func (s *Scheduler) tickGroup(now sim.Time, i int, g *Group, dt time.Duration, dtSec float64) bool {
 	contribDirty := false
 	a := &s.gAcct[i]
@@ -956,38 +979,30 @@ func (s *Scheduler) tickGroup(now sim.Time, i int, g *Group, dt time.Duration, d
 		// Parent group, or a leaf with no runnable tasks.
 		return contribDirty
 	}
-	runTasks(now, g, a.perTask, a.over, dtSec)
+	runTeams(now, g, a.perTask, a.over, dtSec)
 	return contribDirty
 }
 
-// runTasks advances a leaf's runnable tasks by one tick at perTask CPUs
-// each: their rate and usage, and their OnTick callbacks with the raw
-// CPU time discounted by the oversubscription penalty 1/(1+gamma*over).
-// The discount is computed once per distinct gamma rather than per task;
-// the float operations, and so the results, are the same.
-func runTasks(now sim.Time, g *Group, perTask, over, dtSec float64) {
+// runTeams gives each of a leaf's teams with a runnable member its tick
+// callback, in creation order: raw = perTask CPUs for one tick, useful =
+// raw discounted by the oversubscription penalty 1/(1+gamma*over) at the
+// team's gamma (the group's when the team's is 0). Each count is read
+// when its team's turn comes, so earlier callbacks' blocks and wakes
+// count (see Team).
+func runTeams(now sim.Time, g *Group, perTask, over, dtSec float64) {
 	rawT := units.CPUSeconds(perTask * dtSec)
 	groupEff := discount(g.Gamma, over)
-	taskGamma, taskEff := 0.0, 1.0
-	// Ranging over the slice header snapshots the task list: OnTick may
-	// append tasks for future ticks.
-	for _, t := range g.tasks {
-		if !t.runnable {
-			continue
-		}
-		t.LastRate = perTask
-		t.Usage += rawT
-		if t.OnTick == nil {
+	// Ranging over the slice header snapshots the team list: a callback
+	// may create teams for future ticks.
+	for _, tm := range g.teams {
+		if tm.runnable == 0 {
 			continue
 		}
 		eff := groupEff
-		if t.Gamma > 0 {
-			if t.Gamma != taskGamma {
-				taskGamma, taskEff = t.Gamma, discount(t.Gamma, over)
-			}
-			eff = taskEff
+		if tm.gamma > 0 {
+			eff = discount(tm.gamma, over)
 		}
-		t.OnTick(now, units.CPUSeconds(float64(rawT)*eff), rawT)
+		tm.fn(now, tm.runnable, units.CPUSeconds(float64(rawT)*eff), rawT)
 	}
 }
 
@@ -1170,8 +1185,8 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 		s.gSettled[i] = s.ticks
 		a.setFlag(acctActive, rate > 0)
 		a.setFlag(acctTop, g.parent == nil && caps[i] > 0)
-		// Eager membership is settled after the task walk below: an
-		// OnTick callback may block the group's last OnTick task, and a
+		// Eager membership is settled after the team walk below: a team
+		// callback may block the group's last runnable team member, and a
 		// group that ends the tick without any must be deferrable.
 		a.setFlag(acctEager, false)
 		if len(g.children) > 0 {
@@ -1243,8 +1258,8 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 			over = 0
 		}
 		a.perTask, a.over = perTask, over
-		runTasks(now, g, perTask, over, dtSec)
-		if g.runnableOnTick > 0 {
+		runTeams(now, g, perTask, over, dtSec)
+		if g.teamRunnable > 0 {
 			a.setFlag(acctEager, true)
 			s.eagerIdx = append(s.eagerIdx, i)
 		}

@@ -1,6 +1,7 @@
 package cfs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -123,20 +124,27 @@ func TestBlockedTasksGetNothing(t *testing.T) {
 	}
 }
 
+// busyTeam creates a team of n runnable members in g whose callback
+// accumulates the members' useful and raw CPU time, one member at a
+// time.
+func busyTeam(s *Scheduler, g *Group, gamma float64, n int, useful, raw *units.CPUSeconds) {
+	tm := s.NewTeam(g, gamma, func(now time.Duration, n int, u, r units.CPUSeconds) {
+		for k := 0; k < n; k++ {
+			*useful += u
+			*raw += r
+		}
+	})
+	for i := 0; i < n; i++ {
+		s.SetRunnable(s.NewTeamTask(tm, g.Name), true)
+	}
+}
+
 func TestOversubscriptionPenalty(t *testing.T) {
 	s := NewScheduler(2)
-	g := newBusyGroup(s, "a", 8) // 8 tasks on 2 CPUs: r = 4
+	g := s.NewGroup("a")
 	g.Gamma = 0.5
 	var useful, raw units.CPUSeconds
-	for _, task := range []*Task{} {
-		_ = task
-	}
-	for i := range g.tasks {
-		g.tasks[i].OnTick = func(now time.Duration, u, r units.CPUSeconds) {
-			useful += u
-			raw += r
-		}
-	}
+	busyTeam(s, g, 0, 8, &useful, &raw) // 8 tasks on 2 CPUs: r = 4
 	run(s, time.Second)
 	eff := float64(useful) / float64(raw)
 	want := 1 / (1 + 0.5*3) // r-1 = 3
@@ -145,21 +153,103 @@ func TestOversubscriptionPenalty(t *testing.T) {
 	}
 }
 
-func TestPerTaskGammaOverride(t *testing.T) {
+func TestTeamGammaOverride(t *testing.T) {
 	s := NewScheduler(1)
-	g := newBusyGroup(s, "a", 4) // r = 4
+	g := newBusyGroup(s, "a", 2)
 	g.Gamma = 0.9
-	var usefulA, usefulB, rawA units.CPUSeconds
-	g.tasks[0].Gamma = 0.1
-	g.tasks[0].OnTick = func(now time.Duration, u, r units.CPUSeconds) { usefulA += u; rawA += r }
-	g.tasks[1].OnTick = func(now time.Duration, u, r units.CPUSeconds) { usefulB += u }
+	var usefulA, usefulB, rawA, rawB units.CPUSeconds
+	busyTeam(s, g, 0.1, 1, &usefulA, &rawA) // r = 4 with the plain pair
+	busyTeam(s, g, 0, 1, &usefulB, &rawB)
 	run(s, time.Second)
 	effA := float64(usefulA) / float64(rawA)
 	if want := 1 / (1 + 0.1*3.0); math.Abs(effA-want) > 1e-6 {
-		t.Fatalf("task gamma override: eff = %v, want %v", effA, want)
+		t.Fatalf("team gamma override: eff = %v, want %v", effA, want)
 	}
 	if usefulB >= usefulA {
-		t.Fatal("high-gamma task should get less useful work than low-gamma peer")
+		t.Fatal("high-gamma team should get less useful work than low-gamma peer")
+	}
+}
+
+// TestTeamCallbackCounts pins the call protocol: one call per tick per
+// team with runnable members, n = the live runnable count, creation
+// order, and nothing for teams whose members are all blocked.
+func TestTeamCallbackCounts(t *testing.T) {
+	for _, eager := range []bool{false, true} {
+		s := NewScheduler(8)
+		if eager {
+			UseEagerProtocol(s)
+		}
+		g := s.NewGroup("g")
+		var order []string
+		var ns []int
+		team := func(name string, members, wake int) []*Task {
+			tm := s.NewTeam(g, 0, func(now time.Duration, n int, u, r units.CPUSeconds) {
+				order = append(order, name)
+				ns = append(ns, n)
+			})
+			var ts []*Task
+			for i := 0; i < members; i++ {
+				task := s.NewTeamTask(tm, name)
+				if i < wake {
+					s.SetRunnable(task, true)
+				}
+				ts = append(ts, task)
+			}
+			return ts
+		}
+		a := team("a", 3, 3)
+		team("b", 2, 0)
+		team("c", 4, 2)
+		s.Tick(tick, tick)
+		if got := fmt.Sprint(order, ns); got != "[a c] [3 2]" {
+			t.Fatalf("eager=%v: calls %s, want [a c] [3 2]", eager, got)
+		}
+		order, ns = nil, nil
+		s.SetRunnable(a[1], false)
+		s.Tick(2*tick, tick)
+		if got := fmt.Sprint(order, ns); got != "[a c] [2 2]" {
+			t.Fatalf("eager=%v: after a block, calls %s, want [a c] [2 2]", eager, got)
+		}
+	}
+}
+
+// TestCallbackRemovingSiblingFiresEachTeamOnce is the regression test
+// for a callback that removes a sibling task of its group mid-tick: the
+// removal must neither run the removed task's callback nor run a later
+// sibling's twice in that tick.
+func TestCallbackRemovingSiblingFiresEachTeamOnce(t *testing.T) {
+	for _, eager := range []bool{false, true} {
+		s := NewScheduler(4)
+		if eager {
+			UseEagerProtocol(s)
+		}
+		g := s.NewGroup("g")
+		fired := map[string]int{}
+		var b *Task
+		teamOfOne := func(name string, fn func()) {
+			tm := s.NewTeam(g, 0, func(now time.Duration, n int, u, r units.CPUSeconds) {
+				fired[name] += n
+				if fn != nil {
+					fn()
+				}
+			})
+			task := s.NewTeamTask(tm, name)
+			s.SetRunnable(task, true)
+			if name == "b" {
+				b = task
+			}
+		}
+		teamOfOne("a", func() {
+			if !b.removed {
+				s.RemoveTask(b)
+			}
+		})
+		teamOfOne("b", nil)
+		teamOfOne("c", nil)
+		s.Tick(tick, tick)
+		if fired["a"] != 1 || fired["b"] != 0 || fired["c"] != 1 {
+			t.Fatalf("eager=%v: fired %v, want a once, b never, c once", eager, fired)
+		}
 	}
 }
 

@@ -13,10 +13,12 @@ import (
 // TestRepairMirrorsEagerLockstep does for its random op streams.
 //
 // Encoding: the first byte picks the host size (1-8 CPUs). Each op is
-// one opcode byte followed by up to two argument bytes (missing bytes
+// one opcode byte followed by up to three argument bytes (missing bytes
 // read as zero); opcodes cover group and child-group creation, removal,
-// shares/quota/cpuset writes, tasks with and without OnTick,
-// SetRunnable, Tick, SkipIdle, tick-length changes, and usage reads.
+// shares/quota/cpuset writes, plain tasks, teams of one and of several
+// members (whose callbacks may block a member every k-th call), new
+// members for existing teams, SetRunnable, Tick, SkipIdle, tick-length
+// changes, and usage reads.
 func FuzzRepairMirror(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
@@ -35,7 +37,8 @@ func FuzzRepairMirror(f *testing.F) {
 	})
 }
 
-// Fuzz opcodes (taken modulo opCount).
+// Fuzz opcodes (taken modulo opCount). New opcodes go at the end, so
+// committed seeds written with fewer opcodes decode unchanged.
 const (
 	opGroup    = iota // new top-level group
 	opChild           // arg: parent; new child group under a task-free top-level group
@@ -44,12 +47,14 @@ const (
 	opShares          // args: group, palette index
 	opQuota           // args: group, palette index
 	opCpuset          // args: group, mask size
-	opTask            // args: leaf, OnTick kind (0 none, 255 never blocks, else blocks every arg-th call)
+	opTask            // args: leaf, callback kind (0 plain task, else a team of one: 255 never blocks, else blocks every arg-th call)
 	opRunnable        // arg: task; toggle runnable
 	opTick            // arg: tick count - 1 (low two bits)
 	opSkipIdle        // arg: span in ticks; only when nothing is runnable
 	opDt              // arg: tick length selector
 	opRead            // args: group, accessor
+	opTeam            // args: leaf, members-1 (low 2 bits) and gamma index (higher bits), block period (0 or 255 never blocks)
+	opJoin            // args: team, wake the new member (low bit)
 	opCount
 )
 
@@ -64,13 +69,14 @@ var fuzzDts = []time.Duration{time.Millisecond, 2 * time.Millisecond, 500 * time
 
 // mirrorOp is one decoded fuzz operation.
 type mirrorOp struct {
-	code, a, b int
+	code, a, b, c int
 }
 
 // opArgs is the number of argument bytes each opcode consumes.
 var opArgs = [opCount]int{
 	opGroup: 0, opChild: 1, opRemove: 1, opRmTask: 1, opShares: 2, opQuota: 2,
 	opCpuset: 2, opTask: 2, opRunnable: 1, opTick: 1, opSkipIdle: 1, opDt: 1, opRead: 2,
+	opTeam: 3, opJoin: 2,
 }
 
 // decodeMirrorOps splits a fuzz input into the host size and its op
@@ -94,9 +100,21 @@ func decodeMirrorOps(data []byte) (ncpu int, ops []mirrorOp) {
 		if opArgs[o.code] > 1 {
 			o.b = next()
 		}
+		if opArgs[o.code] > 2 {
+			o.c = next()
+		}
 		ops = append(ops, o)
 	}
 	return ncpu, ops
+}
+
+// blockPeriod maps a callback-kind byte to the mirror's block period:
+// 255 never blocks, any other value blocks a member on every arg-th call.
+func blockPeriod(arg int) int {
+	if arg == 255 {
+		return 1 << 30
+	}
+	return arg
 }
 
 // runMirrorOps applies ops to a fresh mirror and fails t on the first
@@ -159,11 +177,7 @@ func runMirrorOps(t *testing.T, ncpu int, ops []mirrorOp) {
 			if gi < 0 || len(m.groups[gi].e.children) > 0 || len(m.tasks) >= fuzzMaxTasks {
 				break
 			}
-			every := o.b
-			if every == 255 {
-				every = 1 << 30
-			}
-			m.newTask(gi, fmt.Sprintf("t%d", len(m.tasks)), every)
+			m.newTask(gi, fmt.Sprintf("t%d", len(m.tasks)), blockPeriod(o.b))
 		case opRunnable:
 			if len(m.tasks) > 0 {
 				ti := o.a % len(m.tasks)
@@ -183,6 +197,32 @@ func runMirrorOps(t *testing.T, ncpu int, ops []mirrorOp) {
 			m.eager.SkipIdle(m.now, m.dt, n)
 			m.rep.SkipIdle(m.now, m.dt, n)
 			m.check(fmt.Sprintf("op %d: skip %d", k, n))
+		case opTeam:
+			gi := group(o.a)
+			n := 1 + o.b&3
+			if gi < 0 || len(m.groups[gi].e.children) > 0 || len(m.tasks)+n > fuzzMaxTasks {
+				break
+			}
+			every := o.c
+			if every == 0 {
+				every = 255
+			}
+			tm := m.newTeam(gi, teamGammas[(o.b>>2)%len(teamGammas)], blockPeriod(every))
+			for ; n > 0; n-- {
+				m.setRunnable(m.joinTeam(tm, fmt.Sprintf("t%d", len(m.tasks))), true)
+			}
+		case opJoin:
+			if len(m.teams) == 0 || len(m.tasks) >= fuzzMaxTasks {
+				break
+			}
+			tm := o.a % len(m.teams)
+			if g := m.groups[m.teams[tm].group].e; g.removed || len(g.children) > 0 {
+				break
+			}
+			ti := m.joinTeam(tm, fmt.Sprintf("t%d", len(m.tasks)))
+			if o.b&1 != 0 {
+				m.setRunnable(ti, true)
+			}
 		case opDt:
 			m.dt = fuzzDts[o.a%len(fuzzDts)]
 		case opRead:

@@ -7,7 +7,7 @@
 // dirty set and splits Tick into three regimes:
 //
 //   - quietTick: nothing dirty. Only the eager groups (active groups
-//     with runnable OnTick tasks, whose callbacks must fire every tick)
+//     with runnable team members, whose callbacks must fire every tick)
 //     and any flag-dirty groups are walked. All other active groups'
 //     accounting is deferred: gSettled[i] records the tick through
 //     which group i is settled, and settleTo replays the missing ticks
@@ -28,7 +28,7 @@
 //     membership lists are patched by ordered merge. Because the load
 //     contribution and slack are ordered sums over the active leaves,
 //     any touched leaf triggers an O(active) ordered re-sum: repair is
-//     O(changes + tops + active), not O(groups + tasks).
+//     O(changes + tops + active), not O(groups + teams).
 //
 //   - escalation: when the dirty set reaches both an absolute floor and
 //     half the active set, one full rebuildTick (after settling all
@@ -177,9 +177,10 @@ func (s *Scheduler) settleLive(i int) {
 
 // settleTo replays group i's deferred per-tick accounting deltas up to
 // and including tick target: usage and window accrual at the memoized
-// rate, throttled time while the limit is binding, and the runnable
-// tasks' rates and usage. The replay repeats the identical per-tick
-// additions the eager walk performs, so the results are bit-identical.
+// rate, and throttled time while the limit is binding. The replay
+// repeats the identical per-tick additions the eager walk performs, so
+// the results are bit-identical. Deferred groups have no runnable team
+// member, so there is no callback to replay.
 func (s *Scheduler) settleTo(i int, target uint64) {
 	done := s.gSettled[i]
 	if done >= target {
@@ -200,23 +201,6 @@ func (s *Scheduler) settleTo(i int, target uint64) {
 	if a.flags&acctDurBinding != 0 {
 		a.throttledDur += time.Duration(k) * s.lastDt
 	}
-	if a.perTask == 0 {
-		return
-	}
-	perTask := a.perTask
-	rawT := units.CPUSeconds(perTask * s.lastDtSec)
-	for _, t := range s.groups[i].tasks {
-		if !t.runnable {
-			continue
-		}
-		if t.OnTick != nil {
-			panic("cfs: OnTick installed after SetRunnable (install OnTick before making the task runnable)")
-		}
-		t.LastRate = perTask
-		for j := uint64(0); j < k; j++ {
-			t.Usage += rawT
-		}
-	}
 }
 
 // settleAllTo settles every group to target (before a full rebuild or
@@ -228,7 +212,7 @@ func (s *Scheduler) settleAllTo(target uint64) {
 }
 
 // quietTick is the steady-state tick: nothing is dirty, so only the
-// eager groups (whose OnTick callbacks must fire) and any flag-dirty
+// eager groups (whose team callbacks must fire) and any flag-dirty
 // groups are walked, merged in ascending slot order. All other
 // accounting is deferred to settleTo.
 func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
@@ -240,7 +224,7 @@ func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
 		// The eager protocol is rebuilding this very tick (a group was
 		// created, or removed-group state written): its rebuild re-reads
 		// the runnable total before the walk and accumulates the load
-		// contribution at walk time. Mirror both, so a mid-walk OnTick
+		// contribution at walk time. Mirror both, so a mid-walk callback
 		// block lands in this tick's observables identically.
 		s.totalRunnable = s.runnableNow
 		s.nrSnapIdx = s.nrSnapIdx[:0]
@@ -276,7 +260,7 @@ func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
 				s.snapNr(i, g.runnable)
 			}
 			// Stamp before the walk body: tickGroup accrues this tick
-			// eagerly, and its OnTick callbacks may trigger settles of
+			// eagerly, and its team callbacks may trigger settles of
 			// this very group (e.g. a self-block).
 			s.gSettled[i] = s.ticks
 			// tickGroup re-evaluates an acctFlagsDirty mark inline.
@@ -321,26 +305,15 @@ func (s *Scheduler) refreshQuiet(now sim.Time, i int, g *Group, dt time.Duration
 	a.usage += raw
 	a.windowUsage += raw
 	moved := s.refreshThrottle(now, i, g, rate, dt)
-	if a.perTask != 0 {
-		perTask := a.perTask
-		rawT := units.CPUSeconds(perTask * dtSec)
-		// Quiet groups hold no runnable OnTick tasks (they would be
-		// eager), so this is pure accrual.
-		for _, t := range g.tasks {
-			if !t.runnable {
-				continue
-			}
-			t.LastRate = perTask
-			t.Usage += rawT
-		}
-	}
+	// Quiet groups hold no runnable team members (they would be eager),
+	// so there is no callback to run.
 	s.gSettled[i] = s.ticks
 	return moved
 }
 
 // repairTick recomputes the allocation for the dirty groups only and
-// advances this tick's accounting for every group the recompute (or an
-// OnTick obligation, or a pending flag refresh) touches.
+// advances this tick's accounting for every group the recompute (or a
+// team callback obligation, or a pending flag refresh) touches.
 func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	prev := s.ticks - 1
 	s.totalRunnable = s.runnableNow
@@ -362,7 +335,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	}
 	s.dirty = dd
 	// The dirty set is stable for the rest of the tick: marks made by
-	// OnTick callbacks during the walk are parked by noteAllocChange
+	// team callbacks during the walk are parked by noteAllocChange
 	// (walkAbsorbs), never appended here.
 	dirty := s.dirty
 	s.repairChanged = s.repairChanged[:0]
@@ -379,7 +352,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	for _, i := range dirty {
 		g := s.groups[i]
 		a := &s.gAcct[i]
-		// Consume the mark now: a re-mark from an OnTick callback later
+		// Consume the mark now: a re-mark from a team callback later
 		// this tick must enqueue a fresh repair.
 		a.flags &^= acctAllocDirty
 		s.settleTo(i, prev)
@@ -543,7 +516,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 			s.repairAccount(now, i, g, dt, dtSec)
 		case eager:
 			s.snapNr(i, g.runnable)
-			s.gSettled[i] = s.ticks // before OnTick can settle this group
+			s.gSettled[i] = s.ticks // before a callback can settle this group
 			if s.tickGroup(now, i, g, dt, dtSec) {
 				resum = true
 			}
@@ -566,7 +539,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		// slack and load contribution are ordered sums over the active
 		// leaves, re-derived in full so they stay bit-identical to the
 		// rebuild's. The contribution uses each walked leaf's runnable
-		// count as of its walk visit (snapNr): an OnTick callback that
+		// count as of its walk visit (snapNr): a team callback that
 		// blocks its task mid-walk must not retroactively change this
 		// tick's sum, exactly as in the rebuild's interleaved
 		// accumulation.
@@ -626,7 +599,7 @@ func (s *Scheduler) repairAccount(now sim.Time, i int, g *Group, dt time.Duratio
 		}
 		s.markActive(i, rate > 0)
 		// A leaf that just gained its first child leaves the eager set:
-		// its tasks are gone and its children carry their own callbacks.
+		// its tasks are gone and its children carry their own teams.
 		s.markEager(i, false)
 		a.setFlag(acctDurBinding, thr)
 		s.noteThrottleTracked(now, i, g, thr, rate)
@@ -668,11 +641,11 @@ func (s *Scheduler) repairAccount(now sim.Time, i int, g *Group, dt time.Duratio
 		over = 0
 	}
 	a.perTask, a.over = perTask, over
-	runTasks(now, g, perTask, over, dtSec)
-	// Eager membership is evaluated after the task walk so a callback
-	// that just blocked the last OnTick task leaves the group deferred
+	runTeams(now, g, perTask, over, dtSec)
+	// Eager membership is evaluated after the team walk so a callback
+	// that just blocked the last team member leaves the group deferred
 	// (its accounting from here on is pure accrual, which settles).
-	s.markEager(i, g.runnableOnTick > 0)
+	s.markEager(i, g.teamRunnable > 0)
 }
 
 // snapNr records a walked leaf's runnable count at visit time for the

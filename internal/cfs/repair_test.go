@@ -23,6 +23,7 @@ type mirror struct {
 
 	groups []mirrorGroup
 	tasks  []mirrorTask
+	teams  []mirrorTeam
 }
 
 type mirrorGroup struct {
@@ -31,9 +32,17 @@ type mirrorGroup struct {
 
 type mirrorTask struct {
 	e, r *Task
-	// useful accumulates OnTick's useful-work argument per arm, so the
-	// callback stream itself is part of the compared state.
-	useful [2]float64
+}
+
+// mirrorTeam is a team on both arms. useful and members accumulate the
+// callback's arguments per arm (useful once per member, in order), so
+// the callback stream itself is part of the compared state.
+type mirrorTeam struct {
+	e, r    *Team
+	group   int
+	tasks   []int // member task indices, in creation order
+	useful  [2]float64
+	members [2]int
 }
 
 func newMirror(t *testing.T, ncpu int) *mirror {
@@ -62,32 +71,68 @@ func (m *mirror) newChild(parent int, name string) int {
 	return len(m.groups) - 1
 }
 
-// newTask creates a mirrored task; onTickEvery > 0 installs an OnTick
-// callback (before any SetRunnable, per the repair contract) that
-// accumulates useful work and blocks the task on every onTickEvery-th
-// invocation — a deterministic mid-tick state change both arms replay
-// identically.
-func (m *mirror) newTask(group int, name string, onTickEvery int) int {
+// newTask creates a mirrored task; every > 0 makes it a team of one
+// whose callback blocks it on every every-th call.
+func (m *mirror) newTask(group int, name string, every int) int {
+	if every > 0 {
+		return m.joinTeam(m.newTeam(group, 0, every), name)
+	}
 	g := m.groups[group]
-	te := m.eager.NewTask(g.e, name)
-	tr := m.rep.NewTask(g.r, name)
-	m.tasks = append(m.tasks, mirrorTask{e: te, r: tr})
-	k := len(m.tasks) - 1
-	if onTickEvery > 0 {
-		hook := func(arm int, s *Scheduler, t *Task) func(time.Duration, units.CPUSeconds, units.CPUSeconds) {
-			calls := 0
-			return func(now time.Duration, useful, raw units.CPUSeconds) {
-				m.tasks[k].useful[arm] += float64(useful)
-				calls++
-				if calls%onTickEvery == 0 {
+	m.tasks = append(m.tasks, mirrorTask{e: m.eager.NewTask(g.e, name), r: m.rep.NewTask(g.r, name)})
+	return len(m.tasks) - 1
+}
+
+// newTeam creates an empty mirrored team whose callback accumulates
+// useful work and, on every every-th call, blocks the team's first
+// runnable member — a deterministic mid-tick state change both arms
+// replay identically.
+func (m *mirror) newTeam(group int, gamma float64, every int) int {
+	k := len(m.teams)
+	hook := func(arm int, s *Scheduler) TeamFunc {
+		calls := 0
+		return func(now time.Duration, n int, useful, raw units.CPUSeconds) {
+			tm := &m.teams[k]
+			u := tm.useful[arm]
+			for j := 0; j < n; j++ {
+				u += float64(useful)
+			}
+			tm.useful[arm] = u
+			tm.members[arm] += n
+			calls++
+			if calls%every != 0 {
+				return
+			}
+			for _, ti := range tm.tasks {
+				if t := m.tasks[ti].arm(arm); t.runnable {
 					s.SetRunnable(t, false)
+					return
 				}
 			}
 		}
-		te.OnTick = hook(0, m.eager, te)
-		tr.OnTick = hook(1, m.rep, tr)
 	}
+	g := m.groups[group]
+	m.teams = append(m.teams, mirrorTeam{
+		e:     m.eager.NewTeam(g.e, gamma, hook(0, m.eager)),
+		r:     m.rep.NewTeam(g.r, gamma, hook(1, m.rep)),
+		group: group,
+	})
 	return k
+}
+
+// joinTeam adds a mirrored member to team tm.
+func (m *mirror) joinTeam(tm int, name string) int {
+	te := &m.teams[tm]
+	m.tasks = append(m.tasks, mirrorTask{e: m.eager.NewTeamTask(te.e, name), r: m.rep.NewTeamTask(te.r, name)})
+	ti := len(m.tasks) - 1
+	te.tasks = append(te.tasks, ti)
+	return ti
+}
+
+func (tk *mirrorTask) arm(arm int) *Task {
+	if arm == 0 {
+		return tk.e
+	}
+	return tk.r
 }
 
 func (m *mirror) setRunnable(task int, run bool) {
@@ -186,10 +231,23 @@ func (m *mirror) check(ctx string) {
 		if tk.e.runnable != tk.r.runnable {
 			t.Fatalf("%s: task %d runnable diverged", ctx, ti)
 		}
-		// Group reads above settled the task replay too.
-		eq(float64(tk.e.Usage), float64(tk.r.Usage), "task[%d].Usage", ti)
-		eq(tk.e.LastRate, tk.r.LastRate, "task[%d].LastRate", ti)
-		eq(tk.useful[0], tk.useful[1], "task[%d] useful work", ti)
+	}
+	for k := range m.teams {
+		tm := &m.teams[k]
+		eq(tm.useful[0], tm.useful[1], "team[%d] useful work", k)
+		if tm.members[0] != tm.members[1] || tm.e.runnable != tm.r.runnable {
+			t.Fatalf("%s: team %d diverged: %d vs %d member-ticks, %d vs %d runnable",
+				ctx, k, tm.members[0], tm.members[1], tm.e.runnable, tm.r.runnable)
+		}
+		runnable := 0
+		for _, ti := range tm.tasks {
+			if m.tasks[ti].r.runnable {
+				runnable++
+			}
+		}
+		if runnable != tm.r.runnable {
+			t.Fatalf("%s: team %d counts %d runnable members, has %d", ctx, k, tm.r.runnable, runnable)
+		}
 	}
 	ne, oke := m.eager.NextEvent(m.now)
 	nr, okr := m.rep.NextEvent(m.now)
@@ -210,7 +268,14 @@ func (m *mirror) checkRepairInvariants(ctx string) {
 	}
 	var wantEager, wantTop []int
 	for i, g := range s.groups {
-		if s.gRate[i] > 0 && len(g.children) == 0 && g.runnableOnTick > 0 {
+		teamRunnable := 0
+		for _, tm := range g.teams {
+			teamRunnable += tm.runnable
+		}
+		if teamRunnable != g.teamRunnable {
+			t.Fatalf("%s: group %s counts %d runnable team members, its teams %d", ctx, g.Name, g.teamRunnable, teamRunnable)
+		}
+		if s.gRate[i] > 0 && len(g.children) == 0 && g.teamRunnable > 0 {
 			wantEager = append(wantEager, i)
 		}
 		if g.parent == nil && s.gCap[i] > 0 {
@@ -220,7 +285,7 @@ func (m *mirror) checkRepairInvariants(ctx string) {
 			t.Fatalf("%s: acctActive[%d] inconsistent with rate %v", ctx, i, s.gRate[i])
 		}
 	}
-	// eagerIdx may lag a mid-walk OnTick state change by one tick — but
+	// eagerIdx may lag a mid-walk callback state change by one tick — but
 	// only for groups sitting in the dirty set awaiting repair.
 	have := map[int]bool{}
 	for _, i := range s.eagerIdx {
@@ -331,24 +396,41 @@ func (m *mirror) step(rng *rand.Rand) bool {
 				p := m.newGroup(name + "p")
 				for c := 0; c < 2+rng.Intn(3); c++ {
 					ci := m.newChild(p, fmt.Sprintf("%sc%d", name, c))
-					ti := m.newTask(ci, "t", pickOnTick(rng))
+					ti := m.newTask(ci, "t", pickCallback(rng))
 					if rng.Intn(2) == 0 {
 						m.setRunnable(ti, true)
 					}
 				}
 			} else {
 				gi := m.newGroup(name)
-				ti := m.newTask(gi, "t", pickOnTick(rng))
+				ti := m.newTask(gi, "t", pickCallback(rng))
 				if rng.Intn(2) == 0 {
 					m.setRunnable(ti, true)
 				}
 			}
 		}
-	case r < 86: // add a task to an existing leaf
+	case r < 84: // add a task to an existing leaf
 		if gi := m.liveLeaf(rng); gi >= 0 && len(m.tasks) < 96 {
-			ti := m.newTask(gi, "t+", pickOnTick(rng))
+			ti := m.newTask(gi, "t+", pickCallback(rng))
 			if rng.Intn(2) == 0 {
 				m.setRunnable(ti, true)
+			}
+		}
+	case r < 86: // a multi-member team, or a member for an existing one
+		if len(m.tasks) >= 96 {
+			break
+		}
+		if k := rng.Intn(len(m.teams) + 1); k < len(m.teams) {
+			if g := m.groups[m.teams[k].group].e; !g.removed && len(g.children) == 0 {
+				ti := m.joinTeam(k, "m+")
+				if rng.Intn(2) == 0 {
+					m.setRunnable(ti, true)
+				}
+			}
+		} else if gi := m.liveLeaf(rng); gi >= 0 {
+			tm := m.newTeam(gi, teamGammas[rng.Intn(len(teamGammas))], pickCallback(rng)|1)
+			for n := 2 + rng.Intn(3); n > 0; n-- {
+				m.setRunnable(m.joinTeam(tm, "m"), true)
 			}
 		}
 	case r < 90:
@@ -383,14 +465,18 @@ func (m *mirror) step(rng *rand.Rand) bool {
 	return false
 }
 
-func pickOnTick(rng *rand.Rand) int {
+// teamGammas are the team sensitivities the mirror draws from: 0 (the
+// group's Gamma) and the jvm mutator and GC values.
+var teamGammas = []float64{0, 0.15, 0.85}
+
+func pickCallback(rng *rand.Rand) int {
 	switch rng.Intn(4) {
 	case 0:
 		return 0 // plain task: deferrable accounting
 	case 1:
-		return 23 // OnTick task that blocks itself every 23rd tick
+		return 23 // callback that blocks a member every 23rd call
 	default:
-		return 1 << 30 // OnTick task that never blocks
+		return 1 << 30 // callback that never blocks
 	}
 }
 
@@ -402,7 +488,7 @@ func seedMirror(m *mirror, rng *rand.Rand, flat int) {
 		q := quotaPalette[rng.Intn(len(quotaPalette))]
 		m.eager.SetQuota(m.groups[gi].e, q[0], q[1])
 		m.rep.SetQuota(m.groups[gi].r, q[0], q[1])
-		ti := m.newTask(gi, "t", pickOnTick(rng))
+		ti := m.newTask(gi, "t", pickCallback(rng))
 		if i%2 == 0 {
 			m.setRunnable(ti, true)
 		}
@@ -410,7 +496,7 @@ func seedMirror(m *mirror, rng *rand.Rand, flat int) {
 	p := m.newGroup("seedp")
 	for c := 0; c < 3; c++ {
 		ci := m.newChild(p, fmt.Sprintf("seedpc%d", c))
-		ti := m.newTask(ci, "t", pickOnTick(rng))
+		ti := m.newTask(ci, "t", pickCallback(rng))
 		if c != 1 {
 			m.setRunnable(ti, true)
 		}
@@ -486,7 +572,7 @@ func TestRepairVariableDt(t *testing.T) {
 // SkipIdle on both arms, then resumed activity.
 func TestRepairSkipIdle(t *testing.T) {
 	m := newMirror(t, 4)
-	// Plain tasks only: OnTick self-blockers would desync the manual
+	// Plain tasks only: self-blocking callbacks would desync the manual
 	// block step below.
 	for i := 0; i < 6; i++ {
 		gi := m.newGroup(fmt.Sprintf("g%d", i))

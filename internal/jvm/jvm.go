@@ -391,31 +391,28 @@ func (j *JVM) Start() {
 		return
 	}
 
-	// --- threads ---
+	// --- threads: one scheduler team per thread class ---
+	g := j.ctr.Cgroup.CPU
+	mut := j.h.Sched.NewTeam(g, mutatorGamma, j.mutatorTick)
 	for i := 0; i < j.w.Threads; i++ {
-		t := j.h.Sched.NewTask(j.ctr.Cgroup.CPU, fmt.Sprintf("%s-mut%d", j.w.Name, i))
-		t.Gamma = mutatorGamma
-		t.OnTick = j.mutatorTick
-		j.mutTasks = append(j.mutTasks, t)
+		j.mutTasks = append(j.mutTasks, j.h.Sched.NewTeamTask(mut, fmt.Sprintf("%s-mut%d", j.w.Name, i)))
 	}
+	gc := j.h.Sched.NewTeam(g, gcWorkerGamma, j.gcTick)
 	for i := 0; i < j.poolSize; i++ {
-		t := j.h.Sched.NewTask(j.ctr.Cgroup.CPU, fmt.Sprintf("%s-gc%d", j.w.Name, i))
-		t.Gamma = gcWorkerGamma
-		idx := i
-		t.OnTick = func(now sim.Time, useful, raw units.CPUSeconds) {
-			j.gcTick(idx, useful)
-		}
-		j.gcTasks = append(j.gcTasks, t)
+		j.gcTasks = append(j.gcTasks, j.h.Sched.NewTeamTask(gc, fmt.Sprintf("%s-gc%d", j.w.Name, i)))
 	}
 
 	// JIT compiler threads burn their warm-up budget alongside the
 	// mutators, competing for the same cgroup allocation.
-	for i := 0; i < j.jitCount; i++ {
-		t := j.h.Sched.NewTask(j.ctr.Cgroup.CPU, fmt.Sprintf("%s-jit%d", j.w.Name, i))
-		t.Gamma = mutatorGamma
-		t.OnTick = func(now sim.Time, useful, raw units.CPUSeconds) {
-			j.jitRemaining -= useful
+	jit := j.h.Sched.NewTeam(g, mutatorGamma, func(now sim.Time, n int, useful, raw units.CPUSeconds) {
+		rem := j.jitRemaining
+		for k := 0; k < n; k++ {
+			rem -= useful
 		}
+		j.jitRemaining = rem
+	})
+	for i := 0; i < j.jitCount; i++ {
+		t := j.h.Sched.NewTeamTask(jit, fmt.Sprintf("%s-jit%d", j.w.Name, i))
 		j.jitTasks = append(j.jitTasks, t)
 		j.h.Sched.SetRunnable(t, true)
 	}
@@ -434,25 +431,32 @@ func (j *JVM) Start() {
 	j.h.AddProgram(j)
 }
 
-// mutatorTick accumulates work and allocation; heavy reactions happen in
-// Poll.
-func (j *JVM) mutatorTick(now sim.Time, useful, raw units.CPUSeconds) {
-	j.workDone += useful
-	j.pendingAlloc += units.Bytes(float64(useful) * float64(j.w.AllocPerCPUSec))
+// mutatorTick accumulates the n runnable mutators' work and allocation,
+// one thread at a time; heavy reactions happen in Poll.
+func (j *JVM) mutatorTick(now sim.Time, n int, useful, raw units.CPUSeconds) {
+	work := j.workDone
+	for k := 0; k < n; k++ {
+		work += useful
+	}
+	j.workDone = work
+	j.pendingAlloc += units.Bytes(n) * units.Bytes(float64(useful)*float64(j.w.AllocPerCPUSec))
 }
 
-// gcTick drains the GC work pools: the parallel pool first, then —
-// only for pool thread 0 — the serial remainder (the Amdahl fraction).
-// Other threads that are still runnable when the parallel pool empties
-// spin until Poll parks them.
-func (j *JVM) gcTick(idx int, useful units.CPUSeconds) {
-	if j.gcPar > 0 {
-		j.gcPar -= useful
-		return
+// gcTick drains the GC work pools for the n runnable GC threads in pool
+// order: the parallel pool first, then — only for pool thread 0 — the
+// serial remainder (the Amdahl fraction). Other threads that are still
+// runnable when the parallel pool empties spin until Poll parks them.
+func (j *JVM) gcTick(now sim.Time, n int, useful, raw units.CPUSeconds) {
+	par, ser := j.gcPar, j.gcSer
+	master := j.gcTasks[0].Runnable()
+	for k := 0; k < n; k++ {
+		if par > 0 {
+			par -= useful
+		} else if k == 0 && master && ser > 0 {
+			ser -= useful
+		}
 	}
-	if idx == 0 && j.gcSer > 0 {
-		j.gcSer -= useful
-	}
+	j.gcPar, j.gcSer = par, ser
 }
 
 // Poll implements host.Program: the JVM's control loop.

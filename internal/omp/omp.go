@@ -158,13 +158,9 @@ func (p *Program) Start() {
 		p.ctr.Cgroup.CPU.Gamma = p.kernel.Gamma
 	}
 	pool := p.h.Sched.NCPU()
+	team := p.h.Sched.NewTeam(p.ctr.Cgroup.CPU, 0, p.teamTick)
 	for i := 0; i < pool; i++ {
-		t := p.h.Sched.NewTask(p.ctr.Cgroup.CPU, fmt.Sprintf("%s-omp%d", p.kernel.Name, i))
-		idx := i
-		t.OnTick = func(now sim.Time, useful, raw units.CPUSeconds) {
-			p.workerTick(idx, useful)
-		}
-		p.tasks = append(p.tasks, t)
+		p.tasks = append(p.tasks, p.h.Sched.NewTeamTask(team, fmt.Sprintf("%s-omp%d", p.kernel.Name, i)))
 	}
 	p.StartedAt = p.h.Now()
 	p.openRegion()
@@ -219,14 +215,20 @@ func (p *Program) openRegion() {
 	}
 }
 
-func (p *Program) workerTick(idx int, useful units.CPUSeconds) {
-	if p.par > 0 {
-		p.par -= useful
-		return
+// teamTick advances the n runnable workers in thread order: each drains
+// the parallel work first, and the master (thread 0) alone then drains
+// the serial tail.
+func (p *Program) teamTick(now sim.Time, n int, useful, raw units.CPUSeconds) {
+	par, ser := p.par, p.ser
+	master := p.tasks[0].Runnable()
+	for k := 0; k < n; k++ {
+		if par > 0 {
+			par -= useful
+		} else if k == 0 && master && ser > 0 {
+			ser -= useful
+		}
 	}
-	if idx == 0 && p.ser > 0 {
-		p.ser -= useful
-	}
+	p.par, p.ser = par, ser
 }
 
 // Poll implements host.Program: region barrier and sequencing logic.

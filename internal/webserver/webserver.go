@@ -195,13 +195,9 @@ func (s *Server) targetWorkers() int {
 // policy can expand later), sets the initial active count per policy,
 // and registers the server with the host.
 func (s *Server) Start() {
+	team := s.h.Sched.NewTeam(s.ctr.Cgroup.CPU, 0, s.workersTick)
 	for i := 0; i < s.h.Sched.NCPU(); i++ {
-		idx := i
-		t := s.h.Sched.NewTask(s.ctr.Cgroup.CPU, fmt.Sprintf("httpd-w%d", i))
-		t.OnTick = func(now sim.Time, useful, raw units.CPUSeconds) {
-			s.workerTick(idx, useful)
-		}
-		s.workers = append(s.workers, t)
+		s.workers = append(s.workers, s.h.Sched.NewTeamTask(team, fmt.Sprintf("httpd-w%d", i)))
 	}
 	s.serving = make([]*request, len(s.workers))
 	s.active = units.ClampInt(s.targetWorkers(), 1, len(s.workers))
@@ -234,12 +230,14 @@ func (s *Server) NextWake(now sim.Time) (sim.Time, bool) {
 	return now + s.h.Tick(), true
 }
 
-func (s *Server) workerTick(idx int, useful units.CPUSeconds) {
-	r := s.serving[idx]
-	if r == nil {
-		return
+// workersTick advances every runnable worker's in-flight request by one
+// tick of useful work, in worker order.
+func (s *Server) workersTick(now sim.Time, n int, useful, raw units.CPUSeconds) {
+	for i, t := range s.workers {
+		if r := s.serving[i]; r != nil && t.Runnable() {
+			r.remaining -= useful
+		}
 	}
-	r.remaining -= useful
 }
 
 // Poll implements host.Program: admit arrivals, complete finished

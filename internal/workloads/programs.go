@@ -47,11 +47,15 @@ func NewSysbench(h *host.Host, ctr *container.Container, threads int, work units
 
 // Start launches the workers and registers the program with the host.
 func (s *Sysbench) Start() {
-	for i := 0; i < s.threads; i++ {
-		t := s.h.Sched.NewTask(s.ctr.Cgroup.CPU, fmt.Sprintf("sysbench%d", i))
-		t.OnTick = func(now sim.Time, useful, raw units.CPUSeconds) {
-			s.workDone += useful
+	team := s.h.Sched.NewTeam(s.ctr.Cgroup.CPU, 0, func(now sim.Time, n int, useful, raw units.CPUSeconds) {
+		work := s.workDone
+		for k := 0; k < n; k++ {
+			work += useful
 		}
+		s.workDone = work
+	})
+	for i := 0; i < s.threads; i++ {
+		t := s.h.Sched.NewTeamTask(team, fmt.Sprintf("sysbench%d", i))
 		s.tasks = append(s.tasks, t)
 		s.h.Sched.SetRunnable(t, true)
 	}
