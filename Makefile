@@ -103,10 +103,10 @@ docs:
 golden:
 	$(GO) test -run TestExperimentsMatchGolden -update-golden .
 
-# Verify the goldens sequentially (also covered by `make test`, but
-# explicit here so ci exercises both ends of the worker sweep).
+# Verify the goldens sequentially (`make test` covers the default
+# width, GOMAXPROCS), so ci exercises both ends of the worker sweep.
 golden-check:
-	$(GO) test -count=1 -run TestExperimentsMatchGolden .
+	$(GO) test -count=1 -run TestExperimentsMatchGolden -golden-workers 1 .
 
 # Prove the goldens are byte-identical with trial-level parallelism.
 golden-parallel:

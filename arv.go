@@ -273,7 +273,9 @@ func NewMemHog(h *Host, ctr *Container, target, rate Bytes) *MemHog {
 // or figures.
 type Experiment = experiments.Entry
 
-// ExperimentOptions tunes an experiment run (Scale < 1 gives smoke runs).
+// ExperimentOptions tunes an experiment run: Scale < 1 gives smoke
+// runs; Workers bounds how many independent trials run at once (0 =
+// GOMAXPROCS, 1 = sequential), with byte-identical output at any width.
 type ExperimentOptions = experiments.Options
 
 // ExperimentResult is a regenerated figure/table.

@@ -40,7 +40,10 @@ func runExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
-	opts := experiments.Options{Scale: benchScale}
+	// Workers 1: these are the single-core per-experiment cost
+	// references (EXPERIMENTS.md §5.4, ROADMAP calibration); the default
+	// trial fan-out would make them measure overlap instead.
+	opts := experiments.Options{Scale: benchScale, Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := e.Run(opts)

@@ -186,7 +186,7 @@ func main() {
 		list     = flag.Bool("list", false, "list available experiments")
 		run      = flag.String("run", "", "experiment id to run (or 'all')")
 		scale    = flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper-sized)")
-		parallel = flag.Int("parallel", 1, "worker count for experiments and their trials (1 = sequential)")
+		parallel = flag.Int("parallel", 0, "worker count for experiments and their trials (0 = experiments one at a time, trials across GOMAXPROCS; 1 = sequential)")
 		jsonPath = flag.String("json", "", "write per-experiment wall-clock/allocation records to this file (BENCH_*.json shape)")
 		csv      = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 		md       = flag.Bool("md", false, "emit tables as Markdown instead of aligned text")
@@ -304,7 +304,7 @@ func main() {
 	}
 	if len(recs) > 1 {
 		fmt.Printf("[%d experiments completed in %v wall time, parallel=%d]\n",
-			len(recs), total.Round(time.Millisecond), *parallel)
+			len(recs), total.Round(time.Millisecond), opts.TrialWidth())
 	}
 
 	if *jsonPath != "" {
@@ -312,7 +312,7 @@ func main() {
 			Schema:      "arvbench/v1",
 			GoVersion:   runtime.Version(),
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Parallel:    *parallel,
+			Parallel:    opts.TrialWidth(),
 			Scale:       *scale,
 			TotalWallMS: float64(total) / float64(time.Millisecond),
 		}

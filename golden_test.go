@@ -13,7 +13,7 @@ var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden from the current code instead of comparing")
 
 var goldenWorkers = flag.Int("golden-workers", 0,
-	"trial-level worker count for the golden sweep (0/1 = sequential); "+
+	"trial-level worker count for the golden sweep (0 = GOMAXPROCS, 1 = sequential); "+
 		"the goldens must match at every setting")
 
 // TestExperimentsMatchGolden locks every registered experiment's
@@ -25,9 +25,11 @@ var goldenWorkers = flag.Int("golden-workers", 0,
 // scheduler, memory controller, or namespace algorithms changes the
 // rendered tables.
 //
-// With -golden-workers N the sweep additionally proves that trial-level
-// parallelism is unobservable: every experiment must render the same
-// bytes no matter how many goroutines its trials are spread across.
+// By default the trials fan out across GOMAXPROCS, the library default;
+// -golden-workers N pins another width (1 = sequential). Every
+// experiment must render the same bytes no matter how many goroutines
+// its trials are spread across, which proves trial-level parallelism is
+// unobservable.
 //
 // Regenerate (after an intentional model change) with:
 //

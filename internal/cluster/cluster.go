@@ -32,10 +32,9 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"arv/internal/fanout"
 	"arv/internal/host"
 	"arv/internal/sim"
 	"arv/internal/telemetry"
@@ -243,34 +242,9 @@ func (c *Cluster) Step() sim.Time {
 }
 
 // runHosts advances every host by span, fanning the share-nothing host
-// runs across up to cfg.Workers goroutines. The WaitGroup join gives
+// runs across up to cfg.Workers goroutines. fanout.Each's join gives
 // the cluster goroutine a happens-before edge over everything the host
 // goroutines did, so post-span scheduling reads are race-free.
 func (c *Cluster) runHosts(span time.Duration) {
-	w := c.cfg.Workers
-	if w > len(c.nodes) {
-		w = len(c.nodes)
-	}
-	if w <= 1 {
-		for _, n := range c.nodes {
-			n.Host.Run(span)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(c.nodes) {
-					return
-				}
-				c.nodes[i].Host.Run(span)
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Each(len(c.nodes), c.cfg.Workers, func(i int) { c.nodes[i].Host.Run(span) })
 }

@@ -12,12 +12,12 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"arv/internal/container"
+	"arv/internal/fanout"
 	"arv/internal/host"
 	"arv/internal/jvm"
 	"arv/internal/texttable"
@@ -33,9 +33,10 @@ type Options struct {
 	// Verbose adds explanatory notes to results.
 	Verbose bool
 	// Workers bounds how many of a driver's independent trials (each a
-	// self-contained Host simulation) run concurrently. 0 or 1 keeps
-	// trials sequential. Every simulation stays internally sequential
-	// and deterministic, so results are byte-identical at any width.
+	// self-contained Host simulation) run concurrently. 0 means
+	// runtime.GOMAXPROCS(0), 1 keeps trials sequential, and N > 1 means
+	// N. Every simulation stays internally sequential and deterministic,
+	// so results are byte-identical at any width.
 	Workers int
 }
 
@@ -46,46 +47,24 @@ func (o Options) scale() float64 {
 	return o.Scale
 }
 
-func (o Options) workers() int {
-	if o.Workers <= 1 {
-		return 1
+// TrialWidth is the number of goroutines a driver's trials fan out
+// across: Workers, GOMAXPROCS when Workers is 0, and 1 (sequential)
+// when Workers is negative.
+func (o Options) TrialWidth() int {
+	if o.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return o.Workers
+	return max(o.Workers, 1)
 }
 
-// forEach runs n independent trials, fanning them out across up to
-// o.Workers goroutines. Each trial must be self-contained — build its
-// own Host, touch no state shared with other trials — and publish its
+// forEach runs n independent trials across o.TrialWidth() goroutines
+// (fanout.Each). Each trial must be self-contained — build its own
+// Host, touch no state shared with other trials — and publish its
 // outcome only to index-distinct slots, so the caller can assemble
 // tables in deterministic trial order afterwards and the rendered
-// output is byte-identical at any worker count.
+// output is byte-identical at any width.
 func (o Options) forEach(n int, trial func(i int)) {
-	w := o.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			trial(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				trial(i)
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Each(n, o.TrialWidth(), trial)
 }
 
 // Result is a regenerated figure or table.

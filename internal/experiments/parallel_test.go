@@ -1,13 +1,21 @@
 package experiments
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
 // TestForEachCoversAllIndices: every trial index is visited exactly once
-// for any worker count, including counts above the trial count.
+// for any worker count, including counts above the trial count, and the
+// zero value resolves to GOMAXPROCS.
 func TestForEachCoversAllIndices(t *testing.T) {
+	if got, want := (Options{}).TrialWidth(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Workers 0 resolves to width %d, want GOMAXPROCS %d", got, want)
+	}
+	if got := (Options{Workers: -2}).TrialWidth(); got != 1 {
+		t.Errorf("Workers -2 resolves to width %d, want 1 (sequential)", got)
+	}
 	const n = 37
 	for _, w := range []int{0, 1, 2, 8, 100} {
 		hits := make([]int32, n)
@@ -39,7 +47,7 @@ func TestParallelTrialsMatchSequential(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %s not registered", id)
 			}
-			seq := e.Run(Options{Scale: 0.12}).String()
+			seq := e.Run(Options{Scale: 0.12, Workers: 1}).String()
 			par := e.Run(Options{Scale: 0.12, Workers: 8}).String()
 			if seq != par {
 				t.Errorf("%s output depends on worker count\n--- sequential ---\n%s\n--- workers=8 ---\n%s",

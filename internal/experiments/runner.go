@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"arv/internal/fanout"
 )
 
 // RunRecord is one experiment's outcome plus the measurements
@@ -26,16 +26,16 @@ type RunRecord struct {
 // RunAll executes the given experiments across a pool of up to workers
 // goroutines (0 or 1 = sequential) and returns one record per entry, in
 // input order. opts is passed to every driver verbatim — trial-level
-// fan-out inside a driver is governed separately by opts.Workers, so a
-// caller can combine both (arvbench -parallel N sets both to N; the
-// shared scheduler then balances coarse and fine grains).
+// fan-out inside a driver is governed separately by opts.Workers, whose
+// zero value spreads trials across GOMAXPROCS (arvbench's default runs
+// experiments one at a time that way; -parallel N sets both to N).
 //
 // Each experiment builds its own Hosts and shares no simulation state
 // with the others, so any interleaving produces byte-identical results;
 // only the wall-clock measurements depend on the worker count.
 func RunAll(entries []Entry, opts Options, workers int) []RunRecord {
 	recs := make([]RunRecord, len(entries))
-	run := func(i int) {
+	fanout.Each(len(entries), workers, func(i int) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
@@ -49,32 +49,6 @@ func RunAll(entries []Entry, opts Options, workers int) []RunRecord {
 			AllocBytes: after.TotalAlloc - before.TotalAlloc,
 			Allocs:     after.Mallocs - before.Mallocs,
 		}
-	}
-
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	if workers <= 1 {
-		for i := range entries {
-			run(i)
-		}
-		return recs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(entries) {
-					return
-				}
-				run(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return recs
 }
