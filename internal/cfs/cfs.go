@@ -249,6 +249,21 @@ func (g *Group) CPULimit() float64 {
 	return float64(g.QuotaUS) / float64(g.PeriodUS)
 }
 
+// StaticCPUs returns the CPU count a static-limit view reports for the
+// group — LXCFS, the cgroup namespace, and JDK 9's container detection:
+// |cpuset| first, then floor(quota/period) with a minimum of 1, else
+// host. It knows nothing of shares or co-located load; the adaptive
+// view's E_CPU does.
+func (g *Group) StaticCPUs(host int) int {
+	if g.CpusetN > 0 {
+		return g.CpusetN
+	}
+	if lim := g.CPULimit(); !math.IsInf(lim, 1) {
+		return max(int(math.Floor(lim+1e-9)), 1)
+	}
+	return host
+}
+
 // Usage returns the group's total raw CPU consumption.
 func (g *Group) Usage() units.CPUSeconds {
 	g.settle()

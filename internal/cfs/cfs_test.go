@@ -383,3 +383,29 @@ func TestAllocationConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestStaticCPUs(t *testing.T) {
+	const host = 16
+	cases := []struct {
+		name            string
+		cpuset          int
+		quotaUS, period int64
+		want            int
+	}{
+		{"cpuset smaller than quota", 2, 800_000, 100_000, 2},
+		{"cpuset larger than quota", 8, 200_000, 100_000, 8},
+		{"2.5-CPU quota", 0, 250_000, 100_000, 2},
+		{"0.3-CPU quota", 0, 30_000, 100_000, 1},
+		{"quota above host", 0, 2_400_000, 100_000, 24},
+		{"unlimited", 0, -1, 100_000, host},
+	}
+	s := NewScheduler(host)
+	for _, c := range cases {
+		g := s.NewGroup(c.name)
+		s.SetCpuset(g, c.cpuset)
+		s.SetQuota(g, c.quotaUS, c.period)
+		if got := g.StaticCPUs(host); got != c.want {
+			t.Errorf("%s: StaticCPUs(%d) = %d, want %d", c.name, host, got, c.want)
+		}
+	}
+}

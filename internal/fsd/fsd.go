@@ -61,7 +61,9 @@ func NewServer(h *host.Host) *Server {
 
 // Lock exposes the simulation lock for external steppers (the Pump and
 // tests driving time manually). Read handlers never take it.
-func (s *Server) Lock()   { s.mu.Lock() }
+func (s *Server) Lock() { s.mu.Lock() }
+
+// Unlock releases the simulation lock taken by Lock.
 func (s *Server) Unlock() { s.mu.Unlock() }
 
 // Reads returns how many GETs the server has answered. It is exact and

@@ -116,9 +116,9 @@ func launchCPUs(p PolicyKind, ctr *container.Container, hostCPUs int) int {
 		// potential to expand the JVM with more CPUs" (§4.1).
 		return hostCPUs
 	case JDK9:
-		return staticLimitCPUs(ctr, hostCPUs)
+		return ctr.Cgroup.CPU.StaticCPUs(hostCPUs)
 	case JDK10:
-		n := staticLimitCPUs(ctr, hostCPUs)
+		n := ctr.Cgroup.CPU.StaticCPUs(hostCPUs)
 		if lower, _ := ctr.NS.CPUBounds(); lower < n {
 			// Share-derived static core count (Algorithm 1 line 4,
 			// evaluated once).
@@ -128,22 +128,6 @@ func launchCPUs(p PolicyKind, ctr *container.Container, hostCPUs int) int {
 	default:
 		return hostCPUs
 	}
-}
-
-// staticLimitCPUs is the JDK 9 container detection: CPU affinity first,
-// then quota/period, otherwise the host count.
-func staticLimitCPUs(ctr *container.Container, hostCPUs int) int {
-	if m := ctr.Cgroup.CPU.CpusetN; m > 0 {
-		return m
-	}
-	if lim := ctr.Cgroup.CPU.CPULimit(); !math.IsInf(lim, 1) {
-		n := int(math.Floor(lim + 1e-9))
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	return hostCPUs
 }
 
 // autoMaxHeap returns the default maximum heap size (no -Xmx): a quarter

@@ -55,20 +55,27 @@ func TestLaunchCPUsVanillaIgnoresLimits(t *testing.T) {
 }
 
 func TestLaunchCPUsJDK9Detection(t *testing.T) {
-	// Affinity first.
-	c := newCtr(t, container.Spec{Name: "a", CpusetCPUs: 2, CPUQuotaUS: 800_000, CPUPeriodUS: 100_000}, 0)
-	if got := launchCPUs(JDK9, c, 20); got != 2 {
-		t.Fatalf("JDK9 with cpuset = %d, want 2", got)
+	cases := []struct {
+		name string
+		spec container.Spec
+		want int
+	}{
+		// Affinity first, whether it is below or above the quota.
+		{"cpuset below quota", container.Spec{CpusetCPUs: 2, CPUQuotaUS: 800_000, CPUPeriodUS: 100_000}, 2},
+		{"cpuset above quota", container.Spec{CpusetCPUs: 8, CPUQuotaUS: 200_000, CPUPeriodUS: 100_000}, 8},
+		// Quota next: floor(quota/period), at least one.
+		{"quota", container.Spec{CPUQuotaUS: 800_000, CPUPeriodUS: 100_000}, 8},
+		{"2.5-CPU quota", container.Spec{CPUQuotaUS: 250_000, CPUPeriodUS: 100_000}, 2},
+		{"0.3-CPU quota", container.Spec{CPUQuotaUS: 30_000, CPUPeriodUS: 100_000}, 1},
+		// Nothing: host.
+		{"unconstrained", container.Spec{}, 20},
 	}
-	// Quota next.
-	c = newCtr(t, container.Spec{Name: "a", CPUQuotaUS: 800_000, CPUPeriodUS: 100_000}, 0)
-	if got := launchCPUs(JDK9, c, 20); got != 8 {
-		t.Fatalf("JDK9 with quota = %d, want 8", got)
-	}
-	// Nothing: host.
-	c = newCtr(t, container.Spec{Name: "a"}, 0)
-	if got := launchCPUs(JDK9, c, 20); got != 20 {
-		t.Fatalf("JDK9 unconstrained = %d, want 20", got)
+	for _, tc := range cases {
+		tc.spec.Name = "a"
+		c := newCtr(t, tc.spec, 0)
+		if got := launchCPUs(JDK9, c, 20); got != tc.want {
+			t.Errorf("JDK9 %s = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -181,14 +181,7 @@ func (p *Program) threadCount() int {
 	case Adaptive:
 		return units.ClampInt(p.ctr.NS.EffectiveCPU(), 1, pool)
 	case StaticLimits:
-		// LXCFS-style: cpuset, else quota/period, else host CPUs.
-		if m := p.ctr.Cgroup.CPU.CpusetN; m > 0 {
-			return units.ClampInt(m, 1, pool)
-		}
-		if lim := p.ctr.Cgroup.CPU.CPULimit(); lim < float64(pool) {
-			return units.ClampInt(int(lim), 1, pool)
-		}
-		return pool
+		return units.ClampInt(p.ctr.Cgroup.CPU.StaticCPUs(pool), 1, pool)
 	default:
 		return 1
 	}

@@ -195,3 +195,27 @@ func TestKernelGammaAppliedToGroup(t *testing.T) {
 		t.Fatalf("group gamma = %v, want kernel's 0.7", got)
 	}
 }
+
+func TestStaticLimitsUsesStaticCPUs(t *testing.T) {
+	cases := []struct {
+		name string
+		spec container.Spec
+		want int
+	}{
+		{"cpuset below quota", container.Spec{CpusetCPUs: 3, CPUQuotaUS: 600_000, CPUPeriodUS: 100_000}, 3},
+		{"cpuset above quota", container.Spec{CpusetCPUs: 6, CPUQuotaUS: 200_000, CPUPeriodUS: 100_000}, 6},
+		{"2.5-CPU quota", container.Spec{CPUQuotaUS: 250_000, CPUPeriodUS: 100_000}, 2},
+		{"0.3-CPU quota", container.Spec{CPUQuotaUS: 30_000, CPUPeriodUS: 100_000}, 1},
+		// A limit above the host clamps to the 8-thread pool.
+		{"quota above pool", container.Spec{CPUQuotaUS: 1_200_000, CPUPeriodUS: 100_000}, 8},
+		{"unlimited", container.Spec{}, 8},
+	}
+	for _, tc := range cases {
+		h := newTestHost()
+		tc.spec.Name = "a"
+		p := start(h, tc.spec, testKernel(), StaticLimits)
+		if got := p.ThreadTrace[0]; got != tc.want {
+			t.Errorf("%s: StaticLimits opened a region with %d threads, want %d", tc.name, got, tc.want)
+		}
+	}
+}

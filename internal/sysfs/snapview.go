@@ -25,41 +25,22 @@ type SnapView struct {
 	Host *sysns.HostInfo
 }
 
-// free returns effective memory minus resident, clamped at zero —
-// NSView's formula over frozen inputs.
-func (v SnapView) free() units.Bytes {
-	free := v.C.EffectiveMemory - v.C.Resident
-	if free < 0 {
-		free = 0
-	}
-	return free
-}
-
 // OnlineCPUs returns the container's effective CPU count.
 func (v SnapView) OnlineCPUs() int { return v.C.EffectiveCPU }
 
 // TotalMemory returns the container's effective memory.
 func (v SnapView) TotalMemory() units.Bytes { return v.C.EffectiveMemory }
 
+// freeMemory returns effective memory minus resident, clamped at zero —
+// NSView's formula over frozen inputs.
+func (v SnapView) freeMemory() units.Bytes { return max(v.C.EffectiveMemory-v.C.Resident, 0) }
+
 // Sysconf implements View over the frozen container view.
-func (v SnapView) Sysconf(name Sysconf) (int64, error) {
-	switch name {
-	case ScNProcessorsOnln, ScNProcessorsConf:
-		return int64(v.C.EffectiveCPU), nil
-	case ScPhysPages:
-		return v.C.EffectiveMemory.Pages(), nil
-	case ScAvPhysPages:
-		return v.free().Pages(), nil
-	case ScPageSize:
-		return int64(units.PageSize), nil
-	default:
-		return 0, fmt.Errorf("sysfs: unknown sysconf %v", name)
-	}
-}
+func (v SnapView) Sysconf(name Sysconf) (int64, error) { return sysconf(v, name) }
 
 // ReadFile implements View over the frozen container view.
 func (v SnapView) ReadFile(path string) (string, error) {
-	return renderFile(path, v.C.EffectiveCPU, v.C.EffectiveMemory, v.free(), v.Host.LoadAvg)
+	return renderFile(path, v.C.EffectiveCPU, v.C.EffectiveMemory, v.freeMemory(), v.Host.LoadAvg)
 }
 
 // SnapHostView answers host-level probes from a published snapshot,
@@ -75,29 +56,24 @@ func (v SnapHostView) OnlineCPUs() int { return v.H.NCPU }
 // TotalMemory returns the host physical memory size.
 func (v SnapHostView) TotalMemory() units.Bytes { return v.H.TotalMemory }
 
+// freeMemory returns the host's free memory at publication time.
+func (v SnapHostView) freeMemory() units.Bytes { return v.H.FreeMemory }
+
 // Sysconf implements View over the frozen host info.
-func (v SnapHostView) Sysconf(name Sysconf) (int64, error) {
-	switch name {
-	case ScNProcessorsOnln, ScNProcessorsConf:
-		return int64(v.H.NCPU), nil
-	case ScPhysPages:
-		return v.H.TotalMemory.Pages(), nil
-	case ScAvPhysPages:
-		return v.H.FreeMemory.Pages(), nil
-	case ScPageSize:
-		return int64(units.PageSize), nil
-	default:
-		return 0, fmt.Errorf("sysfs: unknown sysconf %v", name)
-	}
-}
+func (v SnapHostView) Sysconf(name Sysconf) (int64, error) { return sysconf(v, name) }
 
 // ReadFile implements View over the frozen host info.
 func (v SnapHostView) ReadFile(path string) (string, error) {
 	return renderFile(path, v.H.NCPU, v.H.TotalMemory, v.H.FreeMemory, v.H.LoadAvg)
 }
 
-// ReadCgroupView renders a cgroup control file from a frozen
-// CgroupView, byte-for-byte what ReadCgroupFile renders live.
+// ReadCgroupView renders the administrator-facing control files of a
+// cgroup — the `/sys/fs/cgroup/{cpu,cpuset,memory}/<name>/...` interface
+// tooling like docker stats and cadvisor reads — from a frozen
+// CgroupView. file is the name within the cgroup's directory, e.g.
+// "cpu.shares" or "memory.usage_in_bytes". It is the only control-file
+// renderer: a live cgroup is rendered through a view cut from it
+// (sysns.CgroupView.Cut).
 func ReadCgroupView(cg *sysns.CgroupView, file string) (string, error) {
 	switch file {
 	case "cpu.shares":
@@ -109,18 +85,13 @@ func ReadCgroupView(cg *sysns.CgroupView, file string) (string, error) {
 	case "cpu.stat":
 		return fmt.Sprintf("throttled_time %d\n", cg.ThrottledNS), nil
 	case "cpuacct.usage":
+		// Cumulative CPU time in nanoseconds, as cpuacct reports.
 		return fmt.Sprintf("%d\n", cg.UsageNS), nil
 	case "cpuset.cpus":
-		n := cg.CpusetN
-		if n <= 0 {
-			return "", nil // unrestricted: empty mask means "all" here
-		}
-		if n == 1 {
-			return "0\n", nil
-		}
-		return fmt.Sprintf("0-%d\n", n-1), nil
+		return cpuList(cg.CpusetN), nil // unrestricted: empty mask means "all" here
 	case "memory.limit_in_bytes":
 		if cg.HardLimit <= 0 {
+			// The kernel reports PAGE_COUNTER_MAX-ish for "unlimited".
 			return fmt.Sprintf("%d\n", int64(math.MaxInt64)), nil
 		}
 		return fmt.Sprintf("%d\n", int64(cg.HardLimit)), nil
@@ -142,7 +113,10 @@ func ReadCgroupView(cg *sysns.CgroupView, file string) (string, error) {
 		}
 		return b.String(), nil
 	case "cgroup.procs":
-		return "", nil // see ReadCgroupFile: served empty here
+		// The simulation tracks processes at the container level, not
+		// the cgroup level; the file exists but is served by the
+		// container runtime. Render empty here.
+		return "", nil
 	default:
 		return "", ErrNoEnt{Path: cg.Name + "/" + file}
 	}

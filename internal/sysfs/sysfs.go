@@ -74,6 +74,7 @@ type View interface {
 // ErrNoEnt reports an unknown pseudo-file path.
 type ErrNoEnt struct{ Path string }
 
+// Error names the missing path.
 func (e ErrNoEnt) Error() string { return "sysfs: no such file " + e.Path }
 
 // HostView is the unmodified kernel view: total host resources.
@@ -88,25 +89,15 @@ func (v *HostView) OnlineCPUs() int { return v.Sched.NCPU() }
 // TotalMemory returns the host physical memory size.
 func (v *HostView) TotalMemory() units.Bytes { return v.Mem.Total() }
 
+// freeMemory returns the host's free physical memory.
+func (v *HostView) freeMemory() units.Bytes { return v.Mem.Free() }
+
 // Sysconf implements View.
-func (v *HostView) Sysconf(name Sysconf) (int64, error) {
-	switch name {
-	case ScNProcessorsOnln, ScNProcessorsConf:
-		return int64(v.Sched.NCPU()), nil
-	case ScPhysPages:
-		return v.Mem.Total().Pages(), nil
-	case ScAvPhysPages:
-		return v.Mem.Free().Pages(), nil
-	case ScPageSize:
-		return int64(units.PageSize), nil
-	default:
-		return 0, fmt.Errorf("sysfs: unknown sysconf %v", name)
-	}
-}
+func (v *HostView) Sysconf(name Sysconf) (int64, error) { return sysconf(v, name) }
 
 // ReadFile implements View.
 func (v *HostView) ReadFile(path string) (string, error) {
-	return renderFile(path, v.Sched.NCPU(), v.Mem.Total(), v.Mem.Free(), v.Sched.LoadAvg())
+	return renderFile(path, v.Sched.NCPU(), v.Mem.Total(), v.freeMemory(), v.Sched.LoadAvg())
 }
 
 // NSView is the virtual sysfs of one container: probes are redirected to
@@ -122,21 +113,39 @@ func (v *NSView) OnlineCPUs() int { return v.NS.EffectiveCPU() }
 // TotalMemory returns the container's effective memory.
 func (v *NSView) TotalMemory() units.Bytes { return v.NS.EffectiveMemory() }
 
+// freeMemory returns effective memory minus the cgroup's resident
+// charge, clamped at zero. It reads no CPU state, so a memory probe is
+// never a batched-recompute flush boundary.
+func (v *NSView) freeMemory() units.Bytes {
+	used := v.NS.Cgroup().Mem.Resident()
+	return max(v.NS.EffectiveMemory()-used, 0)
+}
+
 // Sysconf implements View. _SC_PHYS_PAGES * _SC_PAGESIZE — the formula
 // glibc users compute memory size with (§2.2) — yields effective memory.
-func (v *NSView) Sysconf(name Sysconf) (int64, error) {
+func (v *NSView) Sysconf(name Sysconf) (int64, error) { return sysconf(v, name) }
+
+// ReadFile implements View.
+func (v *NSView) ReadFile(path string) (string, error) {
+	free := v.freeMemory() // read before EffectiveCPU, the flush boundary
+	return renderFile(path, v.NS.EffectiveCPU(), v.NS.EffectiveMemory(), free, v.Host.Sched.LoadAvg())
+}
+
+// sysconf answers a sysconf name for any view. It calls only the
+// accessor the name needs: NSView.OnlineCPUs is a batched-recompute
+// flush boundary (DESIGN.md §14), and memory and page-size probes must
+// not trigger it.
+func sysconf[V interface {
+	View
+	freeMemory() units.Bytes
+}](v V, name Sysconf) (int64, error) {
 	switch name {
 	case ScNProcessorsOnln, ScNProcessorsConf:
-		return int64(v.NS.EffectiveCPU()), nil
+		return int64(v.OnlineCPUs()), nil
 	case ScPhysPages:
-		return v.NS.EffectiveMemory().Pages(), nil
+		return v.TotalMemory().Pages(), nil
 	case ScAvPhysPages:
-		used := v.NS.Cgroup().Mem.Resident()
-		free := v.NS.EffectiveMemory() - used
-		if free < 0 {
-			free = 0
-		}
-		return free.Pages(), nil
+		return v.freeMemory().Pages(), nil
 	case ScPageSize:
 		return int64(units.PageSize), nil
 	default:
@@ -144,27 +153,24 @@ func (v *NSView) Sysconf(name Sysconf) (int64, error) {
 	}
 }
 
-// ReadFile implements View.
-func (v *NSView) ReadFile(path string) (string, error) {
-	used := v.NS.Cgroup().Mem.Resident()
-	free := v.NS.EffectiveMemory() - used
-	if free < 0 {
-		free = 0
+// cpuList renders the kernel's CPU-list format for CPUs 0..n-1: "0-3",
+// "0" for one CPU, and empty for none.
+func cpuList(n int) string {
+	switch {
+	case n <= 0:
+		return ""
+	case n == 1:
+		return "0\n"
+	default:
+		return fmt.Sprintf("0-%d\n", n-1)
 	}
-	return renderFile(path, v.NS.EffectiveCPU(), v.NS.EffectiveMemory(), free, v.Host.Sched.LoadAvg())
 }
 
 // renderFile serves the pseudo-file tree shared by both views.
 func renderFile(path string, ncpu int, total, free units.Bytes, loadavg float64) (string, error) {
 	switch path {
 	case "/sys/devices/system/cpu/online", "/sys/devices/system/cpu/possible", "/sys/devices/system/cpu/present":
-		if ncpu <= 0 {
-			return "", nil
-		}
-		if ncpu == 1 {
-			return "0\n", nil
-		}
-		return fmt.Sprintf("0-%d\n", ncpu-1), nil
+		return cpuList(ncpu), nil
 	case "/sys/devices/system/cpu":
 		names := make([]string, 0, ncpu+3)
 		for i := 0; i < ncpu; i++ {
@@ -195,73 +201,6 @@ func renderFile(path string, ncpu int, total, free units.Bytes, loadavg float64)
 	default:
 		return "", ErrNoEnt{path}
 	}
-}
-
-// StaticView models the prior art the paper compares against — LXCFS
-// and the Linux 4.6 cgroup namespace: it exports the administrator-set
-// *limits* of the container (cpuset size, quota/period, hard memory
-// limit) rather than host totals, but knows nothing about shares,
-// co-located load, or actual allocation ("these approaches only export
-// the resource constraints set by the administrator but do not reflect
-// the actual amount of resources that are allocated to a container",
-// §1). Unlimited containers still see the whole host through it.
-type StaticView struct {
-	CPU  *cfs.Group
-	Mem  *memctl.Group
-	Host *HostView
-}
-
-// OnlineCPUs returns the static CPU limit: |cpuset| first, then
-// floor(quota/period), then the host count.
-func (v *StaticView) OnlineCPUs() int {
-	if m := v.CPU.CpusetN; m > 0 {
-		return m
-	}
-	if lim := v.CPU.CPULimit(); lim < float64(v.Host.Sched.NCPU()) {
-		n := int(lim)
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	return v.Host.Sched.NCPU()
-}
-
-// TotalMemory returns the hard memory limit, or host RAM if unlimited.
-func (v *StaticView) TotalMemory() units.Bytes {
-	if h := v.Mem.HardLimit; h > 0 {
-		return h
-	}
-	return v.Host.Mem.Total()
-}
-
-// Sysconf implements View from the static limits.
-func (v *StaticView) Sysconf(name Sysconf) (int64, error) {
-	switch name {
-	case ScNProcessorsOnln, ScNProcessorsConf:
-		return int64(v.OnlineCPUs()), nil
-	case ScPhysPages:
-		return v.TotalMemory().Pages(), nil
-	case ScAvPhysPages:
-		free := v.TotalMemory() - v.Mem.Resident()
-		if free < 0 {
-			free = 0
-		}
-		return free.Pages(), nil
-	case ScPageSize:
-		return int64(units.PageSize), nil
-	default:
-		return 0, fmt.Errorf("sysfs: unknown sysconf %v", name)
-	}
-}
-
-// ReadFile implements View.
-func (v *StaticView) ReadFile(path string) (string, error) {
-	free := v.TotalMemory() - v.Mem.Resident()
-	if free < 0 {
-		free = 0
-	}
-	return renderFile(path, v.OnlineCPUs(), v.TotalMemory(), free, v.Host.Sched.LoadAvg())
 }
 
 // Resolver intercepts probes and routes them to the host view or a

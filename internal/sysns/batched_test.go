@@ -45,9 +45,7 @@ func (p *batchedPair) addContainer(t *testing.T, name string) *cgroups.Cgroup {
 
 // deferred reports whether the batched monitor holds recompute marks
 // for its next flush boundary.
-func (p *batchedPair) deferred() bool {
-	return p.mB.boundsDirtyAll || len(p.mB.dirtyTops) > 0
-}
+func (p *batchedPair) deferred() bool { return p.mB.BoundsDeferred() }
 
 // checkBounds flushes both monitors (the bounds read is the batched
 // flush boundary) and asserts they agree on cg.

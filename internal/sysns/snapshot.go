@@ -3,6 +3,7 @@ package sysns
 import (
 	"sync/atomic"
 
+	"arv/internal/cgroups"
 	"arv/internal/sim"
 	"arv/internal/telemetry"
 	"arv/internal/units"
@@ -97,6 +98,26 @@ type CgroupView struct {
 	SubtreeResident units.Bytes
 	SwapOut         units.Bytes
 	SwapIn          units.Bytes
+}
+
+// Cut freezes cg's current control-file values into gv. Publish cuts
+// every live cgroup with it; it reads cg strictly through non-mutating
+// accessors.
+func (gv *CgroupView) Cut(cg *cgroups.Cgroup) {
+	out, in := cg.Mem.SwapTraffic()
+	gv.Name = cg.Name
+	gv.Shares = cg.CPU.Shares
+	gv.QuotaUS = cg.CPU.QuotaUS
+	gv.PeriodUS = cg.CPU.PeriodUS
+	gv.CpusetN = cg.CPU.CpusetN
+	gv.ThrottledNS = cg.CPU.ThrottledTime().Nanoseconds()
+	gv.UsageNS = int64(float64(cg.CPU.Usage()) * 1e9)
+	gv.HardLimit = cg.Mem.HardLimit
+	gv.SoftLimit = cg.Mem.SoftLimit
+	gv.Resident = cg.Mem.Resident()
+	gv.Swapped = cg.Mem.Swapped()
+	gv.SubtreeResident = cg.Mem.SubtreeResident()
+	gv.SwapOut, gv.SwapIn = out, in
 }
 
 // ViewSnapshot is one immutable, versioned picture of every resource
@@ -302,21 +323,7 @@ func (m *Monitor) Publish(now sim.Time) *ViewSnapshot {
 	cgs := m.hier.Cgroups()
 	s.Cgroups = make([]CgroupView, len(cgs))
 	for i, cg := range cgs {
-		gv := &s.Cgroups[i]
-		out, in := cg.Mem.SwapTraffic()
-		gv.Name = cg.Name
-		gv.Shares = cg.CPU.Shares
-		gv.QuotaUS = cg.CPU.QuotaUS
-		gv.PeriodUS = cg.CPU.PeriodUS
-		gv.CpusetN = cg.CPU.CpusetN
-		gv.ThrottledNS = cg.CPU.ThrottledTime().Nanoseconds()
-		gv.UsageNS = int64(float64(cg.CPU.Usage()) * 1e9)
-		gv.HardLimit = cg.Mem.HardLimit
-		gv.SoftLimit = cg.Mem.SoftLimit
-		gv.Resident = cg.Mem.Resident()
-		gv.Swapped = cg.Mem.Swapped()
-		gv.SubtreeResident = cg.Mem.SubtreeResident()
-		gv.SwapOut, gv.SwapIn = out, in
+		s.Cgroups[i].Cut(cg)
 	}
 	if prev != nil && !m.topoDirty {
 		s.byName, s.cgByName = prev.byName, prev.cgByName

@@ -38,6 +38,8 @@ var strictPkgs = map[string]bool{
 	"internal/cfs":        true,
 	"internal/cgroups":    true,
 	"internal/scalebench": true,
+	"internal/sysfs":      true,
+	"internal/fsd":        true,
 }
 
 func main() {
