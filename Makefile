@@ -20,7 +20,7 @@ race:
 
 # Short fuzz smokes, 10 s each: the timer queue against its sorted-slice
 # reference model (internal/sim FuzzClockOrder), the scheduler's
-# dirty-set repair against the eager oracle (internal/cfs
+# dirty-set repair against the rebuild oracle (internal/cfs
 # FuzzRepairMirror), and fsd's HTTP routes against arbitrary paths
 # (internal/fsd FuzzRoutes). The committed seed corpora under each
 # package's testdata/fuzz run in every plain `go test` as well.

@@ -63,9 +63,10 @@
 // set. Accounting for quiet groups (active groups with no runnable team
 // member) is deferred and settled on read, replaying the memoized
 // per-tick deltas so every observable value stays bit-identical to
-// rebuilding on every change. The invalidate-and-rebuild protocol
-// survives only as the test oracle repair is checked against. See
-// repair.go and DESIGN.md §15.
+// rebuilding every tick. A change a team callback makes during a tick's
+// walk takes effect on the next tick, in every regime. A full rebuild
+// every tick survives only as the test oracle repair is checked
+// against. See repair.go and DESIGN.md §15.
 package cfs
 
 import (
@@ -108,12 +109,14 @@ type TeamFunc func(now sim.Time, n int, useful, raw units.CPUSeconds)
 //
 // After each tick in which its group has CPU, the group's teams take
 // their turn in creation order, and each with a runnable member gets one
-// call. n is read live when the team's turn comes: a callback's block or
-// wake of a member of a later team in the group counts in the same tick,
-// one in its own or an earlier team from the next. The rates, share and
-// discount stay those computed at the start of the tick. Whether a
-// member woken in another group runs this tick depends on whether the
-// tick visits that group, so callbacks must not rely on it.
+// call. The rates, share and discount are those computed at the start of
+// the tick: a callback's block or wake of a member of its own team or an
+// earlier team, or of a member in another group, changes allocation from
+// the next tick. n is read live when the team's turn comes, so a block
+// or wake of a member of a later team in the group shows in that team's
+// n in the same tick. Whether a member woken in another group runs this
+// tick depends on whether the tick visits that group, so callbacks must
+// not rely on it.
 type Team struct {
 	group    *Group
 	gamma    float64
@@ -163,14 +166,6 @@ const (
 	// acctRefill: transient repair-phase mark — the parent's child fill
 	// is queued for recomputation this tick.
 	acctRefill
-	// acctAllocParked: the group's allocation inputs changed during a
-	// repair tick's own walk (a team callback blocked or woke a
-	// task). The eager protocol absorbs such changes — its rebuild
-	// finishes with allocValid = true and the stale allocation stands
-	// until the next invalidation — so a parked mark does not trigger
-	// a repair by itself; it joins the dirty set of whatever repair
-	// tick runs next.
-	acctAllocParked
 )
 
 // Group is a scheduling control group (the cpu controller of a cgroup).
@@ -358,7 +353,6 @@ type Scheduler struct {
 
 	// Memoized allocation metadata, valid while allocValid holds.
 	allocValid   bool  // gCap/gRate/active/loadContrib/slackLast current
-	listsValid   bool  // active/throttledIdx hold live schedIdx values
 	active       []int // groups with rate > 0, ascending schedIdx
 	throttledIdx []int // groups flagged throttled, superset, see NextEvent
 	flagsDirty   []int // groups marked acctFlagsDirty since the last tick
@@ -368,16 +362,18 @@ type Scheduler struct {
 	scratchTop   []int
 	scratchChild []int
 
-	// eager selects the invalidate-and-rebuild memo protocol instead of
-	// dirty-set repair. Only the test oracle sets it (export_test.go).
-	eager bool
+	// rebuildOracle makes every tick a full rebuild, bypassing the memo.
+	// Only the test oracle sets it (export_test.go).
+	rebuildOracle bool
+
+	// runnableMoved records a runnable-count change since the running
+	// walk started; the walk then re-sums the load contribution at its
+	// end, so the load average reads the tick-end counts.
+	runnableMoved bool
 
 	// Incremental-repair state (repair.go). All index lists are
 	// ascending schedIdx and kept exact across RemoveGroup compaction.
 	dirty          []int    // groups queued for allocation repair (acctAllocDirty)
-	parked         []int    // absorbed mid-walk marks (acctAllocParked)
-	pendingAbsorb  bool     // the eager protocol would rebuild on the next tick with no repair work queued
-	walkAbsorbs    bool     // the running walk matches an eager rebuild: mid-walk marks are absorbed (parked)
 	pendingTopFill bool     // top-level fill must rerun (active top membership changed)
 	pendingResum   bool     // slack/loadContrib sums must re-derive (an active group left)
 	activeTop      []int    // top-level groups with cap > 0 (acctTop)
@@ -388,7 +384,7 @@ type Scheduler struct {
 	// Mid-walk settle guard: during a tick's accounting walk, reads of a
 	// group the walk has not reached yet settle to the previous tick
 	// (its current-tick accrual happens when the walk reaches it),
-	// matching what the eager walk would expose at the same point.
+	// matching what a full walk would expose at the same point.
 	inWalk  bool
 	walkPos int
 	// repair scratch, reused tick to tick
@@ -404,8 +400,6 @@ type Scheduler struct {
 	activeBuf     []int
 	eagerBuf      []int
 	topBuf        []int
-	nrSnapIdx     []int // leaves walked this repair tick (ascending)
-	nrSnapVal     []int // their runnable counts at visit time
 }
 
 // SubsystemName identifies the scheduler in telemetry and diagnostics;
@@ -493,12 +487,9 @@ func (s *Scheduler) SetShares(g *Group, shares int64) {
 func (s *Scheduler) SetQuota(g *Group, quotaUS, periodUS int64) {
 	if !s.allocValid || g.removed {
 		g.QuotaUS, g.PeriodUS = quotaUS, periodUS
-		// A removed group cannot affect the allocation, so the repair
-		// memo stays valid (the eager protocol conservatively rebuilds,
-		// so absorbed marks go live to match that refresh).
-		if g.removed {
-			s.noteEagerRebuild()
-		} else {
+		// A removed group cannot affect the allocation, so the memo
+		// stays valid.
+		if !g.removed {
 			s.allocValid = false
 		}
 		return
@@ -535,9 +526,7 @@ func (s *Scheduler) SetQuota(g *Group, quotaUS, periodUS int64) {
 func (s *Scheduler) SetCpuset(g *Group, n int) {
 	if !s.allocValid || g.removed {
 		g.CpusetN = n
-		if g.removed {
-			s.noteEagerRebuild()
-		} else {
+		if !g.removed {
 			s.allocValid = false
 		}
 		return
@@ -607,10 +596,7 @@ func (s *Scheduler) NewGroup(name string) *Group {
 	s.growHot()
 	s.topShares += g.Shares
 	// A new group has no runnable tasks, so cap 0: it joins no fill and
-	// moves no allocation. The repair memo therefore stays valid, but
-	// marks absorbed during an earlier repair walk go live, because the
-	// rebuild this forces on the eager protocol refreshes them.
-	s.noteEagerRebuild()
+	// moves no allocation, and the memo stays valid.
 	return g
 }
 
@@ -640,7 +626,6 @@ func (s *Scheduler) NewChildGroup(parent *Group, name string) *Group {
 	parent.childShares += g.Shares
 	s.groups = append(s.groups, g)
 	s.growHot()
-	s.noteEagerRebuild()
 	return g
 }
 
@@ -659,28 +644,23 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	for _, c := range append([]*Group(nil), g.children...) {
 		s.RemoveGroup(c)
 	}
-	if !s.eager {
-		// Freeze fully settled accounting, and queue the repair the
-		// removal causes before the group's bookkeeping disappears. The
-		// eager protocol rebuilds after every removal, so absorbed marks
-		// go live.
-		s.settleTo(g.schedIdx, s.ticks)
-		if s.allocValid {
-			s.noteEagerRebuild()
-			if s.gRate[g.schedIdx] > 0 {
-				// An active group leaves: the slack and load-contribution
-				// ordered sums must re-derive even if no surviving rate
-				// moves (e.g. everyone else already sits at cap).
-				s.pendingResum = true
-			}
-			if g.parent != nil && !g.parent.removed {
-				s.noteAllocChange(g.parent)
-			} else if g.parent == nil && s.gAcct[g.schedIdx].flags&acctTop != 0 {
-				// An active top-level group leaves the fill: its grant
-				// must be redistributed even though no surviving group
-				// was touched.
-				s.pendingTopFill = true
-			}
+	// Freeze fully settled accounting, and queue the repair the removal
+	// causes before the group's bookkeeping disappears.
+	s.settleTo(g.schedIdx, s.ticks)
+	if s.allocValid {
+		if s.gRate[g.schedIdx] > 0 {
+			// An active group leaves: the slack and load-contribution
+			// ordered sums must re-derive even if no surviving rate
+			// moves (e.g. everyone else already sits at cap).
+			s.pendingResum = true
+		}
+		if g.parent != nil && !g.parent.removed {
+			s.noteAllocChange(g.parent)
+		} else if g.parent == nil && s.gAcct[g.schedIdx].flags&acctTop != 0 {
+			// An active top-level group leaves the fill: its grant must
+			// be redistributed even though no surviving group was
+			// touched.
+			s.pendingTopFill = true
 		}
 	}
 	g.final = s.gAcct[g.schedIdx]
@@ -719,20 +699,14 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	for j := i; j < len(s.groups); j++ {
 		s.groups[j].schedIdx = j
 	}
-	if !s.eager {
-		// The index lists stay exact: drop the removed slot and shift
-		// the entries the compaction moved.
-		s.active = patchIdxList(s.active, i)
-		s.throttledIdx = patchIdxList(s.throttledIdx, i)
-		s.flagsDirty = patchIdxList(s.flagsDirty, i)
-		s.dirty = patchIdxList(s.dirty, i)
-		s.parked = patchIdxList(s.parked, i)
-		s.activeTop = patchIdxList(s.activeTop, i)
-		s.eagerIdx = patchIdxList(s.eagerIdx, i)
-		return
-	}
-	s.allocValid = false
-	s.listsValid = false
+	// The index lists stay exact: drop the removed slot and shift the
+	// entries the compaction moved.
+	s.active = patchIdxList(s.active, i)
+	s.throttledIdx = patchIdxList(s.throttledIdx, i)
+	s.flagsDirty = patchIdxList(s.flagsDirty, i)
+	s.dirty = patchIdxList(s.dirty, i)
+	s.activeTop = patchIdxList(s.activeTop, i)
+	s.eagerIdx = patchIdxList(s.eagerIdx, i)
 }
 
 // NewTask creates a task in group g with no tick callback. Tasks start
@@ -771,11 +745,9 @@ func (s *Scheduler) NewTeamTask(tm *Team, name string) *Task {
 func (s *Scheduler) RemoveTask(t *Task) {
 	t.removed = true
 	if t.runnable {
-		if !s.eager {
-			// Account the task's deferred ticks before it leaves the
-			// replay set.
-			s.settleLive(t.group.schedIdx)
-		}
+		// Account the task's deferred ticks before it leaves the replay
+		// set.
+		s.settleLive(t.group.schedIdx)
 		s.countRunnable(t, -1)
 		s.noteAllocChange(t.group)
 	}
@@ -797,11 +769,9 @@ func (s *Scheduler) SetRunnable(t *Task, runnable bool) {
 	if t.runnable == runnable {
 		return
 	}
-	if !s.eager {
-		// Settle at the old rate and runnable count before the flip: the
-		// deferred ticks all ran under them.
-		s.settleLive(t.group.schedIdx)
-	}
+	// Settle at the old rate and runnable count before the flip: the
+	// deferred ticks all ran under them.
+	s.settleLive(t.group.schedIdx)
 	t.runnable = runnable
 	d := -1
 	if runnable {
@@ -814,6 +784,7 @@ func (s *Scheduler) SetRunnable(t *Task, runnable bool) {
 // countRunnable moves the runnable counts of the scheduler, the task's
 // group, and its team by d.
 func (s *Scheduler) countRunnable(t *Task, d int) {
+	s.runnableMoved = true
 	s.runnableNow += d
 	t.group.runnable += d
 	if t.team != nil {
@@ -883,9 +854,14 @@ func waterfill(groups []*Group, caps, alloc []float64, active []int, capacity fl
 // simulation tick by the host. With nothing dirty it walks only the
 // groups whose team callbacks must fire (quietTick); a bounded dirty
 // set is repaired in place (repairTick); a large one escalates to one
-// full rebuild. Results are bit-identical to recomputing every change.
+// full rebuild. Results are bit-identical to rebuilding every tick.
+//
+// The allocation is fixed for the whole tick: a scheduler input that a
+// team callback changes during the tick's walk (a block, a wake) is
+// queued like any other change and takes effect on the next tick, in
+// every regime.
 func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
-	if !s.eager && dt != s.lastDt {
+	if dt != s.lastDt {
 		// The deferred-accounting replay assumes a constant tick length;
 		// a change (hosts never do this, direct drivers may) settles
 		// everything at the old length first.
@@ -897,44 +873,23 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	s.ticks++
 	s.Trace.Add(telemetry.CtrSchedTicks, 1)
 	dtSec := dt.Seconds()
+	s.totalRunnable = s.runnableNow
 
+	memo := s.allocValid && !s.rebuildOracle
 	switch {
-	case s.eager:
-		if s.allocValid {
-			s.fastTick(now, dt, dtSec)
-		} else {
-			s.Trace.Add(telemetry.CtrTickRebuilds, 1)
-			s.rebuildTick(now, dt, dtSec)
-		}
-	case s.allocValid && len(s.dirty) == 0 && !s.pendingTopFill && !s.pendingResum:
-		// A quiet tick absorbs mid-walk marks only when the eager
-		// protocol would be rebuilding right now (pendingAbsorb: a
-		// group was created, or removed-group state written, since the
-		// last tick) — that rebuild swallows mid-walk state changes.
-		s.walkAbsorbs = s.pendingAbsorb
-		s.pendingAbsorb = false
+	case memo && len(s.dirty) == 0 && !s.pendingTopFill && !s.pendingResum:
 		s.quietTick(now, dt, dtSec)
-		s.walkAbsorbs = false
-	case s.allocValid && !s.escalate():
+	case memo && !s.escalate():
 		s.Trace.Add(telemetry.CtrTickRepairs, 1)
-		s.pendingAbsorb = false
-		s.walkAbsorbs = true
 		s.repairTick(now, dt, dtSec)
-		s.walkAbsorbs = false
 	default:
-		if s.allocValid {
+		if memo {
 			s.Trace.Add(telemetry.CtrRepairEscalations, 1)
 		}
 		s.Trace.Add(telemetry.CtrTickRebuilds, 1)
 		s.settleAllTo(s.ticks - 1)
-		// Reset before the walk: pre-existing marks are refreshed by
-		// the rebuild itself, while marks its team callbacks make
-		// mid-walk must survive as parked.
 		s.resetRepairState()
-		s.pendingAbsorb = false
-		s.walkAbsorbs = true
 		s.rebuildTick(now, dt, dtSec)
-		s.walkAbsorbs = false
 	}
 
 	s.slackWindow += units.CPUSeconds(s.slackLast * dtSec)
@@ -947,28 +902,6 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 			a = 1
 		}
 		s.loadAvg += (s.loadContrib - s.loadAvg) * a
-	}
-}
-
-// fastTick is the eager oracle's tick while its memo holds: accounting
-// advances for the active groups and their runnable tasks, nothing else
-// can have changed.
-func (s *Scheduler) fastTick(now sim.Time, dt time.Duration, dtSec float64) {
-	groups := s.groups
-	contribDirty := false
-	for _, i := range s.active {
-		if s.tickGroup(now, i, groups[i], dt, dtSec) {
-			contribDirty = true
-		}
-	}
-	if len(s.flagsDirty) > 0 {
-		for _, i := range s.flagsDirty {
-			s.gAcct[i].flags &^= acctFlagsDirty
-		}
-		s.flagsDirty = s.flagsDirty[:0]
-	}
-	if contribDirty {
-		s.recomputeLoadContrib()
 	}
 }
 
@@ -1031,9 +964,12 @@ func discount(gamma, over float64) float64 {
 	return 1
 }
 
-// recomputeLoadContrib re-derives the load contribution as the same
-// ascending ordered sum the rebuild computes, so the filter input stays
-// bit-identical.
+// recomputeLoadContrib derives the load contribution from the active
+// leaves' current runnable counts, as an ascending ordered sum so every
+// tick regime produces the same bits. Linux dequeues a
+// bandwidth-throttled group for the rest of its period, so its excess
+// tasks do not appear in the load average: a 20-thread container pinned
+// to a 4-CPU quota contributes ~4 to loadavg, not 20.
 func (s *Scheduler) recomputeLoadContrib() {
 	contrib := 0.0
 	for _, i := range s.active {
@@ -1089,13 +1025,12 @@ func (s *Scheduler) refreshThrottle(now sim.Time, i int, g *Group, rate float64,
 
 // noteThrottleTracked is noteThrottle plus throttled-list maintenance
 // for transitions that happen outside a full rebuild: a group entering
-// the throttled state must become visible to NextEvent's fast path. The
-// list stays a superset of the throttled groups; NextEvent re-checks the
-// flag.
+// the throttled state must become visible to NextEvent. The list stays a
+// superset of the throttled groups; NextEvent re-checks the flag.
 func (s *Scheduler) noteThrottleTracked(now sim.Time, i int, g *Group, throttled bool, rate float64) {
 	was := s.gAcct[i].flags&acctThrottled != 0
 	s.noteThrottle(now, i, g, throttled, rate)
-	if throttled && !was && s.listsValid {
+	if throttled && !was {
 		s.throttledIdx = append(s.throttledIdx, i)
 		if len(s.throttledIdx) > len(s.groups) {
 			// More entries than groups means duplicates from repeated
@@ -1107,20 +1042,17 @@ func (s *Scheduler) noteThrottleTracked(now sim.Time, i int, g *Group, throttled
 }
 
 // rebuildTick recomputes caps and the water fill from current state,
-// performs this tick's accounting in the same per-group order a
-// non-memoizing tick would, and refreshes the memo: active list,
-// throttled list, per-leaf task-rate derivatives, load contribution and
-// slack.
+// performs this tick's accounting in ascending group order, and
+// refreshes the memo: active list, throttled list, per-leaf task-rate
+// derivatives, load contribution and slack.
 func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 	n := len(s.groups)
 	alloc := s.gRate[:n]
 	caps := s.gCap[:n]
 
-	totalRunnable := 0
 	for i, g := range s.groups {
 		alloc[i] = 0
 		nr := g.RunnableTasks()
-		totalRunnable += nr
 		if nr == 0 {
 			caps[i] = 0
 			continue
@@ -1134,7 +1066,6 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 		}
 		caps[i] = c
 	}
-	s.totalRunnable = totalRunnable
 
 	// Parent caps: the subtree demand, bounded by the parent's own
 	// cpuset and bandwidth limit.
@@ -1185,12 +1116,14 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 		waterfill(s.groups, caps, alloc, childActive, alloc[i])
 	}
 
+	// The memo is current from here on: a change a team callback makes
+	// during the walk below queues a repair for the next tick.
+	s.allocValid = true
 	s.active = s.active[:0]
 	s.throttledIdx = s.throttledIdx[:0]
 	s.eagerIdx = s.eagerIdx[:0]
 	s.inWalk = true
 	var used float64
-	loadContribution := 0.0
 	for i, g := range s.groups {
 		rate := alloc[i]
 		a := &s.gAcct[i]
@@ -1255,15 +1188,6 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 		if a.flags&acctThrottled != 0 {
 			s.throttledIdx = append(s.throttledIdx, i)
 		}
-		// Linux dequeues a bandwidth-throttled group for the rest of
-		// its period, so its excess tasks do not appear in the load
-		// average: a 20-thread container pinned to a 4-CPU quota
-		// contributes ~4 to loadavg, not 20.
-		if throttled && float64(nr) > rate {
-			loadContribution += rate
-		} else {
-			loadContribution += float64(nr)
-		}
 		if nr == 0 {
 			continue
 		}
@@ -1279,7 +1203,8 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 			s.eagerIdx = append(s.eagerIdx, i)
 		}
 	}
-	s.loadContrib = loadContribution
+	s.inWalk = false
+	s.recomputeLoadContrib()
 
 	slack := float64(s.ncpu) - used
 	// Clamp floating-point residue from the water-fill: a 1e-15-CPU
@@ -1290,9 +1215,6 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 	s.slackLast = slack
 
 	s.flagsDirty = s.flagsDirty[:0]
-	s.allocValid = true
-	s.listsValid = true
-	s.inWalk = false
 }
 
 func (a *groupAcct) setFlag(bit uint16, on bool) {
@@ -1340,11 +1262,9 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 	if s.runnableNow != 0 {
 		panic(fmt.Sprintf("cfs: SkipIdle with %d runnable tasks", s.runnableNow))
 	}
-	if !s.eager {
-		// Settle any deferred accounting at the pre-skip rates; the
-		// skipped span itself accrues nothing (all rates are zero).
-		s.settleAllTo(s.ticks)
-	}
+	// Settle any deferred accounting at the pre-skip rates; the skipped
+	// span itself accrues nothing (all rates are zero).
+	s.settleAllTo(s.ticks)
 	s.ticks += uint64(n)
 	s.totalRunnable = 0
 	for i, g := range s.groups {
@@ -1381,21 +1301,8 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 func (s *Scheduler) NextEvent(now sim.Time) (sim.Time, bool) {
 	var best sim.Time
 	have := false
-	if s.listsValid {
-		for _, i := range s.throttledIdx {
-			g := s.groups[i]
-			if s.gAcct[i].flags&acctThrottled == 0 || g.PeriodUS <= 0 {
-				continue
-			}
-			period := time.Duration(g.PeriodUS) * time.Microsecond
-			next := now - now%period + period
-			if !have || next < best {
-				best, have = next, true
-			}
-		}
-		return best, have
-	}
-	for i, g := range s.groups {
+	for _, i := range s.throttledIdx {
+		g := s.groups[i]
 		if s.gAcct[i].flags&acctThrottled == 0 || g.PeriodUS <= 0 {
 			continue
 		}

@@ -174,10 +174,10 @@ func TestTeamGammaOverride(t *testing.T) {
 // team with runnable members, n = the live runnable count, creation
 // order, and nothing for teams whose members are all blocked.
 func TestTeamCallbackCounts(t *testing.T) {
-	for _, eager := range []bool{false, true} {
+	for _, oracle := range []bool{false, true} {
 		s := NewScheduler(8)
-		if eager {
-			UseEagerProtocol(s)
+		if oracle {
+			UseRebuildOracle(s)
 		}
 		g := s.NewGroup("g")
 		var order []string
@@ -202,13 +202,13 @@ func TestTeamCallbackCounts(t *testing.T) {
 		team("c", 4, 2)
 		s.Tick(tick, tick)
 		if got := fmt.Sprint(order, ns); got != "[a c] [3 2]" {
-			t.Fatalf("eager=%v: calls %s, want [a c] [3 2]", eager, got)
+			t.Fatalf("oracle=%v: calls %s, want [a c] [3 2]", oracle, got)
 		}
 		order, ns = nil, nil
 		s.SetRunnable(a[1], false)
 		s.Tick(2*tick, tick)
 		if got := fmt.Sprint(order, ns); got != "[a c] [2 2]" {
-			t.Fatalf("eager=%v: after a block, calls %s, want [a c] [2 2]", eager, got)
+			t.Fatalf("oracle=%v: after a block, calls %s, want [a c] [2 2]", oracle, got)
 		}
 	}
 }
@@ -218,10 +218,10 @@ func TestTeamCallbackCounts(t *testing.T) {
 // removal must neither run the removed task's callback nor run a later
 // sibling's twice in that tick.
 func TestCallbackRemovingSiblingFiresEachTeamOnce(t *testing.T) {
-	for _, eager := range []bool{false, true} {
+	for _, oracle := range []bool{false, true} {
 		s := NewScheduler(4)
-		if eager {
-			UseEagerProtocol(s)
+		if oracle {
+			UseRebuildOracle(s)
 		}
 		g := s.NewGroup("g")
 		fired := map[string]int{}
@@ -248,7 +248,7 @@ func TestCallbackRemovingSiblingFiresEachTeamOnce(t *testing.T) {
 		teamOfOne("c", nil)
 		s.Tick(tick, tick)
 		if fired["a"] != 1 || fired["b"] != 0 || fired["c"] != 1 {
-			t.Fatalf("eager=%v: fired %v, want a once, b never, c once", eager, fired)
+			t.Fatalf("oracle=%v: fired %v, want a once, b never, c once", oracle, fired)
 		}
 	}
 }

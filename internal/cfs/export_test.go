@@ -1,22 +1,22 @@
 package cfs
 
-// UseEagerProtocol switches a freshly built scheduler from dirty-set
-// repair to the eager invalidate-and-rebuild memo protocol: the oracle
-// the mirror tests, FuzzRepairMirror, and the host-level fault-mix
-// differential hold repair against. It lives in a test file so that no
-// production configuration can reach the eager path. It panics once the
-// scheduler holds groups or has ticked, because repair state built up to
-// that point has no eager equivalent.
-func UseEagerProtocol(s *Scheduler) {
+// UseRebuildOracle switches a freshly built scheduler to the rebuild
+// oracle: every tick recomputes the whole allocation and walks every
+// group, with no memo, no dirty set and no deferred accounting. The
+// mirror tests, FuzzRepairMirror, and the host-level fault-mix
+// differential hold the memoized tick protocol against it. It lives in a
+// test file so that no production configuration can reach it. It panics
+// once the scheduler holds groups or has ticked.
+func UseRebuildOracle(s *Scheduler) {
 	if len(s.groups) > 0 || s.ticks > 0 {
-		panic("cfs: UseEagerProtocol on a scheduler already in use")
+		panic("cfs: UseRebuildOracle on a scheduler already in use")
 	}
-	s.eager = true
+	s.rebuildOracle = true
 }
 
-// newEagerScheduler returns a scheduler running the eager oracle.
-func newEagerScheduler(ncpu int) *Scheduler {
+// newOracleScheduler returns a scheduler running the rebuild oracle.
+func newOracleScheduler(ncpu int) *Scheduler {
 	s := NewScheduler(ncpu)
-	UseEagerProtocol(s)
+	UseRebuildOracle(s)
 	return s
 }

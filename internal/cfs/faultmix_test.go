@@ -22,17 +22,17 @@ import (
 // kill/restart cycle. The schedule is a pure function of the seeds, so
 // two hosts built with the same arguments see identical perturbation
 // streams and any state divergence is the scheduler protocol's. With
-// eager set, the host's scheduler is switched to the eager oracle
+// oracle set, the host's scheduler is switched to the rebuild oracle
 // before anything is scheduled.
-func buildFaultMixHost(eager bool) (*host.Host, []*container.Container) {
+func buildFaultMixHost(oracle bool) (*host.Host, []*container.Container) {
 	h := host.New(host.Config{
 		CPUs:      16,
 		Memory:    64 * units.GiB,
 		Seed:      7,
 		NSOptions: sysns.Options{BatchedRecompute: true},
 	})
-	if eager {
-		cfs.UseEagerProtocol(h.Sched)
+	if oracle {
+		cfs.UseRebuildOracle(h.Sched)
 	}
 
 	var ctrs []*container.Container
@@ -87,29 +87,29 @@ func buildFaultMixHost(eager bool) (*host.Host, []*container.Container) {
 
 // TestRepairMatchesEagerUnderFaultMix is the system-level differential
 // lockdown for the scheduler's dirty-set repair: two full hosts — a
-// production one, and one switched to the eager oracle — run the same
+// production one, and one switched to the rebuild oracle — run the same
 // fault-mix schedule, and every sampled observable must be
 // bit-identical at every sample point. This is the end-to-end
 // complement to the mirror property tests: it routes the comparison
 // through cgroups, ns_monitor, faults, and kill/restart container
 // lifecycles rather than direct scheduler calls.
 func TestRepairMatchesEagerUnderFaultMix(t *testing.T) {
-	he, ce := buildFaultMixHost(true)
+	ho, co := buildFaultMixHost(true)
 	hr, cr := buildFaultMixHost(false)
-	tre := he.EnableTelemetry(0)
+	tro := ho.EnableTelemetry(0)
 	trr := hr.EnableTelemetry(0)
 
 	feq := func(ctx string, a, b float64) {
 		t.Helper()
 		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("%s diverged: eager %v (%x) repair %v (%x)",
+			t.Fatalf("%s diverged: oracle %v (%x) repair %v (%x)",
 				ctx, a, math.Float64bits(a), b, math.Float64bits(b))
 		}
 	}
 	sample := func(seg int) {
 		t.Helper()
-		for i := range ce {
-			a, b := ce[i], cr[i]
+		for i := range co {
+			a, b := co[i], cr[i]
 			ctx := fmt.Sprintf("seg %d %s", seg, a.Name)
 			if a.Cgroup == nil || b.Cgroup == nil {
 				// c3's kill/restart swaps the Container object out of
@@ -138,8 +138,8 @@ func TestRepairMatchesEagerUnderFaultMix(t *testing.T) {
 				t.Fatalf("%s E_MEM diverged: %v vs %v", ctx, am, bm)
 			}
 		}
-		feq(fmt.Sprintf("seg %d slack", seg), he.Sched.SlackLast(), hr.Sched.SlackLast())
-		feq(fmt.Sprintf("seg %d loadavg", seg), he.Sched.LoadAvg(), hr.Sched.LoadAvg())
+		feq(fmt.Sprintf("seg %d slack", seg), ho.Sched.SlackLast(), hr.Sched.SlackLast())
+		feq(fmt.Sprintf("seg %d loadavg", seg), ho.Sched.LoadAvg(), hr.Sched.LoadAvg())
 	}
 
 	// Uneven segment lengths land the samples at different phases of
@@ -151,17 +151,20 @@ func TestRepairMatchesEagerUnderFaultMix(t *testing.T) {
 		230 * time.Millisecond, // crosses the restart
 		770 * time.Millisecond,
 	} {
-		he.Run(span)
+		ho.Run(span)
 		hr.Run(span)
 		sample(seg)
 	}
 
 	// The comparison is only meaningful if the production host actually
-	// took the incremental paths (and the eager oracle never did).
+	// took the incremental paths, and the oracle rebuilt on every tick.
 	if n := trr.Count(telemetry.CtrTickRepairs); n == 0 {
 		t.Fatalf("repair host recorded no repair ticks")
 	}
-	if n := tre.Count(telemetry.CtrTickRepairs); n != 0 {
-		t.Fatalf("eager host recorded %d repair ticks", n)
+	if n := tro.Count(telemetry.CtrTickRepairs); n != 0 {
+		t.Fatalf("oracle host recorded %d repair ticks", n)
+	}
+	if rb, tk := tro.Count(telemetry.CtrTickRebuilds), tro.Count(telemetry.CtrSchedTicks); rb != tk || tk == 0 {
+		t.Fatalf("oracle host rebuilt on %d of %d scheduler ticks", rb, tk)
 	}
 }

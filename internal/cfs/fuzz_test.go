@@ -17,8 +17,9 @@ import (
 // read as zero); opcodes cover group and child-group creation, removal,
 // shares/quota/cpuset writes, plain tasks, teams of one and of several
 // members (whose callbacks may block a member every k-th call), new
-// members for existing teams, SetRunnable, Tick, SkipIdle, tick-length
-// changes, and usage reads.
+// members for existing teams, teams whose callbacks wake a task in
+// another group, SetRunnable, Tick, SkipIdle, tick-length changes, and
+// usage reads.
 func FuzzRepairMirror(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
@@ -55,6 +56,7 @@ const (
 	opRead            // args: group, accessor
 	opTeam            // args: leaf, members-1 (low 2 bits) and gamma index (higher bits), block period (0 or 255 never blocks)
 	opJoin            // args: team, wake the new member (low bit)
+	opWaker           // args: leaf, wake period (0 reads as 1), first task to try; a team of one whose callback wakes a task in another group
 	opCount
 )
 
@@ -76,7 +78,7 @@ type mirrorOp struct {
 var opArgs = [opCount]int{
 	opGroup: 0, opChild: 1, opRemove: 1, opRmTask: 1, opShares: 2, opQuota: 2,
 	opCpuset: 2, opTask: 2, opRunnable: 1, opTick: 1, opSkipIdle: 1, opDt: 1, opRead: 2,
-	opTeam: 3, opJoin: 2,
+	opTeam: 3, opJoin: 2, opWaker: 3,
 }
 
 // decodeMirrorOps splits a fuzz input into the host size and its op
@@ -158,18 +160,18 @@ func runMirrorOps(t *testing.T, ncpu int, ops []mirrorOp) {
 		case opShares:
 			if gi := group(o.a); gi >= 0 {
 				sh := sharesPalette[o.b%len(sharesPalette)]
-				m.eager.SetShares(m.groups[gi].e, sh)
+				m.oracle.SetShares(m.groups[gi].e, sh)
 				m.rep.SetShares(m.groups[gi].r, sh)
 			}
 		case opQuota:
 			if gi := group(o.a); gi >= 0 {
 				q := quotaPalette[o.b%len(quotaPalette)]
-				m.eager.SetQuota(m.groups[gi].e, q[0], q[1])
+				m.oracle.SetQuota(m.groups[gi].e, q[0], q[1])
 				m.rep.SetQuota(m.groups[gi].r, q[0], q[1])
 			}
 		case opCpuset:
 			if gi := group(o.a); gi >= 0 {
-				m.eager.SetCpuset(m.groups[gi].e, o.b%5)
+				m.oracle.SetCpuset(m.groups[gi].e, o.b%5)
 				m.rep.SetCpuset(m.groups[gi].r, o.b%5)
 			}
 		case opTask:
@@ -189,12 +191,12 @@ func runMirrorOps(t *testing.T, ncpu int, ops []mirrorOp) {
 				m.check(fmt.Sprintf("op %d: tick %d", k, m.rep.ticks))
 			}
 		case opSkipIdle:
-			if m.eager.RunnableNow() != 0 {
+			if m.oracle.RunnableNow() != 0 {
 				break
 			}
 			n := 1 + o.a%32
 			m.now += time.Duration(n) * m.dt
-			m.eager.SkipIdle(m.now, m.dt, n)
+			m.oracle.SkipIdle(m.now, m.dt, n)
 			m.rep.SkipIdle(m.now, m.dt, n)
 			m.check(fmt.Sprintf("op %d: skip %d", k, n))
 		case opTeam:
@@ -223,6 +225,12 @@ func runMirrorOps(t *testing.T, ncpu int, ops []mirrorOp) {
 			if o.b&1 != 0 {
 				m.setRunnable(ti, true)
 			}
+		case opWaker:
+			gi := group(o.a)
+			if gi < 0 || len(m.groups[gi].e.children) > 0 || len(m.tasks) >= fuzzMaxTasks {
+				break
+			}
+			m.setRunnable(m.joinTeam(m.newWaker(gi, max(o.b, 1), o.c), fmt.Sprintf("t%d", len(m.tasks))), true)
 		case opDt:
 			m.dt = fuzzDts[o.a%len(fuzzDts)]
 		case opRead:

@@ -1,10 +1,9 @@
 // Incremental tick-allocation repair, the scheduler's tick protocol.
 //
-// An eager memo protocol is binary: any allocation-affecting mutation
-// invalidates the whole memo and the next Tick rebuilds caps, both
-// water-fill levels, and accounting for every group — O(groups) even
-// when one group changed. Repair replaces the invalidate bit with a
-// dirty set and splits Tick into three regimes:
+// Rebuilding every tick recomputes caps, both water-fill levels, and
+// accounting for every group — O(groups) even when one group changed.
+// Repair keeps the allocation as a memo, tracks changes in a dirty set,
+// and splits Tick into three regimes:
 //
 //   - quietTick: nothing dirty. Only the eager groups (active groups
 //     with runnable team members, whose callbacks must fire every tick)
@@ -12,7 +11,7 @@
 //     accounting is deferred: gSettled[i] records the tick through
 //     which group i is settled, and settleTo replays the missing ticks
 //     at the memoized rates on the next read or repair. The replay
-//     performs the same per-tick float additions the eager walk would
+//     performs the same per-tick float additions a full walk would
 //     have, so results are bit-identical, and costs nothing until
 //     someone looks.
 //
@@ -34,15 +33,20 @@
 //     half the active set, one full rebuildTick (after settling all
 //     deferred accounting) re-derives everything and re-seeds the
 //     repair lists — pathological churn degrades gracefully to the
-//     eager cost, mirroring sysns's batched-recompute escalation.
+//     rebuild cost, mirroring sysns's batched-recompute escalation.
 //
-// Equivalence with the eager protocol is not asserted, it is tested.
-// The eager protocol (fastTick and the s.eager branches) is kept as the
-// oracle, switched on only through export_test.go: repair_test.go and
-// FuzzRepairMirror drive mirrored schedulers through op sequences and
-// compare the full observable state every tick, and
-// TestRepairMatchesEagerUnderFaultMix does the same for two whole hosts
-// under the fault mix.
+// One rule holds in all three regimes: the allocation is fixed for the
+// tick. A change a team callback makes during the walk (a block, a
+// wake) queues its mark like any other mutation, and the next tick
+// repairs it. The load contribution is re-summed from the tick-end
+// runnable counts whenever a count moved during the walk.
+//
+// Equivalence with rebuilding every tick is not asserted, it is tested.
+// The rebuild oracle (Tick with rebuildOracle set) is switched on only
+// through export_test.go: repair_test.go and FuzzRepairMirror drive
+// mirrored schedulers through op sequences and compare the full
+// observable state every tick, and TestRepairMatchesEagerUnderFaultMix
+// does the same for two whole hosts under the fault mix.
 package cfs
 
 import (
@@ -65,77 +69,18 @@ func (s *Scheduler) escalate() bool {
 	return len(s.dirty) >= repairEscalateMin && 2*len(s.dirty) >= len(s.active)
 }
 
-// noteAllocChange records that g's allocation inputs changed: repair
-// queues g in the dirty set (unless a full rebuild is already pending),
-// the eager oracle invalidates the whole memo.
-//
-// A change made from inside a walk that matches an eager rebuild
-// (walkAbsorbs — see the Tick dispatch) is parked instead of queued
-// live: the eager rebuild finishes with allocValid = true, so the
-// change stands absorbed until the next invalidation, and the repair
-// protocol must leave the same staleness in place to stay
-// bit-identical.
+// noteAllocChange records that g's allocation inputs changed by
+// queueing g in the dirty set, unless a full rebuild is already pending.
+// A change a team callback makes during a tick's walk is queued the same
+// way, so it takes effect on the next tick.
 func (s *Scheduler) noteAllocChange(g *Group) {
-	if s.eager {
-		s.allocValid = false
-		return
-	}
 	i := g.schedIdx
 	a := &s.gAcct[i]
-	if a.flags&acctAllocDirty != 0 {
+	if !s.allocValid || a.flags&acctAllocDirty != 0 {
 		return
 	}
-	if s.inWalk && s.walkAbsorbs {
-		if a.flags&acctAllocParked == 0 {
-			a.flags |= acctAllocParked
-			s.parked = append(s.parked, i)
-		}
-		return
-	}
-	if !s.allocValid {
-		return
-	}
-	// A live mark on a parked group promotes it: the mutation forces a
-	// repair now. The stale parked-list entry is deduplicated by
-	// repairTick's sort pass.
 	a.flags |= acctAllocDirty
 	s.dirty = append(s.dirty, i)
-}
-
-// noteEagerRebuild records a mutation that forces the eager protocol to
-// rebuild without changing any allocation input (group creation, writes
-// to removed groups, removal of an inactive group). The repair memo
-// stays valid, but absorbed (parked) marks go live — the forced rebuild
-// refreshes them on the eager side — and the next quiet tick absorbs
-// mid-walk marks the way that rebuild would.
-func (s *Scheduler) noteEagerRebuild() {
-	if s.eager {
-		s.allocValid = false
-		return
-	}
-	s.pendingAbsorb = true
-	s.promoteParked()
-}
-
-// promoteParked turns absorbed marks into live ones. Mutators that
-// invalidate the eager protocol without changing any allocation input
-// (group creation, writes to removed groups, removal of an inactive
-// group) keep the repair memo valid — but the eager rebuild they force
-// refreshes state absorbed during an earlier repair walk, so the next
-// repair tick must refresh it too.
-func (s *Scheduler) promoteParked() {
-	if len(s.parked) == 0 {
-		return
-	}
-	for _, i := range s.parked {
-		a := &s.gAcct[i]
-		a.flags &^= acctAllocParked
-		if a.flags&acctAllocDirty == 0 {
-			a.flags |= acctAllocDirty
-			s.dirty = append(s.dirty, i)
-		}
-	}
-	s.parked = s.parked[:0]
 }
 
 // resetRepairState drops the dirty set after a full rebuild re-derived
@@ -145,19 +90,15 @@ func (s *Scheduler) resetRepairState() {
 		s.gAcct[i].flags &^= acctAllocDirty
 	}
 	s.dirty = s.dirty[:0]
-	for _, i := range s.parked {
-		s.gAcct[i].flags &^= acctAllocParked
-	}
-	s.parked = s.parked[:0]
 	s.pendingTopFill = false
 	s.pendingResum = false
 }
 
 // settle brings the group's deferred accounting current before a read.
-// No-op for removed groups (whose accounting was settled when they were
-// frozen) and under the eager oracle, which defers nothing.
+// No-op for removed groups, whose accounting was settled when they were
+// frozen.
 func (g *Group) settle() {
-	if g.removed || g.sched == nil || g.sched.eager {
+	if g.removed || g.sched == nil {
 		return
 	}
 	g.sched.settleLive(g.schedIdx)
@@ -166,7 +107,7 @@ func (g *Group) settle() {
 // settleLive settles group i to the present: through the current tick,
 // or through the previous tick when the current tick's walk has not
 // reached i yet (its accrual for this tick happens when the walk gets
-// there, exactly as the eager walk would expose it).
+// there, exactly as a full walk would expose it).
 func (s *Scheduler) settleLive(i int) {
 	target := s.ticks
 	if s.inWalk && i > s.walkPos {
@@ -178,7 +119,7 @@ func (s *Scheduler) settleLive(i int) {
 // settleTo replays group i's deferred per-tick accounting deltas up to
 // and including tick target: usage and window accrual at the memoized
 // rate, and throttled time while the limit is binding. The replay
-// repeats the identical per-tick additions the eager walk performs, so
+// repeats the identical per-tick additions a full walk performs, so
 // the results are bit-identical. Deferred groups have no runnable team
 // member, so there is no callback to replay.
 func (s *Scheduler) settleTo(i int, target uint64) {
@@ -219,18 +160,8 @@ func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
 	if len(s.flagsDirty) > 1 {
 		sort.Ints(s.flagsDirty)
 	}
-	absorb := s.walkAbsorbs
-	if absorb {
-		// The eager protocol is rebuilding this very tick (a group was
-		// created, or removed-group state written): its rebuild re-reads
-		// the runnable total before the walk and accumulates the load
-		// contribution at walk time. Mirror both, so a mid-walk callback
-		// block lands in this tick's observables identically.
-		s.totalRunnable = s.runnableNow
-		s.nrSnapIdx = s.nrSnapIdx[:0]
-		s.nrSnapVal = s.nrSnapVal[:0]
-	}
 	contribDirty := false
+	s.runnableMoved = false
 	s.inWalk = true
 	ei, fi := 0, 0
 	for ei < len(s.eagerIdx) || fi < len(s.flagsDirty) {
@@ -256,9 +187,6 @@ func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
 		s.walkPos = i
 		g := s.groups[i]
 		if eager {
-			if absorb {
-				s.snapNr(i, g.runnable)
-			}
 			// Stamp before the walk body: tickGroup accrues this tick
 			// eagerly, and its team callbacks may trigger settles of
 			// this very group (e.g. a self-block).
@@ -280,20 +208,16 @@ func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
 		}
 		s.flagsDirty = s.flagsDirty[:0]
 	}
-	if contribDirty {
-		if absorb {
-			s.recomputeLoadContribSnap()
-		} else {
-			s.recomputeLoadContrib()
-		}
+	if contribDirty || s.runnableMoved {
+		s.recomputeLoadContrib()
 	}
 }
 
 // refreshQuiet re-evaluates a flag-dirty quiet group mid-walk: settle
 // its deferred ticks, accrue the current tick, and re-run the throttle
-// evaluation exactly as the eager fast path would. Inactive groups need
-// nothing (the eager path drops their mark unexamined too). Reports
-// whether a leaf throttle flag moved.
+// evaluation exactly as a rebuild would. Inactive groups need nothing:
+// their throttle state already reads unthrottled, as a rebuild leaves
+// it. Reports whether a leaf throttle flag moved.
 func (s *Scheduler) refreshQuiet(now sim.Time, i int, g *Group, dt time.Duration, dtSec float64) bool {
 	rate := s.gRate[i]
 	if rate <= 0 {
@@ -316,27 +240,10 @@ func (s *Scheduler) refreshQuiet(now sim.Time, i int, g *Group, dt time.Duration
 // team callback obligation, or a pending flag refresh) touches.
 func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	prev := s.ticks - 1
-	s.totalRunnable = s.runnableNow
-	// Parked marks (mutations absorbed during an earlier repair walk)
-	// join this tick's repair, exactly as the eager protocol's next
-	// full rebuild picks up state it absorbed mid-walk.
-	for _, i := range s.parked {
-		s.gAcct[i].flags &^= acctAllocParked
-	}
-	s.dirty = append(s.dirty, s.parked...)
-	s.parked = s.parked[:0]
 	sort.Ints(s.dirty)
-	// A parked group promoted by a later mutation appears twice.
-	dd := s.dirty[:0]
-	for k, i := range s.dirty {
-		if k == 0 || i != dd[len(dd)-1] {
-			dd = append(dd, i)
-		}
-	}
-	s.dirty = dd
-	// The dirty set is stable for the rest of the tick: marks made by
-	// team callbacks during the walk are parked by noteAllocChange
-	// (walkAbsorbs), never appended here.
+	// This tick repairs the dirty set as it stands now. Marks that team
+	// callbacks make during the walk are appended past it and kept for
+	// the next tick.
 	dirty := s.dirty
 	s.repairChanged = s.repairChanged[:0]
 	topFill := s.pendingTopFill
@@ -464,10 +371,9 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	s.activeAdds = s.activeAdds[:0]
 	s.eagerAdds = s.eagerAdds[:0]
 	s.activeRemoved, s.eagerRemoved = false, false
-	s.nrSnapIdx = s.nrSnapIdx[:0]
-	s.nrSnapVal = s.nrSnapVal[:0]
 	resum := s.pendingResum
 	s.pendingResum = false
+	s.runnableMoved = false
 	s.inWalk = true
 	const none = int(^uint(0) >> 1)
 	di, ci, ei, fi := 0, 0, 0, 0
@@ -511,11 +417,9 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		case touched:
 			if len(g.children) == 0 {
 				resum = true
-				s.snapNr(i, g.runnable)
 			}
 			s.repairAccount(now, i, g, dt, dtSec)
 		case eager:
-			s.snapNr(i, g.runnable)
 			s.gSettled[i] = s.ticks // before a callback can settle this group
 			if s.tickGroup(now, i, g, dt, dtSec) {
 				resum = true
@@ -534,20 +438,16 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	if len(s.eagerAdds) > 0 || s.eagerRemoved {
 		s.eagerIdx, s.eagerBuf = mergeIdx(s.eagerIdx, s.eagerAdds, s.gAcct, acctEager, s.eagerBuf)
 	}
-	if resum {
+	if resum || s.runnableMoved {
 		// A leaf's rate, runnable count, or throttle flag moved: the
 		// slack and load contribution are ordered sums over the active
 		// leaves, re-derived in full so they stay bit-identical to the
-		// rebuild's. The contribution uses each walked leaf's runnable
-		// count as of its walk visit (snapNr): a team callback that
-		// blocks its task mid-walk must not retroactively change this
-		// tick's sum, exactly as in the rebuild's interleaved
-		// accumulation.
+		// rebuild's.
 		s.recomputeUsedSlack()
-		s.recomputeLoadContribSnap()
+		s.recomputeLoadContrib()
 	}
 
-	s.dirty = s.dirty[:0]
+	s.dirty = s.dirty[:copy(s.dirty, s.dirty[len(dirty):])]
 	for _, i := range s.flagsDirty {
 		s.gAcct[i].flags &^= acctFlagsDirty
 	}
@@ -646,41 +546,6 @@ func (s *Scheduler) repairAccount(now sim.Time, i int, g *Group, dt time.Duratio
 	// that just blocked the last team member leaves the group deferred
 	// (its accounting from here on is pure accrual, which settles).
 	s.markEager(i, g.teamRunnable > 0)
-}
-
-// snapNr records a walked leaf's runnable count at visit time for the
-// post-walk load-contribution re-sum. Visits are ascending, so the
-// snapshot list stays sorted.
-func (s *Scheduler) snapNr(i, nr int) {
-	s.nrSnapIdx = append(s.nrSnapIdx, i)
-	s.nrSnapVal = append(s.nrSnapVal, nr)
-}
-
-// recomputeLoadContribSnap is recomputeLoadContrib with walk-time
-// runnable counts for the leaves this repair tick walked.
-func (s *Scheduler) recomputeLoadContribSnap() {
-	contrib := 0.0
-	k := 0
-	for _, i := range s.active {
-		g := s.groups[i]
-		if len(g.children) > 0 {
-			continue
-		}
-		rate := s.gRate[i]
-		nr := g.runnable
-		for k < len(s.nrSnapIdx) && s.nrSnapIdx[k] < i {
-			k++
-		}
-		if k < len(s.nrSnapIdx) && s.nrSnapIdx[k] == i {
-			nr = s.nrSnapVal[k]
-		}
-		if s.gAcct[i].flags&acctThrottled != 0 && float64(nr) > rate {
-			contrib += rate
-		} else {
-			contrib += float64(nr)
-		}
-	}
-	s.loadContrib = contrib
 }
 
 // markActive / markEager update a group's membership bit and queue the

@@ -7,19 +7,20 @@ import (
 	"testing"
 	"time"
 
+	"arv/internal/telemetry"
 	"arv/internal/units"
 )
 
-// mirror drives an eager scheduler and a repair scheduler through the
-// same operation sequence and asserts every observable value stays
-// bit-identical. It is the executable form of the equivalence argument
-// in DESIGN.md §15.
+// mirror drives a rebuild-oracle scheduler and a repair scheduler
+// through the same operation sequence and asserts every observable value
+// stays bit-identical. It is the executable form of the equivalence
+// argument in DESIGN.md §15.
 type mirror struct {
-	t     *testing.T
-	eager *Scheduler
-	rep   *Scheduler
-	now   time.Duration
-	dt    time.Duration
+	t      *testing.T
+	oracle *Scheduler
+	rep    *Scheduler
+	now    time.Duration
+	dt     time.Duration
 
 	groups []mirrorGroup
 	tasks  []mirrorTask
@@ -47,25 +48,25 @@ type mirrorTeam struct {
 
 func newMirror(t *testing.T, ncpu int) *mirror {
 	m := &mirror{
-		t:     t,
-		eager: newEagerScheduler(ncpu),
-		rep:   NewScheduler(ncpu),
-		dt:    time.Millisecond,
+		t:      t,
+		oracle: newOracleScheduler(ncpu),
+		rep:    NewScheduler(ncpu),
+		dt:     time.Millisecond,
 	}
-	m.eager.LoadAvgTau = time.Second
+	m.oracle.LoadAvgTau = time.Second
 	m.rep.LoadAvgTau = time.Second
 	return m
 }
 
 func (m *mirror) newGroup(name string) int {
-	m.groups = append(m.groups, mirrorGroup{m.eager.NewGroup(name), m.rep.NewGroup(name)})
+	m.groups = append(m.groups, mirrorGroup{m.oracle.NewGroup(name), m.rep.NewGroup(name)})
 	return len(m.groups) - 1
 }
 
 func (m *mirror) newChild(parent int, name string) int {
 	p := m.groups[parent]
 	m.groups = append(m.groups, mirrorGroup{
-		m.eager.NewChildGroup(p.e, name),
+		m.oracle.NewChildGroup(p.e, name),
 		m.rep.NewChildGroup(p.r, name),
 	})
 	return len(m.groups) - 1
@@ -78,7 +79,7 @@ func (m *mirror) newTask(group int, name string, every int) int {
 		return m.joinTeam(m.newTeam(group, 0, every), name)
 	}
 	g := m.groups[group]
-	m.tasks = append(m.tasks, mirrorTask{e: m.eager.NewTask(g.e, name), r: m.rep.NewTask(g.r, name)})
+	m.tasks = append(m.tasks, mirrorTask{e: m.oracle.NewTask(g.e, name), r: m.rep.NewTask(g.r, name)})
 	return len(m.tasks) - 1
 }
 
@@ -112,8 +113,49 @@ func (m *mirror) newTeam(group int, gamma float64, every int) int {
 	}
 	g := m.groups[group]
 	m.teams = append(m.teams, mirrorTeam{
-		e:     m.eager.NewTeam(g.e, gamma, hook(0, m.eager)),
+		e:     m.oracle.NewTeam(g.e, gamma, hook(0, m.oracle)),
 		r:     m.rep.NewTeam(g.r, gamma, hook(1, m.rep)),
+		group: group,
+	})
+	return k
+}
+
+// newWaker creates a mirrored team whose callback, on every every-th
+// call, wakes one blocked task of another group, searching from task
+// index from. It only wakes into a group the walk has passed or one
+// with no CPU this tick: both protocols defer those wakes to the next
+// tick alike. A wake into a group that runs later in the same tick is
+// left out, because whether that group's walk sees the new member
+// depends on whether the tick visits it (see Team).
+func (m *mirror) newWaker(group, every, from int) int {
+	k := len(m.teams)
+	hook := func(arm int, s *Scheduler) TeamFunc {
+		calls := 0
+		return func(now time.Duration, n int, useful, raw units.CPUSeconds) {
+			tm := &m.teams[k]
+			tm.useful[arm] += float64(useful)
+			tm.members[arm] += n
+			if calls++; calls%every != 0 {
+				return
+			}
+			self := m.groups[tm.group].arm(arm)
+			for j := range m.tasks {
+				t := m.tasks[(from+j)%len(m.tasks)].arm(arm)
+				g := t.group
+				if t.removed || t.runnable || g == self {
+					continue
+				}
+				if g.schedIdx < self.schedIdx || s.gRate[g.schedIdx] == 0 {
+					s.SetRunnable(t, true)
+					return
+				}
+			}
+		}
+	}
+	g := m.groups[group]
+	m.teams = append(m.teams, mirrorTeam{
+		e:     m.oracle.NewTeam(g.e, 0, hook(0, m.oracle)),
+		r:     m.rep.NewTeam(g.r, 0, hook(1, m.rep)),
 		group: group,
 	})
 	return k
@@ -122,10 +164,17 @@ func (m *mirror) newTeam(group int, gamma float64, every int) int {
 // joinTeam adds a mirrored member to team tm.
 func (m *mirror) joinTeam(tm int, name string) int {
 	te := &m.teams[tm]
-	m.tasks = append(m.tasks, mirrorTask{e: m.eager.NewTeamTask(te.e, name), r: m.rep.NewTeamTask(te.r, name)})
+	m.tasks = append(m.tasks, mirrorTask{e: m.oracle.NewTeamTask(te.e, name), r: m.rep.NewTeamTask(te.r, name)})
 	ti := len(m.tasks) - 1
 	te.tasks = append(te.tasks, ti)
 	return ti
+}
+
+func (mg *mirrorGroup) arm(arm int) *Group {
+	if arm == 0 {
+		return mg.e
+	}
+	return mg.r
 }
 
 func (tk *mirrorTask) arm(arm int) *Task {
@@ -140,7 +189,7 @@ func (m *mirror) setRunnable(task int, run bool) {
 	if tk.e.removed || tk.e.runnable == run {
 		return
 	}
-	m.eager.SetRunnable(tk.e, run)
+	m.oracle.SetRunnable(tk.e, run)
 	m.rep.SetRunnable(tk.r, run)
 }
 
@@ -149,7 +198,7 @@ func (m *mirror) removeTask(task int) {
 	if tk.e.removed {
 		return
 	}
-	m.eager.RemoveTask(tk.e)
+	m.oracle.RemoveTask(tk.e)
 	m.rep.RemoveTask(tk.r)
 }
 
@@ -158,13 +207,13 @@ func (m *mirror) removeGroup(group int) {
 	if g.e.removed {
 		return
 	}
-	m.eager.RemoveGroup(g.e)
+	m.oracle.RemoveGroup(g.e)
 	m.rep.RemoveGroup(g.r)
 }
 
 func (m *mirror) tick() {
 	m.now += m.dt
-	m.eager.Tick(m.now, m.dt)
+	m.oracle.Tick(m.now, m.dt)
 	m.rep.Tick(m.now, m.dt)
 }
 
@@ -179,32 +228,29 @@ func (m *mirror) check(ctx string) {
 	t.Helper()
 	eq := func(a, b float64, what string, args ...any) {
 		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("%s: %s diverged: eager %v (%x) repair %v (%x)",
+			t.Fatalf("%s: %s diverged: oracle %v (%x) repair %v (%x)",
 				ctx, fmt.Sprintf(what, args...), a, math.Float64bits(a), b, math.Float64bits(b))
 		}
 	}
-	if len(m.eager.groups) != len(m.rep.groups) {
-		t.Fatalf("%s: group count diverged: %d vs %d", ctx, len(m.eager.groups), len(m.rep.groups))
+	if len(m.oracle.groups) != len(m.rep.groups) {
+		t.Fatalf("%s: group count diverged: %d vs %d", ctx, len(m.oracle.groups), len(m.rep.groups))
 	}
-	for i := range m.eager.groups {
-		eq(m.eager.gCap[i], m.rep.gCap[i], "gCap[%d] (%s)", i, m.eager.groups[i].Name)
-		eq(m.eager.gRate[i], m.rep.gRate[i], "gRate[%d] (%s)", i, m.eager.groups[i].Name)
+	for i := range m.oracle.groups {
+		eq(m.oracle.gCap[i], m.rep.gCap[i], "gCap[%d] (%s)", i, m.oracle.groups[i].Name)
+		eq(m.oracle.gRate[i], m.rep.gRate[i], "gRate[%d] (%s)", i, m.oracle.groups[i].Name)
 	}
-	// The eager arm leaves its active list stale after RemoveGroup
-	// (listsValid=false, rebuilt next tick); the repair arm patches it
-	// immediately. Only compare when the eager list is current.
-	if la, lb := m.eager.active, m.rep.active; m.eager.listsValid && !intSliceEq(la, lb) {
-		t.Fatalf("%s: active diverged: eager %v repair %v", ctx, la, lb)
+	if la, lb := m.oracle.active, m.rep.active; !intSliceEq(la, lb) {
+		t.Fatalf("%s: active diverged: oracle %v repair %v", ctx, la, lb)
 	}
-	eq(m.eager.loadContrib, m.rep.loadContrib, "loadContrib")
-	eq(m.eager.slackLast, m.rep.slackLast, "slackLast")
-	eq(m.eager.loadAvg, m.rep.loadAvg, "loadAvg")
-	eq(float64(m.eager.slackWindow), float64(m.rep.slackWindow), "slackWindow")
-	if m.eager.totalRunnable != m.rep.totalRunnable {
-		t.Fatalf("%s: totalRunnable diverged: %d vs %d", ctx, m.eager.totalRunnable, m.rep.totalRunnable)
+	eq(m.oracle.loadContrib, m.rep.loadContrib, "loadContrib")
+	eq(m.oracle.slackLast, m.rep.slackLast, "slackLast")
+	eq(m.oracle.loadAvg, m.rep.loadAvg, "loadAvg")
+	eq(float64(m.oracle.slackWindow), float64(m.rep.slackWindow), "slackWindow")
+	if m.oracle.totalRunnable != m.rep.totalRunnable {
+		t.Fatalf("%s: totalRunnable diverged: %d vs %d", ctx, m.oracle.totalRunnable, m.rep.totalRunnable)
 	}
-	if m.eager.runnableNow != m.rep.runnableNow {
-		t.Fatalf("%s: runnableNow diverged: %d vs %d", ctx, m.eager.runnableNow, m.rep.runnableNow)
+	if m.oracle.runnableNow != m.rep.runnableNow {
+		t.Fatalf("%s: runnableNow diverged: %d vs %d", ctx, m.oracle.runnableNow, m.rep.runnableNow)
 	}
 	for gi := range m.groups {
 		ge, gr := m.groups[gi].e, m.groups[gi].r
@@ -249,7 +295,7 @@ func (m *mirror) check(ctx string) {
 			t.Fatalf("%s: team %d counts %d runnable members, has %d", ctx, k, tm.r.runnable, runnable)
 		}
 	}
-	ne, oke := m.eager.NextEvent(m.now)
+	ne, oke := m.oracle.NextEvent(m.now)
 	nr, okr := m.rep.NextEvent(m.now)
 	if ne != nr || oke != okr {
 		t.Fatalf("%s: NextEvent diverged: (%v,%v) vs (%v,%v)", ctx, ne, oke, nr, okr)
@@ -258,7 +304,10 @@ func (m *mirror) check(ctx string) {
 }
 
 // checkRepairInvariants validates the repair arm's internal index lists
-// against first principles.
+// against first principles. The central one is the next-tick rule: a
+// leaf whose live cap differs from the memoized one must be queued for
+// repair, so no change, including one a team callback makes mid-walk,
+// can leave a stale allocation standing.
 func (m *mirror) checkRepairInvariants(ctx string) {
 	t := m.t
 	t.Helper()
@@ -284,6 +333,9 @@ func (m *mirror) checkRepairInvariants(ctx string) {
 		if got := s.gAcct[i].flags&acctActive != 0; got != (s.gRate[i] > 0) {
 			t.Fatalf("%s: acctActive[%d] inconsistent with rate %v", ctx, i, s.gRate[i])
 		}
+		if len(g.children) == 0 && s.capOf(g) != s.gCap[i] && s.gAcct[i].flags&acctAllocDirty == 0 {
+			t.Fatalf("%s: leaf %s cap %v is stale (live %v) and not queued", ctx, g.Name, s.gCap[i], s.capOf(g))
+		}
 	}
 	// eagerIdx may lag a mid-walk callback state change by one tick — but
 	// only for groups sitting in the dirty set awaiting repair.
@@ -292,13 +344,13 @@ func (m *mirror) checkRepairInvariants(ctx string) {
 		have[i] = true
 	}
 	for _, i := range wantEager {
-		if !have[i] && s.gAcct[i].flags&(acctAllocDirty|acctAllocParked) == 0 {
+		if !have[i] && s.gAcct[i].flags&acctAllocDirty == 0 {
 			t.Fatalf("%s: eagerIdx %v missing %d and it is not dirty", ctx, s.eagerIdx, i)
 		}
 		delete(have, i)
 	}
 	for i := range have {
-		if s.gAcct[i].flags&(acctAllocDirty|acctAllocParked) == 0 {
+		if s.gAcct[i].flags&acctAllocDirty == 0 {
 			t.Fatalf("%s: eagerIdx %v has stale non-dirty entry %d", ctx, s.eagerIdx, i)
 		}
 	}
@@ -374,19 +426,19 @@ func (m *mirror) step(rng *rand.Rand) bool {
 	case r < 62: // quota write (the dominant churn op at scale)
 		if gi := m.liveGroup(rng); gi >= 0 {
 			q := quotaPalette[rng.Intn(len(quotaPalette))]
-			m.eager.SetQuota(m.groups[gi].e, q[0], q[1])
+			m.oracle.SetQuota(m.groups[gi].e, q[0], q[1])
 			m.rep.SetQuota(m.groups[gi].r, q[0], q[1])
 		}
 	case r < 70: // shares write
 		if gi := m.liveGroup(rng); gi >= 0 {
 			sh := sharesPalette[rng.Intn(len(sharesPalette))]
-			m.eager.SetShares(m.groups[gi].e, sh)
+			m.oracle.SetShares(m.groups[gi].e, sh)
 			m.rep.SetShares(m.groups[gi].r, sh)
 		}
 	case r < 75: // cpuset write
 		if gi := m.liveGroup(rng); gi >= 0 {
 			n := rng.Intn(4) // 0 = unrestricted
-			m.eager.SetCpuset(m.groups[gi].e, n)
+			m.oracle.SetCpuset(m.groups[gi].e, n)
 			m.rep.SetCpuset(m.groups[gi].r, n)
 		}
 	case r < 81: // grow the hierarchy
@@ -457,7 +509,7 @@ func (m *mirror) step(rng *rand.Rand) bool {
 		for n := 0; n < 20; n++ {
 			if gi := m.liveGroup(rng); gi >= 0 {
 				sh := sharesPalette[rng.Intn(len(sharesPalette))]
-				m.eager.SetShares(m.groups[gi].e, sh)
+				m.oracle.SetShares(m.groups[gi].e, sh)
 				m.rep.SetShares(m.groups[gi].r, sh)
 			}
 		}
@@ -486,7 +538,7 @@ func seedMirror(m *mirror, rng *rand.Rand, flat int) {
 	for i := 0; i < flat; i++ {
 		gi := m.newGroup(fmt.Sprintf("seed%d", i))
 		q := quotaPalette[rng.Intn(len(quotaPalette))]
-		m.eager.SetQuota(m.groups[gi].e, q[0], q[1])
+		m.oracle.SetQuota(m.groups[gi].e, q[0], q[1])
 		m.rep.SetQuota(m.groups[gi].r, q[0], q[1])
 		ti := m.newTask(gi, "t", pickCallback(rng))
 		if i%2 == 0 {
@@ -502,7 +554,7 @@ func seedMirror(m *mirror, rng *rand.Rand, flat int) {
 		}
 	}
 	q := quotaPalette[4]
-	m.eager.SetQuota(m.groups[p].e, q[0], q[1])
+	m.oracle.SetQuota(m.groups[p].e, q[0], q[1])
 	m.rep.SetQuota(m.groups[p].r, q[0], q[1])
 }
 
@@ -589,7 +641,7 @@ func TestRepairSkipIdle(t *testing.T) {
 	m.tick() // allocation collapses to zero
 	m.check("all blocked")
 	m.now += 25 * m.dt
-	m.eager.SkipIdle(m.now, m.dt, 25)
+	m.oracle.SkipIdle(m.now, m.dt, 25)
 	m.rep.SkipIdle(m.now, m.dt, 25)
 	m.check("after skip")
 	for ti := range m.tasks {
@@ -626,9 +678,9 @@ func TestRepairRemoveWhileDirty(t *testing.T) {
 	// Dirty a (shares), dirty c0 (quota), then remove a and the whole
 	// subtree p — with a's slot compacted away, b's and c1's indices
 	// shift while c0's dirty entry must vanish.
-	m.eager.SetShares(m.groups[a].e, 2048)
+	m.oracle.SetShares(m.groups[a].e, 2048)
 	m.rep.SetShares(m.groups[a].r, 2048)
-	m.eager.SetQuota(m.groups[c0].e, 50_000, 100_000)
+	m.oracle.SetQuota(m.groups[c0].e, 50_000, 100_000)
 	m.rep.SetQuota(m.groups[c0].r, 50_000, 100_000)
 	if len(m.rep.dirty) == 0 {
 		t.Fatal("expected dirty marks before removal")
@@ -698,7 +750,7 @@ func TestRepairEscalationBoundary(t *testing.T) {
 		round++
 		for i := 0; i < k; i++ {
 			sh := int64(512+512*(i%3)) + round
-			m.eager.SetShares(m.groups[gis[i]].e, sh)
+			m.oracle.SetShares(m.groups[gis[i]].e, sh)
 			m.rep.SetShares(m.groups[gis[i]].r, sh)
 		}
 	}
@@ -739,14 +791,14 @@ func TestRepairAfterEscalation(t *testing.T) {
 		m.tick()
 	}
 	for i := 0; i < n; i++ { // storm: every group dirty
-		m.eager.SetShares(m.groups[gis[i]].e, 2048)
+		m.oracle.SetShares(m.groups[gis[i]].e, 2048)
 		m.rep.SetShares(m.groups[gis[i]].r, 2048)
 	}
 	m.tick() // escalates
 	m.check("escalation")
 
 	// Small change afterwards must take the repair path again.
-	m.eager.SetShares(m.groups[gis[3]].e, 4096)
+	m.oracle.SetShares(m.groups[gis[3]].e, 4096)
 	m.rep.SetShares(m.groups[gis[3]].r, 4096)
 	if m.rep.escalate() {
 		t.Fatal("single dirty group should not escalate after rebuild")
@@ -771,7 +823,7 @@ func TestRepairLongDeferralSettlesOnRead(t *testing.T) {
 	gj := m.newGroup("h")
 	tj := m.newTask(gj, "t", 0)
 	m.setRunnable(tj, true)
-	m.eager.SetQuota(m.groups[gj].e, 25_000, 100_000)
+	m.oracle.SetQuota(m.groups[gj].e, 25_000, 100_000)
 	m.rep.SetQuota(m.groups[gj].r, 25_000, 100_000)
 
 	for i := 0; i < 700; i++ {
@@ -781,4 +833,107 @@ func TestRepairLongDeferralSettlesOnRead(t *testing.T) {
 		t.Fatalf("plain group was not deferred (settled=%d ticks=%d)", settled, m.rep.ticks)
 	}
 	m.check("after 700 deferred ticks")
+}
+
+// TestCallbackBlockTakesEffectNextTick pins the next-tick rule in every
+// tick regime and in the oracle: a team callback that blocks its
+// group's only task during a tick's walk leaves that tick's allocation
+// alone, and from the next tick on the group gets nothing while its
+// busy sibling gets both CPUs. The load average's input counts the
+// block at the end of the tick in which it happens.
+func TestCallbackBlockTakesEffectNextTick(t *testing.T) {
+	for _, regime := range []string{"quiet", "repair", "escalation"} {
+		for _, oracle := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/oracle=%v", regime, oracle), func(t *testing.T) {
+				testCallbackBlock(t, regime, oracle)
+			})
+		}
+	}
+}
+
+func testCallbackBlock(t *testing.T, regime string, oracle bool) {
+	s := NewScheduler(2)
+	if oracle {
+		UseRebuildOracle(s)
+	}
+	tr := telemetry.New(1)
+	s.AttachTelemetry(tr)
+	a := s.NewGroup("a")
+	block := false
+	var self *Task
+	tm := s.NewTeam(a, 0, func(now time.Duration, n int, useful, raw units.CPUSeconds) {
+		if block {
+			block = false
+			s.SetRunnable(self, false)
+		}
+	})
+	self = s.NewTeamTask(tm, "a0")
+	s.SetRunnable(self, true)
+	b := newBusyGroup(s, "b", 4)
+	// Idle groups whose tasks the escalation regime toggles: enough
+	// dirty marks to force one full rebuild without moving any rate.
+	var idle []*Task
+	for i := 0; i < repairEscalateMin; i++ {
+		idle = append(idle, s.NewTask(s.NewGroup(fmt.Sprintf("idle%d", i)), "t"))
+	}
+	var now time.Duration
+	step := func() {
+		now += tick
+		s.Tick(now, tick)
+	}
+	for i := 0; i < 5; i++ {
+		step()
+	}
+
+	// b's shares double, so a runs at 2/3 CPU and b at 4/3 in the tick
+	// whose walk blocks a's task.
+	s.SetShares(b, 2*DefaultShares)
+	switch regime {
+	case "quiet":
+		for i := 0; i < 3; i++ {
+			step()
+		}
+	case "escalation":
+		for _, task := range idle {
+			s.SetRunnable(task, true)
+			s.SetRunnable(task, false)
+		}
+	}
+	repairs, escalations := tr.Count(telemetry.CtrTickRepairs), tr.Count(telemetry.CtrRepairEscalations)
+	rebuilds := tr.Count(telemetry.CtrTickRebuilds)
+	block = true
+	step()
+	if self.Runnable() {
+		t.Fatal("the callback did not block its task")
+	}
+	if !oracle {
+		got := map[string]bool{
+			"quiet":      tr.Count(telemetry.CtrTickRebuilds) == rebuilds && tr.Count(telemetry.CtrTickRepairs) == repairs,
+			"repair":     tr.Count(telemetry.CtrTickRepairs) == repairs+1,
+			"escalation": tr.Count(telemetry.CtrRepairEscalations) == escalations+1,
+		}
+		if !got[regime] {
+			t.Fatalf("the blocking tick was not a %s tick", regime)
+		}
+	}
+	if r := a.LastRate(); math.Abs(r-2.0/3) > 1e-9 {
+		t.Fatalf("a ran at %v in the blocking tick, want 2/3", r)
+	}
+	if s.loadContrib != 4 {
+		t.Fatalf("load input %v at the end of the blocking tick, want 4 (b's tasks only)", s.loadContrib)
+	}
+
+	usage := a.Usage()
+	for i := 0; i < 100; i++ {
+		step()
+		if ra, rb := a.LastRate(), b.LastRate(); ra != 0 || math.Abs(rb-2) > 1e-9 {
+			t.Fatalf("tick %d after the block: a at %v, b at %v; want 0 and 2", i+1, ra, rb)
+		}
+		if sl := s.SlackLast(); sl != 0 {
+			t.Fatalf("tick %d after the block: slack %v with b's tasks waiting", i+1, sl)
+		}
+	}
+	if got := a.Usage(); got != usage {
+		t.Fatalf("a accrued %v CPU-s after its only task blocked", got-usage)
+	}
 }
