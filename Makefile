@@ -21,12 +21,15 @@ race:
 # Short fuzz smokes, 10 s each: the timer queue against its sorted-slice
 # reference model (internal/sim FuzzClockOrder), the scheduler's
 # dirty-set repair against the rebuild oracle (internal/cfs
-# FuzzRepairMirror), and fsd's HTTP routes against arbitrary paths
-# (internal/fsd FuzzRoutes). The committed seed corpora under each
-# package's testdata/fuzz run in every plain `go test` as well.
+# FuzzRepairMirror), ns_monitor's eager and batched marks against the
+# full-recompute reference (internal/sysns FuzzMonitorMirror), and fsd's
+# HTTP routes against arbitrary paths (internal/fsd FuzzRoutes). The
+# committed seed corpora under each package's testdata/fuzz run in
+# every plain `go test` as well.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzClockOrder -fuzztime 10s -parallel 2 ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzRepairMirror -fuzztime 10s -parallel 2 ./internal/cfs
+	$(GO) test -run xxx -fuzz FuzzMonitorMirror -fuzztime 10s -parallel 2 ./internal/sysns
 	$(GO) test -run xxx -fuzz FuzzRoutes -fuzztime 10s -parallel 2 ./internal/fsd
 
 bench:

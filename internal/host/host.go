@@ -209,9 +209,6 @@ func (h *Host) AddProgram(p Program) { h.programs = append(h.programs, p) }
 // programs.
 func (h *Host) Programs() int { return len(h.programs) }
 
-// SetFastForward toggles idle-span fast-forwarding at runtime.
-func (h *Host) SetFastForward(enabled bool) { h.fastForward = enabled }
-
 // EnableTelemetry attaches a fresh tracer (ring capacity ringSize;
 // telemetry.DefaultRingSize if <= 0) to the host and every registered
 // subsystem and returns it.

@@ -10,9 +10,13 @@
 // cgroup event path under churn — at Borg/Kubernetes-scale container
 // counts (see PAPERS.md on cluster managers). The host runs the same
 // kernel as every experiment; the one lever the benchmark sets is the
-// monitor's batched recompute. cmd/arvbench exposes it via -scalebench,
-// and bench_test.go's BenchmarkScale* family wraps it in testing.B
-// form.
+// monitor's batched recompute, always on. The reference paths the
+// kernel is tested against — cfs's rebuild oracle
+// (cfs.UseRebuildOracle) and ns_monitor's full recompute
+// (sysns.UseFullRecompute) — live in test files, out of reach of any
+// benchmark configuration. cmd/arvbench exposes the harness via
+// -scalebench, and bench_test.go's BenchmarkScale* family wraps it in
+// testing.B form.
 package scalebench
 
 import (
@@ -58,19 +62,13 @@ type Config struct {
 	Warmup time.Duration
 	// Seed drives the host RNG and the churn schedule.
 	Seed uint64
-	// Batched enables the monitor's coalesced bounds-recompute mode
-	// (sysns.Options.BatchedRecompute): a churn interval's worth of
-	// dirty marks becomes one recompute pass per update round. Defaults
-	// on — it is the mode the BENCH_scale.json trajectory measures; set
-	// it false (with Defaults, clear it after) to A/B the eager path.
-	Batched bool
 }
 
 // Defaults returns the canonical scale configuration for n containers
 // with churn on, as reported in BENCH_scale.json. All duration and size
 // fields are resolved, so callers can read Span/Warmup directly.
 func Defaults(n int) Config {
-	return Config{Containers: n, Churn: true, Batched: true}.withDefaults()
+	return Config{Containers: n, Churn: true}.withDefaults()
 }
 
 // withDefaults resolves zero fields.
@@ -117,7 +115,7 @@ func Build(cfg Config) *Bench {
 		CPUs:      cfg.CPUs,
 		Memory:    cfg.Memory,
 		Seed:      cfg.Seed,
-		NSOptions: sysns.Options{BatchedRecompute: cfg.Batched},
+		NSOptions: sysns.Options{BatchedRecompute: true},
 	})
 	// Pin the view-update interval at the paper's 24ms base period: with
 	// hundreds of runnable tasks the CFS scheduling period scales to

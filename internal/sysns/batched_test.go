@@ -8,6 +8,7 @@ import (
 	"arv/internal/cgroups"
 	"arv/internal/memctl"
 	"arv/internal/sim"
+	"arv/internal/telemetry"
 	"arv/internal/units"
 )
 
@@ -19,7 +20,7 @@ type batchedPair struct {
 	clock *sim.Clock
 	hier  *cgroups.Hierarchy
 	mB    *Monitor // batched deferred recompute
-	mR    *Monitor // DisableIncremental: full recompute per trigger
+	mR    *Monitor // UseFullRecompute: full recompute per trigger
 }
 
 func newBatchedPair(cpus int) *batchedPair {
@@ -31,7 +32,7 @@ func newBatchedPair(cpus int) *batchedPair {
 		clock: clock,
 		hier:  hier,
 		mB:    NewMonitor(hier, clock, Options{BatchedRecompute: true}),
-		mR:    NewMonitor(hier, clock, Options{DisableIncremental: true}),
+		mR:    newFullRecomputeMonitor(hier, clock),
 	}
 }
 
@@ -202,5 +203,44 @@ func TestBatchedSuppressionRecovery(t *testing.T) {
 	}
 	if p.mB.boundsDirtyAll || len(p.mB.dirtyTops) != 0 {
 		t.Fatal("recovery FullRecompute left stale dirty marks behind")
+	}
+}
+
+// TestBoundsFlushCounts pins where the one flush runs in each mode, in
+// work counts: n quota writes to one pod between two bounds reads cost n
+// flushes under the eager contract (one per trigger) and a single
+// flush under batching. Either way every write's mark recomputes the
+// pod's two members once — batching coalesces passes, and duplicate
+// marks on one top still recompute it each time.
+func TestBoundsFlushCounts(t *testing.T) {
+	const n = 5
+	for _, tc := range []struct {
+		name    string
+		batched bool
+		flushes uint64
+	}{{"eager", false, n}, {"batched", true, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := sim.NewClock(time.Millisecond)
+			hier := cgroups.NewHierarchy(cfs.NewScheduler(8), memctl.New(memctl.Config{Total: 16 * units.GiB}))
+			mon := NewMonitor(hier, clock, Options{BatchedRecompute: tc.batched})
+			mon.Attach(hier.Create("c0"))
+			pod := hier.Create("pod")
+			nsA := mon.Attach(hier.CreateChild(pod, "a"))
+			mon.Attach(hier.CreateChild(pod, "b"))
+			nsA.CPUBounds() // first read: every earlier mark is applied
+
+			tr := telemetry.New(0)
+			mon.AttachTelemetry(tr)
+			for i := 0; i < n; i++ {
+				pod.SetQuotaCPUs(float64(1 + i))
+			}
+			nsA.CPUBounds() // second read
+			if got := tr.Count(telemetry.CtrBoundsFlushes); got != tc.flushes {
+				t.Errorf("bounds flushes = %d, want %d", got, tc.flushes)
+			}
+			if got := tr.Count(telemetry.CtrBoundsRecomputed); got != 2*n {
+				t.Errorf("bounds recomputed = %d, want %d", got, 2*n)
+			}
+		})
 	}
 }

@@ -37,7 +37,7 @@ func newMirror(cpus int) *mirror {
 		sched: sched,
 		hier:  hier,
 		mA:    NewMonitor(hier, clock, Options{}),
-		mB:    NewMonitor(hier, clock, Options{DisableIncremental: true}),
+		mB:    newFullRecomputeMonitor(hier, clock),
 		mC:    NewMonitor(hier, clock, Options{BatchedRecompute: true}),
 	}
 }
@@ -56,8 +56,8 @@ func (m *mirror) detach(cg *cgroups.Cgroup) { m.mA.Detach(cg); m.mB.Detach(cg); 
 // trigger-time inputs (a pod member created without attaching dilutes
 // its siblings only at the next recompute trigger, via pendingTops),
 // while a batched flush recomputes from live state and may absorb such
-// a dilution earlier. For flat fleets the two coincide — the
-// faults-package differential test asserts exactly that at host level —
+// a dilution earlier. For flat fleets the two coincide —
+// TestBatchedMatchesFullUnderFaults asserts exactly that at host level —
 // but under pod schedules the batched contract is "live state at every
 // flush boundary", which the FullRecompute fixed point pins down.
 // E_CPU equality is likewise not part of the batched contract (the
@@ -143,128 +143,212 @@ func (m *mirror) check(t *testing.T, step int, op string) {
 	}
 }
 
-// TestIncrementalMatchesFullRecompute drives a randomized schedule of
-// every hierarchy mutation the monitor reacts to — creations (flat,
-// pods, late pod members), removals, attach/detach, and all four limit
-// setters — asserting after every single step that the incremental
-// bounds equal the full-recompute reference and that the share cache
-// matches a fresh walk.
+// mirrorRun drives a mirror through a stream of hierarchy operations.
+// next(n) is the stream's source of choices in [0, n): a seeded PRNG in
+// TestIncrementalMatchesFullRecompute, fuzz bytes in FuzzMonitorMirror.
+type mirrorRun struct {
+	*mirror
+	next              func(n int) int
+	flats, pods, kids []*cgroups.Cgroup
+	nameSeq           int
+}
+
+func newMirrorRun(cpus int, next func(n int) int) *mirrorRun {
+	return &mirrorRun{mirror: newMirror(cpus), next: next}
+}
+
+// mirrorOps is the number of distinct operations step chooses from.
+const mirrorOps = 21
+
+func (r *mirrorRun) newName(prefix string) string {
+	r.nameSeq++
+	return fmt.Sprintf("%s%d", prefix, r.nameSeq)
+}
+
+func (r *mirrorRun) pick(s []*cgroups.Cgroup) *cgroups.Cgroup { return s[r.next(len(s))] }
+
+// anyCg picks a live cgroup of any kind, or nil when there is none.
+func (r *mirrorRun) anyCg() *cgroups.Cgroup {
+	all := make([]*cgroups.Cgroup, 0, len(r.flats)+len(r.pods)+len(r.kids))
+	all = append(all, r.flats...)
+	all = append(all, r.pods...)
+	all = append(all, r.kids...)
+	if len(all) == 0 {
+		return nil
+	}
+	return r.pick(all)
+}
+
+// leaves returns the live flat containers and pod members.
+func (r *mirrorRun) leaves() []*cgroups.Cgroup {
+	return append(append([]*cgroups.Cgroup(nil), r.flats...), r.kids...)
+}
+
+func drop(s []*cgroups.Cgroup, cg *cgroups.Cgroup) []*cgroups.Cgroup {
+	for i, x := range s {
+		if x == cg {
+			return append(s[:i], s[i+1:]...)
+		}
+	}
+	return s
+}
+
+// step applies one operation chosen by next and returns its name, or ""
+// when the chosen operation had nothing to act on. It covers every
+// hierarchy mutation the monitor reacts to — creations (flat, pods, late
+// pod members), removals, attach/detach, all four limit setters — and a
+// limit event dropped before delivery.
+func (r *mirrorRun) step() string {
+	switch op := r.next(mirrorOps); {
+	case op < 4: // flat container, usually attached
+		cg := r.hier.Create(r.newName("c"))
+		r.flats = append(r.flats, cg)
+		if r.next(10) < 7 {
+			r.attach(cg)
+		}
+		return "create-flat"
+	case op < 6: // pod with 1-3 members
+		pod := r.hier.Create(r.newName("pod"))
+		r.pods = append(r.pods, pod)
+		for i := r.next(3) + 1; i > 0; i-- {
+			kid := r.hier.CreateChild(pod, r.newName("k"))
+			r.kids = append(r.kids, kid)
+			if r.next(10) < 7 {
+				r.attach(kid)
+			}
+		}
+		return "create-pod"
+	case op < 8 && len(r.pods) > 0: // late pod member (sibling dilution)
+		kid := r.hier.CreateChild(r.pick(r.pods), r.newName("k"))
+		r.kids = append(r.kids, kid)
+		if r.next(2) == 0 {
+			r.attach(kid)
+		}
+		return "create-late-member"
+	case op < 11: // shares
+		if cg := r.anyCg(); cg != nil {
+			cg.SetShares(int64(2 + r.next(4096)))
+			return "set-shares"
+		}
+	case op < 13: // quota
+		if cg := r.anyCg(); cg != nil {
+			r.setQuota(cg)
+			return "set-quota"
+		}
+	case op < 14: // cpuset
+		if cg := r.anyCg(); cg != nil {
+			cg.SetCpuset(r.next(r.sched.NCPU() + 1))
+			return "set-cpuset"
+		}
+	case op < 15: // memory limits (must not move CPU bounds)
+		if cg := r.anyCg(); cg != nil {
+			r.setMem(cg)
+			return "set-mem"
+		}
+	case op < 16 && len(r.flats)+len(r.kids) > 0: // detach without removal
+		r.detach(r.pick(r.leaves()))
+		return "detach"
+	case op < 17: // re-attach anything currently detached
+		if cg := r.anyCg(); cg != nil && r.mA.Lookup(cg) == nil {
+			r.attach(cg)
+			return "attach"
+		}
+	case op < 19 && len(r.flats)+len(r.kids) > 0: // remove a leaf
+		cg := r.pick(r.leaves())
+		r.hier.Remove(cg)
+		r.flats, r.kids = drop(r.flats, cg), drop(r.kids, cg)
+		return "remove-leaf"
+	case op == 20: // drop a limit event; the next delivered trigger recovers
+		cg := r.anyCg()
+		if cg == nil {
+			break
+		}
+		r.hier.Intercept(func(cgroups.Event) bool { return false })
+		if r.next(2) == 0 {
+			cg.SetShares(int64(2 + r.next(4096)))
+		} else {
+			r.setQuota(cg)
+		}
+		r.hier.Intercept(nil)
+		// A memory-limit event moves no CPU bound, so only the
+		// suppression recovery can bring the dropped change in.
+		r.setMem(r.anyCg())
+		return "drop-limit-event"
+	case len(r.pods) > 0: // remove a whole pod
+		pod := r.pick(r.pods)
+		for _, k := range pod.Children() {
+			r.kids = drop(r.kids, k)
+		}
+		r.hier.Remove(pod)
+		r.pods = drop(r.pods, pod)
+		return "remove-pod"
+	}
+	return ""
+}
+
+func (r *mirrorRun) setQuota(cg *cgroups.Cgroup) {
+	if r.next(4) == 0 {
+		cg.SetQuota(-1, 100_000)
+	} else {
+		cg.SetQuota(int64(50_000+r.next(800_000)), 100_000)
+	}
+}
+
+func (r *mirrorRun) setMem(cg *cgroups.Cgroup) {
+	hard := units.Bytes(1+r.next(8)) * units.GiB
+	cg.SetMemLimits(hard, hard/2)
+}
+
+// TestIncrementalMatchesFullRecompute drives a randomized stream of
+// mirrorRun operations, asserting after every single step that the
+// incremental bounds equal the full-recompute reference and that the
+// share cache matches a fresh walk.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			m := newMirror(32)
-
-			var flats, pods, kids []*cgroups.Cgroup
-			nameSeq := 0
-			newName := func(prefix string) string {
-				nameSeq++
-				return fmt.Sprintf("%s%d", prefix, nameSeq)
-			}
-			pick := func(s []*cgroups.Cgroup) *cgroups.Cgroup { return s[rng.Intn(len(s))] }
-			drop := func(s []*cgroups.Cgroup, cg *cgroups.Cgroup) []*cgroups.Cgroup {
-				for i, x := range s {
-					if x == cg {
-						return append(s[:i], s[i+1:]...)
-					}
-				}
-				return s
-			}
-			anyCg := func() *cgroups.Cgroup {
-				all := make([]*cgroups.Cgroup, 0, len(flats)+len(pods)+len(kids))
-				all = append(all, flats...)
-				all = append(all, pods...)
-				all = append(all, kids...)
-				if len(all) == 0 {
-					return nil
-				}
-				return pick(all)
-			}
-
+			r := newMirrorRun(32, rand.New(rand.NewSource(seed)).Intn)
 			for step := 0; step < 1500; step++ {
-				op := ""
-				switch r := rng.Intn(20); {
-				case r < 4: // flat container, usually attached
-					cg := m.hier.Create(newName("c"))
-					flats = append(flats, cg)
-					if rng.Intn(10) < 7 {
-						m.attach(cg)
-					}
-					op = "create-flat"
-				case r < 6: // pod with 1-3 members
-					pod := m.hier.Create(newName("pod"))
-					pods = append(pods, pod)
-					for i := rng.Intn(3) + 1; i > 0; i-- {
-						kid := m.hier.CreateChild(pod, newName("k"))
-						kids = append(kids, kid)
-						if rng.Intn(10) < 7 {
-							m.attach(kid)
-						}
-					}
-					op = "create-pod"
-				case r < 8 && len(pods) > 0: // late pod member (sibling dilution)
-					kid := m.hier.CreateChild(pick(pods), newName("k"))
-					kids = append(kids, kid)
-					if rng.Intn(2) == 0 {
-						m.attach(kid)
-					}
-					op = "create-late-member"
-				case r < 11: // shares
-					if cg := anyCg(); cg != nil {
-						cg.SetShares(int64(2 + rng.Intn(4096)))
-						op = "set-shares"
-					}
-				case r < 13: // quota
-					if cg := anyCg(); cg != nil {
-						if rng.Intn(4) == 0 {
-							cg.SetQuota(-1, 100_000)
-						} else {
-							cg.SetQuota(int64(50_000+rng.Intn(800_000)), 100_000)
-						}
-						op = "set-quota"
-					}
-				case r < 14: // cpuset
-					if cg := anyCg(); cg != nil {
-						cg.SetCpuset(rng.Intn(m.sched.NCPU() + 1))
-						op = "set-cpuset"
-					}
-				case r < 15: // memory limits (must not move CPU bounds)
-					if cg := anyCg(); cg != nil {
-						hard := units.Bytes(1+rng.Intn(8)) * units.GiB
-						cg.SetMemLimits(hard, hard/2)
-						op = "set-mem"
-					}
-				case r < 16 && len(flats)+len(kids) > 0: // detach without removal
-					all := append(append([]*cgroups.Cgroup(nil), flats...), kids...)
-					m.detach(pick(all))
-					op = "detach"
-				case r < 17: // re-attach anything currently detached
-					if cg := anyCg(); cg != nil && m.mA.Lookup(cg) == nil {
-						m.attach(cg)
-						op = "attach"
-					}
-				case r < 19 && len(flats)+len(kids) > 0: // remove a leaf
-					all := append(append([]*cgroups.Cgroup(nil), flats...), kids...)
-					cg := pick(all)
-					m.hier.Remove(cg)
-					flats, kids = drop(flats, cg), drop(kids, cg)
-					op = "remove-leaf"
-				case len(pods) > 0: // remove a whole pod
-					pod := pick(pods)
-					for _, k := range append([]*cgroups.Cgroup(nil), pod.Children()...) {
-						kids = drop(kids, k)
-					}
-					m.hier.Remove(pod)
-					pods = drop(pods, pod)
-					op = "remove-pod"
+				if op := r.step(); op != "" {
+					r.check(t, step, op)
 				}
-				if op == "" {
-					continue
-				}
-				m.check(t, step, op)
 			}
 		})
 	}
+}
+
+// FuzzMonitorMirror decodes a byte string into the operation stream of
+// TestIncrementalMatchesFullRecompute and checks the mirror after every
+// operation. The first byte picks the host size (1-32 CPUs); every
+// later choice reads one byte — modulo n for n <= 256, scaled to [0, n)
+// for larger n (shares and quotas) — so the operation code is the byte
+// itself modulo mirrorOps. The input ends the stream; a choice past its
+// end reads zero.
+func FuzzMonitorMirror(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 0, 0, 11, 0, 15, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			data = data[:1024] // bound the work per input
+		}
+		i := 0
+		next := func(n int) int {
+			if i >= len(data) {
+				return 0
+			}
+			v := int(data[i])
+			i++
+			if n > 256 {
+				return v * n / 256
+			}
+			return v % n
+		}
+		r := newMirrorRun(1+next(32), next)
+		for step := 0; i < len(data); step++ {
+			if op := r.step(); op != "" {
+				r.check(t, step, op)
+			}
+		}
+	})
 }
 
 // TestOrderSpacesConsistency is the regression guard for the monitor's

@@ -55,18 +55,22 @@ type Monitor struct {
 	// pendingTops are top-level entities whose subtree changed without a
 	// subscriber-visible recompute trigger (a cgroup created under a
 	// tracked pod dilutes its siblings, but Created never triggered a
-	// recompute). They are flushed at the next trigger, which is exactly
-	// when the full-walk implementation would have absorbed the change.
+	// recompute). The next flush applies them: in eager mode the one
+	// ending the next trigger, which is exactly when the full-walk
+	// implementation would have absorbed the change.
 	pendingTops []*cgroups.Cgroup
 
-	// Batched-recompute state (Options.BatchedRecompute; DESIGN.md §14).
-	// boundsDirtyAll coalesces "every fraction changed" triggers,
-	// dirtyTops the per-subtree ones; flushBounds applies both in one
-	// pass at the next read boundary. inFlush suppresses re-entry. All
-	// idle on the default eager path.
+	// Bounds marks (DESIGN.md §14). Every trigger only marks:
+	// boundsDirtyAll for "every fraction changed", dirtyTops for one
+	// subtree. flush applies them — at the end of each trigger in eager
+	// mode, at the next read boundary under Options.BatchedRecompute.
 	boundsDirtyAll bool
-	inFlush        bool
 	dirtyTops      []*cgroups.Cgroup
+
+	// fullRecompute pins the monitor to a full rebuild on every trigger:
+	// the reference the differential tests hold the marks against. Only
+	// the test seam UseFullRecompute sets it.
+	fullRecompute bool
 
 	// FixedPeriod, when non-zero, pins the update period instead of
 	// tracking the scheduling period (used by the update-period
@@ -82,12 +86,17 @@ type Monitor struct {
 	started    bool
 	late       bool // the pending firing runs a postponed round
 
-	// Graceful-degradation state (see Options.StalenessBudget and
-	// Options.ResyncMin; all zero — fully disabled — by default).
-	intercept UpdateInterceptor
-	resyncIvl time.Duration
-	resyncAt  sim.Time
+	// Graceful-degradation state (see SetDegradation; all zero — fully
+	// disabled — by default).
+	intercept   UpdateInterceptor
+	staleBudget time.Duration
+	resyncMin   time.Duration
+	resyncIvl   time.Duration
+	resyncAt    sim.Time
 }
+
+// resyncCap bounds the resync backoff as a multiple of its minimum.
+const resyncCap = 32
 
 // UpdateInterceptor lets a fault layer perturb the periodic update
 // loop. It is consulted when the update timer fires: skip=true drops
@@ -111,10 +120,6 @@ func NewMonitor(hier *cgroups.Hierarchy, clock *sim.Clock, opts Options) *Monito
 		tops:           make(map[*cgroups.Cgroup]topEntry),
 		seenSuppressed: hier.Suppressed(),
 	}
-	if opts.ResyncMin > 0 {
-		m.resyncIvl = opts.ResyncMin
-		m.resyncAt = clock.Now() + opts.ResyncMin
-	}
 	hier.Subscribe(m.onEvent)
 	m.Publish(clock.Now()) // readers never observe a nil snapshot
 	return m
@@ -125,21 +130,23 @@ func NewMonitor(hier *cgroups.Hierarchy, clock *sim.Clock, opts Options) *Monito
 // preempted ns_monitor thread.
 func (m *Monitor) SetUpdateInterceptor(fn UpdateInterceptor) { m.intercept = fn }
 
-// SetDegradation (re)configures the graceful-degradation machinery on a
-// live monitor: budget bounds view staleness before the conservative
-// fallback engages (0 disables), resyncMin enables retry-with-backoff
-// bounds recomputation (0 disables; the cap defaults to 32x). It exists
-// so scenario scripts can enable degradation after host creation;
-// host.Config.NSOptions is the construction-time route.
+// SetDegradation configures the graceful-degradation machinery (DESIGN.md
+// §9), on a fresh or a live monitor. budget bounds how old a namespace's
+// view may grow before the conservative fallback engages (E_CPU to the
+// lower bound, E_MEM to the soft limit); resyncMin enables
+// retry-with-backoff bounds recomputation: ns_monitor periodically
+// re-derives every namespace's bounds straight from the cgroup
+// hierarchy, recovering from limit-change events that were dropped
+// before it saw them. The retry interval starts at resyncMin, doubles
+// after every clean resync, resets to resyncMin when drift is found, and
+// is capped at 32x resyncMin. Zero disables either mechanism; both are
+// off by default, which is what every paper experiment uses.
 func (m *Monitor) SetDegradation(budget, resyncMin time.Duration) {
-	m.opts.StalenessBudget = budget
-	m.opts.ResyncMin = resyncMin
-	m.opts.ResyncMax = 0
+	m.staleBudget = budget
+	m.resyncMin = resyncMin
+	m.resyncIvl = resyncMin
 	if resyncMin > 0 {
-		m.resyncIvl = resyncMin
 		m.resyncAt = m.clock.Now() + resyncMin
-	} else {
-		m.resyncIvl = 0
 	}
 }
 
@@ -185,51 +192,37 @@ func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
 	m.nsMem[ns.slot].prevKswapd = m.hier.Memory().KswapdRuns()
 	m.spaces[cg] = ns
 	m.order = append(m.order, ns)
-	if m.syncSuppressed() {
-		ns.ResetMemory()
-		m.publishTopo(m.clock.Now())
-		return ns
-	}
-	// Cache updates must complete before any bounds recompute: a flush
-	// interleaved with a half-applied Σw_j would clamp E_CPU through an
-	// intermediate bounds state the atomic full walk never produces.
-	top := topOf(cg)
-	e, tracked := m.tops[top]
-	e.refs++
-	if !tracked {
-		// A new top-level entity enters Σw_j: every fraction changes.
-		e.shares = top.CPU.Shares
+	if !m.syncSuppressed() {
+		// Cache updates must complete before any bounds recompute: a flush
+		// interleaved with a half-applied Σw_j would clamp E_CPU through an
+		// intermediate bounds state the atomic full walk never produces.
+		top := topOf(cg)
+		e, tracked := m.tops[top]
+		e.refs++
+		if !tracked {
+			e.shares = top.CPU.Shares
+			m.totalTop += e.shares
+		}
 		m.tops[top] = e
-		m.totalTop += e.shares
-		if m.batched() {
-			// The new namespace needs live bounds immediately (E_CPU
-			// initializes from them); every other view coalesces into
-			// the next flush. This is what turns a fleet build from
-			// O(n²) into O(n): the eager path below recomputes all n
-			// bounds on every attach.
-			m.recomputeOne(ns)
+		// The new namespace needs live bounds immediately (E_CPU
+		// initializes from them); under batching every other view
+		// coalesces into the next flush, which turns a fleet build from
+		// O(n²) into O(n).
+		m.recomputeOne(ns)
+		if !tracked {
+			// A new top-level entity enters Σw_j: every fraction changes.
 			m.markAllDirty()
 		} else {
-			m.pendingTops = m.pendingTops[:0] // subsumed by the full pass
-			m.recomputeBoundsAll()
-		}
-	} else {
-		// The denominator is unchanged (sibling sums count all children,
-		// attached or not); only the subtree needs bounds.
-		m.tops[top] = e
-		if m.batched() {
-			m.recomputeOne(ns)
+			// The denominator is unchanged (sibling sums count all
+			// children, attached or not); only the subtree needs bounds.
 			m.markBoundsDirty(top)
-		} else {
-			m.flushPending()
-			m.recomputeTop(top)
 		}
 	}
 	ns.ResetMemory()
 	// Publish at the post-recompute point: the new namespace (and any
 	// sibling whose bounds moved) becomes visible to lock-free readers
 	// without waiting for a kernel step.
-	m.publishTopo(m.clock.Now())
+	m.endTrigger(true)
 	return ns
 }
 
@@ -252,38 +245,25 @@ func (m *Monitor) Detach(cg *cgroups.Cgroup) {
 	ns.finalCPU, ns.finalMem, ns.finalMeta = m.nsCPU[ns.slot], m.nsMem[ns.slot], m.nsMeta[ns.slot]
 	ns.detached = true
 	m.freeSlots = append(m.freeSlots, ns.slot)
-	if m.syncSuppressed() {
-		m.publishTopo(m.clock.Now())
-		return
-	}
-	// As in Attach: finish the cache mutation before any recompute.
-	top := topOf(cg)
-	e := m.tops[top]
-	e.refs--
-	if e.refs <= 0 {
-		// Last namespace under this entity: its shares leave Σw_j.
-		delete(m.tops, top)
-		m.totalTop -= e.shares
-		if m.batched() {
+	if !m.syncSuppressed() {
+		// As in Attach: finish the cache mutation before any recompute.
+		top := topOf(cg)
+		e := m.tops[top]
+		e.refs--
+		if e.refs <= 0 {
+			// Last namespace under this entity: its shares leave Σw_j.
+			delete(m.tops, top)
+			m.totalTop -= e.shares
 			m.markAllDirty()
 		} else {
-			m.pendingTops = m.pendingTops[:0] // subsumed by the full pass
-			m.recomputeBoundsAll()
-		}
-	} else {
-		// Detach via cgroup removal shrank the sibling sum (the group is
-		// already gone from the hierarchy); recompute the subtree. For a
-		// plain detach this is a no-op recompute.
-		m.tops[top] = e
-		if m.batched() {
+			// Detach via cgroup removal shrank the sibling sum (the group
+			// is already gone from the hierarchy); recompute the subtree.
+			// For a plain detach this is a no-op recompute.
+			m.tops[top] = e
 			m.markBoundsDirty(top)
-		} else {
-			m.flushPending()
-			m.recomputeTop(top)
 		}
 	}
-	// As in Attach: publish once the cache and bounds are consistent.
-	m.publishTopo(m.clock.Now())
+	m.endTrigger(true)
 }
 
 // Lookup returns cg's namespace, or nil.
@@ -300,54 +280,74 @@ func (m *Monitor) onEvent(e cgroups.Event) {
 		// publication: creations arrive in bursts (pods, churn) and
 		// coalescing to one snapshot per tick is the §11 contract.
 		m.markTopoDirty()
-		// No recompute (the full-walk implementation ignored Created
-		// too), but a creation under a tracked pod dilutes the attached
-		// siblings' fractions at the *next* recompute trigger; remember
-		// the subtree so that trigger flushes it.
-		if top := topOf(e.Cgroup); top != e.Cgroup {
-			if _, tracked := m.tops[top]; tracked {
-				m.pendingTops = append(m.pendingTops, top)
-			}
-		}
+		// No recompute trigger (the full-walk implementation ignored
+		// Created too), but the creation may dilute attached siblings.
+		m.queueDilution(e.Cgroup)
 	case cgroups.Removed:
 		m.markTopoDirty() // the cgroup left the snapshot's cgroup section
-		if _, attached := m.spaces[e.Cgroup]; !attached {
-			// No namespace to detach — but removing an unattached pod
+		if _, attached := m.spaces[e.Cgroup]; attached {
+			m.Detach(e.Cgroup)
+		} else {
+			// No namespace to detach, but removing an unattached pod
 			// member still shrinks the sibling sum its attached siblings
-			// divide by. Like a creation, the change surfaces at the
-			// next recompute trigger.
-			if top := topOf(e.Cgroup); top != e.Cgroup {
-				if _, tracked := m.tops[top]; tracked {
-					m.pendingTops = append(m.pendingTops, top)
-				}
-			}
-			return
+			// divide by. Like a creation, it is not a trigger.
+			m.queueDilution(e.Cgroup)
 		}
-		m.Detach(e.Cgroup)
 	case cgroups.CPUChanged:
 		// Bounds (and the snapshot's control-file values) may move;
 		// mark for the observe-phase flush in every sub-path.
 		m.markDirty()
-		if m.syncSuppressed() {
-			return
+		if !m.syncSuppressed() {
+			m.onCPUChanged(e.Cgroup)
 		}
-		m.onCPUChanged(e.Cgroup)
+		m.endTrigger(false)
 	case cgroups.MemChanged:
 		m.markDirty()
 		// CPU bounds do not read memory limits (UpdateMem reads them
-		// live), so beyond cache synchronization and any pending
-		// dilution this is a no-op — exactly what the full walk computed.
-		if m.syncSuppressed() {
-			return
-		}
-		if !m.batched() {
-			m.flushPending()
+		// live), so beyond cache synchronization this trigger only
+		// applies pending dilutions — exactly what the full walk computed.
+		m.syncSuppressed()
+		m.endTrigger(false)
+	}
+}
+
+// queueDilution records a creation or unattached removal of cg: when cg
+// is a member of a tracked pod, its attached siblings' fractions change
+// at the next flush, so the pod joins pendingTops.
+func (m *Monitor) queueDilution(cg *cgroups.Cgroup) {
+	if top := topOf(cg); top != cg {
+		if _, tracked := m.tops[top]; tracked {
+			m.pendingTops = append(m.pendingTops, top)
 		}
 	}
 }
 
 // batched reports whether deferred bounds recomputation is enabled.
 func (m *Monitor) batched() bool { return m.opts.BatchedRecompute }
+
+// endTrigger closes one delivered recompute trigger. The eager contract
+// applies the trigger's marks, and any pending dilution, before it
+// returns; batched mode leaves them for the next read boundary. A
+// topology trigger (attach, detach) then publishes.
+func (m *Monitor) endTrigger(topo bool) {
+	if !m.batched() {
+		m.flush()
+	}
+	if topo {
+		m.publishTopo(m.clock.Now())
+	}
+}
+
+// flushBounds is the read boundary of batched recompute (DESIGN.md
+// §14): it applies every deferred mark in one pass, so a whole churn
+// interval's worth of events costs one recompute pass instead of one
+// per event. In eager mode every trigger already flushed its own marks,
+// and pending dilutions wait for the next trigger, so it returns.
+func (m *Monitor) flushBounds() {
+	if m.batched() {
+		m.flush()
+	}
+}
 
 // markAllDirty records that every namespace's bounds must be recomputed
 // at the next flush (a Σw_j change reaches every container), subsuming
@@ -374,81 +374,56 @@ func (m *Monitor) markBoundsDirty(top *cgroups.Cgroup) {
 	m.dirtyTops = append(m.dirtyTops, top)
 }
 
-// flushBounds is the read boundary of batched recompute (DESIGN.md
-// §14): it applies every deferred bounds-recompute mark in one pass, so
-// a whole churn interval's worth of events costs one recompute pass
-// instead of one per event. Dirty marks exist only in batched mode;
-// without them — the default configuration — it is a few loads and a
-// return, and re-entry while a flush is running is likewise a no-op.
-func (m *Monitor) flushBounds() {
-	if m.inFlush {
+// flush applies every bounds mark and pending dilution in one pass.
+// Without marks it is a few loads and a return.
+func (m *Monitor) flush() {
+	if !m.boundsDirtyAll && len(m.dirtyTops) == 0 && len(m.pendingTops) == 0 {
 		return
 	}
-	if !m.boundsDirtyAll && len(m.dirtyTops) == 0 &&
-		(len(m.pendingTops) == 0 || !m.batched()) {
-		return
-	}
-	m.inFlush = true
+	n := 0
 	if m.boundsDirtyAll {
 		m.boundsDirtyAll = false
-		m.pendingTops = m.pendingTops[:0]
-		m.recomputeBoundsAll()
+		n = m.recomputeBoundsAll()
 	} else {
-		// Pending sibling dilutions flush here only in batched mode: its
-		// contract is "live state at every flush boundary". The eager
-		// contract instead preserves them until the next recompute
-		// trigger (the historical walk's behavior), which delivered
-		// events honor on their own via onCPUChanged/onEvent.
-		if m.batched() {
-			m.flushPending()
+		// Marks may outlive their subtree (detach, removal), and
+		// duplicates recompute twice — idempotent, and bounded by the
+		// escalation threshold in markBoundsDirty.
+		for _, top := range m.pendingTops {
+			n += m.recomputeTop(top)
 		}
 		for _, top := range m.dirtyTops {
-			// Dirty marks may outlive their subtree (detach, removal):
-			// recompute only what is still tracked. Duplicate marks
-			// recompute twice — idempotent, and bounded by the escalation
-			// threshold in markBoundsDirty.
-			if _, tracked := m.tops[top]; tracked {
-				m.recomputeTop(top)
-			}
+			n += m.recomputeTop(top)
 		}
 	}
+	m.pendingTops = m.pendingTops[:0]
 	m.dirtyTops = m.dirtyTops[:0]
-	m.inFlush = false
+	m.Trace.Add(telemetry.CtrBoundsFlushes, 1)
+	m.Trace.Add(telemetry.CtrBoundsRecomputed, uint64(n))
 }
 
 // onCPUChanged applies one delivered cpu-limit event to the cache and
-// recomputes the affected bounds. The hierarchy already holds the new
-// values; the cached shares tell us what changed.
+// marks the affected bounds. The hierarchy already holds the new values;
+// the cached shares tell us what changed.
 func (m *Monitor) onCPUChanged(cg *cgroups.Cgroup) {
 	top := topOf(cg)
 	e, tracked := m.tops[top]
 	if !tracked {
 		// No attached namespace anywhere under this entity: its shares
 		// are outside Σw_j and nobody reads its quota/cpuset — but the
-		// full walk still ran on this trigger, so it is where any pending
-		// dilution would have been absorbed. (Batched mode defers the
-		// pending flush to the next read boundary with everything else.)
-		if !m.batched() {
-			m.flushPending()
-		}
+		// full walk still ran on this trigger, so the eager flush ending
+		// it is where any pending dilution is absorbed.
 		return
 	}
 	if cg == top {
 		if s := cg.CPU.Shares; s != e.shares {
 			// Top-level shares moved: the Σw_j denominator changes, so
 			// every namespace's fraction does too. The delta lands before
-			// any recompute so the full pass sees the final Σw_j (the
-			// E_CPU clamp is stateful: an intermediate bounds state would
-			// be observable).
+			// the flush so it sees the final Σw_j (the E_CPU clamp is
+			// stateful: an intermediate bounds state would be observable).
 			m.totalTop += s - e.shares
 			e.shares = s
 			m.tops[top] = e
-			if m.batched() {
-				m.markAllDirty()
-			} else {
-				m.pendingTops = m.pendingTops[:0] // subsumed by the full pass
-				m.recomputeBoundsAll()
-			}
+			m.markAllDirty()
 			return
 		}
 		// Quota/period/cpuset change on the entity: fractions are
@@ -458,26 +433,7 @@ func (m *Monitor) onCPUChanged(cg *cgroups.Cgroup) {
 	// Subtree-local change: the entity's limits cap its members, a
 	// nested cgroup's shares enter the sibling sum and its limits cap
 	// its own namespace.
-	if m.batched() {
-		m.markBoundsDirty(top)
-		return
-	}
-	m.flushPending()
-	m.recomputeTop(top)
-}
-
-// flushPending recomputes subtrees dirtied without a recompute trigger
-// (see the Created case of onEvent).
-func (m *Monitor) flushPending() {
-	if len(m.pendingTops) == 0 {
-		return
-	}
-	for _, top := range m.pendingTops {
-		if _, tracked := m.tops[top]; tracked {
-			m.recomputeTop(top)
-		}
-	}
-	m.pendingTops = m.pendingTops[:0]
+	m.markBoundsDirty(top)
 }
 
 // syncSuppressed rebuilds the cache when the hierarchy reports
@@ -488,11 +444,7 @@ func (m *Monitor) flushPending() {
 // which is what keeps fault-injection runs byte-identical. Returns true
 // when it recomputed (callers skip their incremental step).
 func (m *Monitor) syncSuppressed() bool {
-	if m.opts.DisableIncremental {
-		m.FullRecompute()
-		return true
-	}
-	if m.hier.Suppressed() == m.seenSuppressed {
+	if !m.fullRecompute && m.hier.Suppressed() == m.seenSuppressed {
 		return false
 	}
 	m.FullRecompute()
@@ -521,29 +473,41 @@ func (m *Monitor) FullRecompute() {
 	m.dirtyTops = m.dirtyTops[:0]
 	m.boundsDirtyAll = false
 	m.seenSuppressed = m.hier.Suppressed()
-	m.recomputeBoundsAll()
+	n := m.recomputeBoundsAll()
+	m.Trace.Add(telemetry.CtrBoundsFlushes, 1)
+	m.Trace.Add(telemetry.CtrBoundsRecomputed, uint64(n))
 }
 
 // recomputeBoundsAll recalculates every namespace's bounds from the
-// cached aggregates (Σw_j changes reach every container).
-func (m *Monitor) recomputeBoundsAll() {
+// cached aggregates (Σw_j changes reach every container) and returns how
+// many it recomputed.
+func (m *Monitor) recomputeBoundsAll() int {
 	for _, ns := range m.order {
 		m.recomputeOne(ns)
 	}
+	return len(m.order)
 }
 
 // recomputeTop recalculates bounds for the namespaces inside one
-// top-level entity's subtree: the entity's own namespace (a flat
-// container) and any attached children (pod members).
-func (m *Monitor) recomputeTop(top *cgroups.Cgroup) {
+// top-level entity's subtree — the entity's own namespace (a flat
+// container) and any attached children (pod members) — and returns how
+// many it recomputed. An entity no longer tracked has none.
+func (m *Monitor) recomputeTop(top *cgroups.Cgroup) int {
+	if _, tracked := m.tops[top]; !tracked {
+		return 0
+	}
+	n := 0
 	if ns, ok := m.spaces[top]; ok {
 		m.recomputeOne(ns)
+		n++
 	}
 	for _, c := range top.Children() {
 		if ns, ok := m.spaces[c]; ok {
 			m.recomputeOne(ns)
+			n++
 		}
 	}
+	return n
 }
 
 // recomputeOne recalculates one namespace's guaranteed share fraction
@@ -657,7 +621,7 @@ func (m *Monitor) SubsystemName() string { return "sysns" }
 // namespace whose view age exceeds the budget falls back to the
 // conservative view until an update round lands.
 func (m *Monitor) Tick(now sim.Time, dt time.Duration) {
-	b := m.opts.StalenessBudget
+	b := m.staleBudget
 	if b <= 0 {
 		return
 	}
@@ -686,7 +650,7 @@ func (m *Monitor) Tick(now sim.Time, dt time.Duration) {
 // live namespace's view can expire, so fallback engagement lands on the
 // same tick it would under dense stepping.
 func (m *Monitor) NextEvent(now sim.Time) (sim.Time, bool) {
-	b := m.opts.StalenessBudget
+	b := m.staleBudget
 	if b <= 0 {
 		return 0, false
 	}
@@ -772,12 +736,9 @@ func (m *Monitor) resync(now sim.Time) {
 	}
 	m.Trace.Add(telemetry.CtrRecomputeRetries, 1)
 	if drift {
-		m.resyncIvl = m.opts.ResyncMin
-	} else if m.resyncIvl < m.opts.resyncMax() {
-		m.resyncIvl *= 2
-		if max := m.opts.resyncMax(); m.resyncIvl > max {
-			m.resyncIvl = max
-		}
+		m.resyncIvl = m.resyncMin
+	} else {
+		m.resyncIvl = min(2*m.resyncIvl, resyncCap*m.resyncMin)
 	}
 	m.resyncAt = now + sim.Time(m.resyncIvl)
 	if m.Trace.Enabled() {

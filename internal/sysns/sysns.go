@@ -46,8 +46,6 @@ const (
 type Options struct {
 	// UtilThreshold overrides UtilThreshold when non-zero.
 	UtilThreshold float64
-	// MemUtilThreshold overrides MemUtilThreshold when non-zero.
-	MemUtilThreshold float64
 	// MemStepFrac overrides MemStepFrac when non-zero.
 	MemStepFrac float64
 	// CPUStep overrides CPUStep when non-zero.
@@ -57,43 +55,16 @@ type Options struct {
 	// JDK 10's share-based heuristic effectively computes).
 	DisableGrowth bool
 
-	// StalenessBudget bounds how old a namespace's view may grow before
-	// ns_monitor engages the conservative fallback (E_CPU to the lower
-	// bound, E_MEM to the soft limit). Zero — the default, and what
-	// every paper experiment uses — disables staleness detection
-	// entirely. The budget is monitor-level graceful-degradation
-	// machinery, not an Algorithm 1/2 tunable; it lives here so it can
-	// flow through host.Config.NSOptions like the other knobs.
-	StalenessBudget time.Duration
-
-	// ResyncMin enables retry-with-backoff bounds recomputation: when
-	// positive, ns_monitor periodically re-derives every namespace's
-	// bounds straight from the cgroup hierarchy, recovering from
-	// limit-change events that were dropped before it saw them. The
-	// retry interval starts at ResyncMin, doubles after every clean
-	// resync (no drift found), resets to ResyncMin when drift is
-	// found, and is capped at ResyncMax (default 32x ResyncMin).
-	ResyncMin time.Duration
-	// ResyncMax caps the resync backoff (0 selects 32x ResyncMin).
-	ResyncMax time.Duration
-
-	// DisableIncremental forces ns_monitor onto the historical
-	// full-recompute-per-event path instead of the incremental
-	// dirty-subtree one. The two are observationally identical — the
-	// differential tests assert it — so this is a verification and
-	// benchmarking knob, not a behavior switch.
-	DisableIncremental bool
-
-	// BatchedRecompute defers bounds recomputation to read boundaries:
-	// cgroup events still update the share-aggregate cache eagerly (the
-	// Σw_j deltas are exact), but the O(n) bounds passes they would
-	// trigger coalesce into one pass at the next update round, snapshot
-	// cut, staleness scan, or bounds read (DESIGN.md §14). Bounds agree
-	// with the eager path at every flush boundary — the batched
-	// differential test asserts it — but because the E_CPU clamp is
-	// stateful, deferral is observable: a view clamped through an
-	// intermediate bounds state under eager recompute may settle one
-	// step away under batching.
+	// BatchedRecompute moves the monitor's one bounds flush from the end
+	// of each cgroup-event trigger to the next read boundary: events
+	// still update the share-aggregate cache at delivery (the Σw_j
+	// deltas are exact), but the bounds marks they leave coalesce into
+	// one pass at the next update round, snapshot cut, staleness scan,
+	// or bounds read (DESIGN.md §14). Bounds agree with the eager path
+	// at every flush boundary — the batched differential test asserts
+	// it — but because the E_CPU clamp is stateful, deferral is
+	// observable: a view clamped through an intermediate bounds state
+	// under eager recompute may settle one step away under batching.
 	//
 	// It is the kernel's one mode split, kept on purpose. Forced on for
 	// every monitor it leaves all 21 goldens byte-identical, but it
@@ -107,25 +78,11 @@ type Options struct {
 	BatchedRecompute bool
 }
 
-func (o Options) resyncMax() time.Duration {
-	if o.ResyncMax > 0 {
-		return o.ResyncMax
-	}
-	return 32 * o.ResyncMin
-}
-
 func (o Options) utilThreshold() float64 {
 	if o.UtilThreshold > 0 {
 		return o.UtilThreshold
 	}
 	return UtilThreshold
-}
-
-func (o Options) memUtilThreshold() float64 {
-	if o.MemUtilThreshold > 0 {
-		return o.MemUtilThreshold
-	}
-	return MemUtilThreshold
 }
 
 func (o Options) memStepFrac() float64 {
@@ -416,7 +373,7 @@ func (ns *SysNamespace) updateMem(mem *memctl.Controller, cfree, cmem units.Byte
 
 	hard := ns.hardMem()
 	if !reclaiming {
-		if ms.eMem > 0 && float64(cmem)/float64(ms.eMem) > ns.opts.memUtilThreshold() && ms.eMem < hard {
+		if ms.eMem > 0 && float64(cmem)/float64(ms.eMem) > MemUtilThreshold && ms.eMem < hard {
 			delta := units.Bytes(float64(hard-ms.eMem) * ns.opts.memStepFrac())
 			if delta <= 0 {
 				return
@@ -445,11 +402,4 @@ func (ns *SysNamespace) updateMem(mem *memctl.Controller, cfree, cmem units.Byte
 		// back to the guaranteed soft limit.
 		ns.ResetMemory()
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -206,6 +206,12 @@ const (
 	// set crossed the escalation threshold (≥ half the active list),
 	// falling back to one full rebuild.
 	CtrRepairEscalations
+	// CtrBoundsFlushes counts ns_monitor bounds passes: each flush that
+	// applied marks or pending dilutions, and each FullRecompute.
+	// CtrBoundsRecomputed counts the namespace bounds those passes
+	// recalculated.
+	CtrBoundsFlushes
+	CtrBoundsRecomputed
 
 	numCounters
 )
@@ -275,6 +281,10 @@ func (c Counter) String() string {
 		return "cfs.tick_rebuilds"
 	case CtrRepairEscalations:
 		return "cfs.repair_escalations"
+	case CtrBoundsFlushes:
+		return "sysns.bounds_flushes"
+	case CtrBoundsRecomputed:
+		return "sysns.bounds_recomputed"
 	default:
 		return fmt.Sprintf("Counter(%d)", int(c))
 	}
