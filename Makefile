@@ -65,19 +65,45 @@ bench-serve:
 # no-move rebalance round (DESIGN.md §12) — amortizes to zero, and a
 # converged autoscaler control round (DESIGN.md §13) reads, decides,
 # and holds without allocating. The final step is the regression gate
-# (SCALING.md): fresh best-of-3 scalebench runs at n=1024 and n=16384
-# must stay within 25% of the committed BENCH_scale.json rows on both
-# ns_per_sim_second and allocs_per_tick, so the large-n tail and the
-# alloc budget are gated alongside the mid-size wall number. Part of
-# `make ci`.
+# (SCALING.md), run against two references. (1) The parent revision:
+# the working tree's scalebench at n=1024 and n=16384 must stay within
+# 25% of the parent's on both ns_per_sim_second and allocs_per_tick,
+# so the large-n tail and the alloc budget are gated alongside the
+# mid-size wall number. The parent is HEAD when the tree has changes
+# and HEAD^ when it is clean (a commit is gated against the one before
+# it), checked out in a temporary git worktree; both trees are built
+# first, then run interleaved on the same machine, three best-of-3
+# passes each with the order swapped on the middle pass, so host speed
+# and noise fall on both sides alike, and each side's best is gated.
+# (2) The committed BENCH_scale.json rows: allocs_per_tick within 25%,
+# and ns_per_sim_second within 2x — loose enough for host-to-host
+# speed differences, but a drift that slips past (1) a little at a
+# time still fails once it adds up. Part of `make ci`.
 bench-gate:
 	$(GO) test -run xxx -bench 'SchedulerTick|ScaleSteady|Snapshot|ClusterSteady|AutoscaleSteady' -benchmem -benchtime=20x . | tee bench-steady.txt
 	$(GO) run ./internal/tools/benchgate -match 'SchedulerTick|ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
 	$(GO) run ./internal/tools/benchgate -match SnapshotPublish -max-allocs 3 bench-steady.txt
 	rm -f bench-steady.txt
-	$(GO) run ./cmd/arvbench -scalebench 1024,16384 -scalebench-reps 3 -json bench-scale-fresh.json
-	$(GO) run ./internal/tools/benchgate -scale-baseline BENCH_scale.json -scale-fresh bench-scale-fresh.json -scale-n 1024,16384 -max-regress 0.25 -max-alloc-drift 0.25
-	rm -f bench-scale-fresh.json
+	set -e; \
+	if [ -n "$$(git status --porcelain)" ]; then rev=HEAD; else rev=HEAD^; fi; \
+	git rev-parse --quiet --verify "$$rev^{commit}" >/dev/null || \
+		{ echo "bench-gate: no $$rev to compare against (a shallow clone needs at least two commits)" >&2; exit 1; }; \
+	echo "bench-gate: wall step compares the working tree against $$rev ($$(git rev-parse --short $$rev))"; \
+	tmp=$$(mktemp -d); \
+	trap 'rm -rf "$$tmp"; git worktree prune' EXIT; \
+	git worktree add --quiet --detach "$$tmp/base" "$$rev"; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/arvbench-base" ./cmd/arvbench); \
+	$(GO) build -o "$$tmp/arvbench-work" ./cmd/arvbench; \
+	base=; work=; \
+	for i in 1 2 3; do \
+		if [ $$i = 2 ]; then order="work base"; else order="base work"; fi; \
+		for side in $$order; do \
+			GOMAXPROCS=1 "$$tmp/arvbench-$$side" -scalebench 1024,16384 -scalebench-reps 3 -json "$$tmp/$$side-$$i.json" >/dev/null; \
+		done; \
+		base="$$base$${base:+,}$$tmp/base-$$i.json"; work="$$work$${work:+,}$$tmp/work-$$i.json"; \
+	done; \
+	$(GO) run ./internal/tools/benchgate -scale-baseline "$$base" -scale-fresh "$$work" -scale-n 1024,16384 -max-regress 0.25 -max-alloc-drift 0.25; \
+	$(GO) run ./internal/tools/benchgate -scale-baseline BENCH_scale.json -scale-fresh "$$work" -scale-n 1024,16384 -max-regress 1.0 -max-alloc-drift 0.25
 
 # CPU + heap profiles of the dominant scale point (pprof text top also
 # printed for a quick look). Adjust N for other sizes:

@@ -872,7 +872,7 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	}
 	s.ticks++
 	s.Trace.Add(telemetry.CtrSchedTicks, 1)
-	dtSec := dt.Seconds()
+	dtSec := s.lastDtSec
 	s.totalRunnable = s.runnableNow
 
 	memo := s.allocValid && !s.rebuildOracle
@@ -897,11 +897,7 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	// Load average: first-order low-pass filter over the enqueued task
 	// count (throttled groups contribute only their bandwidth).
 	if s.LoadAvgTau > 0 {
-		a := dtSec / s.LoadAvgTau.Seconds()
-		if a > 1 {
-			a = 1
-		}
-		s.loadAvg += (s.loadContrib - s.loadAvg) * a
+		s.loadAvg += (s.loadContrib - s.loadAvg) * min(dtSec/s.LoadAvgTau.Seconds(), 1)
 	}
 }
 
@@ -1280,10 +1276,7 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 	decay := s.LoadAvgTau > 0
 	a := 0.0
 	if decay {
-		a = dtSec / s.LoadAvgTau.Seconds()
-		if a > 1 {
-			a = 1
-		}
+		a = min(dtSec/s.LoadAvgTau.Seconds(), 1)
 	}
 	for i := 0; i < n; i++ {
 		s.slackWindow += add

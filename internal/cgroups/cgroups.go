@@ -76,6 +76,7 @@ type Hierarchy struct {
 	subs        []func(Event)
 	interceptor Interceptor
 	suppressed  uint64
+	nextID      int32
 }
 
 // NewHierarchy returns an empty hierarchy bound to the host's scheduler
@@ -137,6 +138,15 @@ func (h *Hierarchy) Lookup(name string) *Cgroup {
 	return h.byName[name]
 }
 
+// newID returns the next cgroup ID. IDs are dense from 0 and never
+// reused, so per-cgroup state a subscriber keeps in an ID-indexed slice
+// cannot carry over to a cgroup re-created under a removed one's name.
+func (h *Hierarchy) newID() int32 {
+	id := h.nextID
+	h.nextID++
+	return id
+}
+
 // Create adds a cgroup with default controllers (1024 shares, no quota,
 // no cpuset restriction, unlimited memory) and publishes Created.
 func (h *Hierarchy) Create(name string) *Cgroup {
@@ -148,6 +158,7 @@ func (h *Hierarchy) Create(name string) *Cgroup {
 		CPU:  h.sched.NewGroup(name),
 		Mem:  h.mem.NewGroup(name),
 		hier: h,
+		id:   h.newID(),
 	}
 	h.cgroups = append(h.cgroups, cg)
 	h.byName[name] = cg
@@ -173,6 +184,7 @@ func (h *Hierarchy) CreateChild(parent *Cgroup, name string) *Cgroup {
 		Mem:    h.mem.NewChildGroup(parent.Mem, name),
 		Parent: parent,
 		hier:   h,
+		id:     h.newID(),
 	}
 	parent.children = append(parent.children, cg)
 	h.cgroups = append(h.cgroups, cg)
@@ -219,8 +231,13 @@ type Cgroup struct {
 
 	children []*Cgroup
 	hier     *Hierarchy
+	id       int32 // packs with removed: the struct stays in the 80-byte size class
 	removed  bool
 }
+
+// ID returns the cgroup's hierarchy-unique ID: dense from 0 in creation
+// order, never reused after removal.
+func (cg *Cgroup) ID() int { return int(cg.id) }
 
 // Children returns the nested cgroups.
 func (cg *Cgroup) Children() []*Cgroup { return cg.children }

@@ -196,3 +196,23 @@ func TestEventKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestIDsDenseAndNeverReused pins the ID contract subscribers index
+// state by: IDs count up from 0 in creation order across flat and nested
+// cgroups, and a cgroup re-created under a removed one's name gets a
+// fresh ID.
+func TestIDsDenseAndNeverReused(t *testing.T) {
+	h := newHier()
+	a := h.Create("a")
+	pod := h.Create("pod")
+	kid := h.CreateChild(pod, "kid")
+	for want, cg := range []*Cgroup{a, pod, kid} {
+		if cg.ID() != want {
+			t.Fatalf("%s: ID %d, want %d", cg.Name, cg.ID(), want)
+		}
+	}
+	h.Remove(a)
+	if again := h.Create("a"); again.ID() != 3 {
+		t.Fatalf("re-created a: ID %d, want 3 (IDs are never reused)", again.ID())
+	}
+}

@@ -85,8 +85,9 @@ func (m *mirror) check(t *testing.T, step int, op string) {
 	}
 
 	// Cache invariants, derived the way FullRecompute would. The batched
-	// monitor maintains the same cache with eager per-event deltas, so it
-	// is held to the identical invariant.
+	// monitor maintains the same cache with eager per-event deltas, and
+	// the full-recompute reference rebuilds it on every trigger, so both
+	// are held to the identical invariant.
 	var totalTop int64
 	refs := make(map[*cgroups.Cgroup]int)
 	for _, ns := range m.mA.order {
@@ -99,19 +100,27 @@ func (m *mirror) check(t *testing.T, step int, op string) {
 	for _, mon := range []struct {
 		name string
 		m    *Monitor
-	}{{"incremental", m.mA}, {"batched", m.mC}} {
+	}{{"incremental", m.mA}, {"full", m.mB}, {"batched", m.mC}} {
 		if mon.m.totalTop != totalTop {
 			t.Fatalf("step %d (%s): %s cached totalTop = %d, fresh derivation = %d", step, op, mon.name, mon.m.totalTop, totalTop)
 		}
-		if len(mon.m.tops) != len(refs) {
-			t.Fatalf("step %d (%s): %s cached %d top entries, fresh derivation has %d", step, op, mon.name, len(mon.m.tops), len(refs))
+		if n := trackedEntries(mon.m); n != len(refs) {
+			t.Fatalf("step %d (%s): %s cached %d top entries, fresh derivation has %d", step, op, mon.name, n, len(refs))
 		}
 		for top, want := range refs {
-			e, ok := mon.m.tops[top]
-			if !ok || e.refs != want || e.shares != top.CPU.Shares {
+			var e cgEntry
+			if mon.m.tracked(top.ID()) {
+				e = mon.m.byID[top.ID()]
+			}
+			if int(e.refs) != want || e.shares != top.CPU.Shares || e.cg != top {
 				t.Fatalf("step %d (%s): %s top %s cache {refs %d, shares %d}, want {refs %d, shares %d}",
 					step, op, mon.name, top.Name, e.refs, e.shares, want, top.CPU.Shares)
 			}
+		}
+	}
+	for _, mon := range []*Monitor{m.mA, m.mB, m.mC} {
+		if err := indexConsistent(mon); err != nil {
+			t.Fatalf("step %d (%s): %v", step, op, err)
 		}
 	}
 
@@ -143,6 +152,53 @@ func (m *mirror) check(t *testing.T, step int, op string) {
 	}
 }
 
+// trackedEntries counts m's share-cache entries: the top-level entities
+// with attached namespaces below them.
+func trackedEntries(m *Monitor) int {
+	n := 0
+	for _, e := range m.byID {
+		if e.refs > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// indexConsistent checks the monitor's twin bookkeeping structures: the
+// ID-indexed table (nsOf) and the attach-order lists (order, orderSlots)
+// must describe the same namespaces, once each, and no table entry may
+// hold a namespace that is not in order (a detached one, or a removed
+// cgroup's).
+func indexConsistent(m *Monitor) error {
+	if len(m.order) != len(m.orderSlots) {
+		return fmt.Errorf("len(order)=%d, len(orderSlots)=%d", len(m.order), len(m.orderSlots))
+	}
+	indexed := 0
+	for _, e := range m.byID {
+		if e.ns != nil {
+			indexed++
+		}
+	}
+	if len(m.order) != indexed {
+		return fmt.Errorf("len(order)=%d, indexed namespaces=%d", len(m.order), indexed)
+	}
+	seen := make(map[*SysNamespace]bool)
+	for i, ns := range m.order {
+		if seen[ns] {
+			return fmt.Errorf("namespace %s appears twice in order", ns.cg.Name)
+		}
+		seen[ns] = true
+		if m.nsOf(ns.cg) != ns {
+			return fmt.Errorf("order entry %s not indexed by its cgroup ID", ns.cg.Name)
+		}
+		if int(m.orderSlots[i]) != ns.slot || int(m.byID[ns.cg.ID()].slot) != ns.slot {
+			return fmt.Errorf("order entry %s: slot %d, orderSlots %d, table %d",
+				ns.cg.Name, ns.slot, m.orderSlots[i], m.byID[ns.cg.ID()].slot)
+		}
+	}
+	return nil
+}
+
 // mirrorRun drives a mirror through a stream of hierarchy operations.
 // next(n) is the stream's source of choices in [0, n): a seeded PRNG in
 // TestIncrementalMatchesFullRecompute, fuzz bytes in FuzzMonitorMirror.
@@ -158,7 +214,7 @@ func newMirrorRun(cpus int, next func(n int) int) *mirrorRun {
 }
 
 // mirrorOps is the number of distinct operations step chooses from.
-const mirrorOps = 21
+const mirrorOps = 22
 
 func (r *mirrorRun) newName(prefix string) string {
 	r.nameSeq++
@@ -196,8 +252,10 @@ func drop(s []*cgroups.Cgroup, cg *cgroups.Cgroup) []*cgroups.Cgroup {
 // step applies one operation chosen by next and returns its name, or ""
 // when the chosen operation had nothing to act on. It covers every
 // hierarchy mutation the monitor reacts to — creations (flat, pods, late
-// pod members), removals, attach/detach, all four limit setters — and a
-// limit event dropped before delivery.
+// pod members), removals, attach/detach, all four limit setters — a
+// limit event dropped before delivery, and a flat container killed and
+// restarted under its old name (monitor state keyed by cgroup ID must
+// not carry over to the new cgroup).
 func (r *mirrorRun) step() string {
 	switch op := r.next(mirrorOps); {
 	case op < 4: // flat container, usually attached
@@ -274,6 +332,13 @@ func (r *mirrorRun) step() string {
 		// suppression recovery can bring the dropped change in.
 		r.setMem(r.anyCg())
 		return "drop-limit-event"
+	case op == 21 && len(r.flats) > 0: // kill and restart under the same name
+		old := r.pick(r.flats)
+		r.hier.Remove(old)
+		cg := r.hier.Create(old.Name)
+		r.flats = append(drop(r.flats, old), cg)
+		r.attach(cg)
+		return "recreate-same-name"
 	case len(r.pods) > 0: // remove a whole pod
 		pod := r.pick(r.pods)
 		for _, k := range pod.Children() {
@@ -352,25 +417,15 @@ func FuzzMonitorMirror(f *testing.F) {
 }
 
 // TestOrderSpacesConsistency is the regression guard for the monitor's
-// twin bookkeeping structures: spaces (the cgroup index) and order (the
-// deterministic iteration order) must stay in lockstep across attach,
-// detach, removal, and kill/restart-style re-attachment.
+// twin bookkeeping structures: the ID-indexed table (the cgroup index)
+// and order (the deterministic iteration order) must stay in lockstep
+// across attach, detach, removal, and kill/restart-style re-attachment.
 func TestOrderSpacesConsistency(t *testing.T) {
 	m := newMirror(16)
 	verify := func(when string) {
 		t.Helper()
-		if len(m.mA.order) != len(m.mA.spaces) {
-			t.Fatalf("%s: len(order)=%d, len(spaces)=%d", when, len(m.mA.order), len(m.mA.spaces))
-		}
-		seen := make(map[*SysNamespace]bool)
-		for _, ns := range m.mA.order {
-			if seen[ns] {
-				t.Fatalf("%s: namespace %s appears twice in order", when, ns.cg.Name)
-			}
-			seen[ns] = true
-			if m.mA.spaces[ns.cg] != ns {
-				t.Fatalf("%s: order entry %s not indexed in spaces", when, ns.cg.Name)
-			}
+		if err := indexConsistent(m.mA); err != nil {
+			t.Fatalf("%s: %v", when, err)
 		}
 	}
 
@@ -396,6 +451,12 @@ func TestOrderSpacesConsistency(t *testing.T) {
 	re := m.hier.Create("c1")
 	m.attach(re)
 	verify("restart")
+	if re.ID() == cgs[1].ID() {
+		t.Fatalf("re-created cgroup reuses ID %d", re.ID())
+	}
+	if e := m.mA.byID[cgs[1].ID()]; e != (cgEntry{}) {
+		t.Fatalf("removed cgroup's table entry survives: %+v", e)
+	}
 
 	// Remaining attach order must be exactly the surviving attachments
 	// in their original sequence, with the restart at the tail.
@@ -406,6 +467,54 @@ func TestOrderSpacesConsistency(t *testing.T) {
 	for i, ns := range m.mA.order {
 		if ns.cg.Name != want[i] {
 			t.Fatalf("order[%d] = %s, want %s", i, ns.cg.Name, want[i])
+		}
+	}
+}
+
+// TestFullRecomputeResetsOnlyTrackedEntries pins FullRecompute's cost to
+// the live fleet. byID never shrinks (IDs are not reused), so after a
+// long kill/restart history most of its entries belong to removed
+// cgroups; a reset that walked the whole table would cost O(cgroups ever
+// attached) on every resync and suppression recovery. Every untracked
+// entry is poisoned before the rebuild and must come out untouched,
+// while the tracked ones are rebuilt exactly.
+func TestFullRecomputeResetsOnlyTrackedEntries(t *testing.T) {
+	m := newMirror(4)
+	for i := 0; i < 3; i++ {
+		m.attach(m.hier.Create(fmt.Sprintf("flat%d", i)))
+	}
+	pod := m.hier.Create("pod")
+	for i := 0; i < 2; i++ {
+		m.attach(m.hier.CreateChild(pod, fmt.Sprintf("pod/c%d", i)))
+	}
+	const churn = 1000
+	for i := 0; i < churn; i++ {
+		cg := m.hier.Create("restarting")
+		m.attach(cg)
+		m.hier.Remove(cg)
+	}
+	m.check(t, 0, "churned")
+	const poison = -7
+	for _, mon := range []*Monitor{m.mA, m.mB, m.mC} {
+		if len(mon.byID) < churn {
+			t.Fatalf("table has %d entries after %d restarts; the poison check needs them", len(mon.byID), churn)
+		}
+		for i := range mon.byID {
+			if mon.byID[i].refs == 0 {
+				mon.byID[i].shares = poison
+			}
+		}
+		mon.FullRecompute()
+		for i, e := range mon.byID {
+			if e.refs == 0 && e.shares != poison {
+				t.Fatalf("FullRecompute reset untracked entry %d", i)
+			}
+		}
+		if n := trackedEntries(mon); n != 4 {
+			t.Fatalf("%d tracked entries after FullRecompute, want 4 (three flats and the pod)", n)
+		}
+		if want := int64(4 * 1024); mon.totalTop != want {
+			t.Fatalf("totalTop = %d after FullRecompute, want %d", mon.totalTop, want)
 		}
 	}
 }

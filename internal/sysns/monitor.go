@@ -1,9 +1,12 @@
 package sysns
 
 import (
+	"slices"
 	"time"
 
+	"arv/internal/cfs"
 	"arv/internal/cgroups"
+	"arv/internal/memctl"
 	"arv/internal/sim"
 	"arv/internal/telemetry"
 )
@@ -25,47 +28,59 @@ type Monitor struct {
 	clock *sim.Clock
 	opts  Options
 
-	spaces map[*cgroups.Cgroup]*SysNamespace
-	order  []*SysNamespace
+	// order holds the live namespaces in attach order; orderSlots holds
+	// their slots in the same order, so the O(n) passes (the update
+	// round, bounds recomputes, the staleness scan) walk dense slot
+	// arrays without loading a handle.
+	order      []*SysNamespace
+	orderSlots []int32
 
 	// Slot-indexed hot state (struct-of-arrays, split by access pattern;
-	// see the SysNamespace comment and DESIGN.md §14). order holds the
-	// attach-order handles; each handle's slot indexes these parallel
-	// arrays. A slot is index-stable for the namespace's lifetime and
-	// recycled through freeSlots after Detach freezes it.
+	// see the SysNamespace comment and DESIGN.md §14). Each handle's slot
+	// indexes these parallel arrays. A slot is index-stable for the
+	// namespace's lifetime and recycled through freeSlots after Detach
+	// freezes it. nsCold holds the pointers the update round follows out
+	// of the monitor (the controllers' accounting, the trace actor name).
 	nsCPU     []cpuSlot
 	nsMem     []memSlot
 	nsMeta    []metaSlot
+	nsCold    []coldSlot
 	freeSlots []int
 
-	// Incremental recompute cache (see DESIGN.md §10). tops holds one
-	// entry per top-level entity with attached namespaces below it (for
-	// a flat container, its own cgroup; for a nested one, the enclosing
-	// pod): a refcount of those namespaces plus the shares value the
-	// cache last saw, so a shares change yields the Σw_j delta without a
-	// walk. totalTop is Σ shares over those entries — the denominator of
-	// every namespace's guaranteed fraction. seenSuppressed is the
-	// hierarchy's suppression count at the last full synchronization;
-	// when it moves, an event was dropped or delayed before delivery and
-	// the cache can no longer be trusted (see syncSuppressed).
-	tops           map[*cgroups.Cgroup]topEntry
+	// byID is the monitor's per-cgroup table, indexed by cgroups ID (see
+	// cgEntry and DESIGN.md §10): each cgroup's own namespace, and for a
+	// top-level entity with attached namespaces below it (for a flat
+	// container, its own cgroup; for a nested one, the enclosing pod) the
+	// incremental recompute cache — a refcount of those namespaces plus
+	// the shares value the cache last saw, so a shares change yields the
+	// Σw_j delta without a walk. IDs are never reused, so an entry never
+	// outlives its cgroup into a re-created one; the price is that the
+	// table's length follows the highest ID ever attached (32 bytes per
+	// ID), not the live fleet, so no pass may walk the whole table — the
+	// tracked entries are exactly the tops of order. totalTop is Σ shares over
+	// the tracked entries — the denominator of every namespace's
+	// guaranteed fraction. seenSuppressed is the hierarchy's suppression
+	// count at the last full synchronization; when it moves, an event was
+	// dropped or delayed before delivery and the cache can no longer be
+	// trusted (see syncSuppressed).
+	byID           []cgEntry
 	totalTop       int64
 	seenSuppressed uint64
 
-	// pendingTops are top-level entities whose subtree changed without a
-	// subscriber-visible recompute trigger (a cgroup created under a
-	// tracked pod dilutes its siblings, but Created never triggered a
-	// recompute). The next flush applies them: in eager mode the one
-	// ending the next trigger, which is exactly when the full-walk
-	// implementation would have absorbed the change.
-	pendingTops []*cgroups.Cgroup
+	// pendingTops are the IDs of top-level entities whose subtree changed
+	// without a subscriber-visible recompute trigger (a cgroup created
+	// under a tracked pod dilutes its siblings, but Created never
+	// triggered a recompute). The next flush applies them: in eager mode
+	// the one ending the next trigger, which is exactly when the
+	// full-walk implementation would have absorbed the change.
+	pendingTops []int
 
 	// Bounds marks (DESIGN.md §14). Every trigger only marks:
-	// boundsDirtyAll for "every fraction changed", dirtyTops for one
-	// subtree. flush applies them — at the end of each trigger in eager
-	// mode, at the next read boundary under Options.BatchedRecompute.
+	// boundsDirtyAll for "every fraction changed", dirtyTops (entity IDs)
+	// for one subtree. flush applies them — at the end of each trigger in
+	// eager mode, at the next read boundary under Options.BatchedRecompute.
 	boundsDirtyAll bool
-	dirtyTops      []*cgroups.Cgroup
+	dirtyTops      []int
 
 	// fullRecompute pins the monitor to a full rebuild on every trigger:
 	// the reference the differential tests hold the marks against. Only
@@ -116,8 +131,6 @@ func NewMonitor(hier *cgroups.Hierarchy, clock *sim.Clock, opts Options) *Monito
 		hier:           hier,
 		clock:          clock,
 		opts:           opts,
-		spaces:         make(map[*cgroups.Cgroup]*SysNamespace),
-		tops:           make(map[*cgroups.Cgroup]topEntry),
 		seenSuppressed: hier.Suppressed(),
 	}
 	hier.Subscribe(m.onEvent)
@@ -150,12 +163,50 @@ func (m *Monitor) SetDegradation(budget, resyncMin time.Duration) {
 	}
 }
 
-// topEntry is the cached aggregate for one top-level entity: how many
-// attached namespaces live in its subtree (itself included, for a flat
-// container) and the shares value last folded into totalTop.
-type topEntry struct {
-	refs   int
+// cgEntry is the monitor's state for one cgroup, at its ID in byID. ns
+// and slot are the cgroup's own namespace (nil when unattached), so the
+// event and flush paths reach a flat container's slot with one indexed
+// load. refs, shares and cg are the share-cache aggregate of a top-level
+// entity: how many attached namespaces live in its subtree (itself
+// included, for a flat container), the shares value last folded into
+// totalTop, and the entity itself for the walk over a pod's members. An
+// entry with refs == 0 is untracked, and its aggregate fields are zero.
+type cgEntry struct {
+	ns     *SysNamespace
+	slot   int32
+	refs   int32
 	shares int64
+	cg     *cgroups.Cgroup
+}
+
+// coldSlot is the update round's pointer group for one namespace slot:
+// the cgroup's cpu and memory controller groups and its name.
+type coldSlot struct {
+	cpu  *cfs.Group
+	mem  *memctl.Group
+	name string
+}
+
+// entry returns the table entry for cgroup ID id, growing the table when
+// the ID is new to it.
+func (m *Monitor) entry(id int) *cgEntry {
+	if n := id + 1; n > len(m.byID) {
+		// The table never shrinks, so the grown tail is zero.
+		m.byID = slices.Grow(m.byID, n-len(m.byID))[:n]
+	}
+	return &m.byID[id]
+}
+
+// tracked reports whether the entity with ID id has attached namespaces
+// in its subtree, i.e. whether its shares enter Σw_j.
+func (m *Monitor) tracked(id int) bool { return id < len(m.byID) && m.byID[id].refs > 0 }
+
+// nsOf returns cg's namespace, or nil when cg is not attached.
+func (m *Monitor) nsOf(cg *cgroups.Cgroup) *SysNamespace {
+	if id := cg.ID(); id < len(m.byID) {
+		return m.byID[id].ns
+	}
+	return nil
 }
 
 // topOf returns the top-level entity whose shares enter Σw_j for cg: the
@@ -179,43 +230,48 @@ func (m *Monitor) allocSlot() int {
 	m.nsCPU = append(m.nsCPU, cpuSlot{})
 	m.nsMem = append(m.nsMem, memSlot{})
 	m.nsMeta = append(m.nsMeta, metaSlot{})
+	m.nsCold = append(m.nsCold, coldSlot{})
 	return len(m.nsCPU) - 1
 }
 
 // Attach creates a sys_namespace for cg (idempotent) and returns it.
 func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
-	if ns, ok := m.spaces[cg]; ok {
+	if ns := m.nsOf(cg); ns != nil {
 		return ns
 	}
-	ns := &SysNamespace{cg: cg, hier: m.hier, mon: m, opts: m.opts, created: m.clock.Now(), slot: m.allocSlot()}
-	m.nsMeta[ns.slot].lastAt = m.clock.Now()
-	m.nsMem[ns.slot].prevKswapd = m.hier.Memory().KswapdRuns()
-	m.spaces[cg] = ns
+	s := m.allocSlot()
+	ns := &SysNamespace{cg: cg, hier: m.hier, mon: m, opts: m.opts, created: m.clock.Now(), slot: s}
+	m.nsMeta[s].lastAt = m.clock.Now()
+	m.nsMem[s].prevKswapd = m.hier.Memory().KswapdRuns()
+	m.nsCold[s] = coldSlot{cpu: cg.CPU, mem: cg.Mem, name: cg.Name}
+	e := m.entry(cg.ID())
+	e.ns, e.slot = ns, int32(s)
 	m.order = append(m.order, ns)
+	m.orderSlots = append(m.orderSlots, int32(s))
 	if !m.syncSuppressed() {
 		// Cache updates must complete before any bounds recompute: a flush
 		// interleaved with a half-applied Σw_j would clamp E_CPU through an
 		// intermediate bounds state the atomic full walk never produces.
 		top := topOf(cg)
-		e, tracked := m.tops[top]
-		e.refs++
+		te := m.entry(top.ID())
+		tracked := te.refs > 0
+		te.refs++
 		if !tracked {
-			e.shares = top.CPU.Shares
-			m.totalTop += e.shares
+			te.shares, te.cg = top.CPU.Shares, top
+			m.totalTop += te.shares
 		}
-		m.tops[top] = e
 		// The new namespace needs live bounds immediately (E_CPU
 		// initializes from them); under batching every other view
 		// coalesces into the next flush, which turns a fleet build from
 		// O(n²) into O(n).
-		m.recomputeOne(ns)
+		m.recomputeSlot(s)
 		if !tracked {
 			// A new top-level entity enters Σw_j: every fraction changes.
 			m.markAllDirty()
 		} else {
 			// The denominator is unchanged (sibling sums count all
 			// children, attached or not); only the subtree needs bounds.
-			m.markBoundsDirty(top)
+			m.markBoundsDirty(top.ID())
 		}
 	}
 	ns.ResetMemory()
@@ -228,46 +284,50 @@ func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
 
 // Detach removes cg's namespace (also triggered by cgroup removal).
 func (m *Monitor) Detach(cg *cgroups.Cgroup) {
-	ns, ok := m.spaces[cg]
-	if !ok {
+	ns := m.nsOf(cg)
+	if ns == nil {
 		return
 	}
-	delete(m.spaces, cg)
-	for i, x := range m.order {
-		if x == ns {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
+	e := &m.byID[cg.ID()]
+	e.ns, e.slot = nil, 0
+	i := slices.Index(m.orderSlots, int32(ns.slot))
+	m.order = slices.Delete(m.order, i, i+1)
+	m.orderSlots = slices.Delete(m.orderSlots, i, i+1)
 	// Freeze the slot state into the handle: post-mortem readers (end-of-
 	// run summaries over killed containers) keep the last live view, and
 	// the slot can be recycled without them observing its next tenant.
 	ns.finalCPU, ns.finalMem, ns.finalMeta = m.nsCPU[ns.slot], m.nsMem[ns.slot], m.nsMeta[ns.slot]
 	ns.detached = true
+	m.nsCold[ns.slot] = coldSlot{} // the free slot pins no controller
 	m.freeSlots = append(m.freeSlots, ns.slot)
+	// As in Attach: finish the cache mutation before any recompute. The
+	// refcount moves even when syncSuppressed rebuilds the cache below:
+	// the rebuild resets only the tops still in order, so the entry of a
+	// top whose last namespace this was must already be untracked.
+	id := topOf(cg).ID()
+	te := &m.byID[id]
+	te.refs--
+	last := te.refs <= 0
+	if last {
+		// Last namespace under this entity: its shares leave Σw_j.
+		m.totalTop -= te.shares
+		te.refs, te.shares, te.cg = 0, 0, nil
+	}
 	if !m.syncSuppressed() {
-		// As in Attach: finish the cache mutation before any recompute.
-		top := topOf(cg)
-		e := m.tops[top]
-		e.refs--
-		if e.refs <= 0 {
-			// Last namespace under this entity: its shares leave Σw_j.
-			delete(m.tops, top)
-			m.totalTop -= e.shares
+		if last {
 			m.markAllDirty()
 		} else {
 			// Detach via cgroup removal shrank the sibling sum (the group
 			// is already gone from the hierarchy); recompute the subtree.
 			// For a plain detach this is a no-op recompute.
-			m.tops[top] = e
-			m.markBoundsDirty(top)
+			m.markBoundsDirty(id)
 		}
 	}
 	m.endTrigger(true)
 }
 
 // Lookup returns cg's namespace, or nil.
-func (m *Monitor) Lookup(cg *cgroups.Cgroup) *SysNamespace { return m.spaces[cg] }
+func (m *Monitor) Lookup(cg *cgroups.Cgroup) *SysNamespace { return m.nsOf(cg) }
 
 // Namespaces returns the live namespaces in attach order.
 func (m *Monitor) Namespaces() []*SysNamespace { return m.order }
@@ -285,7 +345,7 @@ func (m *Monitor) onEvent(e cgroups.Event) {
 		m.queueDilution(e.Cgroup)
 	case cgroups.Removed:
 		m.markTopoDirty() // the cgroup left the snapshot's cgroup section
-		if _, attached := m.spaces[e.Cgroup]; attached {
+		if m.nsOf(e.Cgroup) != nil {
 			m.Detach(e.Cgroup)
 		} else {
 			// No namespace to detach, but removing an unattached pod
@@ -315,10 +375,8 @@ func (m *Monitor) onEvent(e cgroups.Event) {
 // is a member of a tracked pod, its attached siblings' fractions change
 // at the next flush, so the pod joins pendingTops.
 func (m *Monitor) queueDilution(cg *cgroups.Cgroup) {
-	if top := topOf(cg); top != cg {
-		if _, tracked := m.tops[top]; tracked {
-			m.pendingTops = append(m.pendingTops, top)
-		}
+	if top := topOf(cg); top != cg && m.tracked(top.ID()) {
+		m.pendingTops = append(m.pendingTops, top.ID())
 	}
 }
 
@@ -358,12 +416,13 @@ func (m *Monitor) markAllDirty() {
 	m.pendingTops = m.pendingTops[:0]
 }
 
-// markBoundsDirty queues one top-level subtree for recomputation at the
-// next flush. Once the dirty list covers more than half the fleet the
-// per-subtree bookkeeping (map lookups per entry, duplicate marks)
-// costs more than the one dense full pass it avoids, so the marks
-// escalate to boundsDirtyAll — the flush stays O(min(events, n)).
-func (m *Monitor) markBoundsDirty(top *cgroups.Cgroup) {
+// markBoundsDirty queues one top-level subtree, by entity ID, for
+// recomputation at the next flush. Once the dirty list covers more than
+// half the fleet the per-subtree bookkeeping (an entry load per mark,
+// duplicate marks) costs more than the one dense full pass it avoids, so
+// the marks escalate to boundsDirtyAll — the flush stays
+// O(min(events, n)).
+func (m *Monitor) markBoundsDirty(top int) {
 	if m.boundsDirtyAll {
 		return
 	}
@@ -406,8 +465,8 @@ func (m *Monitor) flush() {
 // the cached shares tell us what changed.
 func (m *Monitor) onCPUChanged(cg *cgroups.Cgroup) {
 	top := topOf(cg)
-	e, tracked := m.tops[top]
-	if !tracked {
+	id := top.ID()
+	if !m.tracked(id) {
 		// No attached namespace anywhere under this entity: its shares
 		// are outside Σw_j and nobody reads its quota/cpuset — but the
 		// full walk still ran on this trigger, so the eager flush ending
@@ -415,14 +474,13 @@ func (m *Monitor) onCPUChanged(cg *cgroups.Cgroup) {
 		return
 	}
 	if cg == top {
-		if s := cg.CPU.Shares; s != e.shares {
+		if e, s := &m.byID[id], cg.CPU.Shares; s != e.shares {
 			// Top-level shares moved: the Σw_j denominator changes, so
 			// every namespace's fraction does too. The delta lands before
 			// the flush so it sees the final Σw_j (the E_CPU clamp is
 			// stateful: an intermediate bounds state would be observable).
 			m.totalTop += s - e.shares
 			e.shares = s
-			m.tops[top] = e
 			m.markAllDirty()
 			return
 		}
@@ -433,7 +491,7 @@ func (m *Monitor) onCPUChanged(cg *cgroups.Cgroup) {
 	// Subtree-local change: the entity's limits cap its members, a
 	// nested cgroup's shares enter the sibling sum and its limits cap
 	// its own namespace.
-	m.markBoundsDirty(top)
+	m.markBoundsDirty(id)
 }
 
 // syncSuppressed rebuilds the cache when the hierarchy reports
@@ -457,17 +515,23 @@ func (m *Monitor) syncSuppressed() bool {
 // suppressed events (resync, syncSuppressed) and the reference the
 // differential tests compare the incremental path against.
 func (m *Monitor) FullRecompute() {
-	clear(m.tops)
+	// Reset only the tracked entries, the tops of order (a cgroup's parent
+	// never changes, and Attach and Detach keep refs in step with order
+	// even on the paths that land here), so the cost is O(live) however
+	// many cgroups were removed.
+	for _, ns := range m.order {
+		e := &m.byID[topOf(ns.cg).ID()]
+		e.refs, e.shares, e.cg = 0, 0, nil
+	}
 	m.totalTop = 0
 	for _, ns := range m.order {
 		top := topOf(ns.cg)
-		e, ok := m.tops[top]
-		if !ok {
-			e.shares = top.CPU.Shares
+		e := m.entry(top.ID())
+		if e.refs == 0 {
+			e.shares, e.cg = top.CPU.Shares, top
 			m.totalTop += e.shares
 		}
 		e.refs++
-		m.tops[top] = e
 	}
 	m.pendingTops = m.pendingTops[:0]
 	m.dirtyTops = m.dirtyTops[:0]
@@ -482,35 +546,41 @@ func (m *Monitor) FullRecompute() {
 // cached aggregates (Σw_j changes reach every container) and returns how
 // many it recomputed.
 func (m *Monitor) recomputeBoundsAll() int {
-	for _, ns := range m.order {
-		m.recomputeOne(ns)
+	for _, s := range m.orderSlots {
+		m.recomputeSlot(int(s))
 	}
-	return len(m.order)
+	return len(m.orderSlots)
 }
 
-// recomputeTop recalculates bounds for the namespaces inside one
-// top-level entity's subtree — the entity's own namespace (a flat
-// container) and any attached children (pod members) — and returns how
-// many it recomputed. An entity no longer tracked has none.
-func (m *Monitor) recomputeTop(top *cgroups.Cgroup) int {
-	if _, tracked := m.tops[top]; !tracked {
+// recomputeTop recalculates bounds for the namespaces inside the
+// subtree of the top-level entity with ID id — the entity's own
+// namespace (a flat container) and any attached children (pod members)
+// — and returns how many it recomputed. An entity no longer tracked has
+// none.
+func (m *Monitor) recomputeTop(id int) int {
+	if !m.tracked(id) {
 		return 0
 	}
+	e := &m.byID[id]
 	n := 0
-	if ns, ok := m.spaces[top]; ok {
-		m.recomputeOne(ns)
+	if e.ns != nil {
+		m.recomputeSlot(int(e.slot))
 		n++
 	}
-	for _, c := range top.Children() {
-		if ns, ok := m.spaces[c]; ok {
-			m.recomputeOne(ns)
-			n++
+	if int(e.refs) > n {
+		// Attached members below a pod: the refcount says the walk finds
+		// some, so a flat container never walks.
+		for _, c := range e.cg.Children() {
+			if id := c.ID(); id < len(m.byID) && m.byID[id].ns != nil {
+				m.recomputeSlot(int(m.byID[id].slot))
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// recomputeOne recalculates one namespace's guaranteed share fraction
+// recomputeSlot recalculates one namespace slot's guaranteed share fraction
 // and bounds. For a flat container the fraction is w_i/Σw_j over the
 // top-level entities; for a container inside a pod it is the pod's
 // fraction times the container's fraction among its siblings (all
@@ -519,8 +589,8 @@ func (m *Monitor) recomputeTop(top *cgroups.Cgroup) int {
 // the scheduler's ChildShares aggregate; both are int64 sums, so they
 // equal a fresh walk exactly and the float expression below is
 // bit-identical to the historical full-recompute path.
-func (m *Monitor) recomputeOne(ns *SysNamespace) {
-	g := ns.cg.CPU
+func (m *Monitor) recomputeSlot(s int) {
+	g := m.nsCold[s].cpu
 	frac := 0.0
 	if m.totalTop > 0 {
 		if p := g.Parent(); p != nil {
@@ -533,7 +603,7 @@ func (m *Monitor) recomputeOne(ns *SysNamespace) {
 			frac = float64(g.Shares) / float64(m.totalTop)
 		}
 	}
-	ns.RecomputeBounds(frac)
+	recomputeBounds(&m.nsCPU[s], g, m.hier.Scheduler().NCPU(), frac)
 }
 
 // Period returns the namespace update interval currently in effect.
@@ -628,17 +698,18 @@ func (m *Monitor) Tick(now sim.Time, dt time.Duration) {
 	// The fallback reads LOWER_CPU, so the staleness scan is a batched-
 	// mode flush boundary (no-op on the eager path).
 	m.flushBounds()
-	for _, ns := range m.order {
-		mt := &m.nsMeta[ns.slot]
+	for i, s := range m.orderSlots {
+		mt := &m.nsMeta[s]
 		if mt.degraded || mt.lastAt+sim.Time(b) >= now {
 			continue
 		}
+		ns := m.order[i]
 		ns.fallback()
 		m.markDirty() // flushed by this tick's observe phase
 		m.Trace.Add(telemetry.CtrStaleFallbacks, 1)
 		if m.Trace.Enabled() {
 			m.Trace.Emit(now, telemetry.KindStaleFallback, ns.cg.Name,
-				int64(ns.Age(now)), int64(m.nsCPU[ns.slot].eCPU))
+				int64(ns.Age(now)), int64(m.nsCPU[s].eCPU))
 		}
 	}
 }
@@ -656,8 +727,8 @@ func (m *Monitor) NextEvent(now sim.Time) (sim.Time, bool) {
 	}
 	var earliest sim.Time
 	found := false
-	for _, ns := range m.order {
-		mt := &m.nsMeta[ns.slot]
+	for _, s := range m.orderSlots {
+		mt := &m.nsMeta[s]
 		if mt.degraded {
 			continue
 		}
@@ -679,6 +750,13 @@ func (m *Monitor) AttachTelemetry(tr *telemetry.Tracer) { m.Trace = tr }
 // UpdateAll runs one Algorithm 1 + Algorithm 2 round for every
 // namespace. Exposed so tests and benchmarks can drive updates without
 // the timer.
+//
+// The round works in slot space: it walks orderSlots and reads only the
+// slot arrays and each slot's cold pointers, through the same slot-level
+// functions SysNamespace.UpdateCPU and UpdateMem delegate to. Nothing in
+// the loop changes memory-controller state (taking a group's window
+// usage settles cfs accounting only), so the host-wide Algorithm 2
+// inputs are read once.
 func (m *Monitor) UpdateAll(now sim.Time) {
 	// The round reads every namespace's bounds, so it is the canonical
 	// batched-mode flush boundary: deferred event work coalesces here.
@@ -699,17 +777,25 @@ func (m *Monitor) UpdateAll(now sim.Time) {
 	}
 
 	slack := m.hier.Scheduler().TakeWindowSlack()
-	m.Trace.Add(telemetry.CtrNSUpdates, uint64(len(m.order)))
-	for _, ns := range m.order {
-		m.Trace.Max(telemetry.CtrStalenessMax, uint64(ns.Age(now)))
-		usage := ns.cg.CPU.TakeWindowUsage()
-		ns.UpdateCPU(now, window, usage, slack)
-		ns.UpdateMem(now)
-		if m.Trace.Enabled() {
-			m.Trace.Emit(now, telemetry.KindNSUpdate, ns.cg.Name,
-				int64(ns.EffectiveCPU()), int64(ns.EffectiveMemory()))
+	host := readHostMem(m.hier.Memory())
+	windowSec := window.Seconds()
+	tr := m.Trace
+	tr.Add(telemetry.CtrNSUpdates, uint64(len(m.orderSlots)))
+	// The round's KindNSUpdate events are one uninterrupted burst, so
+	// only its last ring-capacity events can survive it; the tracer
+	// counts the rest without writing them.
+	skip := tr.SkipOverwritten(len(m.orderSlots))
+	var stale uint64
+	for i, s := range m.orderSlots {
+		mt, c, ms, cold := &m.nsMeta[s], &m.nsCPU[s], &m.nsMem[s], &m.nsCold[s]
+		stale = max(stale, uint64(now-mt.lastAt))
+		updateCPU(c, mt, &m.opts, now, windowSec, cold.cpu.TakeWindowUsage(), slack)
+		updateMem(ms, cold.mem, &host, &m.opts)
+		if tr != nil && i >= skip {
+			tr.Emit(now, telemetry.KindNSUpdate, cold.name, int64(c.eCPU), int64(ms.eMem))
 		}
 	}
+	tr.Max(telemetry.CtrStalenessMax, stale)
 }
 
 // resync is the retry-with-backoff recovery path for dropped cgroup
@@ -720,15 +806,15 @@ func (m *Monitor) UpdateAll(now sim.Time) {
 // minimum; a clean pass doubles the interval up to the cap.
 func (m *Monitor) resync(now sim.Time) {
 	type bounds struct{ lower, upper int }
-	before := make([]bounds, len(m.order))
-	for i, ns := range m.order {
-		c := &m.nsCPU[ns.slot]
+	before := make([]bounds, len(m.orderSlots))
+	for i, s := range m.orderSlots {
+		c := &m.nsCPU[s]
 		before[i] = bounds{c.lowerCPU, c.upperCPU}
 	}
 	m.FullRecompute()
 	drift := false
-	for i, ns := range m.order {
-		c := &m.nsCPU[ns.slot]
+	for i, s := range m.orderSlots {
+		c := &m.nsCPU[s]
 		if before[i] != (bounds{c.lowerCPU, c.upperCPU}) {
 			drift = true
 			break

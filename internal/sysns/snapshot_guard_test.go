@@ -25,10 +25,8 @@ func TestWarmSnapshotGuardsNilFirstSnapshot(t *testing.T) {
 	mem := memctl.New(memctl.Config{Total: units.GiB})
 	hier := cgroups.NewHierarchy(sched, mem)
 	m := &Monitor{
-		hier:   hier,
-		clock:  clock,
-		spaces: make(map[*cgroups.Cgroup]*SysNamespace),
-		tops:   make(map[*cgroups.Cgroup]topEntry),
+		hier:  hier,
+		clock: clock,
 	}
 	if m.snap.Load() != nil {
 		t.Fatal("precondition: no snapshot published yet")

@@ -16,6 +16,7 @@ import (
 	"math"
 	"time"
 
+	"arv/internal/cfs"
 	"arv/internal/cgroups"
 	"arv/internal/memctl"
 	"arv/internal/sim"
@@ -229,26 +230,26 @@ func (ns *SysNamespace) Degraded() bool { return ns.slotMeta().degraded }
 func (ns *SysNamespace) fallback() {
 	c := ns.slotCPU()
 	c.eCPU = c.lowerCPU
-	ns.slotMem().eMem = ns.softMem()
+	ns.slotMem().eMem = softMem(ns.cg.Mem, ns.hier.Memory().Total())
 	ns.slotMeta().degraded = true
 }
 
-// hardMem returns the hard limit with "unlimited" resolved to host RAM.
-func (ns *SysNamespace) hardMem() units.Bytes {
-	if h := ns.cg.Mem.HardLimit; h > 0 {
+// hardMem returns g's hard limit with "unlimited" resolved to host RAM.
+func hardMem(g *memctl.Group, total units.Bytes) units.Bytes {
+	if h := g.HardLimit; h > 0 {
 		return h
 	}
-	return ns.hier.Memory().Total()
+	return total
 }
 
-// softMem returns the soft limit with "unlimited" resolved to the hard
+// softMem returns g's soft limit with "unlimited" resolved to the hard
 // limit (a container with no soft limit has nothing reclaimable, so its
 // guaranteed memory is its hard limit).
-func (ns *SysNamespace) softMem() units.Bytes {
-	if s := ns.cg.Mem.SoftLimit; s > 0 {
+func softMem(g *memctl.Group, total units.Bytes) units.Bytes {
+	if s := g.SoftLimit; s > 0 {
 		return s
 	}
-	return ns.hardMem()
+	return hardMem(g, total)
 }
 
 // RecomputeBounds recalculates LOWER_CPU and UPPER_CPU (Algorithm 1,
@@ -258,28 +259,32 @@ func (ns *SysNamespace) softMem() units.Bytes {
 // ones — ns_monitor computes it), and clamps E_CPU into the new range.
 // The limit and mask of an enclosing cgroup bound the container too.
 func (ns *SysNamespace) RecomputeBounds(shareFrac float64) {
-	p := ns.hier.Scheduler().NCPU()
+	recomputeBounds(ns.slotCPU(), ns.cg.CPU, ns.hier.Scheduler().NCPU(), shareFrac)
+}
 
-	limitCPUs := func(g interface {
-		CPULimit() float64
-	}) int {
-		lim := g.CPULimit() // l / t, in CPUs
-		if math.IsInf(lim, 1) {
-			return p
-		}
-		n := int(math.Floor(lim + 1e-9))
-		if n < 1 {
-			n = 1
-		}
-		return n
+// limitCPUs returns g's bandwidth limit l/t as a whole CPU count of at
+// least 1, or p when g is unlimited.
+func limitCPUs(g *cfs.Group, p int) int {
+	lim := g.CPULimit() // l / t, in CPUs
+	if math.IsInf(lim, 1) {
+		return p
 	}
+	n := int(math.Floor(lim + 1e-9))
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
 
-	upper := min(limitCPUs(ns.cg.CPU), p)
-	if mask := ns.cg.CPU.CpusetN; mask > 0 {
+// recomputeBounds is RecomputeBounds over one slot's Algorithm 1 state:
+// g is the container's scheduling group and p the host's CPU count.
+func recomputeBounds(c *cpuSlot, g *cfs.Group, p int, shareFrac float64) {
+	upper := min(limitCPUs(g, p), p)
+	if mask := g.CpusetN; mask > 0 {
 		upper = min(upper, mask)
 	}
-	if parent := ns.cg.CPU.Parent(); parent != nil {
-		upper = min(upper, limitCPUs(parent))
+	if parent := g.Parent(); parent != nil {
+		upper = min(upper, limitCPUs(parent, p))
 		if mask := parent.CpusetN; mask > 0 {
 			upper = min(upper, mask)
 		}
@@ -295,7 +300,6 @@ func (ns *SysNamespace) RecomputeBounds(shareFrac float64) {
 
 	lower := min(upper, shareCPUs)
 
-	c := ns.slotCPU()
 	c.lowerCPU, c.upperCPU = lower, upper
 	if c.eCPU == 0 {
 		// Initialisation: E_CPU_i = LOWER_CPU_i (Algorithm 1, line 6).
@@ -307,7 +311,7 @@ func (ns *SysNamespace) RecomputeBounds(shareFrac float64) {
 // ResetMemory initialises (or re-initialises) effective memory to the
 // soft limit (Algorithm 2, lines 3 and 14).
 func (ns *SysNamespace) ResetMemory() {
-	ns.slotMem().eMem = ns.softMem()
+	ns.slotMem().eMem = softMem(ns.cg.Mem, ns.hier.Memory().Total())
 }
 
 // UpdateCPU performs one Algorithm 1 adjustment round. window is the
@@ -315,19 +319,23 @@ func (ns *SysNamespace) ResetMemory() {
 // the window; slack is the system-wide unused CPU capacity accumulated
 // during the window (p_slack).
 func (ns *SysNamespace) UpdateCPU(now sim.Time, window time.Duration, usage, slack units.CPUSeconds) {
-	mt := ns.slotMeta()
+	updateCPU(ns.slotCPU(), ns.slotMeta(), &ns.opts, now, window.Seconds(), usage, slack)
+}
+
+// updateCPU is UpdateCPU over one slot's state, with the window in
+// seconds; the monitor's update round calls it directly.
+func updateCPU(c *cpuSlot, mt *metaSlot, o *Options, now sim.Time, windowSec float64, usage, slack units.CPUSeconds) {
 	mt.updates++
 	mt.lastAt = now
 	mt.degraded = false
-	c := ns.slotCPU()
-	if ns.opts.DisableGrowth {
+	if o.DisableGrowth {
 		c.eCPU = c.lowerCPU
 		return
 	}
-	step := ns.opts.cpuStep()
+	step := o.cpuStep()
 	if slack > 0 {
-		capacity := float64(c.eCPU) * window.Seconds()
-		if capacity > 0 && float64(usage)/capacity > ns.opts.utilThreshold() && c.eCPU < c.upperCPU {
+		capacity := float64(c.eCPU) * windowSec
+		if capacity > 0 && float64(usage)/capacity > o.utilThreshold() && c.eCPU < c.upperCPU {
 			c.eCPU = units.ClampInt(c.eCPU+step, c.lowerCPU, c.upperCPU)
 		}
 	} else if c.eCPU > c.lowerCPU {
@@ -339,42 +347,61 @@ func (ns *SysNamespace) UpdateCPU(now sim.Time, window time.Duration, usage, sla
 // current free memory and the container's current usage. The previous
 // round's values (p_free, p_mem) are remembered internally.
 func (ns *SysNamespace) UpdateMem(now sim.Time) {
-	mem := ns.hier.Memory()
-	cfree := mem.Free()
-	cmem := ns.cg.Mem.Resident()
-	kswapd := mem.KswapdRuns()
-	ns.updateMem(mem, cfree, cmem, kswapd)
-	ms := ns.slotMem()
-	ms.prevFree, ms.prevUsage, ms.havePrev = cfree, cmem, true
-	ms.prevKswapd = kswapd
+	host := readHostMem(ns.hier.Memory())
+	updateMem(ns.slotMem(), ns.cg.Mem, &host, &ns.opts)
 }
 
-// updateMem is UpdateMem's adjustment logic, split out so the caller can
-// record the round's inputs as p_free/p_mem on every exit path without a
-// deferred closure (UpdateMem runs once per namespace per period — it is
-// the monitor's hot path and must not allocate).
-func (ns *SysNamespace) updateMem(mem *memctl.Controller, cfree, cmem units.Bytes, kswapd int) {
-	ms := ns.slotMem()
+// hostMem is the host-wide input of one Algorithm 2 round: the free
+// memory c_free, the kswapd run count, and the controller constants the
+// round compares against.
+type hostMem struct {
+	free          units.Bytes
+	kswapd        int
+	lowWM, highWM units.Bytes
+	total         units.Bytes
+}
+
+// readHostMem reads mem's Algorithm 2 inputs.
+func readHostMem(mem *memctl.Controller) hostMem {
+	return hostMem{free: mem.Free(), kswapd: mem.KswapdRuns(), lowWM: mem.LowWM, highWM: mem.HighWM, total: mem.Total()}
+}
+
+// updateMem is UpdateMem over one slot's state: g is the container's
+// memory group. It records the round's inputs as p_free/p_mem after
+// adjustMem on every exit path, without a deferred closure (the monitor
+// runs it once per namespace per period — its hot path must not
+// allocate).
+func updateMem(ms *memSlot, g *memctl.Group, host *hostMem, o *Options) {
+	cmem := g.Resident()
+	adjustMem(ms, g, host, cmem, o)
+	ms.prevFree, ms.prevUsage, ms.havePrev = host.free, cmem, true
+	ms.prevKswapd = host.kswapd
+}
+
+// adjustMem is Algorithm 2's adjustment logic.
+func adjustMem(ms *memSlot, g *memctl.Group, host *hostMem, cmem units.Bytes, o *Options) {
+	cfree := host.free
 	// "Whenever system memory is in shortage and kswapd is reclaiming
 	// memory, reset a container's effective memory to its soft limit":
 	// shortage is visible either as free memory below the low watermark
 	// right now, or as kswapd activity since the previous update (free
 	// memory may already have recovered to the high watermark by the
 	// time the timer fires).
-	reclaiming := cfree <= mem.LowWM || kswapd > ms.prevKswapd
+	reclaiming := cfree <= host.lowWM || host.kswapd > ms.prevKswapd
 
+	soft := softMem(g, host.total)
 	if ms.eMem == 0 {
-		ns.ResetMemory()
+		ms.eMem = soft
 	}
-	if ns.opts.DisableGrowth {
-		ms.eMem = ns.softMem()
+	if o.DisableGrowth {
+		ms.eMem = soft
 		return
 	}
 
-	hard := ns.hardMem()
+	hard := hardMem(g, host.total)
 	if !reclaiming {
 		if ms.eMem > 0 && float64(cmem)/float64(ms.eMem) > MemUtilThreshold && ms.eMem < hard {
-			delta := units.Bytes(float64(hard-ms.eMem) * ns.opts.memStepFrac())
+			delta := units.Bytes(float64(hard-ms.eMem) * o.memStepFrac())
 			if delta <= 0 {
 				return
 			}
@@ -390,7 +417,7 @@ func (ns *SysNamespace) updateMem(mem *memctl.Controller, cfree, cmem units.Byte
 				}
 			}
 			predicted := units.Bytes(ratio * float64(delta))
-			if cfree-predicted > mem.HighWM {
+			if cfree-predicted > host.highWM {
 				ms.eMem += delta
 				if ms.eMem > hard {
 					ms.eMem = hard
@@ -400,6 +427,6 @@ func (ns *SysNamespace) updateMem(mem *memctl.Controller, cfree, cmem units.Byte
 	} else {
 		// Memory shortage: kswapd is (or has been) reclaiming; fall
 		// back to the guaranteed soft limit.
-		ns.ResetMemory()
+		ms.eMem = soft
 	}
 }

@@ -1,6 +1,7 @@
 package sysns
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"arv/internal/cgroups"
 	"arv/internal/memctl"
 	"arv/internal/sim"
+	"arv/internal/telemetry"
 	"arv/internal/units"
 )
 
@@ -361,5 +363,44 @@ func TestDisableGrowthOption(t *testing.T) {
 	ns.UpdateCPU(0, 24*time.Millisecond, busy, 5)
 	if lower, _ := ns.CPUBounds(); ns.EffectiveCPU() != lower {
 		t.Fatal("DisableGrowth must pin E_CPU at the lower bound")
+	}
+}
+
+// TestUpdateRoundTraceKeepsRingTail runs update rounds over more
+// namespaces than the trace ring holds. The round writes only the events
+// the ring keeps, so the ring must end holding the last ring-capacity
+// KindNSUpdate events in attach order, carrying each namespace's E_CPU
+// and E_MEM, while Emitted counts every namespace of every round.
+func TestUpdateRoundTraceKeepsRingTail(t *testing.T) {
+	const ringCap, n = 8, 21
+	f := newFixture(16, 64*units.GiB)
+	tr := telemetry.New(ringCap)
+	f.mon.AttachTelemetry(tr)
+	var spaces []*SysNamespace
+	for i := 0; i < n; i++ {
+		_, ns := f.attach(fmt.Sprintf("c%02d", i))
+		spaces = append(spaces, ns)
+	}
+	for round := 1; round <= 2; round++ {
+		now := sim.Time(round) * 24 * time.Millisecond
+		f.mon.UpdateAll(now)
+		if got := tr.Emitted(); got != uint64(round*n) {
+			t.Fatalf("round %d: Emitted() = %d, want %d", round, got, round*n)
+		}
+		if got := tr.Dropped(); got != uint64(round*n-ringCap) {
+			t.Fatalf("round %d: Dropped() = %d, want %d", round, got, round*n-ringCap)
+		}
+		evs := tr.Events()
+		if len(evs) != ringCap {
+			t.Fatalf("round %d: %d events retained, want %d", round, len(evs), ringCap)
+		}
+		for i, e := range evs {
+			ns := spaces[n-ringCap+i]
+			want := telemetry.Event{At: now, Kind: telemetry.KindNSUpdate, Actor: ns.cg.Name,
+				A: int64(ns.EffectiveCPU()), B: int64(ns.EffectiveMemory())}
+			if e != want {
+				t.Fatalf("round %d: event %d = %v, want %v", round, i, e, want)
+			}
+		}
 	}
 }

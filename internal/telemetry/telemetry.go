@@ -329,6 +329,28 @@ func (t *Tracer) Emit(at sim.Time, kind Kind, actor string, a, b int64) {
 	t.emitted++
 }
 
+// SkipOverwritten prepares a burst of n events the caller is about to
+// emit back to back, with no other emission and no ring read in
+// between, and returns how many of its leading events the caller may
+// leave unwritten: when n exceeds the ring capacity, the burst's own
+// last cap events rewrite every ring slot, so the first n-cap would be
+// overwritten before anyone could read them. SkipOverwritten counts
+// those as emitted (and dropped) without writing them; the caller then
+// emits the remaining events as usual. Events, Emitted and Dropped end
+// up exactly as if every event had been written. Returns 0 on a nil
+// tracer.
+func (t *Tracer) SkipOverwritten(n int) int {
+	if t == nil || n <= cap(t.ring) {
+		return 0
+	}
+	skip := n - cap(t.ring)
+	t.emitted += uint64(skip)
+	// Keep len(ring) == min(emitted, cap): Emit appends while the ring
+	// is filling. The slots this exposes are rewritten by the burst.
+	t.ring = t.ring[:min(t.emitted, uint64(cap(t.ring)))]
+	return skip
+}
+
 // Add increments a counter by n. No-op on a nil tracer.
 func (t *Tracer) Add(c Counter, n uint64) {
 	if t == nil {

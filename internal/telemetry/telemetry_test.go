@@ -111,3 +111,62 @@ func TestStrings(t *testing.T) {
 		t.Fatal("empty event string")
 	}
 }
+
+// TestSkipOverwrittenIsExact holds the ring skip against writing every
+// event: a tracer that skips the overwritten head of each burst must end
+// with the same Events, Emitted and Dropped as one that writes them all,
+// for bursts shorter than, equal to, one past and more than twice the
+// ring capacity, with other event kinds emitted between the bursts.
+func TestSkipOverwrittenIsExact(t *testing.T) {
+	const ringCap = 8
+	for _, bursts := range [][]int{
+		{3}, {ringCap}, {ringCap + 1}, {2*ringCap + 5},
+		{3, ringCap + 1, 0, ringCap, 2*ringCap + 5, 1, 3 * ringCap},
+	} {
+		for _, between := range []int{0, 1, 5} {
+			full, skip := New(ringCap), New(ringCap)
+			seq := 0
+			other := func() {
+				for i := 0; i < between; i++ {
+					for _, tr := range []*Tracer{full, skip} {
+						tr.Emit(time.Duration(seq), KindKswapd, "kswapd", int64(seq), 0)
+					}
+					seq++
+				}
+			}
+			other()
+			for _, n := range bursts {
+				k := skip.SkipOverwritten(n)
+				if want := max(n-ringCap, 0); k != want {
+					t.Fatalf("bursts %v: SkipOverwritten(%d) = %d, want %d", bursts, n, k, want)
+				}
+				for i := 0; i < n; i++ {
+					at := time.Duration(seq)
+					full.Emit(at, KindNSUpdate, "ns", int64(i), int64(seq))
+					if i >= k {
+						skip.Emit(at, KindNSUpdate, "ns", int64(i), int64(seq))
+					}
+					seq++
+				}
+				other()
+				if full.Emitted() != skip.Emitted() || full.Dropped() != skip.Dropped() {
+					t.Fatalf("bursts %v, %d between: emitted/dropped %d/%d with every write, %d/%d with the skip",
+						bursts, between, full.Emitted(), full.Dropped(), skip.Emitted(), skip.Dropped())
+				}
+				fe, se := full.Events(), skip.Events()
+				if len(fe) != len(se) {
+					t.Fatalf("bursts %v, %d between: %d events retained with every write, %d with the skip", bursts, between, len(fe), len(se))
+				}
+				for i := range fe {
+					if fe[i] != se[i] {
+						t.Fatalf("bursts %v, %d between: event %d is %v with every write, %v with the skip", bursts, between, i, fe[i], se[i])
+					}
+				}
+			}
+		}
+	}
+	var nilTr *Tracer
+	if nilTr.SkipOverwritten(100) != 0 {
+		t.Fatal("nil tracer skipped events")
+	}
+}

@@ -10,18 +10,25 @@
 //	go test -run xxx -bench ScaleSteady -benchmem -benchtime 50x . > out.txt
 //	go run ./internal/tools/benchgate -match ScaleSteady -max-allocs 0 out.txt
 //
-// Regression mode (-scale-baseline) compares a freshly generated
-// BENCH_scale.json document against the committed one: for every
-// container count in the comma-separated -scale-n list it finds that
-// row in both documents and fails if the fresh ns_per_sim_second
-// exceeds the baseline by more than -max-regress (a fraction; 0.25 =
-// 25% slower), or if allocs_per_tick drifts above the baseline by more
-// than -max-alloc-drift plus a small absolute slack (rows near zero
-// would otherwise gate on noise). A missing row on either side is a
-// failure for the same reason as above. See `make bench-gate`.
+// Regression mode (-scale-baseline) compares freshly generated
+// BENCH_scale.json documents against baseline ones. Each side is a
+// comma-separated list of documents (the runs of one build), and each
+// side's figure for a row is its best: the lowest ns_per_sim_second and
+// the lowest allocs_per_tick over its documents. For every container
+// count in the comma-separated -scale-n list it finds that row on both
+// sides and fails if the fresh ns_per_sim_second exceeds the baseline
+// by more than -max-regress (a fraction; 0.25 = 25% slower), or if
+// allocs_per_tick drifts above the baseline by more than
+// -max-alloc-drift plus a small absolute slack (rows near zero would
+// otherwise gate on noise). A row missing from any document is a
+// failure for the same reason as above. `make bench-gate` runs the
+// parent revision's and the working tree's builds interleaved, three
+// runs each, and passes each side's three documents; it then gates the
+// working tree's documents against the committed BENCH_scale.json with
+// a looser wall budget.
 //
-//	go run ./cmd/arvbench -scalebench 1024,16384 -scalebench-reps 3 -json fresh.json
-//	go run ./internal/tools/benchgate -scale-baseline BENCH_scale.json -scale-fresh fresh.json -scale-n 1024,16384 -max-regress 0.25
+//	go run ./internal/tools/benchgate -scale-baseline base1.json,base2.json,base3.json \
+//		-scale-fresh work1.json,work2.json,work3.json -scale-n 1024,16384 -max-regress 0.25
 package main
 
 import (
@@ -77,6 +84,30 @@ func (d scaleDoc) row(path string, n int) (scaleRow, error) {
 	return scaleRow{}, fmt.Errorf("%s: no run with containers=%d", path, n)
 }
 
+// bestRow returns the best of the row with container count n over the
+// comma-separated documents in paths: the lowest ns_per_sim_second and
+// the lowest allocs_per_tick, each taken on its own.
+func bestRow(paths string, n int) (scaleRow, error) {
+	var best scaleRow
+	for i, path := range strings.Split(paths, ",") {
+		doc, err := loadScaleDoc(path)
+		if err != nil {
+			return best, err
+		}
+		r, err := doc.row(path, n)
+		if err != nil {
+			return best, err
+		}
+		if i == 0 {
+			best = r
+			continue
+		}
+		best.NsPerSimSec = min(best.NsPerSimSec, r.NsPerSimSec)
+		best.AllocsPerTick = min(best.AllocsPerTick, r.AllocsPerTick)
+	}
+	return best, nil
+}
+
 // allocSlack is the absolute allocs/tick headroom granted on top of the
 // fractional -max-alloc-drift budget. Small-n rows sit well under one
 // alloc per tick, where a pure ratio would turn scheduler-independent
@@ -104,26 +135,18 @@ func gateScaleRegression(baseline, fresh string, ns []int, maxRegress, maxAllocD
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
-	bdoc, err := loadScaleDoc(baseline)
-	if err != nil {
-		fatal(err)
-	}
-	fdoc, err := loadScaleDoc(fresh)
-	if err != nil {
-		fatal(err)
-	}
 	failed := false
 	for _, n := range ns {
-		base, err := bdoc.row(baseline, n)
+		base, err := bestRow(baseline, n)
 		if err != nil {
 			fatal(err)
 		}
-		cur, err := fdoc.row(fresh, n)
+		cur, err := bestRow(fresh, n)
 		if err != nil {
 			fatal(err)
 		}
 		if base.NsPerSimSec <= 0 {
-			fatal(fmt.Errorf("%s: non-positive baseline ns_per_sim_second %.0f", baseline, base.NsPerSimSec))
+			fatal(fmt.Errorf("%s: non-positive baseline ns_per_sim_second %.0f at containers=%d", baseline, base.NsPerSimSec, n))
 		}
 		ratio := cur.NsPerSimSec / base.NsPerSimSec
 		if ratio > 1+maxRegress {
@@ -154,8 +177,8 @@ func main() {
 		match     = flag.String("match", "", "substring or regexp the benchmark name must match (required in allocation mode)")
 		maxAllocs = flag.Int64("max-allocs", 0, "maximum permitted allocs/op")
 
-		scaleBaseline = flag.String("scale-baseline", "", "committed BENCH_scale.json; selects regression mode")
-		scaleFresh    = flag.String("scale-fresh", "", "freshly generated BENCH_scale.json to gate (regression mode)")
+		scaleBaseline = flag.String("scale-baseline", "", "comma-separated baseline BENCH_scale.json documents, best of them gated against; selects regression mode")
+		scaleFresh    = flag.String("scale-fresh", "", "comma-separated fresh BENCH_scale.json documents, best of them gated (regression mode)")
 		scaleN        = flag.String("scale-n", "1024", "comma-separated container counts whose rows are compared (regression mode)")
 		maxRegress    = flag.Float64("max-regress", 0.25, "maximum permitted ns_per_sim_second regression as a fraction of baseline (regression mode)")
 		maxAllocDrift = flag.Float64("max-alloc-drift", 0.25, "maximum permitted allocs_per_tick drift as a fraction of baseline, plus 0.5 allocs/tick absolute slack (regression mode)")
