@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt test race fuzz bench bench-scale bench-serve bench-gate profile cover docs golden golden-check golden-parallel ci
+.PHONY: build vet fmt test race fuzz bench bench-scale bench-gate profile cover docs golden golden-check golden-parallel ci
 
 build:
 	$(GO) build ./...
@@ -21,7 +21,7 @@ race:
 # Short fuzz smokes, 10 s each: the timer queue against its sorted-slice
 # reference model (internal/sim FuzzClockOrder), the scheduler's
 # dirty-set repair against the rebuild oracle (internal/cfs
-# FuzzRepairMirror), ns_monitor's eager and batched marks against the
+# FuzzRepairMirror), ns_monitor's marks and flush against the
 # full-recompute reference (internal/sysns FuzzMonitorMirror), and fsd's
 # HTTP routes against arbitrary paths (internal/fsd FuzzRoutes). The
 # committed seed corpora under each package's testdata/fuzz run in
@@ -45,15 +45,6 @@ bench-scale:
 	$(GO) test -run xxx -bench ScaleSteady -benchmem -benchtime=50x . | tee bench-steady.txt
 	$(GO) run ./internal/tools/benchgate -match ScaleSteady -max-allocs 0 bench-steady.txt
 	rm -f bench-steady.txt
-
-# Serve benchmark family: regenerate BENCH_serve.json (fsd read
-# throughput, lock-free vs locked, plus snapshot publication counters)
-# and run the GOMAXPROCS read-throughput sweep. The lock-free claim
-# itself is proven by the -race stress test in internal/fsd, which
-# `make race` runs.
-bench-serve:
-	$(GO) run ./cmd/arvbench -servebench 1,2,4,8 -json BENCH_serve.json
-	$(GO) test -run xxx -bench ServeParallel -benchtime=2000x .
 
 # Allocation gate only (short benchtime, no baseline regeneration):
 # proves the steady-state scheduler tick (SchedulerTick: ten groups on
@@ -122,9 +113,11 @@ cover:
 	$(GO) run ./internal/tools/covercheck -min 85 cover-autoscaler.out
 	rm -f cover-autoscaler.out
 
-# Documentation gate: every package needs a package comment, and the
-# public API (arv) plus internal/sysns and internal/faults must have no
-# undocumented exported symbols.
+# Documentation gate: every package needs a package comment, the
+# public API (arv) and the core internal packages must have no
+# undocumented exported symbols, and every package-qualified identifier
+# in a code span of DESIGN.md or README.md (sysns.Monitor,
+# cfs.(*Scheduler).Tick) must name a declaration in the module.
 docs:
 	$(GO) run ./internal/tools/docscheck
 

@@ -127,11 +127,11 @@ type Pod = container.Pod
 type SysNamespace = sysns.SysNamespace
 
 // NSOptions tunes the sys_namespace algorithms away from the published
-// constants (used for ablations) and selects batched bounds recompute.
-// Graceful degradation is configured on the live monitor
-// (Host.Monitor.SetDegradation). ns_monitor's full-recompute reference,
-// like cfs's rebuild oracle, is a test-only seam (sysns.UseFullRecompute,
-// cfs.UseRebuildOracle) that no option reaches.
+// constants (used for ablations). Graceful degradation is configured on
+// the live monitor (Host.Monitor.SetDegradation). ns_monitor's
+// full-recompute reference, like cfs's rebuild oracle, is a test-only
+// seam (sysns.UseFullRecompute, cfs.UseRebuildOracle) that no option
+// reaches.
 type NSOptions = sysns.Options
 
 // View answers resource probes (sysconf, /sys, /proc) for a process.

@@ -10,8 +10,6 @@ package arv_test
 
 import (
 	"fmt"
-	"net/http/httptest"
-	"runtime"
 	"testing"
 	"time"
 
@@ -20,7 +18,6 @@ import (
 	"arv/internal/cluster"
 	"arv/internal/container"
 	"arv/internal/experiments"
-	"arv/internal/fsd"
 	"arv/internal/host"
 	"arv/internal/jvm"
 	"arv/internal/scalebench"
@@ -295,7 +292,8 @@ func BenchmarkScaleSteadyUpdate(b *testing.B) {
 // BenchmarkScaleSteadyChurn is 240 ticks of the kernel loop on a host
 // with limit churn armed on every container and no view readers: churn
 // timer firings re-arming in place, the cgroup events they raise, the
-// batched view rounds, and the scheduler ticks. Must be 0 allocs/op.
+// view rounds with their bounds flushes, and the scheduler ticks. Must
+// be 0 allocs/op.
 func BenchmarkScaleSteadyChurn(b *testing.B) {
 	for _, n := range []int{1024, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -468,67 +466,6 @@ func BenchmarkSnapshotRead(b *testing.B) {
 		acc += ncpu + int64(v.OnlineCPUs()) + int64(v.TotalMemory())
 	}
 	_ = acc
-}
-
-// serveHost builds the host BenchmarkServeParallel serves: 64 busy
-// containers with a running monitor, the shape `make bench-serve`
-// records to BENCH_serve.json.
-func serveHost() *host.Host {
-	h := host.New(host.Config{CPUs: 20, Memory: 128 * units.GiB, Seed: 1})
-	for i := 0; i < 64; i++ {
-		c := h.Runtime.Create(container.Spec{Name: fmt.Sprintf("c%d", i)})
-		c.Exec("app")
-		t := h.Sched.NewTask(c.Cgroup.CPU, "t")
-		h.Sched.SetRunnable(t, true)
-	}
-	h.Run(100 * time.Millisecond)
-	return h
-}
-
-// BenchmarkServeParallel measures fsd read throughput versus
-// GOMAXPROCS while a Pump steps the simulation concurrently. Because
-// handlers resolve from the published snapshot with no locking, reads
-// scale with processor count instead of serializing behind the
-// simulation mutex — but only up to runtime.NumCPU(): past the
-// physical core count extra GOMAXPROCS adds scheduling overhead, not
-// parallelism, so interpret the curve against the numcpu metric each
-// subbenchmark reports. (On a single-CPU host the whole sweep is
-// time-sliced and the curve is flat-to-declining by construction; the
-// lock-free property itself is proven by TestServeRaceStress, which
-// asserts the pump advances while readers run.)
-func BenchmarkServeParallel(b *testing.B) {
-	routes := []string{
-		"/containers",
-		"/containers/c3/sys/devices/system/cpu/online",
-		"/containers/c17/proc/meminfo",
-		"/host/proc/loadavg",
-		"/cgroups/c5/cpu.shares",
-	}
-	for _, procs := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			h := serveHost()
-			s := fsd.NewServer(h)
-			handler := s.Handler()
-			stop := s.Pump(time.Millisecond)
-			defer stop()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					rr := httptest.NewRecorder()
-					handler.ServeHTTP(rr, httptest.NewRequest("GET", routes[i%len(routes)], nil))
-					if rr.Code != 200 {
-						b.Fatalf("%s -> %d", routes[i%len(routes)], rr.Code)
-					}
-					i++
-				}
-			})
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-			b.ReportMetric(float64(runtime.NumCPU()), "numcpu")
-		})
-	}
 }
 
 // --- ablations (design choices called out in DESIGN.md §6) ---

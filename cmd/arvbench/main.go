@@ -9,7 +9,6 @@
 //	arvbench -run fig12 -csv
 //	arvbench -run all -parallel 8 -json BENCH_all.json
 //	arvbench -scalebench 64,256,1024,4096,16384 -scalebench-reps 3 -json BENCH_scale.json
-//	arvbench -servebench 1,2,4,8 -json BENCH_serve.json
 package main
 
 import (
@@ -25,7 +24,6 @@ import (
 
 	"arv/internal/experiments"
 	"arv/internal/scalebench"
-	"arv/internal/servebench"
 )
 
 // benchReport is the -json output: one BENCH_*.json-style document per
@@ -57,66 +55,6 @@ type scaleReport struct {
 	GOMAXPROCS int                 `json:"gomaxprocs"`
 	SpanSec    float64             `json:"sim_span_seconds"`
 	Runs       []scalebench.Result `json:"runs"`
-}
-
-// serveReport is the -json output of -servebench: the committed
-// BENCH_serve.json document. NumCPU is recorded because read
-// throughput scaling with readers is only visible when the host has
-// cores to scale onto; on a single-CPU machine the lockfree-vs-locked
-// gap is the meaningful column.
-type serveReport struct {
-	Schema     string              `json:"schema"`
-	GoVersion  string              `json:"go_version"`
-	GOMAXPROCS int                 `json:"gomaxprocs"`
-	NumCPU     int                 `json:"num_cpu"`
-	Runs       []servebench.Result `json:"runs"`
-}
-
-// runServeSuite executes the serve-throughput benchmark for the given
-// reader counts — each in lock-free and locked (pre-snapshot
-// architecture) mode — and prints one summary line per run. With
-// jsonPath it also writes the serveReport document.
-func runServeSuite(spec string, dur time.Duration, jsonPath string) {
-	report := serveReport{
-		Schema:     "arvbench/serve/v1",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "arvbench: bad -servebench reader count %q\n", f)
-			os.Exit(2)
-		}
-		for _, locked := range []bool{false, true} {
-			cfg := servebench.Defaults(n)
-			cfg.Locked = locked
-			if dur > 0 {
-				cfg.Duration = dur
-			}
-			res := servebench.Run(cfg)
-			report.Runs = append(report.Runs, res)
-			fmt.Printf("serve readers=%-3d locked=%-5v %10.0f reads/s  %9d reads  %8.1f us mean  %9.1f us max  %4d snapshots  %6.1f sim-ms\n",
-				res.Readers, res.Locked, res.ReadsPerSec, res.Reads, res.LatencyMeanUS, res.LatencyMaxUS, res.Snapshots, res.SimAdvanceMS)
-			if res.Errors != 0 {
-				fmt.Fprintf(os.Stderr, "arvbench: servebench readers=%d locked=%v: %d non-200 responses\n", n, locked, res.Errors)
-				os.Exit(1)
-			}
-		}
-	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "arvbench: encoding -json report: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "arvbench: writing %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %s]\n", jsonPath)
-	}
 }
 
 // runScaleSuite executes the scale benchmark family for the given
@@ -198,10 +136,7 @@ func main() {
 		scaleSpan     = flag.Duration("scalebench-span", 0, "simulated span per -scalebench run (0 = default 2s)")
 		scaleReps     = flag.Int("scalebench-reps", 1, "repetitions per -scalebench point; the lowest-wall run is kept")
 
-		serveBench = flag.String("servebench", "", "run the serve-throughput benchmark for these reader counts (e.g. 1,2,4,8); -json then writes the BENCH_serve.json document")
-		serveDur   = flag.Duration("servebench-duration", 0, "wall-clock window per -servebench run (0 = default 150ms)")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the selected -run/-scalebench/-servebench work to this file (go tool pprof)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the selected -run/-scalebench work to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap allocation profile taken after the selected work to this file (go tool pprof)")
 	)
 	flag.Parse()
@@ -241,10 +176,6 @@ func main() {
 
 	if *scaleBench != "" {
 		runScaleSuite(*scaleBench, *scaleChurn, *scaleInterval, *scaleSpan, *scaleReps, *jsonPath)
-		return
-	}
-	if *serveBench != "" {
-		runServeSuite(*serveBench, *serveDur, *jsonPath)
 		return
 	}
 

@@ -117,6 +117,13 @@ type TeamFunc func(now sim.Time, n int, useful, raw units.CPUSeconds)
 // n in the same tick. Whether a member woken in another group runs this
 // tick depends on whether the tick visits that group, so callbacks must
 // not rely on it.
+//
+// A callback must not write a quota that leaves every cap unchanged:
+// such a write only marks throttle flags, which the tick's walk clears
+// at its end, while the rebuild oracle reads the new limit as it walks,
+// so the tick's throttle accounting would depend on the regime. Limit
+// writes that move a cap take effect from the next tick like any other
+// change.
 type Team struct {
 	group    *Group
 	gamma    float64
@@ -202,12 +209,6 @@ type Group struct {
 	parent   *Group
 	children []*Group
 	schedIdx int // position in Scheduler.groups, maintained on add/remove
-
-	// childShares is Σ children's Shares, maintained by the scheduler on
-	// child creation/removal and SetShares. ns_monitor reads it every
-	// time a nested container's share fraction is recomputed; a scan of
-	// Children() there would make each cgroup event O(siblings).
-	childShares int64
 
 	sched *Scheduler
 
@@ -308,11 +309,6 @@ func (g *Group) Throttled() bool { return g.acct().flags&acctThrottled != 0 }
 // allocation rebuild reads it for every group.
 func (g *Group) RunnableTasks() int { return g.runnable }
 
-// ChildShares returns Σ Shares over the group's children (0 for a leaf).
-// The aggregate is maintained by the scheduler's SetShares and group
-// lifecycle paths, not scanned.
-func (g *Group) ChildShares() int64 { return g.childShares }
-
 // Tasks returns the number of tasks (runnable or not) in the group.
 func (g *Group) Tasks() int { return len(g.tasks) }
 
@@ -340,10 +336,6 @@ type Scheduler struct {
 	totalRunnable int              // runnable tasks in the most recent tick
 	runnableNow   int              // live runnable-task count (kept by SetRunnable)
 	ticks         uint64
-
-	// topShares is Σ Shares over top-level groups, maintained like
-	// Group.childShares (see TopShares).
-	topShares int64
 
 	// Struct-of-arrays hot state, parallel to groups (indexed by
 	// schedIdx, compacted in step on RemoveGroup).
@@ -438,33 +430,17 @@ func (s *Scheduler) TakeWindowSlack() units.CPUSeconds {
 	return v
 }
 
-// TotalRunnable returns the number of runnable tasks in the most recent
-// tick.
-func (s *Scheduler) TotalRunnable() int { return s.totalRunnable }
-
 // Groups returns the live scheduling groups.
 func (s *Scheduler) Groups() []*Group { return s.groups }
 
-// TopShares returns Σ Shares over the top-level groups. Like
-// Group.ChildShares it is maintained incrementally by SetShares and the
-// group lifecycle paths, not scanned.
-func (s *Scheduler) TopShares() int64 { return s.topShares }
-
-// SetShares writes g's cpu.shares weight while keeping the share
-// aggregates (TopShares, the parent's ChildShares) consistent. All
-// share changes on a live group must go through here (the cgroups layer
-// does).
+// SetShares writes g's cpu.shares weight. All share changes on a live
+// group must go through here (the cgroups layer does), so a reweight
+// that can move the allocation marks it for repair.
 func (s *Scheduler) SetShares(g *Group, shares int64) {
-	delta := shares - g.Shares
-	if delta == 0 {
+	if shares == g.Shares {
 		return
 	}
 	g.Shares = shares
-	if g.parent != nil {
-		g.parent.childShares += delta
-	} else {
-		s.topShares += delta
-	}
 	// Shares only weight the water fills a group with a positive cap
 	// participates in; reweighting a capless group cannot move any
 	// allocation.
@@ -594,7 +570,6 @@ func (s *Scheduler) NewGroup(name string) *Group {
 	g.schedIdx = len(s.groups)
 	s.groups = append(s.groups, g)
 	s.growHot()
-	s.topShares += g.Shares
 	// A new group has no runnable tasks, so cap 0: it joins no fill and
 	// moves no allocation, and the memo stays valid.
 	return g
@@ -623,7 +598,6 @@ func (s *Scheduler) NewChildGroup(parent *Group, name string) *Group {
 	}
 	g.schedIdx = len(s.groups)
 	parent.children = append(parent.children, g)
-	parent.childShares += g.Shares
 	s.groups = append(s.groups, g)
 	s.growHot()
 	return g
@@ -680,15 +654,12 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	g.runnable = 0
 	g.teamRunnable = 0
 	if g.parent != nil {
-		g.parent.childShares -= g.Shares
 		for i, x := range g.parent.children {
 			if x == g {
 				g.parent.children = append(g.parent.children[:i], g.parent.children[i+1:]...)
 				break
 			}
 		}
-	} else {
-		s.topShares -= g.Shares
 	}
 	i := g.schedIdx
 	s.groups = append(s.groups[:i], s.groups[i+1:]...)
@@ -793,9 +764,8 @@ func (s *Scheduler) countRunnable(t *Task, d int) {
 	}
 }
 
-// RunnableNow returns the live count of runnable tasks — unlike
-// TotalRunnable it reflects wake-ups and blocks made since the last
-// tick. The host kernel's fast-forward gate reads it every step, so it
+// RunnableNow returns the live count of runnable tasks, including
+// wake-ups and blocks made since the last tick. The host kernel's fast-forward gate reads it every step, so it
 // is maintained incrementally rather than scanned.
 func (s *Scheduler) RunnableNow() int { return s.runnableNow }
 

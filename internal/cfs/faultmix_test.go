@@ -10,7 +10,6 @@ import (
 	"arv/internal/container"
 	"arv/internal/faults"
 	"arv/internal/host"
-	"arv/internal/sysns"
 	"arv/internal/telemetry"
 	"arv/internal/units"
 	"arv/internal/workloads"
@@ -26,10 +25,9 @@ import (
 // before anything is scheduled.
 func buildFaultMixHost(oracle bool) (*host.Host, []*container.Container) {
 	h := host.New(host.Config{
-		CPUs:      16,
-		Memory:    64 * units.GiB,
-		Seed:      7,
-		NSOptions: sysns.Options{BatchedRecompute: true},
+		CPUs:   16,
+		Memory: 64 * units.GiB,
+		Seed:   7,
 	})
 	if oracle {
 		cfs.UseRebuildOracle(h.Sched)

@@ -33,7 +33,8 @@
 //     half the active set, one full rebuildTick (after settling all
 //     deferred accounting) re-derives everything and re-seeds the
 //     repair lists — pathological churn degrades gracefully to the
-//     rebuild cost, mirroring sysns's batched-recompute escalation.
+//     rebuild cost, mirroring the escalation of ns_monitor's bounds
+//     marks.
 //
 // One rule holds in all three regimes: the allocation is fixed for the
 // tick. A change a team callback makes during the walk (a block, a

@@ -286,10 +286,6 @@ func (j *JVM) Heap() *Heap { return &j.heap }
 // GCThreadPool returns N, the number of GC threads created at launch.
 func (j *JVM) GCThreadPool() int { return j.poolSize }
 
-// JITThreads returns the number of JIT compiler threads created at
-// launch (also sized from the perceived CPU count).
-func (j *JVM) JITThreads() int { return j.jitCount }
-
 // Workload returns the profile the JVM is executing.
 func (j *JVM) Workload() Workload { return j.w }
 

@@ -54,16 +54,14 @@ type SwapDevice struct {
 
 	busyUntil sim.Time
 
-	swappedOut units.Bytes // cumulative traffic
-	swappedIn  units.Bytes
+	swappedOut units.Bytes // cumulative swap-out traffic
 }
 
 // Used returns the bytes currently on the swap device.
 func (d *SwapDevice) Used() units.Bytes { return d.used }
 
-// TrafficOut and TrafficIn return cumulative swap traffic.
+// TrafficOut returns cumulative swap-out traffic.
 func (d *SwapDevice) TrafficOut() units.Bytes { return d.swappedOut }
-func (d *SwapDevice) TrafficIn() units.Bytes  { return d.swappedIn }
 
 // Group is the memory controller of one cgroup.
 type Group struct {
@@ -369,7 +367,6 @@ func (c *Controller) Touch(g *Group, n units.Bytes, now sim.Time) (stall time.Du
 	g.swapped -= faulted
 	c.swap.used -= faulted
 	g.swapIn += faulted
-	c.swap.swappedIn += faulted
 	traffic += faulted
 	st, ok := c.Charge(g, faulted, now)
 	if !ok {

@@ -9,9 +9,8 @@
 // CFS allocation round, the ns_monitor view-update pipeline, and the
 // cgroup event path under churn — at Borg/Kubernetes-scale container
 // counts (see PAPERS.md on cluster managers). The host runs the same
-// kernel as every experiment; the one lever the benchmark sets is the
-// monitor's batched recompute, always on. The reference paths the
-// kernel is tested against — cfs's rebuild oracle
+// kernel and the same ns_monitor as every experiment, with no lever of
+// its own. The reference paths the kernel is tested against — cfs's rebuild oracle
 // (cfs.UseRebuildOracle) and ns_monitor's full recompute
 // (sysns.UseFullRecompute) — live in test files, out of reach of any
 // benchmark configuration. cmd/arvbench exposes the harness via
@@ -27,7 +26,6 @@ import (
 	"arv/internal/container"
 	"arv/internal/faults"
 	"arv/internal/host"
-	"arv/internal/sysns"
 	"arv/internal/telemetry"
 	"arv/internal/units"
 )
@@ -112,10 +110,9 @@ type Bench struct {
 func Build(cfg Config) *Bench {
 	cfg = cfg.withDefaults()
 	h := host.New(host.Config{
-		CPUs:      cfg.CPUs,
-		Memory:    cfg.Memory,
-		Seed:      cfg.Seed,
-		NSOptions: sysns.Options{BatchedRecompute: true},
+		CPUs:   cfg.CPUs,
+		Memory: cfg.Memory,
+		Seed:   cfg.Seed,
 	})
 	// Pin the view-update interval at the paper's 24ms base period: with
 	// hundreds of runnable tasks the CFS scheduling period scales to

@@ -115,7 +115,7 @@ func (v *NSView) TotalMemory() units.Bytes { return v.NS.EffectiveMemory() }
 
 // freeMemory returns effective memory minus the cgroup's resident
 // charge, clamped at zero. It reads no CPU state, so a memory probe is
-// never a batched-recompute flush boundary.
+// never a bounds flush boundary.
 func (v *NSView) freeMemory() units.Bytes {
 	used := v.NS.Cgroup().Mem.Resident()
 	return max(v.NS.EffectiveMemory()-used, 0)
@@ -132,9 +132,9 @@ func (v *NSView) ReadFile(path string) (string, error) {
 }
 
 // sysconf answers a sysconf name for any view. It calls only the
-// accessor the name needs: NSView.OnlineCPUs is a batched-recompute
-// flush boundary (DESIGN.md §14), and memory and page-size probes must
-// not trigger it.
+// accessor the name needs: NSView.OnlineCPUs is a bounds flush
+// boundary (DESIGN.md §14), and memory and page-size probes must not
+// trigger it.
 func sysconf[V interface {
 	View
 	freeMemory() units.Bytes

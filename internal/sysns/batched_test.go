@@ -12,14 +12,15 @@ import (
 	"arv/internal/units"
 )
 
-// batchedPair is a batched monitor and a full-recompute reference over
-// one hierarchy. The reference rebuilds from live state at every
-// delivered trigger, so wherever the batched contract promises "live
-// state at a flush boundary" the two must agree exactly.
+// batchedPair is a production monitor, whose marks batch up until the
+// next read boundary, and a full-recompute reference over one
+// hierarchy. The reference rebuilds from live state at every delivered
+// trigger; with every event delivered, the two must agree exactly at
+// every flush boundary.
 type batchedPair struct {
 	clock *sim.Clock
 	hier  *cgroups.Hierarchy
-	mB    *Monitor // batched deferred recompute
+	mB    *Monitor // marks flushed at read boundaries
 	mR    *Monitor // UseFullRecompute: full recompute per trigger
 }
 
@@ -31,7 +32,7 @@ func newBatchedPair(cpus int) *batchedPair {
 	return &batchedPair{
 		clock: clock,
 		hier:  hier,
-		mB:    NewMonitor(hier, clock, Options{BatchedRecompute: true}),
+		mB:    NewMonitor(hier, clock, Options{}),
 		mR:    newFullRecomputeMonitor(hier, clock),
 	}
 }
@@ -44,12 +45,12 @@ func (p *batchedPair) addContainer(t *testing.T, name string) *cgroups.Cgroup {
 	return cg
 }
 
-// deferred reports whether the batched monitor holds recompute marks
+// deferred reports whether the production monitor holds recompute marks
 // for its next flush boundary.
 func (p *batchedPair) deferred() bool { return p.mB.BoundsDeferred() }
 
-// checkBounds flushes both monitors (the bounds read is the batched
-// flush boundary) and asserts they agree on cg.
+// checkBounds flushes both monitors (the bounds read is a flush
+// boundary) and asserts they agree on cg.
 func (p *batchedPair) checkBounds(t *testing.T, when string, cg *cgroups.Cgroup) (lower, upper int) {
 	t.Helper()
 	nsB, nsR := p.mB.Lookup(cg), p.mR.Lookup(cg)
@@ -59,10 +60,10 @@ func (p *batchedPair) checkBounds(t *testing.T, when string, cg *cgroups.Cgroup)
 	bl, bu := nsB.CPUBounds()
 	rl, ru := nsR.CPUBounds()
 	if bl != rl || bu != ru {
-		t.Fatalf("%s: %s bounds diverged: batched [%d,%d], reference [%d,%d]", when, cg.Name, bl, bu, rl, ru)
+		t.Fatalf("%s: %s bounds diverged: production [%d,%d], reference [%d,%d]", when, cg.Name, bl, bu, rl, ru)
 	}
 	if e := nsB.EffectiveCPU(); e < bl || e > bu {
-		t.Fatalf("%s: %s batched E_CPU %d outside [%d,%d]", when, cg.Name, e, bl, bu)
+		t.Fatalf("%s: %s production E_CPU %d outside [%d,%d]", when, cg.Name, e, bl, bu)
 	}
 	return bl, bu
 }
@@ -136,7 +137,7 @@ func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
 	l0, _ := p.checkBounds(t, "after-flush", c0)
 	p.checkBounds(t, "after-flush", c1)
 	if want := p.mR.totalTop; p.mB.totalTop != want {
-		t.Fatalf("batched totalTop = %d after create+remove coalesced, reference %d", p.mB.totalTop, want)
+		t.Fatalf("production totalTop = %d after create+remove coalesced, reference %d", p.mB.totalTop, want)
 	}
 
 	// The frozen handle keeps the last live view even after its slot is
@@ -162,12 +163,11 @@ func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
 }
 
 // TestBatchedSuppressionRecovery drives the suppressed-event recovery
-// path under the batched layout: an interceptor-dropped limit change
-// moves live state without a delivered event, so the share cache is
-// stale and no dirty mark exists. The next delivered trigger must
-// detect the suppression-counter mismatch and force a FullRecompute —
-// eagerly, exactly as on the synchronous path — bringing the dropped
-// change into the bounds.
+// path: an interceptor-dropped limit change moves live state without a
+// delivered event, so the delivered inputs are stale and no dirty mark
+// exists. The next delivered trigger must detect the
+// suppression-counter mismatch and force a FullRecompute at delivery,
+// bringing the dropped change into the bounds.
 func TestBatchedSuppressionRecovery(t *testing.T) {
 	p := newBatchedPair(8)
 	c0 := p.addContainer(t, "c0")
@@ -181,8 +181,8 @@ func TestBatchedSuppressionRecovery(t *testing.T) {
 	if p.hier.Suppressed() != 1 {
 		t.Fatalf("Suppressed() = %d, want 1", p.hier.Suppressed())
 	}
-	// No delivered trigger yet: the batched monitor must still hold the
-	// pre-drop bounds (stale, as the contract allows until recovery).
+	// No delivered trigger yet: the monitor must still hold the pre-drop
+	// bounds (stale, as the contract allows until recovery).
 	if l, _ := p.mB.Lookup(c0).CPUBounds(); l != l0 {
 		t.Fatalf("c0 lower bound %d before any delivered trigger, want stale %d", l, l0)
 	}
@@ -198,7 +198,7 @@ func TestBatchedSuppressionRecovery(t *testing.T) {
 		t.Fatalf("c0 lower bound = %d after recovery, want 7 (dropped shares absorbed)", lower)
 	}
 	if p.mB.seenSuppressed != p.hier.Suppressed() {
-		t.Fatalf("batched monitor seenSuppressed = %d, hierarchy %d: recovery did not resynchronize",
+		t.Fatalf("production monitor seenSuppressed = %d, hierarchy %d: recovery did not resynchronize",
 			p.mB.seenSuppressed, p.hier.Suppressed())
 	}
 	if p.mB.boundsDirtyAll || len(p.mB.dirtyTops) != 0 {
@@ -206,41 +206,95 @@ func TestBatchedSuppressionRecovery(t *testing.T) {
 	}
 }
 
-// TestBoundsFlushCounts pins where the one flush runs in each mode, in
-// work counts: n quota writes to one pod between two bounds reads cost n
-// flushes under the eager contract (one per trigger) and a single
-// flush under batching. Either way every write's mark recomputes the
-// pod's two members once — batching coalesces passes, and duplicate
+// TestBoundsFlushCounts pins where the one flush runs, in work counts:
+// n quota writes to one pod between two bounds reads cost a single
+// flush at the second read. Every write's mark still recomputes the
+// pod's two members once — the flush coalesces passes, and duplicate
 // marks on one top still recompute it each time.
 func TestBoundsFlushCounts(t *testing.T) {
-	const n = 5
-	for _, tc := range []struct {
-		name    string
-		batched bool
-		flushes uint64
-	}{{"eager", false, n}, {"batched", true, 1}} {
-		t.Run(tc.name, func(t *testing.T) {
-			clock := sim.NewClock(time.Millisecond)
-			hier := cgroups.NewHierarchy(cfs.NewScheduler(8), memctl.New(memctl.Config{Total: 16 * units.GiB}))
-			mon := NewMonitor(hier, clock, Options{BatchedRecompute: tc.batched})
-			mon.Attach(hier.Create("c0"))
-			pod := hier.Create("pod")
-			nsA := mon.Attach(hier.CreateChild(pod, "a"))
-			mon.Attach(hier.CreateChild(pod, "b"))
-			nsA.CPUBounds() // first read: every earlier mark is applied
+	t.Run("batched", func(t *testing.T) {
+		const n = 5
+		clock := sim.NewClock(time.Millisecond)
+		hier := cgroups.NewHierarchy(cfs.NewScheduler(8), memctl.New(memctl.Config{Total: 16 * units.GiB}))
+		mon := NewMonitor(hier, clock, Options{})
+		mon.Attach(hier.Create("c0"))
+		pod := hier.Create("pod")
+		nsA := mon.Attach(hier.CreateChild(pod, "a"))
+		mon.Attach(hier.CreateChild(pod, "b"))
+		nsA.CPUBounds() // first read: every earlier mark is applied
 
-			tr := telemetry.New(0)
-			mon.AttachTelemetry(tr)
-			for i := 0; i < n; i++ {
-				pod.SetQuotaCPUs(float64(1 + i))
-			}
-			nsA.CPUBounds() // second read
-			if got := tr.Count(telemetry.CtrBoundsFlushes); got != tc.flushes {
-				t.Errorf("bounds flushes = %d, want %d", got, tc.flushes)
-			}
-			if got := tr.Count(telemetry.CtrBoundsRecomputed); got != 2*n {
-				t.Errorf("bounds recomputed = %d, want %d", got, 2*n)
-			}
-		})
+		tr := telemetry.New(0)
+		mon.AttachTelemetry(tr)
+		for i := 0; i < n; i++ {
+			pod.SetQuotaCPUs(float64(1 + i))
+		}
+		nsA.CPUBounds() // second read
+		if got := tr.Count(telemetry.CtrBoundsFlushes); got != 1 {
+			t.Errorf("bounds flushes = %d, want 1", got)
+		}
+		if got := tr.Count(telemetry.CtrBoundsRecomputed); got != 2*n {
+			t.Errorf("bounds recomputed = %d, want %d", got, 2*n)
+		}
+	})
+}
+
+// dropNext withholds the limit events write publishes from every
+// subscriber, as a fault injector's event drop does.
+func dropNext(hier *cgroups.Hierarchy, write func()) {
+	hier.Intercept(func(cgroups.Event) bool { return false })
+	write()
+	hier.Intercept(nil)
+}
+
+// TestPendingMarkKeepsDroppedEventStale pins that a flush never reads a
+// change the monitor was not told about. Another trigger's mark is still
+// pending when a limit event is dropped; the read that flushes the mark
+// must recompute the dropped cgroup's bounds from its delivered inputs,
+// so they stay stale until the next delivered trigger repairs them
+// (DESIGN.md §9).
+func TestPendingMarkKeepsDroppedEventStale(t *testing.T) {
+	newMon := func() (*cgroups.Hierarchy, *Monitor) {
+		hier := cgroups.NewHierarchy(cfs.NewScheduler(8), memctl.New(memctl.Config{Total: 16 * units.GiB}))
+		return hier, NewMonitor(hier, sim.NewClock(time.Millisecond), Options{})
 	}
+	upper := func(ns *SysNamespace) int { _, u := ns.CPUBounds(); return u }
+
+	t.Run("flat", func(t *testing.T) {
+		hier, mon := newMon()
+		a, b := hier.Create("a"), hier.Create("b")
+		nsA := mon.Attach(a)
+		nsB := mon.Attach(b) // a new top: every view is marked, unflushed
+		if !mon.BoundsDeferred() {
+			t.Fatal("attaching b left no pending mark")
+		}
+		dropNext(hier, func() { a.SetQuotaCPUs(2) })
+		nsB.CPUBounds() // the flush
+		if got := upper(nsA); got != 8 {
+			t.Fatalf("a upper = %d after a flush with its quota event dropped, want stale 8", got)
+		}
+		b.SetShares(2048) // delivered: the suppression recovery re-reads a's quota
+		if got := upper(nsA); got != 2 {
+			t.Fatalf("a upper = %d after the next delivered trigger, want 2", got)
+		}
+	})
+
+	t.Run("pod", func(t *testing.T) {
+		hier, mon := newMon()
+		pod := hier.Create("pod")
+		nsK1 := mon.Attach(hier.CreateChild(pod, "k1"))
+		nsK1.CPUBounds()
+		k2 := hier.CreateChild(pod, "k2")
+		mon.Attach(k2) // the pod's subtree is marked, unflushed
+		if !mon.BoundsDeferred() {
+			t.Fatal("attaching k2 left no pending mark")
+		}
+		dropNext(hier, func() { pod.SetQuotaCPUs(2) })
+		if got := upper(nsK1); got != 8 {
+			t.Fatalf("k1 upper = %d after a flush with its pod's quota event dropped, want stale 8", got)
+		}
+		k2.SetShares(512) // delivered: recovery
+		if got := upper(nsK1); got != 2 {
+			t.Fatalf("k1 upper = %d after the next delivered trigger, want 2", got)
+		}
+	})
 }

@@ -15,21 +15,24 @@ import (
 
 // buildDifferentialHost constructs one of a mirrored pair: identical
 // seeds, containers, workloads, and fault schedule, differing only in
-// the monitor path — eager or batched marks (nsOpts), or, with
-// fullRecompute, the full-recompute-per-trigger reference. Because the
-// fault layer draws from its own seeded RNG and the monitor path never
-// consumes randomness, the two hosts see byte-identical event and churn
-// schedules — any divergence in view state is the incremental cache's
-// fault.
-func buildDifferentialHost(nsOpts sysns.Options, fullRecompute bool) *host.Host {
+// the monitor path — the production mark-and-flush path or, with
+// fullRecompute, the full-recompute-per-trigger reference — and, with
+// observed, in whether snapshot publication is on (every cut is one more
+// flush boundary). Because the fault layer draws from its own seeded RNG
+// and the monitor path never consumes randomness, the two hosts see
+// byte-identical event and churn schedules — any divergence in view
+// state is the incremental path's fault.
+func buildDifferentialHost(observed, fullRecompute bool) *host.Host {
 	h := host.New(host.Config{
-		CPUs:      8,
-		Memory:    16 * units.GiB,
-		Seed:      11,
-		NSOptions: nsOpts,
+		CPUs:   8,
+		Memory: 16 * units.GiB,
+		Seed:   11,
 	})
 	if fullRecompute {
 		sysns.UseFullRecompute(h.Monitor)
+	}
+	if observed {
+		h.Monitor.WarmSnapshot()
 	}
 	inj := faults.Attach(h, faults.Config{
 		Seed:             5,
@@ -81,8 +84,8 @@ func buildDifferentialHost(nsOpts sysns.Options, fullRecompute bool) *host.Host 
 // the next delivered trigger, the same instant the full walk absorbs the
 // lost change).
 func TestIncrementalMatchesFullUnderFaults(t *testing.T) {
-	hA := buildDifferentialHost(sysns.Options{}, false) // incremental
-	hB := buildDifferentialHost(sysns.Options{}, true)  // full recompute per trigger
+	hA := buildDifferentialHost(false, false) // incremental
+	hB := buildDifferentialHost(false, true)  // full recompute per trigger
 
 	for step := 0; step < 40; step++ {
 		hA.Run(25 * time.Millisecond)
@@ -123,23 +126,22 @@ func TestIncrementalMatchesFullUnderFaults(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesFullUnderFaults is the batched-mode differential
-// arm: the same mirrored-host construction, but the candidate runs the
-// scale configuration — BatchedRecompute — against the full-recompute
-// reference. The fleet is flat (no pods), so the batched flush-boundary
-// contract ("bounds reflect live hierarchy state") coincides with the
-// eager trigger-time one, and CPU bounds must match the reference
-// exactly at every sample, across dropped events (the
-// suppression-recovery FullRecompute runs at the next delivered
-// trigger), delayed redeliveries, lagged and missed update rounds, and
-// the kill-restart. Effective memory
-// never reads bounds, so it must match exactly too. Effective CPU is
-// only pinned inside the bounds: the clamp is stateful, and coalescing
-// the intermediate bounds states it would have clamped through is
-// precisely what batching does (see sysns.Options.BatchedRecompute).
+// TestBatchedMatchesFullUnderFaults is the differential arm for a
+// different batching of the marks: the same mirrored-host construction,
+// but the candidate host has a snapshot consumer, so every observe-phase
+// cut is one more flush boundary and the marks coalesce into smaller
+// batches. Bounds are a function of delivered inputs, so where the
+// flushes fall must not matter: CPU bounds must match the
+// full-recompute reference exactly at every sample, across dropped
+// events (the suppression-recovery FullRecompute runs at the next
+// delivered trigger), delayed redeliveries, lagged and missed update
+// rounds, and the kill-restart. Effective memory never reads bounds, so
+// it must match exactly too. Effective CPU is only pinned inside the
+// bounds: the clamp is stateful, and the reference clamps through every
+// trigger's intermediate bounds state (DESIGN.md §14).
 func TestBatchedMatchesFullUnderFaults(t *testing.T) {
-	hA := buildDifferentialHost(sysns.Options{BatchedRecompute: true}, false)
-	hB := buildDifferentialHost(sysns.Options{}, true)
+	hA := buildDifferentialHost(true, false)
+	hB := buildDifferentialHost(false, true)
 
 	for step := 0; step < 40; step++ {
 		hA.Run(25 * time.Millisecond)
@@ -156,7 +158,7 @@ func TestBatchedMatchesFullUnderFaults(t *testing.T) {
 		for _, a := range ctrsA {
 			b := byName[a.Name]
 			if b == nil {
-				t.Fatalf("sample %d: %s live on batched host only", step, a.Name)
+				t.Fatalf("sample %d: %s live on observed host only", step, a.Name)
 			}
 			if (a.NS == nil) != (b.NS == nil) {
 				t.Fatalf("sample %d: %s namespace presence diverged", step, a.Name)
@@ -164,17 +166,17 @@ func TestBatchedMatchesFullUnderFaults(t *testing.T) {
 			if a.NS == nil {
 				continue
 			}
-			al, au := a.NS.CPUBounds() // flush boundary on the batched host
+			al, au := a.NS.CPUBounds() // a flush boundary
 			bl, bu := b.NS.CPUBounds()
 			if al != bl || au != bu {
-				t.Fatalf("sample %d: %s bounds diverged: batched [%d,%d], full [%d,%d]",
+				t.Fatalf("sample %d: %s bounds diverged: observed [%d,%d], full [%d,%d]",
 					step, a.Name, al, au, bl, bu)
 			}
 			if e := a.NS.EffectiveCPU(); e < al || e > au {
-				t.Fatalf("sample %d: %s batched E_CPU %d outside bounds [%d,%d]", step, a.Name, e, al, au)
+				t.Fatalf("sample %d: %s observed E_CPU %d outside bounds [%d,%d]", step, a.Name, e, al, au)
 			}
 			if ma, mb := a.NS.EffectiveMemory(), b.NS.EffectiveMemory(); ma != mb {
-				t.Fatalf("sample %d: %s E_MEM diverged: batched %d, full %d", step, a.Name, ma, mb)
+				t.Fatalf("sample %d: %s E_MEM diverged: observed %d, full %d", step, a.Name, ma, mb)
 			}
 		}
 	}

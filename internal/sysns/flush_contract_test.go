@@ -13,15 +13,15 @@ import (
 	"arv/internal/units"
 )
 
-// TestNSViewFlushContract pins which virtual-sysfs probes are batched
-// recompute flush boundaries (DESIGN.md §14): a CPU probe or a
-// pseudo-file read applies deferred bounds marks, while memory and
-// page-size probes leave them deferred.
+// TestNSViewFlushContract pins which virtual-sysfs probes are bounds
+// flush boundaries (DESIGN.md §14): a CPU probe or a pseudo-file read
+// applies deferred bounds marks, while memory and page-size probes leave
+// them deferred.
 func TestNSViewFlushContract(t *testing.T) {
 	sched := cfs.NewScheduler(8)
 	mem := memctl.New(memctl.Config{Total: 16 * units.GiB})
 	hier := cgroups.NewHierarchy(sched, mem)
-	mon := sysns.NewMonitor(hier, sim.NewClock(time.Millisecond), sysns.Options{BatchedRecompute: true})
+	mon := sysns.NewMonitor(hier, sim.NewClock(time.Millisecond), sysns.Options{})
 	a := hier.Create("a")
 	b := hier.Create("b")
 	v := &sysfs.NSView{NS: mon.Attach(a), Host: &sysfs.HostView{Sched: sched, Mem: mem}}

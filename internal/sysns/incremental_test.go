@@ -13,18 +13,31 @@ import (
 	"arv/internal/units"
 )
 
-// mirror is a trio of monitors over one hierarchy: mA on the incremental
-// dirty-subtree path, mB pinned to the historical full-recompute path,
-// mC on the batched deferred-recompute path. Every cgroup is attached to
-// all three or none, so after any hierarchy operation (and, for mC, a
-// flush) they must agree on every namespace's bounds.
+// mirror is a pair of monitors over one hierarchy: mA on the production
+// mark-and-flush path, mB pinned to the full-recompute reference. Every
+// cgroup is attached to both or neither, so after any hierarchy
+// operation they must agree on every namespace's bounds.
 type mirror struct {
 	clock *sim.Clock
 	sched *cfs.Scheduler
 	hier  *cgroups.Hierarchy
 	mA    *Monitor
 	mB    *Monitor
-	mC    *Monitor
+
+	// dropped is the limit event withheld from both monitors and not yet
+	// followed by a delivered trigger, or nil.
+	dropped *droppedEvent
+}
+
+// droppedEvent is a limit change on cg that no monitor was told about,
+// with cg's delivered inputs (and its pod's sibling sum) as they stood
+// before the change. Until the next delivered trigger those are the
+// values every monitor must keep.
+type droppedEvent struct {
+	cg        *cgroups.Cgroup
+	shares    int64
+	cap       int32
+	parentSum int64
 }
 
 func newMirror(cpus int) *mirror {
@@ -38,118 +51,156 @@ func newMirror(cpus int) *mirror {
 		hier:  hier,
 		mA:    NewMonitor(hier, clock, Options{}),
 		mB:    newFullRecomputeMonitor(hier, clock),
-		mC:    NewMonitor(hier, clock, Options{BatchedRecompute: true}),
 	}
 }
 
-func (m *mirror) attach(cg *cgroups.Cgroup) { m.mA.Attach(cg); m.mB.Attach(cg); m.mC.Attach(cg) }
-func (m *mirror) detach(cg *cgroups.Cgroup) { m.mA.Detach(cg); m.mB.Detach(cg); m.mC.Detach(cg) }
+func (m *mirror) attach(cg *cgroups.Cgroup) { m.mA.Attach(cg); m.mB.Attach(cg) }
+func (m *mirror) detach(cg *cgroups.Cgroup) { m.mA.Detach(cg); m.mB.Detach(cg) }
 
-// check asserts (1) the incremental monitor agrees with the legacy one
-// on every namespace, (2) the incremental and batched caches match a
-// fresh derivation from the live hierarchy, and (3) the batched
-// monitor's flushed bounds are a fixed point of FullRecompute — nothing
-// a deferred mark carried was lost — with E_CPU inside them.
+// check asserts, after every operation:
 //
-// The batched monitor is deliberately NOT compared against the eager
-// pair's bounds: the eager contract preserves the historical walk's
-// trigger-time inputs (a pod member created without attaching dilutes
-// its siblings only at the next recompute trigger, via pendingTops),
-// while a batched flush recomputes from live state and may absorb such
-// a dilution earlier. For flat fleets the two coincide —
-// TestBatchedMatchesFullUnderFaults asserts exactly that at host level —
-// but under pod schedules the batched contract is "live state at every
-// flush boundary", which the FullRecompute fixed point pins down.
-// E_CPU equality is likewise not part of the batched contract (the
-// clamp is stateful, so deferral is observable; see
-// Options.BatchedRecompute).
+//  1. Both monitors hold the same namespaces, and their bounds agree
+//     exactly, with E_CPU inside them.
+//  2. The production monitor's bounds are a function of its delivered
+//     inputs: marking every view and flushing again moves no bound and
+//     no E_CPU, even with a drop outstanding (a flush that read the
+//     hierarchy would pick the dropped change up here).
+//  3. Each monitor's delivered inputs match the hierarchy for every live
+//     cgroup, except that a dropped event's cgroup keeps its pre-drop
+//     values until the next delivered trigger; refs and totalTop match
+//     a fresh derivation over those inputs.
+//  4. With no event outstanding, the production monitor's flushed state
+//     is a fixed point of FullRecompute: a rebuild from live state moves
+//     no bound and no E_CPU. A lost or mis-scoped mark would leave some
+//     namespace's flushed bounds behind the hierarchy, and the rebuild
+//     would expose it.
+//
+// E_CPU is not compared across the two monitors: the reference clamps it
+// at every trigger, the production monitor only at reads, and the clamp
+// is stateful (DESIGN.md §14).
 func (m *mirror) check(t *testing.T, step int, op string) {
 	t.Helper()
-	if la, lb, lc := len(m.mA.order), len(m.mB.order), len(m.mC.order); la != lb || la != lc {
-		t.Fatalf("step %d (%s): namespace counts diverged: %d vs %d vs %d", step, op, la, lb, lc)
+	if la, lb := len(m.mA.order), len(m.mB.order); la != lb {
+		t.Fatalf("step %d (%s): namespace counts diverged: %d vs %d", step, op, la, lb)
 	}
 	for _, nsA := range m.mA.order {
 		nsB := m.mB.Lookup(nsA.cg)
 		if nsB == nil {
-			t.Fatalf("step %d (%s): %s attached on incremental monitor only", step, op, nsA.cg.Name)
+			t.Fatalf("step %d (%s): %s attached on the production monitor only", step, op, nsA.cg.Name)
 		}
-		al, au := nsA.CPUBounds()
+		al, au := nsA.CPUBounds() // flush boundary: deferred marks apply here
 		bl, bu := nsB.CPUBounds()
-		if al != bl || au != bu || nsA.EffectiveCPU() != nsB.EffectiveCPU() {
-			t.Fatalf("step %d (%s): %s bounds diverged: incremental [%d,%d] e=%d, full [%d,%d] e=%d",
-				step, op, nsA.cg.Name, al, au, nsA.EffectiveCPU(), bl, bu, nsB.EffectiveCPU())
+		if al != bl || au != bu {
+			t.Fatalf("step %d (%s): %s bounds diverged: production [%d,%d], full [%d,%d]",
+				step, op, nsA.cg.Name, al, au, bl, bu)
 		}
-		if m.mC.Lookup(nsA.cg) == nil {
-			t.Fatalf("step %d (%s): %s missing on batched monitor", step, op, nsA.cg.Name)
+		if e := nsA.EffectiveCPU(); e < al || e > au {
+			t.Fatalf("step %d (%s): %s E_CPU %d outside bounds [%d,%d]", step, op, nsA.cg.Name, e, al, au)
 		}
 	}
 
-	// Cache invariants, derived the way FullRecompute would. The batched
-	// monitor maintains the same cache with eager per-event deltas, and
-	// the full-recompute reference rebuilds it on every trigger, so both
-	// are held to the identical invariant.
-	var totalTop int64
-	refs := make(map[*cgroups.Cgroup]int)
-	for _, ns := range m.mA.order {
-		top := topOf(ns.cg)
-		if refs[top] == 0 {
-			totalTop += top.CPU.Shares
-		}
-		refs[top]++
+	flushed := views(m.mA)
+	m.mA.markAllDirty()
+	m.mA.flush()
+	if err := sameViews(m.mA, flushed); err != nil {
+		t.Fatalf("step %d (%s): re-flushing every view from delivered inputs moved it: %v", step, op, err)
 	}
+
 	for _, mon := range []struct {
 		name string
 		m    *Monitor
-	}{{"incremental", m.mA}, {"full", m.mB}, {"batched", m.mC}} {
-		if mon.m.totalTop != totalTop {
-			t.Fatalf("step %d (%s): %s cached totalTop = %d, fresh derivation = %d", step, op, mon.name, mon.m.totalTop, totalTop)
+	}{{"production", m.mA}, {"full", m.mB}} {
+		if err := m.inputsDelivered(mon.m); err != nil {
+			t.Fatalf("step %d (%s): %s: %v", step, op, mon.name, err)
 		}
-		if n := trackedEntries(mon.m); n != len(refs) {
-			t.Fatalf("step %d (%s): %s cached %d top entries, fresh derivation has %d", step, op, mon.name, n, len(refs))
-		}
-		for top, want := range refs {
-			var e cgEntry
-			if mon.m.tracked(top.ID()) {
-				e = mon.m.byID[top.ID()]
-			}
-			if int(e.refs) != want || e.shares != top.CPU.Shares || e.cg != top {
-				t.Fatalf("step %d (%s): %s top %s cache {refs %d, shares %d}, want {refs %d, shares %d}",
-					step, op, mon.name, top.Name, e.refs, e.shares, want, top.CPU.Shares)
-			}
-		}
-	}
-	for _, mon := range []*Monitor{m.mA, m.mB, m.mC} {
-		if err := indexConsistent(mon); err != nil {
-			t.Fatalf("step %d (%s): %v", step, op, err)
+		if err := indexConsistent(mon.m); err != nil {
+			t.Fatalf("step %d (%s): %s: %v", step, op, mon.name, err)
 		}
 	}
 
-	// Batched fixed point: flush (any bounds read), record, then rebuild
-	// everything from live state — nothing may move. A lost or mis-scoped
-	// dirty mark would leave some namespace's flushed bounds behind the
-	// live hierarchy, and the rebuild would expose it. FullRecompute here
-	// does not perturb the schedule: the cache it rebuilds was just
-	// checked against the same fresh derivation, and re-clamping E_CPU
-	// into unchanged bounds is a no-op.
-	type span struct{ lower, upper, e int }
-	flushed := make(map[*cgroups.Cgroup]span, len(m.mC.order))
-	for _, ns := range m.mC.order {
-		l, u := ns.CPUBounds() // flush boundary: deferred marks apply here
-		e := ns.EffectiveCPU()
-		if e < l || e > u {
-			t.Fatalf("step %d (%s): %s batched E_CPU %d outside bounds [%d,%d]", step, op, ns.cg.Name, e, l, u)
-		}
-		flushed[ns.cg] = span{l, u, e}
+	if m.dropped != nil {
+		return
 	}
-	m.mC.FullRecompute()
-	for _, ns := range m.mC.order {
+	m.mA.FullRecompute()
+	if err := sameViews(m.mA, flushed); err != nil {
+		t.Fatalf("step %d (%s): flush lost a mark: %v", step, op, err)
+	}
+}
+
+// view is one namespace's flushed Algorithm 1 state.
+type view struct{ lower, upper, e int }
+
+// views reads every namespace's bounds and E_CPU (the reads flush).
+func views(mon *Monitor) map[*cgroups.Cgroup]view {
+	vs := make(map[*cgroups.Cgroup]view, len(mon.order))
+	for _, ns := range mon.order {
 		l, u := ns.CPUBounds()
-		got := span{l, u, ns.EffectiveCPU()}
-		if got != flushed[ns.cg] {
-			t.Fatalf("step %d (%s): %s batched flush lost a mark: flushed {[%d,%d] e=%d}, full rebuild {[%d,%d] e=%d}",
-				step, op, ns.cg.Name, flushed[ns.cg].lower, flushed[ns.cg].upper, flushed[ns.cg].e, got.lower, got.upper, got.e)
+		vs[ns.cg] = view{l, u, ns.EffectiveCPU()}
+	}
+	return vs
+}
+
+// sameViews reports the first namespace whose flushed state differs from
+// want.
+func sameViews(mon *Monitor, want map[*cgroups.Cgroup]view) error {
+	for cg, got := range views(mon) {
+		if w := want[cg]; got != w {
+			return fmt.Errorf("%s was {[%d,%d] e=%d}, now {[%d,%d] e=%d}",
+				cg.Name, w.lower, w.upper, w.e, got.lower, got.upper, got.e)
 		}
 	}
+	return nil
+}
+
+// inputsDelivered checks mon's per-cgroup inputs against the hierarchy
+// (or, for a dropped event's cgroup, against its pre-drop values), and
+// its refs and totalTop against a fresh derivation over those inputs.
+func (m *mirror) inputsDelivered(mon *Monitor) error {
+	p := m.sched.NCPU()
+	for _, cg := range m.hier.Cgroups() {
+		var sum int64
+		for _, c := range cg.Children() {
+			sum += c.CPU.Shares
+		}
+		shares, cp := cg.CPU.Shares, int32(capCPUs(cg.CPU, p))
+		if d := m.dropped; d != nil {
+			if cg == d.cg {
+				shares, cp = d.shares, d.cap
+			}
+			if cg == d.cg.Parent {
+				sum = d.parentSum
+			}
+		}
+		var e cgEntry
+		if cg.ID() < len(mon.byID) {
+			e = mon.byID[cg.ID()]
+		}
+		if e.cg != cg || e.shares != shares || e.cap != cp || e.sum != sum {
+			return fmt.Errorf("%s inputs {shares %d, cap %d, sum %d}, want {shares %d, cap %d, sum %d}",
+				cg.Name, e.shares, e.cap, e.sum, shares, cp, sum)
+		}
+	}
+	var totalTop int64
+	refs := make(map[*cgroups.Cgroup]int)
+	for _, ns := range mon.order {
+		top := topOf(ns.cg)
+		if refs[top] == 0 {
+			totalTop += mon.byID[top.ID()].shares
+		}
+		refs[top]++
+	}
+	if mon.totalTop != totalTop {
+		return fmt.Errorf("cached totalTop = %d, fresh derivation = %d", mon.totalTop, totalTop)
+	}
+	if n := trackedEntries(mon); n != len(refs) {
+		return fmt.Errorf("cached %d top entries, fresh derivation has %d", n, len(refs))
+	}
+	for top, want := range refs {
+		if got := mon.byID[top.ID()].refs; int(got) != want {
+			return fmt.Errorf("top %s refs = %d, want %d", top.Name, got, want)
+		}
+	}
+	return nil
 }
 
 // trackedEntries counts m's share-cache entries: the top-level entities
@@ -257,6 +308,12 @@ func drop(s []*cgroups.Cgroup, cg *cgroups.Cgroup) []*cgroups.Cgroup {
 // restarted under its old name (monitor state keyed by cgroup ID must
 // not carry over to the new cgroup).
 func (r *mirrorRun) step() string {
+	if r.dropped != nil {
+		// The check after drop-limit-event saw the drop outstanding. A
+		// memory-limit event moves no CPU bound, so only the suppression
+		// recovery can bring the dropped change in.
+		r.setMem(r.anyCg())
+	}
 	switch op := r.next(mirrorOps); {
 	case op < 4: // flat container, usually attached
 		cg := r.hier.Create(r.newName("c"))
@@ -316,10 +373,14 @@ func (r *mirrorRun) step() string {
 		r.hier.Remove(cg)
 		r.flats, r.kids = drop(r.flats, cg), drop(r.kids, cg)
 		return "remove-leaf"
-	case op == 20: // drop a limit event; the next delivered trigger recovers
+	case op == 20: // drop a limit event; the next step's memory event recovers
 		cg := r.anyCg()
 		if cg == nil {
 			break
+		}
+		d := &droppedEvent{cg: cg, shares: r.mA.byID[cg.ID()].shares, cap: r.mA.byID[cg.ID()].cap}
+		if p := cg.Parent; p != nil {
+			d.parentSum = r.mA.byID[p.ID()].sum
 		}
 		r.hier.Intercept(func(cgroups.Event) bool { return false })
 		if r.next(2) == 0 {
@@ -328,9 +389,7 @@ func (r *mirrorRun) step() string {
 			r.setQuota(cg)
 		}
 		r.hier.Intercept(nil)
-		// A memory-limit event moves no CPU bound, so only the
-		// suppression recovery can bring the dropped change in.
-		r.setMem(r.anyCg())
+		r.dropped = d
 		return "drop-limit-event"
 	case op == 21 && len(r.flats) > 0: // kill and restart under the same name
 		old := r.pick(r.flats)
@@ -362,6 +421,7 @@ func (r *mirrorRun) setQuota(cg *cgroups.Cgroup) {
 func (r *mirrorRun) setMem(cg *cgroups.Cgroup) {
 	hard := units.Bytes(1+r.next(8)) * units.GiB
 	cg.SetMemLimits(hard, hard/2)
+	r.dropped = nil // a delivered trigger: both monitors resynchronize
 }
 
 // TestIncrementalMatchesFullRecompute drives a randomized stream of
@@ -475,9 +535,9 @@ func TestOrderSpacesConsistency(t *testing.T) {
 // the live fleet. byID never shrinks (IDs are not reused), so after a
 // long kill/restart history most of its entries belong to removed
 // cgroups; a reset that walked the whole table would cost O(cgroups ever
-// attached) on every resync and suppression recovery. Every untracked
-// entry is poisoned before the rebuild and must come out untouched,
-// while the tracked ones are rebuilt exactly.
+// created) on every resync and suppression recovery. Every removed
+// cgroup's entry is poisoned before the rebuild and must come out
+// untouched, while the tracked ones are rebuilt exactly.
 func TestFullRecomputeResetsOnlyTrackedEntries(t *testing.T) {
 	m := newMirror(4)
 	for i := 0; i < 3; i++ {
@@ -495,19 +555,21 @@ func TestFullRecomputeResetsOnlyTrackedEntries(t *testing.T) {
 	}
 	m.check(t, 0, "churned")
 	const poison = -7
-	for _, mon := range []*Monitor{m.mA, m.mB, m.mC} {
+	for _, mon := range []*Monitor{m.mA, m.mB} {
 		if len(mon.byID) < churn {
 			t.Fatalf("table has %d entries after %d restarts; the poison check needs them", len(mon.byID), churn)
 		}
+		// Every live cgroup's inputs are re-read; the removed cgroups'
+		// entries (all zero since their Removed event) must not be.
 		for i := range mon.byID {
-			if mon.byID[i].refs == 0 {
+			if mon.byID[i].cg == nil {
 				mon.byID[i].shares = poison
 			}
 		}
 		mon.FullRecompute()
 		for i, e := range mon.byID {
-			if e.refs == 0 && e.shares != poison {
-				t.Fatalf("FullRecompute reset untracked entry %d", i)
+			if e.cg == nil && e.shares != poison {
+				t.Fatalf("FullRecompute reset removed cgroup's entry %d", i)
 			}
 		}
 		if n := trackedEntries(mon); n != 4 {

@@ -13,10 +13,11 @@ import (
 
 // Monitor is ns_monitor: the system-wide daemon (a kernel thread in the
 // paper) that (1) creates and destroys sys_namespaces as containers come
-// and go, (2) recomputes every namespace's CPU bounds whenever any cgroup
-// setting changes — the share term of Algorithm 1 couples all containers
-// through Σw_j — and (3) drives the periodic effective-CPU/memory updates
-// with an interval equal to the CFS scheduling period (§3.2).
+// and go, (2) recomputes namespaces' CPU bounds from the cgroup settings
+// its change notifications deliver — the share term of Algorithm 1
+// couples all containers through Σw_j — and (3) drives the periodic
+// effective-CPU/memory updates with an interval equal to the CFS
+// scheduling period (§3.2).
 type Monitor struct {
 	// snapState is the versioned snapshot publication machinery (see
 	// snapshot.go and DESIGN.md §11): the atomic pointer readers load,
@@ -48,37 +49,28 @@ type Monitor struct {
 	freeSlots []int
 
 	// byID is the monitor's per-cgroup table, indexed by cgroups ID (see
-	// cgEntry and DESIGN.md §10): each cgroup's own namespace, and for a
-	// top-level entity with attached namespaces below it (for a flat
-	// container, its own cgroup; for a nested one, the enclosing pod) the
-	// incremental recompute cache — a refcount of those namespaces plus
-	// the shares value the cache last saw, so a shares change yields the
-	// Σw_j delta without a walk. IDs are never reused, so an entry never
-	// outlives its cgroup into a re-created one; the price is that the
-	// table's length follows the highest ID ever attached (32 bytes per
-	// ID), not the live fleet, so no pass may walk the whole table — the
-	// tracked entries are exactly the tops of order. totalTop is Σ shares over
-	// the tracked entries — the denominator of every namespace's
-	// guaranteed fraction. seenSuppressed is the hierarchy's suppression
-	// count at the last full synchronization; when it moves, an event was
-	// dropped or delayed before delivery and the cache can no longer be
-	// trusted (see syncSuppressed).
+	// cgEntry and DESIGN.md §10): for every cgroup the monitor has heard
+	// of, the Algorithm 1 inputs its delivered events carried, its own
+	// namespace, and for a top-level entity with attached namespaces
+	// below it (for a flat container, its own cgroup; for a nested one,
+	// the enclosing pod) a refcount of those namespaces. IDs are never
+	// reused, so an entry never outlives its cgroup into a re-created
+	// one; the price is that the table's length follows the highest ID
+	// ever created (48 bytes per ID), not the live fleet, so no pass may
+	// walk the whole table — the tracked entries are exactly the tops of
+	// order. totalTop is Σ delivered shares over the tracked entries —
+	// the denominator of every namespace's guaranteed fraction.
+	// seenSuppressed is the hierarchy's suppression count at the last
+	// full synchronization; when it moves, an event was dropped or
+	// delayed before delivery and the delivered inputs no longer match
+	// the hierarchy (see syncSuppressed).
 	byID           []cgEntry
 	totalTop       int64
 	seenSuppressed uint64
 
-	// pendingTops are the IDs of top-level entities whose subtree changed
-	// without a subscriber-visible recompute trigger (a cgroup created
-	// under a tracked pod dilutes its siblings, but Created never
-	// triggered a recompute). The next flush applies them: in eager mode
-	// the one ending the next trigger, which is exactly when the
-	// full-walk implementation would have absorbed the change.
-	pendingTops []int
-
 	// Bounds marks (DESIGN.md §14). Every trigger only marks:
 	// boundsDirtyAll for "every fraction changed", dirtyTops (entity IDs)
-	// for one subtree. flush applies them — at the end of each trigger in
-	// eager mode, at the next read boundary under Options.BatchedRecompute.
+	// for one subtree. flush applies them at the next read boundary.
 	boundsDirtyAll bool
 	dirtyTops      []int
 
@@ -133,6 +125,11 @@ func NewMonitor(hier *cgroups.Hierarchy, clock *sim.Clock, opts Options) *Monito
 		opts:           opts,
 		seenSuppressed: hier.Suppressed(),
 	}
+	// Cgroups that predate the subscription are heard of here, in
+	// creation order (a parent before its children), as if created now.
+	for _, cg := range hier.Cgroups() {
+		m.onCreated(cg)
+	}
 	hier.Subscribe(m.onEvent)
 	m.Publish(clock.Now()) // readers never observe a nil snapshot
 	return m
@@ -163,20 +160,29 @@ func (m *Monitor) SetDegradation(budget, resyncMin time.Duration) {
 	}
 }
 
-// cgEntry is the monitor's state for one cgroup, at its ID in byID. ns
-// and slot are the cgroup's own namespace (nil when unattached), so the
-// event and flush paths reach a flat container's slot with one indexed
-// load. refs, shares and cg are the share-cache aggregate of a top-level
-// entity: how many attached namespaces live in its subtree (itself
-// included, for a flat container), the shares value last folded into
-// totalTop, and the entity itself for the walk over a pod's members. An
-// entry with refs == 0 is untracked, and its aggregate fields are zero.
+// cgEntry is the monitor's state for one cgroup, at its ID in byID,
+// from the cgroup's Created event until its Removed event clears it.
+//
+// shares, cap and sum are the Algorithm 1 inputs as delivered: cpu.shares
+// and cap = min(l/t, p, |M|) read when the cgroup's Created or CPUChanged
+// event arrived, and for a pod the sum of its children's delivered shares.
+// Bounds are computed from these alone, so a dropped event leaves them
+// stale however late a flush runs; only FullRecompute re-reads the
+// hierarchy (DESIGN.md §9). ns and slot are the cgroup's own namespace
+// (nil when unattached), so the event and flush paths reach a flat
+// container's slot with one indexed load. refs counts the attached
+// namespaces in a top-level entity's subtree (itself included, for a
+// flat container); an entry with refs == 0 is untracked, its shares
+// outside totalTop. cg is the cgroup itself, for the walk over a pod's
+// members.
 type cgEntry struct {
 	ns     *SysNamespace
 	slot   int32
 	refs   int32
 	shares int64
+	sum    int64
 	cg     *cgroups.Cgroup
+	cap    int32
 }
 
 // coldSlot is the update round's pointer group for one namespace slot:
@@ -195,6 +201,16 @@ func (m *Monitor) entry(id int) *cgEntry {
 		m.byID = slices.Grow(m.byID, n-len(m.byID))[:n]
 	}
 	return &m.byID[id]
+}
+
+// record reads cg's Algorithm 1 inputs from the hierarchy into its
+// entry and returns the entry. It runs only where the monitor hears of
+// cg: its Created or delivered CPUChanged event, and FullRecompute.
+func (m *Monitor) record(cg *cgroups.Cgroup) *cgEntry {
+	e := m.entry(cg.ID())
+	e.cg, e.shares = cg, cg.CPU.Shares
+	e.cap = int32(capCPUs(cg.CPU, m.hier.Scheduler().NCPU()))
+	return e
 }
 
 // tracked reports whether the entity with ID id has attached namespaces
@@ -244,26 +260,25 @@ func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
 	m.nsMeta[s].lastAt = m.clock.Now()
 	m.nsMem[s].prevKswapd = m.hier.Memory().KswapdRuns()
 	m.nsCold[s] = coldSlot{cpu: cg.CPU, mem: cg.Mem, name: cg.Name}
+	top := topOf(cg)
+	m.nsCPU[s].id, m.nsCPU[s].top = int32(cg.ID()), int32(top.ID())
 	e := m.entry(cg.ID())
 	e.ns, e.slot = ns, int32(s)
 	m.order = append(m.order, ns)
 	m.orderSlots = append(m.orderSlots, int32(s))
 	if !m.syncSuppressed() {
-		// Cache updates must complete before any bounds recompute: a flush
-		// interleaved with a half-applied Σw_j would clamp E_CPU through an
-		// intermediate bounds state the atomic full walk never produces.
-		top := topOf(cg)
+		// Cache updates must complete before any bounds recompute: a
+		// recompute against a half-applied Σw_j would clamp E_CPU through
+		// an intermediate bounds state the atomic full walk never produces.
 		te := m.entry(top.ID())
 		tracked := te.refs > 0
 		te.refs++
 		if !tracked {
-			te.shares, te.cg = top.CPU.Shares, top
 			m.totalTop += te.shares
 		}
-		// The new namespace needs live bounds immediately (E_CPU
-		// initializes from them); under batching every other view
-		// coalesces into the next flush, which turns a fleet build from
-		// O(n²) into O(n).
+		// The new namespace needs bounds immediately (E_CPU initializes
+		// from them); every other view coalesces into the next flush,
+		// which turns a fleet build from O(n²) into O(n).
 		m.recomputeSlot(s)
 		if !tracked {
 			// A new top-level entity enters Σw_j: every fraction changes.
@@ -275,10 +290,10 @@ func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
 		}
 	}
 	ns.ResetMemory()
-	// Publish at the post-recompute point: the new namespace (and any
+	// Publish: the new namespace (and, through the cut's flush, any
 	// sibling whose bounds moved) becomes visible to lock-free readers
 	// without waiting for a kernel step.
-	m.endTrigger(true)
+	m.publishTopo(m.clock.Now())
 	return ns
 }
 
@@ -311,19 +326,19 @@ func (m *Monitor) Detach(cg *cgroups.Cgroup) {
 	if last {
 		// Last namespace under this entity: its shares leave Σw_j.
 		m.totalTop -= te.shares
-		te.refs, te.shares, te.cg = 0, 0, nil
+		te.refs = 0
 	}
 	if !m.syncSuppressed() {
 		if last {
 			m.markAllDirty()
 		} else {
-			// Detach via cgroup removal shrank the sibling sum (the group
-			// is already gone from the hierarchy); recompute the subtree.
-			// For a plain detach this is a no-op recompute.
+			// Detach via cgroup removal shrank the sibling sum;
+			// recompute the subtree. For a plain detach this is a no-op
+			// recompute.
 			m.markBoundsDirty(id)
 		}
 	}
-	m.endTrigger(true)
+	m.publishTopo(m.clock.Now())
 }
 
 // Lookup returns cg's namespace, or nil.
@@ -340,19 +355,25 @@ func (m *Monitor) onEvent(e cgroups.Event) {
 		// publication: creations arrive in bursts (pods, churn) and
 		// coalescing to one snapshot per tick is the §11 contract.
 		m.markTopoDirty()
-		// No recompute trigger (the full-walk implementation ignored
-		// Created too), but the creation may dilute attached siblings.
-		m.queueDilution(e.Cgroup)
+		m.onCreated(e.Cgroup)
 	case cgroups.Removed:
 		m.markTopoDirty() // the cgroup left the snapshot's cgroup section
-		if m.nsOf(e.Cgroup) != nil {
-			m.Detach(e.Cgroup)
+		cg := e.Cgroup
+		if p := cg.Parent; p != nil {
+			// The sum shrinks before Detach runs: a suppression recovery
+			// inside it re-reads the sum from the hierarchy, which no
+			// longer counts cg.
+			m.byID[p.ID()].sum -= m.byID[cg.ID()].shares
+		}
+		if m.nsOf(cg) != nil {
+			m.Detach(cg)
 		} else {
 			// No namespace to detach, but removing an unattached pod
 			// member still shrinks the sibling sum its attached siblings
-			// divide by. Like a creation, it is not a trigger.
-			m.queueDilution(e.Cgroup)
+			// divide by.
+			m.queueDilution(cg)
 		}
+		m.byID[cg.ID()] = cgEntry{}
 	case cgroups.CPUChanged:
 		// Bounds (and the snapshot's control-file values) may move;
 		// mark for the observe-phase flush in every sub-path.
@@ -360,50 +381,30 @@ func (m *Monitor) onEvent(e cgroups.Event) {
 		if !m.syncSuppressed() {
 			m.onCPUChanged(e.Cgroup)
 		}
-		m.endTrigger(false)
 	case cgroups.MemChanged:
 		m.markDirty()
 		// CPU bounds do not read memory limits (UpdateMem reads them
-		// live), so beyond cache synchronization this trigger only
-		// applies pending dilutions — exactly what the full walk computed.
+		// live), so beyond cache synchronization there is nothing to do.
 		m.syncSuppressed()
-		m.endTrigger(false)
 	}
 }
 
-// queueDilution records a creation or unattached removal of cg: when cg
-// is a member of a tracked pod, its attached siblings' fractions change
-// at the next flush, so the pod joins pendingTops.
+// onCreated records a new cgroup's inputs and adds its shares to its
+// pod's sibling sum. A member of a tracked pod dilutes its attached
+// siblings, so the pod is marked.
+func (m *Monitor) onCreated(cg *cgroups.Cgroup) {
+	e := m.record(cg)
+	if p := cg.Parent; p != nil {
+		m.byID[p.ID()].sum += e.shares
+	}
+	m.queueDilution(cg)
+}
+
+// queueDilution marks cg's pod when cg is a member of a tracked pod:
+// its attached siblings' fractions change with the sibling sum.
 func (m *Monitor) queueDilution(cg *cgroups.Cgroup) {
 	if top := topOf(cg); top != cg && m.tracked(top.ID()) {
-		m.pendingTops = append(m.pendingTops, top.ID())
-	}
-}
-
-// batched reports whether deferred bounds recomputation is enabled.
-func (m *Monitor) batched() bool { return m.opts.BatchedRecompute }
-
-// endTrigger closes one delivered recompute trigger. The eager contract
-// applies the trigger's marks, and any pending dilution, before it
-// returns; batched mode leaves them for the next read boundary. A
-// topology trigger (attach, detach) then publishes.
-func (m *Monitor) endTrigger(topo bool) {
-	if !m.batched() {
-		m.flush()
-	}
-	if topo {
-		m.publishTopo(m.clock.Now())
-	}
-}
-
-// flushBounds is the read boundary of batched recompute (DESIGN.md
-// §14): it applies every deferred mark in one pass, so a whole churn
-// interval's worth of events costs one recompute pass instead of one
-// per event. In eager mode every trigger already flushed its own marks,
-// and pending dilutions wait for the next trigger, so it returns.
-func (m *Monitor) flushBounds() {
-	if m.batched() {
-		m.flush()
+		m.markBoundsDirty(top.ID())
 	}
 }
 
@@ -413,7 +414,6 @@ func (m *Monitor) flushBounds() {
 func (m *Monitor) markAllDirty() {
 	m.boundsDirtyAll = true
 	m.dirtyTops = m.dirtyTops[:0]
-	m.pendingTops = m.pendingTops[:0]
 }
 
 // markBoundsDirty queues one top-level subtree, by entity ID, for
@@ -433,12 +433,20 @@ func (m *Monitor) markBoundsDirty(top int) {
 	m.dirtyTops = append(m.dirtyTops, top)
 }
 
-// flush applies every bounds mark and pending dilution in one pass.
-// Without marks it is a few loads and a return.
+// flush is the read boundary (DESIGN.md §14): it applies every bounds
+// mark in one pass, so a whole churn interval's worth of events costs
+// one recompute pass instead of one per event. Every read of bounds or
+// E_CPU, every update round, staleness scan and snapshot cut calls it
+// first. Without marks it is two loads and a branch, small enough to
+// inline into the reads programs make every tick.
 func (m *Monitor) flush() {
-	if !m.boundsDirtyAll && len(m.dirtyTops) == 0 && len(m.pendingTops) == 0 {
-		return
+	if m.boundsDirtyAll || len(m.dirtyTops) > 0 {
+		m.applyMarks()
 	}
+}
+
+// applyMarks recomputes the marked bounds and clears the marks.
+func (m *Monitor) applyMarks() {
 	n := 0
 	if m.boundsDirtyAll {
 		m.boundsDirtyAll = false
@@ -447,46 +455,39 @@ func (m *Monitor) flush() {
 		// Marks may outlive their subtree (detach, removal), and
 		// duplicates recompute twice — idempotent, and bounded by the
 		// escalation threshold in markBoundsDirty.
-		for _, top := range m.pendingTops {
-			n += m.recomputeTop(top)
-		}
 		for _, top := range m.dirtyTops {
 			n += m.recomputeTop(top)
 		}
+		m.dirtyTops = m.dirtyTops[:0]
 	}
-	m.pendingTops = m.pendingTops[:0]
-	m.dirtyTops = m.dirtyTops[:0]
 	m.Trace.Add(telemetry.CtrBoundsFlushes, 1)
 	m.Trace.Add(telemetry.CtrBoundsRecomputed, uint64(n))
 }
 
-// onCPUChanged applies one delivered cpu-limit event to the cache and
-// marks the affected bounds. The hierarchy already holds the new values;
-// the cached shares tell us what changed.
+// onCPUChanged applies one delivered cpu-limit event: it records cg's
+// new inputs, folds a shares change into the sums that count it, and
+// marks the affected bounds.
 func (m *Monitor) onCPUChanged(cg *cgroups.Cgroup) {
+	old := m.entry(cg.ID()).shares
+	d := m.record(cg).shares - old
 	top := topOf(cg)
 	id := top.ID()
+	if top != cg {
+		m.byID[id].sum += d
+	}
 	if !m.tracked(id) {
 		// No attached namespace anywhere under this entity: its shares
-		// are outside Σw_j and nobody reads its quota/cpuset — but the
-		// full walk still ran on this trigger, so the eager flush ending
-		// it is where any pending dilution is absorbed.
+		// are outside Σw_j and no bounds read its inputs.
 		return
 	}
-	if cg == top {
-		if e, s := &m.byID[id], cg.CPU.Shares; s != e.shares {
-			// Top-level shares moved: the Σw_j denominator changes, so
-			// every namespace's fraction does too. The delta lands before
-			// the flush so it sees the final Σw_j (the E_CPU clamp is
-			// stateful: an intermediate bounds state would be observable).
-			m.totalTop += s - e.shares
-			e.shares = s
-			m.markAllDirty()
-			return
-		}
-		// Quota/period/cpuset change on the entity: fractions are
-		// untouched, but the subtree's upper bounds read these limits.
-		// (Fall through: handled like the nested case.)
+	if cg == top && d != 0 {
+		// Top-level shares moved: the Σw_j denominator changes, so
+		// every namespace's fraction does too. The delta lands before
+		// the flush so it sees the final Σw_j (the E_CPU clamp is
+		// stateful: an intermediate bounds state would be observable).
+		m.totalTop += d
+		m.markAllDirty()
+		return
 	}
 	// Subtree-local change: the entity's limits cap its members, a
 	// nested cgroup's shares enter the sibling sum and its limits cap
@@ -494,13 +495,13 @@ func (m *Monitor) onCPUChanged(cg *cgroups.Cgroup) {
 	m.markBoundsDirty(id)
 }
 
-// syncSuppressed rebuilds the cache when the hierarchy reports
-// suppressed events the monitor never saw: a dropped or delayed event
-// means live state moved without the incremental bookkeeping. The full
-// recompute lands at the next delivered trigger — the same instant the
-// full-walk implementation would silently have absorbed the lost change,
-// which is what keeps fault-injection runs byte-identical. Returns true
-// when it recomputed (callers skip their incremental step).
+// syncSuppressed rebuilds the delivered inputs when the hierarchy
+// reports suppressed events the monitor never saw: a dropped or delayed
+// event means live state moved without a delivery. The full recompute
+// lands at the next delivered trigger — the same instant the full-walk
+// implementation would silently have absorbed the lost change, which is
+// what keeps fault-injection runs byte-identical. Returns true when it
+// recomputed (callers skip their incremental step).
 func (m *Monitor) syncSuppressed() bool {
 	if !m.fullRecompute && m.hier.Suppressed() == m.seenSuppressed {
 		return false
@@ -509,31 +510,36 @@ func (m *Monitor) syncSuppressed() bool {
 	return true
 }
 
-// FullRecompute rebuilds the share-aggregate cache from live hierarchy
-// state and recalculates every namespace's bounds, regardless of what
-// the incremental bookkeeping believes. It is the recovery path for
-// suppressed events (resync, syncSuppressed) and the reference the
-// differential tests compare the incremental path against.
+// FullRecompute re-reads every live cgroup's inputs from the hierarchy,
+// rebuilds the share aggregates, and recalculates every namespace's
+// bounds, regardless of what was delivered. It is the one path from live
+// state to the delivered inputs: the recovery path for suppressed events
+// (resync, syncSuppressed) and the reference the differential tests
+// compare the incremental path against.
 func (m *Monitor) FullRecompute() {
-	// Reset only the tracked entries, the tops of order (a cgroup's parent
-	// never changes, and Attach and Detach keep refs in step with order
-	// even on the paths that land here), so the cost is O(live) however
-	// many cgroups were removed.
-	for _, ns := range m.order {
-		e := &m.byID[topOf(ns.cg).ID()]
-		e.refs, e.shares, e.cg = 0, 0, nil
+	// Creation order visits a pod, resetting its sum, before its members.
+	for _, cg := range m.hier.Cgroups() {
+		e := m.record(cg)
+		e.sum = 0
+		if p := cg.Parent; p != nil {
+			m.byID[p.ID()].sum += e.shares
+		}
+	}
+	// Recount only the tracked entries, the tops of order (a cgroup's
+	// parent never changes, and Attach and Detach keep refs in step with
+	// order even on the paths that land here), so the cost is O(live)
+	// however many cgroups were removed.
+	for _, s := range m.orderSlots {
+		m.byID[m.nsCPU[s].top].refs = 0
 	}
 	m.totalTop = 0
-	for _, ns := range m.order {
-		top := topOf(ns.cg)
-		e := m.entry(top.ID())
+	for _, s := range m.orderSlots {
+		e := &m.byID[m.nsCPU[s].top]
 		if e.refs == 0 {
-			e.shares, e.cg = top.CPU.Shares, top
 			m.totalTop += e.shares
 		}
 		e.refs++
 	}
-	m.pendingTops = m.pendingTops[:0]
 	m.dirtyTops = m.dirtyTops[:0]
 	m.boundsDirtyAll = false
 	m.seenSuppressed = m.hier.Suppressed()
@@ -542,9 +548,8 @@ func (m *Monitor) FullRecompute() {
 	m.Trace.Add(telemetry.CtrBoundsRecomputed, uint64(n))
 }
 
-// recomputeBoundsAll recalculates every namespace's bounds from the
-// cached aggregates (Σw_j changes reach every container) and returns how
-// many it recomputed.
+// recomputeBoundsAll recalculates every namespace's bounds (Σw_j changes
+// reach every container) and returns how many it recomputed.
 func (m *Monitor) recomputeBoundsAll() int {
 	for _, s := range m.orderSlots {
 		m.recomputeSlot(int(s))
@@ -580,30 +585,30 @@ func (m *Monitor) recomputeTop(id int) int {
 	return n
 }
 
-// recomputeSlot recalculates one namespace slot's guaranteed share fraction
-// and bounds. For a flat container the fraction is w_i/Σw_j over the
-// top-level entities; for a container inside a pod it is the pod's
-// fraction times the container's fraction among its siblings (all
-// siblings count, attached or not — they compete for the pod's grant
-// either way). Σw_j comes from the cached totalTop, the sibling sum from
-// the scheduler's ChildShares aggregate; both are int64 sums, so they
-// equal a fresh walk exactly and the float expression below is
-// bit-identical to the historical full-recompute path.
+// recomputeSlot recalculates one namespace slot's guaranteed share
+// fraction and bounds from the delivered inputs alone. For a flat
+// container the fraction is w_i/Σw_j over the top-level entities; for a
+// container inside a pod it is the pod's fraction times the container's
+// fraction among its siblings (all siblings count, attached or not —
+// they compete for the pod's grant either way), and the pod's cap bounds
+// it too. Σw_j and the sibling sum are int64 sums, so they equal a fresh
+// walk exactly and the float expression below is bit-identical to the
+// historical full-recompute path.
 func (m *Monitor) recomputeSlot(s int) {
-	g := m.nsCold[s].cpu
-	frac := 0.0
-	if m.totalTop > 0 {
-		if p := g.Parent(); p != nil {
-			siblings := p.ChildShares()
-			if siblings > 0 {
-				frac = float64(p.Shares) / float64(m.totalTop) *
-					float64(g.Shares) / float64(siblings)
-			}
-		} else {
-			frac = float64(g.Shares) / float64(m.totalTop)
+	c := &m.nsCPU[s]
+	e := &m.byID[c.id]
+	upper, frac := int(e.cap), 0.0
+	if c.top != c.id {
+		pod := &m.byID[c.top]
+		upper = min(upper, int(pod.cap))
+		if m.totalTop > 0 && pod.sum > 0 {
+			frac = float64(pod.shares) / float64(m.totalTop) *
+				float64(e.shares) / float64(pod.sum)
 		}
+	} else if m.totalTop > 0 {
+		frac = float64(e.shares) / float64(m.totalTop)
 	}
-	recomputeBounds(&m.nsCPU[s], g, m.hier.Scheduler().NCPU(), frac)
+	recomputeBounds(c, upper, m.hier.Scheduler().NCPU(), frac)
 }
 
 // Period returns the namespace update interval currently in effect.
@@ -695,9 +700,9 @@ func (m *Monitor) Tick(now sim.Time, dt time.Duration) {
 	if b <= 0 {
 		return
 	}
-	// The fallback reads LOWER_CPU, so the staleness scan is a batched-
-	// mode flush boundary (no-op on the eager path).
-	m.flushBounds()
+	// The fallback reads LOWER_CPU, so the staleness scan is a flush
+	// boundary.
+	m.flush()
 	for i, s := range m.orderSlots {
 		mt := &m.nsMeta[s]
 		if mt.degraded || mt.lastAt+sim.Time(b) >= now {
@@ -759,8 +764,8 @@ func (m *Monitor) AttachTelemetry(tr *telemetry.Tracer) { m.Trace = tr }
 // inputs are read once.
 func (m *Monitor) UpdateAll(now sim.Time) {
 	// The round reads every namespace's bounds, so it is the canonical
-	// batched-mode flush boundary: deferred event work coalesces here.
-	m.flushBounds()
+	// flush boundary: deferred event work coalesces here.
+	m.flush()
 	window := time.Duration(now - m.lastUpdate)
 	if window <= 0 {
 		window = m.Period()

@@ -281,10 +281,9 @@ func (m *Monitor) Republish() {
 // simulation state strictly through non-mutating accessors, so
 // publication never perturbs the simulation.
 func (m *Monitor) Publish(now sim.Time) *ViewSnapshot {
-	// A snapshot is a read of every bounds value: flush any batched-mode
-	// deferred recomputes first (no-op on the eager path) so the cut
-	// never exposes pre-coalesce bounds.
-	m.flushBounds()
+	// A snapshot is a read of every bounds value: flush the deferred
+	// recomputes first so the cut never exposes pre-coalesce bounds.
+	m.flush()
 	prev := m.snap.Load()
 	sched := m.hier.Scheduler()
 	mem := m.hier.Memory()

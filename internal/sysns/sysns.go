@@ -55,28 +55,6 @@ type Options struct {
 	// memory at the soft limit (the "static" ablation, which is what
 	// JDK 10's share-based heuristic effectively computes).
 	DisableGrowth bool
-
-	// BatchedRecompute moves the monitor's one bounds flush from the end
-	// of each cgroup-event trigger to the next read boundary: events
-	// still update the share-aggregate cache at delivery (the Σw_j
-	// deltas are exact), but the bounds marks they leave coalesce into
-	// one pass at the next update round, snapshot cut, staleness scan,
-	// or bounds read (DESIGN.md §14). Bounds agree with the eager path
-	// at every flush boundary — the batched differential test asserts
-	// it — but because the E_CPU clamp is stateful, deferral is
-	// observable: a view clamped through an intermediate bounds state
-	// under eager recompute may settle one step away under batching.
-	//
-	// It is the kernel's one mode split, kept on purpose. Forced on for
-	// every monitor it leaves all 21 goldens byte-identical, but it
-	// changes seven tests: a pending flush mark recomputes bounds from
-	// live hierarchy state, so a dropped or delayed event no longer
-	// leaves the view stale, which the fault model of DESIGN.md §9
-	// relies on; pod dilution lands at the flush instead of the next
-	// trigger; and Algorithm-1 unit tests that write slot state before
-	// a flush see it overwritten. So it stays an opt-in scale lever
-	// (the scalebench fleet runs it), off by default.
-	BatchedRecompute bool
 }
 
 func (o Options) utilThreshold() float64 {
@@ -102,12 +80,16 @@ func (o Options) cpuStep() int {
 
 // cpuSlot is the Algorithm 1 field group of one namespace slot: the
 // effective CPU and its bounds, written by every bounds recompute and
-// every CPU update round. Keeping the group contiguous per slot makes
-// the monitor's O(n) bounds passes walk one dense array.
+// every CPU update round, and the cgroup IDs of the container and its
+// top-level entity (the container itself, or its pod), where a bounds
+// recompute finds its inputs in the monitor's byID table. Keeping the
+// group contiguous per slot makes the monitor's O(n) bounds passes walk
+// one dense array.
 type cpuSlot struct {
 	eCPU     int
 	lowerCPU int
 	upperCPU int
+	id, top  int32
 }
 
 // memSlot is the Algorithm 2 field group: the effective memory and the
@@ -188,12 +170,11 @@ func (ns *SysNamespace) slotMeta() *metaSlot {
 func (ns *SysNamespace) Cgroup() *cgroups.Cgroup { return ns.cg }
 
 // EffectiveCPU returns E_CPU: the number of dedicated-CPU equivalents
-// currently available to the container. Under batched recompute the
-// read is a flush boundary: any deferred bounds marks are applied
-// first, so callers never observe pre-coalesce values (on the default
-// eager path the flush is a no-op).
+// currently available to the container. The read is a flush boundary:
+// any deferred bounds marks are applied first, so callers never observe
+// pre-coalesce values.
 func (ns *SysNamespace) EffectiveCPU() int {
-	ns.mon.flushBounds()
+	ns.mon.flush()
 	return ns.slotCPU().eCPU
 }
 
@@ -201,9 +182,9 @@ func (ns *SysNamespace) EffectiveCPU() int {
 func (ns *SysNamespace) EffectiveMemory() units.Bytes { return ns.slotMem().eMem }
 
 // CPUBounds returns the current [LOWER_CPU, UPPER_CPU] range. Like
-// EffectiveCPU, the read is a batched-mode flush boundary.
+// EffectiveCPU, the read is a flush boundary.
 func (ns *SysNamespace) CPUBounds() (lower, upper int) {
-	ns.mon.flushBounds()
+	ns.mon.flush()
 	c := ns.slotCPU()
 	return c.lowerCPU, c.upperCPU
 }
@@ -252,16 +233,6 @@ func softMem(g *memctl.Group, total units.Bytes) units.Bytes {
 	return hardMem(g, total)
 }
 
-// RecomputeBounds recalculates LOWER_CPU and UPPER_CPU (Algorithm 1,
-// lines 4-5) from the container's limit l/t, affinity |M|, and its
-// guaranteed share fraction of the host (w_i/Σw_j for flat containers;
-// the product of the pod's and the container's fractions for nested
-// ones — ns_monitor computes it), and clamps E_CPU into the new range.
-// The limit and mask of an enclosing cgroup bound the container too.
-func (ns *SysNamespace) RecomputeBounds(shareFrac float64) {
-	recomputeBounds(ns.slotCPU(), ns.cg.CPU, ns.hier.Scheduler().NCPU(), shareFrac)
-}
-
 // limitCPUs returns g's bandwidth limit l/t as a whole CPU count of at
 // least 1, or p when g is unlimited.
 func limitCPUs(g *cfs.Group, p int) int {
@@ -276,20 +247,25 @@ func limitCPUs(g *cfs.Group, p int) int {
 	return n
 }
 
-// recomputeBounds is RecomputeBounds over one slot's Algorithm 1 state:
-// g is the container's scheduling group and p the host's CPU count.
-func recomputeBounds(c *cpuSlot, g *cfs.Group, p int, shareFrac float64) {
-	upper := min(limitCPUs(g, p), p)
+// capCPUs returns the CPU count g's own settings allow: its limit l/t,
+// the host's p CPUs and its affinity |M|, whichever is least. The
+// monitor records it when g's events are delivered.
+func capCPUs(g *cfs.Group, p int) int {
+	n := min(limitCPUs(g, p), p)
 	if mask := g.CpusetN; mask > 0 {
-		upper = min(upper, mask)
+		n = min(n, mask)
 	}
-	if parent := g.Parent(); parent != nil {
-		upper = min(upper, limitCPUs(parent, p))
-		if mask := parent.CpusetN; mask > 0 {
-			upper = min(upper, mask)
-		}
-	}
+	return n
+}
 
+// recomputeBounds recalculates LOWER_CPU and UPPER_CPU (Algorithm 1,
+// lines 4-5) of one slot and clamps E_CPU into the new range. upper is
+// the least cap of the container and its enclosing cgroup (limit l/t,
+// affinity |M|, the host's p CPUs); shareFrac is its guaranteed share
+// fraction of the host (w_i/Σw_j for flat containers; the product of
+// the pod's and the container's fractions for nested ones — ns_monitor
+// computes both).
+func recomputeBounds(c *cpuSlot, upper, p int, shareFrac float64) {
 	shareCPUs := p
 	if shareFrac > 0 {
 		shareCPUs = int(math.Ceil(shareFrac * float64(p)))

@@ -123,6 +123,7 @@ func TestEffectiveCPUGrowsOnSlackAndHighUtil(t *testing.T) {
 	cg, ns := f.attach("a")
 	f.attach("b") // lower bound becomes 4
 	cg.SetQuotaCPUs(8)
+	ns.CPUBounds()                            // flush the marks before writing slot state
 	ns.slotCPU().eCPU = ns.slotCPU().lowerCPU // start from the guaranteed share (4)
 	window := 24 * time.Millisecond
 	use := units.CPUSeconds(float64(ns.EffectiveCPU()) * window.Seconds() * 0.99)
@@ -146,6 +147,7 @@ func TestEffectiveCPUStaysOnLowUtil(t *testing.T) {
 func TestEffectiveCPUShrinksWithoutSlack(t *testing.T) {
 	f := newFixture(8, 16*units.GiB)
 	_, ns := f.attach("a")
+	ns.CPUBounds() // flush the marks before writing slot state
 	ns.slotCPU().eCPU = 8
 	ns.slotCPU().lowerCPU = 2
 	ns.UpdateCPU(0, 24*time.Millisecond, 1, 0)
@@ -166,6 +168,7 @@ func TestEffectiveCPUStepLimit(t *testing.T) {
 	cg, ns := f.attach("a")
 	f.attach("b")
 	cg.SetQuotaCPUs(16)
+	ns.CPUBounds()                            // flush the marks before writing slot state
 	ns.slotCPU().eCPU = ns.slotCPU().lowerCPU // far below the upper bound
 	before := ns.EffectiveCPU()
 	busy := units.CPUSeconds(float64(before) * 0.024)

@@ -7,7 +7,12 @@
 //     subsystems at the heart of the paper reproduction — must document
 //     every exported symbol: functions, methods on exported types,
 //     type declarations, and each exported const/var (a comment on the
-//     enclosing grouped declaration covers all of its specs).
+//     enclosing grouped declaration covers all of its specs), and
+//  3. every package-qualified identifier in a code span of DESIGN.md or
+//     README.md whose package is one of the module's (sysns.Monitor,
+//     cfs.(*Scheduler).Tick, sysns.Monitor.byID) must name a declaration
+//     in the module, so the documents cannot describe deleted code
+//     (refs.go).
 //
 // It walks the source tree with go/parser rather than go/doc because
 // go/doc merges grouped declarations and drops per-spec comments, which
@@ -51,6 +56,7 @@ func main() {
 	for _, dir := range packageDirs(root) {
 		violations = append(violations, checkPackage(dir)...)
 	}
+	violations = append(violations, checkDocRefs(root, refDocs)...)
 	if len(violations) > 0 {
 		sort.Strings(violations)
 		for _, v := range violations {
@@ -59,7 +65,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d violation(s)\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: all packages documented")
+	fmt.Println("docscheck: all packages documented, every documented identifier resolves")
 }
 
 // packageDirs returns every directory under root that contains at least
@@ -173,24 +179,7 @@ func checkExported(fset *token.FileSet, pkg *ast.Package) []string {
 }
 
 // exportedRecv reports whether a method receiver names an exported type.
-func exportedRecv(recv *ast.FieldList) bool {
-	if len(recv.List) == 0 {
-		return false
-	}
-	t := recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr: // generic receiver T[P]
-			t = tt.X
-		case *ast.Ident:
-			return tt.IsExported()
-		default:
-			return false
-		}
-	}
-}
+func exportedRecv(recv *ast.FieldList) bool { return token.IsExported(recvName(recv)) }
 
 // hasText reports whether a comment group contains actual prose.
 func hasText(cg *ast.CommentGroup) bool {
