@@ -2,11 +2,17 @@ GO ?= go
 
 .PHONY: build vet fmt test race fuzz bench bench-scale bench-gate profile cover docs golden golden-check golden-parallel ci
 
+# The end-to-end benchmark (perfbench/) is its own module importing the
+# internal packages, so build and vet cover it too: a change that breaks
+# its compile fails here. Its build output is discarded (-o /dev/null),
+# so nothing lands in perfbench/.
 build:
 	$(GO) build ./...
+	$(GO) -C perfbench build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 # Formatting gate: every Go file in the tree must be gofmt-clean.
 fmt:

@@ -181,11 +181,8 @@ func (d *daemon) NextWake(now sim.Time) (sim.Time, bool) { return d.next, true }
 // kernelScenario is the idle-heavy multitenant configuration: ten
 // containers with attached namespaces, each hosting a daemon that wakes
 // every 250ms, and no runnable tasks in between.
-func kernelScenario(disableFF bool) *host.Host {
-	h := host.New(host.Config{
-		CPUs: 20, Memory: 128 * units.GiB, Seed: 1,
-		DisableFastForward: disableFF,
-	})
+func kernelScenario() *host.Host {
+	h := host.New(host.Config{CPUs: 20, Memory: 128 * units.GiB, Seed: 1})
 	for i := 0; i < 10; i++ {
 		c := h.Runtime.Create(container.Spec{Name: fmt.Sprintf("c%d", i)})
 		c.Exec("daemon")
@@ -194,15 +191,21 @@ func kernelScenario(disableFF bool) *host.Host {
 	return h
 }
 
-func benchKernel(b *testing.B, disableFF bool) {
+func benchKernel(b *testing.B, dense bool) {
 	const simSpan = 10 * time.Second
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		h := kernelScenario(disableFF)
+		h := kernelScenario()
 		b.StartTimer()
-		h.Run(simSpan)
+		if dense {
+			for h.Now() < simSpan {
+				h.Step()
+			}
+		} else {
+			h.Run(simSpan)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/simSpan.Seconds(), "ns/sim-s")
 }
@@ -211,8 +214,8 @@ func benchKernel(b *testing.B, disableFF bool) {
 // the idle-heavy scenario with fast-forwarding (the default).
 func BenchmarkKernelIdle(b *testing.B) { benchKernel(b, false) }
 
-// BenchmarkKernelDense is the same scenario forced dense — the seed
-// kernel's behavior — for the speedup comparison.
+// BenchmarkKernelDense is the same scenario stepped densely, tick by
+// tick — the seed kernel's behavior — for the speedup comparison.
 func BenchmarkKernelDense(b *testing.B) { benchKernel(b, true) }
 
 // --- scale: container counts well past the paper's testbed ---
@@ -321,7 +324,6 @@ func clusterSteady() *cluster.Cluster {
 	members := make([]cluster.NodeConfig, 4)
 	for i := range members {
 		members[i] = cluster.NodeConfig{Host: host.Config{
-			Name: fmt.Sprintf("node%d", i),
 			CPUs: 16, Memory: 64 * units.GiB,
 			Seed: uint64(i + 1),
 		}}

@@ -183,12 +183,6 @@ func (a *Autoscaler) Policy() Policy { return a.cfg.Policy }
 // Rounds returns how many control rounds have run.
 func (a *Autoscaler) Rounds() uint64 { return a.rounds }
 
-// LastVersion returns the version of the last snapshot a control round
-// consumed. Rounds assert versions never regress, so successive reads
-// of LastVersion are non-decreasing — the monotonicity the differential
-// test samples.
-func (a *Autoscaler) LastVersion() uint64 { return a.lastVersion }
-
 // ConservativeRounds returns how many per-target rounds degraded to the
 // policy's conservative arm because the target's view was marked
 // Degraded (the sysns staleness fallback had engaged).
@@ -410,11 +404,6 @@ func sharesFor(cpus float64) int64 {
 	return sh
 }
 
-// SubsystemName identifies the autoscaler in telemetry and diagnostics;
-// with Tick, NextEvent, SkipIdle, and AttachTelemetry it satisfies the
-// host kernel's Subsystem interface.
-func (a *Autoscaler) SubsystemName() string { return "autoscaler" }
-
 // Tick is a no-op: control rounds ride the clock's timer queue, which
 // the kernel already drives.
 func (a *Autoscaler) Tick(now sim.Time, dt time.Duration) {}
@@ -429,7 +418,8 @@ func (a *Autoscaler) NextEvent(now sim.Time) (sim.Time, bool) { return 0, false 
 func (a *Autoscaler) SkipIdle(now sim.Time, dt time.Duration, n int) {}
 
 // AttachTelemetry sets (or, with nil, clears) the autoscaler's trace
-// sink.
+// sink. With Tick, NextEvent and SkipIdle it satisfies the host
+// kernel's Subsystem interface.
 func (a *Autoscaler) AttachTelemetry(tr *telemetry.Tracer) { a.trace = tr }
 
 // String summarizes the autoscaler for diagnostics.

@@ -147,7 +147,7 @@ func TestSpecSurvivesKillRestart(t *testing.T) {
 	if got := float64(nc.Cgroup.CPU.QuotaUS) / 100_000; got <= 2 {
 		t.Fatalf("restarted container not re-adopted and grown: %v CPUs", got)
 	}
-	if a.LastVersion() == 0 {
+	if a.lastVersion == 0 {
 		t.Fatal("no snapshot consumed")
 	}
 }

@@ -81,8 +81,8 @@ func runAutoscaledWorkload(t *testing.T, withFaults bool) diffResult {
 	// control rounds (the engine additionally panics on regression).
 	lastSeen := uint64(0)
 	h.Clock.Every(23*time.Millisecond, func(now sim.Time) {
-		if v := a.LastVersion(); v < lastSeen {
-			t.Errorf("at %v: LastVersion regressed %d -> %d", now, lastSeen, v)
+		if v := a.lastVersion; v < lastSeen {
+			t.Errorf("at %v: last consumed version regressed %d -> %d", now, lastSeen, v)
 		} else {
 			lastSeen = v
 		}
@@ -120,9 +120,9 @@ func TestAutoscalerDifferentialUnderFaultMix(t *testing.T) {
 	}
 }
 
-// TestVersionMonotoneUnderFaults samples LastVersion on a timer
-// unaligned with control rounds and asserts the sequence never
-// regresses while the full fault mix runs.
+// TestVersionMonotoneUnderFaults samples the last consumed snapshot
+// version on a timer unaligned with control rounds and asserts the
+// sequence never regresses while the full fault mix runs.
 func TestVersionMonotoneUnderFaults(t *testing.T) {
 	h := host.New(host.Config{CPUs: 8, Memory: 16 * units.GiB, Seed: 3})
 	h.EnableTelemetry(0)
@@ -145,15 +145,15 @@ func TestVersionMonotoneUnderFaults(t *testing.T) {
 	var last uint64
 	samples := 0
 	h.Clock.Every(23*time.Millisecond, func(now sim.Time) {
-		if v := a.LastVersion(); v < last {
-			t.Errorf("at %v: LastVersion regressed %d -> %d", now, last, v)
+		if v := a.lastVersion; v < last {
+			t.Errorf("at %v: last consumed version regressed %d -> %d", now, last, v)
 		} else {
 			last = v
 		}
 		samples++
 	})
 	h.Run(2 * time.Second)
-	if a.LastVersion() == 0 {
+	if a.lastVersion == 0 {
 		t.Fatal("no snapshot consumed")
 	}
 	if samples < 50 {

@@ -112,9 +112,6 @@ func TestNilPolicyAttachIsInert(t *testing.T) {
 	if a.Rounds() != 0 || a.HeldRounds() != 0 {
 		t.Fatalf("inert autoscaler ran: rounds=%d held=%d", a.Rounds(), a.HeldRounds())
 	}
-	if a.SubsystemName() != "autoscaler" {
-		t.Fatalf("subsystem name = %q", a.SubsystemName())
-	}
 	if s := a.String(); !strings.Contains(s, "static") || !strings.Contains(s, "targets=1") {
 		t.Fatalf("String() = %q", s)
 	}

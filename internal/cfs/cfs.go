@@ -230,9 +230,6 @@ func (g *Group) acct() *groupAcct {
 	return &g.sched.gAcct[g.schedIdx]
 }
 
-// Parent returns the enclosing group, or nil for a top-level group.
-func (g *Group) Parent() *Group { return g.parent }
-
 // Children returns the nested groups.
 func (g *Group) Children() []*Group { return g.children }
 
@@ -277,13 +274,6 @@ func (g *Group) TakeWindowUsage() units.CPUSeconds {
 	return u
 }
 
-// PeekWindowUsage returns the raw CPU time consumed since the last
-// TakeWindowUsage without resetting the window.
-func (g *Group) PeekWindowUsage() units.CPUSeconds {
-	g.settle()
-	return g.acct().windowUsage
-}
-
 // ThrottledTime returns the cumulative wall time during which the group's
 // bandwidth limit capped its allocation.
 func (g *Group) ThrottledTime() time.Duration {
@@ -300,17 +290,10 @@ func (g *Group) LastRate() float64 {
 	return g.sched.gRate[g.schedIdx]
 }
 
-// Throttled reports whether a bandwidth limit (the group's own, or its
-// parent's) capped the group's allocation in the most recent tick.
-func (g *Group) Throttled() bool { return g.acct().flags&acctThrottled != 0 }
-
 // RunnableTasks returns the number of currently runnable tasks. The
 // count is maintained on task state changes rather than scanned: the
 // allocation rebuild reads it for every group.
 func (g *Group) RunnableTasks() int { return g.runnable }
-
-// Tasks returns the number of tasks (runnable or not) in the group.
-func (g *Group) Tasks() int { return len(g.tasks) }
 
 // Scheduler is the host CPU scheduler.
 type Scheduler struct {
@@ -322,14 +305,7 @@ type Scheduler struct {
 	// scheduler tick counter. Nil (the default) costs nothing.
 	Trace *telemetry.Tracer
 
-	// LoadAvgTau is the time constant of the exponentially weighted
-	// load average the "dynamic" OpenMP strategy reads. Linux's
-	// getloadavg horizon is one minute; simulated workloads compress
-	// timescales by roughly that factor, so the default is one second —
-	// long parallel regions still dominate a horizon, which is the
-	// regime in which gomp's n_onln - loadavg feedback loop oscillates.
-	LoadAvgTau time.Duration
-	loadAvg    float64
+	loadAvg float64 // see loadAvgTau
 
 	slackWindow   units.CPUSeconds // unused capacity since last TakeWindowSlack
 	slackLast     float64          // unused CPUs in the most recent tick
@@ -394,21 +370,25 @@ type Scheduler struct {
 	topBuf        []int
 }
 
-// SubsystemName identifies the scheduler in telemetry and diagnostics;
-// with Tick, NextEvent, SkipIdle, and AttachTelemetry it satisfies the
-// host kernel's Subsystem interface.
-func (s *Scheduler) SubsystemName() string { return "cfs" }
-
 // AttachTelemetry sets (or, with nil, clears) the scheduler's trace
-// sink.
+// sink. With Tick, NextEvent and SkipIdle it satisfies the host
+// kernel's Subsystem interface.
 func (s *Scheduler) AttachTelemetry(tr *telemetry.Tracer) { s.Trace = tr }
+
+// loadAvgTau is the time constant of the exponentially weighted load
+// average the "dynamic" OpenMP strategy reads. Linux's getloadavg
+// horizon is one minute; simulated workloads compress timescales by
+// roughly that factor, so it is one second — long parallel regions
+// still dominate a horizon, which is the regime in which gomp's
+// n_onln - loadavg feedback loop oscillates.
+const loadAvgTau = time.Second
 
 // NewScheduler returns a scheduler for a host with ncpu cores.
 func NewScheduler(ncpu int) *Scheduler {
 	if ncpu <= 0 {
 		panic(fmt.Sprintf("cfs: non-positive CPU count %d", ncpu))
 	}
-	return &Scheduler{ncpu: ncpu, LoadAvgTau: time.Second}
+	return &Scheduler{ncpu: ncpu}
 }
 
 // NCPU returns the number of host cores.
@@ -866,9 +846,7 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 
 	// Load average: first-order low-pass filter over the enqueued task
 	// count (throttled groups contribute only their bandwidth).
-	if s.LoadAvgTau > 0 {
-		s.loadAvg += (s.loadContrib - s.loadAvg) * min(dtSec/s.LoadAvgTau.Seconds(), 1)
-	}
+	s.loadAvg += (s.loadContrib - s.loadAvg) * min(dtSec/loadAvgTau.Seconds(), 1)
 }
 
 // tickGroup advances one active group's accounting by one tick at the
@@ -1243,16 +1221,10 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 	slack := float64(s.ncpu)
 	s.slackLast = slack
 	add := units.CPUSeconds(slack * dtSec)
-	decay := s.LoadAvgTau > 0
-	a := 0.0
-	if decay {
-		a = min(dtSec/s.LoadAvgTau.Seconds(), 1)
-	}
+	a := min(dtSec/loadAvgTau.Seconds(), 1)
 	for i := 0; i < n; i++ {
 		s.slackWindow += add
-		if decay {
-			s.loadAvg += (0 - s.loadAvg) * a
-		}
+		s.loadAvg += (0 - s.loadAvg) * a
 	}
 }
 

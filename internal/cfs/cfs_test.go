@@ -259,8 +259,7 @@ func TestThrottledGroupLoadContribution(t *testing.T) {
 	s := NewScheduler(20)
 	g := newBusyGroup(s, "a", 20)
 	g.QuotaUS, g.PeriodUS = 400_000, 100_000
-	s.LoadAvgTau = 100 * time.Millisecond
-	run(s, 2*time.Second)
+	run(s, 8*time.Second) // eight load-average time constants
 	if la := s.LoadAvg(); math.Abs(la-4.0) > 0.2 {
 		t.Fatalf("loadavg = %v, want ~4 for a throttled 20-task group", la)
 	}
@@ -269,8 +268,7 @@ func TestThrottledGroupLoadContribution(t *testing.T) {
 func TestUnthrottledLoadCountsAllRunnable(t *testing.T) {
 	s := NewScheduler(4)
 	newBusyGroup(s, "a", 16)
-	s.LoadAvgTau = 100 * time.Millisecond
-	run(s, 2*time.Second)
+	run(s, 8*time.Second) // eight load-average time constants
 	if la := s.LoadAvg(); math.Abs(la-16.0) > 0.5 {
 		t.Fatalf("loadavg = %v, want ~16 for runqueue-waiting tasks", la)
 	}
@@ -312,8 +310,8 @@ func TestRemoveTaskAndGroup(t *testing.T) {
 	s := NewScheduler(4)
 	g := newBusyGroup(s, "a", 3)
 	s.RemoveTask(g.tasks[0])
-	if g.Tasks() != 2 {
-		t.Fatalf("tasks after removal = %d", g.Tasks())
+	if len(g.tasks) != 2 {
+		t.Fatalf("tasks after removal = %d", len(g.tasks))
 	}
 	s.RemoveGroup(g)
 	if len(s.Groups()) != 0 {

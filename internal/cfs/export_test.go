@@ -1,5 +1,7 @@
 package cfs
 
+import "arv/internal/units"
+
 // UseRebuildOracle switches a freshly built scheduler to the rebuild
 // oracle: every tick recomputes the whole allocation and walks every
 // group, with no memo, no dirty set and no deferred accounting. The
@@ -20,3 +22,16 @@ func newOracleScheduler(ncpu int) *Scheduler {
 	UseRebuildOracle(s)
 	return s
 }
+
+// PeekWindowUsage returns the raw CPU time consumed since the last
+// TakeWindowUsage without resetting the window. The mirror tests use it
+// as a settling read that leaves the window intact.
+func (g *Group) PeekWindowUsage() units.CPUSeconds {
+	g.settle()
+	return g.acct().windowUsage
+}
+
+// Throttled reports whether a bandwidth limit (the group's own, or its
+// parent's) capped the group's allocation in the most recent tick: the
+// per-tick flag behind ThrottledTime, which the mirror tests compare.
+func (g *Group) Throttled() bool { return g.acct().flags&acctThrottled != 0 }

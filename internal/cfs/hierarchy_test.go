@@ -104,8 +104,7 @@ func TestPodThrottlingSuppressesChildLoad(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.SetRunnable(s.NewTask(a, "a"), true)
 	}
-	s.LoadAvgTau = 100 * time.Millisecond
-	run(s, 2*time.Second)
+	run(s, 8*time.Second) // eight load-average time constants
 	if la := s.LoadAvg(); math.Abs(la-4.0) > 0.2 {
 		t.Fatalf("loadavg = %v, want ~4 under a pod-level throttle", la)
 	}
@@ -237,8 +236,8 @@ func TestParentAccessors(t *testing.T) {
 	s := NewScheduler(4)
 	pod := s.NewGroup("pod")
 	a := s.NewChildGroup(pod, "a")
-	if a.Parent() != pod {
-		t.Fatal("Parent() broken")
+	if a.parent != pod {
+		t.Fatal("parent link broken")
 	}
 	if len(pod.Children()) != 1 || pod.Children()[0] != a {
 		t.Fatal("Children() broken")

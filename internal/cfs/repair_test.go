@@ -53,8 +53,6 @@ func newMirror(t *testing.T, ncpu int) *mirror {
 		rep:    NewScheduler(ncpu),
 		dt:     time.Millisecond,
 	}
-	m.oracle.LoadAvgTau = time.Second
-	m.rep.LoadAvgTau = time.Second
 	return m
 }
 

@@ -293,57 +293,3 @@ func (cg *Cgroup) SetMemLimits(hard, soft units.Bytes) {
 	cg.Mem.SoftLimit = soft
 	cg.hier.publish(Event{MemChanged, cg})
 }
-
-// SetSwappiness writes memory.swappiness (0-100) and publishes
-// MemChanged. Zero is an explicit "never reclaimed by kswapd".
-func (cg *Cgroup) SetSwappiness(v int) {
-	if v < 0 || v > 100 {
-		panic("cgroups: swappiness out of range")
-	}
-	cg.Mem.Swappiness = v
-	cg.Mem.SwappinessSet = v == 0
-	cg.hier.publish(Event{MemChanged, cg})
-}
-
-// --- cgroup v2 interface adapters ---
-//
-// The substrate models the v1 controllers the paper patches; these
-// adapters accept the unified-hierarchy file formats so v2-shaped
-// tooling can drive the same model.
-
-// V2DefaultWeight is cpu.weight's default (maps to cpu.shares 1024).
-const V2DefaultWeight = 100
-
-// SetWeight writes cpu.weight (v2, 1-10000): weight w corresponds to
-// shares w/100 * 1024, preserving relative ratios.
-func (cg *Cgroup) SetWeight(w int) {
-	if w < 1 || w > 10000 {
-		panic("cgroups: cpu.weight out of range")
-	}
-	cg.SetShares(int64(w) * 1024 / V2DefaultWeight)
-}
-
-// SetCPUMax writes cpu.max (v2): "max" for unlimited, else
-// "<quota> <period>" in microseconds.
-func (cg *Cgroup) SetCPUMax(quotaUS, periodUS int64) {
-	if quotaUS < 0 {
-		cg.SetQuota(-1, max64(periodUS, 1))
-		return
-	}
-	cg.SetQuota(quotaUS, periodUS)
-}
-
-// SetMemoryMaxHigh writes memory.max and memory.high (v2): max maps to
-// the hard limit, high — the throttling threshold under which the
-// kernel reclaims the group — maps to the soft limit, which is what the
-// v1-era Algorithm 2 consumes.
-func (cg *Cgroup) SetMemoryMaxHigh(maxBytes, highBytes units.Bytes) {
-	cg.SetMemLimits(maxBytes, highBytes)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

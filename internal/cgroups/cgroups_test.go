@@ -128,63 +128,6 @@ func TestInvalidSettingsPanic(t *testing.T) {
 	}
 }
 
-func TestV2Adapters(t *testing.T) {
-	h := newHier()
-	cg := h.Create("a")
-	cg.SetWeight(100)
-	if cg.CPU.Shares != 1024 {
-		t.Fatalf("weight 100 -> shares %d, want 1024", cg.CPU.Shares)
-	}
-	cg.SetWeight(300)
-	if cg.CPU.Shares != 3072 {
-		t.Fatalf("weight 300 -> shares %d, want 3072", cg.CPU.Shares)
-	}
-	cg.SetCPUMax(250_000, 100_000)
-	if lim := cg.CPU.CPULimit(); lim != 2.5 {
-		t.Fatalf("cpu.max -> limit %v, want 2.5", lim)
-	}
-	cg.SetCPUMax(-1, 100_000)
-	if lim := cg.CPU.CPULimit(); lim < 1e18 {
-		t.Fatalf("cpu.max 'max' should be unlimited, got %v", lim)
-	}
-	cg.SetMemoryMaxHigh(2*units.GiB, units.GiB)
-	if cg.Mem.HardLimit != 2*units.GiB || cg.Mem.SoftLimit != units.GiB {
-		t.Fatal("memory.max/high not mapped")
-	}
-	for _, bad := range []func(){
-		func() { cg.SetWeight(0) },
-		func() { cg.SetWeight(10001) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			bad()
-		}()
-	}
-}
-
-func TestSetSwappiness(t *testing.T) {
-	h := newHier()
-	cg := h.Create("a")
-	cg.SetSwappiness(0)
-	if !cg.Mem.SwappinessSet {
-		t.Fatal("explicit swappiness 0 not flagged")
-	}
-	cg.SetSwappiness(80)
-	if cg.Mem.Swappiness != 80 || cg.Mem.SwappinessSet {
-		t.Fatal("swappiness not applied")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range swappiness")
-		}
-	}()
-	cg.SetSwappiness(101)
-}
-
 func TestEventKindString(t *testing.T) {
 	for k, want := range map[EventKind]string{
 		Created: "created", Removed: "removed",

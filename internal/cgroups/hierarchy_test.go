@@ -16,10 +16,11 @@ func TestCreateChild(t *testing.T) {
 	if len(pod.Children()) != 1 || pod.Children()[0] != a {
 		t.Fatal("children list broken")
 	}
-	if a.CPU.Parent() != pod.CPU {
+	if c := pod.CPU.Children(); len(c) != 1 || c[0] != a.CPU {
 		t.Fatal("scheduler nesting missing")
 	}
-	if a.Mem.Parent() != pod.Mem {
+	h.Memory().Charge(a.Mem, units.MiB, 0)
+	if pod.Mem.SubtreeResident() != units.MiB {
 		t.Fatal("memory nesting missing")
 	}
 	if h.Lookup("a") != a {

@@ -45,7 +45,7 @@ import (
 // the network properties the migration cost model uses.
 type NodeConfig struct {
 	// Host sizes the member's simulated machine. All members must share
-	// one Tick; Name defaults to "node<index>".
+	// one Tick.
 	Host host.Config
 
 	// Bandwidth is the node's image-transfer bandwidth in bytes per
@@ -59,9 +59,8 @@ type NodeConfig struct {
 
 // Node is one live cluster member.
 type Node struct {
-	// Name is the node's (host's) name; Index its position in the
-	// cluster, the deterministic tie-breaker for scoring.
-	Name  string
+	// Index is the node's position in the cluster, the deterministic
+	// tie-breaker for scoring.
 	Index int
 	// Host is the member's simulated machine. Tests and experiments may
 	// populate it directly (background load the scheduler did not
@@ -149,13 +148,10 @@ func New(cfg Config, members ...NodeConfig) *Cluster {
 		if mt != tick {
 			panic(fmt.Sprintf("cluster: node %d tick %v != cluster tick %v", i, mt, tick))
 		}
-		if m.Host.Name == "" {
-			m.Host.Name = fmt.Sprintf("node%d", i)
-		}
 		h := host.New(m.Host)
 		h.Monitor.WarmSnapshot()
 		c.nodes[i] = &Node{
-			Name: m.Host.Name, Index: i, Host: h,
+			Index: i, Host: h,
 			bandwidth: m.Bandwidth, latency: m.Latency,
 		}
 	}
@@ -169,13 +165,6 @@ func New(cfg Config, members ...NodeConfig) *Cluster {
 // Nodes returns the cluster members in index order.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// Now returns the cluster's virtual time. All hosts sit at this instant
-// whenever control is outside Run/Step.
-func (c *Cluster) Now() sim.Time { return c.clock.Now() }
-
-// Tick returns the lockstep tick size.
-func (c *Cluster) Tick() time.Duration { return c.tick }
-
 // EnableTelemetry attaches a fresh tracer for the cluster-level
 // counters (placements, migrations, migration_ms, rebalance rounds) and
 // events, and returns it. Host-level telemetry stays per-host via
@@ -184,9 +173,6 @@ func (c *Cluster) EnableTelemetry(ringSize int) *telemetry.Tracer {
 	c.trace = telemetry.New(ringSize)
 	return c.trace
 }
-
-// Trace returns the cluster's tracer (nil until EnableTelemetry).
-func (c *Cluster) Trace() *telemetry.Tracer { return c.trace }
 
 // At schedules fn once at now+d on the cluster clock, with every host
 // parked at exactly that instant; d is rounded up to the tick grid.

@@ -22,6 +22,18 @@ func node16(seed uint64, bw units.Bytes, lat time.Duration) NodeConfig {
 	}
 }
 
+// placementCount returns how many live scheduler placements sit on n;
+// in-flight migrations count toward their destination.
+func placementCount(c *Cluster, n *Node) int {
+	count := 0
+	for _, p := range c.placements {
+		if p.node == n && (p.inFlight || (p.ctr != nil && p.ctr.State() != container.Stopped)) {
+			count++
+		}
+	}
+	return count
+}
+
 func twoNodes(cfg Config) *Cluster {
 	return New(cfg, node16(1, 100*units.MiB, 10*time.Millisecond),
 		node16(2, 100*units.MiB, 2*time.Millisecond))
@@ -36,8 +48,8 @@ func TestDeployTieBreaksByIndex(t *testing.T) {
 	if ctr.State() != container.Running || ctr.Command() != "app" {
 		t.Fatalf("deployed container state=%v cmd=%q", ctr.State(), ctr.Command())
 	}
-	if got := c.PlacementCount(n); got != 1 {
-		t.Fatalf("PlacementCount = %d, want 1", got)
+	if got := placementCount(c, n); got != 1 {
+		t.Fatalf("placements on node = %d, want 1", got)
 	}
 }
 
@@ -83,26 +95,6 @@ func TestLensContrast(t *testing.T) {
 		if n.Index != tc.want {
 			t.Errorf("lens %v placed on node %d, want %d", tc.lens, n.Index, tc.want)
 		}
-	}
-}
-
-func TestAffinityScorer(t *testing.T) {
-	c := twoNodes(Config{Scorer: Affinity{}})
-	// Seed one "web" member on node 1 by hand-building the placement.
-	n1 := c.Nodes()[1]
-	seedCtr := n1.Host.Runtime.Create(container.Spec{Name: "web0", Affinity: "web", AntiAffinity: "noisy"})
-	seedCtr.Exec("app")
-	c.placements = append(c.placements, &placement{
-		spec: seedCtr.Spec, cmd: "app", node: n1, ctr: seedCtr,
-	})
-
-	n, _ := c.Deploy(container.Spec{Name: "web1", Affinity: "web"}, DeployOpts{})
-	if n.Index != 1 {
-		t.Fatalf("affinity placed web1 on node %d, want co-located 1", n.Index)
-	}
-	n, _ = c.Deploy(container.Spec{Name: "loud", AntiAffinity: "noisy"}, DeployOpts{})
-	if n.Index != 0 {
-		t.Fatalf("anti-affinity placed loud on node %d, want 0 (away from web0)", n.Index)
 	}
 }
 
@@ -161,7 +153,7 @@ func TestRebalanceMigrates(t *testing.T) {
 	if got := tr.Count(telemetry.CtrMigrationMS); got != 508 {
 		t.Fatalf("migration_ms = %d, want 508", got)
 	}
-	if got := c.PlacementCount(c.Nodes()[1]); got != 1 {
+	if got := placementCount(c, c.Nodes()[1]); got != 1 {
 		t.Fatalf("in-flight placement not counted on destination: %d", got)
 	}
 
@@ -308,8 +300,8 @@ func TestRunChunkingIsInvisible(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		c2.Run(25 * time.Millisecond)
 	}
-	if c1.Now() != c2.Now() {
-		t.Fatalf("clock skew: %v vs %v", c1.Now(), c2.Now())
+	if c1.clock.Now() != c2.clock.Now() {
+		t.Fatalf("clock skew: %v vs %v", c1.clock.Now(), c2.clock.Now())
 	}
 	if e1, e2 := bg1.NS.EffectiveCPU(), bg2.NS.EffectiveCPU(); e1 != e2 {
 		t.Fatalf("chunked run diverged: E_CPU %d vs %d", e1, e2)

@@ -62,7 +62,6 @@ func (c *Cluster) rebalance(now sim.Time) {
 		// Score the current node with the container's own footprint
 		// removed — it competes for its slot like a fresh arrival.
 		c.scratch = c.states[p.node.Index]
-		c.scratch.exclude = p
 		self := c.selfFootprint(p)
 		c.scratch.CPUCommit -= self.cpu
 		c.scratch.MemCommit -= self.mem

@@ -64,9 +64,6 @@ type HostState struct {
 	Degraded   int
 	Containers int
 
-	cl      *Cluster
-	exclude *placement // ignored by Affinity when re-scoring a placement's own node
-
 	// placedCPU/placedMem accumulate the effective demand of scheduler
 	// placements on the node (LensAdaptive only) before folding into
 	// the commitment as a floor under the lagging load average.
@@ -149,35 +146,6 @@ func (BinPack) Score(st *HostState, spec *container.Spec) float64 {
 	return projectedUtil(st, spec)
 }
 
-// Affinity is the gang/anti-gang scorer (the MPI-workload pattern from
-// PAPERS.md): every placed container sharing the spec's Affinity label
-// on the candidate node adds +1, every one sharing its AntiAffinity
-// label adds -1. Specs with empty labels score zero everywhere.
-type Affinity struct{}
-
-// Name identifies the scorer.
-func (Affinity) Name() string { return "affinity" }
-
-// Score counts label matches among the node's scheduler placements.
-func (Affinity) Score(st *HostState, spec *container.Spec) float64 {
-	if spec.Affinity == "" && spec.AntiAffinity == "" {
-		return 0
-	}
-	s := 0.0
-	for _, p := range st.cl.placements {
-		if p.node != st.Node || p.ctr == nil || p == st.exclude {
-			continue
-		}
-		if spec.Affinity != "" && p.spec.Affinity == spec.Affinity {
-			s++
-		}
-		if spec.AntiAffinity != "" && p.spec.AntiAffinity == spec.AntiAffinity {
-			s--
-		}
-	}
-	return s
-}
-
 // Health penalizes nodes whose views look unhealthy: normalized load
 // average plus the fraction of container views running degraded (the
 // staleness fallback of DESIGN.md §9). Under LensStatic both inputs are
@@ -230,7 +198,7 @@ func (c *Cluster) buildStates() {
 		snap := n.Host.ViewSnapshot()
 		st := &c.states[i]
 		*st = HostState{
-			Node: n, cl: c,
+			Node:        n,
 			NCPU:        snap.Host.NCPU,
 			TotalMemory: snap.Host.TotalMemory,
 		}
@@ -342,16 +310,4 @@ func (c *Cluster) Deploy(spec container.Spec, opts DeployOpts) (*Node, *containe
 		opts.Bind(n, ctr)
 	}
 	return n, ctr
-}
-
-// PlacementCount returns how many live scheduler placements currently
-// sit on n (in-flight migrations count toward their destination).
-func (c *Cluster) PlacementCount(n *Node) int {
-	count := 0
-	for _, p := range c.placements {
-		if p.node == n && (p.inFlight || (p.ctr != nil && p.ctr.State() != container.Stopped)) {
-			count++
-		}
-	}
-	return count
 }

@@ -1,7 +1,7 @@
 // Package container provides a docker-like container runtime over the
 // simulated kernel: each container is a cgroup (cpu + memory controllers),
-// a set of namespaces including the paper's sys_namespace, and a group of
-// processes with virtual PIDs.
+// a set of namespaces including the paper's sys_namespace, and an init
+// process with a virtual PID.
 //
 // The package reproduces the lifecycle subtlety §3.2 of the paper solves:
 // at launch a container gets a bootstrap init process that sets up the
@@ -46,13 +46,6 @@ type Spec struct {
 	// cluster layer's migration cost model (transfer time = ImageSize /
 	// destination bandwidth). Zero means a negligible image.
 	ImageSize units.Bytes
-	// Affinity and AntiAffinity are placement group labels read by the
-	// cluster scheduler's affinity scorer: containers sharing an
-	// Affinity label attract each other onto one node, containers
-	// sharing an AntiAffinity label repel each other. Empty labels
-	// participate in neither.
-	Affinity     string
-	AntiAffinity string
 }
 
 // State is a container lifecycle state.
@@ -88,15 +81,7 @@ type Process struct {
 	HostPID int
 	VPID    int
 	Name    string
-	ctr     *Container
-	alive   bool
 }
-
-// Alive reports whether the process is running.
-func (p *Process) Alive() bool { return p.alive }
-
-// Container returns the owning container.
-func (p *Process) Container() *Container { return p.ctr }
 
 // Container is a live container.
 type Container struct {
@@ -104,18 +89,13 @@ type Container struct {
 	Cgroup *cgroups.Cgroup
 	NS     *sysns.SysNamespace
 
-	rt       *Runtime
-	state    State
-	procs    []*Process
-	init     *Process // current init (VPID 1)
-	nextVPID int
+	rt    *Runtime
+	state State
+	init  *Process // current init (VPID 1)
 }
 
 // State returns the lifecycle state.
 func (c *Container) State() State { return c.state }
-
-// Init returns the container's current init process.
-func (c *Container) Init() *Process { return c.init }
 
 // Command returns the command the container runs (the current init
 // process's name), or "app" when no command has been exec'd yet. The
@@ -126,17 +106,6 @@ func (c *Container) Command() string {
 		return c.init.Name
 	}
 	return "app"
-}
-
-// Processes returns the live processes.
-func (c *Container) Processes() []*Process {
-	out := make([]*Process, 0, len(c.procs))
-	for _, p := range c.procs {
-		if p.alive {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // View returns the container's virtual sysfs view: every resource probe
@@ -166,20 +135,6 @@ type PodSpec struct {
 type Pod struct {
 	Spec   PodSpec
 	Cgroup *cgroups.Cgroup
-
-	rt      *Runtime
-	members []*Container
-}
-
-// Members returns the pod's containers.
-func (p *Pod) Members() []*Container {
-	out := make([]*Container, 0, len(p.members))
-	for _, c := range p.members {
-		if c.State() != Stopped {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Runtime creates and manages containers on one host.
@@ -250,7 +205,7 @@ func (rt *Runtime) CreatePod(spec PodSpec) *Pod {
 	if spec.MemHard > 0 || spec.MemSoft > 0 {
 		cg.SetMemLimits(spec.MemHard, spec.MemSoft)
 	}
-	return &Pod{Spec: spec, Cgroup: cg, rt: rt}
+	return &Pod{Spec: spec, Cgroup: cg}
 }
 
 // CreateInPod builds a container inside a pod: its cgroup nests under
@@ -261,20 +216,7 @@ func (rt *Runtime) CreateInPod(pod *Pod, spec Spec) *Container {
 	if spec.Name == "" {
 		panic("container: empty name")
 	}
-	cg := rt.hier.CreateChild(pod.Cgroup, spec.Name)
-	c := rt.finishCreate(cg, spec)
-	pod.members = append(pod.members, c)
-	return c
-}
-
-// DestroyPod stops the pod's members and removes the pod cgroup.
-func (rt *Runtime) DestroyPod(pod *Pod) {
-	for _, c := range pod.members {
-		rt.Destroy(c)
-	}
-	if !pod.Cgroup.Removed() {
-		rt.hier.Remove(pod.Cgroup)
-	}
+	return rt.finishCreate(rt.hier.CreateChild(pod.Cgroup, spec.Name), spec)
 }
 
 // Create builds the container: cgroup with the spec's limits, a
@@ -309,12 +251,11 @@ func (rt *Runtime) finishCreate(cg *cgroups.Cgroup, spec Spec) *Container {
 	}
 	cg.CPU.Gamma = spec.Gamma
 
-	c := &Container{Spec: spec, Cgroup: cg, rt: rt, nextVPID: 1}
+	c := &Container{Spec: spec, Cgroup: cg, rt: rt}
 	rt.byName[cg.Name] = c // before Attach: its publication reads the state
 	c.NS = rt.mon.Attach(cg)
-	boot := c.fork("bootstrap-init")
-	c.init = boot
-	c.NS.OwnerPID = boot.HostPID
+	c.init = &Process{HostPID: rt.allocPID(), VPID: 1, Name: "bootstrap-init"}
+	c.NS.OwnerPID = c.init.HostPID
 	rt.containers = append(rt.containers, c)
 	return c
 }
@@ -327,17 +268,12 @@ func (c *Container) Exec(command string) *Process {
 	if c.state == Stopped {
 		panic("container: Exec on stopped container " + c.Name)
 	}
-	old := c.init
 	p := &Process{
 		HostPID: c.rt.allocPID(),
 		VPID:    1, // replaces init in the PID namespace
 		Name:    command,
-		ctr:     c,
-		alive:   true,
 	}
-	c.procs = append(c.procs, p)
-	old.alive = false // TASK_DEAD
-	c.init = p
+	c.init = p // the previous init is TASK_DEAD
 	// Ownership transfer: the namespace stays updatable by the kernel
 	// for the life of the container.
 	c.NS.OwnerPID = p.HostPID
@@ -348,37 +284,12 @@ func (c *Container) Exec(command string) *Process {
 	return p
 }
 
-// Spawn forks a new process inside the container; it inherits the
-// namespaces (and hence the virtual sysfs view).
-func (c *Container) Spawn(name string) *Process {
-	if c.state == Stopped {
-		panic("container: Spawn on stopped container " + c.Name)
-	}
-	return c.fork(name)
-}
-
-func (c *Container) fork(name string) *Process {
-	c.nextVPID++
-	p := &Process{
-		HostPID: c.rt.allocPID(),
-		VPID:    c.nextVPID - 1,
-		Name:    name,
-		ctr:     c,
-		alive:   true,
-	}
-	c.procs = append(c.procs, p)
-	return p
-}
-
-// Destroy stops the container, kills its processes, and removes its
-// cgroup; ns_monitor detaches the sys_namespace via the Removed event
-// and recomputes the bounds of the survivors.
+// Destroy stops the container and removes its cgroup; ns_monitor
+// detaches the sys_namespace via the Removed event and recomputes the
+// bounds of the survivors.
 func (rt *Runtime) Destroy(c *Container) {
 	if c.state == Stopped {
 		return
-	}
-	for _, p := range c.procs {
-		p.alive = false
 	}
 	c.state = Stopped
 	rt.hier.Remove(c.Cgroup)

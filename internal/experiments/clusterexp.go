@@ -59,9 +59,9 @@ func runClusterArm(lens cluster.Lens) clusterArm {
 		MaxMigrationsPerRound: 2,
 		Hysteresis:            0.1,
 	},
-		cluster.NodeConfig{Host: clusterMember("n0", 1), Bandwidth: 200 * units.MiB, Latency: 2 * time.Millisecond},
-		cluster.NodeConfig{Host: clusterMember("n1", 2), Bandwidth: 200 * units.MiB, Latency: 6 * time.Millisecond},
-		cluster.NodeConfig{Host: clusterMember("n2", 3), Bandwidth: 200 * units.MiB, Latency: 10 * time.Millisecond},
+		cluster.NodeConfig{Host: clusterMember(1), Bandwidth: 200 * units.MiB, Latency: 2 * time.Millisecond},
+		cluster.NodeConfig{Host: clusterMember(2), Bandwidth: 200 * units.MiB, Latency: 6 * time.Millisecond},
+		cluster.NodeConfig{Host: clusterMember(3), Bandwidth: 200 * units.MiB, Latency: 10 * time.Millisecond},
 	)
 	tr := c.EnableTelemetry(1 << 10)
 	nodes := c.Nodes()
@@ -180,8 +180,8 @@ func runClusterArm(lens cluster.Lens) clusterArm {
 }
 
 // clusterMember sizes one 16-CPU member host.
-func clusterMember(name string, seed uint64) host.Config {
-	return host.Config{Name: name, CPUs: 16, Memory: 64 * units.GiB, Tick: time.Millisecond, Seed: seed}
+func clusterMember(seed uint64) host.Config {
+	return host.Config{CPUs: 16, Memory: 64 * units.GiB, Tick: time.Millisecond, Seed: seed}
 }
 
 // ExtCluster runs the killer experiment of the cluster layer: the same

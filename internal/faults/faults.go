@@ -325,11 +325,6 @@ func (inj *Injector) ScheduleKill(r KillRule) {
 	})
 }
 
-// SubsystemName identifies the injector in telemetry and diagnostics;
-// with Tick, NextEvent, SkipIdle, and AttachTelemetry it satisfies the
-// host kernel's Subsystem interface.
-func (inj *Injector) SubsystemName() string { return "faults" }
-
 // Tick is a no-op: every fault the injector schedules rides the clock's
 // timer queue, which the kernel already drives.
 func (inj *Injector) Tick(now sim.Time, dt time.Duration) {}
@@ -344,7 +339,8 @@ func (inj *Injector) NextEvent(now sim.Time) (sim.Time, bool) { return 0, false 
 func (inj *Injector) SkipIdle(now sim.Time, dt time.Duration, n int) {}
 
 // AttachTelemetry sets (or, with nil, clears) the injector's trace
-// sink.
+// sink. With Tick, NextEvent and SkipIdle it satisfies the host
+// kernel's Subsystem interface.
 func (inj *Injector) AttachTelemetry(tr *telemetry.Tracer) { inj.trace = tr }
 
 // String summarizes the armed schedule-free faults for diagnostics.

@@ -9,6 +9,7 @@ import (
 	"arv/internal/container"
 	"arv/internal/host"
 	"arv/internal/sim"
+	"arv/internal/sysns"
 	"arv/internal/telemetry"
 	"arv/internal/units"
 	"arv/internal/workloads"
@@ -16,6 +17,12 @@ import (
 
 func newHost() *host.Host {
 	return host.New(host.Config{CPUs: 4, Memory: 8 * units.GiB, Seed: 7})
+}
+
+// view cuts a fresh snapshot of h and returns the named container's
+// view: its update-round count and degradation flag.
+func view(h *host.Host, name string) *sysns.ContainerView {
+	return h.Monitor.Publish(h.Now()).Container(name)
 }
 
 // runWorkload executes a fixed mixed workload — two containers, two
@@ -127,7 +134,7 @@ func TestUpdateMissSuppressesAllRounds(t *testing.T) {
 	if got := tr.Count(telemetry.CtrNSUpdates); got != 0 {
 		t.Fatalf("sysns.updates = %d with all rounds missed, want 0", got)
 	}
-	if got := ctr.NS.Updates(); got != 0 {
+	if got := view(h, "a").Updates; got != 0 {
 		t.Fatalf("namespace updates = %d, want 0", got)
 	}
 }
@@ -143,7 +150,7 @@ func TestUpdateLagPostponesRounds(t *testing.T) {
 
 	h.Run(500 * time.Millisecond)
 	lagged := tr.Count(telemetry.CtrUpdatesLagged)
-	ran := ctr.NS.Updates()
+	ran := view(h, "a").Updates
 	if lagged == 0 {
 		t.Fatal("updates_lagged = 0, want > 0")
 	}
@@ -282,8 +289,10 @@ func TestKillAndRestart(t *testing.T) {
 	if len(live) != 1 || live[0].Name != "victim" {
 		t.Fatalf("live containers = %v, want exactly the restarted victim", live)
 	}
-	if h.Programs() != 0 {
-		t.Fatalf("%d programs still registered; the killed sysbench must retire", h.Programs())
+	// RunUntilDone with no time left reports whether every registered
+	// program has finished.
+	if !h.RunUntilDone(0) {
+		t.Fatal("the killed sysbench must retire")
 	}
 	var sawRestart bool
 	for _, e := range tr.EventsOf(telemetry.KindFault) {
@@ -336,7 +345,7 @@ func TestStalenessFallbackEngagesAndClears(t *testing.T) {
 	ctr.Exec("a")
 
 	h.Run(200 * time.Millisecond)
-	if !ctr.NS.Degraded() {
+	if !view(h, "a").Degraded {
 		t.Fatal("namespace not degraded after aging past the budget")
 	}
 	lower, _ := ctr.NS.CPUBounds()
@@ -349,7 +358,7 @@ func TestStalenessFallbackEngagesAndClears(t *testing.T) {
 
 	inj.SetMonitorFaults(0, 0, 0)
 	h.Run(100 * time.Millisecond)
-	if ctr.NS.Degraded() {
+	if view(h, "a").Degraded {
 		t.Fatal("namespace still degraded after a clean update round")
 	}
 }

@@ -108,7 +108,9 @@ type containerInfo struct {
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshot(w)
-	var out []containerInfo
+	// Non-nil even when empty, so a host with no containers answers
+	// [] rather than null.
+	out := make([]containerInfo, 0, len(snap.Containers))
 	for i := range snap.Containers {
 		c := &snap.Containers[i]
 		out = append(out, containerInfo{

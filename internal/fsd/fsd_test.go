@@ -81,6 +81,21 @@ func TestIndex(t *testing.T) {
 	}
 }
 
+// TestIndexEmptyHost: a host with no containers lists an empty JSON
+// array, not null.
+func TestIndexEmptyHost(t *testing.T) {
+	h := host.New(host.Config{CPUs: 8, Memory: 16 * units.GiB, Seed: 1})
+	srv := httptest.NewServer(NewServer(h).Handler())
+	t.Cleanup(srv.Close)
+	code, body := get(t, srv.URL+"/containers")
+	if code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if got := strings.TrimSpace(body); got != "[]" {
+		t.Fatalf("empty host index = %q, want []", got)
+	}
+}
+
 func TestContainerPseudoFiles(t *testing.T) {
 	_, srv := newFixture(t)
 	code, body := get(t, srv.URL+"/containers/web/sys/devices/system/cpu/online")

@@ -72,10 +72,6 @@ type WakePolicy interface {
 
 // Config sizes a Host. Zero fields select the defaults noted inline.
 type Config struct {
-	// Name identifies the host in multi-host (cluster) setups and
-	// diagnostics; empty is fine for single-host simulations.
-	Name string
-
 	CPUs   int           // required
 	Memory units.Bytes   // required
 	Tick   time.Duration // simulation step; default 1ms
@@ -91,11 +87,6 @@ type Config struct {
 
 	// Seed seeds the host's deterministic RNG.
 	Seed uint64
-
-	// DisableFastForward forces dense per-tick stepping even across
-	// provably idle spans. Results are bit-identical either way; this
-	// exists for A/B determinism tests and benchmarking.
-	DisableFastForward bool
 }
 
 // Host is the simulated machine.
@@ -113,11 +104,9 @@ type Host struct {
 	// EnableTelemetry is called; nil (the default) costs nothing.
 	Trace *telemetry.Tracer
 
-	name        string
-	tick        time.Duration
-	programs    []Program
-	subsystems  []Subsystem
-	fastForward bool
+	tick       time.Duration
+	programs   []Program
+	subsystems []Subsystem
 }
 
 // OnNew, when non-nil, is invoked with every freshly built host at the
@@ -149,17 +138,15 @@ func New(cfg Config) *Host {
 	rt := container.NewRuntime(hier, mon, resolver)
 
 	h := &Host{
-		name:        cfg.Name,
-		Clock:       clock,
-		Sched:       sched,
-		Mem:         mem,
-		Cgroups:     hier,
-		Monitor:     mon,
-		Resolver:    resolver,
-		Runtime:     rt,
-		RNG:         sim.NewRNG(cfg.Seed),
-		tick:        tick,
-		fastForward: !cfg.DisableFastForward,
+		Clock:    clock,
+		Sched:    sched,
+		Mem:      mem,
+		Cgroups:  hier,
+		Monitor:  mon,
+		Resolver: resolver,
+		Runtime:  rt,
+		RNG:      sim.NewRNG(cfg.Seed),
+		tick:     tick,
 	}
 	// The kernel loop drives these in order; only the scheduler does
 	// dense per-tick work, the rest contribute events and telemetry.
@@ -171,10 +158,6 @@ func New(cfg Config) *Host {
 	return h
 }
 
-// Subsystems returns the components the kernel loop drives, in phase
-// order.
-func (h *Host) Subsystems() []Subsystem { return h.subsystems }
-
 // AddSubsystem registers an additional component with the kernel loop.
 // It participates in every phase from the next Step on: its Tick runs in
 // the schedule phase, its NextEvent bounds fast-forward jumps, and its
@@ -183,9 +166,6 @@ func (h *Host) AddSubsystem(ss Subsystem) {
 	h.subsystems = append(h.subsystems, ss)
 	ss.AttachTelemetry(h.Trace)
 }
-
-// Name returns the host's configured name ("" when unnamed).
-func (h *Host) Name() string { return h.name }
 
 // Tick returns the host's simulation step size.
 func (h *Host) Tick() time.Duration { return h.tick }
@@ -204,10 +184,6 @@ func (h *Host) Now() sim.Time { return h.Clock.Now() }
 // AddProgram registers a program for per-tick polling. Finished
 // programs are compacted out of the list by the program phase.
 func (h *Host) AddProgram(p Program) { h.programs = append(h.programs, p) }
-
-// Programs returns the number of registered, not-yet-compacted
-// programs.
-func (h *Host) Programs() int { return len(h.programs) }
 
 // EnableTelemetry attaches a fresh tracer (ring capacity ringSize;
 // telemetry.DefaultRingSize if <= 0) to the host and every registered
@@ -291,10 +267,8 @@ func (h *Host) phaseObserve(now sim.Time) {
 // preceding idle span when the kernel can prove it is uneventful. limit
 // bounds the jump (the caller's run deadline).
 func (h *Host) step(limit sim.Time) sim.Time {
-	if h.fastForward {
-		if k := h.idleTicks(limit); k > 0 {
-			h.phaseFastForward(k)
-		}
+	if k := h.idleTicks(limit); k > 0 {
+		h.phaseFastForward(k)
 	}
 	return h.Step()
 }
@@ -356,8 +330,8 @@ func (h *Host) phaseFastForward(k int) {
 	}
 }
 
-// Run advances the simulation by d, fast-forwarding across idle spans
-// when enabled.
+// Run advances the simulation by d, fast-forwarding across idle spans.
+// A dense run of the same span is a loop of Step calls.
 func (h *Host) Run(d time.Duration) {
 	deadline := h.Clock.Now() + d
 	for h.Clock.Now() < deadline {

@@ -22,7 +22,7 @@ func TestHostWiring(t *testing.T) {
 	if h.Tick() != time.Millisecond {
 		t.Fatalf("default tick = %v", h.Tick())
 	}
-	if h.Resolver.Host().OnlineCPUs() != 4 {
+	if h.Resolver.For(nil).OnlineCPUs() != 4 {
 		t.Fatal("host view not wired")
 	}
 }
@@ -42,7 +42,7 @@ func TestContainersGetLiveNamespaces(t *testing.T) {
 	task := h.Sched.NewTask(ctr.Cgroup.CPU, "t")
 	h.Sched.SetRunnable(task, true)
 	h.Run(time.Second)
-	if ctr.NS.Updates() == 0 {
+	if h.Monitor.Publish(h.Now()).Container("a").Updates == 0 {
 		t.Fatal("monitor never updated the container's namespace")
 	}
 	if ctr.NS.EffectiveCPU() == 0 {
@@ -156,10 +156,16 @@ func TestFastForwardSkipsIdleSpans(t *testing.T) {
 
 func TestFastForwardMatchesDense(t *testing.T) {
 	run := func(ff bool) (*Host, *sleeper) {
-		h := New(Config{CPUs: 4, Memory: 8 * units.GiB, Seed: 7, DisableFastForward: !ff})
+		h := New(Config{CPUs: 4, Memory: 8 * units.GiB, Seed: 7})
 		s := &sleeper{period: 97 * time.Millisecond}
 		h.AddProgram(s)
-		h.Run(2 * time.Second)
+		if ff {
+			h.Run(2 * time.Second)
+		} else {
+			for h.Now() < 2*time.Second {
+				h.Step()
+			}
+		}
 		return h, s
 	}
 	hd, sd := run(false)
@@ -219,16 +225,16 @@ func TestProgramCompaction(t *testing.T) {
 	b := &fakeProgram{stopAt: 7}
 	h.AddProgram(a)
 	h.AddProgram(b)
-	if h.Programs() != 2 {
-		t.Fatalf("Programs = %d", h.Programs())
+	if len(h.programs) != 2 {
+		t.Fatalf("programs = %d", len(h.programs))
 	}
 	h.Run(5 * time.Millisecond)
-	if h.Programs() != 1 {
-		t.Fatalf("finished program not compacted: Programs = %d", h.Programs())
+	if len(h.programs) != 1 {
+		t.Fatalf("finished program not compacted: programs = %d", len(h.programs))
 	}
 	h.Run(5 * time.Millisecond)
-	if h.Programs() != 0 {
-		t.Fatalf("Programs = %d after all done", h.Programs())
+	if len(h.programs) != 0 {
+		t.Fatalf("programs = %d after all done", len(h.programs))
 	}
 	if a.polls != 3 || b.polls != 7 {
 		t.Fatalf("polls = %d,%d, want 3,7", a.polls, b.polls)
@@ -257,14 +263,14 @@ func TestAddProgramDuringPollSurvivesCompaction(t *testing.T) {
 	s := &spawner{h: h}
 	h.AddProgram(s)
 	h.Step() // spawner registers child and finishes; child not yet polled
-	if h.Programs() != 1 {
-		t.Fatalf("Programs = %d, want just the child", h.Programs())
+	if len(h.programs) != 1 {
+		t.Fatalf("programs = %d, want just the child", len(h.programs))
 	}
 	if s.child.polls != 0 {
 		t.Fatal("mid-poll program polled in the same tick")
 	}
 	h.Run(10 * time.Millisecond)
-	if s.child.polls != 4 || h.Programs() != 0 {
-		t.Fatalf("child polls = %d (want 4), Programs = %d (want 0)", s.child.polls, h.Programs())
+	if s.child.polls != 4 || len(h.programs) != 0 {
+		t.Fatalf("child polls = %d (want 4), programs = %d (want 0)", s.child.polls, len(h.programs))
 	}
 }

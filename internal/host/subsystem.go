@@ -20,10 +20,6 @@ import (
 // the n elided ticks exactly as n dense Tick calls on an idle host
 // would have.
 type Subsystem interface {
-	// SubsystemName identifies the component in telemetry and
-	// diagnostics ("cfs", "memctl", "sysns", "timers").
-	SubsystemName() string
-
 	// Tick runs the subsystem's dense per-tick work for the tick ending
 	// at now. Subsystems whose state only changes through timers or
 	// explicit calls (charges, cgroup writes) make this a no-op.
@@ -54,8 +50,6 @@ type Subsystem interface {
 type timerWheel struct {
 	clock *sim.Clock
 }
-
-func (timerWheel) SubsystemName() string { return "timers" }
 
 func (timerWheel) Tick(now sim.Time, dt time.Duration) {}
 

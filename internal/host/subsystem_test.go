@@ -30,8 +30,6 @@ type fakeSubsystem struct {
 	lastTick  sim.Time
 }
 
-func (f *fakeSubsystem) SubsystemName() string { return "fake" }
-
 func (f *fakeSubsystem) Tick(now sim.Time, dt time.Duration) {
 	f.ticks++
 	f.lastTick = now
@@ -55,18 +53,30 @@ func newTestHost() *Host {
 	return New(Config{CPUs: 4, Memory: units.GiB, Seed: 1})
 }
 
+// quietTestHost returns an idle host whose ns_monitor update timer sits
+// an hour out, so no timer bounds fast-forward in the next minutes. The
+// timer armed at construction fires once at the default period and then
+// re-arms with the pinned one.
+func quietTestHost(t *testing.T) *Host {
+	t.Helper()
+	h := newTestHost()
+	h.Monitor.FixedPeriod = time.Hour
+	h.Run(time.Second)
+	if d, ok := h.Clock.NextDeadline(); !ok || d < h.Now()+time.Minute {
+		t.Fatalf("monitor timer still near: next deadline %v at %v", d, h.Now())
+	}
+	return h
+}
+
 func TestSubsystemListDrivenByKernel(t *testing.T) {
 	h := newTestHost()
-	if got := len(h.Subsystems()); got != 4 {
-		t.Fatalf("built-in subsystem count = %d, want 4 (cfs, memctl, sysns, timers)", got)
+	want := []Subsystem{h.Sched, h.Mem, h.Monitor, timerWheel{h.Clock}}
+	if len(h.subsystems) != len(want) {
+		t.Fatalf("built-in subsystem count = %d, want 4 (cfs, memctl, sysns, timers)", len(h.subsystems))
 	}
-	names := map[string]bool{}
-	for _, ss := range h.Subsystems() {
-		names[ss.SubsystemName()] = true
-	}
-	for _, want := range []string{"cfs", "memctl", "sysns", "timers"} {
-		if !names[want] {
-			t.Errorf("subsystem %q not registered", want)
+	for i, ss := range want {
+		if h.subsystems[i] != ss {
+			t.Errorf("subsystem %d = %T, want %T", i, h.subsystems[i], ss)
 		}
 	}
 
@@ -87,13 +97,10 @@ func TestSubsystemListDrivenByKernel(t *testing.T) {
 // cap the idle jump exactly like a timer deadline would, and the elided
 // span must be handed to every subsystem's SkipIdle.
 func TestSubsystemNextEventBoundsFastForward(t *testing.T) {
-	h := newTestHost()
-	f := &fakeSubsystem{next: 50 * time.Millisecond}
+	h := quietTestHost(t)
+	t0 := h.Now()
+	f := &fakeSubsystem{next: t0 + 50*time.Millisecond}
 	h.AddSubsystem(f)
-
-	// An idle host with a quiescent monitor still has the ns_monitor
-	// update timer pending; stop it so the fake's event is the earliest.
-	h.Monitor.Stop()
 
 	h.Run(40 * time.Millisecond)
 	if f.skipCalls == 0 {
@@ -106,13 +113,12 @@ func TestSubsystemNextEventBoundsFastForward(t *testing.T) {
 
 	// The jump must stop one tick short of the subsystem's event so the
 	// event tick itself executes densely.
-	h2 := newTestHost()
-	f2 := &fakeSubsystem{next: 50 * time.Millisecond}
+	h2 := quietTestHost(t)
+	f2 := &fakeSubsystem{next: t0 + 50*time.Millisecond}
 	h2.AddSubsystem(f2)
-	h2.Monitor.Stop()
 	h2.Run(100 * time.Millisecond)
-	if f2.lastTick != 100*time.Millisecond {
-		t.Errorf("final tick at %v, want 100ms", f2.lastTick)
+	if f2.lastTick != t0+100*time.Millisecond {
+		t.Errorf("final tick at %v, want %v", f2.lastTick, t0+100*time.Millisecond)
 	}
 	if f2.ticks+f2.skipped != 100 {
 		t.Errorf("ticks(%d) + skipped(%d) != 100", f2.ticks, f2.skipped)

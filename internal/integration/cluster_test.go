@@ -1,7 +1,6 @@
 package integration
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -18,7 +17,6 @@ import (
 // determinism scenario; index i gets its own seed and load shape.
 func clusterMemberConfig(i int) host.Config {
 	return host.Config{
-		Name: fmt.Sprintf("node%d", i),
 		CPUs: 8, Memory: 16 * units.GiB,
 		Seed: uint64(5 + i),
 	}

@@ -127,7 +127,7 @@ func TestOpenMPStrategies(t *testing.T) {
 		p := omp.New(h, ctr, workloads.NPB("cg"), strategy)
 		p.Start()
 		if !h.RunUntilDone(30 * time.Minute) {
-			t.Fatalf("%v did not finish (regions done %d)", strategy, p.RegionsDone())
+			t.Fatalf("%v did not finish", strategy)
 		}
 		t.Logf("%v: %v (threads %v...)", strategy, p.ExecTime(), p.ThreadTrace[:3])
 		return p.ExecTime()

@@ -29,10 +29,7 @@ type kernelSample struct {
 // tail — and samples host-visible state every 10ms.
 func runKernelScenario(t *testing.T, ff bool) ([]kernelSample, *jvm.JVM, *telemetry.Tracer) {
 	t.Helper()
-	h := host.New(host.Config{
-		CPUs: 8, Memory: 16 * units.GiB, Seed: 11,
-		DisableFastForward: !ff,
-	})
+	h := host.New(host.Config{CPUs: 8, Memory: 16 * units.GiB, Seed: 11})
 	tr := h.EnableTelemetry(0)
 	ctr := h.Runtime.Create(container.Spec{Name: "a", MemHard: 96 * units.MiB, Gamma: 0.5})
 	ctr.Exec("java")
@@ -55,10 +52,25 @@ func runKernelScenario(t *testing.T, ff bool) ([]kernelSample, *jvm.JVM, *teleme
 			swap: h.Mem.Swap().Used(),
 		})
 	})
-	if !h.RunUntilDone(30 * time.Minute) {
+	var done bool
+	if ff {
+		done = h.RunUntilDone(30 * time.Minute)
+	} else {
+		// RunUntil steps tick by tick, evaluating its condition once
+		// per tick; the JVM is the host's only program.
+		done = h.RunUntil(j.Done, 30*time.Minute)
+	}
+	if !done {
 		t.Fatalf("JVM did not finish (progress %.2f)", j.Progress())
 	}
-	h.Run(2 * time.Second) // idle tail: nothing runnable, nothing to poll
+	// Idle tail: nothing runnable, nothing to poll.
+	if ff {
+		h.Run(2 * time.Second)
+	} else {
+		for end := h.Now() + 2*time.Second; h.Now() < end; {
+			h.Step()
+		}
+	}
 	return samples, j, tr
 }
 

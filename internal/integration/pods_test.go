@@ -30,8 +30,8 @@ func TestPodBoundsAndAllocation(t *testing.T) {
 	if lower, _ := other.NS.CPUBounds(); lower != 8 {
 		t.Fatalf("flat container lower bound = %d, want 8", lower)
 	}
-	if len(pod.Members()) != 2 {
-		t.Fatalf("pod members = %d", len(pod.Members()))
+	if n := len(pod.Cgroup.Children()); n != 2 {
+		t.Fatalf("pod members = %d", n)
 	}
 
 	// Saturate everything: allocation must match the guarantees.
@@ -133,21 +133,4 @@ func TestPodJVMsShareEffectiveView(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestDestroyPod removes members and the pod cgroup.
-func TestDestroyPod(t *testing.T) {
-	h := newHost(t, 8, 16*units.GiB)
-	pod := h.Runtime.CreatePod(container.PodSpec{Name: "pod"})
-	a := h.Runtime.CreateInPod(pod, container.Spec{Name: "a"})
-	a.Exec("app")
-	h.Mem.Charge(a.Cgroup.Mem, units.GiB, h.Now())
-	h.Runtime.DestroyPod(pod)
-	if h.Cgroups.Lookup("pod") != nil || h.Cgroups.Lookup("a") != nil {
-		t.Fatal("pod cgroups survived destruction")
-	}
-	if h.Mem.Free() != 16*units.GiB {
-		t.Fatal("pod memory not freed")
-	}
-	h.Run(100 * time.Millisecond) // must not panic
 }

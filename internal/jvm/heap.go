@@ -13,11 +13,10 @@ import (
 //     container's memory cgroup is charged for;
 //   - reserved: the static MaxHeapSize ceiling fixed at launch.
 //
-// The paper's elastic heap adds a dynamic ceiling VirtualMax (with
-// derived YoungMax and OldMax) between committed and reserved, driven by
-// effective memory, so the committed space can grow past an obsolete
-// static limit or shrink under pressure without violating the adaptive
-// sizing algorithm's invariants.
+// The paper's elastic heap adds a dynamic ceiling VirtualMax between
+// committed and reserved, driven by effective memory, so the committed
+// space can grow past an obsolete static limit or shrink under pressure
+// without violating the adaptive sizing algorithm's invariants.
 type Heap struct {
 	// Reserved is MaxHeapSize: committed may never exceed it.
 	Reserved units.Bytes
@@ -85,11 +84,6 @@ func (h *Heap) Ceiling() units.Bytes {
 	}
 	return h.Reserved
 }
-
-// YoungMax and OldMax return the per-generation ceilings derived from
-// the 1:2 generation ratio (§4.2).
-func (h *Heap) YoungMax() units.Bytes { return h.Ceiling() / 3 }
-func (h *Heap) OldMax() units.Bytes   { return h.Ceiling() - h.Ceiling()/3 }
 
 // InitCommitted sets the initial generation sizes for a total committed
 // size of total, honoring the ceiling and the generation ratio.

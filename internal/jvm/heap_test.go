@@ -49,16 +49,6 @@ func TestCeiling(t *testing.T) {
 	}
 }
 
-func TestYoungOldMaxRatio(t *testing.T) {
-	h := newHeap(3*units.GiB, 100*units.MiB)
-	if h.YoungMax() != units.GiB {
-		t.Fatalf("YoungMax = %v", h.YoungMax())
-	}
-	if h.OldMax() != 2*units.GiB {
-		t.Fatalf("OldMax = %v", h.OldMax())
-	}
-}
-
 func TestResizeGrowsOnHighOverhead(t *testing.T) {
 	h := newHeap(3*units.GiB, 300*units.MiB)
 	before := h.Committed()

@@ -286,9 +286,6 @@ func (j *JVM) Heap() *Heap { return &j.heap }
 // GCThreadPool returns N, the number of GC threads created at launch.
 func (j *JVM) GCThreadPool() int { return j.poolSize }
 
-// Workload returns the profile the JVM is executing.
-func (j *JVM) Workload() Workload { return j.w }
-
 // survivorsOf returns the bytes surviving a minor collection of an eden
 // holding edenUsed bytes.
 func (j *JVM) survivorsOf(edenUsed units.Bytes) units.Bytes {

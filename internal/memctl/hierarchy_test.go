@@ -11,7 +11,7 @@ func TestSubtreeAccounting(t *testing.T) {
 	pod := c.NewGroup("pod")
 	a := c.NewChildGroup(pod, "a")
 	b := c.NewChildGroup(pod, "b")
-	if a.Parent() != pod {
+	if a.parent != pod {
 		t.Fatal("parent link broken")
 	}
 	c.Charge(a, units.GiB, 0)
@@ -71,46 +71,6 @@ func TestParentSoftLimitGuidesKswapd(t *testing.T) {
 	}
 }
 
-func TestSwappinessSteersKswapd(t *testing.T) {
-	c := newCtl(4 * units.GiB)
-	shielded := c.NewGroup("shielded")
-	shielded.SoftLimit = 256 * units.MiB
-	shielded.SwappinessSet = true // swappiness 0: never kswapd'd
-	victim := c.NewGroup("victim")
-	victim.SoftLimit = 256 * units.MiB
-	victim.Swappiness = 100
-	c.Charge(shielded, units.GiB, 0)
-	c.Charge(victim, units.GiB, 0)
-
-	hog := c.NewGroup("hog")
-	c.Charge(hog, c.Free()-c.LowWM+10*units.MiB, 0)
-	if victim.Swapped() == 0 {
-		t.Fatal("high-swappiness group was not reclaimed")
-	}
-	if shielded.Swapped() != 0 {
-		t.Fatal("swappiness-0 group was reclaimed by kswapd")
-	}
-}
-
-func TestSwappinessWeighting(t *testing.T) {
-	c := newCtl(4 * units.GiB)
-	low := c.NewGroup("low")
-	low.SoftLimit = 256 * units.MiB
-	low.Swappiness = 10
-	high := c.NewGroup("high")
-	high.SoftLimit = 512 * units.MiB
-	high.Swappiness = 100
-	// low exceeds its soft limit by more bytes, but high's weighting
-	// makes it the preferred victim: 512M*10/60 < 256M*100/60.
-	c.Charge(low, 768*units.MiB, 0)
-	c.Charge(high, 768*units.MiB, 0)
-	hog := c.NewGroup("hog")
-	c.Charge(hog, c.Free()-c.LowWM+5*units.MiB, 0)
-	if high.Swapped() == 0 {
-		t.Fatal("weighted victim selection broken: high-swappiness group untouched")
-	}
-}
-
 func TestRemoveParentGroupFreesSubtree(t *testing.T) {
 	c := newCtl(8 * units.GiB)
 	pod := c.NewGroup("pod")
@@ -124,7 +84,7 @@ func TestRemoveParentGroupFreesSubtree(t *testing.T) {
 	if c.Swap().Used() != 0 {
 		t.Fatalf("swap used = %v after removal", c.Swap().Used())
 	}
-	if len(c.Groups()) != 0 {
+	if len(c.groups) != 0 {
 		t.Fatal("groups not removed")
 	}
 }

@@ -36,10 +36,7 @@ type Controller struct {
 	// events. Nil (the default) costs nothing.
 	Trace *telemetry.Tracer
 
-	// stats
-	kswapdRuns     int
-	directReclaims int
-	oomKills       int
+	kswapdRuns int // read by Algorithm 2's reclaim-progress check
 }
 
 // SwapDevice models a swap disk with finite capacity and bandwidth.
@@ -71,14 +68,6 @@ type Group struct {
 	// SoftLimit is memory.soft_limit_in_bytes; 0 means unlimited (the
 	// group is never preferred by kswapd).
 	SoftLimit units.Bytes
-	// Swappiness is memory.swappiness (0-100, default 60): it weights
-	// how eagerly kswapd reclaims this group relative to others (the
-	// per-container tuning Nakazawa et al. exploit to shield heavily
-	// loaded containers, discussed in the paper's §6). Zero keeps the
-	// 60 default; set SwappinessSet for an explicit 0.
-	Swappiness    int
-	SwappinessSet bool
-
 	// Hot is the group's actively touched working set (set by the
 	// owning runtime, e.g. live data + young generation for a JVM).
 	// The kernel's LRU evicts cold pages first, so page faults hit only
@@ -101,9 +90,6 @@ type Group struct {
 	ctl *Controller
 }
 
-// Parent returns the enclosing group, or nil.
-func (g *Group) Parent() *Group { return g.parent }
-
 // SubtreeResident returns the total resident memory of a parent group's
 // children (its hierarchical usage).
 func (g *Group) SubtreeResident() units.Bytes { return g.subtree }
@@ -117,9 +103,6 @@ func (g *Group) Swapped() units.Bytes { return g.swapped }
 
 // Footprint returns resident+swapped, the group's total data.
 func (g *Group) Footprint() units.Bytes { return g.resident + g.swapped }
-
-// OOMKilled reports whether the group has been OOM-killed.
-func (g *Group) OOMKilled() bool { return g.oomKilled }
 
 // SwapTraffic returns the group's cumulative swap-out and swap-in bytes.
 func (g *Group) SwapTraffic() (out, in units.Bytes) { return g.swapOut, g.swapIn }
@@ -199,13 +182,8 @@ func (c *Controller) Free() units.Bytes { return c.free }
 // Swap returns the swap device.
 func (c *Controller) Swap() *SwapDevice { return c.swap }
 
-// KswapdRuns, DirectReclaims, and OOMKills return event counters.
-func (c *Controller) KswapdRuns() int     { return c.kswapdRuns }
-func (c *Controller) DirectReclaims() int { return c.directReclaims }
-func (c *Controller) OOMKills() int       { return c.oomKills }
-
-// Groups returns the registered memory groups.
-func (c *Controller) Groups() []*Group { return c.groups }
+// KswapdRuns returns how many times kswapd has run.
+func (c *Controller) KswapdRuns() int { return c.kswapdRuns }
 
 // NewGroup registers a top-level memory control group.
 func (c *Controller) NewGroup(name string) *Group {
@@ -414,7 +392,6 @@ func (c *Controller) kswapd(need units.Bytes, now sim.Time) units.Bytes {
 // (including those under their soft limits) until free memory can absorb
 // the allocation with MinWM intact. It reports OOM if swap is exhausted.
 func (c *Controller) directReclaim(requester *Group, need units.Bytes, now sim.Time) (units.Bytes, bool) {
-	c.directReclaims++
 	c.Trace.Add(telemetry.CtrDirectReclaims, 1)
 	traffic, exhausted := c.directReclaimLoop(need)
 	if c.Trace.Enabled() {
@@ -466,7 +443,6 @@ func (c *Controller) swapOut(g *Group, n units.Bytes) (units.Bytes, bool) {
 }
 
 func (c *Controller) oomKill(g *Group, now sim.Time) {
-	c.oomKills++
 	c.Trace.Add(telemetry.CtrOOMKills, 1)
 	if c.Trace.Enabled() {
 		c.Trace.Emit(now, telemetry.KindOOMKill, g.Name, int64(g.resident), int64(g.swapped))
@@ -478,35 +454,14 @@ func (c *Controller) oomKill(g *Group, now sim.Time) {
 	g.swapped = 0
 }
 
-// swappiness returns the group's effective memory.swappiness.
-func (g *Group) swappiness() int {
-	if g.SwappinessSet {
-		return g.Swappiness
-	}
-	if g.Swappiness == 0 {
-		return 60
-	}
-	return g.Swappiness
-}
-
 // maxOverSoft picks kswapd's victim: the group with the largest
-// swappiness-weighted soft-limit excess. Groups with swappiness 0 are
-// only reclaimed by direct reclaim, as in the kernel.
+// soft-limit excess, the earlier-created one on a tie.
 func (c *Controller) maxOverSoft() *Group {
 	var best *Group
-	var bestScore float64
+	var bestOver units.Bytes
 	for _, g := range c.groups {
-		o := g.OverSoft()
-		if o <= 0 {
-			continue
-		}
-		sw := g.swappiness()
-		if sw == 0 {
-			continue
-		}
-		score := float64(o) * float64(sw) / 60
-		if score > bestScore {
-			best, bestScore = g, score
+		if o := g.OverSoft(); o > bestOver {
+			best, bestOver = g, o
 		}
 	}
 	return best
@@ -541,11 +496,6 @@ func (c *Controller) maxResident() *Group {
 	return best
 }
 
-// SubsystemName identifies the controller in telemetry and diagnostics;
-// with Tick, NextEvent, SkipIdle, and AttachTelemetry it satisfies the
-// host kernel's Subsystem interface.
-func (c *Controller) SubsystemName() string { return "memctl" }
-
 // Tick is the controller's dense per-tick hook. Memory state only
 // changes through explicit charges, touches, and cgroup writes — never
 // by time passing — so it is a no-op.
@@ -556,7 +506,8 @@ func (c *Controller) Tick(now sim.Time, dt time.Duration) {}
 func (c *Controller) SkipIdle(now sim.Time, dt time.Duration, n int) {}
 
 // AttachTelemetry sets (or, with nil, clears) the controller's trace
-// sink.
+// sink. With Tick, NextEvent and SkipIdle it satisfies the host
+// kernel's Subsystem interface.
 func (c *Controller) AttachTelemetry(tr *telemetry.Tracer) { c.Trace = tr }
 
 // stall converts swap traffic to I/O wait, queueing behind whatever the

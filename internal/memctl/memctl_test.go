@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"arv/internal/telemetry"
 	"arv/internal/units"
 )
 
@@ -75,6 +76,53 @@ func TestKswapdReclaimsOverSoftGroups(t *testing.T) {
 	}
 }
 
+// TestKswapdVictimOrder pins kswapd's victim choice: groups over their
+// soft limits are reclaimed largest excess first, and of two with equal
+// excess the earlier-created one goes first. Each round reclaims a known
+// amount (free memory is driven exactly HighWM-short of the high
+// watermark), so the split across groups shows the order.
+func TestKswapdVictimOrder(t *testing.T) {
+	c := New(Config{Total: 4 * units.GiB, MinWM: 64 * units.MiB, LowWM: 128 * units.MiB, HighWM: 256 * units.MiB})
+	over := func(name string, excess units.Bytes) *Group {
+		g := c.NewGroup(name)
+		g.SoftLimit = 100 * units.MiB
+		if _, ok := c.Charge(g, g.SoftLimit+excess, 0); !ok {
+			t.Fatalf("charge of %s failed", name)
+		}
+		return g
+	}
+	a := over("a", 100*units.MiB)
+	b := over("b", 300*units.MiB)
+	cc := over("c", 200*units.MiB)
+	d := over("d", 300*units.MiB) // ties b, created after it
+	hog := c.NewGroup("hog")      // no soft limit: never kswapd's victim
+	reclaim := func(n units.Bytes) {
+		t.Helper()
+		if _, ok := c.Charge(hog, c.Free()-c.HighWM+n, 0); !ok {
+			t.Fatal("hog charge failed")
+		}
+		if c.Free() != c.HighWM {
+			t.Fatalf("free = %v after reclaim, want the high watermark %v", c.Free(), c.HighWM)
+		}
+	}
+	want := func(round string, sw ...units.Bytes) {
+		t.Helper()
+		for i, g := range []*Group{a, b, cc, d, hog} {
+			if g.Swapped() != sw[i] {
+				t.Fatalf("%s: %s swapped %v, want %v", round, g.Name, g.Swapped(), sw[i])
+			}
+		}
+	}
+	// Round 1 reclaims 450 MiB: all of b's 300 MiB excess (b ties d
+	// and is older), then 150 MiB of d's.
+	reclaim(450 * units.MiB)
+	want("round 1", 0, 300*units.MiB, 0, 150*units.MiB, 0)
+	// Round 2 reclaims 300 MiB from excesses a 100, c 200, d 150:
+	// all of c's, then 100 MiB of d's, and none of a's.
+	reclaim(300 * units.MiB)
+	want("round 2", 0, 300*units.MiB, 200*units.MiB, 250*units.MiB, 0)
+}
+
 func TestKswapdStopsAtHighWatermark(t *testing.T) {
 	c := newCtl(4 * units.GiB)
 	victim := c.NewGroup("victim")
@@ -91,13 +139,15 @@ func TestKswapdStopsAtHighWatermark(t *testing.T) {
 
 func TestDirectReclaimBelowMin(t *testing.T) {
 	c := newCtl(4 * units.GiB)
+	tr := telemetry.New(0)
+	c.AttachTelemetry(tr)
 	a := c.NewGroup("a") // no soft limit: kswapd never touches it
 	c.Charge(a, 3*units.GiB, 0)
 	b := c.NewGroup("b")
 	if _, ok := c.Charge(b, c.Free()-c.MinWM/2, 0); !ok {
 		t.Fatal("charge failed")
 	}
-	if c.DirectReclaims() == 0 {
+	if tr.Count(telemetry.CtrDirectReclaims) == 0 {
 		t.Fatal("direct reclaim did not run")
 	}
 	if a.Swapped() == 0 {
@@ -107,17 +157,19 @@ func TestDirectReclaimBelowMin(t *testing.T) {
 
 func TestOOMKillOnSwapExhaustion(t *testing.T) {
 	c := New(Config{Total: 2 * units.GiB, SwapCapacity: 256 * units.MiB})
+	tr := telemetry.New(0)
+	c.AttachTelemetry(tr)
 	g := c.NewGroup("a")
 	g.HardLimit = 512 * units.MiB
 	_, ok := c.Charge(g, units.GiB, 0) // needs 512MiB of swap > 256MiB
 	if ok {
 		t.Fatal("charge should have OOM-killed")
 	}
-	if !g.OOMKilled() {
+	if !g.oomKilled {
 		t.Fatal("group not marked OOM-killed")
 	}
-	if c.OOMKills() != 1 {
-		t.Fatalf("OOM kills = %d", c.OOMKills())
+	if n := tr.Count(telemetry.CtrOOMKills); n != 1 {
+		t.Fatalf("OOM kills = %d", n)
 	}
 	if g.Resident() != 0 {
 		t.Fatal("OOM kill must free the victim's memory")

@@ -142,9 +142,6 @@ func (p *Program) NextWake(now sim.Time) (sim.Time, bool) { return 0, false }
 // ExecTime returns the program's wall time (valid once Done).
 func (p *Program) ExecTime() time.Duration { return time.Duration(p.EndedAt - p.StartedAt) }
 
-// RegionsDone returns how many parallel regions have completed.
-func (p *Program) RegionsDone() int { return p.region }
-
 // Start creates the worker pool (sized to the host CPU count — OpenMP
 // can always spawn that many) and opens the first region. The program
 // registers itself with the host.

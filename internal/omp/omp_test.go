@@ -37,10 +37,10 @@ func TestProgramCompletesAllRegions(t *testing.T) {
 	h := newTestHost()
 	p := start(h, container.Spec{Name: "a"}, testKernel(), Static)
 	if !h.RunUntilDone(time.Hour) {
-		t.Fatalf("did not finish: %d regions done", p.RegionsDone())
+		t.Fatalf("did not finish: %d regions done", p.region)
 	}
-	if p.RegionsDone() != 5 {
-		t.Fatalf("regions done = %d", p.RegionsDone())
+	if p.region != 5 {
+		t.Fatalf("regions done = %d", p.region)
 	}
 	if p.ExecTime() <= 0 {
 		t.Fatal("no exec time")

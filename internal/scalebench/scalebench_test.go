@@ -26,7 +26,8 @@ func TestBuildShape(t *testing.T) {
 	if got := b.H.Sched.RunnableNow(); got != 8 {
 		t.Fatalf("runnable tasks = %d, want 8 (every 4th of 32)", got)
 	}
-	if got := len(b.H.Monitor.Namespaces()); got != 32 {
+	// A snapshot carries one view per attached namespace.
+	if got := len(b.H.Monitor.Publish(b.H.Now()).Containers); got != 32 {
 		t.Fatalf("namespaces = %d, want 32", got)
 	}
 }

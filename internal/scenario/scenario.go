@@ -83,12 +83,11 @@ type Interp struct {
 	// io.Discard if nil.
 	Out io.Writer
 
-	h     *host.Host
-	inj   *faults.Injector
-	auto  *autoscaler.Autoscaler
-	ctrs  map[string]*container.Container
-	pods  map[string]*container.Pod
-	progs []host.Program
+	h    *host.Host
+	inj  *faults.Injector
+	auto *autoscaler.Autoscaler
+	ctrs map[string]*container.Container
+	pods map[string]*container.Pod
 }
 
 // New returns an interpreter writing command output to out.
@@ -117,9 +116,6 @@ func (in *Interp) Container(name string) (*container.Container, error) {
 	}
 	return c, nil
 }
-
-// Programs returns every program launched so far.
-func (in *Interp) Programs() []host.Program { return in.progs }
 
 // Run executes a whole script, stopping at the first error, which is
 // annotated with its line number.
@@ -345,7 +341,6 @@ func (in *Interp) cmdJVM(args []string) error {
 	}
 	j := jvm.New(in.Host(), c, w, cfg)
 	j.Start()
-	in.progs = append(in.progs, j)
 	return nil
 }
 
@@ -374,7 +369,6 @@ func (in *Interp) cmdOMP(args []string) error {
 	}
 	p := omp.New(in.Host(), c, k, strategy)
 	p.Start()
-	in.progs = append(in.progs, p)
 	return nil
 }
 
@@ -396,7 +390,6 @@ func (in *Interp) cmdSysbench(args []string) error {
 	}
 	s := workloads.NewSysbench(in.Host(), c, threads, units.CPUSeconds(work))
 	s.Start()
-	in.progs = append(in.progs, s)
 	return nil
 }
 
@@ -418,7 +411,6 @@ func (in *Interp) cmdMemhog(args []string) error {
 	}
 	m := workloads.NewMemHog(in.Host(), c, target, rate, 0)
 	m.Start()
-	in.progs = append(in.progs, m)
 	return nil
 }
 

@@ -58,13 +58,20 @@ advance 1s
 top
 wait 60s
 `)
-	if len(in.Programs()) != 2 {
-		t.Fatalf("programs = %d", len(in.Programs()))
-	}
-	for _, p := range in.Programs() {
-		if !p.Done() {
-			t.Fatal("wait did not run programs to completion")
+	// Each sysbench ran its 10 CPU-seconds in its own container, and
+	// RunUntilDone with no time left reports that every registered
+	// program has finished.
+	for _, name := range []string{"a", "b"} {
+		c, err := in.Container(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if u := c.Cgroup.CPU.Usage(); u < 10 {
+			t.Fatalf("sysbench in %s ran %v CPU-s, want 10", name, u)
+		}
+	}
+	if !in.Host().RunUntilDone(0) {
+		t.Fatal("wait did not run programs to completion")
 	}
 	s := out.String()
 	if !strings.Contains(s, "container") || !strings.Contains(s, "E_CPU") {
@@ -83,10 +90,8 @@ exec o npb
 omp o ep adaptive
 wait 20m
 `)
-	for i, p := range in.Programs() {
-		if !p.Done() {
-			t.Fatalf("program %d did not finish", i)
-		}
+	if !in.Host().RunUntilDone(0) {
+		t.Fatal("a program did not finish")
 	}
 }
 

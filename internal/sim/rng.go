@@ -29,14 +29,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// IntN returns a pseudo-random value in [0, n). n must be positive.
-func (r *RNG) IntN(n int) int {
-	if n <= 0 {
-		panic("sim: IntN with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Jitter returns v scaled by a random factor in [1-spread, 1+spread].
 func (r *RNG) Jitter(v, spread float64) float64 {
 	return v * (1 + spread*(2*r.Float64()-1))

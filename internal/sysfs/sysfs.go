@@ -208,33 +208,20 @@ func renderFile(path string, ncpu int, total, free units.Bytes, loadavg float64)
 // system resources and is linked to its own namespaces other than the
 // init namespaces, a virtual sysfs is created for this process".
 type Resolver struct {
-	host  *HostView
-	views map[*sysns.SysNamespace]*NSView
+	host *HostView
 }
 
 // NewResolver returns a resolver over the host view.
-func NewResolver(host *HostView) *Resolver {
-	return &Resolver{host: host, views: make(map[*sysns.SysNamespace]*NSView)}
-}
-
-// Host returns the init-namespace view.
-func (r *Resolver) Host() *HostView { return r.host }
+func NewResolver(host *HostView) *Resolver { return &Resolver{host: host} }
 
 // For returns the view for a process linked to the given sys_namespace.
 // A nil namespace (an ordinary, non-containerized process) resolves to
-// the host view; otherwise a virtual view is created on first use and
-// cached, so repeated probes hit the same virtual sysfs.
+// the host view; otherwise to a virtual view over the namespace. A
+// virtual view holds no state of its own, so every call builds a fresh
+// one: two views of one namespace render the same values.
 func (r *Resolver) For(ns *sysns.SysNamespace) View {
 	if ns == nil {
 		return r.host
 	}
-	if v, ok := r.views[ns]; ok {
-		return v
-	}
-	v := &NSView{NS: ns, Host: r.host}
-	r.views[ns] = v
-	return v
+	return &NSView{NS: ns, Host: r.host}
 }
-
-// CachedViews reports how many virtual views have been materialized.
-func (r *Resolver) CachedViews() int { return len(r.views) }

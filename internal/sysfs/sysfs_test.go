@@ -191,16 +191,8 @@ func TestResolverRouting(t *testing.T) {
 	}
 	cg := f.hier.Create("a")
 	ns := f.mon.Attach(cg)
-	v1 := f.res.For(ns)
-	v2 := f.res.For(ns)
-	if v1 != v2 {
-		t.Fatal("virtual views must be cached per namespace")
-	}
-	if f.res.CachedViews() != 1 {
-		t.Fatalf("cached views = %d", f.res.CachedViews())
-	}
-	if f.res.Host() != f.host {
-		t.Fatal("host accessor broken")
+	if v, ok := f.res.For(ns).(*NSView); !ok || v.NS != ns || v.Host != f.host {
+		t.Fatal("a namespaced process must resolve to its namespace's virtual view over the host view")
 	}
 }
 

@@ -53,7 +53,7 @@ func (p *batchedPair) deferred() bool { return p.mB.BoundsDeferred() }
 // boundary) and asserts they agree on cg.
 func (p *batchedPair) checkBounds(t *testing.T, when string, cg *cgroups.Cgroup) (lower, upper int) {
 	t.Helper()
-	nsB, nsR := p.mB.Lookup(cg), p.mR.Lookup(cg)
+	nsB, nsR := p.mB.nsOf(cg), p.mR.nsOf(cg)
 	if nsB == nil || nsR == nil {
 		t.Fatalf("%s: %s not attached on both monitors", when, cg.Name)
 	}
@@ -122,11 +122,11 @@ func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
 	p.checkBounds(t, "setup", c0)
 
 	tmp := p.addContainer(t, "tmp")
-	nsTmp := p.mB.Lookup(tmp)
+	nsTmp := p.mB.nsOf(tmp)
 	tmp.SetShares(4096)
 	tmp.SetQuotaCPUs(1)
 	p.hier.Remove(tmp)
-	if p.mB.Lookup(tmp) != nil {
+	if p.mB.nsOf(tmp) != nil {
 		t.Fatal("tmp still attached after its Removed event was delivered")
 	}
 	if !p.deferred() {
@@ -155,7 +155,7 @@ func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
 
 	// Fixed point: a full rebuild from live state must not move anything
 	// the coalesced flush produced.
-	nsC0 := p.mB.Lookup(c0)
+	nsC0 := p.mB.nsOf(c0)
 	p.mB.FullRecompute()
 	if l, _ := nsC0.CPUBounds(); l != l0 {
 		t.Fatalf("c0 lower bound %d after flush, %d after full rebuild", l0, l)
@@ -183,7 +183,7 @@ func TestBatchedSuppressionRecovery(t *testing.T) {
 	}
 	// No delivered trigger yet: the monitor must still hold the pre-drop
 	// bounds (stale, as the contract allows until recovery).
-	if l, _ := p.mB.Lookup(c0).CPUBounds(); l != l0 {
+	if l, _ := p.mB.nsOf(c0).CPUBounds(); l != l0 {
 		t.Fatalf("c0 lower bound %d before any delivered trigger, want stale %d", l, l0)
 	}
 

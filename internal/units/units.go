@@ -11,7 +11,6 @@ package units
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Bytes is a memory size in bytes.
@@ -35,9 +34,6 @@ func (b Bytes) Pages() int64 {
 	}
 	return int64((b + PageSize - 1) / PageSize)
 }
-
-// FromPages converts a page count to Bytes.
-func FromPages(pages int64) Bytes { return Bytes(pages) * PageSize }
 
 // String renders b using binary units with two significant decimals,
 // e.g. "1.50GiB".
@@ -66,9 +62,6 @@ func (b Bytes) String() string {
 	}
 }
 
-// MB returns the size in (binary) megabytes as a float.
-func (b Bytes) MB() float64 { return float64(b) / float64(MiB) }
-
 // GB returns the size in (binary) gigabytes as a float.
 func (b Bytes) GB() float64 { return float64(b) / float64(GiB) }
 
@@ -76,22 +69,6 @@ func (b Bytes) GB() float64 { return float64(b) / float64(GiB) }
 // 1.0. It is the unit of both scheduler usage accounting and workload
 // "work".
 type CPUSeconds float64
-
-// CPUTime converts a wall duration spent at the given rate (in CPUs) to
-// CPU time.
-func CPUTime(wall time.Duration, rate float64) CPUSeconds {
-	return CPUSeconds(wall.Seconds() * rate)
-}
-
-// Duration returns the wall time needed to consume c at the given rate.
-// A non-positive rate yields a very large duration rather than dividing
-// by zero.
-func (c CPUSeconds) Duration(rate float64) time.Duration {
-	if rate <= 0 {
-		return time.Duration(1<<62 - 1)
-	}
-	return time.Duration(float64(c) / rate * float64(time.Second))
-}
 
 // Clamp returns v limited to the inclusive range [lo, hi].
 func Clamp(v, lo, hi float64) float64 {

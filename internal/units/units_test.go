@@ -3,7 +3,6 @@ package units
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestBytesString(t *testing.T) {
@@ -48,27 +47,14 @@ func TestPagesRoundsUp(t *testing.T) {
 }
 
 func TestPagesRoundTripProperty(t *testing.T) {
-	// FromPages(b.Pages()) >= b for non-negative sizes, within one page.
+	// b.Pages() pages hold b for non-negative sizes, within one page.
 	f := func(n uint32) bool {
 		b := Bytes(n)
-		back := FromPages(b.Pages())
+		back := Bytes(b.Pages()) * PageSize
 		return back >= b && back-b < PageSize
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCPUTimeAndDuration(t *testing.T) {
-	c := CPUTime(2*time.Second, 4) // 2s wall on 4 CPUs
-	if c != 8 {
-		t.Fatalf("CPUTime = %v, want 8", c)
-	}
-	if d := c.Duration(4); d != 2*time.Second {
-		t.Fatalf("Duration = %v, want 2s", d)
-	}
-	if d := CPUSeconds(1).Duration(0); d < time.Duration(1)<<60 {
-		t.Fatalf("zero-rate Duration should be enormous, got %v", d)
 	}
 }
 

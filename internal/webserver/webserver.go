@@ -76,7 +76,7 @@ type Config struct {
 	// (default 250 ms).
 	ResizeInterval time.Duration
 	// Duration stops the arrival process after this much virtual time;
-	// the server drains and finishes. Zero means run until Stop.
+	// the server drains and finishes. Zero means arrivals never stop.
 	Duration time.Duration
 }
 
@@ -212,10 +212,6 @@ func (s *Server) Start() {
 	s.h.AddProgram(s)
 }
 
-// Stop ends the arrival process; the server drains its queue and then
-// reports Done.
-func (s *Server) Stop() { s.stopped = true }
-
 // Done implements host.Program.
 func (s *Server) Done() bool { return s.done }
 
@@ -320,9 +316,6 @@ func (s *Server) inFlight() int {
 	}
 	return n
 }
-
-// QueueLen returns the current accept-queue length.
-func (s *Server) QueueLen() int { return len(s.queue) }
 
 // ActiveWorkers returns the current worker target.
 func (s *Server) ActiveWorkers() int { return s.active }

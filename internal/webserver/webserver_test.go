@@ -32,7 +32,7 @@ func TestServesAllRequestsWhenUnderloaded(t *testing.T) {
 		Duration:    2 * time.Second,
 	})
 	if !h.RunUntilDone(time.Minute) {
-		t.Fatalf("server did not drain (queue %d)", s.QueueLen())
+		t.Fatalf("server did not drain (queue %d)", len(s.queue))
 	}
 	if s.Stats.Arrived != 200 {
 		t.Fatalf("arrived = %d, want 200", s.Stats.Arrived)
@@ -108,8 +108,6 @@ func TestAdaptiveResizesUnderContention(t *testing.T) {
 	if after >= before {
 		t.Fatalf("workers did not shrink under contention: %d -> %d", before, after)
 	}
-	s.Stop()
-	h.RunUntil(s.Done, time.Minute)
 }
 
 func TestAdaptiveBeatsHostSizingUnderContention(t *testing.T) {
@@ -148,13 +146,12 @@ func TestStopDrains(t *testing.T) {
 	h := newTestHost()
 	s := serve(t, h, container.Spec{Name: "web"}, Config{
 		Sizing: SizeHost, RequestRate: 50, ServiceCost: 0.01,
+		Duration: time.Second,
 	})
-	h.Run(time.Second)
-	s.Stop()
 	if !h.RunUntilDone(time.Minute) {
-		t.Fatal("server did not drain after Stop")
+		t.Fatal("server did not drain after arrivals stopped")
 	}
-	if s.QueueLen() != 0 {
+	if len(s.queue) != 0 || s.inFlight() != 0 {
 		t.Fatal("queue not drained")
 	}
 }

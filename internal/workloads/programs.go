@@ -26,8 +26,6 @@ type Sysbench struct {
 	totalWork units.CPUSeconds
 	workDone  units.CPUSeconds
 	done      bool
-
-	StartedAt, EndedAt sim.Time
 }
 
 // NewSysbench builds a CPU hog with the given parallelism and total
@@ -59,7 +57,6 @@ func (s *Sysbench) Start() {
 		s.tasks = append(s.tasks, t)
 		s.h.Sched.SetRunnable(t, true)
 	}
-	s.StartedAt = s.h.Now()
 	s.h.AddProgram(s)
 }
 
@@ -79,21 +76,16 @@ func (s *Sysbench) Poll(now sim.Time) {
 		// Killed with the container: tasks are already detached from the
 		// scheduler, just retire the program.
 		s.done = true
-		s.EndedAt = now
 		return
 	}
 	if s.workDone < s.totalWork {
 		return
 	}
 	s.done = true
-	s.EndedAt = now
 	for _, t := range s.tasks {
 		s.h.Sched.RemoveTask(t)
 	}
 }
-
-// ExecTime returns wall time (valid once Done).
-func (s *Sysbench) ExecTime() time.Duration { return time.Duration(s.EndedAt - s.StartedAt) }
 
 // MemHog is the "memory-intensive workload in the background to cause
 // memory shortage" of §2.2/Fig. 2(b): it charges memory at Rate up to
@@ -116,7 +108,6 @@ type MemHog struct {
 	acquired  units.Bytes
 	fullSince sim.Time
 	done      bool
-	killed    bool
 }
 
 // NewMemHog builds a background memory hog. Call Start.
@@ -155,12 +146,6 @@ func (m *MemHog) NextWake(now sim.Time) (sim.Time, bool) {
 	return 0, false
 }
 
-// Killed reports whether the hog was OOM-killed.
-func (m *MemHog) Killed() bool { return m.killed }
-
-// Resident returns the memory the hog currently holds.
-func (m *MemHog) Resident() units.Bytes { return m.acquired }
-
 // Full reports whether the hog has reached its target (or died trying).
 func (m *MemHog) Full() bool { return m.done || m.acquired >= m.Target }
 
@@ -180,7 +165,6 @@ func (m *MemHog) Poll(now sim.Time) {
 			step = m.Target - m.acquired
 		}
 		if _, ok := m.h.Mem.Charge(m.ctr.Cgroup.Mem, step, now); !ok {
-			m.killed = true
 			m.done = true
 			m.h.Sched.RemoveTask(m.task)
 			return
