@@ -54,7 +54,9 @@ bench-scale:
 
 # Allocation gate only (short benchtime, no baseline regeneration):
 # proves the steady-state scheduler tick (SchedulerTick: ten groups on
-# the eager walk, one team callback each) and view-update rounds stay
+# the eager walk, one team callback each), the full rebuild tick
+# (SchedulerRebuild in internal/cfs: 4096 groups with pods, binding
+# quotas and team callbacks) and view-update rounds stay
 # allocation-free, as does the whole kernel loop of a churning host
 # (ScaleSteadyChurn: churn timers re-arm in place), snapshot reads allocate nothing, a snapshot
 # publication costs exactly its three buffers (header + two slices;
@@ -78,7 +80,8 @@ bench-scale:
 # time still fails once it adds up. Part of `make ci`.
 bench-gate:
 	$(GO) test -run xxx -bench 'SchedulerTick|ScaleSteady|Snapshot|ClusterSteady|AutoscaleSteady' -benchmem -benchtime=20x . | tee bench-steady.txt
-	$(GO) run ./internal/tools/benchgate -match 'SchedulerTick|ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
+	$(GO) test -run xxx -bench SchedulerRebuild -benchmem -benchtime=20x ./internal/cfs | tee -a bench-steady.txt
+	$(GO) run ./internal/tools/benchgate -match 'SchedulerTick|SchedulerRebuild|ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
 	$(GO) run ./internal/tools/benchgate -match SnapshotPublish -max-allocs 3 bench-steady.txt
 	rm -f bench-steady.txt
 	set -e; \

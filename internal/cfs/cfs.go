@@ -291,8 +291,8 @@ func (g *Group) LastRate() float64 {
 }
 
 // RunnableTasks returns the number of currently runnable tasks. The
-// count is maintained on task state changes rather than scanned: the
-// allocation rebuild reads it for every group.
+// count is maintained on task state changes rather than scanned: capOf
+// and accountGroup read it for every group a tick visits.
 func (g *Group) RunnableTasks() int { return g.runnable }
 
 // Scheduler is the host CPU scheduler.
@@ -322,7 +322,7 @@ type Scheduler struct {
 	// Memoized allocation metadata, valid while allocValid holds.
 	allocValid   bool  // gCap/gRate/active/loadContrib/slackLast current
 	active       []int // groups with rate > 0, ascending schedIdx
-	throttledIdx []int // groups flagged throttled, superset, see NextEvent
+	throttledIdx []int // groups flagged throttled, superset, see noteThrottle
 	flagsDirty   []int // groups marked acctFlagsDirty since the last tick
 	loadContrib  float64
 
@@ -496,9 +496,12 @@ func (s *Scheduler) SetCpuset(g *Group, n int) {
 	}
 }
 
-// capOf recomputes a group's per-tick capacity cap from live state with
-// the exact operation sequence the rebuild uses, so results compare
-// bitwise against gCap.
+// capOf computes a group's per-tick capacity cap from live state: a
+// leaf's runnable count, a parent's summed child caps (read from gCap,
+// so children must be current first), each bounded by the cpuset size
+// and the bandwidth limit. It is the only cap computation: the rebuild,
+// repair and the SetQuota/SetCpuset classifiers all call it, so a
+// recomputed cap compares bitwise against gCap.
 func (s *Scheduler) capOf(g *Group) float64 {
 	if len(g.children) > 0 {
 		var sum float64
@@ -849,10 +852,12 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	s.loadAvg += (s.loadContrib - s.loadAvg) * min(dtSec/loadAvgTau.Seconds(), 1)
 }
 
-// tickGroup advances one active group's accounting by one tick at the
-// memoized allocation: usage accrual, throttle upkeep, and the team
-// callbacks. It reports whether a leaf throttle flag moved (which
-// changes the load contribution).
+// tickGroup advances one group the tick's allocation did not touch by
+// one tick at the memoized allocation: usage accrual, refreshThrottle
+// for a flag-dirty group (a binding limit otherwise keeps accruing),
+// and the team callbacks. The caller has settled the group's earlier
+// ticks and stamped this one. It reports whether a leaf throttle flag
+// moved (which changes the load contribution).
 func (s *Scheduler) tickGroup(now sim.Time, i int, g *Group, dt time.Duration, dtSec float64) bool {
 	contribDirty := false
 	a := &s.gAcct[i]
@@ -932,102 +937,54 @@ func (s *Scheduler) recomputeLoadContrib() {
 	s.loadContrib = contrib
 }
 
-// refreshThrottle re-evaluates an active group's throttle state after a
-// cap-preserving limit change, with the exact conditions and event
-// emission the rebuild applies, including this tick's throttledDur
-// accrual. It reports whether a leaf's throttle flag moved (which
-// changes the group's load-average contribution).
+// refreshThrottle applies the throttle rule to an active group (rate >
+// 0) for this tick, and is the only place the rule lives. A group's own
+// limit binds when its rate reaches it: that accrues this tick's
+// throttledDur and sets acctDurBinding, so deferred ticks keep accruing
+// in settleTo. A leaf whose parent's limit binds is throttled too, but
+// accrues nothing: its own limit did not cap it. The flag transition is
+// recorded (and traced) through noteThrottle. It reports whether
+// a leaf's throttle flag moved (which changes the group's load-average
+// contribution).
 func (s *Scheduler) refreshThrottle(now sim.Time, i int, g *Group, rate float64, dt time.Duration) bool {
 	a := &s.gAcct[i]
-	if len(g.children) > 0 {
-		thr := false
-		if lim := g.CPULimit(); !math.IsInf(lim, 1) && rate >= lim-1e-9 {
-			a.throttledDur += dt
-			thr = true
-		}
-		a.setFlag(acctDurBinding, thr)
-		s.noteThrottleTracked(now, i, g, thr, rate)
-		return false
-	}
-	throttled := false
-	binding := false
-	if lim := g.CPULimit(); !math.IsInf(lim, 1) && rate >= lim-1e-9 {
+	binding := limitBinds(g, rate)
+	if binding {
 		a.throttledDur += dt
-		throttled = true
-		binding = true
 	}
 	a.setFlag(acctDurBinding, binding)
-	if !throttled && g.parent != nil {
-		if plim := g.parent.CPULimit(); !math.IsInf(plim, 1) && s.gRate[g.parent.schedIdx] >= plim-1e-9 {
-			throttled = true
-		}
-	}
+	throttled := binding || g.parent != nil && limitBinds(g.parent, s.gRate[g.parent.schedIdx])
 	was := a.flags&acctThrottled != 0
-	s.noteThrottleTracked(now, i, g, throttled, rate)
-	return was != throttled
-}
-
-// noteThrottleTracked is noteThrottle plus throttled-list maintenance
-// for transitions that happen outside a full rebuild: a group entering
-// the throttled state must become visible to NextEvent. The list stays a
-// superset of the throttled groups; NextEvent re-checks the flag.
-func (s *Scheduler) noteThrottleTracked(now sim.Time, i int, g *Group, throttled bool, rate float64) {
-	was := s.gAcct[i].flags&acctThrottled != 0
 	s.noteThrottle(now, i, g, throttled, rate)
-	if throttled && !was {
-		s.throttledIdx = append(s.throttledIdx, i)
-		if len(s.throttledIdx) > len(s.groups) {
-			// More entries than groups means duplicates from repeated
-			// transitions (under repair, rebuilds may never reset the
-			// list): compact to the currently flagged set.
-			s.compactThrottledIdx()
-		}
-	}
+	return len(g.children) == 0 && was != throttled
 }
 
-// rebuildTick recomputes caps and the water fill from current state,
-// performs this tick's accounting in ascending group order, and
-// refreshes the memo: active list, throttled list, per-leaf task-rate
-// derivatives, load contribution and slack.
+// limitBinds reports whether g's bandwidth limit caps a rate of rate
+// CPUs, to within the water fill's float residue.
+func limitBinds(g *Group, rate float64) bool {
+	lim := g.CPULimit()
+	return !math.IsInf(lim, 1) && rate >= lim-1e-9
+}
+
+// rebuildTick is the full reference tick: it recomputes every cap with
+// capOf (leaves first, then parents, which sum their children's), reruns
+// both water-fill levels, and walks every group through accountGroup,
+// the per-group body repair ticks use, deferring nothing. The active,
+// eager and fill-participant lists are patched exactly as a repair
+// patches them, and slack and the load contribution are re-derived from
+// the active leaves.
 func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 	n := len(s.groups)
-	alloc := s.gRate[:n]
-	caps := s.gCap[:n]
-
 	for i, g := range s.groups {
-		alloc[i] = 0
-		nr := g.RunnableTasks()
-		if nr == 0 {
-			caps[i] = 0
-			continue
-		}
-		c := float64(nr)
-		if g.CpusetN > 0 && float64(g.CpusetN) < c {
-			c = float64(g.CpusetN)
-		}
-		if lim := g.CPULimit(); lim < c {
-			c = lim
-		}
-		caps[i] = c
-	}
-
-	// Parent caps: the subtree demand, bounded by the parent's own
-	// cpuset and bandwidth limit.
-	for i, g := range s.groups {
+		s.gRate[i] = 0
 		if len(g.children) == 0 {
-			continue
+			s.gCap[i] = s.capOf(g)
 		}
-		var sum float64
-		for _, c := range g.children {
-			sum += caps[c.schedIdx]
+	}
+	for i, g := range s.groups {
+		if len(g.children) > 0 {
+			s.gCap[i] = s.capOf(g)
 		}
-		if g.CpusetN > 0 && float64(g.CpusetN) < sum {
-			sum = float64(g.CpusetN)
-		}
-		if lim := g.CPULimit(); lim < sum {
-			sum = lim
-		}
-		caps[i] = sum
 	}
 
 	// Top-level water fill over parents and parentless groups.
@@ -1037,128 +994,44 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 	}
 	top := s.scratchTop[:0]
 	for i, g := range s.groups {
-		if g.parent == nil && caps[i] > 0 {
+		in := g.parent == nil && s.gCap[i] > 0
+		s.gAcct[i].setFlag(acctTop, in)
+		if in {
 			top = append(top, i)
 		}
 	}
 	// Snapshot the fill participants before waterfill consumes the list
 	// in place: repair ticks refill over this set.
 	s.activeTop = append(s.activeTop[:0], top...)
-	waterfill(s.groups, caps, alloc, top, float64(s.ncpu))
+	waterfill(s.groups, s.gCap, s.gRate, top, float64(s.ncpu))
 
 	// Second level: each parent's grant is filled among its children.
 	for i, g := range s.groups {
-		if len(g.children) == 0 || alloc[i] <= 0 {
+		if len(g.children) == 0 || s.gRate[i] <= 0 {
 			continue
 		}
 		childActive := s.scratchChild[:0]
 		for _, c := range g.children {
-			if caps[c.schedIdx] > 0 {
+			if s.gCap[c.schedIdx] > 0 {
 				childActive = append(childActive, c.schedIdx)
 			}
 		}
-		waterfill(s.groups, caps, alloc, childActive, alloc[i])
+		waterfill(s.groups, s.gCap, s.gRate, childActive, s.gRate[i])
 	}
 
 	// The memo is current from here on: a change a team callback makes
 	// during the walk below queues a repair for the next tick.
 	s.allocValid = true
-	s.active = s.active[:0]
-	s.throttledIdx = s.throttledIdx[:0]
-	s.eagerIdx = s.eagerIdx[:0]
 	s.inWalk = true
-	var used float64
 	for i, g := range s.groups {
-		rate := alloc[i]
-		a := &s.gAcct[i]
-		a.perTask, a.over = 0, 0
-		a.flags &^= acctFlagsDirty
 		s.walkPos = i
-		s.gSettled[i] = s.ticks
-		a.setFlag(acctActive, rate > 0)
-		a.setFlag(acctTop, g.parent == nil && caps[i] > 0)
-		// Eager membership is settled after the team walk below: a team
-		// callback may block the group's last runnable team member, and a
-		// group that ends the tick without any must be deferrable.
-		a.setFlag(acctEager, false)
-		if len(g.children) > 0 {
-			// Parent accounting only; its children execute the tasks.
-			thr := false
-			if rate > 0 {
-				raw := units.CPUSeconds(rate * dtSec)
-				a.usage += raw
-				a.windowUsage += raw
-				if lim := g.CPULimit(); !math.IsInf(lim, 1) && rate >= lim-1e-9 {
-					a.throttledDur += dt
-					thr = true
-				}
-				s.active = append(s.active, i)
-			}
-			a.setFlag(acctDurBinding, thr)
-			s.noteThrottle(now, i, g, thr, rate)
-			if a.flags&acctThrottled != 0 {
-				s.throttledIdx = append(s.throttledIdx, i)
-			}
-			continue
-		}
-		if rate <= 0 {
-			a.setFlag(acctDurBinding, false)
-			s.noteThrottle(now, i, g, false, 0)
-			if a.flags&acctThrottled != 0 {
-				s.throttledIdx = append(s.throttledIdx, i)
-			}
-			continue
-		}
-		s.active = append(s.active, i)
-		used += rate
-		raw := units.CPUSeconds(rate * dtSec)
-		a.usage += raw
-		a.windowUsage += raw
-		nr := g.RunnableTasks()
-		throttled := false
-		binding := false
-		if lim := g.CPULimit(); !math.IsInf(lim, 1) && rate >= lim-1e-9 {
-			a.throttledDur += dt
-			throttled = true
-			binding = true
-		}
-		a.setFlag(acctDurBinding, binding)
-		if !throttled && g.parent != nil {
-			if plim := g.parent.CPULimit(); !math.IsInf(plim, 1) && alloc[g.parent.schedIdx] >= plim-1e-9 {
-				throttled = true
-			}
-		}
-		s.noteThrottle(now, i, g, throttled, rate)
-		if a.flags&acctThrottled != 0 {
-			s.throttledIdx = append(s.throttledIdx, i)
-		}
-		if nr == 0 {
-			continue
-		}
-		perTask := rate / float64(nr)
-		over := float64(nr)/rate - 1 // oversubscription excess
-		if over < 0 {
-			over = 0
-		}
-		a.perTask, a.over = perTask, over
-		runTeams(now, g, perTask, over, dtSec)
-		if g.teamRunnable > 0 {
-			a.setFlag(acctEager, true)
-			s.eagerIdx = append(s.eagerIdx, i)
-		}
+		s.accountGroup(now, i, g, dt, dtSec)
 	}
 	s.inWalk = false
+	s.patchMembership()
+	s.recomputeUsedSlack()
 	s.recomputeLoadContrib()
-
-	slack := float64(s.ncpu) - used
-	// Clamp floating-point residue from the water-fill: a 1e-15-CPU
-	// remainder is not slack, and Algorithm 1 branches on slack == 0.
-	if slack < 1e-6 {
-		slack = 0
-	}
-	s.slackLast = slack
-
-	s.flagsDirty = s.flagsDirty[:0]
+	s.clearFlagsDirty()
 }
 
 func (a *groupAcct) setFlag(bit uint16, on bool) {
@@ -1170,7 +1043,11 @@ func (a *groupAcct) setFlag(bit uint16, on bool) {
 }
 
 // noteThrottle updates a group's throttled flag for this tick and emits
-// a transition event when tracing is on.
+// a transition event when tracing is on. A group entering the throttled
+// state joins throttledIdx so NextEvent sees it. No tick regime resets
+// the list: it stays a superset of the throttled groups (NextEvent
+// re-checks the flag), compacted once repeated transitions leave more
+// entries than groups.
 func (s *Scheduler) noteThrottle(now sim.Time, i int, g *Group, throttled bool, rate float64) {
 	a := &s.gAcct[i]
 	if a.flags&acctThrottled != 0 == throttled {
@@ -1179,6 +1056,12 @@ func (s *Scheduler) noteThrottle(now sim.Time, i int, g *Group, throttled bool, 
 	a.setFlag(acctThrottled, throttled)
 	if s.Trace.Enabled() {
 		s.emitThrottle(now, g, throttled, rate)
+	}
+	if throttled {
+		s.throttledIdx = append(s.throttledIdx, i)
+		if len(s.throttledIdx) > len(s.groups) {
+			s.compactThrottledIdx()
+		}
 	}
 }
 

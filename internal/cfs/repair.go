@@ -7,34 +7,51 @@
 //
 //   - quietTick: nothing dirty. Only the eager groups (active groups
 //     with runnable team members, whose callbacks must fire every tick)
-//     and any flag-dirty groups are walked. All other active groups'
-//     accounting is deferred: gSettled[i] records the tick through
-//     which group i is settled, and settleTo replays the missing ticks
-//     at the memoized rates on the next read or repair. The replay
-//     performs the same per-tick float additions a full walk would
-//     have, so results are bit-identical, and costs nothing until
-//     someone looks.
+//     and any flag-dirty groups are walked, through tickGroup. All
+//     other active groups' accounting is deferred: gSettled[i] records
+//     the tick through which group i is settled, and settleTo replays
+//     the missing ticks at the memoized rates on the next read or
+//     repair. The replay performs the same per-tick float additions a
+//     full walk would have, so results are bit-identical, and costs
+//     nothing until someone looks.
 //
-//   - repairTick: a bounded dirty set. Caps are recomputed for dirty
-//     groups only, affected parents re-sum their child caps in child
-//     order (the same ordered float sum the rebuild computes), the
-//     top-level water fill reruns over the incrementally maintained
-//     activeTop list only when a top-level cap, weight, or membership
-//     moved, and only parents whose grant or limits moved refill their
-//     children. Accounting then advances for the union of touched,
-//     eager, and flag-dirty groups in one ascending walk — the same
-//     relative order the full rebuild uses — and the active/eager
-//     membership lists are patched by ordered merge. Because the load
-//     contribution and slack are ordered sums over the active leaves,
-//     any touched leaf triggers an O(active) ordered re-sum: repair is
-//     O(changes + tops + active), not O(groups + teams).
+//   - repairTick: a bounded dirty set. capOf recomputes the caps of
+//     dirty groups only, then of affected parents, the top-level water
+//     fill reruns over the incrementally maintained activeTop list only
+//     when a top-level cap, weight, or membership moved, and only
+//     parents whose grant or limits moved refill their children. One
+//     ascending walk over the union of touched, eager, and flag-dirty
+//     groups follows: touched groups go through accountGroup, the others
+//     through tickGroup. patchMembership merges the active/eager list
+//     changes. Because the load contribution and slack are ordered sums
+//     over the active leaves, any touched leaf triggers an O(active)
+//     re-sum: repair is O(changes + tops + active), not O(groups +
+//     teams).
 //
 //   - escalation: when the dirty set reaches both an absolute floor and
 //     half the active set, one full rebuildTick (after settling all
-//     deferred accounting) re-derives everything and re-seeds the
-//     repair lists — pathological churn degrades gracefully to the
-//     rebuild cost, mirroring the escalation of ns_monitor's bounds
-//     marks.
+//     deferred accounting) re-derives everything — pathological churn
+//     degrades gracefully to the rebuild cost, mirroring the escalation
+//     of ns_monitor's bounds marks.
+//
+// The regimes differ only in which groups they visit, not in what a
+// visit computes. There is one cap computation (capOf), one per-group
+// accounting body (accountGroup), one throttle rule (refreshThrottle,
+// which accountGroup and tickGroup both apply), and one ordered re-sum
+// each for slack and load (recomputeUsedSlack, recomputeLoadContrib).
+// The rebuild is these functions applied to every group, in ascending
+// order, so a repaired value is bit-identical to a rebuilt one because
+// both come from the same operations on the same inputs.
+//
+// quietTick is kept apart from repairTick on purpose. Dispatching a
+// quiet tick to repairTick is equivalent (the mirror tests pass) but
+// pays for the dirty-set phases on every tick: BenchmarkSchedulerTick
+// went from a median 266 to 347 ns/op and BenchmarkKernelDense from 1.78
+// to 2.27 ms/op (2 vCPUs, six interleaved runs each). The choice
+// between the two is made from observable state (an empty dirty set),
+// and both sides run in the end-to-end benchmark: over a 5 s perfbench
+// run, scale ticks 55 575 quiet, 0 repair and 15 rebuild ticks, and
+// binding 219 611 quiet, 63 484 repair and 15 rebuild ticks.
 //
 // One rule holds in all three regimes: the allocation is fixed for the
 // tick. A change a team callback makes during the walk (a block, a
@@ -47,11 +64,14 @@
 // through export_test.go: repair_test.go and FuzzRepairMirror drive
 // mirrored schedulers through op sequences and compare the full
 // observable state every tick, and TestRepairMatchesEagerUnderFaultMix
-// does the same for two whole hosts under the fault mix.
+// does the same for two whole hosts under the fault mix. Since the
+// oracle shares the per-group body, these hold the memo machinery
+// (which groups a tick visits, deferral and settling, the incremental
+// fills) to the full walk; TestThrottleRulesExact pins the body itself
+// with hand-computed values.
 package cfs
 
 import (
-	"math"
 	"sort"
 	"time"
 
@@ -203,37 +223,25 @@ func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
 		}
 	}
 	s.inWalk = false
-	if len(s.flagsDirty) > 0 {
-		for _, i := range s.flagsDirty {
-			s.gAcct[i].flags &^= acctFlagsDirty
-		}
-		s.flagsDirty = s.flagsDirty[:0]
-	}
+	s.clearFlagsDirty()
 	if contribDirty || s.runnableMoved {
 		s.recomputeLoadContrib()
 	}
 }
 
-// refreshQuiet re-evaluates a flag-dirty quiet group mid-walk: settle
-// its deferred ticks, accrue the current tick, and re-run the throttle
-// evaluation exactly as a rebuild would. Inactive groups need nothing:
-// their throttle state already reads unthrottled, as a rebuild leaves
-// it. Reports whether a leaf throttle flag moved.
+// refreshQuiet re-evaluates a flag-dirty group that is not eager: it
+// settles the group's deferred ticks and runs tickGroup, which accrues
+// this tick and applies refreshThrottle. Such a group holds no runnable
+// team member, so no callback fires. An inactive group needs nothing:
+// its throttle state already reads unthrottled, as a rebuild leaves it.
+// It reports whether a leaf throttle flag moved.
 func (s *Scheduler) refreshQuiet(now sim.Time, i int, g *Group, dt time.Duration, dtSec float64) bool {
-	rate := s.gRate[i]
-	if rate <= 0 {
+	if s.gRate[i] <= 0 {
 		return false
 	}
 	s.settleTo(i, s.ticks-1)
-	a := &s.gAcct[i]
-	raw := units.CPUSeconds(rate * dtSec)
-	a.usage += raw
-	a.windowUsage += raw
-	moved := s.refreshThrottle(now, i, g, rate, dt)
-	// Quiet groups hold no runnable team members (they would be eager),
-	// so there is no callback to run.
 	s.gSettled[i] = s.ticks
-	return moved
+	return s.tickGroup(now, i, g, dt, dtSec)
 }
 
 // repairTick recomputes the allocation for the dirty groups only and
@@ -369,9 +377,6 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	if len(s.flagsDirty) > 1 {
 		sort.Ints(s.flagsDirty)
 	}
-	s.activeAdds = s.activeAdds[:0]
-	s.eagerAdds = s.eagerAdds[:0]
-	s.activeRemoved, s.eagerRemoved = false, false
 	resum := s.pendingResum
 	s.pendingResum = false
 	s.runnableMoved = false
@@ -419,7 +424,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 			if len(g.children) == 0 {
 				resum = true
 			}
-			s.repairAccount(now, i, g, dt, dtSec)
+			s.accountGroup(now, i, g, dt, dtSec)
 		case eager:
 			s.gSettled[i] = s.ticks // before a callback can settle this group
 			if s.tickGroup(now, i, g, dt, dtSec) {
@@ -433,26 +438,17 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	}
 	s.inWalk = false
 
-	if len(s.activeAdds) > 0 || s.activeRemoved {
-		s.active, s.activeBuf = mergeIdx(s.active, s.activeAdds, s.gAcct, acctActive, s.activeBuf)
-	}
-	if len(s.eagerAdds) > 0 || s.eagerRemoved {
-		s.eagerIdx, s.eagerBuf = mergeIdx(s.eagerIdx, s.eagerAdds, s.gAcct, acctEager, s.eagerBuf)
-	}
+	s.patchMembership()
 	if resum || s.runnableMoved {
 		// A leaf's rate, runnable count, or throttle flag moved: the
 		// slack and load contribution are ordered sums over the active
-		// leaves, re-derived in full so they stay bit-identical to the
-		// rebuild's.
+		// leaves, re-derived in full exactly as the rebuild derives them.
 		s.recomputeUsedSlack()
 		s.recomputeLoadContrib()
 	}
 
 	s.dirty = s.dirty[:copy(s.dirty, s.dirty[len(dirty):])]
-	for _, i := range s.flagsDirty {
-		s.gAcct[i].flags &^= acctFlagsDirty
-	}
-	s.flagsDirty = s.flagsDirty[:0]
+	s.clearFlagsDirty()
 	s.repairChanged = changed[:0]
 }
 
@@ -478,66 +474,38 @@ func (s *Scheduler) noteTopMembership(i int) {
 	}
 }
 
-// repairAccount advances one touched group's accounting for this tick
-// with the exact operation sequence the rebuild's per-group body uses,
-// and maintains the group's membership in the active/eager lists.
-func (s *Scheduler) repairAccount(now sim.Time, i int, g *Group, dt time.Duration, dtSec float64) {
+// accountGroup is the per-group tick body: it advances one group's
+// accounting for this tick at its current rate (usage accrual, the
+// throttle rule through refreshThrottle, the team callbacks) and queues
+// its active/eager membership change for patchMembership. The rebuild
+// runs it for every group; a repair, for each group it touched.
+func (s *Scheduler) accountGroup(now sim.Time, i int, g *Group, dt time.Duration, dtSec float64) {
 	rate := s.gRate[i]
 	a := &s.gAcct[i]
 	a.perTask, a.over = 0, 0
 	a.flags &^= acctFlagsDirty
 	s.gSettled[i] = s.ticks
-	if len(g.children) > 0 {
-		thr := false
-		if rate > 0 {
-			raw := units.CPUSeconds(rate * dtSec)
-			a.usage += raw
-			a.windowUsage += raw
-			if lim := g.CPULimit(); !math.IsInf(lim, 1) && rate >= lim-1e-9 {
-				a.throttledDur += dt
-				thr = true
-			}
-		}
-		s.markActive(i, rate > 0)
-		// A leaf that just gained its first child leaves the eager set:
-		// its tasks are gone and its children carry their own teams.
-		s.markEager(i, false)
-		a.setFlag(acctDurBinding, thr)
-		s.noteThrottleTracked(now, i, g, thr, rate)
-		return
-	}
+	s.markActive(i, rate > 0)
 	if rate <= 0 {
 		a.setFlag(acctDurBinding, false)
-		s.noteThrottleTracked(now, i, g, false, 0)
-		s.markActive(i, false)
+		s.noteThrottle(now, i, g, false, 0)
 		s.markEager(i, false)
 		return
 	}
-	s.markActive(i, true)
 	raw := units.CPUSeconds(rate * dtSec)
 	a.usage += raw
 	a.windowUsage += raw
-	nr := g.RunnableTasks()
-	throttled := false
-	binding := false
-	if lim := g.CPULimit(); !math.IsInf(lim, 1) && rate >= lim-1e-9 {
-		a.throttledDur += dt
-		throttled = true
-		binding = true
-	}
-	a.setFlag(acctDurBinding, binding)
-	if !throttled && g.parent != nil {
-		if plim := g.parent.CPULimit(); !math.IsInf(plim, 1) && s.gRate[g.parent.schedIdx] >= plim-1e-9 {
-			throttled = true
-		}
-	}
-	s.noteThrottleTracked(now, i, g, throttled, rate)
+	s.refreshThrottle(now, i, g, rate, dt)
+	nr := g.runnable
 	if nr == 0 {
+		// A parent, whose children run the tasks (a leaf that just
+		// gained its first child leaves the eager set here), or a leaf
+		// whose tasks all blocked earlier in this tick's walk.
 		s.markEager(i, false)
 		return
 	}
 	perTask := rate / float64(nr)
-	over := float64(nr)/rate - 1
+	over := float64(nr)/rate - 1 // oversubscription excess
 	if over < 0 {
 		over = 0
 	}
@@ -547,6 +515,29 @@ func (s *Scheduler) repairAccount(now sim.Time, i int, g *Group, dt time.Duratio
 	// that just blocked the last team member leaves the group deferred
 	// (its accounting from here on is pure accrual, which settles).
 	s.markEager(i, g.teamRunnable > 0)
+}
+
+// patchMembership merges the walk's queued active/eager membership
+// changes into the sorted lists.
+func (s *Scheduler) patchMembership() {
+	if len(s.activeAdds) > 0 || s.activeRemoved {
+		s.active, s.activeBuf = mergeIdx(s.active, s.activeAdds, s.gAcct, acctActive, s.activeBuf)
+	}
+	if len(s.eagerAdds) > 0 || s.eagerRemoved {
+		s.eagerIdx, s.eagerBuf = mergeIdx(s.eagerIdx, s.eagerAdds, s.gAcct, acctEager, s.eagerBuf)
+	}
+	s.activeAdds = s.activeAdds[:0]
+	s.eagerAdds = s.eagerAdds[:0]
+	s.activeRemoved, s.eagerRemoved = false, false
+}
+
+// clearFlagsDirty drops the throttle-refresh marks at the end of a tick,
+// whose walk re-evaluated every marked active group.
+func (s *Scheduler) clearFlagsDirty() {
+	for _, i := range s.flagsDirty {
+		s.gAcct[i].flags &^= acctFlagsDirty
+	}
+	s.flagsDirty = s.flagsDirty[:0]
 }
 
 // markActive / markEager update a group's membership bit and queue the
@@ -577,8 +568,10 @@ func (s *Scheduler) markEager(i int, want bool) {
 	}
 }
 
-// recomputeUsedSlack re-derives the slack from the active leaves with
-// the rebuild's ascending ordered sum, so the value stays bit-identical.
+// recomputeUsedSlack derives the slack from the active leaves' rates as
+// an ascending ordered sum, so every tick regime produces the same bits.
+// It clamps floating-point residue from the water fill: a 1e-15-CPU
+// remainder is not slack, and Algorithm 1 branches on slack == 0.
 func (s *Scheduler) recomputeUsedSlack() {
 	used := 0.0
 	for _, i := range s.active {
@@ -633,9 +626,8 @@ func patchIdxList(list []int, removed int) []int {
 }
 
 // compactThrottledIdx dedupes the throttled superset list down to the
-// currently flagged groups. Under repair, rebuilds (which reset the
-// list) may never run, so repeated throttle cycles would otherwise grow
-// it without bound.
+// currently flagged groups. No tick resets the list, so repeated
+// throttle cycles would otherwise grow it without bound.
 func (s *Scheduler) compactThrottledIdx() {
 	sort.Ints(s.throttledIdx)
 	out := s.throttledIdx[:0]

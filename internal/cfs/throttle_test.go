@@ -1,0 +1,182 @@
+package cfs
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"arv/internal/telemetry"
+	"arv/internal/units"
+)
+
+// TestThrottleRulesExact pins the throttle rules with hand-computed
+// values, with no oracle: the rebuild oracle walks every group through
+// the same per-group body as repair, so the mirror tests cannot catch a
+// fault in that body. Four cases are held through four tick kinds: a pod
+// bound by its own quota (throttled, accrues ThrottledTime), a child
+// bound only by its parent's quota (throttled, accrues nothing), a child
+// bound by its own quota (throttled, accrues), and an unbound group. The
+// ticks are a first-tick rebuild, a repair after cap-moving SetQuota
+// writes, a quiet tick whose cap-preserving SetQuota writes only mark
+// throttle flags, and a forced escalation; telemetry confirms each
+// tick's regime. Every rate is a dyadic rational, so the water fills are
+// exact and the rates compare with ==.
+func TestThrottleRulesExact(t *testing.T) {
+	s := NewScheduler(6)
+	tr := telemetry.New(1)
+	s.AttachTelemetry(tr)
+	lim := func(g *Group, cpus float64) { s.SetQuota(g, int64(cpus*100_000), 100_000) }
+	tasks := func(g *Group, n int) {
+		for i := 0; i < n; i++ {
+			s.SetRunnable(s.NewTask(g, g.Name), true)
+		}
+	}
+
+	// P is a pod bound by its quota of 2 CPUs. c1's four tasks are a
+	// team with a callback (an eager group); P's limit is all that holds
+	// c1 back. c2 is bound by its own 0.5-CPU quota. U has four tasks on
+	// a 3-CPU cpuset and no quota, and contends for the host with P and
+	// Q. Q is an unlimited pod with one task in each child; the quiet
+	// tick's writes bind it and q2.
+	p := s.NewGroup("P")
+	c1 := s.NewChildGroup(p, "c1")
+	c2 := s.NewChildGroup(p, "c2")
+	u := s.NewGroup("U")
+	q := s.NewGroup("Q")
+	q1 := s.NewChildGroup(q, "q1")
+	q2 := s.NewChildGroup(q, "q2")
+	lim(p, 2)
+	lim(c2, 0.5)
+	s.SetCpuset(u, 3)
+	calls := 0
+	team := s.NewTeam(c1, 0, func(time.Duration, int, units.CPUSeconds, units.CPUSeconds) { calls++ })
+	for i := 0; i < 4; i++ {
+		s.SetRunnable(s.NewTeamTask(team, "c1"), true)
+	}
+	tasks(c2, 4)
+	tasks(u, 4)
+	tasks(q1, 1)
+	tasks(q2, 1)
+	idle := make([]*Task, repairEscalateMin)
+	for i := range idle {
+		idle[i] = s.NewTask(s.NewGroup(fmt.Sprintf("idle%d", i)), "t")
+	}
+
+	groups := []*Group{p, c1, c2, u, q, q1, q2}
+	// want holds each group's expected rate, throttle flag and
+	// ThrottledTime; usage replays the expected accrual tick by tick, and
+	// ownBound marks the groups whose own limit binds (they accrue
+	// ThrottledTime).
+	type state struct {
+		rate      float64
+		throttled bool
+		dur       time.Duration
+	}
+	want := map[*Group]*state{}
+	usage := map[*Group]units.CPUSeconds{}
+	for _, g := range groups {
+		want[g] = &state{}
+	}
+	set := func(g *Group, rate float64, throttled bool) {
+		want[g].rate, want[g].throttled = rate, throttled
+	}
+	ownBound := map[*Group]bool{}
+
+	var now time.Duration
+	step := func(regime string) {
+		t.Helper()
+		rep, reb, esc := tr.Count(telemetry.CtrTickRepairs), tr.Count(telemetry.CtrTickRebuilds), tr.Count(telemetry.CtrRepairEscalations)
+		now += tick
+		s.Tick(now, tick)
+		got := [3]uint64{tr.Count(telemetry.CtrTickRepairs) - rep, tr.Count(telemetry.CtrTickRebuilds) - reb, tr.Count(telemetry.CtrRepairEscalations) - esc}
+		wantRegime := map[string][3]uint64{
+			"quiet":      {0, 0, 0},
+			"rebuild":    {0, 1, 0},
+			"repair":     {1, 0, 0},
+			"escalation": {0, 1, 1},
+		}[regime]
+		if got != wantRegime {
+			t.Fatalf("tick %v: (repairs, rebuilds, escalations) = %v, want a %s tick %v", now, got, regime, wantRegime)
+		}
+		for _, g := range groups {
+			w := want[g]
+			usage[g] += units.CPUSeconds(w.rate * tick.Seconds())
+			if ownBound[g] {
+				w.dur += tick
+			}
+			if r := g.LastRate(); r != w.rate {
+				t.Errorf("tick %v (%s): %s rate %v, want %v", now, regime, g.Name, r, w.rate)
+			}
+			if g.Throttled() != w.throttled {
+				t.Errorf("tick %v (%s): %s throttled %v, want %v", now, regime, g.Name, g.Throttled(), w.throttled)
+			}
+			if d := g.ThrottledTime(); d != w.dur {
+				t.Errorf("tick %v (%s): %s ThrottledTime %v, want %v", now, regime, g.Name, d, w.dur)
+			}
+			if got := g.Usage(); got != usage[g] {
+				t.Errorf("tick %v (%s): %s usage %v, want %v", now, regime, g.Name, got, usage[g])
+			}
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
+	// Tops P (cap 2), U (cap 3) and Q (cap 2) share 6 CPUs: P and Q
+	// saturate, U gets the remaining 2. P's 2 CPUs fill c2 to its 0.5
+	// cap and c1 to 1.5; Q's 2 give q1 and q2 one CPU each.
+	set(p, 2, true)
+	set(c1, 1.5, true)
+	set(c2, 0.5, true)
+	set(u, 2, false)
+	set(q, 2, false)
+	set(q1, 1, false)
+	set(q2, 1, false)
+	ownBound[p], ownBound[c2] = true, true
+	step("rebuild")
+	step("quiet")
+	step("quiet")
+
+	// Cap-moving writes: P's quota to 1.5 and c2's to 0.25. U's share
+	// of the top fill grows to 2.5, and c1 takes 1.25 of P's grant. P,
+	// c1, c2 and U are all walked by the repair; the cases hold.
+	lim(p, 1.5)
+	lim(c2, 0.25)
+	set(p, 1.5, true)
+	set(c1, 1.25, true)
+	set(c2, 0.25, true)
+	set(u, 2.5, false)
+	step("repair")
+
+	// Cap-preserving writes only mark throttle flags. U's and c1's new
+	// limits sit at their caps (3 and 4) but above their rates, so U
+	// stays unbound and c1 stays bound only by P. Q's and q2's new
+	// limits land on their rates, so both bind and accrue from this tick
+	// on, and q1 is throttled by Q alone.
+	lim(u, 3)
+	lim(c1, 4)
+	lim(q, 2)
+	lim(q2, 1)
+	if len(s.dirty) != 0 {
+		t.Fatalf("cap-preserving writes queued %d allocation repairs", len(s.dirty))
+	}
+	set(q, 2, true)
+	set(q1, 1, true)
+	set(q2, 1, true)
+	ownBound[q], ownBound[q2] = true, true
+	step("quiet")
+
+	// Toggling the idle groups queues enough dirty marks to force one
+	// full rebuild; no rate moves.
+	for _, task := range idle {
+		s.SetRunnable(task, true)
+		s.SetRunnable(task, false)
+	}
+	step("escalation")
+	for i := 0; i < 3; i++ {
+		step("quiet")
+	}
+	if calls != 9 {
+		t.Fatalf("c1's team callback ran %d times in 9 ticks", calls)
+	}
+}

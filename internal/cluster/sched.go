@@ -76,8 +76,6 @@ type HostState struct {
 // per node per round, must not allocate, and break ties nowhere (the
 // scheduler breaks ties by node index).
 type Scorer interface {
-	// Name identifies the scorer in diagnostics and experiment tables.
-	Name() string
 	// Score rates the candidate host state for spec.
 	Score(st *HostState, spec *container.Spec) float64
 }
@@ -138,9 +136,6 @@ func (c *Cluster) score(scorer Scorer, st *HostState, spec *container.Spec) floa
 // nodes ahead of overcommitted ones.
 type BinPack struct{}
 
-// Name identifies the scorer.
-func (BinPack) Name() string { return "binpack" }
-
 // Score returns the projected dominant-dimension utilization.
 func (BinPack) Score(st *HostState, spec *container.Spec) float64 {
 	return projectedUtil(st, spec)
@@ -152,9 +147,6 @@ func (BinPack) Score(st *HostState, spec *container.Spec) float64 {
 // zero, so Health is inert — health is precisely the signal a
 // static-limit scheduler does not have.
 type Health struct{}
-
-// Name identifies the scorer.
-func (Health) Name() string { return "health" }
 
 // Score returns 0 for an idle healthy node, going negative with load
 // and degraded views.
@@ -177,9 +169,6 @@ type Weighted struct {
 // Composite sums weighted scorers — the way an experiment assembles a
 // policy from the plugins.
 type Composite []Weighted
-
-// Name identifies the composite.
-func (Composite) Name() string { return "composite" }
 
 // Score sums the weighted member scores.
 func (cs Composite) Score(st *HostState, spec *container.Spec) float64 {

