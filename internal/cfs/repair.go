@@ -156,10 +156,14 @@ func (s *Scheduler) settleTo(i int, target uint64) {
 	}
 	a := &s.gAcct[i]
 	raw := units.CPUSeconds(rate * s.lastDtSec)
+	// The same k additions in the same order as k dense ticks, carried
+	// in registers and stored once.
+	usage, window := a.usage, a.windowUsage
 	for j := uint64(0); j < k; j++ {
-		a.usage += raw
-		a.windowUsage += raw
+		usage += raw
+		window += raw
 	}
+	a.usage, a.windowUsage = usage, window
 	if a.flags&acctDurBinding != 0 {
 		a.throttledDur += time.Duration(k) * s.lastDt
 	}

@@ -41,12 +41,15 @@ type Subsystem interface {
 	AttachTelemetry(tr *telemetry.Tracer)
 }
 
-// timerWheel adapts the virtual clock's timer queue to the Subsystem
+// timerWheel adapts the virtual clock's timer queue — a calendar queue
+// of one-tick buckets, sim's package comment — to the Subsystem
 // interface. The clock itself advances in the kernel's clock phase —
 // firing due timers as it goes — so Tick and SkipIdle are no-ops here;
 // the wheel's contribution to the loop is bounding every fast-forward
 // jump by the earliest pending deadline (scenario timers, ns_monitor
-// updates, heap samplers).
+// updates, heap samplers). NextDeadline finds it by scanning the
+// bucket bitmap from the next tick on, so a jump's bound costs a few
+// word tests, not a walk of every timer.
 type timerWheel struct {
 	clock *sim.Clock
 }

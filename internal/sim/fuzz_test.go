@@ -13,7 +13,10 @@ import (
 // (timer id, now) firings, Reset's result, and NextDeadline and the
 // number of queued timers after every op. The model keeps pending
 // timers in a slice sorted by (when, seq), so it shares nothing with
-// the heap.
+// the calendar queue. Besides the quarter-tick delays and spans of the
+// plain ops, the lap op schedules, resets and advances whole laps of the
+// wheel ahead, so timers share buckets with timers laps nearer and long
+// Advances re-queue periodic timers inside the jump.
 func FuzzClockOrder(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
@@ -35,9 +38,17 @@ func FuzzClockOrder(f *testing.F) {
 	})
 }
 
-// quantum is the fuzz time unit: a quarter tick, so deadlines also fall
-// between tick boundaries.
-const quantum = 250 * time.Microsecond
+const (
+	// quantum is the fuzz time unit: a quarter tick, so deadlines also
+	// fall between tick boundaries.
+	quantum = 250 * time.Microsecond
+	// lap is one turn of the clock's wheel.
+	lap = wheelSize * 4 * quantum
+	// maxFirings bounds one input's cost: a callback that fires past it
+	// stops its timer, so a lap-long Advance over quarter-tick periodic
+	// timers ends. No committed seed reaches it.
+	maxFirings = 1 << 14
+)
 
 // firing is one observed timer callback.
 type firing struct {
@@ -77,6 +88,10 @@ type harness struct {
 func (h *harness) callback(id *int, a action) func(Time) {
 	return func(now Time) {
 		h.fired = append(h.fired, firing{*id, now})
+		if len(h.fired) >= maxFirings {
+			h.clk.stop(*id)
+			return
+		}
 		switch a.kind {
 		case 1:
 			h.clk.stop(*id)
@@ -128,31 +143,35 @@ func runOps(t *testing.T, data []byte, impls ...clockUnderTest) {
 					*id = h.clk.every(d, h.callback(id, a))
 				}
 			}
-		case 2, 3, 4:
+		case 2, 3:
 			b, arg := next(), next()
 			n := hs[0].clk.timers()
 			if n == 0 {
 				continue
 			}
 			id := int(b) % n
-			switch op {
-			case 2:
+			if op == 2 {
 				desc = fmt.Sprintf("op %d: Stop(%d)", ops, id)
 				for _, h := range hs {
 					h.clk.stop(id)
 				}
-			case 3:
+			} else {
 				d := time.Duration(arg%16) * quantum
 				desc = fmt.Sprintf("op %d: Reset(%d, %v)", ops, id, d)
 				for _, h := range hs {
 					results = append(results, h.clk.reset(id, d))
 				}
-			case 4:
-				// Retired (it set a timer's period): it still consumes
-				// its two bytes, so committed inputs decode to the
-				// same stream of remaining ops.
-				desc = fmt.Sprintf("op %d: no-op", ops)
 			}
+		case 4:
+			b, arg := next(), next()
+			if b < 128 {
+				// Retired (it set a timer's period): a no-op that
+				// still consumes its two bytes. Every committed input
+				// that reaches op 4 carries a first byte below 128, so
+				// each decodes to the op stream it was written with.
+				continue
+			}
+			desc, results = lapOp(ops, hs, b, arg)
 		case 5:
 			desc = fmt.Sprintf("op %d: Step", ops)
 			for _, h := range hs {
@@ -186,6 +205,48 @@ func runOps(t *testing.T, data []byte, impls ...clockUnderTest) {
 	}
 }
 
+// lapOp runs the lap op (op 4 with first byte b >= 128) on every
+// harness and returns its description and any Reset results. Bits 0-1
+// of b pick After, Every, Advance or Reset; bits 2-4 the number of laps
+// (1-8) in the delay, period or span; arg the quarter-tick remainder
+// and, for After and Every, the callback's action (high nibble) or,
+// for Reset, the timer.
+func lapOp(ops int, hs []*harness, b, arg byte) (string, []bool) {
+	laps := time.Duration(1+b>>2&7) * lap
+	var results []bool
+	switch b & 3 {
+	case 0, 1:
+		d := laps + time.Duration(arg%16)*quantum
+		a := decodeAction(arg >> 4)
+		for _, h := range hs {
+			id := new(int)
+			if b&3 == 0 {
+				*id = h.clk.after(d, h.callback(id, a))
+			} else {
+				*id = h.clk.every(d, h.callback(id, a))
+			}
+		}
+		return fmt.Sprintf("op %d: After/Every[%d](%v, %+v)", ops, b&3, d, a), nil
+	case 2:
+		to := hs[0].clk.now() + laps + time.Duration(arg%64)*quantum
+		for _, h := range hs {
+			h.clk.advance(to)
+		}
+		return fmt.Sprintf("op %d: Advance(%v)", ops, to), nil
+	default:
+		n := hs[0].clk.timers()
+		if n == 0 {
+			return fmt.Sprintf("op %d: no-op", ops), nil
+		}
+		id := int(arg) % n
+		d := laps + time.Duration(b>>5&3)*quantum
+		for _, h := range hs {
+			results = append(results, h.clk.reset(id, d))
+		}
+		return fmt.Sprintf("op %d: Reset(%d, %v)", ops, id, d), results
+	}
+}
+
 // realClock adapts *Clock to clockUnderTest.
 type realClock struct {
 	c  *Clock
@@ -208,7 +269,7 @@ func (r *realClock) step()                              { r.c.Step() }
 func (r *realClock) advance(to Time)                    { r.c.Advance(to) }
 func (r *realClock) now() Time                          { return r.c.Now() }
 func (r *realClock) nextDeadline() (Time, bool)         { return r.c.NextDeadline() }
-func (r *realClock) pending() int                       { return len(r.c.queue) }
+func (r *realClock) pending() int                       { return r.c.pending }
 func (r *realClock) timers() int                        { return len(r.tm) }
 
 // modelClock is the reference: pending timers in a slice kept sorted by

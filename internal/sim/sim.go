@@ -7,18 +7,31 @@
 // Everything is single-goroutine and deterministic: two runs with the same
 // seed and the same sequence of Step calls produce identical histories.
 //
-// The timer queue is a binary min-heap of (when, seq, *timer) entries.
-// seq is a per-clock counter stamped when a timer is scheduled or reset,
-// so (when, seq) is a total order: equal deadlines fire in scheduling
-// order. Keys live inline in the heap slice, so sifting compares without
-// dereferencing timers. Each timer records its heap index, which lets
-// Stop remove it eagerly and Reset re-key it in place; a self-re-arming
-// callback that calls Reset on its own handle therefore schedules
-// without allocating.
+// The timer queue is a calendar queue (a hashed timing wheel): 1024
+// one-tick buckets plus a bitmap of the occupied ones. A timer due in
+// tick k (the first tick boundary at or after its deadline) sits in
+// bucket k mod 1024, on an intrusive list threaded through the timer
+// itself, so scheduling, Stop and Reset are O(1) list splices and the
+// queue allocates nothing after NewClock. A timer more than one lap
+// ahead shares its bucket with nearer ones and stays there until its
+// lap comes round. Step moves the due timers of the bucket it reaches
+// into the due batch, sorts the batch by (when, seq) and fires it in
+// that order; Advance does the same for every bucket its span covers,
+// across any number of laps.
+//
+// seq is a per-clock counter stamped when a timer is scheduled or
+// reset, so (when, seq) is a total order: equal deadlines fire in
+// scheduling order. A callback that schedules a timer at or before now,
+// or a periodic timer re-queued at or before now (inside a long
+// Advance), joins the due batch at its (when, seq) position, so the
+// firing order is the one a single priority queue would give. A
+// self-re-arming callback that calls Reset on its own handle reuses its
+// timer and schedules without allocating.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -26,13 +39,40 @@ import (
 // the simulation.
 type Time = time.Duration
 
+const (
+	wheelSize = 1024 // buckets: one tick each, one lap = wheelSize ticks
+	wheelMask = wheelSize - 1
+	dueList   = wheelSize // list index of a timer in the due batch
+	notQueued = -1        // list index of a timer in no list
+
+	maxTime = Time(1<<63 - 1)
+)
+
 // Clock is the virtual clock plus the timer queue that drives the
 // simulation. The zero value is not usable; call NewClock.
 type Clock struct {
-	now   Time
-	tick  time.Duration
-	queue []entry
-	seq   uint64
+	now  Time
+	tick time.Duration
+	// cur is the index of the tick now falls in, floor(now/tick), and
+	// off how far now lies past that tick's start (0 on a tick
+	// boundary). Every timer in a bucket is due after now, so its tick
+	// index is above cur; the due batch holds the timers due at or
+	// before now.
+	cur int64
+	off time.Duration
+	// next is a tick before which no timer in a bucket is due, so
+	// steps before it skip their buckets.
+	next int64
+	seq  uint64
+	// pending counts the queued timers, buckets and due batch together.
+	pending int
+	// due and dueTail are the ends of the due batch, kept sorted by
+	// (when, seq).
+	due, dueTail *timer
+	// The fields above share a cache line, which is all a step with
+	// nothing due reads; the buckets follow.
+	occupied [wheelSize / 64]uint64 // bit s set: bucket s is non-empty
+	heads    [wheelSize]*timer
 }
 
 // NewClock returns a clock at time zero advancing in steps of tick.
@@ -52,7 +92,12 @@ func (c *Clock) Now() Time { return c.now }
 // including for the current instant; those fire within the same Step.
 func (c *Clock) Step() Time {
 	c.now += c.tick
-	c.fireDue()
+	c.cur++
+	// Most steps of a host with few timers reach an empty bucket on a
+	// tick boundary and have nothing to do.
+	if c.cur >= c.next || c.off != 0 || c.due != nil {
+		c.fire(c.cur)
+	}
 	return c.now
 }
 
@@ -67,22 +112,83 @@ func (c *Clock) Advance(to Time) Time {
 	if to < c.now {
 		panic(fmt.Sprintf("sim: Advance to %v before now %v", to, c.now))
 	}
+	first := c.cur + 1
+	c.off += to - c.now
 	c.now = to
-	c.fireDue()
+	if c.off >= c.tick {
+		c.cur = int64(to / c.tick)
+		c.off = to - Time(c.cur)*c.tick
+	}
+	c.fire(first)
 	return c.now
 }
 
-// fireDue pops and runs every timer due at or before now. A periodic
+// fire collects the timers due by now, from the buckets of ticks first
+// on, and fires the due batch.
+func (c *Clock) fire(first int64) {
+	c.collect(first)
+	// The next non-empty bucket's tick: a lower bound on the next
+	// bucket timer's due tick.
+	c.next = c.cur + 1 + int64(c.nextOccupied(int((c.cur+1)&wheelMask), 0))
+	c.fireDue()
+}
+
+// collect moves every timer due at or before now out of the buckets of
+// ticks first through cur — plus tick cur+1 when now lies inside it —
+// into the due batch. A span of a lap or more visits every bucket once.
+func (c *Clock) collect(first int64) {
+	last := c.cur
+	if c.off != 0 {
+		last++
+	}
+	if first > last {
+		return
+	}
+	span := int(min(last-first+1, wheelSize))
+	s0 := int(first & wheelMask)
+	var batch *timer
+	n := 0
+	for i := c.nextOccupied(s0, 0); i < span; i = c.nextOccupied(s0, i+1) {
+		for t := c.heads[(s0+i)&wheelMask]; t != nil; {
+			next := t.next
+			if t.when <= c.now {
+				c.unlinkBucket(t)
+				t.next = batch
+				batch = t
+				n++
+			}
+			t = next
+		}
+	}
+	if n > 0 {
+		c.mergeDue(sortChain(batch, n))
+	}
+}
+
+// nextOccupied returns the least offset j >= i whose bucket,
+// (s0+j) mod wheelSize, is non-empty, or wheelSize when there is none
+// within a lap of s0.
+func (c *Clock) nextOccupied(s0, i int) int {
+	for i < wheelSize {
+		s := (s0 + i) & wheelMask
+		if word := c.occupied[s>>6] >> (s & 63); word != 0 {
+			return min(i+bits.TrailingZeros64(word), wheelSize)
+		}
+		i += 64 - s&63
+	}
+	return wheelSize
+}
+
+// fireDue pops and runs the due batch in (when, seq) order. A periodic
 // timer is re-queued after its callback with its original sequence
 // number, unless the callback stopped or reset it.
 func (c *Clock) fireDue() {
-	for len(c.queue) > 0 && c.queue[0].when <= c.now {
-		e := c.queue[0]
-		c.remove(0)
-		t := e.t
+	for t := c.due; t != nil; t = c.due {
+		when, seq := t.when, t.seq
+		c.unlink(t)
 		t.fn(c.now)
-		if t.period > 0 && !t.stopped && t.idx < 0 {
-			c.push(entry{when: e.when + t.period, seq: e.seq, t: t})
+		if t.period > 0 && !t.stopped && t.list == notQueued {
+			c.insert(t, when+t.period, seq)
 		}
 	}
 }
@@ -91,10 +197,42 @@ func (c *Clock) fireDue() {
 // ok is false when no timer is scheduled. Cancelled timers are removed
 // eagerly by Stop, so the returned deadline is always live.
 func (c *Clock) NextDeadline() (Time, bool) {
-	if len(c.queue) == 0 {
+	if c.pending == 0 {
 		return 0, false
 	}
-	return c.queue[0].when, true
+	if t := c.due; t != nil {
+		return t.when, true
+	}
+	// Scan one lap of buckets from tick cur+1 on. The first bucket that
+	// holds a timer of the lap in reach (due by the bucket's tick
+	// boundary) holds the earliest deadline: later buckets of the lap,
+	// and every timer a lap or more out, are due after that boundary.
+	s0 := int((c.cur + 1) & wheelMask)
+	for i := c.nextOccupied(s0, 0); i < wheelSize; i = c.nextOccupied(s0, i+1) {
+		if when, ok := minDeadline(c.heads[(s0+i)&wheelMask], c.now-c.off+Time(i+1)*c.tick); ok {
+			return when, true
+		}
+	}
+	// Every timer is more than a lap ahead. Their deadlines are after
+	// now >= 0, so earliest == 0 means none seen yet.
+	var earliest Time
+	for s := c.nextOccupied(0, 0); s < wheelSize; s = c.nextOccupied(0, s+1) {
+		if when, _ := minDeadline(c.heads[s], maxTime); earliest == 0 || when < earliest {
+			earliest = when
+		}
+	}
+	return earliest, true
+}
+
+// minDeadline returns the earliest deadline at or before limit on the
+// list starting at t; ok is false when there is none.
+func minDeadline(t *timer, limit Time) (when Time, ok bool) {
+	for ; t != nil; t = t.next {
+		if t.when <= limit && (!ok || t.when < when) {
+			when, ok = t.when, true
+		}
+	}
+	return when, ok
 }
 
 // Timer is a handle to a scheduled callback.
@@ -109,8 +247,8 @@ func (t Timer) Stop() {
 		return
 	}
 	tm.stopped = true
-	if tm.idx >= 0 {
-		tm.c.remove(tm.idx)
+	if tm.list != notQueued {
+		tm.c.unlink(tm)
 	}
 }
 
@@ -127,18 +265,14 @@ func (t Timer) Reset(d time.Duration) bool {
 		panic("sim: Reset of zero Timer")
 	}
 	c := tm.c
-	c.seq++
-	tm.stopped = false
-	e := entry{when: c.now + d, seq: c.seq, t: tm}
-	if i := tm.idx; i >= 0 {
-		c.queue[i] = e
-		if !c.down(i) {
-			c.up(i)
-		}
-		return true
+	was := tm.list != notQueued
+	if was {
+		c.unlink(tm)
 	}
-	c.push(e)
-	return false
+	tm.stopped = false
+	c.seq++
+	c.insert(tm, c.now+d, c.seq)
+	return was
 }
 
 // After schedules fn to run once when the clock reaches now+d.
@@ -157,93 +291,159 @@ func (c *Clock) Every(period time.Duration, fn func(now Time)) Timer {
 
 func (c *Clock) schedule(when Time, period time.Duration, fn func(Time)) Timer {
 	c.seq++
-	t := &timer{c: c, period: period, fn: fn, idx: -1}
-	c.push(entry{when: when, seq: c.seq, t: t})
+	t := &timer{c: c, period: period, fn: fn, list: notQueued}
+	c.insert(t, when, c.seq)
 	return Timer{t}
 }
 
 type timer struct {
-	c       *Clock
-	period  time.Duration
-	fn      func(Time)
-	stopped bool
-	idx     int // position in the queue; -1 while not enqueued
+	c          *Clock
+	when       Time
+	seq        uint64
+	period     time.Duration
+	fn         func(Time)
+	next, prev *timer // neighbours on the timer's list
+	list       int    // bucket index, dueList, or notQueued
+	stopped    bool
 }
 
-// entry is one queued timer with its ordering key stored inline.
-type entry struct {
-	when Time
-	seq  uint64
-	t    *timer
-}
-
-func (a *entry) less(b *entry) bool {
+// before reports whether a fires before b: the (when, seq) order.
+func (a *timer) before(b *timer) bool {
 	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
-// set stores e at position i and records the position in its timer.
-func (c *Clock) set(i int, e entry) {
-	c.queue[i] = e
-	e.t.idx = i
+// insert queues the unqueued timer t to fire at when with order key
+// seq: into the due batch at its (when, seq) position when it is already
+// due, else into the bucket of the first tick boundary at or after when.
+func (c *Clock) insert(t *timer, when Time, seq uint64) {
+	t.when, t.seq = when, seq
+	c.pending++
+	if when <= c.now {
+		c.insertDue(t)
+		return
+	}
+	// when > now >= 0, so k = ceil(when/tick) > cur.
+	k := int64((when-1)/c.tick + 1)
+	s := int(k & wheelMask)
+	h := c.heads[s]
+	t.list, t.prev, t.next = s, nil, h
+	if h != nil {
+		h.prev = t
+	}
+	c.heads[s] = t
+	c.occupied[s>>6] |= 1 << (s & 63)
+	c.next = min(c.next, k)
 }
 
-func (c *Clock) push(e entry) {
-	c.queue = append(c.queue, e)
-	c.up(len(c.queue) - 1)
+// insertDue links t into the sorted due batch. Searching from the tail
+// makes the common case — a fresh timer due now, whose seq is the
+// largest — O(1).
+func (c *Clock) insertDue(t *timer) {
+	p := c.dueTail
+	for p != nil && t.before(p) {
+		p = p.prev
+	}
+	t.list, t.prev = dueList, p
+	if p == nil {
+		t.next = c.due
+		c.due = t
+	} else {
+		t.next = p.next
+		p.next = t
+	}
+	if t.next != nil {
+		t.next.prev = t
+	} else {
+		c.dueTail = t
+	}
 }
 
-// remove deletes the entry at position i, marking its timer unqueued.
-func (c *Clock) remove(i int) {
-	q := c.queue
-	n := len(q) - 1
-	q[i].t.idx = -1
-	if i != n {
-		c.set(i, q[n])
+// unlink removes the queued timer t from its list.
+func (c *Clock) unlink(t *timer) {
+	c.pending--
+	if t.list != dueList {
+		c.unlinkBucket(t)
+		return
 	}
-	q[n] = entry{}
-	c.queue = q[:n]
-	if i != n && !c.down(i) {
-		c.up(i)
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		c.due = t.next
 	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		c.dueTail = t.prev
+	}
+	t.list, t.prev, t.next = notQueued, nil, nil
 }
 
-// up sifts the entry at position i toward the root.
-func (c *Clock) up(i int) {
-	q := c.queue
-	e := q[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.less(&q[p]) {
-			break
-		}
-		c.set(i, q[p])
-		i = p
+// unlinkBucket removes t from its bucket list, clearing the bucket's
+// bit when it empties. The pending count is the caller's.
+func (c *Clock) unlinkBucket(t *timer) {
+	s := t.list
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		c.heads[s] = t.next
 	}
-	c.set(i, e)
+	if t.next != nil {
+		t.next.prev = t.prev
+	}
+	if c.heads[s] == nil {
+		c.occupied[s>>6] &^= 1 << (s & 63)
+	}
+	t.list, t.prev, t.next = notQueued, nil, nil
 }
 
-// down sifts the entry at position i toward the leaves and reports
-// whether it moved.
-func (c *Clock) down(i0 int) bool {
-	q := c.queue
-	n := len(q)
-	e := q[i0]
-	i := i0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && q[r].less(&q[l]) {
-			m = r
-		}
-		if !q[m].less(&e) {
-			break
-		}
-		c.set(i, q[m])
-		i = m
+// mergeDue merges the sorted chain (linked through next) into the due
+// batch and restores the batch's prev links and tail.
+func (c *Clock) mergeDue(chain *timer) {
+	head := mergeChains(c.due, chain)
+	c.due = head
+	var prev *timer
+	for t := head; t != nil; t = t.next {
+		t.list, t.prev = dueList, prev
+		prev = t
 	}
-	c.set(i, e)
-	return i > i0
+	c.dueTail = prev
+}
+
+// sortChain sorts the n-timer chain starting at h (linked through next)
+// by (when, seq) and returns its new head; only the first n timers are
+// read, and the result ends in nil.
+func sortChain(h *timer, n int) *timer {
+	if n == 1 {
+		h.next = nil
+		return h
+	}
+	mid := h
+	for i := 1; i < n/2; i++ {
+		mid = mid.next
+	}
+	rest := mid.next
+	return mergeChains(sortChain(h, n/2), sortChain(rest, n-n/2))
+}
+
+// mergeChains merges two sorted nil-terminated chains.
+func mergeChains(a, b *timer) *timer {
+	var head *timer
+	tail := &head
+	for a != nil && b != nil {
+		if b.before(a) {
+			*tail = b
+			tail = &b.next
+			b = b.next
+		} else {
+			*tail = a
+			tail = &a.next
+			a = a.next
+		}
+	}
+	if a != nil {
+		*tail = a
+	} else {
+		*tail = b
+	}
+	return head
 }
