@@ -57,7 +57,9 @@ bench-scale:
 # the eager walk, one team callback each), the full rebuild tick
 # (SchedulerRebuild in internal/cfs: 4096 groups with pods, binding
 # quotas and team callbacks), the timer queue under churn (TimerChurn
-# in internal/sim: 16 384 self-re-arming timers) and view-update rounds
+# in internal/sim: 16 384 self-re-arming timers), the churn driver
+# (ChurnFire in internal/faults: one tick of 16 384 churn rules firing
+# and re-arming their embedded alarms) and view-update rounds
 # stay allocation-free, as does the whole kernel loop of a churning host
 # (ScaleSteadyChurn: churn timers re-arm in place), snapshot reads allocate nothing, a snapshot
 # publication costs exactly its three buffers (header + two slices;
@@ -83,7 +85,8 @@ bench-gate:
 	$(GO) test -run xxx -bench 'SchedulerTick|ScaleSteady|Snapshot|ClusterSteady|AutoscaleSteady' -benchmem -benchtime=20x . | tee bench-steady.txt
 	$(GO) test -run xxx -bench SchedulerRebuild -benchmem -benchtime=20x ./internal/cfs | tee -a bench-steady.txt
 	$(GO) test -run xxx -bench TimerChurn -benchmem -benchtime=20x ./internal/sim | tee -a bench-steady.txt
-	$(GO) run ./internal/tools/benchgate -match 'SchedulerTick|SchedulerRebuild|TimerChurn|ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
+	$(GO) test -run xxx -bench ChurnFire -benchmem -benchtime=20x ./internal/faults | tee -a bench-steady.txt
+	$(GO) run ./internal/tools/benchgate -match 'SchedulerTick|SchedulerRebuild|TimerChurn|ChurnFire|ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
 	$(GO) run ./internal/tools/benchgate -match SnapshotPublish -max-allocs 3 bench-steady.txt
 	rm -f bench-steady.txt
 	set -e; \

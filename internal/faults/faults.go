@@ -238,47 +238,77 @@ func (inj *Injector) StartChurn(r ChurnRule) {
 	if r.SoftFrac <= 0 {
 		r.SoftFrac = 0.5
 	}
-	fired := 0
-	// Names are unique among live cgroups, so a cached live target is
-	// the cgroup Lookup would return.
-	var cg *cgroups.Cgroup
-	var tm sim.Timer
-	fire := func(now sim.Time) {
-		if cg == nil || cg.Removed() {
-			cg = inj.h.Cgroups.Lookup(r.Target)
-		}
-		// Draw before the existence check so the schedule is identical
-		// whether or not the target is alive at this instant.
-		var quota float64
-		var hard units.Bytes
-		if r.MaxQuotaCPUs > 0 {
-			quota = r.MinQuotaCPUs + inj.rng.Float64()*(r.MaxQuotaCPUs-r.MinQuotaCPUs)
-		}
-		if r.MaxMemHard > 0 {
-			hard = r.MinMemHard + units.Bytes(inj.rng.Float64()*float64(r.MaxMemHard-r.MinMemHard))
-		}
-		if cg != nil && !cg.Removed() {
-			if r.MaxQuotaCPUs > 0 {
-				cg.SetQuotaCPUs(quota)
-				inj.trace.Add(telemetry.CtrLimitChurns, 1)
-				if inj.trace.Enabled() {
-					inj.trace.Emit(now, telemetry.KindFault, "churn", int64(quota*1000), 0)
-				}
+	s := &churnState{
+		inj:      inj,
+		count:    r.Count,
+		interval: r.Interval,
+		jitter:   r.Jitter,
+		minQuota: r.MinQuotaCPUs, maxQuota: r.MaxQuotaCPUs,
+		minHard: r.MinMemHard, maxHard: r.MaxMemHard,
+		softFrac: r.SoftFrac,
+		target:   r.Target,
+	}
+	inj.h.Clock.Arm(&s.alarm, inj.jittered(r.Interval, r.Jitter), s)
+}
+
+// churnState is one armed churn rule: a single allocation holding its
+// timer, its cached target and its firing count, so a firing touches
+// one record. The fields Fire reads every time follow the alarm's
+// queue links; target, read only to resolve the cgroup, comes last.
+type churnState struct {
+	alarm sim.Alarm
+	inj   *Injector
+	// cg caches the live target. Names are unique among live cgroups,
+	// so a cached live target is the cgroup Lookup would return.
+	cg                 *cgroups.Cgroup
+	fired, count       int
+	interval           time.Duration
+	jitter             float64
+	minQuota, maxQuota float64
+	minHard, maxHard   units.Bytes
+	softFrac           float64
+	target             string
+}
+
+// Fire applies one churn firing and re-arms the rule until its Count
+// is spent.
+func (s *churnState) Fire(now sim.Time) {
+	inj := s.inj
+	cg := s.cg
+	if cg == nil || cg.Removed() {
+		cg = inj.h.Cgroups.Lookup(s.target)
+		s.cg = cg
+	}
+	// Draw before the existence check so the schedule is identical
+	// whether or not the target is alive at this instant.
+	var quota float64
+	var hard units.Bytes
+	if s.maxQuota > 0 {
+		quota = s.minQuota + inj.rng.Float64()*(s.maxQuota-s.minQuota)
+	}
+	if s.maxHard > 0 {
+		hard = s.minHard + units.Bytes(inj.rng.Float64()*float64(s.maxHard-s.minHard))
+	}
+	if cg != nil && !cg.Removed() {
+		if s.maxQuota > 0 {
+			cg.SetQuotaCPUs(quota)
+			inj.trace.Add(telemetry.CtrLimitChurns, 1)
+			if inj.trace.Enabled() {
+				inj.trace.Emit(now, telemetry.KindFault, "churn", int64(quota*1000), 0)
 			}
-			if r.MaxMemHard > 0 {
-				cg.SetMemLimits(hard, units.Bytes(float64(hard)*r.SoftFrac))
-				inj.trace.Add(telemetry.CtrLimitChurns, 1)
-				if inj.trace.Enabled() {
-					inj.trace.Emit(now, telemetry.KindFault, "churn", 0, int64(hard))
-				}
-			}
 		}
-		fired++
-		if r.Count == 0 || fired < r.Count {
-			tm.Reset(inj.jittered(r.Interval, r.Jitter))
+		if s.maxHard > 0 {
+			cg.SetMemLimits(hard, units.Bytes(float64(hard)*s.softFrac))
+			inj.trace.Add(telemetry.CtrLimitChurns, 1)
+			if inj.trace.Enabled() {
+				inj.trace.Emit(now, telemetry.KindFault, "churn", 0, int64(hard))
+			}
 		}
 	}
-	tm = inj.h.Clock.After(inj.jittered(r.Interval, r.Jitter), fire)
+	s.fired++
+	if s.count == 0 || s.fired < s.count {
+		s.alarm.Reset(inj.jittered(s.interval, s.jitter))
+	}
 }
 
 // ScheduleKill arms a kill(-and-restart) rule.

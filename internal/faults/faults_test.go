@@ -2,6 +2,9 @@ package faults
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"time"
@@ -252,6 +255,87 @@ func TestChurnReresolvesRestartedAndLateTargets(t *testing.T) {
 	}
 }
 
+// churnScheduleDigest and churnScheduleEvents pin the churn schedule of
+// TestChurnScheduleDigest: FNV-64a over every churn trace event's (At,
+// A, B) in firing order, and how many there are.
+const (
+	churnScheduleDigest = 0xe047afd095cf7095
+	churnScheduleEvents = 4373
+)
+
+// The churn schedule — which rule fires when, and what it writes — is a
+// pure function of the seed, the rules and the lifecycle of their
+// targets. 64 jittered rules with mixed quota and memory ranges, some
+// bounded by Count, run for 2 s while one target is killed and
+// restarted and another is created late; the hash of every churn event
+// must match the committed digest, so a change to how rules are stored
+// or timers are queued cannot move a single firing or draw.
+func TestChurnScheduleDigest(t *testing.T) {
+	h := newHost()
+	tr := h.EnableTelemetry(1 << 15)
+	inj := Attach(h, Config{Seed: 11})
+	const rules = 64
+	name := func(i int) string {
+		if i == rules-1 {
+			return "late"
+		}
+		return fmt.Sprintf("c%02d", i)
+	}
+	for i := 0; i < rules-1; i++ {
+		h.Runtime.Create(container.Spec{Name: name(i)}).Exec("app")
+	}
+	for i := 0; i < rules; i++ {
+		r := ChurnRule{
+			Target:   name(i),
+			Interval: time.Duration(20+5*(i%7)) * time.Millisecond,
+			Jitter:   0.1 * float64(1+i%4),
+		}
+		if i%3 != 2 {
+			r.MinQuotaCPUs, r.MaxQuotaCPUs = 0.5, float64(1+i%4)
+		}
+		if i%3 != 0 {
+			r.MinMemHard, r.MaxMemHard = units.GiB, units.Bytes(2+i%3)*units.GiB
+			r.SoftFrac = 0.25 * float64(i%4)
+		}
+		if i%5 == 4 {
+			r.Count = 3 + i%6
+		}
+		inj.StartChurn(r)
+	}
+	inj.ScheduleKill(KillRule{Target: name(7), At: 400 * time.Millisecond, Restart: true, RestartDelay: 150 * time.Millisecond})
+	h.Clock.After(700*time.Millisecond, func(sim.Time) {
+		h.Runtime.Create(container.Spec{Name: name(rules - 1)}).Exec("app")
+	})
+	h.Run(2 * time.Second)
+
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace ring overwrote %d events", tr.Dropped())
+	}
+	if got := tr.Count(telemetry.CtrKills); got != 1 {
+		t.Fatalf("kills = %d, want 1", got)
+	}
+	sum := fnv.New64a()
+	var buf [24]byte
+	n := 0
+	for _, e := range tr.EventsOf(telemetry.KindFault) {
+		if e.Actor != "churn" {
+			continue
+		}
+		binary.LittleEndian.PutUint64(buf[0:], uint64(e.At))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(e.A))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(e.B))
+		sum.Write(buf[:])
+		n++
+	}
+	if got := tr.Count(telemetry.CtrLimitChurns); got != uint64(n) {
+		t.Fatalf("limit_churns = %d, but %d churn events", got, n)
+	}
+	if got := sum.Sum64(); got != churnScheduleDigest || n != churnScheduleEvents {
+		t.Fatalf("churn schedule digest = %#x over %d events, want %#x over %d",
+			got, n, uint64(churnScheduleDigest), churnScheduleEvents)
+	}
+}
+
 // Kill-and-restart: the victim's workload self-terminates instead of
 // panicking in the scheduler, and the restarted container is live with
 // the same spec.
@@ -402,5 +486,34 @@ func TestResyncRepairsDroppedEventDrift(t *testing.T) {
 			t.Fatalf("resync interval shrank without drift: %v", evs)
 		}
 		last = e.B
+	}
+}
+
+// BenchmarkChurnFire is the churn driver on its own at the headline
+// point: 16 384 containers with one jittered quota-and-memory churn
+// rule each (the scalebench shape, 250 ms ± 30 %), warmed up until
+// every rule has fired, then one clock tick per op — about 65 firings,
+// each with its timer re-arm, its two limit writes and the cgroup
+// events they raise. Must be 0 allocs/op.
+func BenchmarkChurnFire(b *testing.B) {
+	const n = 16384
+	h := host.New(host.Config{CPUs: 64, Memory: 512 * units.GiB, Seed: 1})
+	inj := Attach(h, Config{Seed: 2})
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("c%05d", i)
+		h.Runtime.Create(container.Spec{Name: name, MemHard: units.GiB, MemSoft: units.GiB / 2}).Exec("app")
+		inj.StartChurn(ChurnRule{
+			Target:       name,
+			Interval:     250 * time.Millisecond,
+			Jitter:       0.3,
+			MinQuotaCPUs: 1, MaxQuotaCPUs: 4,
+			MinMemHard: units.GiB, MaxMemHard: 4 * units.GiB,
+		})
+	}
+	h.Run(500 * time.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Clock.Step()
 	}
 }

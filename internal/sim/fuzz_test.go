@@ -16,7 +16,12 @@ import (
 // the calendar queue. Besides the quarter-tick delays and spans of the
 // plain ops, the lap op schedules, resets and advances whole laps of the
 // wheel ahead, so timers share buckets with timers laps nearer and long
-// Advances re-queue periodic timers inside the jump.
+// Advances re-queue periodic timers inside the jump. A one-shot is
+// either an After Timer or an Alarm embedded in a handler struct (Arm),
+// picked by a bit the model ignores, so both forms interleave in one
+// queue and callbacks Stop and Reset alarms from inside Fire. The clock
+// starts at its smallest wheel, so an input that keeps more timers
+// pending than there are buckets grows the wheel mid-run.
 func FuzzClockOrder(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
@@ -30,6 +35,13 @@ func FuzzClockOrder(f *testing.F) {
 		{0, 4, 2, 0, 4, 0, 5, 5},                          // callback stops another timer
 		{1, 1, 19, 6, 12, 4, 0, 9, 6, 30},                 // callback spawns same-instant timers; retired op 4
 		{1, 3, 0, 1, 5, 0, 0, 7, 3, 6, 9, 4, 1, 2, 6, 63}, // mixed
+		{0, 20, 0, 0, 4, 0, 5},                            // Alarm and Timer, same deadline: FIFO across forms
+		{0, 17, 13, 5, 5, 5, 5, 5, 5},                     // Alarm re-arms itself from Fire
+		{0, 17, 13, 0, 6, 2, 5, 5, 5, 5, 5, 5, 5},         // Timer callback stops a self-re-arming Alarm
+		{0, 18, 1, 3, 0, 0, 5, 5},                         // Alarm stops itself in Fire, then is Reset
+		{0, 20, 9, 5, 5},                                  // Alarm spawns a same-instant Timer
+		{4, 164, 0x33, 4, 130, 8},                         // lap-out Alarm re-arms itself inside a long Advance
+		growthSeed(),                                      // more pending than buckets: the wheel grows mid-run
 	} {
 		f.Add(seed)
 	}
@@ -42,8 +54,9 @@ const (
 	// quantum is the fuzz time unit: a quarter tick, so deadlines also
 	// fall between tick boundaries.
 	quantum = 250 * time.Microsecond
-	// lap is one turn of the clock's wheel.
-	lap = wheelSize * 4 * quantum
+	// lap is one turn of the clock's wheel at its largest, several
+	// turns of a smaller one.
+	lap = maxWheel * 4 * quantum
 	// maxFirings bounds one input's cost: a callback that fires past it
 	// stops its timer, so a lap-long Advance over quarter-tick periodic
 	// timers ends. No committed seed reaches it.
@@ -60,6 +73,7 @@ type firing struct {
 // to the op interpreter. Timers are named by creation index.
 type clockUnderTest interface {
 	after(d time.Duration, fn func(Time)) int
+	arm(d time.Duration, fn func(Time)) int
 	every(p time.Duration, fn func(Time)) int
 	stop(id int)
 	reset(id int, d time.Duration) bool
@@ -108,6 +122,50 @@ func (h *harness) callback(id *int, a action) func(Time) {
 	}
 }
 
+// schedule creates a timer whose callback records its firing and runs
+// a: kind 0 After, 1 Every, 2 Arm.
+func (h *harness) schedule(kind int, d time.Duration, a action) {
+	id := new(int)
+	switch kind {
+	case 0:
+		*id = h.clk.after(d, h.callback(id, a))
+	case 1:
+		*id = h.clk.every(d, h.callback(id, a))
+	default:
+		*id = h.clk.arm(d, h.callback(id, a))
+	}
+}
+
+// growthSeed schedules 96 one-shots before the first Step, alternating
+// Timers and Alarms over deadlines a quarter tick to four ticks out,
+// each fifth stopping another timer and each seventh spawning one, then
+// steps and advances through them: the clock's wheel grows while
+// timers sit in its buckets and in the due batch.
+func growthSeed() []byte {
+	var b []byte
+	for i := 0; i < 96; i++ {
+		act := byte(0)
+		switch {
+		case i%5 == 4:
+			act = 2 + 5*byte(i/2)
+		case i%7 == 6:
+			act = 4 + 5*byte(i%4)
+		}
+		b = append(b, 0, byte(1+i%15)|byte(i&1)<<4, act)
+	}
+	return append(b, 5, 5, 6, 9, 5, 6, 63)
+}
+
+// TestGrowthSeedGrowsTheWheel keeps growthSeed doing what its comment
+// says: the clock under fuzz ends it on a grown wheel.
+func TestGrowthSeedGrowsTheWheel(t *testing.T) {
+	rc := &realClock{c: NewClock(4 * quantum)}
+	runOps(t, growthSeed(), rc, &modelClock{tick: 4 * quantum})
+	if n := len(rc.c.heads); n <= minWheel {
+		t.Fatalf("growth seed left the wheel at %d buckets", n)
+	}
+}
+
 func runOps(t *testing.T, data []byte, impls ...clockUnderTest) {
 	hs := make([]*harness, len(impls))
 	for i, c := range impls {
@@ -129,19 +187,20 @@ func runOps(t *testing.T, data []byte, impls ...clockUnderTest) {
 		var results []bool
 		switch op {
 		case 0, 1:
-			d := time.Duration(next()%16) * quantum
+			db := next()
+			d := time.Duration(db%16) * quantum
 			a := decodeAction(next())
 			if op == 1 {
 				d += quantum
 			}
-			desc = fmt.Sprintf("op %d: After/Every[%d](%v, %+v)", ops, op, d, a)
+			// Bit 4 of a one-shot's delay byte arms an Alarm instead.
+			kind := int(op)
+			if op == 0 && db&16 != 0 {
+				kind = 2
+			}
+			desc = fmt.Sprintf("op %d: After/Every/Arm[%d](%v, %+v)", ops, kind, d, a)
 			for _, h := range hs {
-				id := new(int)
-				if op == 0 {
-					*id = h.clk.after(d, h.callback(id, a))
-				} else {
-					*id = h.clk.every(d, h.callback(id, a))
-				}
+				h.schedule(kind, d, a)
 			}
 		case 2, 3:
 			b, arg := next(), next()
@@ -208,9 +267,9 @@ func runOps(t *testing.T, data []byte, impls ...clockUnderTest) {
 // lapOp runs the lap op (op 4 with first byte b >= 128) on every
 // harness and returns its description and any Reset results. Bits 0-1
 // of b pick After, Every, Advance or Reset; bits 2-4 the number of laps
-// (1-8) in the delay, period or span; arg the quarter-tick remainder
-// and, for After and Every, the callback's action (high nibble) or,
-// for Reset, the timer.
+// (1-8) in the delay, period or span; bit 5, for After, an Alarm
+// instead; arg the quarter-tick remainder and, for After and Every, the
+// callback's action (high nibble) or, for Reset, the timer.
 func lapOp(ops int, hs []*harness, b, arg byte) (string, []bool) {
 	laps := time.Duration(1+b>>2&7) * lap
 	var results []bool
@@ -218,15 +277,15 @@ func lapOp(ops int, hs []*harness, b, arg byte) (string, []bool) {
 	case 0, 1:
 		d := laps + time.Duration(arg%16)*quantum
 		a := decodeAction(arg >> 4)
-		for _, h := range hs {
-			id := new(int)
-			if b&3 == 0 {
-				*id = h.clk.after(d, h.callback(id, a))
-			} else {
-				*id = h.clk.every(d, h.callback(id, a))
-			}
+		// Bit 5 of a one-shot's b arms an Alarm instead.
+		kind := int(b & 3)
+		if kind == 0 && b&32 != 0 {
+			kind = 2
 		}
-		return fmt.Sprintf("op %d: After/Every[%d](%v, %+v)", ops, b&3, d, a), nil
+		for _, h := range hs {
+			h.schedule(kind, d, a)
+		}
+		return fmt.Sprintf("op %d: After/Every/Arm[%d](%v, %+v)", ops, kind, d, a), nil
 	case 2:
 		to := hs[0].clk.now() + laps + time.Duration(arg%64)*quantum
 		for _, h := range hs {
@@ -250,7 +309,25 @@ func lapOp(ops int, hs []*harness, b, arg byte) (string, []bool) {
 // realClock adapts *Clock to clockUnderTest.
 type realClock struct {
 	c  *Clock
-	tm []Timer
+	tm []interface {
+		Stop()
+		Reset(time.Duration) bool
+	}
+}
+
+// fuzzAlarm is an owner that embeds its Alarm and handles its firings.
+type fuzzAlarm struct {
+	Alarm
+	fn func(Time)
+}
+
+func (a *fuzzAlarm) Fire(now Time) { a.fn(now) }
+
+func (r *realClock) arm(d time.Duration, fn func(Time)) int {
+	a := &fuzzAlarm{fn: fn}
+	r.c.Arm(&a.Alarm, d, a)
+	r.tm = append(r.tm, a)
+	return len(r.tm) - 1
 }
 
 func (r *realClock) after(d time.Duration, fn func(Time)) int {
@@ -314,6 +391,7 @@ func (m *modelClock) add(when Time, period time.Duration, fn func(Time)) int {
 }
 
 func (m *modelClock) after(d time.Duration, fn func(Time)) int { return m.add(m.t+d, 0, fn) }
+func (m *modelClock) arm(d time.Duration, fn func(Time)) int   { return m.add(m.t+d, 0, fn) }
 func (m *modelClock) every(p time.Duration, fn func(Time)) int { return m.add(m.t+p, p, fn) }
 
 func (m *modelClock) stop(id int) {

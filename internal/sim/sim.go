@@ -7,17 +7,31 @@
 // Everything is single-goroutine and deterministic: two runs with the same
 // seed and the same sequence of Step calls produce identical histories.
 //
-// The timer queue is a calendar queue (a hashed timing wheel): 1024
-// one-tick buckets plus a bitmap of the occupied ones. A timer due in
-// tick k (the first tick boundary at or after its deadline) sits in
-// bucket k mod 1024, on an intrusive list threaded through the timer
-// itself, so scheduling, Stop and Reset are O(1) list splices and the
-// queue allocates nothing after NewClock. A timer more than one lap
-// ahead shares its bucket with nearer ones and stays there until its
-// lap comes round. Step moves the due timers of the bucket it reaches
-// into the due batch, sorts the batch by (when, seq) and fires it in
-// that order; Advance does the same for every bucket its span covers,
-// across any number of laps.
+// The timer queue is a calendar queue (a hashed timing wheel): a
+// power-of-two number of one-tick buckets plus a bitmap of the occupied
+// ones. A timer due in tick k (the first tick boundary at or after its
+// deadline) sits in bucket k mod the wheel size, on an intrusive list
+// threaded through the timer itself, so scheduling, Stop and Reset are
+// O(1) list splices. The wheel is sized to the clock's load: it starts
+// at 64 buckets and doubles in place, up to 1024, whenever pending
+// timers outnumber buckets, so a clock with a handful of timers stays
+// small and one with thousands spreads them a tick apiece. Once the
+// wheel has stopped growing the queue allocates nothing. A timer more
+// than one lap ahead shares its bucket with nearer ones and stays there
+// until its lap comes round. Step moves the due timers of the bucket it
+// reaches into the due batch, sorts the batch by (when, seq) and fires
+// it in that order; Advance does the same for every bucket its span
+// covers, across any number of laps. The firing order depends on
+// (when, seq) alone, never on the wheel size.
+//
+// A timer either lives in its own allocation behind a Timer handle
+// (After, Every: the callback is a func) or is an Alarm embedded in the
+// struct that owns it (Arm: the callback is the owner's Fire method).
+// Both are the same queue entry; After and Every are thin constructors
+// that allocate the entry and adapt the func to a Handler. An owner
+// that embeds its Alarm keeps the queue links, the deadline and its own
+// state in one allocation, so a firing touches one record instead of a
+// timer, a closure and the variables it captured.
 //
 // seq is a per-clock counter stamped when a timer is scheduled or
 // reset, so (when, seq) is a total order: equal deadlines fire in
@@ -25,8 +39,8 @@
 // or a periodic timer re-queued at or before now (inside a long
 // Advance), joins the due batch at its (when, seq) position, so the
 // firing order is the one a single priority queue would give. A
-// self-re-arming callback that calls Reset on its own handle reuses its
-// timer and schedules without allocating.
+// self-re-arming callback that calls Reset on its own handle or Alarm
+// reuses its timer and schedules without allocating.
 package sim
 
 import (
@@ -40,13 +54,28 @@ import (
 type Time = time.Duration
 
 const (
-	wheelSize = 1024 // buckets: one tick each, one lap = wheelSize ticks
-	wheelMask = wheelSize - 1
-	dueList   = wheelSize // list index of a timer in the due batch
-	notQueued = -1        // list index of a timer in no list
+	// The wheel has between minWheel and maxWheel buckets, one tick
+	// each, so one lap is as many ticks as there are buckets.
+	minWheel = 64
+	maxWheel = 1024
+
+	// A timer's list is notQueued (the zero value, so an unarmed Alarm
+	// is idle), dueList, or s+1 for bucket s.
+	notQueued = 0
+	dueList   = -1
 
 	maxTime = Time(1<<63 - 1)
 )
+
+// Handler is what a timer runs when it fires. An owner that embeds an
+// Alarm implements it with a method, so arming stores only the owner's
+// pointer and allocates nothing.
+type Handler interface{ Fire(now Time) }
+
+// funcHandler adapts a callback func to a Handler for After and Every.
+type funcHandler func(Time)
+
+func (f funcHandler) Fire(now Time) { f(now) }
 
 // Clock is the virtual clock plus the timer queue that drives the
 // simulation. The zero value is not usable; call NewClock.
@@ -69,10 +98,10 @@ type Clock struct {
 	// due and dueTail are the ends of the due batch, kept sorted by
 	// (when, seq).
 	due, dueTail *timer
-	// The fields above share a cache line, which is all a step with
-	// nothing due reads; the buckets follow.
-	occupied [wheelSize / 64]uint64 // bit s set: bucket s is non-empty
-	heads    [wheelSize]*timer
+	// The fields above are all a step with nothing due reads; the
+	// buckets follow. len(heads) is the wheel size, a power of two.
+	heads    []*timer
+	occupied [maxWheel / 64]uint64 // bit s set: bucket s is non-empty
 }
 
 // NewClock returns a clock at time zero advancing in steps of tick.
@@ -80,7 +109,7 @@ func NewClock(tick time.Duration) *Clock {
 	if tick <= 0 {
 		panic(fmt.Sprintf("sim: non-positive tick %v", tick))
 	}
-	return &Clock{tick: tick}
+	return &Clock{tick: tick, heads: make([]*timer, minWheel)}
 }
 
 // Now returns the current virtual time.
@@ -129,7 +158,7 @@ func (c *Clock) fire(first int64) {
 	c.collect(first)
 	// The next non-empty bucket's tick: a lower bound on the next
 	// bucket timer's due tick.
-	c.next = c.cur + 1 + int64(c.nextOccupied(int((c.cur+1)&wheelMask), 0))
+	c.next = c.cur + 1 + int64(c.nextOccupied(int(c.cur+1)&c.mask(), 0))
 	c.fireDue()
 }
 
@@ -144,12 +173,13 @@ func (c *Clock) collect(first int64) {
 	if first > last {
 		return
 	}
-	span := int(min(last-first+1, wheelSize))
-	s0 := int(first & wheelMask)
+	span := int(min(last-first+1, int64(len(c.heads))))
+	mask := c.mask()
+	s0 := int(first) & mask
 	var batch *timer
 	n := 0
 	for i := c.nextOccupied(s0, 0); i < span; i = c.nextOccupied(s0, i+1) {
-		for t := c.heads[(s0+i)&wheelMask]; t != nil; {
+		for t := c.heads[(s0+i)&mask]; t != nil; {
 			next := t.next
 			if t.when <= c.now {
 				c.unlinkBucket(t)
@@ -165,18 +195,22 @@ func (c *Clock) collect(first int64) {
 	}
 }
 
+// mask maps a tick index to its bucket.
+func (c *Clock) mask() int { return len(c.heads) - 1 }
+
 // nextOccupied returns the least offset j >= i whose bucket,
-// (s0+j) mod wheelSize, is non-empty, or wheelSize when there is none
-// within a lap of s0.
+// (s0+j) mod the wheel size, is non-empty, or the wheel size when there
+// is none within a lap of s0.
 func (c *Clock) nextOccupied(s0, i int) int {
-	for i < wheelSize {
-		s := (s0 + i) & wheelMask
+	n := len(c.heads)
+	for i < n {
+		s := (s0 + i) & (n - 1)
 		if word := c.occupied[s>>6] >> (s & 63); word != 0 {
-			return min(i+bits.TrailingZeros64(word), wheelSize)
+			return min(i+bits.TrailingZeros64(word), n)
 		}
 		i += 64 - s&63
 	}
-	return wheelSize
+	return n
 }
 
 // fireDue pops and runs the due batch in (when, seq) order. A periodic
@@ -186,7 +220,7 @@ func (c *Clock) fireDue() {
 	for t := c.due; t != nil; t = c.due {
 		when, seq := t.when, t.seq
 		c.unlink(t)
-		t.fn(c.now)
+		t.h.Fire(c.now)
 		if t.period > 0 && !t.stopped && t.list == notQueued {
 			c.insert(t, when+t.period, seq)
 		}
@@ -207,16 +241,17 @@ func (c *Clock) NextDeadline() (Time, bool) {
 	// holds a timer of the lap in reach (due by the bucket's tick
 	// boundary) holds the earliest deadline: later buckets of the lap,
 	// and every timer a lap or more out, are due after that boundary.
-	s0 := int((c.cur + 1) & wheelMask)
-	for i := c.nextOccupied(s0, 0); i < wheelSize; i = c.nextOccupied(s0, i+1) {
-		if when, ok := minDeadline(c.heads[(s0+i)&wheelMask], c.now-c.off+Time(i+1)*c.tick); ok {
+	n := len(c.heads)
+	s0 := int(c.cur+1) & (n - 1)
+	for i := c.nextOccupied(s0, 0); i < n; i = c.nextOccupied(s0, i+1) {
+		if when, ok := minDeadline(c.heads[(s0+i)&(n-1)], c.now-c.off+Time(i+1)*c.tick); ok {
 			return when, true
 		}
 	}
 	// Every timer is more than a lap ahead. Their deadlines are after
 	// now >= 0, so earliest == 0 means none seen yet.
 	var earliest Time
-	for s := c.nextOccupied(0, 0); s < wheelSize; s = c.nextOccupied(0, s+1) {
+	for s := c.nextOccupied(0, 0); s < n; s = c.nextOccupied(0, s+1) {
 		if when, _ := minDeadline(c.heads[s], maxTime); earliest == 0 || when < earliest {
 			earliest = when
 		}
@@ -242,13 +277,8 @@ type Timer struct{ t *timer }
 // so cancelled timers never linger until their deadline. It is safe to
 // call multiple times and from within the timer's own callback.
 func (t Timer) Stop() {
-	tm := t.t
-	if tm == nil || tm.stopped {
-		return
-	}
-	tm.stopped = true
-	if tm.list != notQueued {
-		tm.c.unlink(tm)
+	if t.t != nil {
+		t.t.stop()
 	}
 }
 
@@ -260,24 +290,48 @@ func (t Timer) Stop() {
 // first at now+d and every period after that. Reset may be called from
 // within the timer's own callback.
 func (t Timer) Reset(d time.Duration) bool {
-	tm := t.t
-	if tm == nil {
+	if t.t == nil {
 		panic("sim: Reset of zero Timer")
 	}
-	c := tm.c
-	was := tm.list != notQueued
-	if was {
-		c.unlink(tm)
+	return t.t.reset(d)
+}
+
+// Alarm is a one-shot timer embedded in the struct that owns it, which
+// handles its firings: Arm queues the Alarm itself, so the queue links
+// and the deadline share the owner's allocation and arming allocates
+// nothing. The zero value is an idle alarm. An Alarm must not be copied
+// or moved while it is pending; owners are allocated one by one, not in
+// a slice that append may move.
+type Alarm struct{ t timer }
+
+// Arm schedules h.Fire to run once when the clock reaches now+d, on the
+// idle alarm a: one that was never armed, has fired, or was stopped. It
+// stamps the alarm's place in the FIFO order among equal deadlines as
+// After would. To reschedule a pending alarm, use Reset.
+func (c *Clock) Arm(a *Alarm, d time.Duration, h Handler) {
+	if a.t.list != notQueued {
+		panic("sim: Arm of a pending Alarm")
 	}
-	tm.stopped = false
-	c.seq++
-	c.insert(tm, c.now+d, c.seq)
-	return was
+	c.schedule(&a.t, c.now+d, 0, h)
+}
+
+// Stop cancels the alarm like Timer.Stop.
+func (a *Alarm) Stop() { a.t.stop() }
+
+// Reset reschedules the alarm to fire at now+d like Timer.Reset, and
+// reports whether it was pending. The alarm must have been armed.
+func (a *Alarm) Reset(d time.Duration) bool {
+	if a.t.c == nil {
+		panic("sim: Reset of unarmed Alarm")
+	}
+	return a.t.reset(d)
 }
 
 // After schedules fn to run once when the clock reaches now+d.
 func (c *Clock) After(d time.Duration, fn func(now Time)) Timer {
-	return c.schedule(c.now+d, 0, fn)
+	t := new(timer)
+	c.schedule(t, c.now+d, 0, funcHandler(fn))
+	return Timer{t}
 }
 
 // Every schedules fn to run every period, first firing at now+period.
@@ -286,25 +340,53 @@ func (c *Clock) Every(period time.Duration, fn func(now Time)) Timer {
 	if period <= 0 {
 		panic("sim: non-positive timer period")
 	}
-	return c.schedule(c.now+period, period, fn)
-}
-
-func (c *Clock) schedule(when Time, period time.Duration, fn func(Time)) Timer {
-	c.seq++
-	t := &timer{c: c, period: period, fn: fn, list: notQueued}
-	c.insert(t, when, c.seq)
+	t := new(timer)
+	c.schedule(t, c.now+period, period, funcHandler(fn))
 	return Timer{t}
 }
 
+// schedule (re)initializes the unqueued timer t and queues it at when
+// with a fresh sequence number.
+func (c *Clock) schedule(t *timer, when Time, period time.Duration, h Handler) {
+	*t = timer{c: c, period: period, h: h}
+	c.seq++
+	c.insert(t, when, c.seq)
+}
+
+// timer is one queue entry. The fields every filing, sort and firing
+// reads come first; an owner that embeds it as an Alarm puts the state
+// its Fire reads right after.
 type timer struct {
-	c          *Clock
+	next, prev *timer // neighbours on the timer's list
 	when       Time
 	seq        uint64
-	period     time.Duration
-	fn         func(Time)
-	next, prev *timer // neighbours on the timer's list
-	list       int    // bucket index, dueList, or notQueued
+	list       int32 // notQueued, dueList, or bucket index + 1
 	stopped    bool
+	h          Handler
+	c          *Clock
+	period     time.Duration
+}
+
+func (t *timer) stop() {
+	if t.stopped {
+		return
+	}
+	t.stopped = true
+	if t.list != notQueued {
+		t.c.unlink(t)
+	}
+}
+
+func (t *timer) reset(d time.Duration) bool {
+	c := t.c
+	was := t.list != notQueued
+	if was {
+		c.unlink(t)
+	}
+	t.stopped = false
+	c.seq++
+	c.insert(t, c.now+d, c.seq)
+	return was
 }
 
 // before reports whether a fires before b: the (when, seq) order.
@@ -322,17 +404,41 @@ func (c *Clock) insert(t *timer, when Time, seq uint64) {
 		c.insertDue(t)
 		return
 	}
+	if c.pending > len(c.heads) && len(c.heads) < maxWheel {
+		c.grow()
+	}
 	// when > now >= 0, so k = ceil(when/tick) > cur.
 	k := int64((when-1)/c.tick + 1)
-	s := int(k & wheelMask)
+	c.link(t, k)
+	c.next = min(c.next, k)
+}
+
+// link pushes t onto the bucket of tick k.
+func (c *Clock) link(t *timer, k int64) {
+	s := int(k) & c.mask()
 	h := c.heads[s]
-	t.list, t.prev, t.next = s, nil, h
+	t.list, t.prev, t.next = int32(s+1), nil, h
 	if h != nil {
 		h.prev = t
 	}
 	c.heads[s] = t
 	c.occupied[s>>6] |= 1 << (s & 63)
-	c.next = min(c.next, k)
+}
+
+// grow doubles the wheel and re-files every bucket timer by its due
+// tick. Only the buckets change: the due batch, the pending count, next
+// (a tick bound) and every timer's (when, seq) stay as they are.
+func (c *Clock) grow() {
+	old := c.heads
+	c.heads = make([]*timer, 2*len(old))
+	c.occupied = [maxWheel / 64]uint64{}
+	for _, t := range old {
+		for t != nil {
+			next := t.next
+			c.link(t, int64((t.when-1)/c.tick+1))
+			t = next
+		}
+	}
 }
 
 // insertDue links t into the sorted due batch. Searching from the tail
@@ -381,7 +487,7 @@ func (c *Clock) unlink(t *timer) {
 // unlinkBucket removes t from its bucket list, clearing the bucket's
 // bit when it empties. The pending count is the caller's.
 func (c *Clock) unlinkBucket(t *timer) {
-	s := t.list
+	s := int(t.list) - 1
 	if t.prev != nil {
 		t.prev.next = t.next
 	} else {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -276,6 +278,130 @@ func TestResetZeroTimerPanics(t *testing.T) {
 		}
 	}()
 	Timer{}.Reset(time.Millisecond)
+}
+
+// rearmer is an owner with an embedded Alarm: each firing counts and
+// re-arms one tick out, as a churn rule does.
+type rearmer struct {
+	Alarm
+	c     *Clock
+	fired []Time
+}
+
+func (r *rearmer) Fire(now Time) {
+	r.fired = append(r.fired, now)
+	r.Reset(r.c.tick)
+}
+
+func TestAlarmFiresThroughItsOwner(t *testing.T) {
+	c := NewClock(time.Millisecond)
+	var order []string
+	c.After(2*time.Millisecond, func(Time) { order = append(order, "after") })
+	r := &rearmer{c: c}
+	c.Arm(&r.Alarm, 2*time.Millisecond, r)
+	c.After(2*time.Millisecond, func(Time) { order = append(order, "after2") })
+	c.Step()
+	c.Step()
+	// The alarm re-armed itself, so it fires every tick from 2ms.
+	if len(r.fired) != 1 || r.fired[0] != 2*time.Millisecond {
+		t.Fatalf("alarm fired at %v, want [2ms]", r.fired)
+	}
+	if len(order) != 2 || order[0] != "after" || order[1] != "after2" {
+		t.Fatalf("timers fired %v", order)
+	}
+	runUntil(c, 5*time.Millisecond)
+	if len(r.fired) != 4 {
+		t.Fatalf("self-re-arming alarm fired %d times by 5ms, want 4", len(r.fired))
+	}
+	r.Stop()
+	runUntil(c, 8*time.Millisecond)
+	if len(r.fired) != 4 || c.pending != 0 {
+		t.Fatalf("stopped alarm fired %d times, %d pending", len(r.fired), c.pending)
+	}
+	// A stopped (or fired) alarm can be armed again.
+	c.Arm(&r.Alarm, time.Millisecond, r)
+	c.Step()
+	if len(r.fired) != 5 {
+		t.Fatalf("re-armed alarm fired %d times, want 5", len(r.fired))
+	}
+	r.Stop()
+	r.fired = make([]Time, 0, 128)
+	c.Arm(&r.Alarm, time.Millisecond, r)
+	if allocs := testing.AllocsPerRun(100, func() { c.Step() }); allocs != 0 {
+		t.Fatalf("self-re-arming alarm allocates %.1f per step, want 0", allocs)
+	}
+}
+
+func TestAlarmMisusePanics(t *testing.T) {
+	c := NewClock(time.Millisecond)
+	r := &rearmer{c: c}
+	for name, fn := range map[string]func(){
+		"Reset of unarmed": func() { r.Reset(time.Millisecond) },
+		"Arm of pending": func() {
+			c.Arm(&r.Alarm, time.Millisecond, r)
+			c.Arm(&r.Alarm, time.Millisecond, r)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// The wheel starts small, doubles while pending timers outnumber its
+// buckets, stops at maxWheel, and fires in (when, seq) order whatever
+// its size, including timers re-filed by a growth mid-run.
+func TestWheelGrowsWithLoad(t *testing.T) {
+	c := NewClock(time.Millisecond)
+	if n := len(c.heads); n != minWheel {
+		t.Fatalf("new wheel has %d buckets, want %d", n, minWheel)
+	}
+	// Timer i is due at when(i): deadlines out of scheduling order, on
+	// half ticks, some equal, most laps out of the smallest wheel.
+	const total = 3000
+	when := func(i int) Time {
+		at := time.Duration(1+(i*7919)%total) * time.Millisecond / 2
+		if i > minWheel {
+			at += 100 * time.Millisecond // scheduled at 100ms
+		}
+		return at
+	}
+	var got []int
+	schedule := func(i int) {
+		c.After(when(i)-c.Now(), func(Time) { got = append(got, i) })
+	}
+	for i := 0; i < minWheel; i++ {
+		schedule(i)
+	}
+	if n := len(c.heads); n != minWheel {
+		t.Fatalf("%d pending grew the wheel to %d", minWheel, n)
+	}
+	schedule(minWheel)
+	if n := len(c.heads); n != 2*minWheel {
+		t.Fatalf("%d pending: wheel has %d buckets, want %d", minWheel+1, n, 2*minWheel)
+	}
+	runUntil(c, 100*time.Millisecond)
+	for i := minWheel + 1; i < total; i++ {
+		schedule(i)
+	}
+	if n := len(c.heads); n != maxWheel {
+		t.Fatalf("wheel has %d buckets, want the cap %d", n, maxWheel)
+	}
+	runUntil(c, 2*time.Second)
+	// The reference order: by deadline, then by scheduling order.
+	want := make([]int, total)
+	for i := range want {
+		want[i] = i
+	}
+	slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(when(a), when(b)) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("firing order diverges from (when, seq): %d fired, want %d", len(got), total)
+	}
 }
 
 func TestRNGDeterminism(t *testing.T) {
