@@ -97,14 +97,13 @@ type Config struct {
 	Specs []Spec
 }
 
-// Autoscaler is the control loop: a host.Subsystem whose rounds fire on
-// the virtual clock's timer queue. All methods must be called from the
-// simulation goroutine.
+// Autoscaler is the control loop: its rounds fire on the virtual
+// clock's timer queue, and it counts and emits into the host's tracer
+// (h.Trace). All methods must be called from the simulation goroutine.
 type Autoscaler struct {
-	h     *host.Host
-	cfg   Config
-	trace *telemetry.Tracer
-	noop  bool
+	h    *host.Host
+	cfg  Config
+	noop bool
 
 	specs  []Spec
 	states []state
@@ -130,11 +129,11 @@ type state struct {
 	lastDirRound    uint64  // round the last resize was applied in
 }
 
-// Attach builds an autoscaler over h, registers it with the kernel
-// loop, and — unless the policy is inert — arms the periodic control
-// timer. With a nil or Static policy nothing is armed and no snapshot
-// is ever read, so attaching changes no observable behavior (the same
-// guarantee the zero-fault injector ships with).
+// Attach builds an autoscaler over h and — unless the policy is inert —
+// arms the periodic control timer. With a nil or Static policy nothing
+// is armed and no snapshot is ever read, so attaching changes no
+// observable behavior (the same guarantee the zero-fault injector ships
+// with).
 func Attach(h *host.Host, cfg Config) *Autoscaler {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
@@ -148,7 +147,6 @@ func Attach(h *host.Host, cfg Config) *Autoscaler {
 	} else if _, ok := cfg.Policy.(Static); ok {
 		a.noop = true
 	}
-	h.AddSubsystem(a) // also wires a.trace via AttachTelemetry
 	for _, s := range cfg.Specs {
 		a.Manage(s)
 	}
@@ -260,14 +258,15 @@ func (a *Autoscaler) roundOne(now sim.Time, snap *sysns.ViewSnapshot, s *Spec, s
 	st.lastThrottledNS = gv.ThrottledNS
 
 	act := decideOne(a.cfg.Policy, *s, a.cfg.Hysteresis, a.rounds, st, in)
+	tr := a.h.Trace
 	if act.conservative {
 		a.conservative++
 	}
 	if act.clamped {
-		a.trace.Add(telemetry.CtrAutoscaleClamped, 1)
+		tr.Add(telemetry.CtrAutoscaleClamped, 1)
 	}
 	if act.bankSpentMS > 0 {
-		a.trace.Add(telemetry.CtrAutoscaleBankSpentMS, uint64(act.bankSpentMS))
+		tr.Add(telemetry.CtrAutoscaleBankSpentMS, uint64(act.bankSpentMS))
 	}
 	wrote := false
 	if act.writeCPU {
@@ -285,16 +284,16 @@ func (a *Autoscaler) roundOne(now sim.Time, snap *sysns.ViewSnapshot, s *Spec, s
 			wrote = true
 		}
 		if wrote {
-			a.trace.Add(telemetry.CtrAutoscaleResizes, 1)
+			tr.Add(telemetry.CtrAutoscaleResizes, 1)
 		}
 	}
 	if act.writeMem {
 		cg.SetMemLimits(act.memHard, act.memSoft)
-		a.trace.Add(telemetry.CtrAutoscaleResizes, 1)
+		tr.Add(telemetry.CtrAutoscaleResizes, 1)
 		wrote = true
 	}
-	if wrote && a.trace.Enabled() {
-		a.trace.Emit(now, telemetry.KindResize, s.Name,
+	if wrote && tr.Enabled() {
+		tr.Emit(now, telemetry.KindResize, s.Name,
 			int64(act.cpus*1000), act.bankSpentMS)
 	}
 }
@@ -403,24 +402,6 @@ func sharesFor(cpus float64) int64 {
 	}
 	return sh
 }
-
-// Tick is a no-op: control rounds ride the clock's timer queue, which
-// the kernel already drives.
-func (a *Autoscaler) Tick(now sim.Time, dt time.Duration) {}
-
-// NextEvent reports no self-scheduled instant: the control timer lives
-// in the clock's timer queue, and the timers subsystem already bounds
-// every fast-forward jump by it.
-func (a *Autoscaler) NextEvent(now sim.Time) (sim.Time, bool) { return 0, false }
-
-// SkipIdle replays an idle span; nothing of the autoscaler's advances
-// per tick, so there is nothing to replay.
-func (a *Autoscaler) SkipIdle(now sim.Time, dt time.Duration, n int) {}
-
-// AttachTelemetry sets (or, with nil, clears) the autoscaler's trace
-// sink. With Tick, NextEvent and SkipIdle it satisfies the host
-// kernel's Subsystem interface.
-func (a *Autoscaler) AttachTelemetry(tr *telemetry.Tracer) { a.trace = tr }
 
 // String summarizes the autoscaler for diagnostics.
 func (a *Autoscaler) String() string {

@@ -370,11 +370,6 @@ type Scheduler struct {
 	topBuf        []int
 }
 
-// AttachTelemetry sets (or, with nil, clears) the scheduler's trace
-// sink. With Tick, NextEvent and SkipIdle it satisfies the host
-// kernel's Subsystem interface.
-func (s *Scheduler) AttachTelemetry(tr *telemetry.Tracer) { s.Trace = tr }
-
 // loadAvgTau is the time constant of the exponentially weighted load
 // average the "dynamic" OpenMP strategy reads. Linux's getloadavg
 // horizon is one minute; simulated workloads compress timescales by

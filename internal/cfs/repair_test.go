@@ -855,7 +855,7 @@ func testCallbackBlock(t *testing.T, regime string, oracle bool) {
 		UseRebuildOracle(s)
 	}
 	tr := telemetry.New(1)
-	s.AttachTelemetry(tr)
+	s.Trace = tr
 	a := s.NewGroup("a")
 	block := false
 	var self *Task

@@ -24,7 +24,7 @@ import (
 func TestThrottleRulesExact(t *testing.T) {
 	s := NewScheduler(6)
 	tr := telemetry.New(1)
-	s.AttachTelemetry(tr)
+	s.Trace = tr
 	lim := func(g *Group, cpus float64) { s.SetQuota(g, int64(cpus*100_000), 100_000) }
 	tasks := func(g *Group, n int) {
 		for i := 0; i < n; i++ {

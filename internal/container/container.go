@@ -14,6 +14,7 @@ package container
 
 import (
 	"fmt"
+	"slices"
 
 	"arv/internal/cgroups"
 	"arv/internal/sysfs"
@@ -136,7 +137,7 @@ type Runtime struct {
 	resolver *sysfs.Resolver
 
 	nextHostPID int
-	containers  []*Container
+	containers  []*Container // live containers, in creation order
 	byName      map[string]*Container
 }
 
@@ -163,14 +164,11 @@ func (rt *Runtime) stateOf(name string) string {
 	return ""
 }
 
-// Containers returns the non-stopped containers.
+// Containers returns the live (non-stopped) containers in creation
+// order, as a copy the caller may keep across Create and Destroy.
 func (rt *Runtime) Containers() []*Container {
-	out := make([]*Container, 0, len(rt.containers))
-	for _, c := range rt.containers {
-		if c.state != Stopped {
-			out = append(out, c)
-		}
-	}
+	out := make([]*Container, len(rt.containers))
+	copy(out, rt.containers)
 	return out
 }
 
@@ -270,9 +268,10 @@ func (c *Container) Exec(command string) {
 	c.rt.mon.Republish()
 }
 
-// Destroy stops the container and removes its cgroup; ns_monitor
-// detaches the sys_namespace via the Removed event and recomputes the
-// bounds of the survivors.
+// Destroy stops the container, removes its cgroup and forgets it; the
+// survivors keep their creation order. ns_monitor detaches the
+// sys_namespace via the Removed event and recomputes the bounds of the
+// survivors.
 func (rt *Runtime) Destroy(c *Container) {
 	if c.state == Stopped {
 		return
@@ -280,6 +279,9 @@ func (rt *Runtime) Destroy(c *Container) {
 	c.state = Stopped
 	rt.hier.Remove(c.Cgroup)
 	delete(rt.byName, c.Cgroup.Name)
+	if i := slices.Index(rt.containers, c); i >= 0 {
+		rt.containers = slices.Delete(rt.containers, i, i+1)
+	}
 }
 
 func (rt *Runtime) allocPID() int {

@@ -1,6 +1,7 @@
 package container
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -120,6 +121,46 @@ func TestDestroy(t *testing.T) {
 		t.Fatal("destroyed container still listed")
 	}
 	rt.Destroy(c) // idempotent
+}
+
+// The runtime forgets destroyed containers: after 1 000 create/destroy
+// cycles interleaved with the creation of 8 long-lived containers, it
+// holds exactly the 8, and Containers lists them in creation order.
+func TestRuntimeForgetsDestroyed(t *testing.T) {
+	rt, _ := newRuntime()
+	var live []*Container
+	for i := 0; i < 1000; i++ {
+		if i%125 == 0 {
+			live = append(live, rt.Create(Spec{Name: fmt.Sprintf("live%d", len(live))}))
+		}
+		c := rt.Create(Spec{Name: fmt.Sprintf("tmp%d", i)})
+		c.Exec("app")
+		rt.Destroy(c)
+		if len(rt.containers) != len(live) {
+			t.Fatalf("cycle %d: runtime holds %d containers, want the %d live ones", i, len(rt.containers), len(live))
+		}
+	}
+	got := rt.Containers()
+	if len(got) != 8 {
+		t.Fatalf("Containers lists %d, want 8", len(got))
+	}
+	for i, c := range got {
+		if c != live[i] {
+			t.Fatalf("Containers[%d] = %s, want %s", i, c.Name, live[i].Name)
+		}
+	}
+	// Destroying from the middle keeps the survivors' order.
+	rt.Destroy(live[3])
+	live = append(live[:3], live[4:]...)
+	got = rt.Containers()
+	for i, c := range got {
+		if c != live[i] {
+			t.Fatalf("after destroying live3: Containers[%d] = %s, want %s", i, c.Name, live[i].Name)
+		}
+	}
+	if len(got) != len(live) {
+		t.Fatalf("after destroying live3: Containers lists %d, want %d", len(got), len(live))
+	}
 }
 
 func TestStoppedContainerRejectsWork(t *testing.T) {

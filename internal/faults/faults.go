@@ -19,11 +19,12 @@
 //   - lifecycle faults: containers are killed mid-run and optionally
 //     restarted with the same spec.
 //
-// The injector registers with the kernel loop as a host.Subsystem and
-// draws every probabilistic decision from its own sim.RNG, so the same
-// seed yields the same fault schedule, runs are bit-reproducible, and —
-// because the injector never touches the host's RNG — a zero-fault
-// injector is byte-identical to no injector at all (asserted by
+// The injector has no per-tick work: every fault rides the virtual
+// clock's timer queue or the cgroup event bus. It draws every
+// probabilistic decision from its own sim.RNG, so the same seed yields
+// the same fault schedule, runs are bit-reproducible, and — because the
+// injector never touches the host's RNG — a zero-fault injector is
+// byte-identical to no injector at all (asserted by
 // TestZeroFaultInjectorIsByteIdentical).
 //
 // Invariants:
@@ -120,24 +121,22 @@ type KillRule struct {
 	OnRestart func(*container.Container)
 }
 
-// Injector is the fault layer: a host.Subsystem whose faults are armed
-// by Attach (from a Config) or incrementally via the Set/Start/Schedule
-// methods. All methods must be called from the simulation goroutine.
+// Injector is the fault layer: its faults are armed by Attach (from a
+// Config) or incrementally via the Set/Start/Schedule methods, and it
+// counts and emits into the host's tracer (h.Trace). All methods must
+// be called from the simulation goroutine.
 type Injector struct {
-	h     *host.Host
-	cfg   Config
-	rng   *sim.RNG
-	trace *telemetry.Tracer
+	h   *host.Host
+	cfg Config
+	rng *sim.RNG
 }
 
-// Attach builds an injector over h, registers it with the kernel loop,
-// and installs its interceptors on the cgroup event bus and the
-// ns_monitor update path. The interceptors are pure pass-throughs until
-// a fault class is configured, so attaching with a zero Config changes
-// no observable behavior.
+// Attach builds an injector over h and installs its interceptors on the
+// cgroup event bus and the ns_monitor update path. The interceptors are
+// pure pass-throughs until a fault class is configured, so attaching
+// with a zero Config changes no observable behavior.
 func Attach(h *host.Host, cfg Config) *Injector {
 	inj := &Injector{h: h, cfg: cfg, rng: sim.NewRNG(cfg.Seed)}
-	h.AddSubsystem(inj) // also wires inj.trace via AttachTelemetry
 	h.Cgroups.Intercept(inj.interceptEvent)
 	h.Monitor.SetUpdateInterceptor(inj.interceptUpdate)
 	return inj
@@ -165,17 +164,18 @@ func (inj *Injector) SetMonitorFaults(lag time.Duration, jitter, missProb float6
 // interceptEvent is the cgroups.Interceptor: it sees every limit-change
 // event before ns_monitor does and drops or defers it per the config.
 func (inj *Injector) interceptEvent(e cgroups.Event) bool {
+	tr := inj.h.Trace
 	if p := inj.cfg.EventDropProb; p > 0 && inj.rng.Float64() < p {
-		inj.trace.Add(telemetry.CtrEventsDropped, 1)
-		if inj.trace.Enabled() {
-			inj.trace.Emit(inj.h.Now(), telemetry.KindFault, "event-drop", int64(e.Kind), 0)
+		tr.Add(telemetry.CtrEventsDropped, 1)
+		if tr.Enabled() {
+			tr.Emit(inj.h.Now(), telemetry.KindFault, "event-drop", int64(e.Kind), 0)
 		}
 		return false
 	}
 	if d := inj.jittered(inj.cfg.EventDelay, inj.cfg.EventDelayJitter); d > 0 {
-		inj.trace.Add(telemetry.CtrEventsDelayed, 1)
-		if inj.trace.Enabled() {
-			inj.trace.Emit(inj.h.Now(), telemetry.KindFault, "event-delay", int64(e.Kind), int64(d))
+		tr.Add(telemetry.CtrEventsDelayed, 1)
+		if tr.Enabled() {
+			tr.Emit(inj.h.Now(), telemetry.KindFault, "event-delay", int64(e.Kind), int64(d))
 		}
 		ev := e
 		inj.h.Clock.After(d, func(sim.Time) {
@@ -191,17 +191,18 @@ func (inj *Injector) interceptEvent(e cgroups.Event) bool {
 // interceptUpdate is the sysns.UpdateInterceptor: it postpones or skips
 // periodic update rounds per the config.
 func (inj *Injector) interceptUpdate(now sim.Time) (time.Duration, bool) {
+	tr := inj.h.Trace
 	if p := inj.cfg.UpdateMissProb; p > 0 && inj.rng.Float64() < p {
-		inj.trace.Add(telemetry.CtrUpdatesMissed, 1)
-		if inj.trace.Enabled() {
-			inj.trace.Emit(now, telemetry.KindFault, "update-miss", 0, 0)
+		tr.Add(telemetry.CtrUpdatesMissed, 1)
+		if tr.Enabled() {
+			tr.Emit(now, telemetry.KindFault, "update-miss", 0, 0)
 		}
 		return 0, true
 	}
 	if d := inj.jittered(inj.cfg.UpdateLag, inj.cfg.UpdateLagJitter); d > 0 {
-		inj.trace.Add(telemetry.CtrUpdatesLagged, 1)
-		if inj.trace.Enabled() {
-			inj.trace.Emit(now, telemetry.KindFault, "update-lag", int64(d), 0)
+		tr.Add(telemetry.CtrUpdatesLagged, 1)
+		if tr.Enabled() {
+			tr.Emit(now, telemetry.KindFault, "update-lag", int64(d), 0)
 		}
 		return d, false
 	}
@@ -290,18 +291,19 @@ func (s *churnState) Fire(now sim.Time) {
 		hard = s.minHard + units.Bytes(inj.rng.Float64()*float64(s.maxHard-s.minHard))
 	}
 	if cg != nil && !cg.Removed() {
+		tr := inj.h.Trace
 		if s.maxQuota > 0 {
 			cg.SetQuotaCPUs(quota)
-			inj.trace.Add(telemetry.CtrLimitChurns, 1)
-			if inj.trace.Enabled() {
-				inj.trace.Emit(now, telemetry.KindFault, "churn", int64(quota*1000), 0)
+			tr.Add(telemetry.CtrLimitChurns, 1)
+			if tr.Enabled() {
+				tr.Emit(now, telemetry.KindFault, "churn", int64(quota*1000), 0)
 			}
 		}
 		if s.maxHard > 0 {
 			cg.SetMemLimits(hard, units.Bytes(float64(hard)*s.softFrac))
-			inj.trace.Add(telemetry.CtrLimitChurns, 1)
-			if inj.trace.Enabled() {
-				inj.trace.Emit(now, telemetry.KindFault, "churn", 0, int64(hard))
+			tr.Add(telemetry.CtrLimitChurns, 1)
+			if tr.Enabled() {
+				tr.Emit(now, telemetry.KindFault, "churn", 0, int64(hard))
 			}
 		}
 	}
@@ -330,9 +332,10 @@ func (inj *Injector) ScheduleKill(r KillRule) {
 		spec := victim.Spec
 		cmd := victim.Command()
 		inj.h.Runtime.Destroy(victim)
-		inj.trace.Add(telemetry.CtrKills, 1)
-		if inj.trace.Enabled() {
-			inj.trace.Emit(now, telemetry.KindFault, "kill", 0, 0)
+		tr := inj.h.Trace
+		tr.Add(telemetry.CtrKills, 1)
+		if tr.Enabled() {
+			tr.Emit(now, telemetry.KindFault, "kill", 0, 0)
 		}
 		if !r.Restart {
 			return
@@ -340,8 +343,8 @@ func (inj *Injector) ScheduleKill(r KillRule) {
 		restart := func(at sim.Time) {
 			nc := inj.h.Runtime.Create(spec)
 			nc.Exec(cmd)
-			if inj.trace.Enabled() {
-				inj.trace.Emit(at, telemetry.KindFault, "restart", 0, 0)
+			if tr := inj.h.Trace; tr.Enabled() {
+				tr.Emit(at, telemetry.KindFault, "restart", 0, 0)
 			}
 			if r.OnRestart != nil {
 				r.OnRestart(nc)
@@ -354,24 +357,6 @@ func (inj *Injector) ScheduleKill(r KillRule) {
 		}
 	})
 }
-
-// Tick is a no-op: every fault the injector schedules rides the clock's
-// timer queue, which the kernel already drives.
-func (inj *Injector) Tick(now sim.Time, dt time.Duration) {}
-
-// NextEvent reports no self-scheduled instant: churn firings, kill
-// deadlines, and event redeliveries are clock timers, and the timers
-// subsystem already bounds every fast-forward jump by them.
-func (inj *Injector) NextEvent(now sim.Time) (sim.Time, bool) { return 0, false }
-
-// SkipIdle replays an idle span; nothing of the injector's advances per
-// tick, so there is nothing to replay.
-func (inj *Injector) SkipIdle(now sim.Time, dt time.Duration, n int) {}
-
-// AttachTelemetry sets (or, with nil, clears) the injector's trace
-// sink. With Tick, NextEvent and SkipIdle it satisfies the host
-// kernel's Subsystem interface.
-func (inj *Injector) AttachTelemetry(tr *telemetry.Tracer) { inj.trace = tr }
 
 // String summarizes the armed schedule-free faults for diagnostics.
 func (inj *Injector) String() string {

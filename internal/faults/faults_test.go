@@ -389,6 +389,35 @@ func TestKillAndRestart(t *testing.T) {
 	}
 }
 
+// The injector reads the host's tracer when it counts, so a tracer
+// enabled after Attach (a scenario that arms faults before it turns
+// tracing on) still sees every churn and kill.
+func TestTelemetryEnabledAfterAttachCounts(t *testing.T) {
+	h := newHost()
+	inj := Attach(h, Config{Seed: 3})
+	h.Runtime.Create(container.Spec{Name: "a"}).Exec("app")
+	h.Runtime.Create(container.Spec{Name: "victim"}).Exec("app")
+	inj.StartChurn(ChurnRule{Target: "a", Interval: 50 * time.Millisecond, MinQuotaCPUs: 1, MaxQuotaCPUs: 3, Count: 4})
+	inj.ScheduleKill(KillRule{Target: "victim", At: 100 * time.Millisecond, Restart: true, RestartDelay: 50 * time.Millisecond})
+	tr := h.EnableTelemetry(0)
+	h.Run(time.Second)
+	if got := tr.Count(telemetry.CtrLimitChurns); got != 4 {
+		t.Fatalf("limit_churns = %d, want 4", got)
+	}
+	if got := tr.Count(telemetry.CtrKills); got != 1 {
+		t.Fatalf("kills = %d, want 1", got)
+	}
+	var restarts int
+	for _, e := range tr.EventsOf(telemetry.KindFault) {
+		if e.Actor == "restart" {
+			restarts++
+		}
+	}
+	if restarts != 1 {
+		t.Fatalf("%d restart events, want 1", restarts)
+	}
+}
+
 // The fault schedule is a pure function of the injector seed.
 func TestFaultScheduleDeterministicPerSeed(t *testing.T) {
 	run := func(seed uint64) []telemetry.Event {

@@ -9,14 +9,15 @@
 //
 //	schedule → clock/timers → programs → observe
 //
-// The schedule phase runs every registered Subsystem's Tick in order
-// (the CFS scheduler distributes CPU and advances task work; the other
-// subsystems are event-driven and tick as no-ops); the clock phase moves
-// virtual time forward and fires due timers (sys_namespace updates among
-// them); the program phase polls live programs and compacts finished
-// ones out of the program list; the observe phase records kernel-level
-// telemetry. The kernel holds no subsystem-specific logic: components
-// join the loop through the Subsystem interface, and each Host owns its
+// The schedule phase runs the CFS scheduler's tick (it distributes CPU
+// and advances task work) and then ns_monitor's (the staleness scan,
+// a no-op without a staleness budget); the memory controller, the
+// fault injector and the autoscaler change state only through timers,
+// cgroup events and explicit calls, so they have no per-tick work. The
+// clock phase moves virtual time forward and fires due timers
+// (sys_namespace updates among them); the program phase polls live
+// programs and compacts finished ones out of the program list; the
+// observe phase records kernel-level telemetry. Each Host owns its
 // complete state (clock, PRNG, telemetry ring, cgroup event bus), so
 // independent Hosts can run on separate goroutines with no sharing.
 //
@@ -24,12 +25,13 @@
 // idle spans: when no task is runnable and every live program has
 // declared a wake policy, the kernel computes the next interesting
 // instant — earliest timer deadline, scheduler event (quota-period
-// boundary of a throttled group), memory event (swap-device drain), or
-// program wake — replays the idle per-tick scheduler accounting in one
-// call (cfs.SkipIdle), and jumps the clock to one tick before that
-// instant. The interesting tick itself always executes densely, so
-// timers, throttle transitions, and program wakes land on exactly the
-// tick boundaries dense stepping would produce, keeping histories
+// boundary of a throttled group), memory event (swap-device drain),
+// monitor event (a view's staleness-budget expiry), or program wake —
+// replays the idle per-tick scheduler accounting in one call
+// (cfs.SkipIdle), and jumps the clock to one tick before that instant.
+// The interesting tick itself always executes densely, so timers,
+// throttle transitions, and program wakes land on exactly the tick
+// boundaries dense stepping would produce, keeping histories
 // bit-identical.
 package host
 
@@ -104,19 +106,18 @@ type Host struct {
 	// EnableTelemetry is called; nil (the default) costs nothing.
 	Trace *telemetry.Tracer
 
-	tick       time.Duration
-	programs   []Program
-	subsystems []Subsystem
+	tick     time.Duration
+	programs []Program
 }
 
 // OnNew, when non-nil, is invoked with every freshly built host at the
 // end of New. It exists so cross-cutting layers can attach themselves
 // to every host a test run builds, no matter how deep the construction
 // site: the zero-config identity tests set it to attach an inert
-// subsystem (a Static-policy autoscaler) to every experiment host and
-// prove the goldens stay byte-identical. Set it from single-threaded
-// test setup and clear it afterwards; the hook runs on whichever
-// goroutine calls New and must only touch the host it is handed.
+// Static-policy autoscaler to every experiment host and prove the
+// goldens stay byte-identical. Set it from single-threaded test setup
+// and clear it afterwards; the hook runs on whichever goroutine calls
+// New and must only touch the host it is handed.
 var OnNew func(*Host)
 
 // New builds a host from cfg and starts the ns_monitor update timer.
@@ -148,23 +149,11 @@ func New(cfg Config) *Host {
 		RNG:      sim.NewRNG(cfg.Seed),
 		tick:     tick,
 	}
-	// The kernel loop drives these in order; only the scheduler does
-	// dense per-tick work, the rest contribute events and telemetry.
-	h.subsystems = []Subsystem{sched, mem, mon, timerWheel{clock}}
 	mon.Start()
 	if OnNew != nil {
 		OnNew(h)
 	}
 	return h
-}
-
-// AddSubsystem registers an additional component with the kernel loop.
-// It participates in every phase from the next Step on: its Tick runs in
-// the schedule phase, its NextEvent bounds fast-forward jumps, and its
-// SkipIdle replays elided spans.
-func (h *Host) AddSubsystem(ss Subsystem) {
-	h.subsystems = append(h.subsystems, ss)
-	ss.AttachTelemetry(h.Trace)
 }
 
 // Tick returns the host's simulation step size.
@@ -186,14 +175,16 @@ func (h *Host) Now() sim.Time { return h.Clock.Now() }
 func (h *Host) AddProgram(p Program) { h.programs = append(h.programs, p) }
 
 // EnableTelemetry attaches a fresh tracer (ring capacity ringSize;
-// telemetry.DefaultRingSize if <= 0) to the host and every registered
-// subsystem and returns it.
+// telemetry.DefaultRingSize if <= 0) to the host, the scheduler, the
+// memory controller and ns_monitor, and returns it. Components layered
+// on the host (faults, autoscaler) read h.Trace when they emit, so they
+// see a tracer enabled after they were attached.
 func (h *Host) EnableTelemetry(ringSize int) *telemetry.Tracer {
 	tr := telemetry.New(ringSize)
 	h.Trace = tr
-	for _, ss := range h.subsystems {
-		ss.AttachTelemetry(tr)
-	}
+	h.Sched.Trace = tr
+	h.Mem.Trace = tr
+	h.Monitor.Trace = tr
 	return tr
 }
 
@@ -208,14 +199,13 @@ func (h *Host) Step() sim.Time {
 	return now
 }
 
-// phaseSchedule runs one dense tick round through every subsystem, in
-// registration order. Each is handed the tick's end time, matching the
-// timestamp programs and timers will observe.
+// phaseSchedule runs one dense tick round: the scheduler's allocation,
+// then ns_monitor's staleness scan. Both are handed the tick's end time,
+// matching the timestamp programs and timers will observe.
 func (h *Host) phaseSchedule() {
 	end := h.Clock.Now() + h.tick
-	for _, ss := range h.subsystems {
-		ss.Tick(end, h.tick)
-	}
+	h.Sched.Tick(end, h.tick)
+	h.Monitor.Tick(end)
 }
 
 // phaseClock advances virtual time by one tick and fires due timers.
@@ -253,11 +243,11 @@ func (h *Host) phasePrograms(now sim.Time) {
 }
 
 // phaseObserve records kernel-level accounting for the completed tick
-// and flushes any pending view-snapshot publication: every subsystem,
-// timer, and program has run, so the tick's triggers are fully applied
-// and DESIGN.md §11 allows a snapshot to be cut. Coalescing here bounds
-// publication to one snapshot per tick no matter how many cgroup events
-// the tick carried.
+// and flushes any pending view-snapshot publication: the scheduler,
+// every timer, and every program have run, so the tick's triggers are
+// fully applied and DESIGN.md §11 allows a snapshot to be cut.
+// Coalescing here bounds publication to one snapshot per tick no matter
+// how many cgroup events the tick carried.
 func (h *Host) phaseObserve(now sim.Time) {
 	h.Monitor.PublishIfDirty(now)
 	h.Trace.Add(telemetry.CtrSteps, 1)
@@ -276,19 +266,26 @@ func (h *Host) step(limit sim.Time) sim.Time {
 // idleTicks returns how many upcoming ticks can be skipped in one jump,
 // or 0 when the host must step densely. A span qualifies only when no
 // task is runnable and every live program has a wake policy; the jump
-// stops one tick short of the earliest interesting instant (any
-// subsystem's next event — timer deadline, quota-period boundary, swap
-// drain —, program wake, or limit) so that tick runs densely.
+// stops one tick short of the earliest interesting instant (timer
+// deadline, quota-period boundary, swap drain, staleness-budget expiry,
+// program wake, or limit) so that tick runs densely.
 func (h *Host) idleTicks(limit sim.Time) int {
 	if h.Sched.RunnableNow() != 0 {
 		return 0
 	}
 	now := h.Clock.Now()
 	target := limit
-	for _, ss := range h.subsystems {
-		if t, ok := ss.NextEvent(now); ok && t < target {
-			target = t
-		}
+	if t, ok := h.Clock.NextDeadline(); ok && t < target {
+		target = t
+	}
+	if t, ok := h.Sched.NextEvent(now); ok && t < target {
+		target = t
+	}
+	if t, ok := h.Mem.NextEvent(now); ok && t < target {
+		target = t
+	}
+	if t, ok := h.Monitor.NextEvent(now); ok && t < target {
+		target = t
 	}
 	for _, p := range h.programs {
 		if p.Done() {
@@ -313,15 +310,14 @@ func (h *Host) idleTicks(limit sim.Time) int {
 	return k
 }
 
-// phaseFastForward replays k idle ticks in one jump: every subsystem
-// replays its idle accounting (the scheduler tick-by-tick, bit-identical
-// with dense stepping) and the clock advances to the end of the span. By
-// construction no timer deadline falls inside the span.
+// phaseFastForward replays k idle ticks in one jump: the scheduler
+// replays its idle accounting tick by tick, bit-identical with dense
+// stepping, and the clock advances to the end of the span. Nothing else
+// has per-tick work to replay: by construction no timer deadline, swap
+// drain or staleness expiry falls inside the span.
 func (h *Host) phaseFastForward(k int) {
 	now := h.Clock.Now()
-	for _, ss := range h.subsystems {
-		ss.SkipIdle(now+h.tick, h.tick, k)
-	}
+	h.Sched.SkipIdle(now+h.tick, h.tick, k)
 	h.Clock.Advance(now + time.Duration(k)*h.tick)
 	h.Trace.Add(telemetry.CtrFastForwards, 1)
 	h.Trace.Add(telemetry.CtrSkippedTicks, uint64(k))

@@ -274,3 +274,89 @@ func TestAddProgramDuringPollSurvivesCompaction(t *testing.T) {
 		t.Fatalf("child polls = %d (want 4), programs = %d (want 0)", s.child.polls, len(h.programs))
 	}
 }
+
+// staleHost returns an idle host with one container under a 50 ms
+// staleness budget and ns_monitor's update timer an hour out, so the
+// only instant that bounds an idle jump in the next 100 ms is the
+// container view's expiry, Monitor.NextEvent. It also returns the
+// tracer and that instant.
+func staleHost(t *testing.T) (*Host, *telemetry.Tracer, sim.Time) {
+	t.Helper()
+	h := newHost()
+	h.Monitor.FixedPeriod = time.Hour
+	h.Run(time.Second) // the first round at the default period re-arms with the pinned one
+	h.Runtime.Create(container.Spec{Name: "a"}).Exec("app")
+	h.Monitor.SetDegradation(50*time.Millisecond, 0)
+	tr := h.EnableTelemetry(0)
+	next, ok := h.Monitor.NextEvent(h.Now())
+	if !ok || next != h.Now()+50*time.Millisecond {
+		t.Fatalf("monitor next event (%v, %v), want the view's expiry at %v", next, ok, h.Now()+50*time.Millisecond)
+	}
+	if d, ok := h.Clock.NextDeadline(); ok && d < h.Now()+time.Minute {
+		t.Fatalf("a timer is due at %v, within the test span", d)
+	}
+	return h, tr, next
+}
+
+// TestStaleFallbackSameTickDenseAndRun: the kernel calls ns_monitor's
+// Tick in the schedule phase and bounds idle jumps by its NextEvent, so
+// a staleness-budget fallback engages on the same tick whether the host
+// steps densely or Run fast-forwards: the first tick past the budget.
+// Run's jump stops one tick short of Monitor.NextEvent, and dense steps
+// plus skipped ticks cover the span exactly.
+func TestStaleFallbackSameTickDenseAndRun(t *testing.T) {
+	const span = 100 * time.Millisecond
+	dense, dtr, next := staleHost(t)
+	for end := dense.Now() + span; dense.Now() < end; {
+		dense.Step()
+	}
+	ff, ftr, _ := staleHost(t)
+	ff.Run(span)
+
+	want := next + ff.Tick()
+	for _, side := range []struct {
+		name string
+		tr   *telemetry.Tracer
+	}{{"dense", dtr}, {"run", ftr}} {
+		fb := side.tr.EventsOf(telemetry.KindStaleFallback)
+		if len(fb) != 1 || fb[0].At != want || fb[0].Actor != "a" {
+			t.Fatalf("%s: fallback events %v, want one for a at %v", side.name, fb, want)
+		}
+		if n := side.tr.Count(telemetry.CtrStaleFallbacks); n != 1 {
+			t.Fatalf("%s: stale_fallbacks = %d, want 1", side.name, n)
+		}
+		if n := side.tr.Count(telemetry.CtrSteps) + side.tr.Count(telemetry.CtrSkippedTicks); n != 100 {
+			t.Fatalf("%s: steps + skipped ticks = %d, want 100", side.name, n)
+		}
+	}
+	if n := dtr.Count(telemetry.CtrSkippedTicks); n != 0 {
+		t.Fatalf("dense: %d ticks skipped", n)
+	}
+	jumps := ftr.EventsOf(telemetry.KindFastForward)
+	if len(jumps) == 0 {
+		t.Fatal("run: no fast-forward across the idle span")
+	}
+	if jumps[0].At != next-ff.Tick() {
+		t.Fatalf("run: first jump ends at %v, want one tick short of the monitor's event at %v", jumps[0].At, next)
+	}
+}
+
+// TestEnableTelemetryReachesComponents: EnableTelemetry hands one fresh
+// tracer to the host, the scheduler, the memory controller and
+// ns_monitor, and a second call replaces it everywhere.
+func TestEnableTelemetryReachesComponents(t *testing.T) {
+	h := newHost()
+	if h.Trace != nil || h.Sched.Trace != nil || h.Mem.Trace != nil || h.Monitor.Trace != nil {
+		t.Fatal("tracing is on before EnableTelemetry")
+	}
+	for i := 0; i < 2; i++ {
+		tr := h.EnableTelemetry(0)
+		if h.Trace != tr || h.Sched.Trace != tr || h.Mem.Trace != tr || h.Monitor.Trace != tr {
+			t.Fatalf("call %d: EnableTelemetry did not reach every component", i+1)
+		}
+		if tr.Emitted() != 0 || tr.Count(telemetry.CtrSteps) != 0 {
+			t.Fatalf("call %d: tracer is not fresh", i+1)
+		}
+		h.Run(10 * time.Millisecond)
+	}
+}

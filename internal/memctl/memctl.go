@@ -496,22 +496,6 @@ func (c *Controller) maxResident() *Group {
 	return best
 }
 
-// Tick is the controller's dense per-tick hook. Memory state only
-// changes through explicit charges, touches, and cgroup writes — never
-// by time passing — so it is a no-op.
-func (c *Controller) Tick(now sim.Time, dt time.Duration) {}
-
-// SkipIdle replays an idle span. No task runs during a skipped span, so
-// no allocation or fault can occur and there is no accounting to replay.
-func (c *Controller) SkipIdle(now sim.Time, dt time.Duration, n int) {}
-
-// AttachTelemetry sets (or, with nil, clears) the controller's trace
-// sink. With Tick, NextEvent and SkipIdle it satisfies the host
-// kernel's Subsystem interface.
-func (c *Controller) AttachTelemetry(tr *telemetry.Tracer) { c.Trace = tr }
-
-// stall converts swap traffic to I/O wait, queueing behind whatever the
-// shared device is already serving.
 // NextEvent reports the next instant the memory subsystem changes state
 // on its own: the moment the swap device drains its queued traffic.
 // ok is false when the swap device is idle. The host kernel never
@@ -524,6 +508,8 @@ func (c *Controller) NextEvent(now sim.Time) (sim.Time, bool) {
 	return 0, false
 }
 
+// stall converts swap traffic to I/O wait, queueing behind whatever the
+// shared device is already serving.
 func (c *Controller) stall(traffic units.Bytes, now sim.Time) time.Duration {
 	if traffic <= 0 {
 		return 0

@@ -332,23 +332,28 @@ func TestAlarmFiresThroughItsOwner(t *testing.T) {
 	}
 }
 
+// Each misuse gets its own clock and alarm: an alarm a case leaves
+// pending must not change what the next case sees.
 func TestAlarmMisusePanics(t *testing.T) {
-	c := NewClock(time.Millisecond)
-	r := &rearmer{c: c}
-	for name, fn := range map[string]func(){
-		"Reset of unarmed": func() { r.Reset(time.Millisecond) },
-		"Arm of pending": func() {
+	for _, tc := range []struct {
+		name string
+		fn   func(c *Clock, r *rearmer)
+	}{
+		{"Reset of unarmed", func(c *Clock, r *rearmer) { r.Reset(time.Millisecond) }},
+		{"Arm of pending", func(c *Clock, r *rearmer) {
 			c.Arm(&r.Alarm, time.Millisecond, r)
 			c.Arm(&r.Alarm, time.Millisecond, r)
-		},
+		}},
 	} {
+		c := NewClock(time.Millisecond)
+		r := &rearmer{c: c}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: no panic", name)
+					t.Errorf("%s: no panic", tc.name)
 				}
 			}()
-			fn()
+			tc.fn(c, r)
 		}()
 	}
 }

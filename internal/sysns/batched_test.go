@@ -224,7 +224,7 @@ func TestBoundsFlushCounts(t *testing.T) {
 		nsA.CPUBounds() // first read: every earlier mark is applied
 
 		tr := telemetry.New(0)
-		mon.AttachTelemetry(tr)
+		mon.Trace = tr
 		for i := 0; i < n; i++ {
 			pod.SetQuotaCPUs(float64(1 + i))
 		}

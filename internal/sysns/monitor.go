@@ -677,7 +677,7 @@ func (m *Monitor) fire(now sim.Time) {
 // budget, the tick is where bounded-staleness detection runs: any
 // namespace whose view age exceeds the budget falls back to the
 // conservative view until an update round lands.
-func (m *Monitor) Tick(now sim.Time, dt time.Duration) {
+func (m *Monitor) Tick(now sim.Time) {
 	b := m.staleBudget
 	if b <= 0 {
 		return
@@ -725,16 +725,6 @@ func (m *Monitor) NextEvent(now sim.Time) (sim.Time, bool) {
 	}
 	return earliest, found
 }
-
-// SkipIdle replays an idle span. The monitor's periodic update never
-// falls inside one (its timer deadline bounds the jump), so there is
-// nothing to replay.
-func (m *Monitor) SkipIdle(now sim.Time, dt time.Duration, n int) {}
-
-// AttachTelemetry sets (or, with nil, clears) the monitor's trace sink.
-// With Tick, NextEvent and SkipIdle it satisfies the host kernel's
-// Subsystem interface.
-func (m *Monitor) AttachTelemetry(tr *telemetry.Tracer) { m.Trace = tr }
 
 // UpdateAll runs one Algorithm 1 + Algorithm 2 round for every
 // namespace. Exposed so tests and benchmarks can drive updates without

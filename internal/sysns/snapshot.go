@@ -21,7 +21,7 @@ import (
 // immediately after Attach/Detach complete their cache updates and
 // bounds recomputation, after a full UpdateAll round, or — for
 // event-driven changes coalesced within one kernel tick — in the
-// observe phase, after every subsystem and program has run. The §10
+// observe phase, after the scheduler, timers and programs have run. The §10
 // trigger-atomicity rule therefore extends to snapshots: no snapshot
 // exposes a half-applied Σw_j or a mid-trigger E_CPU clamp.
 

@@ -370,7 +370,7 @@ func TestUpdateRoundTraceKeepsRingTail(t *testing.T) {
 	const ringCap, n = 8, 21
 	f := newFixture(16, 64*units.GiB)
 	tr := telemetry.New(ringCap)
-	f.mon.AttachTelemetry(tr)
+	f.mon.Trace = tr
 	var spaces []*SysNamespace
 	for i := 0; i < n; i++ {
 		_, ns := f.attach(fmt.Sprintf("c%02d", i))

@@ -4,8 +4,9 @@
 // into it so an experiment can explain *why* effective CPU or memory
 // moved (which kswapd run, which throttle span, which namespace update).
 //
-// Tracing is opt-in and zero-cost when disabled: every subsystem holds a
-// *Tracer that is nil by default, and all Tracer methods are nil-receiver
+// Tracing is opt-in and zero-cost when disabled: the host, cfs, memctl
+// and sysns each hold a *Tracer that is nil by default (faults and the
+// autoscaler read the host's), and all Tracer methods are nil-receiver
 // safe no-ops. Hot paths additionally guard expensive argument
 // construction behind Enabled().
 //
@@ -295,9 +296,12 @@ func (c Counter) String() string {
 const DefaultRingSize = 4096
 
 // Tracer collects events and counters. The zero value is not used;
-// subsystems hold a nil *Tracer when tracing is disabled.
+// components hold a nil *Tracer when tracing is disabled.
 type Tracer struct {
-	ring     []Event
+	ring []Event
+	// cur is the next slot to overwrite once the ring is full: emitted
+	// mod cap(ring), kept by wrapping instead of dividing.
+	cur      int
 	emitted  uint64
 	counters [numCounters]uint64
 }
@@ -324,7 +328,10 @@ func (t *Tracer) Emit(at sim.Time, kind Kind, actor string, a, b int64) {
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, e)
 	} else {
-		t.ring[t.emitted%uint64(cap(t.ring))] = e
+		t.ring[t.cur] = e
+	}
+	if t.cur++; t.cur == cap(t.ring) {
+		t.cur = 0
 	}
 	t.emitted++
 }
@@ -345,6 +352,7 @@ func (t *Tracer) SkipOverwritten(n int) int {
 	}
 	skip := n - cap(t.ring)
 	t.emitted += uint64(skip)
+	t.cur = (t.cur + skip) % cap(t.ring)
 	// Keep len(ring) == min(emitted, cap): Emit appends while the ring
 	// is filling. The slots this exposes are rewritten by the burst.
 	t.ring = t.ring[:min(t.emitted, uint64(cap(t.ring)))]
@@ -419,9 +427,8 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, 0, len(t.ring))
 	if t.emitted > uint64(len(t.ring)) {
 		// Ring has wrapped: oldest entry sits at the write cursor.
-		cur := int(t.emitted % uint64(cap(t.ring)))
-		out = append(out, t.ring[cur:]...)
-		out = append(out, t.ring[:cur]...)
+		out = append(out, t.ring[t.cur:]...)
+		out = append(out, t.ring[:t.cur]...)
 		return out
 	}
 	return append(out, t.ring...)
@@ -444,6 +451,7 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.ring = t.ring[:0]
+	t.cur = 0
 	t.emitted = 0
 	t.counters = [numCounters]uint64{}
 }

@@ -117,49 +117,58 @@ func TestStrings(t *testing.T) {
 // with the same Events, Emitted and Dropped as one that writes them all,
 // for bursts shorter than, equal to, one past and more than twice the
 // ring capacity, with other event kinds emitted between the bursts.
+// Both must retain exactly the last min(emitted, cap) events written,
+// for a power-of-two capacity and for one that is not.
 func TestSkipOverwrittenIsExact(t *testing.T) {
-	const ringCap = 8
-	for _, bursts := range [][]int{
-		{3}, {ringCap}, {ringCap + 1}, {2*ringCap + 5},
-		{3, ringCap + 1, 0, ringCap, 2*ringCap + 5, 1, 3 * ringCap},
-	} {
-		for _, between := range []int{0, 1, 5} {
-			full, skip := New(ringCap), New(ringCap)
-			seq := 0
-			other := func() {
-				for i := 0; i < between; i++ {
-					for _, tr := range []*Tracer{full, skip} {
-						tr.Emit(time.Duration(seq), KindKswapd, "kswapd", int64(seq), 0)
+	for _, ringCap := range []int{8, 7} {
+		for _, bursts := range [][]int{
+			{3}, {ringCap}, {ringCap + 1}, {2*ringCap + 5},
+			{3, ringCap + 1, 0, ringCap, 2*ringCap + 5, 1, 3 * ringCap},
+		} {
+			for _, between := range []int{0, 1, 5} {
+				full, skip := New(ringCap), New(ringCap)
+				var all []Event // every event emitted, in order
+				seq := 0
+				other := func() {
+					for i := 0; i < between; i++ {
+						for _, tr := range []*Tracer{full, skip} {
+							tr.Emit(time.Duration(seq), KindKswapd, "kswapd", int64(seq), 0)
+						}
+						all = append(all, Event{At: time.Duration(seq), Kind: KindKswapd, Actor: "kswapd", A: int64(seq)})
+						seq++
 					}
-					seq++
-				}
-			}
-			other()
-			for _, n := range bursts {
-				k := skip.SkipOverwritten(n)
-				if want := max(n-ringCap, 0); k != want {
-					t.Fatalf("bursts %v: SkipOverwritten(%d) = %d, want %d", bursts, n, k, want)
-				}
-				for i := 0; i < n; i++ {
-					at := time.Duration(seq)
-					full.Emit(at, KindNSUpdate, "ns", int64(i), int64(seq))
-					if i >= k {
-						skip.Emit(at, KindNSUpdate, "ns", int64(i), int64(seq))
-					}
-					seq++
 				}
 				other()
-				if full.Emitted() != skip.Emitted() || full.Dropped() != skip.Dropped() {
-					t.Fatalf("bursts %v, %d between: emitted/dropped %d/%d with every write, %d/%d with the skip",
-						bursts, between, full.Emitted(), full.Dropped(), skip.Emitted(), skip.Dropped())
-				}
-				fe, se := full.Events(), skip.Events()
-				if len(fe) != len(se) {
-					t.Fatalf("bursts %v, %d between: %d events retained with every write, %d with the skip", bursts, between, len(fe), len(se))
-				}
-				for i := range fe {
-					if fe[i] != se[i] {
-						t.Fatalf("bursts %v, %d between: event %d is %v with every write, %v with the skip", bursts, between, i, fe[i], se[i])
+				for _, n := range bursts {
+					k := skip.SkipOverwritten(n)
+					if want := max(n-ringCap, 0); k != want {
+						t.Fatalf("cap %d, bursts %v: SkipOverwritten(%d) = %d, want %d", ringCap, bursts, n, k, want)
+					}
+					for i := 0; i < n; i++ {
+						at := time.Duration(seq)
+						full.Emit(at, KindNSUpdate, "ns", int64(i), int64(seq))
+						if i >= k {
+							skip.Emit(at, KindNSUpdate, "ns", int64(i), int64(seq))
+						}
+						all = append(all, Event{At: at, Kind: KindNSUpdate, Actor: "ns", A: int64(i), B: int64(seq)})
+						seq++
+					}
+					other()
+					want := all[max(len(all)-ringCap, 0):]
+					for _, tr := range []*Tracer{full, skip} {
+						if tr.Emitted() != uint64(len(all)) || tr.Dropped() != uint64(len(all)-len(want)) {
+							t.Fatalf("cap %d, bursts %v, %d between: emitted/dropped %d/%d, want %d/%d",
+								ringCap, bursts, between, tr.Emitted(), tr.Dropped(), len(all), len(all)-len(want))
+						}
+						got := tr.Events()
+						if len(got) != len(want) {
+							t.Fatalf("cap %d, bursts %v, %d between: %d events retained, want %d", ringCap, bursts, between, len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("cap %d, bursts %v, %d between: event %d is %v, want %v", ringCap, bursts, between, i, got[i], want[i])
+							}
+						}
 					}
 				}
 			}
