@@ -28,15 +28,17 @@ race:
 # reference model (internal/sim FuzzClockOrder), the scheduler's
 # dirty-set repair against the rebuild oracle (internal/cfs
 # FuzzRepairMirror), ns_monitor's marks and flush against the
-# full-recompute reference (internal/sysns FuzzMonitorMirror), and fsd's
-# HTTP routes against arbitrary paths (internal/fsd FuzzRoutes). The
-# committed seed corpora under each package's testdata/fuzz run in
-# every plain `go test` as well.
+# full-recompute reference (internal/sysns FuzzMonitorMirror), fsd's
+# HTTP routes against arbitrary paths (internal/fsd FuzzRoutes), and the
+# scenario interpreter against arbitrary script lines (internal/scenario
+# FuzzLine). The committed seed corpora under each package's
+# testdata/fuzz run in every plain `go test` as well.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzClockOrder -fuzztime 10s -parallel 2 ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzRepairMirror -fuzztime 10s -parallel 2 ./internal/cfs
 	$(GO) test -run xxx -fuzz FuzzMonitorMirror -fuzztime 10s -parallel 2 ./internal/sysns
 	$(GO) test -run xxx -fuzz FuzzRoutes -fuzztime 10s -parallel 2 ./internal/fsd
+	$(GO) test -run xxx -fuzz FuzzLine -fuzztime 10s -parallel 2 ./internal/scenario
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x .

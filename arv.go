@@ -79,8 +79,10 @@ type Program = host.Program
 // instant the program needs a Poll even though none of its tasks ran.
 type WakePolicy = host.WakePolicy
 
-// Tracer is the structured trace/counter sink attached with
-// Host.EnableTelemetry; TraceEvent is one recorded event.
+// Tracer is the structured counter/trace sink every Host carries in
+// Host.Trace: its counters always count, and it records events once
+// Host.EnableTelemetry has given it a ring. TraceEvent is one recorded
+// event.
 type (
 	Tracer       = telemetry.Tracer
 	TraceEvent   = telemetry.Event

@@ -292,7 +292,7 @@ func (a *Autoscaler) roundOne(now sim.Time, snap *sysns.ViewSnapshot, s *Spec, s
 		tr.Add(telemetry.CtrAutoscaleResizes, 1)
 		wrote = true
 	}
-	if wrote && tr.Enabled() {
+	if wrote {
 		tr.Emit(now, telemetry.KindResize, s.Name,
 			int64(act.cpus*1000), act.bankSpentMS)
 	}

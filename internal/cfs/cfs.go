@@ -301,8 +301,8 @@ type Scheduler struct {
 	groups []*Group
 	nextID int
 
-	// Trace, when non-nil, receives throttle/unthrottle events and the
-	// scheduler tick counter. Nil (the default) costs nothing.
+	// Trace receives throttle/unthrottle events and the scheduler tick
+	// counters. NewScheduler gives it a ring-less tracer that counts.
 	Trace *telemetry.Tracer
 
 	loadAvg float64 // see loadAvgTau
@@ -383,7 +383,7 @@ func NewScheduler(ncpu int) *Scheduler {
 	if ncpu <= 0 {
 		panic(fmt.Sprintf("cfs: non-positive CPU count %d", ncpu))
 	}
-	return &Scheduler{ncpu: ncpu}
+	return &Scheduler{ncpu: ncpu, Trace: new(telemetry.Tracer)}
 }
 
 // NCPU returns the number of host cores.
@@ -1038,34 +1038,26 @@ func (a *groupAcct) setFlag(bit uint16, on bool) {
 }
 
 // noteThrottle updates a group's throttled flag for this tick and emits
-// a transition event when tracing is on. A group entering the throttled
-// state joins throttledIdx so NextEvent sees it. No tick regime resets
-// the list: it stays a superset of the throttled groups (NextEvent
-// re-checks the flag), compacted once repeated transitions leave more
-// entries than groups.
+// a transition event. A group entering the throttled state joins
+// throttledIdx so NextEvent sees it. No tick regime resets the list: it
+// stays a superset of the throttled groups (NextEvent re-checks the
+// flag), compacted once repeated transitions leave more entries than
+// groups.
 func (s *Scheduler) noteThrottle(now sim.Time, i int, g *Group, throttled bool, rate float64) {
 	a := &s.gAcct[i]
 	if a.flags&acctThrottled != 0 == throttled {
 		return
 	}
 	a.setFlag(acctThrottled, throttled)
-	if s.Trace.Enabled() {
-		s.emitThrottle(now, g, throttled, rate)
+	if !throttled {
+		s.Trace.Emit(now, telemetry.KindUnthrottle, g.Name, int64(rate*1000), 0)
+		return
 	}
-	if throttled {
-		s.throttledIdx = append(s.throttledIdx, i)
-		if len(s.throttledIdx) > len(s.groups) {
-			s.compactThrottledIdx()
-		}
+	s.Trace.Emit(now, telemetry.KindThrottle, g.Name, int64(rate*1000), 0)
+	s.throttledIdx = append(s.throttledIdx, i)
+	if len(s.throttledIdx) > len(s.groups) {
+		s.compactThrottledIdx()
 	}
-}
-
-func (s *Scheduler) emitThrottle(now sim.Time, g *Group, throttled bool, rate float64) {
-	kind := telemetry.KindUnthrottle
-	if throttled {
-		kind = telemetry.KindThrottle
-	}
-	s.Trace.Emit(now, kind, g.Name, int64(rate*1000), 0)
 }
 
 // SkipIdle advances the scheduler across n consecutive ticks of length

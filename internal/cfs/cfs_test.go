@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"arv/internal/telemetry"
 	"arv/internal/units"
 )
 
@@ -405,5 +406,25 @@ func TestStaticCPUs(t *testing.T) {
 		if got := g.StaticCPUs(host); got != c.want {
 			t.Errorf("%s: StaticCPUs(%d) = %d, want %d", c.name, host, got, c.want)
 		}
+	}
+}
+
+// TestNewSchedulerCounts: a scheduler built on its own counts its ticks
+// on the ring-less tracer NewScheduler gives it, and records no events
+// (here, the throttle transition of a group bound by its quota).
+func TestNewSchedulerCounts(t *testing.T) {
+	s := NewScheduler(2)
+	g := s.NewGroup("g")
+	s.SetQuota(g, 50_000, 100_000)
+	s.SetRunnable(s.NewTask(g, "t"), true)
+	run(s, 5*tick)
+	if !g.Throttled() {
+		t.Fatal("group is not throttled")
+	}
+	if got := s.Trace.Count(telemetry.CtrSchedTicks); got != 5 {
+		t.Fatalf("sched.ticks = %d, want 5", got)
+	}
+	if s.Trace.Emitted() != 0 || s.Trace.Events() != nil {
+		t.Fatalf("ring-less tracer recorded %d events", s.Trace.Emitted())
 	}
 }

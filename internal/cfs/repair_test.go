@@ -854,8 +854,7 @@ func testCallbackBlock(t *testing.T, regime string, oracle bool) {
 	if oracle {
 		UseRebuildOracle(s)
 	}
-	tr := telemetry.New(1)
-	s.Trace = tr
+	tr := s.Trace
 	a := s.NewGroup("a")
 	block := false
 	var self *Task

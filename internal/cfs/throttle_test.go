@@ -23,8 +23,7 @@ import (
 // exact and the rates compare with ==.
 func TestThrottleRulesExact(t *testing.T) {
 	s := NewScheduler(6)
-	tr := telemetry.New(1)
-	s.Trace = tr
+	tr := s.Trace
 	lim := func(g *Group, cpus float64) { s.SetQuota(g, int64(cpus*100_000), 100_000) }
 	tasks := func(g *Group, n int) {
 		for i := 0; i < n; i++ {

@@ -109,7 +109,12 @@ type Cluster struct {
 	tick  time.Duration
 	clock *sim.Clock
 	nodes []*Node
-	trace *telemetry.Tracer
+
+	// Trace receives the cluster-level counters (placements,
+	// migrations, migration_ms, rebalance rounds) and events. New gives
+	// it a tracer that counts and records no events; host-level
+	// telemetry stays per-host in each node's Host.Trace.
+	Trace *telemetry.Tracer
 
 	placements []*placement
 
@@ -139,6 +144,7 @@ func New(cfg Config, members ...NodeConfig) *Cluster {
 		tick:  tick,
 		clock: sim.NewClock(tick),
 		nodes: make([]*Node, len(members)),
+		Trace: new(telemetry.Tracer),
 	}
 	for i, m := range members {
 		mt := m.Host.Tick
@@ -165,13 +171,12 @@ func New(cfg Config, members ...NodeConfig) *Cluster {
 // Nodes returns the cluster members in index order.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// EnableTelemetry attaches a fresh tracer for the cluster-level
-// counters (placements, migrations, migration_ms, rebalance rounds) and
-// events, and returns it. Host-level telemetry stays per-host via
-// Host.EnableTelemetry.
+// EnableTelemetry replaces c.Trace with a fresh tracer that records
+// events (ring capacity ringSize) and returns it. Host-level telemetry
+// stays per-host via Host.EnableTelemetry.
 func (c *Cluster) EnableTelemetry(ringSize int) *telemetry.Tracer {
-	c.trace = telemetry.New(ringSize)
-	return c.trace
+	c.Trace = telemetry.New(ringSize)
+	return c.Trace
 }
 
 // At schedules fn once at now+d on the cluster clock, with every host

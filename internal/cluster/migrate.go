@@ -44,7 +44,7 @@ type placement struct {
 // alternative beats their current node by more than the hysteresis
 // margin. A round that moves nothing is allocation-free.
 func (c *Cluster) rebalance(now sim.Time) {
-	c.trace.Add(telemetry.CtrRebalanceRounds, 1)
+	c.Trace.Add(telemetry.CtrRebalanceRounds, 1)
 	c.buildStates()
 	scorer := c.cfg.scorer()
 	maxMoves := c.cfg.MaxMigrationsPerRound
@@ -155,12 +155,10 @@ func (c *Cluster) migrate(p *placement, dst *Node, now sim.Time) {
 	p.node = dst
 	p.ctr = nil
 	p.inFlight = true
-	c.trace.Add(telemetry.CtrMigrations, 1)
-	c.trace.Add(telemetry.CtrMigrationMS, uint64(cost/time.Millisecond))
-	if c.trace.Enabled() {
-		c.trace.Emit(now, telemetry.KindMigration, p.spec.Name,
-			int64(dst.Index), int64(cost))
-	}
+	c.Trace.Add(telemetry.CtrMigrations, 1)
+	c.Trace.Add(telemetry.CtrMigrationMS, uint64(cost/time.Millisecond))
+	c.Trace.Emit(now, telemetry.KindMigration, p.spec.Name,
+		int64(dst.Index), int64(cost))
 	dst.Host.Clock.After(cost, func(at sim.Time) {
 		nc := dst.Host.Runtime.Create(p.spec)
 		nc.Exec(p.cmd)

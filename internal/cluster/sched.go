@@ -290,11 +290,9 @@ func (c *Cluster) Deploy(spec container.Spec, opts DeployOpts) (*Node, *containe
 		node: n, ctr: ctr,
 	}
 	c.placements = append(c.placements, p)
-	c.trace.Add(telemetry.CtrPlacements, 1)
-	if c.trace.Enabled() {
-		c.trace.Emit(c.clock.Now(), telemetry.KindPlacement, spec.Name,
-			int64(n.Index), int64(score*1e6))
-	}
+	c.Trace.Add(telemetry.CtrPlacements, 1)
+	c.Trace.Emit(c.clock.Now(), telemetry.KindPlacement, spec.Name,
+		int64(n.Index), int64(score*1e6))
 	if opts.Bind != nil {
 		opts.Bind(n, ctr)
 	}

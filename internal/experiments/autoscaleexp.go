@@ -67,7 +67,7 @@ func ExtAutoscale(opts Options) *Result {
 	rows := make([][]any, len(arms))
 	opts.forEach(len(arms), func(i int) {
 		h := paperHost(time.Millisecond)
-		tr := h.EnableTelemetry(1 << 12)
+		tr := h.Trace
 
 		specs := []container.Spec{
 			{Name: "svc", CPUQuotaUS: 400_000, Gamma: 0.6},

@@ -63,7 +63,7 @@ func runClusterArm(lens cluster.Lens) clusterArm {
 		cluster.NodeConfig{Host: clusterMember(2), Bandwidth: 200 * units.MiB, Latency: 6 * time.Millisecond},
 		cluster.NodeConfig{Host: clusterMember(3), Bandwidth: 200 * units.MiB, Latency: 10 * time.Millisecond},
 	)
-	tr := c.EnableTelemetry(1 << 10)
+	tr := c.Trace
 	nodes := c.Nodes()
 
 	// Background the scheduler did not place. Node 0 runs hot with

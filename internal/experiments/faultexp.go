@@ -47,7 +47,7 @@ type staleTrial struct {
 // conservative fallback engages between late rounds).
 func runStaleTrial(lag time.Duration, degrade bool) staleTrial {
 	h := paperHost(time.Millisecond)
-	tr := h.EnableTelemetry(1 << 12)
+	tr := h.Trace
 	inj := faults.Attach(h, faults.Config{Seed: 11, UpdateLag: lag})
 	if degrade {
 		h.Monitor.SetDegradation(100*time.Millisecond, 0)
@@ -198,7 +198,7 @@ func FaultChurn(opts Options) *Result {
 	opts.forEach(len(cfgs), func(i int) {
 		c := cfgs[i]
 		h := paperHost(time.Millisecond)
-		tr := h.EnableTelemetry(1 << 12)
+		tr := h.Trace
 
 		specs := []container.Spec{{
 			Name:       "web",

@@ -38,7 +38,7 @@ const (
 // is byte-identical across runs and golden-locked.
 func ExtProbe(opts Options) *Result {
 	h := paperHost(time.Millisecond)
-	tr := h.EnableTelemetry(1 << 12)
+	tr := h.Trace
 
 	specs := []container.Spec{
 		{Name: "api", CPUQuotaUS: 800_000, CPUPeriodUS: 100_000,

@@ -167,16 +167,12 @@ func (inj *Injector) interceptEvent(e cgroups.Event) bool {
 	tr := inj.h.Trace
 	if p := inj.cfg.EventDropProb; p > 0 && inj.rng.Float64() < p {
 		tr.Add(telemetry.CtrEventsDropped, 1)
-		if tr.Enabled() {
-			tr.Emit(inj.h.Now(), telemetry.KindFault, "event-drop", int64(e.Kind), 0)
-		}
+		tr.Emit(inj.h.Now(), telemetry.KindFault, "event-drop", int64(e.Kind), 0)
 		return false
 	}
 	if d := inj.jittered(inj.cfg.EventDelay, inj.cfg.EventDelayJitter); d > 0 {
 		tr.Add(telemetry.CtrEventsDelayed, 1)
-		if tr.Enabled() {
-			tr.Emit(inj.h.Now(), telemetry.KindFault, "event-delay", int64(e.Kind), int64(d))
-		}
+		tr.Emit(inj.h.Now(), telemetry.KindFault, "event-delay", int64(e.Kind), int64(d))
 		ev := e
 		inj.h.Clock.After(d, func(sim.Time) {
 			if !ev.Cgroup.Removed() {
@@ -194,16 +190,12 @@ func (inj *Injector) interceptUpdate(now sim.Time) (time.Duration, bool) {
 	tr := inj.h.Trace
 	if p := inj.cfg.UpdateMissProb; p > 0 && inj.rng.Float64() < p {
 		tr.Add(telemetry.CtrUpdatesMissed, 1)
-		if tr.Enabled() {
-			tr.Emit(now, telemetry.KindFault, "update-miss", 0, 0)
-		}
+		tr.Emit(now, telemetry.KindFault, "update-miss", 0, 0)
 		return 0, true
 	}
 	if d := inj.jittered(inj.cfg.UpdateLag, inj.cfg.UpdateLagJitter); d > 0 {
 		tr.Add(telemetry.CtrUpdatesLagged, 1)
-		if tr.Enabled() {
-			tr.Emit(now, telemetry.KindFault, "update-lag", int64(d), 0)
-		}
+		tr.Emit(now, telemetry.KindFault, "update-lag", int64(d), 0)
 		return d, false
 	}
 	return 0, false
@@ -295,16 +287,12 @@ func (s *churnState) Fire(now sim.Time) {
 		if s.maxQuota > 0 {
 			cg.SetQuotaCPUs(quota)
 			tr.Add(telemetry.CtrLimitChurns, 1)
-			if tr.Enabled() {
-				tr.Emit(now, telemetry.KindFault, "churn", int64(quota*1000), 0)
-			}
+			tr.Emit(now, telemetry.KindFault, "churn", int64(quota*1000), 0)
 		}
 		if s.maxHard > 0 {
 			cg.SetMemLimits(hard, units.Bytes(float64(hard)*s.softFrac))
 			tr.Add(telemetry.CtrLimitChurns, 1)
-			if tr.Enabled() {
-				tr.Emit(now, telemetry.KindFault, "churn", 0, int64(hard))
-			}
+			tr.Emit(now, telemetry.KindFault, "churn", 0, int64(hard))
 		}
 	}
 	s.fired++
@@ -334,18 +322,14 @@ func (inj *Injector) ScheduleKill(r KillRule) {
 		inj.h.Runtime.Destroy(victim)
 		tr := inj.h.Trace
 		tr.Add(telemetry.CtrKills, 1)
-		if tr.Enabled() {
-			tr.Emit(now, telemetry.KindFault, "kill", 0, 0)
-		}
+		tr.Emit(now, telemetry.KindFault, "kill", 0, 0)
 		if !r.Restart {
 			return
 		}
 		restart := func(at sim.Time) {
 			nc := inj.h.Runtime.Create(spec)
 			nc.Exec(cmd)
-			if tr := inj.h.Trace; tr.Enabled() {
-				tr.Emit(at, telemetry.KindFault, "restart", 0, 0)
-			}
+			inj.h.Trace.Emit(at, telemetry.KindFault, "restart", 0, 0)
 			if r.OnRestart != nil {
 				r.OnRestart(nc)
 			}

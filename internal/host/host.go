@@ -102,8 +102,10 @@ type Host struct {
 	Runtime  *container.Runtime
 	RNG      *sim.RNG
 
-	// Trace receives kernel-level events and counters once
-	// EnableTelemetry is called; nil (the default) costs nothing.
+	// Trace is the tracer the host shares with the scheduler, the memory
+	// controller and ns_monitor. New gives it one that counts and
+	// records no events; EnableTelemetry replaces it with one that
+	// records events too.
 	Trace *telemetry.Tracer
 
 	tick     time.Duration
@@ -149,6 +151,9 @@ func New(cfg Config) *Host {
 		RNG:      sim.NewRNG(cfg.Seed),
 		tick:     tick,
 	}
+	// The monitor's constructor publishes its first snapshot on the
+	// monitor's own tracer, so the host's counters start after it.
+	h.attach(new(telemetry.Tracer))
 	mon.Start()
 	if OnNew != nil {
 		OnNew(h)
@@ -174,18 +179,24 @@ func (h *Host) Now() sim.Time { return h.Clock.Now() }
 // programs are compacted out of the list by the program phase.
 func (h *Host) AddProgram(p Program) { h.programs = append(h.programs, p) }
 
-// EnableTelemetry attaches a fresh tracer (ring capacity ringSize;
-// telemetry.DefaultRingSize if <= 0) to the host, the scheduler, the
-// memory controller and ns_monitor, and returns it. Components layered
-// on the host (faults, autoscaler) read h.Trace when they emit, so they
-// see a tracer enabled after they were attached.
+// EnableTelemetry attaches a fresh tracer that records events (ring
+// capacity ringSize; telemetry.DefaultRingSize if <= 0) to the host,
+// the scheduler, the memory controller and ns_monitor, and returns it.
+// Its counters start from zero. Components layered on the host (faults,
+// autoscaler) read h.Trace when they emit, so they see a tracer enabled
+// after they were attached.
 func (h *Host) EnableTelemetry(ringSize int) *telemetry.Tracer {
 	tr := telemetry.New(ringSize)
+	h.attach(tr)
+	return tr
+}
+
+// attach hands tr to the host and its three counting components.
+func (h *Host) attach(tr *telemetry.Tracer) {
 	h.Trace = tr
 	h.Sched.Trace = tr
 	h.Mem.Trace = tr
 	h.Monitor.Trace = tr
-	return tr
 }
 
 // Step advances the simulation by one dense tick through the phase
@@ -321,9 +332,7 @@ func (h *Host) phaseFastForward(k int) {
 	h.Clock.Advance(now + time.Duration(k)*h.tick)
 	h.Trace.Add(telemetry.CtrFastForwards, 1)
 	h.Trace.Add(telemetry.CtrSkippedTicks, uint64(k))
-	if h.Trace.Enabled() {
-		h.Trace.Emit(h.Clock.Now(), telemetry.KindFastForward, "kernel", int64(k), 0)
-	}
+	h.Trace.Emit(h.Clock.Now(), telemetry.KindFastForward, "kernel", int64(k), 0)
 }
 
 // Run advances the simulation by d, fast-forwarding across idle spans.

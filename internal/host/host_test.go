@@ -341,22 +341,44 @@ func TestStaleFallbackSameTickDenseAndRun(t *testing.T) {
 	}
 }
 
-// TestEnableTelemetryReachesComponents: EnableTelemetry hands one fresh
-// tracer to the host, the scheduler, the memory controller and
-// ns_monitor, and a second call replaces it everywhere.
+// TestEnableTelemetryReachesComponents: New hands one counting,
+// ring-less tracer to the host, the scheduler, the memory controller
+// and ns_monitor; EnableTelemetry replaces it everywhere with a fresh
+// tracer that records events, and a second call replaces that one.
 func TestEnableTelemetryReachesComponents(t *testing.T) {
 	h := newHost()
-	if h.Trace != nil || h.Sched.Trace != nil || h.Mem.Trace != nil || h.Monitor.Trace != nil {
-		t.Fatal("tracing is on before EnableTelemetry")
+	if tr := h.Trace; tr == nil || tr.Enabled() || h.Sched.Trace != tr || h.Mem.Trace != tr || h.Monitor.Trace != tr {
+		t.Fatal("New did not hand one ring-less tracer to every component")
 	}
 	for i := 0; i < 2; i++ {
 		tr := h.EnableTelemetry(0)
 		if h.Trace != tr || h.Sched.Trace != tr || h.Mem.Trace != tr || h.Monitor.Trace != tr {
 			t.Fatalf("call %d: EnableTelemetry did not reach every component", i+1)
 		}
-		if tr.Emitted() != 0 || tr.Count(telemetry.CtrSteps) != 0 {
+		if !tr.Enabled() || tr.Emitted() != 0 || tr.Count(telemetry.CtrSteps) != 0 {
 			t.Fatalf("call %d: tracer is not fresh", i+1)
 		}
 		h.Run(10 * time.Millisecond)
+	}
+}
+
+// TestHostCountsWithoutTelemetry: a host that never calls
+// EnableTelemetry counts its kernel steps, fast-forwards and scheduler
+// ticks, and records no events (here, fast-forwards and a throttle
+// transition that a ring would hold).
+func TestHostCountsWithoutTelemetry(t *testing.T) {
+	h := newHost()
+	h.Run(100 * time.Millisecond) // idle: fast-forwarded
+	c := h.Runtime.Create(container.Spec{Name: "a", CPUQuotaUS: 50_000, CPUPeriodUS: 100_000})
+	h.Sched.SetRunnable(h.Sched.NewTask(c.Cgroup.CPU, "spin"), true)
+	h.Run(50 * time.Millisecond) // busy: dense steps, throttled
+	tr := h.Trace
+	for _, ctr := range []telemetry.Counter{telemetry.CtrSteps, telemetry.CtrFastForwards, telemetry.CtrSchedTicks} {
+		if tr.Count(ctr) == 0 {
+			t.Errorf("%v = 0 on a host without EnableTelemetry", ctr)
+		}
+	}
+	if tr.Emitted() != 0 || tr.Events() != nil {
+		t.Fatalf("host without EnableTelemetry recorded %d events", tr.Emitted())
 	}
 }

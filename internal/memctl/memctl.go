@@ -32,8 +32,8 @@ type Controller struct {
 
 	groups []*Group
 
-	// Trace, when non-nil, receives kswapd / direct-reclaim / OOM-kill
-	// events. Nil (the default) costs nothing.
+	// Trace receives kswapd / direct-reclaim / OOM-kill events and
+	// counters. New gives it a ring-less tracer that counts.
 	Trace *telemetry.Tracer
 
 	kswapdRuns int // read by Algorithm 2's reclaim-progress check
@@ -163,6 +163,7 @@ func New(cfg Config) *Controller {
 		swapBW = 150 * units.MiB
 	}
 	return &Controller{
+		Trace:  new(telemetry.Tracer),
 		total:  cfg.Total,
 		free:   cfg.Total,
 		MinWM:  min,
@@ -382,9 +383,7 @@ func (c *Controller) kswapd(need units.Bytes, now sim.Time) units.Bytes {
 			break
 		}
 	}
-	if c.Trace.Enabled() {
-		c.Trace.Emit(now, telemetry.KindKswapd, "kswapd", int64(traffic), int64(c.free))
-	}
+	c.Trace.Emit(now, telemetry.KindKswapd, "kswapd", int64(traffic), int64(c.free))
 	return traffic
 }
 
@@ -394,9 +393,7 @@ func (c *Controller) kswapd(need units.Bytes, now sim.Time) units.Bytes {
 func (c *Controller) directReclaim(requester *Group, need units.Bytes, now sim.Time) (units.Bytes, bool) {
 	c.Trace.Add(telemetry.CtrDirectReclaims, 1)
 	traffic, exhausted := c.directReclaimLoop(need)
-	if c.Trace.Enabled() {
-		c.Trace.Emit(now, telemetry.KindDirectReclaim, requester.Name, int64(traffic), int64(c.free))
-	}
+	c.Trace.Emit(now, telemetry.KindDirectReclaim, requester.Name, int64(traffic), int64(c.free))
 	return traffic, exhausted
 }
 
@@ -444,9 +441,7 @@ func (c *Controller) swapOut(g *Group, n units.Bytes) (units.Bytes, bool) {
 
 func (c *Controller) oomKill(g *Group, now sim.Time) {
 	c.Trace.Add(telemetry.CtrOOMKills, 1)
-	if c.Trace.Enabled() {
-		c.Trace.Emit(now, telemetry.KindOOMKill, g.Name, int64(g.resident), int64(g.swapped))
-	}
+	c.Trace.Emit(now, telemetry.KindOOMKill, g.Name, int64(g.resident), int64(g.swapped))
 	g.oomKilled = true
 	// The kernel frees everything the victim held.
 	c.addResident(g, -g.resident)

@@ -139,8 +139,7 @@ func TestKswapdStopsAtHighWatermark(t *testing.T) {
 
 func TestDirectReclaimBelowMin(t *testing.T) {
 	c := newCtl(4 * units.GiB)
-	tr := telemetry.New(0)
-	c.Trace = tr
+	tr := c.Trace
 	a := c.NewGroup("a") // no soft limit: kswapd never touches it
 	c.Charge(a, 3*units.GiB, 0)
 	b := c.NewGroup("b")
@@ -157,8 +156,7 @@ func TestDirectReclaimBelowMin(t *testing.T) {
 
 func TestOOMKillOnSwapExhaustion(t *testing.T) {
 	c := New(Config{Total: 2 * units.GiB, SwapCapacity: 256 * units.MiB})
-	tr := telemetry.New(0)
-	c.Trace = tr
+	tr := c.Trace
 	g := c.NewGroup("a")
 	g.HardLimit = 512 * units.MiB
 	_, ok := c.Charge(g, units.GiB, 0) // needs 512MiB of swap > 256MiB

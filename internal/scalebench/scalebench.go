@@ -55,8 +55,8 @@ type Config struct {
 	// Span is the simulated duration of the measured run (default 2s).
 	Span time.Duration
 	// Warmup is simulated time executed before measurement starts, so
-	// scratch buffers, telemetry rings, and the timer queue reach steady
-	// state (default 250ms).
+	// scratch buffers and the timer queue reach steady state (default
+	// 250ms).
 	Warmup time.Duration
 	// Seed drives the host RNG and the churn schedule.
 	Seed uint64
@@ -97,16 +97,15 @@ func (c Config) withDefaults() Config {
 
 // Bench is one built scenario, ready to run.
 type Bench struct {
-	Cfg   Config
-	H     *host.Host
-	Trace *telemetry.Tracer
+	Cfg Config
+	H   *host.Host
 }
 
 // Build constructs the host: cfg.Containers flat containers with a
 // spread of shares and quotas, runnable tasks per cfg.RunnableEvery,
-// telemetry attached (production monitoring on), and — when cfg.Churn —
-// one churn rule per container on the fault injector's deterministic
-// schedule.
+// the host's always-on counters and no event ring (nothing here reads
+// events), and — when cfg.Churn — one churn rule per container on the
+// fault injector's deterministic schedule.
 func Build(cfg Config) *Bench {
 	cfg = cfg.withDefaults()
 	h := host.New(host.Config{
@@ -119,7 +118,6 @@ func Build(cfg Config) *Bench {
 	// 3ms x ntasks, which would dilute the very pipeline the benchmark
 	// measures to a handful of rounds per simulated second.
 	h.Monitor.FixedPeriod = 24 * time.Millisecond
-	tr := h.EnableTelemetry(0)
 
 	for i := 0; i < cfg.Containers; i++ {
 		c := h.Runtime.Create(container.Spec{
@@ -147,7 +145,7 @@ func Build(cfg Config) *Bench {
 			})
 		}
 	}
-	return &Bench{Cfg: cfg, H: h, Trace: tr}
+	return &Bench{Cfg: cfg, H: h}
 }
 
 // Result is one measured scale run, the record arvbench serializes into
@@ -179,12 +177,13 @@ func Run(cfg Config) Result {
 	cfg = b.Cfg
 	b.H.Run(cfg.Warmup)
 
-	ticks0 := b.Trace.Count(telemetry.CtrSchedTicks)
-	reps0 := b.Trace.Count(telemetry.CtrTickRepairs)
-	rebs0 := b.Trace.Count(telemetry.CtrTickRebuilds)
-	esc0 := b.Trace.Count(telemetry.CtrRepairEscalations)
-	ups0 := b.Trace.Count(telemetry.CtrNSUpdates)
-	churn0 := b.Trace.Count(telemetry.CtrLimitChurns)
+	tr := b.H.Trace
+	ticks0 := tr.Count(telemetry.CtrSchedTicks)
+	reps0 := tr.Count(telemetry.CtrTickRepairs)
+	rebs0 := tr.Count(telemetry.CtrTickRebuilds)
+	esc0 := tr.Count(telemetry.CtrRepairEscalations)
+	ups0 := tr.Count(telemetry.CtrNSUpdates)
+	churn0 := tr.Count(telemetry.CtrLimitChurns)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -192,7 +191,7 @@ func Run(cfg Config) Result {
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 
-	ticks := b.Trace.Count(telemetry.CtrSchedTicks) - ticks0
+	ticks := tr.Count(telemetry.CtrSchedTicks) - ticks0
 	res := Result{
 		Containers:   cfg.Containers,
 		CPUs:         cfg.CPUs,
@@ -202,11 +201,11 @@ func Run(cfg Config) Result {
 		WallMS:       float64(wall) / float64(time.Millisecond),
 		NsPerSimSec:  float64(wall.Nanoseconds()) / cfg.Span.Seconds(),
 		Ticks:        ticks,
-		TickRepairs:  b.Trace.Count(telemetry.CtrTickRepairs) - reps0,
-		TickRebuilds: b.Trace.Count(telemetry.CtrTickRebuilds) - rebs0,
-		Escalations:  b.Trace.Count(telemetry.CtrRepairEscalations) - esc0,
-		NSUpdates:    b.Trace.Count(telemetry.CtrNSUpdates) - ups0,
-		LimitChurns:  b.Trace.Count(telemetry.CtrLimitChurns) - churn0,
+		TickRepairs:  tr.Count(telemetry.CtrTickRepairs) - reps0,
+		TickRebuilds: tr.Count(telemetry.CtrTickRebuilds) - rebs0,
+		Escalations:  tr.Count(telemetry.CtrRepairEscalations) - esc0,
+		NSUpdates:    tr.Count(telemetry.CtrNSUpdates) - ups0,
+		LimitChurns:  tr.Count(telemetry.CtrLimitChurns) - churn0,
 		Allocs:       after.Mallocs - before.Mallocs,
 		AllocBytes:   after.TotalAlloc - before.TotalAlloc,
 	}

@@ -1,6 +1,8 @@
 package scalebench
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -39,7 +41,7 @@ func TestChurnFires(t *testing.T) {
 	counts := func() (churns, updates uint64) {
 		b := Build(short(16, true))
 		b.H.Run(500 * time.Millisecond)
-		return b.Trace.Count(telemetry.CtrLimitChurns), b.Trace.Count(telemetry.CtrNSUpdates)
+		return b.H.Trace.Count(telemetry.CtrLimitChurns), b.H.Trace.Count(telemetry.CtrNSUpdates)
 	}
 	c1, u1 := counts()
 	c2, u2 := counts()
@@ -48,6 +50,41 @@ func TestChurnFires(t *testing.T) {
 	}
 	if c1 != c2 || u1 != u2 {
 		t.Fatalf("same seed diverged: churns %d vs %d, updates %d vs %d", c1, c2, u1, u2)
+	}
+}
+
+// TestRingOnlyObserves builds one churning configuration twice from a
+// fixed seed and gives one copy an event ring right after Build: after
+// the same warmup and span both copies hold identical counters and
+// identical per-group rates, while the ring has wrapped. A ring only
+// observes, so a scale host without one reports the same counters.
+func TestRingOnlyObserves(t *testing.T) {
+	cfg := short(256, true)
+	cfg.Seed = 5
+	plain, ringed := Build(cfg), Build(cfg)
+	tr := ringed.H.EnableTelemetry(64)
+	rates := func(b *Bench) []uint64 {
+		b.H.Run(b.Cfg.Warmup + b.Cfg.Span)
+		var out []uint64
+		for _, g := range b.H.Sched.Groups() {
+			out = append(out, math.Float64bits(g.LastRate()))
+		}
+		return out
+	}
+	if p, r := rates(plain), rates(ringed); !reflect.DeepEqual(p, r) {
+		t.Fatal("an event ring changed the per-group rates")
+	}
+	if p, r := plain.H.Trace.Counters(), tr.Counters(); !reflect.DeepEqual(p, r) {
+		t.Fatalf("an event ring changed the counters:\nwithout %v\nwith    %v", p, r)
+	}
+	if plain.H.Trace.Count(telemetry.CtrLimitChurns) == 0 {
+		t.Fatal("churn armed but no limit rewrites fired")
+	}
+	if plain.H.Trace.Emitted() != 0 {
+		t.Fatalf("the ring-less host recorded %d events", plain.H.Trace.Emitted())
+	}
+	if tr.Dropped() == 0 {
+		t.Fatalf("the 64-event ring never wrapped (%d events)", tr.Emitted())
 	}
 }
 

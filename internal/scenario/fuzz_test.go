@@ -35,6 +35,8 @@ func FuzzLine(f *testing.F) {
 		"host -1 0GiB",
 		"jvm nope nope nope nope=nope",
 		strings.Repeat("create x", 100),
+		"autoscale policy target interval=100ms",
+		"autoscale status",
 	} {
 		f.Add(seed)
 	}

@@ -709,13 +709,7 @@ func (in *Interp) cmdAutoscale(args []string) error {
 		default:
 			return fmt.Errorf("unknown autoscale policy %q", name)
 		}
-		h := in.Host()
-		if h.Trace == nil {
-			// Telemetry is passive; enabling it here only makes
-			// `autoscale status` counters real.
-			h.EnableTelemetry(0)
-		}
-		in.auto = autoscaler.Attach(h, autoscaler.Config{
+		in.auto = autoscaler.Attach(in.Host(), autoscaler.Config{
 			Interval:   interval,
 			Hysteresis: hyst,
 			Policy:     pol,

@@ -84,8 +84,9 @@ type Monitor struct {
 	// ablation).
 	FixedPeriod time.Duration
 
-	// Trace, when non-nil, receives one KindNSUpdate event per namespace
-	// per round. Nil (the default) costs nothing.
+	// Trace receives one KindNSUpdate event per namespace per round and
+	// the monitor's counters. NewMonitor gives it a ring-less tracer
+	// that counts.
 	Trace *telemetry.Tracer
 
 	lastUpdate sim.Time
@@ -124,6 +125,7 @@ func NewMonitor(hier *cgroups.Hierarchy, clock *sim.Clock, opts Options) *Monito
 		clock:          clock,
 		opts:           opts,
 		seenSuppressed: hier.Suppressed(),
+		Trace:          new(telemetry.Tracer),
 	}
 	// Cgroups that predate the subscription are heard of here, in
 	// creation order (a parent before its children), as if created now.
@@ -694,10 +696,8 @@ func (m *Monitor) Tick(now sim.Time) {
 		ns.fallback()
 		m.markDirty() // flushed by this tick's observe phase
 		m.Trace.Add(telemetry.CtrStaleFallbacks, 1)
-		if m.Trace.Enabled() {
-			m.Trace.Emit(now, telemetry.KindStaleFallback, ns.cg.Name,
-				int64(ns.Age(now)), int64(m.nsCPU[s].eCPU))
-		}
+		m.Trace.Emit(now, telemetry.KindStaleFallback, ns.cg.Name,
+			int64(ns.Age(now)), int64(m.nsCPU[s].eCPU))
 	}
 }
 
@@ -760,17 +760,14 @@ func (m *Monitor) UpdateAll(now sim.Time) {
 	windowSec := window.Seconds()
 	tr := m.Trace
 	tr.Add(telemetry.CtrNSUpdates, uint64(len(m.orderSlots)))
-	// The round's KindNSUpdate events are one uninterrupted burst, so
-	// only its last ring-capacity events can survive it; the tracer
-	// counts the rest without writing them.
-	skip := tr.SkipOverwritten(len(m.orderSlots))
+	emit := tr.Enabled()
 	var stale uint64
-	for i, s := range m.orderSlots {
+	for _, s := range m.orderSlots {
 		mt, c, ms, cold := &m.nsMeta[s], &m.nsCPU[s], &m.nsMem[s], &m.nsCold[s]
 		stale = max(stale, uint64(now-mt.lastAt))
 		updateCPU(c, mt, &m.opts, now, windowSec, cold.cpu.TakeWindowUsage(), slack)
 		updateMem(ms, cold.mem, &host, &m.opts)
-		if tr != nil && i >= skip {
+		if emit {
 			tr.Emit(now, telemetry.KindNSUpdate, cold.name, int64(c.eCPU), int64(ms.eMem))
 		}
 	}
@@ -806,11 +803,9 @@ func (m *Monitor) resync(now sim.Time) {
 		m.resyncIvl = min(2*m.resyncIvl, resyncCap*m.resyncMin)
 	}
 	m.resyncAt = now + sim.Time(m.resyncIvl)
-	if m.Trace.Enabled() {
-		var d int64
-		if drift {
-			d = 1
-		}
-		m.Trace.Emit(now, telemetry.KindResync, "ns_monitor", d, int64(m.resyncIvl))
+	var d int64
+	if drift {
+		d = 1
 	}
+	m.Trace.Emit(now, telemetry.KindResync, "ns_monitor", d, int64(m.resyncIvl))
 }

@@ -8,6 +8,7 @@ import (
 	"arv/internal/cgroups"
 	"arv/internal/memctl"
 	"arv/internal/sim"
+	"arv/internal/telemetry"
 	"arv/internal/units"
 )
 
@@ -27,6 +28,7 @@ func TestWarmSnapshotGuardsNilFirstSnapshot(t *testing.T) {
 	m := &Monitor{
 		hier:  hier,
 		clock: clock,
+		Trace: new(telemetry.Tracer),
 	}
 	if m.snap.Load() != nil {
 		t.Fatal("precondition: no snapshot published yet")

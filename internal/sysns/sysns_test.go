@@ -362,10 +362,10 @@ func TestDisableGrowthOption(t *testing.T) {
 }
 
 // TestUpdateRoundTraceKeepsRingTail runs update rounds over more
-// namespaces than the trace ring holds. The round writes only the events
-// the ring keeps, so the ring must end holding the last ring-capacity
-// KindNSUpdate events in attach order, carrying each namespace's E_CPU
-// and E_MEM, while Emitted counts every namespace of every round.
+// namespaces than the trace ring holds. The round writes every event,
+// so the ring must end holding the last ring-capacity KindNSUpdate
+// events in attach order, carrying each namespace's E_CPU and E_MEM,
+// while Emitted counts every namespace of every round.
 func TestUpdateRoundTraceKeepsRingTail(t *testing.T) {
 	const ringCap, n = 8, 21
 	f := newFixture(16, 64*units.GiB)

@@ -1,14 +1,16 @@
 // Package telemetry is the simulation's structured tracing and counting
-// substrate. A Tracer owns a fixed-size ring buffer of Events plus a
-// small set of monotonic counters; host, cfs, memctl, and sysns emit
-// into it so an experiment can explain *why* effective CPU or memory
-// moved (which kswapd run, which throttle span, which namespace update).
+// substrate. A Tracer owns a small set of monotonic counters plus an
+// optional fixed-size ring buffer of Events; host, cfs, memctl, and
+// sysns count and emit into it so an experiment can explain *why*
+// effective CPU or memory moved (which kswapd run, which throttle span,
+// which namespace update).
 //
-// Tracing is opt-in and zero-cost when disabled: the host, cfs, memctl
-// and sysns each hold a *Tracer that is nil by default (faults and the
-// autoscaler read the host's), and all Tracer methods are nil-receiver
-// safe no-ops. Hot paths additionally guard expensive argument
-// construction behind Enabled().
+// Counting is always on: every host, scheduler, memory controller,
+// monitor and cluster is built with a non-nil Tracer whose counters
+// count and whose ring is empty, so Emit returns at once (faults and
+// the autoscaler read the host's). Events are recorded only after
+// EnableTelemetry hands the host a Tracer with a ring. Hot paths guard
+// argument construction that costs real work behind Enabled().
 //
 // The Tracer is single-goroutine, like the simulation itself: it must
 // only be used from the goroutine driving the host.
@@ -295,8 +297,9 @@ func (c Counter) String() string {
 // non-positive size.
 const DefaultRingSize = 4096
 
-// Tracer collects events and counters. The zero value is not used;
-// components hold a nil *Tracer when tracing is disabled.
+// Tracer collects counters and, when it has a ring, events. The zero
+// value counts and records no events: it is the tracer every component
+// is built with.
 type Tracer struct {
 	ring []Event
 	// cur is the next slot to overwrite once the ring is full: emitted
@@ -315,13 +318,15 @@ func New(size int) *Tracer {
 	return &Tracer{ring: make([]Event, 0, size)}
 }
 
-// Enabled reports whether the tracer records anything. It is the guard
-// hot paths use before building event arguments.
-func (t *Tracer) Enabled() bool { return t != nil }
+// Enabled reports whether the tracer records events, i.e. has a ring.
+// It is the guard hot paths use before building event arguments that
+// cost real work; counters count either way.
+func (t *Tracer) Enabled() bool { return cap(t.ring) > 0 }
 
-// Emit records one event. No-op on a nil tracer.
+// Emit records one event. It returns at once on a tracer without a
+// ring.
 func (t *Tracer) Emit(at sim.Time, kind Kind, actor string, a, b int64) {
-	if t == nil {
+	if cap(t.ring) == 0 {
 		return
 	}
 	e := Event{At: at, Kind: kind, Actor: actor, A: a, B: b}
@@ -336,92 +341,40 @@ func (t *Tracer) Emit(at sim.Time, kind Kind, actor string, a, b int64) {
 	t.emitted++
 }
 
-// SkipOverwritten prepares a burst of n events the caller is about to
-// emit back to back, with no other emission and no ring read in
-// between, and returns how many of its leading events the caller may
-// leave unwritten: when n exceeds the ring capacity, the burst's own
-// last cap events rewrite every ring slot, so the first n-cap would be
-// overwritten before anyone could read them. SkipOverwritten counts
-// those as emitted (and dropped) without writing them; the caller then
-// emits the remaining events as usual. Events, Emitted and Dropped end
-// up exactly as if every event had been written. Returns 0 on a nil
-// tracer.
-func (t *Tracer) SkipOverwritten(n int) int {
-	if t == nil || n <= cap(t.ring) {
-		return 0
-	}
-	skip := n - cap(t.ring)
-	t.emitted += uint64(skip)
-	t.cur = (t.cur + skip) % cap(t.ring)
-	// Keep len(ring) == min(emitted, cap): Emit appends while the ring
-	// is filling. The slots this exposes are rewritten by the burst.
-	t.ring = t.ring[:min(t.emitted, uint64(cap(t.ring)))]
-	return skip
-}
-
-// Add increments a counter by n. No-op on a nil tracer.
-func (t *Tracer) Add(c Counter, n uint64) {
-	if t == nil {
-		return
-	}
-	t.counters[c] += n
-}
+// Add increments a counter by n.
+func (t *Tracer) Add(c Counter, n uint64) { t.counters[c] += n }
 
 // Max raises a counter to v if v exceeds its current value. It exists
 // for high-watermark metrics (CtrStalenessMax) that Add's monotonic
-// accumulation cannot express. No-op on a nil tracer.
+// accumulation cannot express.
 func (t *Tracer) Max(c Counter, v uint64) {
-	if t == nil {
-		return
-	}
 	if v > t.counters[c] {
 		t.counters[c] = v
 	}
 }
 
-// Count returns a counter's value (0 on a nil tracer).
-func (t *Tracer) Count(c Counter) uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.counters[c]
-}
+// Count returns a counter's value.
+func (t *Tracer) Count(c Counter) uint64 { return t.counters[c] }
 
 // Counters returns all counters as a name → value map.
 func (t *Tracer) Counters() map[string]uint64 {
 	out := make(map[string]uint64)
-	if t == nil {
-		return out
-	}
 	for c := Counter(0); c < numCounters; c++ {
 		out[c.String()] = t.counters[c]
 	}
 	return out
 }
 
-// Emitted returns how many events were emitted in total, including any
-// that have since been overwritten.
-func (t *Tracer) Emitted() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.emitted
-}
+// Emitted returns how many events were recorded in total, including
+// any that have since been overwritten (0 on a tracer without a ring).
+func (t *Tracer) Emitted() uint64 { return t.emitted }
 
 // Dropped returns how many events were overwritten by ring wrap-around.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	if kept := uint64(len(t.ring)); t.emitted > kept {
-		return t.emitted - kept
-	}
-	return 0
-}
+func (t *Tracer) Dropped() uint64 { return t.emitted - uint64(len(t.ring)) }
 
 // Events returns the retained events oldest-first.
 func (t *Tracer) Events() []Event {
-	if t == nil || len(t.ring) == 0 {
+	if len(t.ring) == 0 {
 		return nil
 	}
 	out := make([]Event, 0, len(t.ring))
@@ -447,9 +400,6 @@ func (t *Tracer) EventsOf(kind Kind) []Event {
 
 // Reset clears events and counters, keeping the ring capacity.
 func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
 	t.ring = t.ring[:0]
 	t.cur = 0
 	t.emitted = 0

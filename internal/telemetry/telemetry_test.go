@@ -5,25 +5,25 @@ import (
 	"time"
 )
 
-func TestNilTracerIsNoOp(t *testing.T) {
-	var tr *Tracer
+// TestZeroTracerCountsWithoutRing: the zero Tracer, the one every
+// component is built with, counts and records no events.
+func TestZeroTracerCountsWithoutRing(t *testing.T) {
+	var tr Tracer
 	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
+		t.Fatal("ring-less tracer reports enabled")
 	}
-	tr.Emit(0, KindKswapd, "g", 1, 2) // must not panic
+	tr.Emit(0, KindKswapd, "g", 1, 2)
 	tr.Add(CtrSteps, 5)
-	if tr.Count(CtrSteps) != 0 {
-		t.Fatal("nil tracer counted")
+	tr.Max(CtrStalenessMax, 7)
+	if tr.Count(CtrSteps) != 5 || tr.Counters()["sysns.staleness_max_ns"] != 7 {
+		t.Fatalf("counters = %v, want steps 5 and staleness max 7", tr.Counters())
 	}
-	if tr.Events() != nil {
-		t.Fatal("nil tracer holds events")
-	}
-	if tr.Emitted() != 0 || tr.Dropped() != 0 {
-		t.Fatal("nil tracer emitted/dropped nonzero")
+	if tr.Events() != nil || tr.Emitted() != 0 || tr.Dropped() != 0 {
+		t.Fatalf("ring-less tracer recorded events: %v, emitted %d, dropped %d", tr.Events(), tr.Emitted(), tr.Dropped())
 	}
 	tr.Reset()
-	if len(tr.Counters()) != 0 {
-		t.Fatal("nil tracer has counters")
+	if tr.Count(CtrSteps) != 0 {
+		t.Fatal("Reset left a counter")
 	}
 }
 
@@ -109,73 +109,5 @@ func TestStrings(t *testing.T) {
 	e := Event{At: time.Second, Kind: KindOOMKill, Actor: "c3", A: 42}
 	if e.String() == "" {
 		t.Fatal("empty event string")
-	}
-}
-
-// TestSkipOverwrittenIsExact holds the ring skip against writing every
-// event: a tracer that skips the overwritten head of each burst must end
-// with the same Events, Emitted and Dropped as one that writes them all,
-// for bursts shorter than, equal to, one past and more than twice the
-// ring capacity, with other event kinds emitted between the bursts.
-// Both must retain exactly the last min(emitted, cap) events written,
-// for a power-of-two capacity and for one that is not.
-func TestSkipOverwrittenIsExact(t *testing.T) {
-	for _, ringCap := range []int{8, 7} {
-		for _, bursts := range [][]int{
-			{3}, {ringCap}, {ringCap + 1}, {2*ringCap + 5},
-			{3, ringCap + 1, 0, ringCap, 2*ringCap + 5, 1, 3 * ringCap},
-		} {
-			for _, between := range []int{0, 1, 5} {
-				full, skip := New(ringCap), New(ringCap)
-				var all []Event // every event emitted, in order
-				seq := 0
-				other := func() {
-					for i := 0; i < between; i++ {
-						for _, tr := range []*Tracer{full, skip} {
-							tr.Emit(time.Duration(seq), KindKswapd, "kswapd", int64(seq), 0)
-						}
-						all = append(all, Event{At: time.Duration(seq), Kind: KindKswapd, Actor: "kswapd", A: int64(seq)})
-						seq++
-					}
-				}
-				other()
-				for _, n := range bursts {
-					k := skip.SkipOverwritten(n)
-					if want := max(n-ringCap, 0); k != want {
-						t.Fatalf("cap %d, bursts %v: SkipOverwritten(%d) = %d, want %d", ringCap, bursts, n, k, want)
-					}
-					for i := 0; i < n; i++ {
-						at := time.Duration(seq)
-						full.Emit(at, KindNSUpdate, "ns", int64(i), int64(seq))
-						if i >= k {
-							skip.Emit(at, KindNSUpdate, "ns", int64(i), int64(seq))
-						}
-						all = append(all, Event{At: at, Kind: KindNSUpdate, Actor: "ns", A: int64(i), B: int64(seq)})
-						seq++
-					}
-					other()
-					want := all[max(len(all)-ringCap, 0):]
-					for _, tr := range []*Tracer{full, skip} {
-						if tr.Emitted() != uint64(len(all)) || tr.Dropped() != uint64(len(all)-len(want)) {
-							t.Fatalf("cap %d, bursts %v, %d between: emitted/dropped %d/%d, want %d/%d",
-								ringCap, bursts, between, tr.Emitted(), tr.Dropped(), len(all), len(all)-len(want))
-						}
-						got := tr.Events()
-						if len(got) != len(want) {
-							t.Fatalf("cap %d, bursts %v, %d between: %d events retained, want %d", ringCap, bursts, between, len(got), len(want))
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("cap %d, bursts %v, %d between: event %d is %v, want %v", ringCap, bursts, between, i, got[i], want[i])
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	var nilTr *Tracer
-	if nilTr.SkipOverwritten(100) != 0 {
-		t.Fatal("nil tracer skipped events")
 	}
 }
