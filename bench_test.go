@@ -250,11 +250,13 @@ func BenchmarkScale1024(b *testing.B)  { benchScaleChurn(b, 1024) }
 func BenchmarkScale4096(b *testing.B)  { benchScaleChurn(b, 4096) }
 func BenchmarkScale16384(b *testing.B) { benchScaleChurn(b, 16384) }
 
-// steadyBench builds an n-container host without churn and warms it up,
+// steadyBench builds an n-container host without churn, one busy
+// container in every (0: the scalebench default of 4), and warms it up,
 // leaving the steady-state substrate ready for single-path iteration.
-func steadyBench(n int) *scalebench.Bench {
+func steadyBench(n, every int) *scalebench.Bench {
 	cfg := scalebench.Defaults(n)
 	cfg.Churn = false
+	cfg.RunnableEvery = every
 	sb := scalebench.Build(cfg)
 	sb.H.Run(cfg.Warmup)
 	return sb
@@ -265,7 +267,7 @@ func steadyBench(n int) *scalebench.Bench {
 func BenchmarkScaleSteadyTick(b *testing.B) {
 	for _, n := range []int{64, 256, 1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sb := steadyBench(n)
+			sb := steadyBench(n, 0)
 			now := sb.H.Now()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -277,11 +279,19 @@ func BenchmarkScaleSteadyTick(b *testing.B) {
 }
 
 // BenchmarkScaleSteadyUpdate is one full ns_monitor round (Algorithm 1 +
-// Algorithm 2 for every container) at scale. Must be 0 allocs/op.
+// Algorithm 2 for every container) at scale: one busy container in 4,
+// and in the sparse rows one in 64 (perfbench binding's shape, where
+// the round's settle pass visits 1 group in 64). Must be 0 allocs/op.
 func BenchmarkScaleSteadyUpdate(b *testing.B) {
-	for _, n := range []int{64, 256, 1024, 4096, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sb := steadyBench(n)
+	type shape struct{ n, every int }
+	shapes := []shape{{64, 0}, {256, 0}, {1024, 0}, {4096, 0}, {16384, 0}, {4096, 64}, {16384, 64}}
+	for _, sh := range shapes {
+		name := fmt.Sprintf("n=%d", sh.n)
+		if sh.every != 0 {
+			name = fmt.Sprintf("sparse/n=%d", sh.n)
+		}
+		b.Run(name, func(b *testing.B) {
+			sb := steadyBench(sh.n, sh.every)
 			now := sb.H.Now()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -433,7 +443,7 @@ func BenchmarkAutoscaleSteady(b *testing.B) {
 func BenchmarkSnapshotPublish(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sb := steadyBench(n)
+			sb := steadyBench(n, 0)
 			now := sb.H.Now()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -449,7 +459,7 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 // container by name, and answer sysconf probes from the frozen view.
 // Must be 0 allocs/op (gated in CI).
 func BenchmarkSnapshotRead(b *testing.B) {
-	sb := steadyBench(256)
+	sb := steadyBench(256, 0)
 	sb.H.Monitor.Publish(sb.H.Now())
 	var acc int64
 	b.ReportAllocs()

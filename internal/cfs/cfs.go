@@ -72,6 +72,7 @@ package cfs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"arv/internal/sim"
@@ -138,7 +139,7 @@ type Team struct {
 // chasing Group pointers.
 type groupAcct struct {
 	usage        units.CPUSeconds // total raw CPU time
-	windowUsage  units.CPUSeconds // since last TakeWindowUsage
+	windowUsage  units.CPUSeconds // since the last TakeWindowAt
 	throttledDur time.Duration    // wall time with the quota cap binding
 	perTask      float64          // rate / runnable tasks (leaves; 0 when idle)
 	over         float64          // oversubscription excess (leaves)
@@ -263,22 +264,21 @@ func (g *Group) Usage() units.CPUSeconds {
 	return g.acct().usage
 }
 
-// TakeWindowUsage returns the raw CPU time consumed since the previous
-// call and resets the window. sys_namespace reads this once per update
-// period (the u_i term of Algorithm 1).
-func (g *Group) TakeWindowUsage() units.CPUSeconds {
-	g.settle()
-	a := g.acct()
-	u := a.windowUsage
-	a.windowUsage = 0
-	return u
-}
-
 // ThrottledTime returns the cumulative wall time during which the group's
 // bandwidth limit capped its allocation.
 func (g *Group) ThrottledTime() time.Duration {
 	g.settle()
 	return g.acct().throttledDur
+}
+
+// Index returns the group's position in Scheduler.Groups(), the index
+// TakeWindowAt reads, or -1 once the group is removed. RemoveGroup's
+// compaction moves every later group down by one.
+func (g *Group) Index() int {
+	if g.removed {
+		return -1
+	}
+	return g.schedIdx
 }
 
 // LastRate returns the CPU rate (in CPUs) the group received in the most
@@ -634,13 +634,13 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	if g.parent != nil {
 		for i, x := range g.parent.children {
 			if x == g {
-				g.parent.children = append(g.parent.children[:i], g.parent.children[i+1:]...)
+				g.parent.children = slices.Delete(g.parent.children, i, i+1)
 				break
 			}
 		}
 	}
 	i := g.schedIdx
-	s.groups = append(s.groups[:i], s.groups[i+1:]...)
+	s.groups = slices.Delete(s.groups, i, i+1)
 	s.gCap = append(s.gCap[:i], s.gCap[i+1:]...)
 	s.gRate = append(s.gRate[:i], s.gRate[i+1:]...)
 	s.gAcct = append(s.gAcct[:i], s.gAcct[i+1:]...)
@@ -704,7 +704,7 @@ func (s *Scheduler) RemoveTask(t *Task) {
 	g := t.group
 	for i, x := range g.tasks {
 		if x == t {
-			g.tasks = append(g.tasks[:i], g.tasks[i+1:]...)
+			g.tasks = slices.Delete(g.tasks, i, i+1)
 			break
 		}
 	}

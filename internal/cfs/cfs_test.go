@@ -293,10 +293,12 @@ func TestWindowUsageAndSlack(t *testing.T) {
 	s := NewScheduler(4)
 	g := newBusyGroup(s, "a", 2)
 	run(s, time.Second)
-	if u := g.TakeWindowUsage(); math.Abs(float64(u)-2.0) > 1e-6 {
+	s.SettleWindows()
+	if u := s.TakeWindowAt(g.Index()); math.Abs(float64(u)-2.0) > 1e-6 {
 		t.Fatalf("window usage = %v, want 2", u)
 	}
-	if u := g.PeekWindowUsage(); u != 0 {
+	s.SettleWindows()
+	if u := s.TakeWindowAt(g.Index()); u != 0 {
 		t.Fatalf("window not reset: %v", u)
 	}
 	if sl := s.TakeWindowSlack(); math.Abs(float64(sl)-2.0) > 1e-6 {

@@ -1,7 +1,5 @@
 package cfs
 
-import "arv/internal/units"
-
 // UseRebuildOracle switches a freshly built scheduler to the rebuild
 // oracle: every tick recomputes the whole allocation and walks every
 // group, with no memo, no dirty set and no deferred accounting. The
@@ -21,14 +19,6 @@ func newOracleScheduler(ncpu int) *Scheduler {
 	s := NewScheduler(ncpu)
 	UseRebuildOracle(s)
 	return s
-}
-
-// PeekWindowUsage returns the raw CPU time consumed since the last
-// TakeWindowUsage without resetting the window. The mirror tests use it
-// as a settling read that leaves the window intact.
-func (g *Group) PeekWindowUsage() units.CPUSeconds {
-	g.settle()
-	return g.acct().windowUsage
 }
 
 // Throttled reports whether a bandwidth limit (the group's own, or its

@@ -19,7 +19,9 @@ import (
 // members (whose callbacks may block a member every k-th call), new
 // members for existing teams, teams whose callbacks wake a task in
 // another group, SetRunnable, Tick, SkipIdle, tick-length changes, and
-// usage reads.
+// reads: usage, the view round's settle pass, and its window read by
+// index. After every op, the active list must be exactly the groups
+// with a positive rate while the memo is valid.
 func FuzzRepairMirror(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
@@ -244,17 +246,18 @@ func runMirrorOps(t *testing.T, ncpu int, ops []mirrorOp) {
 				ge.Usage()
 				gr.Usage()
 			case 1:
-				if a, b := ge.TakeWindowUsage(), gr.TakeWindowUsage(); math.Float64bits(float64(a)) != math.Float64bits(float64(b)) {
-					t.Fatalf("op %d: TakeWindowUsage diverged on %s: %v vs %v", k, ge.Name, a, b)
+				if a, b := m.takeWindow(gi); math.Float64bits(float64(a)) != math.Float64bits(float64(b)) {
+					t.Fatalf("op %d: window diverged on %s: %v vs %v", k, ge.Name, a, b)
 				}
-			case 2:
-				ge.PeekWindowUsage()
-				gr.PeekWindowUsage()
+			case 2: // the view round's settle pass alone
+				m.oracle.SettleWindows()
+				m.rep.SettleWindows()
 			default:
 				ge.ThrottledTime()
 				gr.ThrottledTime()
 			}
 		}
+		m.checkActive(fmt.Sprintf("op %d", k))
 	}
 	m.check("final")
 }

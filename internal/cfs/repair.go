@@ -11,7 +11,9 @@
 //     other active groups' accounting is deferred: gSettled[i] records
 //     the tick through which group i is settled, and settleTo replays
 //     the missing ticks at the memoized rates on the next read or
-//     repair. The replay performs the same per-tick float additions a
+//     repair, or at the view round's one pass over the active list
+//     (SettleWindows), after which the round reads every CPU window by
+//     index. The replay performs the same per-tick float additions a
 //     full walk would have, so results are bit-identical, and costs
 //     nothing until someone looks.
 //
@@ -76,6 +78,7 @@ import (
 	"time"
 
 	"arv/internal/sim"
+	"arv/internal/telemetry"
 	"arv/internal/units"
 )
 
@@ -175,6 +178,45 @@ func (s *Scheduler) settleAllTo(target uint64) {
 	for i := range s.groups {
 		s.settleTo(i, target)
 	}
+}
+
+// SettleWindows brings every group that can hold deferred accrual
+// current, so that TakeWindowAt can read windows by index without
+// settling. The view round calls it once, before its reads. While the
+// memo is valid those groups are exactly the ones on the active list.
+// This rests on one invariant: while allocValid holds, active is
+// exactly {i : gRate[i] > 0} (every tick's walk marks membership from
+// the rate it leaves, patchMembership merges the marks, RemoveGroup
+// patches the list), and a group whose rate is 0 has nothing to replay.
+// Every path that changes a rate settles the group first, so an idle
+// group left unsettled here is current. With the memo invalid (before
+// the first tick, after SkipIdle) the active list is not kept exact, so
+// the pass settles every group. The groups it visits are counted once
+// per pass in cfs.window_settles.
+func (s *Scheduler) SettleWindows() {
+	if !s.allocValid {
+		s.Trace.Add(telemetry.CtrWindowSettles, uint64(len(s.groups)))
+		for i := range s.groups {
+			s.settleLive(i)
+		}
+		return
+	}
+	s.Trace.Add(telemetry.CtrWindowSettles, uint64(len(s.active)))
+	for _, i := range s.active {
+		s.settleLive(i)
+	}
+}
+
+// TakeWindowAt returns the raw CPU time group i (its index in Groups())
+// consumed since the previous take, and resets the window:
+// sys_namespace reads this once per update period (the u_i term of
+// Algorithm 1). It does not settle, so it is valid only after
+// SettleWindows in the same round, before the next Tick.
+func (s *Scheduler) TakeWindowAt(i int) units.CPUSeconds {
+	a := &s.gAcct[i]
+	u := a.windowUsage
+	a.windowUsage = 0
+	return u
 }
 
 // quietTick is the steady-state tick: nothing is dirty, so only the

@@ -14,6 +14,7 @@ package cgroups
 
 import (
 	"fmt"
+	"slices"
 
 	"arv/internal/cfs"
 	"arv/internal/memctl"
@@ -202,14 +203,14 @@ func (h *Hierarchy) Remove(cg *Cgroup) {
 	if cg.Parent != nil {
 		for i, x := range cg.Parent.children {
 			if x == cg {
-				cg.Parent.children = append(cg.Parent.children[:i], cg.Parent.children[i+1:]...)
+				cg.Parent.children = slices.Delete(cg.Parent.children, i, i+1)
 				break
 			}
 		}
 	}
 	for i, x := range h.cgroups {
 		if x == cg {
-			h.cgroups = append(h.cgroups[:i], h.cgroups[i+1:]...)
+			h.cgroups = slices.Delete(h.cgroups, i, i+1)
 			break
 		}
 	}

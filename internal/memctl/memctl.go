@@ -11,6 +11,7 @@ package memctl
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"arv/internal/sim"
@@ -229,7 +230,7 @@ func (c *Controller) RemoveGroup(g *Group) {
 	g.swapped = 0
 	for i, x := range c.groups {
 		if x == g {
-			c.groups = append(c.groups[:i], c.groups[i+1:]...)
+			c.groups = slices.Delete(c.groups, i, i+1)
 			break
 		}
 	}

@@ -98,3 +98,29 @@ func TestRunReportsProgress(t *testing.T) {
 		t.Fatalf("timing not populated: %+v", res)
 	}
 }
+
+// TestWindowSettlesVisitOnlyActiveGroups counts the view round's settle
+// pass on a churn-free host of 256 containers with one busy container in
+// 64: 256 cfs groups, 4 of them active. Over the span every round
+// updates all 256 views (sysns.updates) but settles only the 4 active
+// groups (cfs.window_settles, added once per pass).
+func TestWindowSettlesVisitOnlyActiveGroups(t *testing.T) {
+	cfg := short(256, false)
+	cfg.RunnableEvery = 64
+	b := Build(cfg)
+	b.H.Run(cfg.Warmup)
+	if got := len(b.H.Sched.Groups()); got != 256 {
+		t.Fatalf("groups = %d, want 256", got)
+	}
+	tr := b.H.Trace
+	updates, settles := tr.Count(telemetry.CtrNSUpdates), tr.Count(telemetry.CtrWindowSettles)
+	b.H.Run(cfg.Span)
+	updates, settles = tr.Count(telemetry.CtrNSUpdates)-updates, tr.Count(telemetry.CtrWindowSettles)-settles
+	rounds := updates / 256
+	if rounds == 0 || updates != rounds*256 {
+		t.Fatalf("sysns.updates = %d over the span, want a positive multiple of 256", updates)
+	}
+	if settles != rounds*4 {
+		t.Fatalf("cfs.window_settles = %d over %d rounds, want %d (4 active groups per round)", settles, rounds, rounds*4)
+	}
+}

@@ -188,11 +188,27 @@ type cgEntry struct {
 }
 
 // coldSlot is the update round's pointer group for one namespace slot:
-// the cgroup's cpu and memory controller groups and its name.
+// the cgroup's cpu and memory controller groups and its name, and the
+// cpu group's scheduler index as of the last round (see cpuIndex).
 type coldSlot struct {
-	cpu  *cfs.Group
-	mem  *memctl.Group
-	name string
+	cpu    *cfs.Group
+	mem    *memctl.Group
+	name   string
+	cpuIdx int32
+}
+
+// cpuIndex returns the slot's cpu group index in groups (the
+// scheduler's Groups()). The cached index is checked against the dense
+// groups array, so a round loads no cfs.Group; it is re-read from the
+// group only after a RemoveGroup compaction has moved it. The group is
+// live: the monitor detaches a namespace in its cgroup's Removed event,
+// which the hierarchy publishes right after removing the group.
+func (c *coldSlot) cpuIndex(groups []*cfs.Group) int {
+	if i := int(c.cpuIdx); i < len(groups) && groups[i] == c.cpu {
+		return i
+	}
+	c.cpuIdx = int32(c.cpu.Index())
+	return int(c.cpuIdx)
 }
 
 // entry returns the table entry for cgroup ID id, growing the table when
@@ -261,7 +277,7 @@ func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
 	ns := &SysNamespace{cg: cg, hier: m.hier, mon: m, opts: m.opts, created: m.clock.Now(), slot: s}
 	m.nsMeta[s].lastAt = m.clock.Now()
 	m.nsMem[s].prevKswapd = m.hier.Memory().KswapdRuns()
-	m.nsCold[s] = coldSlot{cpu: cg.CPU, mem: cg.Mem, name: cg.Name}
+	m.nsCold[s] = coldSlot{cpu: cg.CPU, mem: cg.Mem, name: cg.Name, cpuIdx: int32(cg.CPU.Index())}
 	top := topOf(cg)
 	m.nsCPU[s].id, m.nsCPU[s].top = int32(cg.ID()), int32(top.ID())
 	e := m.entry(cg.ID())
@@ -732,10 +748,13 @@ func (m *Monitor) NextEvent(now sim.Time) (sim.Time, bool) {
 //
 // The round works in slot space: it walks orderSlots and reads only the
 // slot arrays and each slot's cold pointers, through the slot-level
-// Algorithm 1 and 2 functions updateCPU and updateMem. Nothing in
-// the loop changes memory-controller state (taking a group's window
-// usage settles cfs accounting only), so the host-wide Algorithm 2
-// inputs are read once.
+// Algorithm 1 and 2 functions updateCPU and updateMem. The CPU windows
+// are a scheduler-level operation over dense arrays: one settle pass
+// over the groups that can hold deferred accrual, then one read per
+// namespace by the scheduler index its cold slot caches, so an idle
+// namespace costs no cfs.Group load and no settle. Nothing in the loop
+// changes memory-controller state, so the host-wide Algorithm 2 inputs
+// are read once.
 func (m *Monitor) UpdateAll(now sim.Time) {
 	// The round reads every namespace's bounds, so it is the canonical
 	// flush boundary: deferred event work coalesces here.
@@ -755,7 +774,10 @@ func (m *Monitor) UpdateAll(now sim.Time) {
 		m.resync(now)
 	}
 
-	slack := m.hier.Scheduler().TakeWindowSlack()
+	sched := m.hier.Scheduler()
+	slack := sched.TakeWindowSlack()
+	sched.SettleWindows()
+	groups := sched.Groups()
 	host := readHostMem(m.hier.Memory())
 	windowSec := window.Seconds()
 	tr := m.Trace
@@ -765,7 +787,8 @@ func (m *Monitor) UpdateAll(now sim.Time) {
 	for _, s := range m.orderSlots {
 		mt, c, ms, cold := &m.nsMeta[s], &m.nsCPU[s], &m.nsMem[s], &m.nsCold[s]
 		stale = max(stale, uint64(now-mt.lastAt))
-		updateCPU(c, mt, &m.opts, now, windowSec, cold.cpu.TakeWindowUsage(), slack)
+		u := sched.TakeWindowAt(cold.cpuIndex(groups))
+		updateCPU(c, mt, &m.opts, now, windowSec, u, slack)
 		updateMem(ms, cold.mem, &host, &m.opts)
 		if emit {
 			tr.Emit(now, telemetry.KindNSUpdate, cold.name, int64(c.eCPU), int64(ms.eMem))

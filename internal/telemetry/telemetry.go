@@ -215,6 +215,10 @@ const (
 	// recalculated.
 	CtrBoundsFlushes
 	CtrBoundsRecomputed
+	// CtrWindowSettles counts the groups the view round's settle pass
+	// (cfs.Scheduler.SettleWindows) visited: the active groups while
+	// the allocation memo is valid, every group otherwise.
+	CtrWindowSettles
 
 	numCounters
 )
@@ -288,6 +292,8 @@ func (c Counter) String() string {
 		return "sysns.bounds_flushes"
 	case CtrBoundsRecomputed:
 		return "sysns.bounds_recomputed"
+	case CtrWindowSettles:
+		return "cfs.window_settles"
 	default:
 		return fmt.Sprintf("Counter(%d)", int(c))
 	}
