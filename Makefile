@@ -113,11 +113,15 @@ bench-gate:
 	$(GO) run ./internal/tools/benchgate -scale-baseline BENCH_scale.json -scale-fresh "$$work" -scale-n 1024,16384 -max-regress 1.0 -max-alloc-drift 0.25
 
 # CPU + heap profiles of the dominant scale point (pprof text top also
-# printed for a quick look). Adjust N for other sizes:
+# printed for a quick look). Adjust N for other sizes and SPAN for the
+# simulated span (0 = the scalebench default, 2 s); a longer span gives
+# more samples on the steady churn path:
 #   make profile N=4096
+#   GOMAXPROCS=1 make profile SPAN=60s
 N ?= 16384
+SPAN ?= 0
 profile:
-	$(GO) run ./cmd/arvbench -scalebench $(N) -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/arvbench -scalebench $(N) -scalebench-span $(SPAN) -cpuprofile cpu.pprof -memprofile mem.pprof
 	$(GO) tool pprof -top -nodecount 15 cpu.pprof
 	@echo "profiles written: cpu.pprof mem.pprof (go tool pprof -http=:8080 cpu.pprof)"
 

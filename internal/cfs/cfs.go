@@ -177,9 +177,16 @@ const (
 )
 
 // Group is a scheduling control group (the cpu controller of a cgroup).
+//
+// The fields up to CpusetN are the group's hot header, 48 bytes: what a
+// limit write (SetQuota, SetCpuset, SetShares) and ns_monitor's record
+// of the group read. Kept together they span one or two cache lines
+// wherever the allocator puts the group, instead of three, so a churn
+// firing's first touch of the group costs one miss, not three. Shares
+// opens the header and CpusetN closes it, so a caller that loads both
+// (faults' churn Warm) has loaded all of it. TestGroupHotHeader pins the
+// layout.
 type Group struct {
-	Name string
-
 	// Shares is the cpu.shares weight (default 1024). Mutate through
 	// Scheduler.SetShares on a live scheduler.
 	Shares int64
@@ -188,10 +195,14 @@ type Group struct {
 	// Mutate through Scheduler.SetQuota on a live scheduler.
 	QuotaUS  int64
 	PeriodUS int64
+	schedIdx int  // position in Scheduler.groups, maintained on add/remove
+	removed  bool // set by RemoveGroup
 	// CpusetN is the number of CPUs in the group's affinity mask;
 	// 0 means "all host CPUs". Mutate through Scheduler.SetCpuset on a
 	// live scheduler.
 	CpusetN int
+
+	Name string
 	// Gamma is the oversubscription sensitivity used in the useful-work
 	// discount; see the package comment. Zero means oversubscription is
 	// free (pure fluid model). Gamma is read live each tick and may be
@@ -209,7 +220,6 @@ type Group struct {
 
 	parent   *Group
 	children []*Group
-	schedIdx int // position in Scheduler.groups, maintained on add/remove
 
 	sched *Scheduler
 
@@ -218,8 +228,6 @@ type Group struct {
 	// keep working after the scheduler compacts its hot arrays.
 	final     groupAcct
 	finalRate float64
-
-	removed bool
 }
 
 // acct returns the group's live accounting slot, or the frozen copy

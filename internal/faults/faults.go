@@ -41,6 +41,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"arv/internal/cgroups"
@@ -222,6 +223,12 @@ func (inj *Injector) jittered(d time.Duration, j float64) time.Duration {
 
 // StartChurn arms a churn rule. The first firing is one interval away.
 func (inj *Injector) StartChurn(r ChurnRule) {
+	s := inj.newChurn(r)
+	inj.h.Clock.Arm(&s.alarm, inj.jittered(r.Interval, r.Jitter), s)
+}
+
+// newChurn checks r and builds its unarmed record.
+func (inj *Injector) newChurn(r ChurnRule) *churnState {
 	if r.Interval <= 0 {
 		panic("faults: non-positive churn interval")
 	}
@@ -231,7 +238,7 @@ func (inj *Injector) StartChurn(r ChurnRule) {
 	if r.SoftFrac <= 0 {
 		r.SoftFrac = 0.5
 	}
-	s := &churnState{
+	return &churnState{
 		inj:      inj,
 		count:    r.Count,
 		interval: r.Interval,
@@ -241,7 +248,6 @@ func (inj *Injector) StartChurn(r ChurnRule) {
 		softFrac: r.SoftFrac,
 		target:   r.Target,
 	}
-	inj.h.Clock.Arm(&s.alarm, inj.jittered(r.Interval, r.Jitter), s)
 }
 
 // churnState is one armed churn rule: a single allocation holding its
@@ -261,6 +267,23 @@ type churnState struct {
 	minHard, maxHard   units.Bytes
 	softFrac           float64
 	target             string
+}
+
+// Warm loads what the next Fire reads: the record past its alarm, the
+// cached target, the header of its cfs group and its memory limits. The
+// clock calls it for a due batch before firing it, so the batch's cache
+// misses overlap. It only reads: with no cached target, or a destroyed
+// one that Fire will look up again, it stops there, and it never draws
+// from the RNG or calls Lookup.
+func (s *churnState) Warm() uintptr {
+	v := uintptr(s.count) + uintptr(math.Float64bits(s.maxQuota)) + uintptr(math.Float64bits(s.softFrac))
+	cg := s.cg
+	if cg == nil || cg.Removed() {
+		return v
+	}
+	// Shares and CpusetN open and close the group's header (cfs.Group),
+	// so the two loads cover every line it spans.
+	return v + uintptr(cg.CPU.Shares) + uintptr(cg.CPU.CpusetN) + uintptr(cg.Mem.HardLimit)
 }
 
 // Fire applies one churn firing and re-arms the rule until its Count

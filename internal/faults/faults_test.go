@@ -546,3 +546,65 @@ func BenchmarkChurnFire(b *testing.B) {
 		h.Clock.Step()
 	}
 }
+
+// Warm only reads. For a rule with a live cached target, one whose
+// cached target was destroyed since, and one that never fired (nothing
+// cached), a Warm call leaves the rule's record, its target's limits,
+// the injector's RNG and the host's counters exactly as they were, and
+// does not panic.
+func TestChurnWarmIsReadOnly(t *testing.T) {
+	h := newHost()
+	inj := Attach(h, Config{Seed: 3})
+	for _, name := range []string{"live", "doomed"} {
+		h.Runtime.Create(container.Spec{Name: name, MemHard: units.GiB}).Exec("app")
+	}
+	arm := func(target string, interval time.Duration) *churnState {
+		s := inj.newChurn(ChurnRule{
+			Target: target, Interval: interval,
+			MinQuotaCPUs: 1, MaxQuotaCPUs: 3,
+			MinMemHard: units.GiB, MaxMemHard: 2 * units.GiB,
+		})
+		h.Clock.Arm(&s.alarm, interval, s)
+		return s
+	}
+	live := arm("live", 10*time.Millisecond)
+	doomed := arm("doomed", 10*time.Millisecond)
+	never := arm("live", time.Hour)
+	h.Run(15 * time.Millisecond)
+	if live.cg == nil || doomed.cg == nil || never.cg != nil {
+		t.Fatalf("setup: cached targets live=%v doomed=%v never=%v", live.cg, doomed.cg, never.cg)
+	}
+	h.Runtime.Destroy(h.Runtime.Containers()[1])
+	if !doomed.cg.Removed() {
+		t.Fatal("setup: doomed target still live")
+	}
+
+	type limits struct {
+		shares, quota, period int64
+		cpuset                int
+		hard, soft            units.Bytes
+	}
+	limitsOf := func(s *churnState) limits {
+		if s.cg == nil {
+			return limits{}
+		}
+		g, m := s.cg.CPU, s.cg.Mem
+		return limits{g.Shares, g.QuotaUS, g.PeriodUS, g.CpusetN, m.HardLimit, m.SoftLimit}
+	}
+	for name, s := range map[string]*churnState{"live": live, "destroyed": doomed, "never fired": never} {
+		rec, lim, rng, ctrs := *s, limitsOf(s), *inj.rng, h.Trace.Counters()
+		s.Warm()
+		if *s != rec {
+			t.Errorf("%s: Warm changed the rule's record", name)
+		}
+		if got := limitsOf(s); got != lim {
+			t.Errorf("%s: Warm changed the target's limits: %+v, was %+v", name, got, lim)
+		}
+		if *inj.rng != rng {
+			t.Errorf("%s: Warm drew from the injector's RNG", name)
+		}
+		if got := h.Trace.Counters(); !reflect.DeepEqual(got, ctrs) {
+			t.Errorf("%s: Warm moved counters: %v, was %v", name, got, ctrs)
+		}
+	}
+}

@@ -100,3 +100,44 @@ func TestDeepNestingPanics(t *testing.T) {
 	}()
 	c.NewChildGroup(child, "grandchild")
 }
+
+func TestRemoveGroupKeepsChildCount(t *testing.T) {
+	c := newCtl(8 * units.GiB)
+	pod := c.NewGroup("pod")
+	a := c.NewChildGroup(pod, "a")
+	b := c.NewChildGroup(pod, "b")
+	other := c.NewGroup("other")
+	if pod.children != 2 {
+		t.Fatalf("pod counts %d children, want 2", pod.children)
+	}
+	c.RemoveGroup(a)
+	if pod.children != 1 {
+		t.Fatalf("pod counts %d children after removing one, want 1", pod.children)
+	}
+	c.RemoveGroup(pod) // still finds b
+	if len(c.groups) != 1 || c.groups[0] != other {
+		t.Fatalf("groups after removing the pod = %v, want only other", c.groups)
+	}
+	if b.Resident() != 0 || pod.children != 0 {
+		t.Fatalf("child b not released: resident %v, pod children %d", b.Resident(), pod.children)
+	}
+}
+
+func TestRemoveChildlessGroupDoesNotAllocate(t *testing.T) {
+	const runs = 100
+	c := newCtl(8 * units.GiB)
+	pod := c.NewGroup("pod")
+	var gs []*Group
+	for i := 0; i < runs+1; i++ {
+		gs = append(gs, c.NewGroup("g"), c.NewChildGroup(pod, "m"))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		c.RemoveGroup(gs[i])   // a top-level leaf
+		c.RemoveGroup(gs[i+1]) // a pod member
+		i += 2
+	})
+	if allocs != 0 {
+		t.Fatalf("removing a childless group allocates %v times", allocs)
+	}
+}

@@ -80,6 +80,7 @@ type Group struct {
 	swapped  units.Bytes // bytes moved to the swap device
 
 	oomKilled bool
+	children  int32 // live child groups, so removing a leaf skips the child scan
 
 	// cumulative per-group swap traffic
 	swapOut units.Bytes
@@ -203,6 +204,7 @@ func (c *Controller) NewChildGroup(parent *Group, name string) *Group {
 		panic("memctl: nesting deeper than one level is not supported")
 	}
 	g := &Group{Name: name, ctl: c, parent: parent}
+	parent.children++
 	c.groups = append(c.groups, g)
 	return g
 }
@@ -218,11 +220,15 @@ func (c *Controller) addResident(g *Group, delta units.Bytes) {
 }
 
 // RemoveGroup releases all of the group's memory and unregisters it
-// (children first, for a parent).
+// (children first, in creation order, for a parent). A group without
+// children, the common case, neither copies nor scans the group list
+// for them.
 func (c *Controller) RemoveGroup(g *Group) {
-	for _, x := range append([]*Group(nil), c.groups...) {
-		if x.parent == g {
-			c.RemoveGroup(x)
+	if g.children > 0 {
+		for _, x := range append([]*Group(nil), c.groups...) {
+			if x.parent == g {
+				c.RemoveGroup(x)
+			}
 		}
 	}
 	c.addResident(g, -g.resident)
@@ -231,6 +237,9 @@ func (c *Controller) RemoveGroup(g *Group) {
 	for i, x := range c.groups {
 		if x == g {
 			c.groups = slices.Delete(c.groups, i, i+1)
+			if g.parent != nil {
+				g.parent.children--
+			}
 			break
 		}
 	}

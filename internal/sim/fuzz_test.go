@@ -19,7 +19,9 @@ import (
 // Advances re-queue periodic timers inside the jump. A one-shot is
 // either an After Timer or an Alarm embedded in a handler struct (Arm),
 // picked by a bit the model ignores, so both forms interleave in one
-// queue and callbacks Stop and Reset alarms from inside Fire. The clock
+// queue and callbacks Stop and Reset alarms from inside Fire. Alarms are
+// Warmers, so a due batch holding two or more runs the warm pass first
+// and the model checks the firings that follow it. The clock
 // starts at its smallest wheel, so an input that keeps more timers
 // pending than there are buckets grows the wheel mid-run.
 func FuzzClockOrder(f *testing.F) {
@@ -40,6 +42,7 @@ func FuzzClockOrder(f *testing.F) {
 		{0, 17, 13, 0, 6, 2, 5, 5, 5, 5, 5, 5, 5},         // Timer callback stops a self-re-arming Alarm
 		{0, 18, 1, 3, 0, 0, 5, 5},                         // Alarm stops itself in Fire, then is Reset
 		{0, 20, 9, 5, 5},                                  // Alarm spawns a same-instant Timer
+		{0, 20, 0, 0, 20, 0, 5},                           // two Alarms, same deadline: a warmed batch
 		{4, 164, 0x33, 4, 130, 8},                         // lap-out Alarm re-arms itself inside a long Advance
 		growthSeed(),                                      // more pending than buckets: the wheel grows mid-run
 	} {
@@ -163,6 +166,22 @@ func TestGrowthSeedGrowsTheWheel(t *testing.T) {
 	runOps(t, growthSeed(), rc, &modelClock{tick: 4 * quantum})
 	if n := len(rc.c.heads); n <= minWheel {
 		t.Fatalf("growth seed left the wheel at %d buckets", n)
+	}
+}
+
+// TestFuzzSeedsRunTheWarmPass keeps the warm pass under the fuzzer's
+// reference check: committed seeds put two or more Alarms in one due
+// batch, so their firings are compared with the model after a warm pass.
+func TestFuzzSeedsRunTheWarmPass(t *testing.T) {
+	for _, seed := range [][]byte{
+		{0, 20, 0, 0, 20, 0, 5}, // two Alarms, same deadline
+		growthSeed(),
+	} {
+		rc := &realClock{c: NewClock(4 * quantum)}
+		runOps(t, seed, rc, &modelClock{tick: 4 * quantum})
+		if rc.warms == 0 {
+			t.Fatalf("seed %v ran no Warm", seed)
+		}
 	}
 }
 
@@ -313,18 +332,31 @@ type realClock struct {
 		Stop()
 		Reset(time.Duration) bool
 	}
+	warms int // Warm calls on this clock's Alarms
 }
 
 // fuzzAlarm is an owner that embeds its Alarm and handles its firings.
+// It is a Warmer, so every batch with an Alarm in it runs the warm pass.
 type fuzzAlarm struct {
 	Alarm
-	fn func(Time)
+	fn    func(Time)
+	warms *int
 }
 
 func (a *fuzzAlarm) Fire(now Time) { a.fn(now) }
 
+// Warm counts its calls and reads nothing but its own queue state: the
+// clock warms only timers in the due batch, so anything else is a bug.
+func (a *fuzzAlarm) Warm() uintptr {
+	if a.t.list != dueList {
+		panic(fmt.Sprintf("sim: Warm of an Alarm outside the due batch (list %d)", a.t.list))
+	}
+	*a.warms++
+	return uintptr(a.t.seq)
+}
+
 func (r *realClock) arm(d time.Duration, fn func(Time)) int {
-	a := &fuzzAlarm{fn: fn}
+	a := &fuzzAlarm{fn: fn, warms: &r.warms}
 	r.c.Arm(&a.Alarm, d, a)
 	r.tm = append(r.tm, a)
 	return len(r.tm) - 1

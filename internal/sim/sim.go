@@ -24,6 +24,17 @@
 // covers, across any number of laps. The firing order depends on
 // (when, seq) alone, never on the wheel size.
 //
+// Before a due batch of two or more timers fires, a warm pass walks the
+// next 64 of them (a window, run again as the batch drains, so a long
+// Advance does not evict its own lines) and calls Warm on each handler
+// that is a Warmer. Each Warm loads the state its Fire will touch, and
+// the loads of different timers do not depend on each other, so their
+// cache misses overlap; the firings then run in the same (when, seq)
+// order on warm lines. Warm only reads, so the pass cannot change a
+// firing: it is a prefetch, the "group prefetching" of hash joins.
+// Whether a handler is a Warmer is decided once, when its timer is
+// armed.
+//
 // A timer either lives in its own allocation behind a Timer handle
 // (After, Every: the callback is a func) or is an Alarm embedded in the
 // struct that owns it (Arm: the callback is the owner's Fire method).
@@ -72,6 +83,15 @@ const (
 // pointer and allocates nothing.
 type Handler interface{ Fire(now Time) }
 
+// Warmer is a Handler that can load what its next Fire will touch
+// without acting on it. Before a due batch of two or more timers fires,
+// the clock calls Warm on each of the batch's Warmers in one loop, so
+// their cache misses overlap instead of queuing one firing after
+// another. Warm must only read: no writes, no random draws, no calls
+// that change state. It returns any value derived from its loads, which
+// the clock keeps so the compiler cannot drop them.
+type Warmer interface{ Warm() uintptr }
+
 // funcHandler adapts a callback func to a Handler for After and Every.
 type funcHandler func(Time)
 
@@ -102,6 +122,10 @@ type Clock struct {
 	// buckets follow. len(heads) is the wheel size, a power of two.
 	heads    []*timer
 	occupied [maxWheel / 64]uint64 // bit s set: bucket s is non-empty
+	// warmSum folds every value Warm returned, so the loads behind them
+	// are kept. It is per clock, not per package, because clocks run on
+	// different goroutines. Nothing reads it.
+	warmSum uintptr
 }
 
 // NewClock returns a clock at time zero advancing in steps of tick.
@@ -213,11 +237,26 @@ func (c *Clock) nextOccupied(s0, i int) int {
 	return n
 }
 
+// warmWindow bounds one warm pass: the next warmWindow due timers are
+// warmed together, and the pass runs again when they have fired, so a
+// long Advance with thousands of due timers does not evict the lines it
+// warmed before it reaches them.
+const warmWindow = 64
+
 // fireDue pops and runs the due batch in (when, seq) order. A periodic
 // timer is re-queued after its callback with its original sequence
-// number, unless the callback stopped or reset it.
+// number, unless the callback stopped or reset it. Before the first
+// firing, and again each time a window's worth has fired, it warms the
+// next warmWindow timers of the batch. Warming only reads, so the
+// firings are the same whether a timer was warmed once, twice (a
+// callback inserted a due timer ahead of it) or not at all.
 func (c *Clock) fireDue() {
+	left := 0 // firings until the next warm pass
 	for t := c.due; t != nil; t = c.due {
+		if left == 0 {
+			left = c.warm(t)
+		}
+		left--
 		when, seq := t.when, t.seq
 		c.unlink(t)
 		t.h.Fire(c.now)
@@ -225,6 +264,24 @@ func (c *Clock) fireDue() {
 			c.insert(t, when+t.period, seq)
 		}
 	}
+}
+
+// warm calls Warm on the Warmers among the warmWindow due timers from t
+// on and returns how many timers it covered. A lone timer is not
+// warmed: there is no other miss for its own to overlap with.
+func (c *Clock) warm(t *timer) int {
+	if t.next == nil {
+		return 1
+	}
+	n, sum := 0, uintptr(0)
+	for ; t != nil && n < warmWindow; t = t.next {
+		if t.w != nil {
+			sum += t.w.Warm()
+		}
+		n++
+	}
+	c.warmSum += sum
+	return n
 }
 
 // NextDeadline returns the deadline of the earliest pending timer.
@@ -348,7 +405,8 @@ func (c *Clock) Every(period time.Duration, fn func(now Time)) Timer {
 // schedule (re)initializes the unqueued timer t and queues it at when
 // with a fresh sequence number.
 func (c *Clock) schedule(t *timer, when Time, period time.Duration, h Handler) {
-	*t = timer{c: c, period: period, h: h}
+	w, _ := h.(Warmer)
+	*t = timer{c: c, period: period, h: h, w: w}
 	c.seq++
 	c.insert(t, when, c.seq)
 }
@@ -363,6 +421,7 @@ type timer struct {
 	list       int32 // notQueued, dueList, or bucket index + 1
 	stopped    bool
 	h          Handler
+	w          Warmer // h as a Warmer, or nil: decided once, when armed
 	c          *Clock
 	period     time.Duration
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -330,6 +332,135 @@ func TestAlarmFiresThroughItsOwner(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { c.Step() }); allocs != 0 {
 		t.Fatalf("self-re-arming alarm allocates %.1f per step, want 0", allocs)
 	}
+}
+
+// warmLog is an owner whose Warm and Fire append to a shared log, so a
+// test sees the order of warms and firings across a batch. Warm reads
+// only its own alarm, to record whether it was in the due batch.
+type warmLog struct {
+	Alarm
+	id     int
+	log    *[]string
+	onFire func()
+}
+
+func (w *warmLog) Warm() uintptr {
+	state := "warm"
+	if w.t.list != dueList {
+		state = "warm-undue"
+	}
+	*w.log = append(*w.log, fmt.Sprint(state, w.id))
+	return uintptr(w.id)
+}
+
+func (w *warmLog) Fire(Time) {
+	*w.log = append(*w.log, fmt.Sprint("fire", w.id))
+	if w.onFire != nil {
+		w.onFire()
+	}
+}
+
+func TestWarmPass(t *testing.T) {
+	arm := func(c *Clock, log *[]string, n int, d time.Duration) []*warmLog {
+		ws := make([]*warmLog, n)
+		for i := range ws {
+			ws[i] = &warmLog{id: i, log: log}
+			c.Arm(&ws[i].Alarm, d, ws[i])
+		}
+		return ws
+	}
+	t.Run("batch warmed once before its first firing", func(t *testing.T) {
+		c := NewClock(time.Millisecond)
+		var log []string
+		arm(c, &log, 3, time.Millisecond)
+		// A plain timer in the same batch keeps its FIFO place and is
+		// not warmed.
+		c.After(time.Millisecond, func(Time) { log = append(log, "after") })
+		arm(c, &log, 1, time.Millisecond)[0].id = 3
+		c.Step()
+		want := []string{"warm0", "warm1", "warm2", "warm3", "fire0", "fire1", "fire2", "after", "fire3"}
+		if !slices.Equal(log, want) {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	})
+	t.Run("singleton batch not warmed", func(t *testing.T) {
+		c := NewClock(time.Millisecond)
+		var log []string
+		arm(c, &log, 1, time.Millisecond)
+		arm(c, &log, 1, 2*time.Millisecond)[0].id = 1
+		runUntil(c, 3*time.Millisecond)
+		if want := []string{"fire0", "fire1"}; !slices.Equal(log, want) {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	})
+	t.Run("timer stopped by an earlier callback never fires", func(t *testing.T) {
+		c := NewClock(time.Millisecond)
+		var log []string
+		ws := arm(c, &log, 3, time.Millisecond)
+		ws[0].onFire = ws[1].Stop
+		c.Step()
+		want := []string{"warm0", "warm1", "warm2", "fire0", "fire2"}
+		if !slices.Equal(log, want) {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+		if c.pending != 0 {
+			t.Fatalf("%d timers pending, want 0", c.pending)
+		}
+	})
+	t.Run("window drains a long batch in order", func(t *testing.T) {
+		// One Advance over more due timers than a window: every timer is
+		// warmed exactly once, while due, no more than a window ahead of
+		// its firing, and the firings keep their (when, seq) order.
+		const n = 3*warmWindow + 5
+		c := NewClock(time.Millisecond)
+		var log []string
+		ws := make([]*warmLog, n)
+		for i := range ws {
+			// Later ids get earlier deadlines, so the batch order differs
+			// from the arming order.
+			ws[i] = &warmLog{id: i, log: &log}
+			c.Arm(&ws[i].Alarm, time.Duration(n-i)*time.Millisecond, ws[i])
+		}
+		c.Advance(n * time.Millisecond)
+		warmedAt := map[int]int{}
+		fired := 0
+		var order []int
+		for i, e := range log {
+			var id int
+			switch {
+			case strings.HasPrefix(e, "warm-undue"):
+				t.Fatalf("%s: warmed outside the due batch", e)
+			case strings.HasPrefix(e, "warm"):
+				fmt.Sscan(e[len("warm"):], &id)
+				if _, dup := warmedAt[id]; dup {
+					t.Fatalf("timer %d warmed twice", id)
+				}
+				warmedAt[id] = i
+				if ahead := len(warmedAt) - fired; ahead > warmWindow {
+					t.Fatalf("%d timers warmed ahead of their firing, window %d", ahead, warmWindow)
+				}
+			default:
+				fmt.Sscan(e[len("fire"):], &id)
+				at, ok := warmedAt[id]
+				if !ok && fired != n-1 {
+					t.Fatalf("timer %d fired unwarmed", id)
+				}
+				if ok && at > i {
+					t.Fatalf("timer %d warmed after its firing", id)
+				}
+				order = append(order, id)
+				fired++
+			}
+		}
+		if len(order) != n {
+			t.Fatalf("%d firings, want %d", len(order), n)
+		}
+		for i, id := range order {
+			if id != n-1-i {
+				t.Fatalf("firing %d was timer %d, want %d", i, id, n-1-i)
+			}
+		}
+	})
 }
 
 // Each misuse gets its own clock and alarm: an alarm a case leaves
