@@ -119,12 +119,13 @@ type TeamFunc func(now sim.Time, n int, useful, raw units.CPUSeconds)
 // tick depends on whether the tick visits that group, so callbacks must
 // not rely on it.
 //
-// A callback must not write a quota that leaves every cap unchanged:
-// such a write only marks throttle flags, which the tick's walk clears
-// at its end, while the rebuild oracle reads the new limit as it walks,
-// so the tick's throttle accounting would depend on the regime. Limit
-// writes that move a cap take effect from the next tick like any other
-// change.
+// A callback's limit write (quota, cpuset, shares) is queued like any
+// other change and takes effect from the next tick, provided its target
+// is a group the tick's walk has passed, children included, or one with
+// no CPU this tick. A write to a group later in the walk is not: the
+// rebuild oracle reads limits live as it walks, so it applies the new
+// limit to that group's throttle accounting one tick early, while
+// repair does not.
 type Team struct {
 	group    *Group
 	gamma    float64
@@ -153,10 +154,6 @@ const (
 	// acctDurBinding: the group's own limit is binding, so
 	// throttledDur accrues every tick while the allocation holds.
 	acctDurBinding
-	// acctFlagsDirty: a cap-preserving limit change touched the group
-	// since the last tick; its throttle state must be re-evaluated
-	// (alloc provably unchanged, so no full rebuild is needed).
-	acctFlagsDirty
 	// The remaining bits are incremental-repair state (repair.go).
 
 	// acctAllocDirty: the group is queued in Scheduler.dirty for
@@ -328,11 +325,9 @@ type Scheduler struct {
 	gAcct []groupAcct
 
 	// Memoized allocation metadata, valid while allocValid holds.
-	allocValid   bool  // gCap/gRate/active/loadContrib/slackLast current
-	active       []int // groups with rate > 0, ascending schedIdx
-	throttledIdx []int // groups flagged throttled, superset, see noteThrottle
-	flagsDirty   []int // groups marked acctFlagsDirty since the last tick
-	loadContrib  float64
+	allocValid  bool  // gCap/gRate/active/loadContrib/slackLast current
+	active      []int // groups with rate > 0, ascending schedIdx
+	loadContrib float64
 
 	// scratch buffers reused across rebuilds to avoid allocation
 	scratchTop   []int
@@ -424,10 +419,7 @@ func (s *Scheduler) SetShares(g *Group, shares int64) {
 		return
 	}
 	g.Shares = shares
-	// Shares only weight the water fills a group with a positive cap
-	// participates in; reweighting a capless group cannot move any
-	// allocation.
-	if !g.removed && (!s.allocValid || s.gCap[g.schedIdx] > 0) {
+	if !g.removed {
 		s.noteAllocChange(g)
 	}
 }
@@ -436,44 +428,23 @@ func (s *Scheduler) SetShares(g *Group, shares int64) {
 // quotaUS < 0 means unlimited. All quota changes on a live group must go
 // through here (the cgroups layer does).
 //
-// Quota churn is the dominant event stream at scale, so the write is
-// classified before it invalidates the allocation memo: a change that
-// provably leaves the group's cap — and therefore every group's rate —
-// unchanged either costs nothing (both old and new limits sit above the
-// cap) or only marks the subtree acctFlagsDirty so the next tick
-// re-evaluates its throttle state in O(subtree) instead of rebuilding
-// the water fill in O(groups).
+// Quota churn is the dominant event stream at scale, so a write whose
+// old and new limits both sit above the group's cap costs nothing: the
+// cap, every rate and the throttle state are unchanged. Any other write
+// queues the group for repair.
 func (s *Scheduler) SetQuota(g *Group, quotaUS, periodUS int64) {
 	if !s.allocValid || g.removed {
+		// An invalid memo is rebuilt whole on the next tick, and a
+		// removed group cannot affect the allocation.
 		g.QuotaUS, g.PeriodUS = quotaUS, periodUS
-		// A removed group cannot affect the allocation, so the memo
-		// stays valid.
-		if !g.removed {
-			s.allocValid = false
-		}
 		return
 	}
 	limOld := g.CPULimit()
 	g.QuotaUS, g.PeriodUS = quotaUS, periodUS
-	limNew := g.CPULimit()
-	if limNew == limOld {
-		// Pure period change: NextEvent reads PeriodUS live, nothing
-		// else consumes the raw values.
-		return
-	}
 	capOld := s.gCap[g.schedIdx]
-	if limOld > capOld+1e-9 && limNew > capOld+1e-9 {
+	if limOld > capOld+1e-9 && g.CPULimit() > capOld+1e-9 {
 		// Neither limit binds (rate <= cap < lim-1e-9 throughout):
 		// cap, rates, and throttle state are all unchanged.
-		return
-	}
-	if s.capOf(g) == capOld {
-		// Same cap, so the water fill result is unchanged; only the
-		// throttle flags can move (e.g. quota lowered onto the rate).
-		s.markFlagsDirty(g)
-		for _, c := range g.children {
-			s.markFlagsDirty(c)
-		}
 		return
 	}
 	s.noteAllocChange(g)
@@ -483,18 +454,8 @@ func (s *Scheduler) SetQuota(g *Group, quotaUS, periodUS int64) {
 // CPUs". All cpuset changes on a live group must go through here (the
 // cgroups layer does).
 func (s *Scheduler) SetCpuset(g *Group, n int) {
-	if !s.allocValid || g.removed {
-		g.CpusetN = n
-		if !g.removed {
-			s.allocValid = false
-		}
-		return
-	}
-	capOld := s.gCap[g.schedIdx]
 	g.CpusetN = n
-	// The mask size feeds only the cap; an unchanged cap means an
-	// unchanged allocation and unchanged throttle state.
-	if s.capOf(g) != capOld {
+	if !g.removed {
 		s.noteAllocChange(g)
 	}
 }
@@ -502,9 +463,9 @@ func (s *Scheduler) SetCpuset(g *Group, n int) {
 // capOf computes a group's per-tick capacity cap from live state: a
 // leaf's runnable count, a parent's summed child caps (read from gCap,
 // so children must be current first), each bounded by the cpuset size
-// and the bandwidth limit. It is the only cap computation: the rebuild,
-// repair and the SetQuota/SetCpuset classifiers all call it, so a
-// recomputed cap compares bitwise against gCap.
+// and the bandwidth limit. It is the only cap computation: the rebuild
+// and repair both call it, so a recomputed cap compares bitwise against
+// gCap.
 func (s *Scheduler) capOf(g *Group) float64 {
 	if len(g.children) > 0 {
 		var sum float64
@@ -531,16 +492,6 @@ func (s *Scheduler) capOf(g *Group) float64 {
 		c = lim
 	}
 	return c
-}
-
-// markFlagsDirty queues a group for throttle-state re-evaluation on the
-// next tick.
-func (s *Scheduler) markFlagsDirty(g *Group) {
-	a := &s.gAcct[g.schedIdx]
-	if a.flags&acctFlagsDirty == 0 {
-		a.flags |= acctFlagsDirty
-		s.flagsDirty = append(s.flagsDirty, g.schedIdx)
-	}
 }
 
 // NewGroup creates and registers a top-level scheduling group. Shares
@@ -659,8 +610,6 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	// The index lists stay exact: drop the removed slot and shift the
 	// entries the compaction moved.
 	s.active = patchIdxList(s.active, i)
-	s.throttledIdx = patchIdxList(s.throttledIdx, i)
-	s.flagsDirty = patchIdxList(s.flagsDirty, i)
 	s.dirty = patchIdxList(s.dirty, i)
 	s.activeTop = patchIdxList(s.activeTop, i)
 	s.eagerIdx = patchIdxList(s.eagerIdx, i)
@@ -855,32 +804,19 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	s.loadAvg += (s.loadContrib - s.loadAvg) * min(dtSec/loadAvgTau.Seconds(), 1)
 }
 
-// tickGroup advances one group the tick's allocation did not touch by
-// one tick at the memoized allocation: usage accrual, refreshThrottle
-// for a flag-dirty group (a binding limit otherwise keeps accruing),
-// and the team callbacks. The caller has settled the group's earlier
-// ticks and stamped this one. It reports whether a leaf throttle flag
-// moved (which changes the load contribution).
-func (s *Scheduler) tickGroup(now sim.Time, i int, g *Group, dt time.Duration, dtSec float64) bool {
-	contribDirty := false
+// tickGroup advances an eager group the tick's allocation did not touch
+// by one tick at the memoized allocation: usage accrual, ThrottledTime
+// while its own limit binds (its throttle state cannot move without a
+// repair), and the team callbacks. The caller has stamped this tick.
+func (s *Scheduler) tickGroup(now sim.Time, i int, g *Group, dt time.Duration, dtSec float64) {
 	a := &s.gAcct[i]
-	rate := s.gRate[i]
-	raw := units.CPUSeconds(rate * dtSec)
+	raw := units.CPUSeconds(s.gRate[i] * dtSec)
 	a.usage += raw
 	a.windowUsage += raw
-	if a.flags&acctFlagsDirty != 0 {
-		if s.refreshThrottle(now, i, g, rate, dt) {
-			contribDirty = true
-		}
-	} else if a.flags&acctDurBinding != 0 {
+	if a.flags&acctDurBinding != 0 {
 		a.throttledDur += dt
 	}
-	if a.perTask == 0 {
-		// Parent group, or a leaf with no runnable tasks.
-		return contribDirty
-	}
 	runTeams(now, g, a.perTask, a.over, dtSec)
-	return contribDirty
 }
 
 // runTeams gives each of a leaf's teams with a runnable member its tick
@@ -1034,7 +970,6 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 	s.patchMembership()
 	s.recomputeUsedSlack()
 	s.recomputeLoadContrib()
-	s.clearFlagsDirty()
 }
 
 func (a *groupAcct) setFlag(bit uint16, on bool) {
@@ -1046,11 +981,7 @@ func (a *groupAcct) setFlag(bit uint16, on bool) {
 }
 
 // noteThrottle updates a group's throttled flag for this tick and emits
-// a transition event. A group entering the throttled state joins
-// throttledIdx so NextEvent sees it. No tick regime resets the list: it
-// stays a superset of the throttled groups (NextEvent re-checks the
-// flag), compacted once repeated transitions leave more entries than
-// groups.
+// a transition event.
 func (s *Scheduler) noteThrottle(now sim.Time, i int, g *Group, throttled bool, rate float64) {
 	a := &s.gAcct[i]
 	if a.flags&acctThrottled != 0 == throttled {
@@ -1062,10 +993,6 @@ func (s *Scheduler) noteThrottle(now sim.Time, i int, g *Group, throttled bool, 
 		return
 	}
 	s.Trace.Emit(now, telemetry.KindThrottle, g.Name, int64(rate*1000), 0)
-	s.throttledIdx = append(s.throttledIdx, i)
-	if len(s.throttledIdx) > len(s.groups) {
-		s.compactThrottledIdx()
-	}
 }
 
 // SkipIdle advances the scheduler across n consecutive ticks of length
@@ -1111,10 +1038,15 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 // binding in the most recent tick (their quota refreshes there, which is
 // when throttling can end). ok is false when no group is throttled — an
 // idle scheduler stays idle until a timer or program wakes a task.
+//
+// It scans only the active list. While the memo is valid a throttled
+// group has a positive rate (a tick that leaves a group at rate 0 clears
+// its flag), so it is on active; before the first tick and after
+// SkipIdle no group is throttled.
 func (s *Scheduler) NextEvent(now sim.Time) (sim.Time, bool) {
 	var best sim.Time
 	have := false
-	for _, i := range s.throttledIdx {
+	for _, i := range s.active {
 		g := s.groups[i]
 		if s.gAcct[i].flags&acctThrottled == 0 || g.PeriodUS <= 0 {
 			continue

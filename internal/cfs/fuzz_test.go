@@ -18,9 +18,9 @@ import (
 // shares/quota/cpuset writes, plain tasks, teams of one and of several
 // members (whose callbacks may block a member every k-th call), new
 // members for existing teams, teams whose callbacks wake a task in
-// another group, SetRunnable, Tick, SkipIdle, tick-length changes, and
-// reads: usage, the view round's settle pass, and its window read by
-// index. After every op, the active list must be exactly the groups
+// another group or write a quota on one, SetRunnable, Tick, SkipIdle,
+// tick-length changes, and reads: usage, the view round's settle pass,
+// and its window read by index. After every op, the active list must be exactly the groups
 // with a positive rate while the memo is valid.
 func FuzzRepairMirror(f *testing.F) {
 	for _, seed := range [][]byte{
@@ -59,6 +59,7 @@ const (
 	opTeam            // args: leaf, members-1 (low 2 bits) and gamma index (higher bits), block period (0 or 255 never blocks)
 	opJoin            // args: team, wake the new member (low bit)
 	opWaker           // args: leaf, wake period (0 reads as 1), first task to try; a team of one whose callback wakes a task in another group
+	opLimiter         // args: leaf, write period (0 reads as 1), first quota and group to try; a team of one whose callback writes a quota (see newLimiter)
 	opCount
 )
 
@@ -80,7 +81,7 @@ type mirrorOp struct {
 var opArgs = [opCount]int{
 	opGroup: 0, opChild: 1, opRemove: 1, opRmTask: 1, opShares: 2, opQuota: 2,
 	opCpuset: 2, opTask: 2, opRunnable: 1, opTick: 1, opSkipIdle: 1, opDt: 1, opRead: 2,
-	opTeam: 3, opJoin: 2, opWaker: 3,
+	opTeam: 3, opJoin: 2, opWaker: 3, opLimiter: 3,
 }
 
 // decodeMirrorOps splits a fuzz input into the host size and its op
@@ -233,6 +234,12 @@ func runMirrorOps(t *testing.T, ncpu int, ops []mirrorOp) {
 				break
 			}
 			m.setRunnable(m.joinTeam(m.newWaker(gi, max(o.b, 1), o.c), fmt.Sprintf("t%d", len(m.tasks))), true)
+		case opLimiter:
+			gi := group(o.a)
+			if gi < 0 || len(m.groups[gi].e.children) > 0 || len(m.tasks) >= fuzzMaxTasks {
+				break
+			}
+			m.setRunnable(m.joinTeam(m.newLimiter(gi, max(o.b, 1), o.c), fmt.Sprintf("t%d", len(m.tasks))), true)
 		case opDt:
 			m.dt = fuzzDts[o.a%len(fuzzDts)]
 		case opRead:

@@ -7,28 +7,28 @@
 //
 //   - quietTick: nothing dirty. Only the eager groups (active groups
 //     with runnable team members, whose callbacks must fire every tick)
-//     and any flag-dirty groups are walked, through tickGroup. All
-//     other active groups' accounting is deferred: gSettled[i] records
-//     the tick through which group i is settled, and settleTo replays
-//     the missing ticks at the memoized rates on the next read or
-//     repair, or at the view round's one pass over the active list
-//     (SettleWindows), after which the round reads every CPU window by
-//     index. The replay performs the same per-tick float additions a
-//     full walk would have, so results are bit-identical, and costs
-//     nothing until someone looks.
+//     are walked, through tickGroup. All other active groups'
+//     accounting is deferred: gSettled[i] records the tick through
+//     which group i is settled, and settleTo replays the missing ticks
+//     at the memoized rates on the next read or repair, or at the view
+//     round's one pass over the active list (SettleWindows), after
+//     which the round reads every CPU window by index. The replay
+//     performs the same per-tick float additions a full walk would
+//     have, so results are bit-identical, and costs nothing until
+//     someone looks.
 //
 //   - repairTick: a bounded dirty set. capOf recomputes the caps of
 //     dirty groups only, then of affected parents, the top-level water
 //     fill reruns over the incrementally maintained activeTop list only
 //     when a top-level cap, weight, or membership moved, and only
 //     parents whose grant or limits moved refill their children. One
-//     ascending walk over the union of touched, eager, and flag-dirty
-//     groups follows: touched groups go through accountGroup, the others
-//     through tickGroup. patchMembership merges the active/eager list
-//     changes. Because the load contribution and slack are ordered sums
-//     over the active leaves, any touched leaf triggers an O(active)
-//     re-sum: repair is O(changes + tops + active), not O(groups +
-//     teams).
+//     ascending walk over the union of touched (dirty or rate-changed)
+//     and eager groups follows: touched groups go through accountGroup,
+//     the others through tickGroup. patchMembership merges the
+//     active/eager list changes. Because the load contribution and
+//     slack are ordered sums over the active leaves, any touched leaf
+//     triggers an O(active) re-sum: repair is O(changes + tops +
+//     active), not O(groups + teams).
 //
 //   - escalation: when the dirty set reaches both an absolute floor and
 //     half the active set, one full rebuildTick (after settling all
@@ -39,7 +39,7 @@
 // The regimes differ only in which groups they visit, not in what a
 // visit computes. There is one cap computation (capOf), one per-group
 // accounting body (accountGroup), one throttle rule (refreshThrottle,
-// which accountGroup and tickGroup both apply), and one ordered re-sum
+// which accountGroup applies), and one ordered re-sum
 // each for slack and load (recomputeUsedSlack, recomputeLoadContrib).
 // The rebuild is these functions applied to every group, in ascending
 // order, so a repaired value is bit-identical to a rebuilt one because
@@ -55,11 +55,17 @@
 // run, scale ticks 55 575 quiet, 0 repair and 15 rebuild ticks, and
 // binding 219 611 quiet, 63 484 repair and 15 rebuild ticks.
 //
+// Every write that can move an allocation or a throttle state (a
+// runnable flip, a shares, quota or cpuset write, a removal) marks one
+// dirty set through noteAllocChange. The one early-out is a quota write
+// whose old and new limits both sit above the group's cap, which moves
+// nothing.
+//
 // One rule holds in all three regimes: the allocation is fixed for the
 // tick. A change a team callback makes during the walk (a block, a
-// wake) queues its mark like any other mutation, and the next tick
-// repairs it. The load contribution is re-summed from the tick-end
-// runnable counts whenever a count moved during the walk.
+// wake, a limit write) queues its mark like any other mutation, and the
+// next tick repairs it. The load contribution is re-summed from the
+// tick-end runnable counts whenever a count moved during the walk.
 //
 // Equivalence with rebuilding every tick is not asserted, it is tested.
 // The rebuild oracle (Tick with rebuildOracle set) is switched on only
@@ -122,7 +128,7 @@ func (s *Scheduler) resetRepairState() {
 // No-op for removed groups, whose accounting was settled when they were
 // frozen.
 func (g *Group) settle() {
-	if g.removed || g.sched == nil {
+	if g.removed {
 		return
 	}
 	g.sched.settleLive(g.schedIdx)
@@ -220,79 +226,30 @@ func (s *Scheduler) TakeWindowAt(i int) units.CPUSeconds {
 }
 
 // quietTick is the steady-state tick: nothing is dirty, so only the
-// eager groups (whose team callbacks must fire) and any flag-dirty
-// groups are walked, merged in ascending slot order. All other
-// accounting is deferred to settleTo.
+// eager groups (whose team callbacks must fire) are walked, in
+// ascending slot order. All other accounting is deferred to settleTo.
+// A callback's mark lands in the dirty set, not in eagerIdx, so the walk
+// visits each group once.
 func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
-	if len(s.flagsDirty) > 1 {
-		sort.Ints(s.flagsDirty)
-	}
-	contribDirty := false
 	s.runnableMoved = false
 	s.inWalk = true
-	ei, fi := 0, 0
-	for ei < len(s.eagerIdx) || fi < len(s.flagsDirty) {
-		var i int
-		eager := false
-		switch {
-		case fi >= len(s.flagsDirty):
-			i, eager = s.eagerIdx[ei], true
-			ei++
-		case ei >= len(s.eagerIdx):
-			i = s.flagsDirty[fi]
-			fi++
-		case s.eagerIdx[ei] <= s.flagsDirty[fi]:
-			i, eager = s.eagerIdx[ei], true
-			if s.flagsDirty[fi] == i {
-				fi++
-			}
-			ei++
-		default:
-			i = s.flagsDirty[fi]
-			fi++
-		}
+	for _, i := range s.eagerIdx {
 		s.walkPos = i
-		g := s.groups[i]
-		if eager {
-			// Stamp before the walk body: tickGroup accrues this tick
-			// eagerly, and its team callbacks may trigger settles of
-			// this very group (e.g. a self-block).
-			s.gSettled[i] = s.ticks
-			// tickGroup re-evaluates an acctFlagsDirty mark inline.
-			if s.tickGroup(now, i, g, dt, dtSec) {
-				contribDirty = true
-			}
-			continue
-		}
-		if s.refreshQuiet(now, i, g, dt, dtSec) {
-			contribDirty = true
-		}
+		// Stamp before the walk body: tickGroup accrues this tick
+		// eagerly, and its team callbacks may trigger settles of this
+		// very group (e.g. a self-block).
+		s.gSettled[i] = s.ticks
+		s.tickGroup(now, i, s.groups[i], dt, dtSec)
 	}
 	s.inWalk = false
-	s.clearFlagsDirty()
-	if contribDirty || s.runnableMoved {
+	if s.runnableMoved {
 		s.recomputeLoadContrib()
 	}
 }
 
-// refreshQuiet re-evaluates a flag-dirty group that is not eager: it
-// settles the group's deferred ticks and runs tickGroup, which accrues
-// this tick and applies refreshThrottle. Such a group holds no runnable
-// team member, so no callback fires. An inactive group needs nothing:
-// its throttle state already reads unthrottled, as a rebuild leaves it.
-// It reports whether a leaf throttle flag moved.
-func (s *Scheduler) refreshQuiet(now sim.Time, i int, g *Group, dt time.Duration, dtSec float64) bool {
-	if s.gRate[i] <= 0 {
-		return false
-	}
-	s.settleTo(i, s.ticks-1)
-	s.gSettled[i] = s.ticks
-	return s.tickGroup(now, i, g, dt, dtSec)
-}
-
 // repairTick recomputes the allocation for the dirty groups only and
 // advances this tick's accounting for every group the recompute (or a
-// team callback obligation, or a pending flag refresh) touches.
+// team callback obligation) touches.
 func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	prev := s.ticks - 1
 	sort.Ints(s.dirty)
@@ -416,19 +373,16 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	s.repairParents = parents[:0]
 
 	// Phase 4: one ascending accounting walk over the union of touched
-	// (dirty ∪ changed), eager, and flag-dirty groups — the relative
-	// order the full rebuild would process them in.
+	// (dirty ∪ changed) and eager groups — the relative order the full
+	// rebuild would process them in.
 	changed := s.repairChanged
 	sort.Ints(changed)
-	if len(s.flagsDirty) > 1 {
-		sort.Ints(s.flagsDirty)
-	}
 	resum := s.pendingResum
 	s.pendingResum = false
 	s.runnableMoved = false
 	s.inWalk = true
 	const none = int(^uint(0) >> 1)
-	di, ci, ei, fi := 0, 0, 0, 0
+	di, ci, ei := 0, 0, 0
 	for {
 		i := none
 		if di < len(dirty) && dirty[di] < i {
@@ -439,9 +393,6 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		}
 		if ei < len(s.eagerIdx) && s.eagerIdx[ei] < i {
 			i = s.eagerIdx[ei]
-		}
-		if fi < len(s.flagsDirty) && s.flagsDirty[fi] < i {
-			i = s.flagsDirty[fi]
 		}
 		if i == none {
 			break
@@ -455,32 +406,21 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 			ci++
 			touched = true
 		}
-		eager := false
 		if ei < len(s.eagerIdx) && s.eagerIdx[ei] == i {
 			ei++
-			eager = true
-		}
-		if fi < len(s.flagsDirty) && s.flagsDirty[fi] == i {
-			fi++
 		}
 		s.walkPos = i
 		g := s.groups[i]
-		switch {
-		case touched:
+		if touched {
 			if len(g.children) == 0 {
 				resum = true
 			}
 			s.accountGroup(now, i, g, dt, dtSec)
-		case eager:
-			s.gSettled[i] = s.ticks // before a callback can settle this group
-			if s.tickGroup(now, i, g, dt, dtSec) {
-				resum = true
-			}
-		default: // flag-dirty only
-			if s.refreshQuiet(now, i, g, dt, dtSec) {
-				resum = true
-			}
+			continue
 		}
+		// An eager group the repair left alone.
+		s.gSettled[i] = s.ticks // before a callback can settle this group
+		s.tickGroup(now, i, g, dt, dtSec)
 	}
 	s.inWalk = false
 
@@ -494,7 +434,6 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	}
 
 	s.dirty = s.dirty[:copy(s.dirty, s.dirty[len(dirty):])]
-	s.clearFlagsDirty()
 	s.repairChanged = changed[:0]
 }
 
@@ -529,7 +468,6 @@ func (s *Scheduler) accountGroup(now sim.Time, i int, g *Group, dt time.Duration
 	rate := s.gRate[i]
 	a := &s.gAcct[i]
 	a.perTask, a.over = 0, 0
-	a.flags &^= acctFlagsDirty
 	s.gSettled[i] = s.ticks
 	s.markActive(i, rate > 0)
 	if rate <= 0 {
@@ -575,15 +513,6 @@ func (s *Scheduler) patchMembership() {
 	s.activeAdds = s.activeAdds[:0]
 	s.eagerAdds = s.eagerAdds[:0]
 	s.activeRemoved, s.eagerRemoved = false, false
-}
-
-// clearFlagsDirty drops the throttle-refresh marks at the end of a tick,
-// whose walk re-evaluated every marked active group.
-func (s *Scheduler) clearFlagsDirty() {
-	for _, i := range s.flagsDirty {
-		s.gAcct[i].flags &^= acctFlagsDirty
-	}
-	s.flagsDirty = s.flagsDirty[:0]
 }
 
 // markActive / markEager update a group's membership bit and queue the
@@ -669,20 +598,4 @@ func patchIdxList(list []int, removed int) []int {
 		}
 	}
 	return out
-}
-
-// compactThrottledIdx dedupes the throttled superset list down to the
-// currently flagged groups. No tick resets the list, so repeated
-// throttle cycles would otherwise grow it without bound.
-func (s *Scheduler) compactThrottledIdx() {
-	sort.Ints(s.throttledIdx)
-	out := s.throttledIdx[:0]
-	prev := -1
-	for _, i := range s.throttledIdx {
-		if i != prev && s.gAcct[i].flags&acctThrottled != 0 {
-			out = append(out, i)
-		}
-		prev = i
-	}
-	s.throttledIdx = out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -109,13 +110,19 @@ func (m *mirror) newTeam(group int, gamma float64, every int) int {
 			}
 		}
 	}
+	return m.addTeam(group, gamma, hook)
+}
+
+// addTeam creates a mirrored team whose callback on each arm is
+// hook(arm, that arm's scheduler), and returns its index.
+func (m *mirror) addTeam(group int, gamma float64, hook func(arm int, s *Scheduler) TeamFunc) int {
 	g := m.groups[group]
 	m.teams = append(m.teams, mirrorTeam{
 		e:     m.oracle.NewTeam(g.e, gamma, hook(0, m.oracle)),
 		r:     m.rep.NewTeam(g.r, gamma, hook(1, m.rep)),
 		group: group,
 	})
-	return k
+	return len(m.teams) - 1
 }
 
 // newWaker creates a mirrored team whose callback, on every every-th
@@ -150,13 +157,61 @@ func (m *mirror) newWaker(group, every, from int) int {
 			}
 		}
 	}
-	g := m.groups[group]
-	m.teams = append(m.teams, mirrorTeam{
-		e:     m.oracle.NewTeam(g.e, 0, hook(0, m.oracle)),
-		r:     m.rep.NewTeam(g.r, 0, hook(1, m.rep)),
-		group: group,
-	})
-	return k
+	return m.addTeam(group, 0, hook)
+}
+
+// newLimiter creates a mirrored team whose callback, on every every-th
+// call, writes a quota from quotaPalette on one group: the first write
+// uses palette entry pick%len(quotaPalette), each later write the next
+// one, and the search for a target starts at group index
+// pick/len(quotaPalette). Like newWaker, it writes only to a group the
+// walk has passed (its own included) or to one with no CPU this tick,
+// and a passed parent only once its children are passed too, since a
+// child's throttle rule reads its parent's limit. Both protocols apply
+// such a write from the next tick. A write to a group later in the walk
+// is left out: the oracle reads limits live as it walks, so it would
+// apply the write to that group's throttle accounting one tick early
+// (see Team).
+func (m *mirror) newLimiter(group, every, pick int) int {
+	k := len(m.teams)
+	hook := func(arm int, s *Scheduler) TeamFunc {
+		calls, writes := 0, 0
+		return func(now time.Duration, n int, useful, raw units.CPUSeconds) {
+			tm := &m.teams[k]
+			tm.useful[arm] += float64(useful)
+			tm.members[arm] += n
+			if calls++; calls%every != 0 {
+				return
+			}
+			self := m.groups[tm.group].arm(arm).schedIdx
+			from := pick / len(quotaPalette)
+			for j := range m.groups {
+				g := m.groups[(from+j)%len(m.groups)].arm(arm)
+				if g.removed || !walkPassed(g, self) && s.gRate[g.schedIdx] != 0 {
+					continue
+				}
+				q := quotaPalette[(pick+writes)%len(quotaPalette)]
+				writes++
+				s.SetQuota(g, q[0], q[1])
+				return
+			}
+		}
+	}
+	return m.addTeam(group, 0, hook)
+}
+
+// walkPassed reports whether a tick's walk positioned at slot self has
+// already visited g and its children.
+func walkPassed(g *Group, self int) bool {
+	if g.schedIdx > self {
+		return false
+	}
+	for _, c := range g.children {
+		if c.schedIdx > self {
+			return false
+		}
+	}
+	return true
 }
 
 // joinTeam adds a mirrored member to team tm.
@@ -344,7 +399,8 @@ func (m *mirror) takeWindow(gi int) (oracle, rep units.CPUSeconds) {
 // against first principles. The central one is the next-tick rule: a
 // leaf whose live cap differs from the memoized one must be queued for
 // repair, so no change, including one a team callback makes mid-walk,
-// can leave a stale allocation standing.
+// can leave a stale allocation standing. NextEvent rests on another: a
+// throttled group has a positive rate and is on the active list.
 func (m *mirror) checkRepairInvariants(ctx string) {
 	t := m.t
 	t.Helper()
@@ -372,6 +428,11 @@ func (m *mirror) checkRepairInvariants(ctx string) {
 		}
 		if len(g.children) == 0 && s.capOf(g) != s.gCap[i] && s.gAcct[i].flags&acctAllocDirty == 0 {
 			t.Fatalf("%s: leaf %s cap %v is stale (live %v) and not queued", ctx, g.Name, s.gCap[i], s.capOf(g))
+		}
+		if s.gAcct[i].flags&acctThrottled != 0 {
+			if k := sort.SearchInts(s.active, i); s.gRate[i] <= 0 || k == len(s.active) || s.active[k] != i {
+				t.Fatalf("%s: throttled group %s at rate %v is not on active %v", ctx, g.Name, s.gRate[i], s.active)
+			}
 		}
 	}
 	// eagerIdx may lag a mid-walk callback state change by one tick — but

@@ -17,10 +17,10 @@ import (
 // bound only by its parent's quota (throttled, accrues nothing), a child
 // bound by its own quota (throttled, accrues), and an unbound group. The
 // ticks are a first-tick rebuild, a repair after cap-moving SetQuota
-// writes, a quiet tick whose cap-preserving SetQuota writes only mark
-// throttle flags, and a forced escalation; telemetry confirms each
-// tick's regime. Every rate is a dyadic rational, so the water fills are
-// exact and the rates compare with ==.
+// writes, a repair after cap-preserving SetQuota writes that move only
+// throttle state, quiet ticks, and a forced escalation; telemetry
+// confirms each tick's regime. Every rate is a dyadic rational, so the
+// water fills are exact and the rates compare with ==.
 func TestThrottleRulesExact(t *testing.T) {
 	s := NewScheduler(6)
 	tr := s.Trace
@@ -147,23 +147,20 @@ func TestThrottleRulesExact(t *testing.T) {
 	set(u, 2.5, false)
 	step("repair")
 
-	// Cap-preserving writes only mark throttle flags. U's and c1's new
-	// limits sit at their caps (3 and 4) but above their rates, so U
-	// stays unbound and c1 stays bound only by P. Q's and q2's new
-	// limits land on their rates, so both bind and accrue from this tick
-	// on, and q1 is throttled by Q alone.
+	// Cap-preserving writes queue a repair like any other limit write;
+	// no rate moves. U's and c1's new limits sit at their caps (3 and 4)
+	// but above their rates, so U stays unbound and c1 stays bound only
+	// by P. Q's and q2's new limits land on their rates, so both bind
+	// and accrue from this tick on, and q1 is throttled by Q alone.
 	lim(u, 3)
 	lim(c1, 4)
 	lim(q, 2)
 	lim(q2, 1)
-	if len(s.dirty) != 0 {
-		t.Fatalf("cap-preserving writes queued %d allocation repairs", len(s.dirty))
-	}
 	set(q, 2, true)
 	set(q1, 1, true)
 	set(q2, 1, true)
 	ownBound[q], ownBound[q2] = true, true
-	step("quiet")
+	step("repair")
 
 	// Toggling the idle groups queues enough dirty marks to force one
 	// full rebuild; no rate moves.
@@ -177,5 +174,55 @@ func TestThrottleRulesExact(t *testing.T) {
 	}
 	if calls != 9 {
 		t.Fatalf("c1's team callback ran %d times in 9 ticks", calls)
+	}
+}
+
+// TestNextEventThrottledGroups pins what NextEvent returns from its scan
+// of the active list: the earliest period boundary among throttled
+// groups, skipping an active group that is not throttled, and nothing
+// once the throttled tasks block and a tick runs, or once they block
+// and an idle span is skipped before any tick clears the flags.
+func TestNextEventThrottledGroups(t *testing.T) {
+	for _, end := range []string{"tick", "skip"} {
+		t.Run(end, func(t *testing.T) {
+			s := NewScheduler(4)
+			free := newBusyGroup(s, "free", 1)
+			slow := newBusyGroup(s, "slow", 2)
+			s.SetQuota(slow, 50_000, 100_000) // 0.5 CPU, 100 ms period
+			fast := s.NewGroup("fast")
+			ft := s.NewTask(fast, "t")
+			s.SetRunnable(ft, true)
+			s.SetQuota(fast, 25_000, 50_000) // 0.5 CPU, 50 ms period
+			now := 130 * time.Millisecond
+			s.Tick(now, tick)
+			if next, ok := s.NextEvent(now); !ok || next != 150*time.Millisecond {
+				t.Fatalf("NextEvent = %v, %v with two throttled groups, want fast's boundary 150ms", next, ok)
+			}
+			s.SetRunnable(ft, false)
+			now += tick
+			s.Tick(now, tick)
+			if next, ok := s.NextEvent(now); !ok || next != 200*time.Millisecond {
+				t.Fatalf("NextEvent = %v, %v with slow throttled alone, want 200ms", next, ok)
+			}
+			for _, g := range []*Group{free, slow} {
+				for _, task := range g.tasks {
+					s.SetRunnable(task, false)
+				}
+			}
+			// A block clears no flag until a tick or an idle skip runs.
+			if next, ok := s.NextEvent(now); !ok || next != 200*time.Millisecond {
+				t.Fatalf("NextEvent = %v, %v right after the blocks, want 200ms", next, ok)
+			}
+			if end == "tick" {
+				now += tick
+				s.Tick(now, tick)
+			} else {
+				s.SkipIdle(now+tick, tick, 10)
+				now += 10 * tick
+			}
+			if next, ok := s.NextEvent(now); ok {
+				t.Fatalf("NextEvent = %v with every task blocked (%s)", next, end)
+			}
+		})
 	}
 }

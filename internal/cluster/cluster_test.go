@@ -306,7 +306,7 @@ func TestRunChunkingIsInvisible(t *testing.T) {
 	if e1, e2 := bg1.NS.EffectiveCPU(), bg2.NS.EffectiveCPU(); e1 != e2 {
 		t.Fatalf("chunked run diverged: E_CPU %d vs %d", e1, e2)
 	}
-	if v1, v2 := c1.Nodes()[0].Host.ViewSnapshot().Version, c2.Nodes()[0].Host.ViewSnapshot().Version; v1 != v2 {
+	if v1, v2 := c1.Nodes()[0].Host.Monitor.Snapshot().Version, c2.Nodes()[0].Host.Monitor.Snapshot().Version; v1 != v2 {
 		t.Fatalf("snapshot versions diverged: %d vs %d", v1, v2)
 	}
 }

@@ -99,7 +99,7 @@ type footprint struct {
 // slack it does not own); a placement with no view yet — just created,
 // or migrating in — reserves its demand.
 func (c *Cluster) selfFootprint(p *placement) footprint {
-	snap := p.node.Host.ViewSnapshot()
+	snap := p.node.Host.Monitor.Snapshot()
 	cv := snap.Container(p.spec.Name)
 	if c.cfg.Lens == LensAdaptive {
 		fp := footprint{cpu: demandCPU(&p.spec), mem: p.spec.MemHard}

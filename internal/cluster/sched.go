@@ -184,7 +184,7 @@ func (cs Composite) Score(st *HostState, spec *container.Spec) float64 {
 // slice is preallocated and snapshot reads are lock-free.
 func (c *Cluster) buildStates() {
 	for i, n := range c.nodes {
-		snap := n.Host.ViewSnapshot()
+		snap := n.Host.Monitor.Snapshot()
 		st := &c.states[i]
 		*st = HostState{
 			Node:        n,

@@ -146,7 +146,7 @@ func runClusterArm(lens cluster.Lens) clusterArm {
 	c.Every(50*time.Millisecond, func(now time.Duration) {
 		min, max := -1.0, -1.0
 		for _, n := range nodes {
-			l := n.Host.ViewSnapshot().Host.LoadAvg
+			l := n.Host.Monitor.Snapshot().Host.LoadAvg
 			if min < 0 || l < min {
 				min = l
 			}

@@ -164,14 +164,6 @@ func New(cfg Config) *Host {
 // Tick returns the host's simulation step size.
 func (h *Host) Tick() time.Duration { return h.tick }
 
-// ViewSnapshot returns the host's most recently published resource-view
-// snapshot (see sysns.Monitor.Snapshot). It is the introspection
-// surface the cluster scheduler reads: lock-free, immutable, and
-// versioned, so reading it never perturbs the simulation being
-// observed. (Snapshot, below in snapshot.go, is the mutably-sampled
-// top-style table the CLIs render; this is the serving-path view.)
-func (h *Host) ViewSnapshot() *sysns.ViewSnapshot { return h.Monitor.Snapshot() }
-
 // Now returns the current virtual time.
 func (h *Host) Now() sim.Time { return h.Clock.Now() }
 

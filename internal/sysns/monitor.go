@@ -684,8 +684,9 @@ func (m *Monitor) fire(now sim.Time) {
 	m.UpdateAll(now)
 	// The round is a complete Algorithm 1+2 pass — the canonical §11
 	// cut point. Publishing here (not inside UpdateAll) keeps UpdateAll
-	// itself allocation-free for direct callers.
-	m.publishRound(now)
+	// itself allocation-free for direct callers. The timer fires at
+	// clock.Now(), so this is Republish's cut.
+	m.Republish()
 	m.arm()
 }
 

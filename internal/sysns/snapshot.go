@@ -215,14 +215,6 @@ func (m *Monitor) publishTopo(now sim.Time) {
 	}
 }
 
-// publishRound is the gated publication for the periodic update round.
-func (m *Monitor) publishRound(now sim.Time) {
-	m.markDirty()
-	if m.observed.Load() {
-		m.Publish(now)
-	}
-}
-
 // markDirty records that simulation state diverged from the published
 // snapshot; the next PublishIfDirty (host observe phase) or explicit
 // Publish flushes it. Setting a bool keeps trigger handling and the
@@ -263,8 +255,9 @@ func (m *Monitor) PublishIfDirty(now sim.Time) bool {
 
 // Republish cuts and publishes a snapshot at the current virtual time
 // (gated, like every trigger, on the monitor having consumers). The
-// runtime uses it for changes invisible to the cgroup event bus (a
-// container transitioning to running).
+// periodic update round ends with it, and the runtime uses it for
+// changes invisible to the cgroup event bus (a container transitioning
+// to running).
 func (m *Monitor) Republish() {
 	m.markDirty()
 	if m.observed.Load() {
