@@ -56,9 +56,11 @@ bench-scale:
 
 # Allocation gate only (short benchtime, no baseline regeneration):
 # proves the steady-state scheduler tick (SchedulerTick: ten groups on
-# the eager walk, one team callback each), the full rebuild tick
-# (SchedulerRebuild in internal/cfs: 4096 groups with pods, binding
-# quotas and team callbacks), the timer queue under churn (TimerChurn
+# the eager walk, one team callback each), the test oracle's full
+# rebuild tick (SchedulerRebuild in internal/cfs: 4096 groups with pods,
+# binding quotas and team callbacks), the production scheduler's worst
+# case on that fleet (SchedulerRepairStorm: every group queued for
+# repair every tick), the timer queue under churn (TimerChurn
 # in internal/sim: 16 384 self-re-arming timers), the churn driver
 # (ChurnFire in internal/faults: one tick of 16 384 churn rules firing
 # and re-arming their embedded alarms) and view-update rounds
@@ -85,10 +87,10 @@ bench-scale:
 # time still fails once it adds up. Part of `make ci`.
 bench-gate:
 	$(GO) test -run xxx -bench 'SchedulerTick|ScaleSteady|Snapshot|ClusterSteady|AutoscaleSteady' -benchmem -benchtime=20x . | tee bench-steady.txt
-	$(GO) test -run xxx -bench SchedulerRebuild -benchmem -benchtime=20x ./internal/cfs | tee -a bench-steady.txt
+	$(GO) test -run xxx -bench 'SchedulerRebuild|SchedulerRepairStorm' -benchmem -benchtime=20x ./internal/cfs | tee -a bench-steady.txt
 	$(GO) test -run xxx -bench TimerChurn -benchmem -benchtime=20x ./internal/sim | tee -a bench-steady.txt
 	$(GO) test -run xxx -bench ChurnFire -benchmem -benchtime=20x ./internal/faults | tee -a bench-steady.txt
-	$(GO) run ./internal/tools/benchgate -match 'SchedulerTick|SchedulerRebuild|TimerChurn|ChurnFire|ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
+	$(GO) run ./internal/tools/benchgate -match 'SchedulerTick|SchedulerRebuild|SchedulerRepairStorm|TimerChurn|ChurnFire|ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
 	$(GO) run ./internal/tools/benchgate -match SnapshotPublish -max-allocs 3 bench-steady.txt
 	rm -f bench-steady.txt
 	set -e; \

@@ -96,14 +96,9 @@ func runScaleSuite(spec string, churn bool, interval, span time.Duration, reps i
 		}
 		report.SpanSec = res.SimSeconds
 		report.Runs = append(report.Runs, res)
-		stale := res.TickRepairs + res.TickRebuilds
-		hit := 0.0
-		if stale > 0 {
-			hit = 100 * float64(res.TickRepairs) / float64(stale)
-		}
-		fmt.Printf("scale n=%-5d churn=%-5v %10.1f ms wall  %12.0f ns/sim-s  %7d churns  %9d allocs (%.1f/tick)  %6d repairs/%5d rebuilds (%.0f%% repaired, %d escalations)\n",
+		fmt.Printf("scale n=%-5d churn=%-5v %10.1f ms wall  %12.0f ns/sim-s  %7d churns  %9d allocs (%.1f/tick)  %6d repair ticks\n",
 			res.Containers, res.Churn, res.WallMS, res.NsPerSimSec, res.LimitChurns, res.Allocs, res.AllocsPerTick,
-			res.TickRepairs, res.TickRebuilds, hit, res.Escalations)
+			res.TickRepairs)
 	}
 	if jsonPath != "" {
 		buf, err := json.MarshalIndent(report, "", "  ")

@@ -9,16 +9,39 @@ import (
 )
 
 // BenchmarkSchedulerRebuild measures one full rebuild tick, the path
-// every repair escalation and every rebuild-oracle tick takes, over 4096
-// groups: 512 pods of three children each and 2048 top-level leaves on
-// a 64-CPU host. Every pod and every fourth leaf has a quota below its
-// fair share, and every other leaf runs a two-member team with a
-// callback. Each tick recomputes every cap, reruns both water-fill
-// levels, and walks every group through the throttle rule (1024 groups
-// bound by their own quota, 1536 by their pod's, 1536 unbound) and the
-// team callbacks.
+// every rebuild-oracle tick takes, over 4096 groups: 512 pods of three
+// children each and 2048 top-level leaves on a 64-CPU host. Every pod
+// and every fourth leaf has a quota below its fair share, and every
+// other leaf runs a two-member team with a callback. Each tick
+// recomputes every cap, reruns both water-fill levels, and walks every
+// group through the throttle rule (1024 groups bound by their own
+// quota, 1536 by their pod's, 1536 unbound) and the team callbacks.
 func BenchmarkSchedulerRebuild(b *testing.B) {
 	s := newOracleScheduler(64)
+	buildBenchFleet(s)
+	benchTicks(b, s, nil)
+}
+
+// BenchmarkSchedulerRepairStorm measures the worst case of a production
+// scheduler: BenchmarkSchedulerRebuild's fleet with every group queued
+// for repair on every tick. Each iteration rewrites every group's
+// shares (alternating between two weights, so every fill reruns and
+// rates move) and ticks; the timed loop includes the 4096 writes.
+func BenchmarkSchedulerRepairStorm(b *testing.B) {
+	s := NewScheduler(64)
+	groups := buildBenchFleet(s)
+	shares := int64(DefaultShares)
+	benchTicks(b, s, func() {
+		shares ^= 1
+		for _, g := range groups {
+			s.SetShares(g, shares)
+		}
+	})
+}
+
+// buildBenchFleet builds the 4096-group fleet the scheduler benchmarks
+// share (see BenchmarkSchedulerRebuild) and returns its groups.
+func buildBenchFleet(s *Scheduler) []*Group {
 	noop := func(time.Duration, int, units.CPUSeconds, units.CPUSeconds) {}
 	leaf := func(g *Group, k int) {
 		if k%4 == 0 {
@@ -46,15 +69,26 @@ func BenchmarkSchedulerRebuild(b *testing.B) {
 		leaf(s.NewGroup(fmt.Sprintf("g%d", i)), k)
 		k++
 	}
+	return s.Groups()
+}
+
+// benchTicks runs three warm-up ticks, then times b.N ticks, calling
+// before (when non-nil) ahead of each timed and warm-up tick.
+func benchTicks(b *testing.B, s *Scheduler, before func()) {
 	var now time.Duration
-	for i := 0; i < 3; i++ {
+	step := func() {
+		if before != nil {
+			before()
+		}
 		now += time.Millisecond
 		s.Tick(now, time.Millisecond)
+	}
+	for i := 0; i < 3; i++ {
+		step()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		now += time.Millisecond
-		s.Tick(now, time.Millisecond)
+		step()
 	}
 }

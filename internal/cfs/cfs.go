@@ -37,36 +37,37 @@
 //
 // The division of CPU among groups is a pure function of the scheduler's
 // configuration (shares, quota, cpuset, group topology) and the runnable
-// counts. The scheduler therefore computes it only when one of those
-// inputs changes: every mutating entry point (SetShares, SetQuota,
-// SetCpuset, SetRunnable, task/group lifecycle, SkipIdle) records the
+// counts. The scheduler therefore keeps it as a memo that is valid from
+// NewScheduler on: an empty scheduler's memo (no cap, no rate, all
+// capacity slack) is exact, every mutating entry point (SetShares,
+// SetQuota, SetCpuset, SetRunnable, task/group lifecycle) records the
 // change, and the next Tick recomputes what it affects with the exact
 // float operations a non-memoizing scheduler would run every tick — so
 // results are bit-identical, just not recomputed when nothing changed.
+// SkipIdle leaves the memo an idle tick would leave.
 //
 // Per-group hot state lives in struct-of-arrays form on the Scheduler
-// (gCap, gRate, gAcct), indexed by the group's slot in Groups(). Slots
-// are index-stable except across RemoveGroup, which compacts all arrays
-// in step. Configuration fields on Group remain exported for reading;
-// writing them directly on a live scheduler bypasses invalidation and is
-// reserved for building fixtures before the first Tick — mutate through
-// the Scheduler setters instead.
+// (gCap, gLim, gRate, gAcct), indexed by the group's slot in Groups().
+// Slots are index-stable except across RemoveGroup, which compacts all
+// arrays in step. Configuration fields on Group remain exported for
+// reading; writing them directly bypasses the change record, so it is
+// reserved for building fixtures before the first Tick (every group that
+// can hold CPU then has a runnable task, so the first tick's repair
+// reads the written fields) — mutate through the Scheduler setters
+// otherwise.
 //
 // # Incremental repair
 //
-// The memo is maintained by dirty-set repair rather than by binary
-// invalidate-and-rebuild: mutators mark the touched group in a dirty
-// set, and the next Tick recomputes caps, water fills, and accounting
-// only for the dirty groups, the affected parents, and the top level —
-// O(changes + tops) instead of O(groups) — escalating to one full
-// rebuild when the dirty set grows to a sizable fraction of the active
-// set. Accounting for quiet groups (active groups with no runnable team
-// member) is deferred and settled on read, replaying the memoized
-// per-tick deltas so every observable value stays bit-identical to
-// rebuilding every tick. A change a team callback makes during a tick's
-// walk takes effect on the next tick, in every regime. A full rebuild
-// every tick survives only as the test oracle repair is checked
-// against. See repair.go and DESIGN.md §15.
+// The memo is maintained by dirty-set repair: mutators mark the touched
+// group in a dirty set, and the next Tick recomputes caps, water fills,
+// and accounting only for the dirty groups, the affected parents, and
+// the top level — O(changes + tops) instead of O(groups). Accounting
+// for quiet groups (active groups with no runnable team member) is
+// deferred and settled on read, replaying the memoized per-tick deltas
+// so every observable value stays bit-identical to rebuilding every
+// tick. A change a team callback makes during a tick's walk takes effect
+// on the next tick. A full rebuild every tick survives only as the test
+// oracle repair is checked against. See repair.go and DESIGN.md §15.
 package cfs
 
 import (
@@ -120,12 +121,9 @@ type TeamFunc func(now sim.Time, n int, useful, raw units.CPUSeconds)
 // not rely on it.
 //
 // A callback's limit write (quota, cpuset, shares) is queued like any
-// other change and takes effect from the next tick, provided its target
-// is a group the tick's walk has passed, children included, or one with
-// no CPU this tick. A write to a group later in the walk is not: the
-// rebuild oracle reads limits live as it walks, so it applies the new
-// limit to that group's throttle accounting one tick early, while
-// repair does not.
+// other change and takes effect from the next tick, whichever group it
+// targets: the throttle rule reads each group's limit as of the cap
+// computation, which precedes the walk.
 type Team struct {
 	group    *Group
 	gamma    float64
@@ -321,15 +319,16 @@ type Scheduler struct {
 	// Struct-of-arrays hot state, parallel to groups (indexed by
 	// schedIdx, compacted in step on RemoveGroup).
 	gCap  []float64 // memoized per-group capacity cap
+	gLim  []float64 // bandwidth limit the cap was computed under (the throttle rule reads it)
 	gRate []float64 // memoized water-fill result (= LastRate)
 	gAcct []groupAcct
 
-	// Memoized allocation metadata, valid while allocValid holds.
-	allocValid  bool  // gCap/gRate/active/loadContrib/slackLast current
+	// Memoized allocation metadata.
 	active      []int // groups with rate > 0, ascending schedIdx
 	loadContrib float64
 
-	// scratch buffers reused across rebuilds to avoid allocation
+	// Fill scratch, reused tick to tick: the top-level participants and
+	// one parent's children, which waterfill consumes in place.
 	scratchTop   []int
 	scratchChild []int
 
@@ -386,7 +385,9 @@ func NewScheduler(ncpu int) *Scheduler {
 	if ncpu <= 0 {
 		panic(fmt.Sprintf("cfs: non-positive CPU count %d", ncpu))
 	}
-	return &Scheduler{ncpu: ncpu, Trace: new(telemetry.Tracer)}
+	// The empty memo is exact: no group has a cap or a rate, so every
+	// CPU is slack.
+	return &Scheduler{ncpu: ncpu, slackLast: float64(ncpu), Trace: new(telemetry.Tracer)}
 }
 
 // NCPU returns the number of host cores.
@@ -433,9 +434,8 @@ func (s *Scheduler) SetShares(g *Group, shares int64) {
 // cap, every rate and the throttle state are unchanged. Any other write
 // queues the group for repair.
 func (s *Scheduler) SetQuota(g *Group, quotaUS, periodUS int64) {
-	if !s.allocValid || g.removed {
-		// An invalid memo is rebuilt whole on the next tick, and a
-		// removed group cannot affect the allocation.
+	if g.removed {
+		// A removed group cannot affect the allocation.
 		g.QuotaUS, g.PeriodUS = quotaUS, periodUS
 		return
 	}
@@ -463,35 +463,25 @@ func (s *Scheduler) SetCpuset(g *Group, n int) {
 // capOf computes a group's per-tick capacity cap from live state: a
 // leaf's runnable count, a parent's summed child caps (read from gCap,
 // so children must be current first), each bounded by the cpuset size
-// and the bandwidth limit. It is the only cap computation: the rebuild
-// and repair both call it, so a recomputed cap compares bitwise against
-// gCap.
-func (s *Scheduler) capOf(g *Group) float64 {
+// and the bandwidth limit lim, which it also returns. It is the only cap
+// computation: the rebuild and repair both call it and store the pair
+// in gCap and gLim, so a recomputed cap compares bitwise against gCap.
+func (s *Scheduler) capOf(g *Group) (c, lim float64) {
+	lim = g.CPULimit()
 	if len(g.children) > 0 {
-		var sum float64
-		for _, c := range g.children {
-			sum += s.gCap[c.schedIdx]
+		for _, ch := range g.children {
+			c += s.gCap[ch.schedIdx]
 		}
-		if g.CpusetN > 0 && float64(g.CpusetN) < sum {
-			sum = float64(g.CpusetN)
-		}
-		if lim := g.CPULimit(); lim < sum {
-			sum = lim
-		}
-		return sum
+	} else if c = float64(g.runnable); c == 0 {
+		return 0, lim
 	}
-	nr := g.runnable
-	if nr == 0 {
-		return 0
-	}
-	c := float64(nr)
 	if g.CpusetN > 0 && float64(g.CpusetN) < c {
 		c = float64(g.CpusetN)
 	}
-	if lim := g.CPULimit(); lim < c {
+	if lim < c {
 		c = lim
 	}
-	return c
+	return c, lim
 }
 
 // NewGroup creates and registers a top-level scheduling group. Shares
@@ -544,6 +534,7 @@ func (s *Scheduler) NewChildGroup(parent *Group, name string) *Group {
 // parallel to groups.
 func (s *Scheduler) growHot() {
 	s.gCap = append(s.gCap, 0)
+	s.gLim = append(s.gLim, math.Inf(1))
 	s.gRate = append(s.gRate, 0)
 	s.gAcct = append(s.gAcct, groupAcct{})
 	s.gSettled = append(s.gSettled, s.ticks)
@@ -558,21 +549,18 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	// Freeze fully settled accounting, and queue the repair the removal
 	// causes before the group's bookkeeping disappears.
 	s.settleTo(g.schedIdx, s.ticks)
-	if s.allocValid {
-		if s.gRate[g.schedIdx] > 0 {
-			// An active group leaves: the slack and load-contribution
-			// ordered sums must re-derive even if no surviving rate
-			// moves (e.g. everyone else already sits at cap).
-			s.pendingResum = true
-		}
-		if g.parent != nil && !g.parent.removed {
-			s.noteAllocChange(g.parent)
-		} else if g.parent == nil && s.gAcct[g.schedIdx].flags&acctTop != 0 {
-			// An active top-level group leaves the fill: its grant must
-			// be redistributed even though no surviving group was
-			// touched.
-			s.pendingTopFill = true
-		}
+	if s.gRate[g.schedIdx] > 0 {
+		// An active group leaves: the slack and load-contribution
+		// ordered sums must re-derive even if no surviving rate moves
+		// (e.g. everyone else already sits at cap).
+		s.pendingResum = true
+	}
+	if g.parent != nil && !g.parent.removed {
+		s.noteAllocChange(g.parent)
+	} else if g.parent == nil && s.gAcct[g.schedIdx].flags&acctTop != 0 {
+		// An active top-level group leaves the fill: its grant must be
+		// redistributed even though no surviving group was touched.
+		s.pendingTopFill = true
 	}
 	g.final = s.gAcct[g.schedIdx]
 	g.finalRate = s.gRate[g.schedIdx]
@@ -601,6 +589,7 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	i := g.schedIdx
 	s.groups = slices.Delete(s.groups, i, i+1)
 	s.gCap = append(s.gCap[:i], s.gCap[i+1:]...)
+	s.gLim = append(s.gLim[:i], s.gLim[i+1:]...)
 	s.gRate = append(s.gRate[:i], s.gRate[i+1:]...)
 	s.gAcct = append(s.gAcct[:i], s.gAcct[i+1:]...)
 	s.gSettled = append(s.gSettled[:i], s.gSettled[i+1:]...)
@@ -757,14 +746,14 @@ func waterfill(groups []*Group, caps, alloc []float64, active []int, capacity fl
 // Tick advances the scheduler by dt: allocates CPU, advances task work,
 // and updates accounting and the load average. It is called once per
 // simulation tick by the host. With nothing dirty it walks only the
-// groups whose team callbacks must fire (quietTick); a bounded dirty
-// set is repaired in place (repairTick); a large one escalates to one
-// full rebuild. Results are bit-identical to rebuilding every tick.
+// groups whose team callbacks must fire (quietTick); otherwise it
+// repairs the dirty set in place (repairTick). Results are bit-identical
+// to rebuilding every tick, which only the test oracle does.
 //
 // The allocation is fixed for the whole tick: a scheduler input that a
-// team callback changes during the tick's walk (a block, a wake) is
-// queued like any other change and takes effect on the next tick, in
-// every regime.
+// team callback changes during the tick's walk (a block, a wake, a
+// limit write) is queued like any other change and takes effect on the
+// next tick, in both regimes.
 func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	if dt != s.lastDt {
 		// The deferred-accounting replay assumes a constant tick length;
@@ -780,21 +769,16 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	dtSec := s.lastDtSec
 	s.totalRunnable = s.runnableNow
 
-	memo := s.allocValid && !s.rebuildOracle
 	switch {
-	case memo && len(s.dirty) == 0 && !s.pendingTopFill && !s.pendingResum:
-		s.quietTick(now, dt, dtSec)
-	case memo && !s.escalate():
-		s.Trace.Add(telemetry.CtrTickRepairs, 1)
-		s.repairTick(now, dt, dtSec)
-	default:
-		if memo {
-			s.Trace.Add(telemetry.CtrRepairEscalations, 1)
-		}
+	case s.rebuildOracle:
 		s.Trace.Add(telemetry.CtrTickRebuilds, 1)
-		s.settleAllTo(s.ticks - 1)
 		s.resetRepairState()
 		s.rebuildTick(now, dt, dtSec)
+	case len(s.dirty) == 0 && !s.pendingTopFill && !s.pendingResum:
+		s.quietTick(now, dt, dtSec)
+	default:
+		s.Trace.Add(telemetry.CtrTickRepairs, 1)
+		s.repairTick(now, dt, dtSec)
 	}
 
 	s.slackWindow += units.CPUSeconds(s.slackLast * dtSec)
@@ -877,31 +861,32 @@ func (s *Scheduler) recomputeLoadContrib() {
 }
 
 // refreshThrottle applies the throttle rule to an active group (rate >
-// 0) for this tick, and is the only place the rule lives. A group's own
-// limit binds when its rate reaches it: that accrues this tick's
-// throttledDur and sets acctDurBinding, so deferred ticks keep accruing
-// in settleTo. A leaf whose parent's limit binds is throttled too, but
-// accrues nothing: its own limit did not cap it. The flag transition is
-// recorded (and traced) through noteThrottle. It reports whether
-// a leaf's throttle flag moved (which changes the group's load-average
-// contribution).
+// 0) for this tick, and is the only place the rule lives. It reads each
+// limit from gLim, as of the group's last cap computation, so a limit
+// written during the walk moves no throttle state before the next tick,
+// in either regime. A group's own limit binds when its rate reaches it:
+// that accrues this tick's throttledDur and sets acctDurBinding, so
+// deferred ticks keep accruing in settleTo. A leaf whose parent's limit
+// binds is throttled too, but accrues nothing: its own limit did not
+// cap it. The flag transition is recorded (and traced) through
+// noteThrottle. It reports whether a leaf's throttle flag moved (which
+// changes the group's load-average contribution).
 func (s *Scheduler) refreshThrottle(now sim.Time, i int, g *Group, rate float64, dt time.Duration) bool {
 	a := &s.gAcct[i]
-	binding := limitBinds(g, rate)
+	binding := limitBinds(s.gLim[i], rate)
 	if binding {
 		a.throttledDur += dt
 	}
 	a.setFlag(acctDurBinding, binding)
-	throttled := binding || g.parent != nil && limitBinds(g.parent, s.gRate[g.parent.schedIdx])
+	throttled := binding || g.parent != nil && limitBinds(s.gLim[g.parent.schedIdx], s.gRate[g.parent.schedIdx])
 	was := a.flags&acctThrottled != 0
 	s.noteThrottle(now, i, g, throttled, rate)
 	return len(g.children) == 0 && was != throttled
 }
 
-// limitBinds reports whether g's bandwidth limit caps a rate of rate
-// CPUs, to within the water fill's float residue.
-func limitBinds(g *Group, rate float64) bool {
-	lim := g.CPULimit()
+// limitBinds reports whether a bandwidth limit of lim CPUs caps a rate
+// of rate CPUs, to within the water fill's float residue.
+func limitBinds(lim, rate float64) bool {
 	return !math.IsInf(lim, 1) && rate >= lim-1e-9
 }
 
@@ -911,26 +896,22 @@ func limitBinds(g *Group, rate float64) bool {
 // the per-group body repair ticks use, deferring nothing. The active,
 // eager and fill-participant lists are patched exactly as a repair
 // patches them, and slack and the load contribution are re-derived from
-// the active leaves.
+// the active leaves. Only the test oracle runs it (Tick with
+// rebuildOracle set), every tick.
 func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
-	n := len(s.groups)
 	for i, g := range s.groups {
 		s.gRate[i] = 0
 		if len(g.children) == 0 {
-			s.gCap[i] = s.capOf(g)
+			s.gCap[i], s.gLim[i] = s.capOf(g)
 		}
 	}
 	for i, g := range s.groups {
 		if len(g.children) > 0 {
-			s.gCap[i] = s.capOf(g)
+			s.gCap[i], s.gLim[i] = s.capOf(g)
 		}
 	}
 
 	// Top-level water fill over parents and parentless groups.
-	if cap(s.scratchTop) < n {
-		s.scratchTop = make([]int, 0, n)
-		s.scratchChild = make([]int, 0, n)
-	}
 	top := s.scratchTop[:0]
 	for i, g := range s.groups {
 		in := g.parent == nil && s.gCap[i] > 0
@@ -943,6 +924,7 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 	// in place: repair ticks refill over this set.
 	s.activeTop = append(s.activeTop[:0], top...)
 	waterfill(s.groups, s.gCap, s.gRate, top, float64(s.ncpu))
+	s.scratchTop = top[:0]
 
 	// Second level: each parent's grant is filled among its children.
 	for i, g := range s.groups {
@@ -956,11 +938,9 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 			}
 		}
 		waterfill(s.groups, s.gCap, s.gRate, childActive, s.gRate[i])
+		s.scratchChild = childActive[:0]
 	}
 
-	// The memo is current from here on: a change a team callback makes
-	// during the walk below queues a repair for the next tick.
-	s.allocValid = true
 	s.inWalk = true
 	for i, g := range s.groups {
 		s.walkPos = i
@@ -1000,10 +980,13 @@ func (s *Scheduler) noteThrottle(now sim.Time, i int, g *Group, throttled bool, 
 // accounting Tick would have performed on an idle host: the tick count,
 // zero rates, full-capacity slack accumulation, and the load-average
 // decay (iterated per tick so results stay bit-identical with dense
-// stepping). now is the end of the first skipped tick, matching Tick's
-// convention. The caller — the host kernel's fast-forward phase —
-// guarantees the span is idle: no runnable tasks, and no timer or
-// program wake that could change scheduler state mid-span.
+// stepping). It leaves the memo such a tick leaves: no cap, rate or
+// throttle state, empty active, eager and fill lists, nothing queued
+// and no load contribution. now is the end of the first skipped tick,
+// matching Tick's convention. The caller — the host kernel's
+// fast-forward phase — guarantees the span is idle: no runnable tasks,
+// and no timer or program wake that could change scheduler state
+// mid-span.
 func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 	if n <= 0 {
 		return
@@ -1016,12 +999,17 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 	s.settleAllTo(s.ticks)
 	s.ticks += uint64(n)
 	s.totalRunnable = 0
+	s.resetRepairState()
 	for i, g := range s.groups {
-		s.gRate[i] = 0
+		s.gCap[i], s.gRate[i] = 0, 0
 		s.noteThrottle(now, i, g, false, 0)
+		s.gAcct[i].flags &^= acctDurBinding | acctActive | acctEager | acctTop
 		s.gSettled[i] = s.ticks
 	}
-	s.allocValid = false
+	s.active = s.active[:0]
+	s.eagerIdx = s.eagerIdx[:0]
+	s.activeTop = s.activeTop[:0]
+	s.loadContrib = 0
 	dtSec := dt.Seconds()
 	slack := float64(s.ncpu)
 	s.slackLast = slack
@@ -1039,10 +1027,9 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 // when throttling can end). ok is false when no group is throttled — an
 // idle scheduler stays idle until a timer or program wakes a task.
 //
-// It scans only the active list. While the memo is valid a throttled
-// group has a positive rate (a tick that leaves a group at rate 0 clears
-// its flag), so it is on active; before the first tick and after
-// SkipIdle no group is throttled.
+// It scans only the active list. A throttled group has a positive rate
+// (a tick that leaves a group at rate 0 clears its flag, and so does
+// SkipIdle), so it is on active.
 func (s *Scheduler) NextEvent(now sim.Time) (sim.Time, bool) {
 	var best sim.Time
 	have := false

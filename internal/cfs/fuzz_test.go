@@ -20,8 +20,8 @@ import (
 // members for existing teams, teams whose callbacks wake a task in
 // another group or write a quota on one, SetRunnable, Tick, SkipIdle,
 // tick-length changes, and reads: usage, the view round's settle pass,
-// and its window read by index. After every op, the active list must be exactly the groups
-// with a positive rate while the memo is valid.
+// and its window read by index. After every op, the active list must be
+// exactly the groups with a positive rate.
 func FuzzRepairMirror(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
@@ -63,8 +63,8 @@ const (
 	opCount
 )
 
-// Growth caps keep one fuzz input's work bounded. The group cap still
-// exceeds 2*repairEscalateMin, so a dirty storm can escalate.
+// Growth caps keep one fuzz input's work bounded. The group cap leaves
+// room for dirty storms over more than a hundred groups.
 const (
 	fuzzMaxGroups = 160
 	fuzzMaxTasks  = 256

@@ -2,8 +2,8 @@
 //
 // Rebuilding every tick recomputes caps, both water-fill levels, and
 // accounting for every group — O(groups) even when one group changed.
-// Repair keeps the allocation as a memo, tracks changes in a dirty set,
-// and splits Tick into three regimes:
+// Repair keeps the allocation as a memo, valid from NewScheduler on,
+// tracks changes in a dirty set, and splits Tick into two regimes:
 //
 //   - quietTick: nothing dirty. Only the eager groups (active groups
 //     with runnable team members, whose callbacks must fire every tick)
@@ -17,8 +17,8 @@
 //     have, so results are bit-identical, and costs nothing until
 //     someone looks.
 //
-//   - repairTick: a bounded dirty set. capOf recomputes the caps of
-//     dirty groups only, then of affected parents, the top-level water
+//   - repairTick: anything dirty. capOf recomputes the caps of dirty
+//     groups only, then of affected parents, the top-level water
 //     fill reruns over the incrementally maintained activeTop list only
 //     when a top-level cap, weight, or membership moved, and only
 //     parents whose grant or limits moved refill their children. One
@@ -28,22 +28,19 @@
 //     active/eager list changes. Because the load contribution and
 //     slack are ordered sums over the active leaves, any touched leaf
 //     triggers an O(active) re-sum: repair is O(changes + tops +
-//     active), not O(groups + teams).
-//
-//   - escalation: when the dirty set reaches both an absolute floor and
-//     half the active set, one full rebuildTick (after settling all
-//     deferred accounting) re-derives everything — pathological churn
-//     degrades gracefully to the rebuild cost, mirroring the escalation
-//     of ns_monitor's bounds marks.
+//     active), not O(groups + teams). The first tick, the first tick
+//     after SkipIdle and a storm that dirties every group are repairs
+//     like any other; BenchmarkSchedulerRepairStorm measures the storm
+//     against BenchmarkSchedulerRebuild.
 //
 // The regimes differ only in which groups they visit, not in what a
 // visit computes. There is one cap computation (capOf), one per-group
 // accounting body (accountGroup), one throttle rule (refreshThrottle,
 // which accountGroup applies), and one ordered re-sum
 // each for slack and load (recomputeUsedSlack, recomputeLoadContrib).
-// The rebuild is these functions applied to every group, in ascending
-// order, so a repaired value is bit-identical to a rebuilt one because
-// both come from the same operations on the same inputs.
+// The test oracle's rebuild is these functions applied to every group,
+// in ascending order, so a repaired value is bit-identical to a rebuilt
+// one because both come from the same operations on the same inputs.
 //
 // quietTick is kept apart from repairTick on purpose. Dispatching a
 // quiet tick to repairTick is equivalent (the mirror tests pass) but
@@ -51,9 +48,10 @@
 // went from a median 266 to 347 ns/op and BenchmarkKernelDense from 1.78
 // to 2.27 ms/op (2 vCPUs, six interleaved runs each). The choice
 // between the two is made from observable state (an empty dirty set),
-// and both sides run in the end-to-end benchmark: over a 5 s perfbench
-// run, scale ticks 55 575 quiet, 0 repair and 15 rebuild ticks, and
-// binding 219 611 quiet, 63 484 repair and 15 rebuild ticks.
+// and both sides run in the end-to-end benchmark: over 60 simulated
+// seconds of the perfbench hosts from seed 1, warmup included, scale
+// ticks 59 995 quiet and 5 repair ticks, and binding 46 426 quiet and
+// 13 574 repair ticks.
 //
 // Every write that can move an allocation or a throttle state (a
 // runnable flip, a shares, quota or cpuset write, a removal) marks one
@@ -61,11 +59,13 @@
 // whose old and new limits both sit above the group's cap, which moves
 // nothing.
 //
-// One rule holds in all three regimes: the allocation is fixed for the
-// tick. A change a team callback makes during the walk (a block, a
-// wake, a limit write) queues its mark like any other mutation, and the
-// next tick repairs it. The load contribution is re-summed from the
-// tick-end runnable counts whenever a count moved during the walk.
+// One rule holds in both regimes and in the oracle: the allocation is
+// fixed for the tick. A change a team callback makes during the walk (a
+// block, a wake, a limit write) queues its mark like any other mutation,
+// and the next tick repairs it; the throttle rule reads limits from
+// gLim, which only a cap computation writes. The load contribution is
+// re-summed from the tick-end runnable counts whenever a count moved
+// during the walk.
 //
 // Equivalence with rebuilding every tick is not asserted, it is tested.
 // The rebuild oracle (Tick with rebuildOracle set) is switched on only
@@ -88,33 +88,23 @@ import (
 	"arv/internal/units"
 )
 
-// repairEscalateMin is the dirty-set floor below which a repair never
-// escalates: a handful of dirty groups on a mostly idle host repairs in
-// O(tops) regardless of how small the active set is.
-const repairEscalateMin = 64
-
-// escalate reports whether the dirty set has grown past the point where
-// one full rebuild is cheaper than repairing group by group.
-func (s *Scheduler) escalate() bool {
-	return len(s.dirty) >= repairEscalateMin && 2*len(s.dirty) >= len(s.active)
-}
-
 // noteAllocChange records that g's allocation inputs changed by
-// queueing g in the dirty set, unless a full rebuild is already pending.
-// A change a team callback makes during a tick's walk is queued the same
-// way, so it takes effect on the next tick.
+// queueing g in the dirty set. A change a team callback makes during a
+// tick's walk is queued the same way, so it takes effect on the next
+// tick.
 func (s *Scheduler) noteAllocChange(g *Group) {
 	i := g.schedIdx
 	a := &s.gAcct[i]
-	if !s.allocValid || a.flags&acctAllocDirty != 0 {
+	if a.flags&acctAllocDirty != 0 {
 		return
 	}
 	a.flags |= acctAllocDirty
 	s.dirty = append(s.dirty, i)
 }
 
-// resetRepairState drops the dirty set after a full rebuild re-derived
-// everything it tracked.
+// resetRepairState drops the dirty set when everything it tracked is
+// re-derived anyway: by the oracle's rebuild, or by SkipIdle, which
+// leaves the idle memo.
 func (s *Scheduler) resetRepairState() {
 	for _, i := range s.dirty {
 		s.gAcct[i].flags &^= acctAllocDirty
@@ -178,8 +168,8 @@ func (s *Scheduler) settleTo(i int, target uint64) {
 	}
 }
 
-// settleAllTo settles every group to target (before a full rebuild or
-// an idle skip).
+// settleAllTo settles every group to target (before an idle skip or a
+// tick-length change).
 func (s *Scheduler) settleAllTo(target uint64) {
 	for i := range s.groups {
 		s.settleTo(i, target)
@@ -188,25 +178,16 @@ func (s *Scheduler) settleAllTo(target uint64) {
 
 // SettleWindows brings every group that can hold deferred accrual
 // current, so that TakeWindowAt can read windows by index without
-// settling. The view round calls it once, before its reads. While the
-// memo is valid those groups are exactly the ones on the active list.
-// This rests on one invariant: while allocValid holds, active is
-// exactly {i : gRate[i] > 0} (every tick's walk marks membership from
-// the rate it leaves, patchMembership merges the marks, RemoveGroup
-// patches the list), and a group whose rate is 0 has nothing to replay.
+// settling. The view round calls it once, before its reads. Those
+// groups are exactly the ones on the active list. This rests on one
+// invariant: active is exactly {i : gRate[i] > 0} (every tick's walk
+// marks membership from the rate it leaves, patchMembership merges the
+// marks, RemoveGroup patches the list, SkipIdle zeroes every rate and
+// empties the list), and a group whose rate is 0 has nothing to replay.
 // Every path that changes a rate settles the group first, so an idle
-// group left unsettled here is current. With the memo invalid (before
-// the first tick, after SkipIdle) the active list is not kept exact, so
-// the pass settles every group. The groups it visits are counted once
-// per pass in cfs.window_settles.
+// group left unsettled here is current. The groups it visits are
+// counted once per pass in cfs.window_settles.
 func (s *Scheduler) SettleWindows() {
-	if !s.allocValid {
-		s.Trace.Add(telemetry.CtrWindowSettles, uint64(len(s.groups)))
-		for i := range s.groups {
-			s.settleLive(i)
-		}
-		return
-	}
 	s.Trace.Add(telemetry.CtrWindowSettles, uint64(len(s.active)))
 	for _, i := range s.active {
 		s.settleLive(i)
@@ -285,7 +266,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 			}
 			continue
 		}
-		s.gCap[i] = s.capOf(g)
+		s.gCap[i], s.gLim[i] = s.capOf(g)
 		if g.parent != nil {
 			p := g.parent.schedIdx
 			pa := &s.gAcct[p]
@@ -302,7 +283,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		g := s.groups[p]
 		s.settleTo(p, prev)
 		old := s.gCap[p]
-		s.gCap[p] = s.capOf(g)
+		s.gCap[p], s.gLim[p] = s.capOf(g)
 		if s.gCap[p] != old {
 			topFill = true
 		}
@@ -328,6 +309,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		}
 		tops := append(s.scratchTop[:0], s.activeTop...)
 		waterfill(s.groups, s.gCap, s.gRate, tops, float64(s.ncpu))
+		s.scratchTop = tops[:0]
 		for k, i := range s.activeTop {
 			if s.gRate[i] != old[k] {
 				s.repairChanged = append(s.repairChanged, i)
@@ -369,6 +351,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		if grant > 0 {
 			waterfill(s.groups, s.gCap, s.gRate, childActive, grant)
 		}
+		s.scratchChild = childActive[:0]
 	}
 	s.repairParents = parents[:0]
 

@@ -163,15 +163,10 @@ func (m *mirror) newWaker(group, every, from int) int {
 // newLimiter creates a mirrored team whose callback, on every every-th
 // call, writes a quota from quotaPalette on one group: the first write
 // uses palette entry pick%len(quotaPalette), each later write the next
-// one, and the search for a target starts at group index
-// pick/len(quotaPalette). Like newWaker, it writes only to a group the
-// walk has passed (its own included) or to one with no CPU this tick,
-// and a passed parent only once its children are passed too, since a
-// child's throttle rule reads its parent's limit. Both protocols apply
-// such a write from the next tick. A write to a group later in the walk
-// is left out: the oracle reads limits live as it walks, so it would
-// apply the write to that group's throttle accounting one tick early
-// (see Team).
+// one, and the target is the first live group from group index
+// pick/len(quotaPalette) on — one the walk has passed, its own group,
+// or one later in the walk. Both protocols apply the write from the next
+// tick, whichever it is (see Team).
 func (m *mirror) newLimiter(group, every, pick int) int {
 	k := len(m.teams)
 	hook := func(arm int, s *Scheduler) TeamFunc {
@@ -183,11 +178,10 @@ func (m *mirror) newLimiter(group, every, pick int) int {
 			if calls++; calls%every != 0 {
 				return
 			}
-			self := m.groups[tm.group].arm(arm).schedIdx
 			from := pick / len(quotaPalette)
 			for j := range m.groups {
 				g := m.groups[(from+j)%len(m.groups)].arm(arm)
-				if g.removed || !walkPassed(g, self) && s.gRate[g.schedIdx] != 0 {
+				if g.removed {
 					continue
 				}
 				q := quotaPalette[(pick+writes)%len(quotaPalette)]
@@ -198,20 +192,6 @@ func (m *mirror) newLimiter(group, every, pick int) int {
 		}
 	}
 	return m.addTeam(group, 0, hook)
-}
-
-// walkPassed reports whether a tick's walk positioned at slot self has
-// already visited g and its children.
-func walkPassed(g *Group, self int) bool {
-	if g.schedIdx > self {
-		return false
-	}
-	for _, c := range g.children {
-		if c.schedIdx > self {
-			return false
-		}
-	}
-	return true
 }
 
 // joinTeam adds a mirrored member to team tm.
@@ -296,9 +276,13 @@ func (m *mirror) check(ctx string) {
 	for i := range m.oracle.groups {
 		eq(float64(m.oracle.gAcct[i].windowUsage), float64(m.rep.gAcct[i].windowUsage), "windowUsage[%d] (%s)", i, m.oracle.groups[i].Name)
 	}
+	const throttleBits = acctThrottled | acctDurBinding
 	for i := range m.oracle.groups {
 		eq(m.oracle.gCap[i], m.rep.gCap[i], "gCap[%d] (%s)", i, m.oracle.groups[i].Name)
 		eq(m.oracle.gRate[i], m.rep.gRate[i], "gRate[%d] (%s)", i, m.oracle.groups[i].Name)
+		if fe, fr := m.oracle.gAcct[i].flags&throttleBits, m.rep.gAcct[i].flags&throttleBits; fe != fr {
+			t.Fatalf("%s: throttle bits of %s diverged: oracle %b repair %b", ctx, m.oracle.groups[i].Name, fe, fr)
+		}
 	}
 	if la, lb := m.oracle.active, m.rep.active; !intSliceEq(la, lb) {
 		t.Fatalf("%s: active diverged: oracle %v repair %v", ctx, la, lb)
@@ -360,17 +344,15 @@ func (m *mirror) check(ctx string) {
 	if ne != nr || oke != okr {
 		t.Fatalf("%s: NextEvent diverged: (%v,%v) vs (%v,%v)", ctx, ne, oke, nr, okr)
 	}
+	m.checkActive(ctx)
 	m.checkRepairInvariants(ctx)
 }
 
 // checkActive asserts the invariant SettleWindows rests on, on both
-// arms: while the memo is valid, active is exactly {i : gRate[i] > 0}.
-// The mirror drivers call it after every op.
+// arms: active is exactly {i : gRate[i] > 0}, before the first tick and
+// after SkipIdle too. The mirror drivers call it after every op.
 func (m *mirror) checkActive(ctx string) {
 	for _, s := range []*Scheduler{m.oracle, m.rep} {
-		if !s.allocValid {
-			continue
-		}
 		j := 0
 		for i, r := range s.gRate {
 			if r <= 0 {
@@ -405,9 +387,6 @@ func (m *mirror) checkRepairInvariants(ctx string) {
 	t := m.t
 	t.Helper()
 	s := m.rep
-	if !s.allocValid {
-		return
-	}
 	var wantEager, wantTop []int
 	for i, g := range s.groups {
 		teamRunnable := 0
@@ -426,8 +405,8 @@ func (m *mirror) checkRepairInvariants(ctx string) {
 		if got := s.gAcct[i].flags&acctActive != 0; got != (s.gRate[i] > 0) {
 			t.Fatalf("%s: acctActive[%d] inconsistent with rate %v", ctx, i, s.gRate[i])
 		}
-		if len(g.children) == 0 && s.capOf(g) != s.gCap[i] && s.gAcct[i].flags&acctAllocDirty == 0 {
-			t.Fatalf("%s: leaf %s cap %v is stale (live %v) and not queued", ctx, g.Name, s.gCap[i], s.capOf(g))
+		if c, _ := s.capOf(g); len(g.children) == 0 && c != s.gCap[i] && s.gAcct[i].flags&acctAllocDirty == 0 {
+			t.Fatalf("%s: leaf %s cap %v is stale (live %v) and not queued", ctx, g.Name, s.gCap[i], c)
 		}
 		if s.gAcct[i].flags&acctThrottled != 0 {
 			if k := sort.SearchInts(s.active, i); s.gRate[i] <= 0 || k == len(s.active) || s.active[k] != i {
@@ -724,13 +703,20 @@ func TestRepairVariableDt(t *testing.T) {
 // SkipIdle on both arms, then resumed activity.
 func TestRepairSkipIdle(t *testing.T) {
 	m := newMirror(t, 4)
-	// Plain tasks only: self-blocking callbacks would desync the manual
-	// block step below.
+	// Plain tasks and one team that never blocks (an eager group): a
+	// self-blocking callback would desync the manual block step below.
 	for i := 0; i < 6; i++ {
 		gi := m.newGroup(fmt.Sprintf("g%d", i))
-		ti := m.newTask(gi, "t", 0)
+		every := 0
+		if i == 4 {
+			every = 1 << 30
+		}
+		ti := m.newTask(gi, "t", every)
 		m.setRunnable(ti, true)
 	}
+	// g0's own quota binds, so it carries throttle state into the skips.
+	m.oracle.SetQuota(m.groups[0].e, 50_000, 100_000)
+	m.rep.SetQuota(m.groups[0].r, 50_000, 100_000)
 	for i := 0; i < 40; i++ {
 		m.tick()
 	}
@@ -752,6 +738,54 @@ func TestRepairSkipIdle(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		m.tick()
 		m.check("post-idle tick")
+	}
+
+	// Block and skip with no tick between: the skip itself must leave
+	// the idle memo (no rate, empty lists), not the running one.
+	for ti := range m.tasks {
+		m.setRunnable(ti, false)
+	}
+	m.now += 10 * m.dt
+	m.oracle.SkipIdle(m.now, m.dt, 10)
+	m.rep.SkipIdle(m.now, m.dt, 10)
+	m.check("skip right after the blocks")
+	repairs := m.rep.Trace.Count(telemetry.CtrTickRepairs)
+	m.tick() // nothing runnable or queued: a quiet tick on the repair arm
+	m.check("idle tick after the skip")
+	if m.rep.Trace.Count(telemetry.CtrTickRepairs) != repairs {
+		t.Fatal("the skip left repair work queued")
+	}
+	m.setRunnable(1, true)
+	for i := 0; i < 5; i++ {
+		m.tick()
+		m.check("after the second skip")
+	}
+}
+
+// TestEmptyMemoIsExact holds a fresh scheduler's memo to the oracle:
+// before any tick, through a first tick with nothing runnable (a quiet
+// tick on the repair arm, so nothing recomputes the slack), through an
+// idle skip, and through the first wake-up.
+func TestEmptyMemoIsExact(t *testing.T) {
+	m := newMirror(t, 4)
+	for i := 0; i < 3; i++ {
+		m.newTask(m.newGroup(fmt.Sprintf("g%d", i)), "t", 0)
+	}
+	m.check("before the first tick")
+	if sl := m.rep.SlackLast(); sl != 4 {
+		t.Fatalf("slack %v before the first tick, want all 4 CPUs", sl)
+	}
+	m.tick()
+	m.check("first tick, nothing runnable")
+	m.now += 5 * m.dt
+	m.oracle.SkipIdle(m.now, m.dt, 5)
+	m.rep.SkipIdle(m.now, m.dt, 5)
+	m.check("idle skip")
+	m.setRunnable(0, true)
+	m.tick()
+	m.check("first wake-up")
+	if n := m.rep.Trace.Count(telemetry.CtrTickRepairs); n != 1 {
+		t.Fatalf("%d repair ticks, want 1 (the wake-up)", n)
 	}
 }
 
@@ -825,12 +859,14 @@ func TestRepairActiveCrossingZero(t *testing.T) {
 	}
 }
 
-// TestRepairEscalationBoundary pins the escalation predicate: a dirty
-// set at the boundary (≥ repairEscalateMin and ≥ half of active) must
-// fall back to one full rebuild, and state must stay exact through it.
-func TestRepairEscalationBoundary(t *testing.T) {
+// TestRepairAfterStorm holds the two widest repairs to the oracle: the
+// first tick, which repairs every group woken before it, and a storm
+// that dirties every group at once. Both are repair ticks, and so is a
+// single change after the storm; the quiet ticks between leave the
+// repair counter alone.
+func TestRepairAfterStorm(t *testing.T) {
 	m := newMirror(t, 8)
-	n := 2 * repairEscalateMin // 128 groups, all active
+	const n = 128
 	var gis []int
 	for i := 0; i < n; i++ {
 		gi := m.newGroup(fmt.Sprintf("g%d", i))
@@ -838,76 +874,38 @@ func TestRepairEscalationBoundary(t *testing.T) {
 		m.setRunnable(ti, true)
 		gis = append(gis, gi)
 	}
-	for i := 0; i < 4; i++ {
+	m.check("before the first tick")
+	tr := m.rep.Trace
+	tick := func(ctx string, repairs uint64) {
+		t.Helper()
 		m.tick()
-	}
-	m.check("steady")
-
-	round := int64(0)
-	dirtyN := func(k int) {
-		// A fresh value every round: SetShares no-ops on unchanged
-		// values, which would leave the dirty set short.
-		round++
-		for i := 0; i < k; i++ {
-			sh := int64(512+512*(i%3)) + round
-			m.oracle.SetShares(m.groups[gis[i]].e, sh)
-			m.rep.SetShares(m.groups[gis[i]].r, sh)
+		m.check(ctx)
+		if got := tr.Count(telemetry.CtrTickRepairs); got != repairs {
+			t.Fatalf("%s: %d repair ticks, want %d", ctx, got, repairs)
 		}
 	}
-
-	// One below the boundary: repairs.
-	dirtyN(repairEscalateMin - 1)
-	if m.rep.escalate() {
-		t.Fatalf("escalated below the floor: dirty=%d active=%d", len(m.rep.dirty), len(m.rep.active))
-	}
-	m.tick()
-	m.check("below boundary")
-
-	// At the boundary (dirty = 64 = half of 128 active): escalates.
-	dirtyN(repairEscalateMin)
-	if !m.rep.escalate() {
-		t.Fatalf("no escalation at the boundary: dirty=%d active=%d", len(m.rep.dirty), len(m.rep.active))
-	}
-	m.tick()
-	m.check("at boundary")
-	if len(m.rep.dirty) != 0 {
-		t.Fatalf("dirty set not reset after escalation: %v", m.rep.dirty)
-	}
-}
-
-// TestRepairAfterEscalation verifies the scheduler returns to
-// incremental repair after an escalation rebuilt its lists.
-func TestRepairAfterEscalation(t *testing.T) {
-	m := newMirror(t, 8)
-	n := 2 * repairEscalateMin
-	var gis []int
-	for i := 0; i < n; i++ {
-		gi := m.newGroup(fmt.Sprintf("g%d", i))
-		ti := m.newTask(gi, "t", 0)
-		m.setRunnable(ti, true)
-		gis = append(gis, gi)
-	}
-	for i := 0; i < 4; i++ {
-		m.tick()
+	tick("first tick", 1)
+	for i := 0; i < 3; i++ {
+		tick("quiet", 1)
 	}
 	for i := 0; i < n; i++ { // storm: every group dirty
 		m.oracle.SetShares(m.groups[gis[i]].e, 2048)
 		m.rep.SetShares(m.groups[gis[i]].r, 2048)
 	}
-	m.tick() // escalates
-	m.check("escalation")
+	if len(m.rep.dirty) != n {
+		t.Fatalf("storm queued %d of %d groups", len(m.rep.dirty), n)
+	}
+	tick("storm", 2)
 
-	// Small change afterwards must take the repair path again.
+	// A small change afterwards repairs that group alone.
 	m.oracle.SetShares(m.groups[gis[3]].e, 4096)
 	m.rep.SetShares(m.groups[gis[3]].r, 4096)
-	if m.rep.escalate() {
-		t.Fatal("single dirty group should not escalate after rebuild")
-	}
-	m.tick()
-	m.check("incremental again")
+	tick("single change", 3)
 	for i := 0; i < 6; i++ {
-		m.tick()
-		m.check("steady after escalation")
+		tick("steady after the storm", 3)
+	}
+	if rb := tr.Count(telemetry.CtrTickRebuilds); rb != 0 {
+		t.Fatalf("the production scheduler rebuilt %d times", rb)
 	}
 }
 
@@ -935,14 +933,16 @@ func TestRepairLongDeferralSettlesOnRead(t *testing.T) {
 	m.check("after 700 deferred ticks")
 }
 
-// TestCallbackBlockTakesEffectNextTick pins the next-tick rule in every
-// tick regime and in the oracle: a team callback that blocks its
+// TestCallbackBlockTakesEffectNextTick pins the next-tick rule in both
+// tick regimes and in the oracle: a team callback that blocks its
 // group's only task during a tick's walk leaves that tick's allocation
 // alone, and from the next tick on the group gets nothing while its
 // busy sibling gets both CPUs. The load average's input counts the
-// block at the end of the tick in which it happens.
+// block at the end of the tick in which it happens. The blocking tick
+// is a quiet tick, a repair of one group, a storm repair of every
+// group, or the scheduler's first tick.
 func TestCallbackBlockTakesEffectNextTick(t *testing.T) {
-	for _, regime := range []string{"quiet", "repair", "escalation"} {
+	for _, regime := range []string{"quiet", "repair", "storm", "first"} {
 		for _, oracle := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/oracle=%v", regime, oracle), func(t *testing.T) {
 				testCallbackBlock(t, regime, oracle)
@@ -969,10 +969,10 @@ func testCallbackBlock(t *testing.T, regime string, oracle bool) {
 	self = s.NewTeamTask(tm, "a0")
 	s.SetRunnable(self, true)
 	b := newBusyGroup(s, "b", 4)
-	// Idle groups whose tasks the escalation regime toggles: enough
-	// dirty marks to force one full rebuild without moving any rate.
+	// Idle groups the storm regime dirties alongside a and b, without
+	// moving any rate.
 	var idle []*Task
-	for i := 0; i < repairEscalateMin; i++ {
+	for i := 0; i < 64; i++ {
 		idle = append(idle, s.NewTask(s.NewGroup(fmt.Sprintf("idle%d", i)), "t"))
 	}
 	var now time.Duration
@@ -980,8 +980,10 @@ func testCallbackBlock(t *testing.T, regime string, oracle bool) {
 		now += tick
 		s.Tick(now, tick)
 	}
-	for i := 0; i < 5; i++ {
-		step()
+	if regime != "first" {
+		for i := 0; i < 5; i++ {
+			step()
+		}
 	}
 
 	// b's shares double, so a runs at 2/3 CPU and b at 4/3 in the tick
@@ -992,27 +994,30 @@ func testCallbackBlock(t *testing.T, regime string, oracle bool) {
 		for i := 0; i < 3; i++ {
 			step()
 		}
-	case "escalation":
+	case "storm":
+		s.SetCpuset(a, a.CpusetN)
 		for _, task := range idle {
 			s.SetRunnable(task, true)
 			s.SetRunnable(task, false)
 		}
+		if len(s.dirty) != len(s.groups) {
+			t.Fatalf("storm queued %d of %d groups", len(s.dirty), len(s.groups))
+		}
 	}
-	repairs, escalations := tr.Count(telemetry.CtrTickRepairs), tr.Count(telemetry.CtrRepairEscalations)
-	rebuilds := tr.Count(telemetry.CtrTickRebuilds)
+	repairs := tr.Count(telemetry.CtrTickRepairs)
 	block = true
 	step()
 	if self.Runnable() {
 		t.Fatal("the callback did not block its task")
 	}
 	if !oracle {
-		got := map[string]bool{
-			"quiet":      tr.Count(telemetry.CtrTickRebuilds) == rebuilds && tr.Count(telemetry.CtrTickRepairs) == repairs,
-			"repair":     tr.Count(telemetry.CtrTickRepairs) == repairs+1,
-			"escalation": tr.Count(telemetry.CtrRepairEscalations) == escalations+1,
+		wantRepairs := repairs + 1
+		if regime == "quiet" {
+			wantRepairs = repairs
 		}
-		if !got[regime] {
-			t.Fatalf("the blocking tick was not a %s tick", regime)
+		if got := tr.Count(telemetry.CtrTickRepairs); got != wantRepairs || tr.Count(telemetry.CtrTickRebuilds) != 0 {
+			t.Fatalf("the blocking tick was not a %s tick: %d repairs (want %d), %d rebuilds",
+				regime, got, wantRepairs, tr.Count(telemetry.CtrTickRebuilds))
 		}
 	}
 	if r := a.LastRate(); math.Abs(r-2.0/3) > 1e-9 {
@@ -1034,5 +1039,43 @@ func testCallbackBlock(t *testing.T, regime string, oracle bool) {
 	}
 	if got := a.Usage(); got != usage {
 		t.Fatalf("a accrued %v CPU-s after its only task blocked", got-usage)
+	}
+}
+
+// TestRepairFillsKeepGrownScratch pins the fill scratch: a repair's top
+// fill and child refills borrow scratchTop and scratchChild, and must
+// keep them once grown. The fleet here grows in small batches after the
+// first tick, so the fill lists outgrow whatever the first tick sized;
+// from then on a repair that reruns the top fill and refills a pod
+// (a top-level shares write and a child's) allocates nothing.
+func TestRepairFillsKeepGrownScratch(t *testing.T) {
+	s := NewScheduler(8)
+	pod := s.NewGroup("pod")
+	first := newBusyGroup(s, "g0", 1)
+	s.Tick(tick, tick)
+	var now time.Duration = tick
+	var child *Group
+	for batch := 0; batch < 16; batch++ {
+		for i := 0; i < 4; i++ {
+			newBusyGroup(s, fmt.Sprintf("g%d-%d", batch, i), 1)
+		}
+		child = s.NewChildGroup(pod, fmt.Sprintf("c%d", batch))
+		s.SetRunnable(s.NewTask(child, "t"), true)
+		now += tick
+		s.Tick(now, tick)
+	}
+	if len(s.activeTop) < 64 || len(pod.children) < 16 {
+		t.Fatalf("fleet did not grow: %d fill participants, %d pod children", len(s.activeTop), len(pod.children))
+	}
+	shares := int64(DefaultShares)
+	allocs := testing.AllocsPerRun(100, func() {
+		shares ^= 1
+		s.SetShares(first, shares)
+		s.SetShares(child, shares)
+		now += tick
+		s.Tick(now, tick)
+	})
+	if allocs != 0 {
+		t.Fatalf("a top-fill repair allocates %v times per tick, want 0", allocs)
 	}
 }

@@ -16,11 +16,12 @@ import (
 // bound by its own quota (throttled, accrues ThrottledTime), a child
 // bound only by its parent's quota (throttled, accrues nothing), a child
 // bound by its own quota (throttled, accrues), and an unbound group. The
-// ticks are a first-tick rebuild, a repair after cap-moving SetQuota
+// ticks are the first tick's repair, a repair after cap-moving SetQuota
 // writes, a repair after cap-preserving SetQuota writes that move only
-// throttle state, quiet ticks, and a forced escalation; telemetry
-// confirms each tick's regime. Every rate is a dyadic rational, so the
-// water fills are exact and the rates compare with ==.
+// throttle state, quiet ticks, and a storm repair of every group;
+// telemetry confirms each tick's regime and that none is a rebuild.
+// Every rate is a dyadic rational, so the water fills are exact and the
+// rates compare with ==.
 func TestThrottleRulesExact(t *testing.T) {
 	s := NewScheduler(6)
 	tr := s.Trace
@@ -56,7 +57,7 @@ func TestThrottleRulesExact(t *testing.T) {
 	tasks(u, 4)
 	tasks(q1, 1)
 	tasks(q2, 1)
-	idle := make([]*Task, repairEscalateMin)
+	idle := make([]*Task, 64)
 	for i := range idle {
 		idle[i] = s.NewTask(s.NewGroup(fmt.Sprintf("idle%d", i)), "t")
 	}
@@ -84,18 +85,16 @@ func TestThrottleRulesExact(t *testing.T) {
 	var now time.Duration
 	step := func(regime string) {
 		t.Helper()
-		rep, reb, esc := tr.Count(telemetry.CtrTickRepairs), tr.Count(telemetry.CtrTickRebuilds), tr.Count(telemetry.CtrRepairEscalations)
+		rep, reb := tr.Count(telemetry.CtrTickRepairs), tr.Count(telemetry.CtrTickRebuilds)
 		now += tick
 		s.Tick(now, tick)
-		got := [3]uint64{tr.Count(telemetry.CtrTickRepairs) - rep, tr.Count(telemetry.CtrTickRebuilds) - reb, tr.Count(telemetry.CtrRepairEscalations) - esc}
-		wantRegime := map[string][3]uint64{
-			"quiet":      {0, 0, 0},
-			"rebuild":    {0, 1, 0},
-			"repair":     {1, 0, 0},
-			"escalation": {0, 1, 1},
+		got := [2]uint64{tr.Count(telemetry.CtrTickRepairs) - rep, tr.Count(telemetry.CtrTickRebuilds) - reb}
+		wantRegime := map[string][2]uint64{
+			"quiet":  {0, 0},
+			"repair": {1, 0},
 		}[regime]
 		if got != wantRegime {
-			t.Fatalf("tick %v: (repairs, rebuilds, escalations) = %v, want a %s tick %v", now, got, regime, wantRegime)
+			t.Fatalf("tick %v: (repairs, rebuilds) = %v, want a %s tick %v", now, got, regime, wantRegime)
 		}
 		for _, g := range groups {
 			w := want[g]
@@ -132,7 +131,7 @@ func TestThrottleRulesExact(t *testing.T) {
 	set(q1, 1, false)
 	set(q2, 1, false)
 	ownBound[p], ownBound[c2] = true, true
-	step("rebuild")
+	step("repair")
 	step("quiet")
 	step("quiet")
 
@@ -162,13 +161,20 @@ func TestThrottleRulesExact(t *testing.T) {
 	ownBound[q], ownBound[q2] = true, true
 	step("repair")
 
-	// Toggling the idle groups queues enough dirty marks to force one
-	// full rebuild; no rate moves.
+	// A storm: toggling the idle groups and rewriting every other
+	// group's cpuset with its current value queues every group for
+	// repair; no rate or throttle state moves.
 	for _, task := range idle {
 		s.SetRunnable(task, true)
 		s.SetRunnable(task, false)
 	}
-	step("escalation")
+	for _, g := range groups {
+		s.SetCpuset(g, g.CpusetN)
+	}
+	if len(s.dirty) != len(s.groups) {
+		t.Fatalf("storm queued %d of %d groups", len(s.dirty), len(s.groups))
+	}
+	step("repair")
 	for i := 0; i < 3; i++ {
 		step("quiet")
 	}

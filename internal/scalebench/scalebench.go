@@ -160,8 +160,6 @@ type Result struct {
 	NsPerSimSec   float64 `json:"ns_per_sim_second"`
 	Ticks         uint64  `json:"sched_ticks"`
 	TickRepairs   uint64  `json:"tick_repairs"`
-	TickRebuilds  uint64  `json:"tick_rebuilds"`
-	Escalations   uint64  `json:"repair_escalations"`
 	NSUpdates     uint64  `json:"ns_updates"`
 	LimitChurns   uint64  `json:"limit_churns"`
 	Allocs        uint64  `json:"allocs"`
@@ -180,8 +178,6 @@ func Run(cfg Config) Result {
 	tr := b.H.Trace
 	ticks0 := tr.Count(telemetry.CtrSchedTicks)
 	reps0 := tr.Count(telemetry.CtrTickRepairs)
-	rebs0 := tr.Count(telemetry.CtrTickRebuilds)
-	esc0 := tr.Count(telemetry.CtrRepairEscalations)
 	ups0 := tr.Count(telemetry.CtrNSUpdates)
 	churn0 := tr.Count(telemetry.CtrLimitChurns)
 	var before, after runtime.MemStats
@@ -193,21 +189,19 @@ func Run(cfg Config) Result {
 
 	ticks := tr.Count(telemetry.CtrSchedTicks) - ticks0
 	res := Result{
-		Containers:   cfg.Containers,
-		CPUs:         cfg.CPUs,
-		Churn:        cfg.Churn,
-		ChurnMS:      float64(cfg.ChurnInterval) / float64(time.Millisecond),
-		SimSeconds:   cfg.Span.Seconds(),
-		WallMS:       float64(wall) / float64(time.Millisecond),
-		NsPerSimSec:  float64(wall.Nanoseconds()) / cfg.Span.Seconds(),
-		Ticks:        ticks,
-		TickRepairs:  tr.Count(telemetry.CtrTickRepairs) - reps0,
-		TickRebuilds: tr.Count(telemetry.CtrTickRebuilds) - rebs0,
-		Escalations:  tr.Count(telemetry.CtrRepairEscalations) - esc0,
-		NSUpdates:    tr.Count(telemetry.CtrNSUpdates) - ups0,
-		LimitChurns:  tr.Count(telemetry.CtrLimitChurns) - churn0,
-		Allocs:       after.Mallocs - before.Mallocs,
-		AllocBytes:   after.TotalAlloc - before.TotalAlloc,
+		Containers:  cfg.Containers,
+		CPUs:        cfg.CPUs,
+		Churn:       cfg.Churn,
+		ChurnMS:     float64(cfg.ChurnInterval) / float64(time.Millisecond),
+		SimSeconds:  cfg.Span.Seconds(),
+		WallMS:      float64(wall) / float64(time.Millisecond),
+		NsPerSimSec: float64(wall.Nanoseconds()) / cfg.Span.Seconds(),
+		Ticks:       ticks,
+		TickRepairs: tr.Count(telemetry.CtrTickRepairs) - reps0,
+		NSUpdates:   tr.Count(telemetry.CtrNSUpdates) - ups0,
+		LimitChurns: tr.Count(telemetry.CtrLimitChurns) - churn0,
+		Allocs:      after.Mallocs - before.Mallocs,
+		AllocBytes:  after.TotalAlloc - before.TotalAlloc,
 	}
 	if ticks > 0 {
 		res.AllocsPerTick = float64(res.Allocs) / float64(ticks)

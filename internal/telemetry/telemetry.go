@@ -199,16 +199,11 @@ const (
 	// CtrAutoscaleBankSpentMS accumulates the quota-bank CPU-milliseconds
 	// the banked policy spent on bursts.
 	CtrAutoscaleBankSpentMS
-	// CtrTickRepairs / CtrTickRebuilds count how allocation-stale
-	// scheduler ticks were served: by the dirty-set incremental repair
-	// or by a full O(groups) rebuild. Their ratio is the repair hit
-	// rate scalebench reports.
+	// CtrTickRepairs counts scheduler ticks that repaired a dirty
+	// allocation memo; every other tick is quiet. CtrTickRebuilds counts
+	// full O(groups) rebuild ticks, which only the test oracle runs.
 	CtrTickRepairs
 	CtrTickRebuilds
-	// CtrRepairEscalations counts repairs abandoned because the dirty
-	// set crossed the escalation threshold (≥ half the active list),
-	// falling back to one full rebuild.
-	CtrRepairEscalations
 	// CtrBoundsFlushes counts ns_monitor bounds passes: each flush that
 	// applied marks or pending dilutions, and each FullRecompute.
 	// CtrBoundsRecomputed counts the namespace bounds those passes
@@ -216,8 +211,7 @@ const (
 	CtrBoundsFlushes
 	CtrBoundsRecomputed
 	// CtrWindowSettles counts the groups the view round's settle pass
-	// (cfs.Scheduler.SettleWindows) visited: the active groups while
-	// the allocation memo is valid, every group otherwise.
+	// (cfs.Scheduler.SettleWindows) visited: the active groups.
 	CtrWindowSettles
 
 	numCounters
@@ -286,8 +280,6 @@ func (c Counter) String() string {
 		return "cfs.tick_repairs"
 	case CtrTickRebuilds:
 		return "cfs.tick_rebuilds"
-	case CtrRepairEscalations:
-		return "cfs.repair_escalations"
 	case CtrBoundsFlushes:
 		return "sysns.bounds_flushes"
 	case CtrBoundsRecomputed:
