@@ -74,11 +74,6 @@ func NewHost(cfg HostConfig) *Host { return host.New(cfg) }
 // processes, load generators).
 type Program = host.Program
 
-// WakePolicy is the optional Program extension that lets the kernel
-// fast-forward across a program's sleeps: NextWake names the next
-// instant the program needs a Poll even though none of its tasks ran.
-type WakePolicy = host.WakePolicy
-
 // Tracer is the structured counter/trace sink every Host carries in
 // Host.Trace: its counters always count, and it records events once
 // Host.EnableTelemetry has given it a ring. TraceEvent is one recorded
@@ -92,7 +87,6 @@ type (
 
 // Re-exported trace event kinds and counters.
 const (
-	TraceFastForward   = telemetry.KindFastForward
 	TraceThrottle      = telemetry.KindThrottle
 	TraceUnthrottle    = telemetry.KindUnthrottle
 	TraceKswapd        = telemetry.KindKswapd
@@ -101,8 +95,6 @@ const (
 	TraceNSUpdate      = telemetry.KindNSUpdate
 
 	CtrSteps          = telemetry.CtrSteps
-	CtrFastForwards   = telemetry.CtrFastForwards
-	CtrSkippedTicks   = telemetry.CtrSkippedTicks
 	CtrProgramPolls   = telemetry.CtrProgramPolls
 	CtrSchedTicks     = telemetry.CtrSchedTicks
 	CtrNSUpdates      = telemetry.CtrNSUpdates

@@ -18,9 +18,8 @@ import (
 //
 // This is a sharp invariant, not a smoke test: an inert autoscaler that
 // read even one snapshot would flip the monitor's observed bit, enable
-// periodic publication, and move the CtrSnapshotsPublished counter; one
-// that armed a timer would perturb the idle-span fast-forward schedule.
-// Either shows up as a golden diff somewhere in the 21 experiments.
+// periodic publication, and move the CtrSnapshotsPublished counter,
+// which shows up as a golden diff somewhere in the 21 experiments.
 func TestInertAutoscalerIsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full golden sweep twice; skipped in -short")

@@ -160,11 +160,10 @@ func BenchmarkSchedulerTick(b *testing.B) {
 	}
 }
 
-// --- kernel loop: dense stepping vs idle-span fast-forward ---
+// --- kernel loop: the cost of an idle host ---
 
 // daemon is a mostly-sleeping background program (cron, a health
-// checker): it wakes on a fixed period, does nothing measurable, and
-// advertises its next wake so the kernel can skip the sleep.
+// checker): it wakes on a fixed period and does nothing measurable.
 type daemon struct {
 	period time.Duration
 	next   sim.Time
@@ -175,8 +174,7 @@ func (d *daemon) Poll(now sim.Time) {
 		d.next = now + sim.Time(d.period)
 	}
 }
-func (d *daemon) Done() bool                             { return false }
-func (d *daemon) NextWake(now sim.Time) (sim.Time, bool) { return d.next, true }
+func (d *daemon) Done() bool { return false }
 
 // kernelScenario is the idle-heavy multitenant configuration: ten
 // containers with attached namespaces, each hosting a daemon that wakes
@@ -191,7 +189,9 @@ func kernelScenario() *host.Host {
 	return h
 }
 
-func benchKernel(b *testing.B, dense bool) {
+// BenchmarkKernelDense measures wall-clock cost per simulated second on
+// the idle-heavy scenario, stepped tick by tick.
+func BenchmarkKernelDense(b *testing.B) {
 	const simSpan = 10 * time.Second
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -199,24 +199,12 @@ func benchKernel(b *testing.B, dense bool) {
 		b.StopTimer()
 		h := kernelScenario()
 		b.StartTimer()
-		if dense {
-			for h.Now() < simSpan {
-				h.Step()
-			}
-		} else {
-			h.Run(simSpan)
+		for h.Now() < simSpan {
+			h.Step()
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/simSpan.Seconds(), "ns/sim-s")
 }
-
-// BenchmarkKernelIdle measures wall-clock cost per simulated second on
-// the idle-heavy scenario with fast-forwarding (the default).
-func BenchmarkKernelIdle(b *testing.B) { benchKernel(b, false) }
-
-// BenchmarkKernelDense is the same scenario stepped densely, tick by
-// tick — the seed kernel's behavior — for the speedup comparison.
-func BenchmarkKernelDense(b *testing.B) { benchKernel(b, true) }
 
 // --- scale: container counts well past the paper's testbed ---
 //

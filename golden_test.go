@@ -18,12 +18,9 @@ var goldenWorkers = flag.Int("golden-workers", 0,
 
 // TestExperimentsMatchGolden locks every registered experiment's
 // rendered output to the checked-in goldens, captured from the dense
-// fixed-tick kernel before the event-driven refactor. The experiments
-// run with idle-span fast-forwarding enabled (the default), so this is
-// the end-to-end proof that fast-forwarding is bit-identical to dense
-// stepping: one float or one tick of divergence anywhere in the
-// scheduler, memory controller, or namespace algorithms changes the
-// rendered tables.
+// fixed-tick kernel: one float or one tick of divergence anywhere in
+// the scheduler, memory controller, or namespace algorithms changes
+// the rendered tables.
 //
 // By default the trials fan out across GOMAXPROCS, the library default;
 // -golden-workers N pins another width (1 = sequential). Every

@@ -44,7 +44,6 @@
 // change, and the next Tick recomputes what it affects with the exact
 // float operations a non-memoizing scheduler would run every tick — so
 // results are bit-identical, just not recomputed when nothing changed.
-// SkipIdle leaves the memo an idle tick would leave.
 //
 // Per-group hot state lives in struct-of-arrays form on the Scheduler
 // (gCap, gLim, gRate, gAcct), indexed by the group's slot in Groups().
@@ -688,11 +687,6 @@ func (s *Scheduler) countRunnable(t *Task, d int) {
 	}
 }
 
-// RunnableNow returns the live count of runnable tasks, including
-// wake-ups and blocks made since the last tick. The host kernel's fast-forward gate reads it every step, so it
-// is maintained incrementally rather than scanned.
-func (s *Scheduler) RunnableNow() int { return s.runnableNow }
-
 // SchedPeriod returns the CFS scheduling period for the current number of
 // runnable tasks: 24 ms when there are at most 8, otherwise
 // 3 ms x ntasks. The paper sets the sys_namespace update interval to this
@@ -973,76 +967,4 @@ func (s *Scheduler) noteThrottle(now sim.Time, i int, g *Group, throttled bool, 
 		return
 	}
 	s.Trace.Emit(now, telemetry.KindThrottle, g.Name, int64(rate*1000), 0)
-}
-
-// SkipIdle advances the scheduler across n consecutive ticks of length
-// dt during which no task is runnable, replaying exactly the per-tick
-// accounting Tick would have performed on an idle host: the tick count,
-// zero rates, full-capacity slack accumulation, and the load-average
-// decay (iterated per tick so results stay bit-identical with dense
-// stepping). It leaves the memo such a tick leaves: no cap, rate or
-// throttle state, empty active, eager and fill lists, nothing queued
-// and no load contribution. now is the end of the first skipped tick,
-// matching Tick's convention. The caller — the host kernel's
-// fast-forward phase — guarantees the span is idle: no runnable tasks,
-// and no timer or program wake that could change scheduler state
-// mid-span.
-func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
-	if n <= 0 {
-		return
-	}
-	if s.runnableNow != 0 {
-		panic(fmt.Sprintf("cfs: SkipIdle with %d runnable tasks", s.runnableNow))
-	}
-	// Settle any deferred accounting at the pre-skip rates; the skipped
-	// span itself accrues nothing (all rates are zero).
-	s.settleAllTo(s.ticks)
-	s.ticks += uint64(n)
-	s.totalRunnable = 0
-	s.resetRepairState()
-	for i, g := range s.groups {
-		s.gCap[i], s.gRate[i] = 0, 0
-		s.noteThrottle(now, i, g, false, 0)
-		s.gAcct[i].flags &^= acctDurBinding | acctActive | acctEager | acctTop
-		s.gSettled[i] = s.ticks
-	}
-	s.active = s.active[:0]
-	s.eagerIdx = s.eagerIdx[:0]
-	s.activeTop = s.activeTop[:0]
-	s.loadContrib = 0
-	dtSec := dt.Seconds()
-	slack := float64(s.ncpu)
-	s.slackLast = slack
-	add := units.CPUSeconds(slack * dtSec)
-	a := min(dtSec/loadAvgTau.Seconds(), 1)
-	for i := 0; i < n; i++ {
-		s.slackWindow += add
-		s.loadAvg += (0 - s.loadAvg) * a
-	}
-}
-
-// NextEvent reports the scheduler's next self-scheduled instant: the
-// earliest cfs_period_us boundary among groups whose bandwidth limit was
-// binding in the most recent tick (their quota refreshes there, which is
-// when throttling can end). ok is false when no group is throttled — an
-// idle scheduler stays idle until a timer or program wakes a task.
-//
-// It scans only the active list. A throttled group has a positive rate
-// (a tick that leaves a group at rate 0 clears its flag, and so does
-// SkipIdle), so it is on active.
-func (s *Scheduler) NextEvent(now sim.Time) (sim.Time, bool) {
-	var best sim.Time
-	have := false
-	for _, i := range s.active {
-		g := s.groups[i]
-		if s.gAcct[i].flags&acctThrottled == 0 || g.PeriodUS <= 0 {
-			continue
-		}
-		period := time.Duration(g.PeriodUS) * time.Microsecond
-		next := now - now%period + period
-		if !have || next < best {
-			best, have = next, true
-		}
-	}
-	return best, have
 }

@@ -18,10 +18,10 @@ import (
 // shares/quota/cpuset writes, plain tasks, teams of one and of several
 // members (whose callbacks may block a member every k-th call), new
 // members for existing teams, teams whose callbacks wake a task in
-// another group or write a quota on one, SetRunnable, Tick, SkipIdle,
-// tick-length changes, and reads: usage, the view round's settle pass,
-// and its window read by index. After every op, the active list must be
-// exactly the groups with a positive rate.
+// another group or write a quota on one, SetRunnable, Tick, idle spans
+// of ticks, tick-length changes, and reads: usage, the view round's
+// settle pass, and its window read by index. After every op, the active
+// list must be exactly the groups with a positive rate.
 func FuzzRepairMirror(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
@@ -53,7 +53,7 @@ const (
 	opTask            // args: leaf, callback kind (0 plain task, else a team of one: 255 never blocks, else blocks every arg-th call)
 	opRunnable        // arg: task; toggle runnable
 	opTick            // arg: tick count - 1 (low two bits)
-	opSkipIdle        // arg: span in ticks; only when nothing is runnable
+	opIdleSpan        // arg: span in ticks - 1 (mod 32); ticks only when nothing is runnable
 	opDt              // arg: tick length selector
 	opRead            // args: group, accessor
 	opTeam            // args: leaf, members-1 (low 2 bits) and gamma index (higher bits), block period (0 or 255 never blocks)
@@ -80,7 +80,7 @@ type mirrorOp struct {
 // opArgs is the number of argument bytes each opcode consumes.
 var opArgs = [opCount]int{
 	opGroup: 0, opChild: 1, opRemove: 1, opRmTask: 1, opShares: 2, opQuota: 2,
-	opCpuset: 2, opTask: 2, opRunnable: 1, opTick: 1, opSkipIdle: 1, opDt: 1, opRead: 2,
+	opCpuset: 2, opTask: 2, opRunnable: 1, opTick: 1, opIdleSpan: 1, opDt: 1, opRead: 2,
 	opTeam: 3, opJoin: 2, opWaker: 3, opLimiter: 3,
 }
 
@@ -193,15 +193,14 @@ func runMirrorOps(t *testing.T, ncpu int, ops []mirrorOp) {
 				m.tick()
 				m.check(fmt.Sprintf("op %d: tick %d", k, m.rep.ticks))
 			}
-		case opSkipIdle:
-			if m.oracle.RunnableNow() != 0 {
+		case opIdleSpan:
+			if m.oracle.runnableNow != 0 {
 				break
 			}
-			n := 1 + o.a%32
-			m.now += time.Duration(n) * m.dt
-			m.oracle.SkipIdle(m.now, m.dt, n)
-			m.rep.SkipIdle(m.now, m.dt, n)
-			m.check(fmt.Sprintf("op %d: skip %d", k, n))
+			for n := 1 + o.a%32; n > 0; n-- {
+				m.tick()
+				m.check(fmt.Sprintf("op %d: idle tick %d", k, m.rep.ticks))
+			}
 		case opTeam:
 			gi := group(o.a)
 			n := 1 + o.b&3

@@ -28,10 +28,10 @@
 //     active/eager list changes. Because the load contribution and
 //     slack are ordered sums over the active leaves, any touched leaf
 //     triggers an O(active) re-sum: repair is O(changes + tops +
-//     active), not O(groups + teams). The first tick, the first tick
-//     after SkipIdle and a storm that dirties every group are repairs
-//     like any other; BenchmarkSchedulerRepairStorm measures the storm
-//     against BenchmarkSchedulerRebuild.
+//     active), not O(groups + teams). The first tick and a storm that
+//     dirties every group are repairs like any other;
+//     BenchmarkSchedulerRepairStorm measures the storm against
+//     BenchmarkSchedulerRebuild.
 //
 // The regimes differ only in which groups they visit, not in what a
 // visit computes. There is one cap computation (capOf), one per-group
@@ -103,8 +103,7 @@ func (s *Scheduler) noteAllocChange(g *Group) {
 }
 
 // resetRepairState drops the dirty set when everything it tracked is
-// re-derived anyway: by the oracle's rebuild, or by SkipIdle, which
-// leaves the idle memo.
+// re-derived anyway by the oracle's rebuild.
 func (s *Scheduler) resetRepairState() {
 	for _, i := range s.dirty {
 		s.gAcct[i].flags &^= acctAllocDirty
@@ -168,8 +167,8 @@ func (s *Scheduler) settleTo(i int, target uint64) {
 	}
 }
 
-// settleAllTo settles every group to target (before an idle skip or a
-// tick-length change).
+// settleAllTo settles every group to target (before a tick-length
+// change).
 func (s *Scheduler) settleAllTo(target uint64) {
 	for i := range s.groups {
 		s.settleTo(i, target)
@@ -182,8 +181,7 @@ func (s *Scheduler) settleAllTo(target uint64) {
 // groups are exactly the ones on the active list. This rests on one
 // invariant: active is exactly {i : gRate[i] > 0} (every tick's walk
 // marks membership from the rate it leaves, patchMembership merges the
-// marks, RemoveGroup patches the list, SkipIdle zeroes every rate and
-// empties the list), and a group whose rate is 0 has nothing to replay.
+// marks, RemoveGroup patches the list), and a group whose rate is 0 has nothing to replay.
 // Every path that changes a rate settles the group first, so an idle
 // group left unsettled here is current. The groups it visits are
 // counted once per pass in cfs.window_settles.

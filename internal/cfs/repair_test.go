@@ -339,18 +339,13 @@ func (m *mirror) check(ctx string) {
 			t.Fatalf("%s: team %d counts %d runnable members, has %d", ctx, k, tm.r.runnable, runnable)
 		}
 	}
-	ne, oke := m.oracle.NextEvent(m.now)
-	nr, okr := m.rep.NextEvent(m.now)
-	if ne != nr || oke != okr {
-		t.Fatalf("%s: NextEvent diverged: (%v,%v) vs (%v,%v)", ctx, ne, oke, nr, okr)
-	}
 	m.checkActive(ctx)
 	m.checkRepairInvariants(ctx)
 }
 
 // checkActive asserts the invariant SettleWindows rests on, on both
 // arms: active is exactly {i : gRate[i] > 0}, before the first tick and
-// after SkipIdle too. The mirror drivers call it after every op.
+// after idle ticks too. The mirror drivers call it after every op.
 func (m *mirror) checkActive(ctx string) {
 	for _, s := range []*Scheduler{m.oracle, m.rep} {
 		j := 0
@@ -381,8 +376,8 @@ func (m *mirror) takeWindow(gi int) (oracle, rep units.CPUSeconds) {
 // against first principles. The central one is the next-tick rule: a
 // leaf whose live cap differs from the memoized one must be queued for
 // repair, so no change, including one a team callback makes mid-walk,
-// can leave a stale allocation standing. NextEvent rests on another: a
-// throttled group has a positive rate and is on the active list.
+// can leave a stale allocation standing. Another: a throttled group has
+// a positive rate and is on the active list.
 func (m *mirror) checkRepairInvariants(ctx string) {
 	t := m.t
 	t.Helper()
@@ -699,8 +694,8 @@ func TestRepairVariableDt(t *testing.T) {
 	}
 }
 
-// TestRepairSkipIdle checks the idle fast-forward: all tasks blocked,
-// SkipIdle on both arms, then resumed activity.
+// TestRepairSkipIdle checks an idle span: all tasks blocked, ticks with
+// nothing runnable on both arms, then resumed activity.
 func TestRepairSkipIdle(t *testing.T) {
 	m := newMirror(t, 4)
 	// Plain tasks and one team that never blocks (an eager group): a
@@ -714,7 +709,8 @@ func TestRepairSkipIdle(t *testing.T) {
 		ti := m.newTask(gi, "t", every)
 		m.setRunnable(ti, true)
 	}
-	// g0's own quota binds, so it carries throttle state into the skips.
+	// g0's own quota binds, so it carries throttle state into the idle
+	// span.
 	m.oracle.SetQuota(m.groups[0].e, 50_000, 100_000)
 	m.rep.SetQuota(m.groups[0].r, 50_000, 100_000)
 	for i := 0; i < 40; i++ {
@@ -726,10 +722,10 @@ func TestRepairSkipIdle(t *testing.T) {
 	}
 	m.tick() // allocation collapses to zero
 	m.check("all blocked")
-	m.now += 25 * m.dt
-	m.oracle.SkipIdle(m.now, m.dt, 25)
-	m.rep.SkipIdle(m.now, m.dt, 25)
-	m.check("after skip")
+	for i := 0; i < 25; i++ {
+		m.tick()
+		m.check("idle tick")
+	}
 	for ti := range m.tasks {
 		if ti%2 == 0 {
 			m.setRunnable(ti, true)
@@ -740,32 +736,34 @@ func TestRepairSkipIdle(t *testing.T) {
 		m.check("post-idle tick")
 	}
 
-	// Block and skip with no tick between: the skip itself must leave
-	// the idle memo (no rate, empty lists), not the running one.
+	// The tick that sees the blocks repairs the memo down to the idle
+	// one (no rate, empty lists); the idle tick after it is quiet.
 	for ti := range m.tasks {
 		m.setRunnable(ti, false)
 	}
-	m.now += 10 * m.dt
-	m.oracle.SkipIdle(m.now, m.dt, 10)
-	m.rep.SkipIdle(m.now, m.dt, 10)
-	m.check("skip right after the blocks")
+	m.tick()
+	m.check("tick after the blocks")
 	repairs := m.rep.Trace.Count(telemetry.CtrTickRepairs)
 	m.tick() // nothing runnable or queued: a quiet tick on the repair arm
-	m.check("idle tick after the skip")
+	m.check("idle tick after the blocks")
 	if m.rep.Trace.Count(telemetry.CtrTickRepairs) != repairs {
-		t.Fatal("the skip left repair work queued")
+		t.Fatal("the tick after the blocks left repair work queued")
+	}
+	for i := 0; i < 9; i++ {
+		m.tick()
+		m.check("idle tick")
 	}
 	m.setRunnable(1, true)
 	for i := 0; i < 5; i++ {
 		m.tick()
-		m.check("after the second skip")
+		m.check("after the second idle span")
 	}
 }
 
 // TestEmptyMemoIsExact holds a fresh scheduler's memo to the oracle:
 // before any tick, through a first tick with nothing runnable (a quiet
 // tick on the repair arm, so nothing recomputes the slack), through an
-// idle skip, and through the first wake-up.
+// idle span, and through the first wake-up.
 func TestEmptyMemoIsExact(t *testing.T) {
 	m := newMirror(t, 4)
 	for i := 0; i < 3; i++ {
@@ -777,10 +775,10 @@ func TestEmptyMemoIsExact(t *testing.T) {
 	}
 	m.tick()
 	m.check("first tick, nothing runnable")
-	m.now += 5 * m.dt
-	m.oracle.SkipIdle(m.now, m.dt, 5)
-	m.rep.SkipIdle(m.now, m.dt, 5)
-	m.check("idle skip")
+	for i := 0; i < 5; i++ {
+		m.tick()
+		m.check("idle tick")
+	}
 	m.setRunnable(0, true)
 	m.tick()
 	m.check("first wake-up")

@@ -182,53 +182,3 @@ func TestThrottleRulesExact(t *testing.T) {
 		t.Fatalf("c1's team callback ran %d times in 9 ticks", calls)
 	}
 }
-
-// TestNextEventThrottledGroups pins what NextEvent returns from its scan
-// of the active list: the earliest period boundary among throttled
-// groups, skipping an active group that is not throttled, and nothing
-// once the throttled tasks block and a tick runs, or once they block
-// and an idle span is skipped before any tick clears the flags.
-func TestNextEventThrottledGroups(t *testing.T) {
-	for _, end := range []string{"tick", "skip"} {
-		t.Run(end, func(t *testing.T) {
-			s := NewScheduler(4)
-			free := newBusyGroup(s, "free", 1)
-			slow := newBusyGroup(s, "slow", 2)
-			s.SetQuota(slow, 50_000, 100_000) // 0.5 CPU, 100 ms period
-			fast := s.NewGroup("fast")
-			ft := s.NewTask(fast, "t")
-			s.SetRunnable(ft, true)
-			s.SetQuota(fast, 25_000, 50_000) // 0.5 CPU, 50 ms period
-			now := 130 * time.Millisecond
-			s.Tick(now, tick)
-			if next, ok := s.NextEvent(now); !ok || next != 150*time.Millisecond {
-				t.Fatalf("NextEvent = %v, %v with two throttled groups, want fast's boundary 150ms", next, ok)
-			}
-			s.SetRunnable(ft, false)
-			now += tick
-			s.Tick(now, tick)
-			if next, ok := s.NextEvent(now); !ok || next != 200*time.Millisecond {
-				t.Fatalf("NextEvent = %v, %v with slow throttled alone, want 200ms", next, ok)
-			}
-			for _, g := range []*Group{free, slow} {
-				for _, task := range g.tasks {
-					s.SetRunnable(task, false)
-				}
-			}
-			// A block clears no flag until a tick or an idle skip runs.
-			if next, ok := s.NextEvent(now); !ok || next != 200*time.Millisecond {
-				t.Fatalf("NextEvent = %v, %v right after the blocks, want 200ms", next, ok)
-			}
-			if end == "tick" {
-				now += tick
-				s.Tick(now, tick)
-			} else {
-				s.SkipIdle(now+tick, tick, 10)
-				now += 10 * tick
-			}
-			if next, ok := s.NextEvent(now); ok {
-				t.Fatalf("NextEvent = %v with every task blocked (%s)", next, end)
-			}
-		})
-	}
-}

@@ -11,14 +11,12 @@
 // The cluster owns its own clock, advancing on the same tick as its
 // hosts. Cluster-level events — scheduled with At/Every: experiment
 // arrivals, rebalance rounds — partition virtual time into spans. Run
-// advances every host across the current span (each host fast-forwards
-// its own idle stretches as usual), then fires the due cluster events
-// with all hosts parked at exactly the event instant. Because hosts are
-// share-nothing (TestCrossHostIsolation), the per-span host runs may be
-// fanned across Workers goroutines: results are byte-identical at any
-// width, and chunked host runs are byte-identical to unchunked ones
-// (the kernel's fast-forward determinism), so a 1-host cluster with no
-// cluster events degenerates to exactly today's single-host kernel.
+// advances every host across the current span, one host after another,
+// then fires the due cluster events with all hosts parked at exactly
+// the event instant. Hosts are share-nothing (TestCrossHostIsolation),
+// and a host's Run is a loop of Steps, so chunked host runs are
+// byte-identical to unchunked ones and a 1-host cluster with no cluster
+// events degenerates to exactly the single-host kernel.
 //
 // # Determinism rules
 //
@@ -34,7 +32,6 @@ import (
 	"fmt"
 	"time"
 
-	"arv/internal/fanout"
 	"arv/internal/host"
 	"arv/internal/sim"
 	"arv/internal/telemetry"
@@ -74,11 +71,6 @@ type Node struct {
 
 // Config tunes the cluster kernel and its placement scheduler.
 type Config struct {
-	// Workers bounds how many hosts step concurrently per span. 0 or 1
-	// keeps host stepping sequential; results are byte-identical at any
-	// setting (the hosts are share-nothing).
-	Workers int
-
 	// Lens selects what the scheduler sees in a host state: configured
 	// limits only (LensStatic) or the adaptive effective views
 	// (LensAdaptive). Scorer ranks candidate nodes; nil selects
@@ -232,10 +224,9 @@ func (c *Cluster) Step() sim.Time {
 	return c.clock.Advance(c.clock.Now() + c.tick)
 }
 
-// runHosts advances every host by span, fanning the share-nothing host
-// runs across up to cfg.Workers goroutines. fanout.Each's join gives
-// the cluster goroutine a happens-before edge over everything the host
-// goroutines did, so post-span scheduling reads are race-free.
+// runHosts advances every host by span, in node order.
 func (c *Cluster) runHosts(span time.Duration) {
-	fanout.Each(len(c.nodes), c.cfg.Workers, func(i int) { c.nodes[i].Host.Run(span) })
+	for _, n := range c.nodes {
+		n.Host.Run(span)
+	}
 }

@@ -209,9 +209,8 @@ type clusterSample struct {
 	load float64
 }
 
-func clusterHistory(workers int) ([]clusterSample, uint64, uint64) {
+func clusterHistory() ([]clusterSample, uint64, uint64) {
 	c := New(Config{
-		Workers:        workers,
 		Lens:           LensAdaptive,
 		Scorer:         Composite{{S: BinPack{}, W: -1}, {S: Health{}, W: 1}},
 		RebalanceEvery: 100 * time.Millisecond,
@@ -255,31 +254,26 @@ func clusterHistory(workers int) ([]clusterSample, uint64, uint64) {
 }
 
 // TestClusterDeterminism: the same seeds produce byte-identical
-// histories regardless of the Workers setting, and repeated runs agree
-// — the share-nothing lockstep proof at cluster level. Run with -race
-// this also proves parallel host stepping and in-flight migration
-// completions share nothing they shouldn't.
+// histories and counters when the scenario runs again.
 func TestClusterDeterminism(t *testing.T) {
-	seq, seqMig, seqPlace := clusterHistory(0)
+	seq, seqMig, seqPlace := clusterHistory()
 	if len(seq) == 0 {
 		t.Fatal("reference run produced no history")
 	}
 	if seqPlace != 2 {
 		t.Fatalf("placements = %d, want 2", seqPlace)
 	}
-	for name, workers := range map[string]int{"sequential-again": 0, "workers-3": 3} {
-		got, mig, place := clusterHistory(workers)
-		if mig != seqMig || place != seqPlace {
-			t.Errorf("%s: counters (mig %d, place %d) differ from reference (%d, %d)",
-				name, mig, place, seqMig, seqPlace)
-		}
-		if len(got) != len(seq) {
-			t.Fatalf("%s: history length %d != reference %d", name, len(got), len(seq))
-		}
-		for i := range seq {
-			if got[i] != seq[i] {
-				t.Fatalf("%s: history diverges at sample %d: %+v != %+v", name, i, got[i], seq[i])
-			}
+	got, mig, place := clusterHistory()
+	if mig != seqMig || place != seqPlace {
+		t.Errorf("sequential-again: counters (mig %d, place %d) differ from reference (%d, %d)",
+			mig, place, seqMig, seqPlace)
+	}
+	if len(got) != len(seq) {
+		t.Fatalf("sequential-again: history length %d != reference %d", len(got), len(seq))
+	}
+	for i := range seq {
+		if got[i] != seq[i] {
+			t.Fatalf("sequential-again: history diverges at sample %d: %+v != %+v", i, got[i], seq[i])
 		}
 	}
 }

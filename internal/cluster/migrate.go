@@ -23,10 +23,9 @@ import (
 // migratable spec and command, the rebind hook, and where the container
 // currently lives. While a migration is in flight the record points at
 // the destination node with a nil container; the destination host's
-// completion timer fills ctr back in. The cluster goroutine only
-// touches records between host-run barriers, and an in-flight record is
-// touched only by its destination host's timer, so records stay
-// race-free under parallel host stepping.
+// completion timer fills ctr back in. The cluster only touches records
+// between host runs; an in-flight record is touched only by its
+// destination host's timer.
 type placement struct {
 	spec container.Spec
 	cmd  string

@@ -179,23 +179,29 @@ func (rt *Runtime) CreatePod(spec PodSpec) *Pod {
 		panic("container: empty pod name")
 	}
 	cg := rt.hier.Create(spec.Name)
-	if spec.CPUShares > 0 {
-		cg.SetShares(spec.CPUShares)
-	}
-	period := spec.CPUPeriodUS
-	if period == 0 {
-		period = 100_000
-	}
-	if spec.CPUQuotaUS > 0 {
-		cg.SetQuota(spec.CPUQuotaUS, period)
-	}
-	if spec.CpusetCPUs > 0 {
-		cg.SetCpuset(spec.CpusetCPUs)
-	}
-	if spec.MemHard > 0 || spec.MemSoft > 0 {
-		cg.SetMemLimits(spec.MemHard, spec.MemSoft)
-	}
+	applyLimits(cg, spec.CPUShares, spec.CPUQuotaUS, spec.CPUPeriodUS, spec.CpusetCPUs, spec.MemHard, spec.MemSoft)
 	return &Pod{Spec: spec, Cgroup: cg}
+}
+
+// applyLimits writes cpu.shares, the bandwidth limit, the cpuset and the
+// memory limits to cg. Zero values keep the cgroup's defaults; a zero
+// period reads as 100 ms.
+func applyLimits(cg *cgroups.Cgroup, shares, quotaUS, periodUS int64, cpuset int, memHard, memSoft units.Bytes) {
+	if shares > 0 {
+		cg.SetShares(shares)
+	}
+	if periodUS == 0 {
+		periodUS = 100_000
+	}
+	if quotaUS > 0 {
+		cg.SetQuota(quotaUS, periodUS)
+	}
+	if cpuset > 0 {
+		cg.SetCpuset(cpuset)
+	}
+	if memHard > 0 || memSoft > 0 {
+		cg.SetMemLimits(memHard, memSoft)
+	}
 }
 
 // CreateInPod builds a container inside a pod: its cgroup nests under
@@ -223,22 +229,7 @@ func (rt *Runtime) Create(spec Spec) *Container {
 // cgroup and completes creation: namespace attachment and the bootstrap
 // init process.
 func (rt *Runtime) finishCreate(cg *cgroups.Cgroup, spec Spec) *Container {
-	if spec.CPUShares > 0 {
-		cg.SetShares(spec.CPUShares)
-	}
-	period := spec.CPUPeriodUS
-	if period == 0 {
-		period = 100_000
-	}
-	if spec.CPUQuotaUS > 0 {
-		cg.SetQuota(spec.CPUQuotaUS, period)
-	}
-	if spec.CpusetCPUs > 0 {
-		cg.SetCpuset(spec.CpusetCPUs)
-	}
-	if spec.MemHard > 0 || spec.MemSoft > 0 {
-		cg.SetMemLimits(spec.MemHard, spec.MemSoft)
-	}
+	applyLimits(cg, spec.CPUShares, spec.CPUQuotaUS, spec.CPUPeriodUS, spec.CpusetCPUs, spec.MemHard, spec.MemSoft)
 	cg.CPU.Gamma = spec.Gamma
 
 	c := &Container{Spec: spec, Cgroup: cg, rt: rt}

@@ -33,8 +33,7 @@
 //     only CPUChanged/MemChanged are fault candidates (see
 //     cgroups.Interceptor);
 //   - all fault timing rides the virtual clock's timer queue, so faults
-//     land on the same tick boundaries under idle-span fast-forwarding
-//     as under dense stepping;
+//     land on tick boundaries;
 //   - with Config's zero value and no rules armed, the injector draws
 //     no random numbers and perturbs nothing.
 package faults

@@ -1,11 +1,13 @@
 // Package host assembles the simulated machine: virtual clock, CFS
 // scheduler, memory controller, cgroup hierarchy, ns_monitor, virtual
-// sysfs resolver, and the container runtime. It drives the event-driven
-// kernel loop that everything else hangs off.
+// sysfs resolver, and the container runtime. It drives the kernel loop
+// that everything else hangs off.
 //
 // # Kernel loop
 //
-// Each Step runs a fixed phase pipeline:
+// Time moves only by Step, one tick at a time; Run, RunUntil and
+// RunUntilDone are loops of Step. Each Step runs a fixed phase
+// pipeline:
 //
 //	schedule → clock/timers → programs → observe
 //
@@ -20,19 +22,6 @@
 // observe phase records kernel-level telemetry. Each Host owns its
 // complete state (clock, PRNG, telemetry ring, cgroup event bus), so
 // independent Hosts can run on separate goroutines with no sharing.
-//
-// On top of dense stepping the kernel fast-forwards across provably
-// idle spans: when no task is runnable and every live program has
-// declared a wake policy, the kernel computes the next interesting
-// instant — earliest timer deadline, scheduler event (quota-period
-// boundary of a throttled group), memory event (swap-device drain),
-// monitor event (a view's staleness-budget expiry), or program wake —
-// replays the idle per-tick scheduler accounting in one call
-// (cfs.SkipIdle), and jumps the clock to one tick before that instant.
-// The interesting tick itself always executes densely, so timers,
-// throttle transitions, and program wakes land on exactly the tick
-// boundaries dense stepping would produce, keeping histories
-// bit-identical.
 package host
 
 import (
@@ -58,18 +47,6 @@ type Program interface {
 	Poll(now sim.Time)
 	// Done reports whether the program has finished (or died).
 	Done() bool
-}
-
-// WakePolicy is the optional Program extension that makes a program
-// eligible for fast-forwarding. NextWake returns the next instant the
-// program needs a Poll even though none of its tasks ran; ok=false
-// means the program is purely event-driven (its Polls are no-ops while
-// its tasks are off-CPU). The contract: if NextWake(now) returns
-// (t, true), then every Poll in (now, t) would be a no-op provided no
-// task of the program runs in that span. Programs that cannot promise
-// this simply do not implement the interface and keep the kernel dense.
-type WakePolicy interface {
-	NextWake(now sim.Time) (sim.Time, bool)
 }
 
 // Config sizes a Host. Zero fields select the defaults noted inline.
@@ -256,90 +233,16 @@ func (h *Host) phaseObserve(now sim.Time) {
 	h.Trace.Add(telemetry.CtrSteps, 1)
 }
 
-// step advances by one dense tick, first fast-forwarding across the
-// preceding idle span when the kernel can prove it is uneventful. limit
-// bounds the jump (the caller's run deadline).
-func (h *Host) step(limit sim.Time) sim.Time {
-	if k := h.idleTicks(limit); k > 0 {
-		h.phaseFastForward(k)
-	}
-	return h.Step()
-}
-
-// idleTicks returns how many upcoming ticks can be skipped in one jump,
-// or 0 when the host must step densely. A span qualifies only when no
-// task is runnable and every live program has a wake policy; the jump
-// stops one tick short of the earliest interesting instant (timer
-// deadline, quota-period boundary, swap drain, staleness-budget expiry,
-// program wake, or limit) so that tick runs densely.
-func (h *Host) idleTicks(limit sim.Time) int {
-	if h.Sched.RunnableNow() != 0 {
-		return 0
-	}
-	now := h.Clock.Now()
-	target := limit
-	if t, ok := h.Clock.NextDeadline(); ok && t < target {
-		target = t
-	}
-	if t, ok := h.Sched.NextEvent(now); ok && t < target {
-		target = t
-	}
-	if t, ok := h.Mem.NextEvent(now); ok && t < target {
-		target = t
-	}
-	if t, ok := h.Monitor.NextEvent(now); ok && t < target {
-		target = t
-	}
-	for _, p := range h.programs {
-		if p.Done() {
-			continue
-		}
-		w, ok := p.(WakePolicy)
-		if !ok {
-			return 0 // unconditional poller: stay dense
-		}
-		if t, tok := w.NextWake(now); tok && t < target {
-			target = t
-		}
-	}
-	if target <= now {
-		return 0
-	}
-	// Round the target up to the tick grid, then stop one tick short.
-	k := int((target-now+h.tick-1)/h.tick) - 1
-	if k <= 0 {
-		return 0
-	}
-	return k
-}
-
-// phaseFastForward replays k idle ticks in one jump: the scheduler
-// replays its idle accounting tick by tick, bit-identical with dense
-// stepping, and the clock advances to the end of the span. Nothing else
-// has per-tick work to replay: by construction no timer deadline, swap
-// drain or staleness expiry falls inside the span.
-func (h *Host) phaseFastForward(k int) {
-	now := h.Clock.Now()
-	h.Sched.SkipIdle(now+h.tick, h.tick, k)
-	h.Clock.Advance(now + time.Duration(k)*h.tick)
-	h.Trace.Add(telemetry.CtrFastForwards, 1)
-	h.Trace.Add(telemetry.CtrSkippedTicks, uint64(k))
-	h.Trace.Emit(h.Clock.Now(), telemetry.KindFastForward, "kernel", int64(k), 0)
-}
-
-// Run advances the simulation by d, fast-forwarding across idle spans.
-// A dense run of the same span is a loop of Step calls.
+// Run advances the simulation by d, one Step at a time.
 func (h *Host) Run(d time.Duration) {
 	deadline := h.Clock.Now() + d
 	for h.Clock.Now() < deadline {
-		h.step(deadline)
+		h.Step()
 	}
 }
 
 // RunUntil steps until cond returns true or the timeout elapses; it
-// reports whether cond was met. cond may depend on anything — including
-// raw virtual time — so RunUntil always steps densely and evaluates
-// cond once per tick.
+// reports whether cond was met. cond is evaluated once per tick.
 func (h *Host) RunUntil(cond func() bool, timeout time.Duration) bool {
 	deadline := h.Clock.Now() + timeout
 	for h.Clock.Now() < deadline {
@@ -352,18 +255,9 @@ func (h *Host) RunUntil(cond func() bool, timeout time.Duration) bool {
 }
 
 // RunUntilDone steps until every registered program reports Done, or
-// the timeout elapses; it reports whether all completed. Program
-// completion only changes on ticks a program is polled, so idle-span
-// fast-forwarding applies.
+// the timeout elapses; it reports whether all completed.
 func (h *Host) RunUntilDone(timeout time.Duration) bool {
-	deadline := h.Clock.Now() + timeout
-	for h.Clock.Now() < deadline {
-		if h.allDone() {
-			return true
-		}
-		h.step(deadline)
-	}
-	return h.allDone()
+	return h.RunUntil(h.allDone, timeout)
 }
 
 func (h *Host) allDone() bool {

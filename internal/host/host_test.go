@@ -111,114 +111,6 @@ func TestCustomTick(t *testing.T) {
 	}
 }
 
-// sleeper wakes on a fixed period and records the tick it woke on; in
-// between, Poll is a no-op, which it advertises through NextWake.
-type sleeper struct {
-	period time.Duration
-	next   sim.Time
-	wakes  []sim.Time
-	done   bool
-}
-
-func (s *sleeper) Poll(now sim.Time) {
-	if now >= s.next {
-		s.wakes = append(s.wakes, now)
-		s.next = now + sim.Time(s.period)
-	}
-}
-func (s *sleeper) Done() bool                             { return s.done }
-func (s *sleeper) NextWake(now sim.Time) (sim.Time, bool) { return s.next, true }
-
-func TestFastForwardSkipsIdleSpans(t *testing.T) {
-	h := newHost()
-	tr := h.EnableTelemetry(0)
-	s := &sleeper{period: 50 * time.Millisecond}
-	h.AddProgram(s)
-	h.Run(time.Second)
-	if h.Now() != time.Second {
-		t.Fatalf("now = %v", h.Now())
-	}
-	skipped := tr.Count(telemetry.CtrSkippedTicks)
-	steps := tr.Count(telemetry.CtrSteps)
-	if skipped == 0 {
-		t.Fatal("idle host never fast-forwarded")
-	}
-	if steps+skipped != 1000 {
-		t.Fatalf("steps(%d) + skipped(%d) != 1000 ticks", steps, skipped)
-	}
-	if steps > 200 {
-		t.Fatalf("dense steps = %d of 1000 ticks; expected most to be skipped", steps)
-	}
-	if tr.Count(telemetry.CtrFastForwards) == 0 || len(tr.EventsOf(telemetry.KindFastForward)) == 0 {
-		t.Fatal("fast-forward jumps not traced")
-	}
-}
-
-func TestFastForwardMatchesDense(t *testing.T) {
-	run := func(ff bool) (*Host, *sleeper) {
-		h := New(Config{CPUs: 4, Memory: 8 * units.GiB, Seed: 7})
-		s := &sleeper{period: 97 * time.Millisecond}
-		h.AddProgram(s)
-		if ff {
-			h.Run(2 * time.Second)
-		} else {
-			for h.Now() < 2*time.Second {
-				h.Step()
-			}
-		}
-		return h, s
-	}
-	hd, sd := run(false)
-	hf, sf := run(true)
-	if len(sd.wakes) != len(sf.wakes) {
-		t.Fatalf("wake counts differ: dense %d, ff %d", len(sd.wakes), len(sf.wakes))
-	}
-	for i := range sd.wakes {
-		if sd.wakes[i] != sf.wakes[i] {
-			t.Fatalf("wake %d: dense %v, ff %v", i, sd.wakes[i], sf.wakes[i])
-		}
-	}
-	if hd.Sched.LoadAvg() != hf.Sched.LoadAvg() {
-		t.Fatalf("loadavg diverged: dense %v, ff %v", hd.Sched.LoadAvg(), hf.Sched.LoadAvg())
-	}
-	if hd.Sched.TakeWindowSlack() != hf.Sched.TakeWindowSlack() {
-		t.Fatal("slack window diverged")
-	}
-	if hd.Now() != hf.Now() {
-		t.Fatalf("time diverged: %v vs %v", hd.Now(), hf.Now())
-	}
-}
-
-func TestNonWakePolicyProgramKeepsKernelDense(t *testing.T) {
-	h := newHost()
-	tr := h.EnableTelemetry(0)
-	h.AddProgram(&fakeProgram{}) // no NextWake: must be polled every tick
-	h.Run(100 * time.Millisecond)
-	if got := tr.Count(telemetry.CtrSkippedTicks); got != 0 {
-		t.Fatalf("fast-forwarded %d ticks past a wake-less program", got)
-	}
-	if got := tr.Count(telemetry.CtrSteps); got != 100 {
-		t.Fatalf("steps = %d, want 100", got)
-	}
-}
-
-func TestRunnableTaskBlocksFastForward(t *testing.T) {
-	h := newHost()
-	tr := h.EnableTelemetry(0)
-	g := h.Sched.NewGroup("busy")
-	task := h.Sched.NewTask(g, "t")
-	h.Sched.SetRunnable(task, true)
-	h.Run(50 * time.Millisecond)
-	if got := tr.Count(telemetry.CtrSkippedTicks); got != 0 {
-		t.Fatalf("fast-forwarded %d ticks with a runnable task", got)
-	}
-	h.Sched.SetRunnable(task, false)
-	h.Run(50 * time.Millisecond)
-	if tr.Count(telemetry.CtrSkippedTicks) == 0 {
-		t.Fatal("no fast-forward after the task went idle")
-	}
-}
-
 func TestProgramCompaction(t *testing.T) {
 	h := newHost()
 	a := &fakeProgram{stopAt: 3}
@@ -277,9 +169,8 @@ func TestAddProgramDuringPollSurvivesCompaction(t *testing.T) {
 
 // staleHost returns an idle host with one container under a 50 ms
 // staleness budget and ns_monitor's update timer an hour out, so the
-// only instant that bounds an idle jump in the next 100 ms is the
-// container view's expiry, Monitor.NextEvent. It also returns the
-// tracer and that instant.
+// container view's expiry is the only event in the next 100 ms. It also
+// returns the tracer and that instant.
 func staleHost(t *testing.T) (*Host, *telemetry.Tracer, sim.Time) {
 	t.Helper()
 	h := newHost()
@@ -288,36 +179,30 @@ func staleHost(t *testing.T) (*Host, *telemetry.Tracer, sim.Time) {
 	h.Runtime.Create(container.Spec{Name: "a"}).Exec("app")
 	h.Monitor.SetDegradation(50*time.Millisecond, 0)
 	tr := h.EnableTelemetry(0)
-	next, ok := h.Monitor.NextEvent(h.Now())
-	if !ok || next != h.Now()+50*time.Millisecond {
-		t.Fatalf("monitor next event (%v, %v), want the view's expiry at %v", next, ok, h.Now()+50*time.Millisecond)
-	}
 	if d, ok := h.Clock.NextDeadline(); ok && d < h.Now()+time.Minute {
 		t.Fatalf("a timer is due at %v, within the test span", d)
 	}
-	return h, tr, next
+	return h, tr, h.Now() + 50*time.Millisecond
 }
 
 // TestStaleFallbackSameTickDenseAndRun: the kernel calls ns_monitor's
-// Tick in the schedule phase and bounds idle jumps by its NextEvent, so
-// a staleness-budget fallback engages on the same tick whether the host
-// steps densely or Run fast-forwards: the first tick past the budget.
-// Run's jump stops one tick short of Monitor.NextEvent, and dense steps
-// plus skipped ticks cover the span exactly.
+// Tick in the schedule phase, so a staleness-budget fallback engages on
+// the first tick past the budget, whether the host is stepped by hand
+// or by Run.
 func TestStaleFallbackSameTickDenseAndRun(t *testing.T) {
 	const span = 100 * time.Millisecond
-	dense, dtr, next := staleHost(t)
+	dense, dtr, expiry := staleHost(t)
 	for end := dense.Now() + span; dense.Now() < end; {
 		dense.Step()
 	}
-	ff, ftr, _ := staleHost(t)
-	ff.Run(span)
+	run, rtr, _ := staleHost(t)
+	run.Run(span)
 
-	want := next + ff.Tick()
+	want := expiry + run.Tick()
 	for _, side := range []struct {
 		name string
 		tr   *telemetry.Tracer
-	}{{"dense", dtr}, {"run", ftr}} {
+	}{{"dense", dtr}, {"run", rtr}} {
 		fb := side.tr.EventsOf(telemetry.KindStaleFallback)
 		if len(fb) != 1 || fb[0].At != want || fb[0].Actor != "a" {
 			t.Fatalf("%s: fallback events %v, want one for a at %v", side.name, fb, want)
@@ -325,19 +210,9 @@ func TestStaleFallbackSameTickDenseAndRun(t *testing.T) {
 		if n := side.tr.Count(telemetry.CtrStaleFallbacks); n != 1 {
 			t.Fatalf("%s: stale_fallbacks = %d, want 1", side.name, n)
 		}
-		if n := side.tr.Count(telemetry.CtrSteps) + side.tr.Count(telemetry.CtrSkippedTicks); n != 100 {
-			t.Fatalf("%s: steps + skipped ticks = %d, want 100", side.name, n)
+		if n := side.tr.Count(telemetry.CtrSteps); n != 100 {
+			t.Fatalf("%s: steps = %d, want 100", side.name, n)
 		}
-	}
-	if n := dtr.Count(telemetry.CtrSkippedTicks); n != 0 {
-		t.Fatalf("dense: %d ticks skipped", n)
-	}
-	jumps := ftr.EventsOf(telemetry.KindFastForward)
-	if len(jumps) == 0 {
-		t.Fatal("run: no fast-forward across the idle span")
-	}
-	if jumps[0].At != next-ff.Tick() {
-		t.Fatalf("run: first jump ends at %v, want one tick short of the monitor's event at %v", jumps[0].At, next)
 	}
 }
 
@@ -363,17 +238,17 @@ func TestEnableTelemetryReachesComponents(t *testing.T) {
 }
 
 // TestHostCountsWithoutTelemetry: a host that never calls
-// EnableTelemetry counts its kernel steps, fast-forwards and scheduler
-// ticks, and records no events (here, fast-forwards and a throttle
-// transition that a ring would hold).
+// EnableTelemetry counts its kernel steps and scheduler ticks, and
+// records no events (here, a throttle transition that a ring would
+// hold).
 func TestHostCountsWithoutTelemetry(t *testing.T) {
 	h := newHost()
-	h.Run(100 * time.Millisecond) // idle: fast-forwarded
+	h.Run(100 * time.Millisecond)
 	c := h.Runtime.Create(container.Spec{Name: "a", CPUQuotaUS: 50_000, CPUPeriodUS: 100_000})
 	h.Sched.SetRunnable(h.Sched.NewTask(c.Cgroup.CPU, "spin"), true)
-	h.Run(50 * time.Millisecond) // busy: dense steps, throttled
+	h.Run(50 * time.Millisecond) // throttled
 	tr := h.Trace
-	for _, ctr := range []telemetry.Counter{telemetry.CtrSteps, telemetry.CtrFastForwards, telemetry.CtrSchedTicks} {
+	for _, ctr := range []telemetry.Counter{telemetry.CtrSteps, telemetry.CtrSchedTicks} {
 		if tr.Count(ctr) == 0 {
 			t.Errorf("%v = 0 on a host without EnableTelemetry", ctr)
 		}

@@ -13,6 +13,16 @@ import (
 	"arv/internal/workloads"
 )
 
+// kernelSample is one row of a host's observable-state history.
+type kernelSample struct {
+	at   sim.Time
+	ecpu int
+	emem units.Bytes
+	load float64
+	free units.Bytes
+	swap units.Bytes
+}
+
 // clusterMemberConfig is one member host of the cluster-vs-standalone
 // determinism scenario; index i gets its own seed and load shape.
 func clusterMemberConfig(i int) host.Config {
@@ -63,12 +73,9 @@ const (
 // the cluster kernel: with no scheduler placements (so nothing can
 // migrate), an N-host cluster — rebalance rounds armed, every round
 // reading every host's published snapshot — must produce histories
-// byte-identical to the same N hosts built standalone and run
-// sequentially. This is the PR's composition proof: the cluster layer's
-// lockstep spans, its snapshot warming, and its per-round scheduler
-// reads are all invisible to host dynamics, at any worker width. Run
-// under -race the Workers=3 arm also proves the parallel host stepping
-// and cross-span barriers share nothing.
+// byte-identical to the same N hosts built standalone and run one after
+// another. The cluster layer's lockstep spans, its snapshot warming,
+// and its per-round scheduler reads are all invisible to host dynamics.
 func TestClusterMatchesStandaloneHosts(t *testing.T) {
 	standalone := make([][]kernelSample, clusterDetNodes)
 	for i := 0; i < clusterDetNodes; i++ {
@@ -82,35 +89,32 @@ func TestClusterMatchesStandaloneHosts(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{0, 3} {
-		cfg := cluster.Config{
-			Workers:        workers,
-			Lens:           cluster.LensAdaptive,
-			RebalanceEvery: 50 * time.Millisecond,
-		}
-		members := make([]cluster.NodeConfig, clusterDetNodes)
-		for i := range members {
-			members[i] = cluster.NodeConfig{Host: clusterMemberConfig(i)}
-		}
-		c := cluster.New(cfg, members...)
-		clustered := make([][]kernelSample, clusterDetNodes)
-		for i, n := range c.Nodes() {
-			populateClusterMember(n.Host, i, &clustered[i])
-		}
-		c.Run(clusterDetSpan)
+	cfg := cluster.Config{
+		Lens:           cluster.LensAdaptive,
+		RebalanceEvery: 50 * time.Millisecond,
+	}
+	members := make([]cluster.NodeConfig, clusterDetNodes)
+	for i := range members {
+		members[i] = cluster.NodeConfig{Host: clusterMemberConfig(i)}
+	}
+	c := cluster.New(cfg, members...)
+	clustered := make([][]kernelSample, clusterDetNodes)
+	for i, n := range c.Nodes() {
+		populateClusterMember(n.Host, i, &clustered[i])
+	}
+	c.Run(clusterDetSpan)
 
-		for i := range standalone {
-			if len(clustered[i]) != len(standalone[i]) {
-				t.Errorf("workers=%d node %d: history length %d != standalone %d",
-					workers, i, len(clustered[i]), len(standalone[i]))
-				continue
-			}
-			for k := range standalone[i] {
-				if clustered[i][k] != standalone[i][k] {
-					t.Errorf("workers=%d node %d: history diverges at sample %d:\nstandalone %+v\nclustered  %+v",
-						workers, i, k, standalone[i][k], clustered[i][k])
-					break
-				}
+	for i := range standalone {
+		if len(clustered[i]) != len(standalone[i]) {
+			t.Errorf("node %d: history length %d != standalone %d",
+				i, len(clustered[i]), len(standalone[i]))
+			continue
+		}
+		for k := range standalone[i] {
+			if clustered[i][k] != standalone[i][k] {
+				t.Errorf("node %d: history diverges at sample %d:\nstandalone %+v\nclustered  %+v",
+					i, k, standalone[i][k], clustered[i][k])
+				break
 			}
 		}
 	}

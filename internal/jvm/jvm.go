@@ -266,17 +266,6 @@ func (j *JVM) FailReason() FailReason { return j.failReason }
 // Done implements host.Program.
 func (j *JVM) Done() bool { return j.state == StateFinished || j.state == StateFailed }
 
-// NextWake implements host.WakePolicy. While swapped-in pages stall the
-// JVM its tasks are off-CPU but Poll must run again at stallUntil;
-// otherwise every Poll is driven purely by task progress (allocation,
-// work, GC phase drain), so the JVM is event-driven.
-func (j *JVM) NextWake(now sim.Time) (sim.Time, bool) {
-	if j.stalled {
-		return j.stallUntil, true
-	}
-	return 0, false
-}
-
 // Failed reports whether the JVM terminated abnormally.
 func (j *JVM) Failed() bool { return j.state == StateFailed }
 

@@ -501,18 +501,6 @@ func (c *Controller) maxResident() *Group {
 	return best
 }
 
-// NextEvent reports the next instant the memory subsystem changes state
-// on its own: the moment the swap device drains its queued traffic.
-// ok is false when the swap device is idle. The host kernel never
-// fast-forwards past this point, so "reclaim in flight" always runs to
-// completion under dense ticks.
-func (c *Controller) NextEvent(now sim.Time) (sim.Time, bool) {
-	if c.swap.busyUntil > now {
-		return c.swap.busyUntil, true
-	}
-	return 0, false
-}
-
 // stall converts swap traffic to I/O wait, queueing behind whatever the
 // shared device is already serving.
 func (c *Controller) stall(traffic units.Bytes, now sim.Time) time.Duration {

@@ -134,11 +134,6 @@ func New(h *host.Host, ctr *container.Container, kernel Kernel, strategy Strateg
 // Done implements host.Program.
 func (p *Program) Done() bool { return p.done }
 
-// NextWake implements host.WakePolicy: the program is event-driven —
-// while a region is open the master task is runnable, and region
-// transitions happen only as task work drains.
-func (p *Program) NextWake(now sim.Time) (sim.Time, bool) { return 0, false }
-
 // ExecTime returns the program's wall time (valid once Done).
 func (p *Program) ExecTime() time.Duration { return time.Duration(p.EndedAt - p.StartedAt) }
 

@@ -1,7 +1,9 @@
 package scalebench
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -25,8 +27,12 @@ func TestBuildShape(t *testing.T) {
 	if got := len(b.H.Runtime.Containers()); got != 32 {
 		t.Fatalf("containers = %d, want 32", got)
 	}
-	if got := b.H.Sched.RunnableNow(); got != 8 {
-		t.Fatalf("runnable tasks = %d, want 8 (every 4th of 32)", got)
+	runnable := 0
+	for _, g := range b.H.Sched.Groups() {
+		runnable += g.RunnableTasks()
+	}
+	if runnable != 8 {
+		t.Fatalf("runnable tasks = %d, want 8 (every 4th of 32)", runnable)
 	}
 	// A snapshot carries one view per attached namespace.
 	if got := len(b.H.Monitor.Publish(b.H.Now()).Containers); got != 32 {
@@ -122,5 +128,45 @@ func TestWindowSettlesVisitOnlyActiveGroups(t *testing.T) {
 	}
 	if settles != rounds*4 {
 		t.Fatalf("cfs.window_settles = %d over %d rounds, want %d (4 active groups per round)", settles, rounds, rounds*4)
+	}
+}
+
+// TestCommittedScaleRows re-runs every committed BENCH_scale.json row
+// with at most 4096 containers and holds its simulated work to the
+// committed record: scheduler ticks, repair ticks, namespace updates and
+// limit churns must match exactly. Wall time and allocations are
+// machine-dependent and left to the bench gate.
+func TestCommittedScaleRows(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_scale.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Runs []Result `json:"runs"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, want := range doc.Runs {
+		if want.Containers > 4096 {
+			continue
+		}
+		cfg := Defaults(want.Containers)
+		cfg.CPUs = want.CPUs
+		cfg.Churn = want.Churn
+		cfg.ChurnInterval = time.Duration(want.ChurnMS * float64(time.Millisecond))
+		cfg.Span = time.Duration(want.SimSeconds * float64(time.Second))
+		got := Run(cfg)
+		if got.Ticks != want.Ticks || got.TickRepairs != want.TickRepairs ||
+			got.NSUpdates != want.NSUpdates || got.LimitChurns != want.LimitChurns {
+			t.Errorf("n=%d: sched_ticks %d, tick_repairs %d, ns_updates %d, limit_churns %d; committed %d, %d, %d, %d",
+				want.Containers, got.Ticks, got.TickRepairs, got.NSUpdates, got.LimitChurns,
+				want.Ticks, want.TickRepairs, want.NSUpdates, want.LimitChurns)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no BENCH_scale.json row with at most 4096 containers")
 	}
 }

@@ -157,10 +157,9 @@ func (c *Clock) Step() Time {
 // Advance jumps the clock to instant `to` in one step and fires any
 // timer whose deadline falls within the span, in deadline order. Unlike
 // dense stepping, callbacks observe now == to, so Advance is meant for
-// jumping across spans the caller knows to be timer-free: the
-// event-driven host kernel bounds every jump with NextDeadline so the
-// next timer still fires on the same tick boundary it would have under
-// dense Step calls, keeping runs bit-identical.
+// jumping across spans the caller knows to be timer-free: the cluster
+// kernel bounds every jump of its clock with NextDeadline, so each
+// cluster event still fires on the tick boundary it was scheduled for.
 func (c *Clock) Advance(to Time) Time {
 	if to < c.now {
 		panic(fmt.Sprintf("sim: Advance to %v before now %v", to, c.now))

@@ -40,13 +40,13 @@ func newFullRecomputeMonitor(hier *cgroups.Hierarchy, clock *sim.Clock) *Monitor
 // is the system-wide unused CPU capacity accumulated during the window
 // (p_slack).
 func (ns *SysNamespace) UpdateCPU(now sim.Time, window time.Duration, usage, slack units.CPUSeconds) {
-	updateCPU(ns.slotCPU(), ns.slotMeta(), &ns.opts, now, window.Seconds(), usage, slack)
+	updateCPU(ns.slotCPU(), ns.slotMeta(), &ns.mon.opts, now, window.Seconds(), usage, slack)
 }
 
 // UpdateMem performs one Algorithm 2 adjustment round on ns alone, using
 // the host's current free memory and the container's current usage: the
 // unit seam the Algorithm 2 tests drive.
 func (ns *SysNamespace) UpdateMem(now sim.Time) {
-	host := readHostMem(ns.hier.Memory())
-	updateMem(ns.slotMem(), ns.cg.Mem, &host, &ns.opts)
+	host := readHostMem(ns.mon.hier.Memory())
+	updateMem(ns.slotMem(), ns.cg.Mem, &host, &ns.mon.opts)
 }

@@ -274,7 +274,7 @@ func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
 		return ns
 	}
 	s := m.allocSlot()
-	ns := &SysNamespace{cg: cg, hier: m.hier, mon: m, opts: m.opts, created: m.clock.Now(), slot: s}
+	ns := &SysNamespace{cg: cg, mon: m, slot: s}
 	m.nsMeta[s].lastAt = m.clock.Now()
 	m.nsMem[s].prevKswapd = m.hier.Memory().KswapdRuns()
 	m.nsCold[s] = coldSlot{cpu: cg.CPU, mem: cg.Mem, name: cg.Name, cpuIdx: int32(cg.CPU.Index())}
@@ -716,31 +716,6 @@ func (m *Monitor) Tick(now sim.Time) {
 		m.Trace.Emit(now, telemetry.KindStaleFallback, ns.cg.Name,
 			int64(ns.Age(now)), int64(m.nsCPU[s].eCPU))
 	}
-}
-
-// NextEvent reports the monitor's next self-scheduled instant. The
-// periodic update timer lives in the clock's timer queue, which already
-// bounds every fast-forward jump; the monitor itself only contributes
-// an instant when a staleness budget is armed: the earliest moment a
-// live namespace's view can expire, so fallback engagement lands on the
-// same tick it would under dense stepping.
-func (m *Monitor) NextEvent(now sim.Time) (sim.Time, bool) {
-	b := m.staleBudget
-	if b <= 0 {
-		return 0, false
-	}
-	var earliest sim.Time
-	found := false
-	for _, s := range m.orderSlots {
-		mt := &m.nsMeta[s]
-		if mt.degraded {
-			continue
-		}
-		if t := mt.lastAt + sim.Time(b); !found || t < earliest {
-			earliest, found = t, true
-		}
-	}
-	return earliest, found
 }
 
 // UpdateAll runs one Algorithm 1 + Algorithm 2 round for every

@@ -121,9 +121,7 @@ type metaSlot struct {
 // summaries over killed containers) keep seeing the last live values.
 type SysNamespace struct {
 	cg   *cgroups.Cgroup
-	hier *cgroups.Hierarchy
 	mon  *Monitor
-	opts Options
 	slot int
 
 	// OwnerPID is the PID of the task owning the namespace. Ownership
@@ -132,7 +130,6 @@ type SysNamespace struct {
 	// (§3.2); see internal/container.
 	OwnerPID int
 
-	created  sim.Time
 	detached bool
 
 	// Frozen copies of the slot state, written once at Detach.
@@ -203,7 +200,7 @@ func (ns *SysNamespace) Age(now sim.Time) time.Duration {
 func (ns *SysNamespace) fallback() {
 	c := ns.slotCPU()
 	c.eCPU = c.lowerCPU
-	ns.slotMem().eMem = softMem(ns.cg.Mem, ns.hier.Memory().Total())
+	ns.slotMem().eMem = softMem(ns.cg.Mem, ns.mon.hier.Memory().Total())
 	ns.slotMeta().degraded = true
 }
 
@@ -279,7 +276,7 @@ func recomputeBounds(c *cpuSlot, upper, p int, shareFrac float64) {
 // ResetMemory initialises (or re-initialises) effective memory to the
 // soft limit (Algorithm 2, lines 3 and 14).
 func (ns *SysNamespace) ResetMemory() {
-	ns.slotMem().eMem = softMem(ns.cg.Mem, ns.hier.Memory().Total())
+	ns.slotMem().eMem = softMem(ns.cg.Mem, ns.mon.hier.Memory().Total())
 }
 
 // updateCPU performs one Algorithm 1 adjustment round over one slot's

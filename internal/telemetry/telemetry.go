@@ -26,13 +26,10 @@ import (
 type Kind uint8
 
 const (
-	// KindFastForward: the kernel skipped an idle span. A = ticks
-	// skipped.
-	KindFastForward Kind = iota
 	// KindThrottle / KindUnthrottle: a scheduling group's bandwidth
 	// limit started / stopped binding. A = milli-CPUs allocated in the
 	// transition tick.
-	KindThrottle
+	KindThrottle Kind = iota
 	KindUnthrottle
 	// KindKswapd: a background-reclaim pass completed. A = bytes
 	// swapped out, B = free bytes afterwards.
@@ -78,8 +75,6 @@ const (
 // String returns the event-kind name.
 func (k Kind) String() string {
 	switch k {
-	case KindFastForward:
-		return "fast-forward"
 	case KindThrottle:
 		return "throttle"
 	case KindUnthrottle:
@@ -127,12 +122,8 @@ func (e Event) String() string {
 type Counter uint8
 
 const (
-	// CtrSteps counts full kernel steps (dense ticks actually executed).
+	// CtrSteps counts kernel steps (ticks executed).
 	CtrSteps Counter = iota
-	// CtrFastForwards counts idle spans skipped in one jump.
-	CtrFastForwards
-	// CtrSkippedTicks counts ticks elided by fast-forwarding.
-	CtrSkippedTicks
 	// CtrProgramPolls counts Program.Poll invocations.
 	CtrProgramPolls
 	// CtrSchedTicks counts full scheduler allocation rounds.
@@ -222,10 +213,6 @@ func (c Counter) String() string {
 	switch c {
 	case CtrSteps:
 		return "kernel.steps"
-	case CtrFastForwards:
-		return "kernel.fastforwards"
-	case CtrSkippedTicks:
-		return "kernel.skipped_ticks"
 	case CtrProgramPolls:
 		return "kernel.program_polls"
 	case CtrSchedTicks:

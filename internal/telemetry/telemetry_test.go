@@ -94,7 +94,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestStrings(t *testing.T) {
-	kinds := []Kind{KindFastForward, KindThrottle, KindUnthrottle, KindKswapd,
+	kinds := []Kind{KindThrottle, KindUnthrottle, KindKswapd,
 		KindDirectReclaim, KindOOMKill, KindNSUpdate, Kind(200)}
 	for _, k := range kinds {
 		if k.String() == "" {

@@ -215,17 +215,6 @@ func (s *Server) Start() {
 // Done implements host.Program.
 func (s *Server) Done() bool { return s.done }
 
-// NextWake implements host.WakePolicy. Open-loop arrivals accrue from a
-// per-tick counter, so the server needs every tick while alive: it
-// declares the immediately-next tick as its wake, keeping the kernel
-// dense without blocking fast-forward for unrelated idle hosts.
-func (s *Server) NextWake(now sim.Time) (sim.Time, bool) {
-	if s.done {
-		return 0, false
-	}
-	return now + s.h.Tick(), true
-}
-
 // workersTick advances every runnable worker's in-flight request by one
 // tick of useful work, in worker order.
 func (s *Server) workersTick(now sim.Time, n int, useful, raw units.CPUSeconds) {

@@ -91,15 +91,6 @@ func (p *Prober) Start() {
 // Done implements host.Program.
 func (p *Prober) Done() bool { return p.done }
 
-// NextWake implements host.WakePolicy: the prober sleeps between
-// bursts, so idle spans fast-forward straight to the next one.
-func (p *Prober) NextWake(now sim.Time) (sim.Time, bool) {
-	if p.done {
-		return 0, false
-	}
-	return p.next, true
-}
-
 // Poll implements host.Program: at each burst instant, load the current
 // snapshot, issue the probes, and fold the observation into the
 // staleness and version-lag statistics.

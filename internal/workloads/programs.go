@@ -63,10 +63,6 @@ func (s *Sysbench) Start() {
 // Done implements host.Program.
 func (s *Sysbench) Done() bool { return s.done }
 
-// NextWake implements host.WakePolicy: sysbench finishes only as task
-// work accrues, so its Poll is a no-op while its threads are off-CPU.
-func (s *Sysbench) NextWake(now sim.Time) (sim.Time, bool) { return 0, false }
-
 // Poll implements host.Program.
 func (s *Sysbench) Poll(now sim.Time) {
 	if s.done {
@@ -131,20 +127,6 @@ func (m *MemHog) Start() {
 
 // Done implements host.Program.
 func (m *MemHog) Done() bool { return m.done }
-
-// NextWake implements host.WakePolicy: the hog charges memory every
-// tick while acquiring (dense), then sleeps until its hold expires.
-func (m *MemHog) NextWake(now sim.Time) (sim.Time, bool) {
-	switch {
-	case m.done:
-		return 0, false
-	case m.acquired < m.Target:
-		return now + m.h.Tick(), true
-	case m.Hold > 0:
-		return m.fullSince + m.Hold, true
-	}
-	return 0, false
-}
 
 // Full reports whether the hog has reached its target (or died trying).
 func (m *MemHog) Full() bool { return m.done || m.acquired >= m.Target }
