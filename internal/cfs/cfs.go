@@ -739,10 +739,12 @@ func waterfill(groups []*Group, caps, alloc []float64, active []int, capacity fl
 
 // Tick advances the scheduler by dt: allocates CPU, advances task work,
 // and updates accounting and the load average. It is called once per
-// simulation tick by the host. With nothing dirty it walks only the
-// groups whose team callbacks must fire (quietTick); otherwise it
-// repairs the dirty set in place (repairTick). Results are bit-identical
-// to rebuilding every tick, which only the test oracle does.
+// simulation tick by the host, always with the same dt: a Tick with a
+// dt other than the first one's panics. With nothing dirty it walks
+// only the groups whose team callbacks must fire (quietTick); otherwise
+// it repairs the dirty set in place (repairTick). Results are
+// bit-identical to rebuilding every tick, which only the test oracle
+// does.
 //
 // The allocation is fixed for the whole tick: a scheduler input that a
 // team callback changes during the tick's walk (a block, a wake, a
@@ -750,11 +752,10 @@ func waterfill(groups []*Group, caps, alloc []float64, active []int, capacity fl
 // next tick, in both regimes.
 func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	if dt != s.lastDt {
-		// The deferred-accounting replay assumes a constant tick length;
-		// a change (hosts never do this, direct drivers may) settles
-		// everything at the old length first.
+		// The deferred-accounting replay assumes one tick length: the
+		// first Tick fixes it, as a host's tick is fixed.
 		if s.lastDt != 0 {
-			s.settleAllTo(s.ticks)
+			panic(fmt.Sprintf("cfs: Tick dt %v after %v; the tick length is fixed", dt, s.lastDt))
 		}
 		s.lastDt, s.lastDtSec = dt, dt.Seconds()
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 )
 
 // FuzzRepairMirror decodes a byte string into scheduler operations,
@@ -19,7 +18,7 @@ import (
 // members (whose callbacks may block a member every k-th call), new
 // members for existing teams, teams whose callbacks wake a task in
 // another group or write a quota on one, SetRunnable, Tick, idle spans
-// of ticks, tick-length changes, and reads: usage, the view round's
+// of ticks, and reads: usage, the view round's
 // settle pass, and its window read by index. After every op, the active
 // list must be exactly the groups with a positive rate.
 func FuzzRepairMirror(f *testing.F) {
@@ -54,7 +53,7 @@ const (
 	opRunnable        // arg: task; toggle runnable
 	opTick            // arg: tick count - 1 (low two bits)
 	opIdleSpan        // arg: span in ticks - 1 (mod 32); ticks only when nothing is runnable
-	opDt              // arg: tick length selector
+	opDt              // arg: ignored; a retired no-op (the tick length is fixed)
 	opRead            // args: group, accessor
 	opTeam            // args: leaf, members-1 (low 2 bits) and gamma index (higher bits), block period (0 or 255 never blocks)
 	opJoin            // args: team, wake the new member (low bit)
@@ -69,8 +68,6 @@ const (
 	fuzzMaxGroups = 160
 	fuzzMaxTasks  = 256
 )
-
-var fuzzDts = []time.Duration{time.Millisecond, 2 * time.Millisecond, 500 * time.Microsecond, 3 * time.Millisecond}
 
 // mirrorOp is one decoded fuzz operation.
 type mirrorOp struct {
@@ -240,7 +237,9 @@ func runMirrorOps(t *testing.T, ncpu int, ops []mirrorOp) {
 			}
 			m.setRunnable(m.joinTeam(m.newLimiter(gi, max(o.b, 1), o.c), fmt.Sprintf("t%d", len(m.tasks))), true)
 		case opDt:
-			m.dt = fuzzDts[o.a%len(fuzzDts)]
+			// Retired: a no-op that still consumes its argument byte, so
+			// every committed input decodes to the op stream it was
+			// written with.
 		case opRead:
 			gi := group(o.a)
 			if gi < 0 {

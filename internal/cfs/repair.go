@@ -167,14 +167,6 @@ func (s *Scheduler) settleTo(i int, target uint64) {
 	}
 }
 
-// settleAllTo settles every group to target (before a tick-length
-// change).
-func (s *Scheduler) settleAllTo(target uint64) {
-	for i := range s.groups {
-		s.settleTo(i, target)
-	}
-}
-
 // SettleWindows brings every group that can hold deferred accrual
 // current, so that TakeWindowAt can read windows by index without
 // settling. The view round calls it once, before its reads. Those

@@ -21,7 +21,6 @@ type mirror struct {
 	oracle *Scheduler
 	rep    *Scheduler
 	now    time.Duration
-	dt     time.Duration
 
 	groups []mirrorGroup
 	tasks  []mirrorTask
@@ -52,7 +51,6 @@ func newMirror(t *testing.T, ncpu int) *mirror {
 		t:      t,
 		oracle: newOracleScheduler(ncpu),
 		rep:    NewScheduler(ncpu),
-		dt:     time.Millisecond,
 	}
 	return m
 }
@@ -245,9 +243,9 @@ func (m *mirror) removeGroup(group int) {
 }
 
 func (m *mirror) tick() {
-	m.now += m.dt
-	m.oracle.Tick(m.now, m.dt)
-	m.rep.Tick(m.now, m.dt)
+	m.now += time.Millisecond
+	m.oracle.Tick(m.now, time.Millisecond)
+	m.rep.Tick(m.now, time.Millisecond)
 }
 
 // check compares every observable across the two arms. Float values are
@@ -678,20 +676,18 @@ func TestRepairMirrorsEagerDeferred(t *testing.T) {
 	}
 }
 
-// TestRepairVariableDt exercises the tick-length change path: the
-// deferred replay assumes a constant dt, so a change must settle
-// everything first.
-func TestRepairVariableDt(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := newMirror(t, 4)
-	seedMirror(m, rng, 8)
-	for phase, dt := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 500 * time.Microsecond, time.Millisecond} {
-		m.dt = dt
-		for op := 0; op < 120; op++ {
-			m.step(rng)
+// TestTickLengthIsFixed: the deferred replay assumes one tick length,
+// so the first Tick fixes it and a Tick with another dt panics.
+func TestTickLengthIsFixed(t *testing.T) {
+	s := NewScheduler(2)
+	s.Tick(time.Millisecond, time.Millisecond)
+	s.Tick(2*time.Millisecond, time.Millisecond)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Tick with a new dt did not panic")
 		}
-		m.check(fmt.Sprintf("phase %d dt=%v", phase, dt))
-	}
+	}()
+	s.Tick(4*time.Millisecond, 2*time.Millisecond)
 }
 
 // TestRepairSkipIdle checks an idle span: all tasks blocked, ticks with

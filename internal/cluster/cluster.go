@@ -9,14 +9,15 @@
 // # Lockstep kernel
 //
 // The cluster owns its own clock, advancing on the same tick as its
-// hosts. Cluster-level events — scheduled with At/Every: experiment
-// arrivals, rebalance rounds — partition virtual time into spans. Run
-// advances every host across the current span, one host after another,
-// then fires the due cluster events with all hosts parked at exactly
-// the event instant. Hosts are share-nothing (TestCrossHostIsolation),
-// and a host's Run is a loop of Steps, so chunked host runs are
-// byte-identical to unchunked ones and a 1-host cluster with no cluster
-// events degenerates to exactly the single-host kernel.
+// hosts. Run is a loop of Step, and each Step is one lockstep tick:
+// every host steps once, in node order, then the cluster clock steps
+// and fires the cluster events due on that tick boundary — experiment
+// arrivals, rebalance rounds, scheduled with At/Every and rounded up to
+// the tick grid — with every host parked at exactly the event instant.
+// Hosts are share-nothing (TestCrossHostIsolation), so stepping them
+// tick by tick gives the same history as running each across a span,
+// and a 1-host cluster with no cluster events is exactly the
+// single-host kernel.
 //
 // # Determinism rules
 //
@@ -195,38 +196,21 @@ func (c *Cluster) align(d time.Duration) time.Duration {
 	return d
 }
 
-// Run advances the whole cluster by d (a multiple of the tick):
-// repeatedly run every host to the next cluster event (or the
-// deadline), then fire the due events with the hosts in lockstep at the
-// event instant.
+// Run advances the whole cluster by d (a multiple of the tick) as a
+// loop of Step.
 func (c *Cluster) Run(d time.Duration) {
 	deadline := c.clock.Now() + d
 	for c.clock.Now() < deadline {
-		next := deadline
-		if t, ok := c.clock.NextDeadline(); ok && t < next {
-			next = t
-		}
-		if span := next - c.clock.Now(); span > 0 {
-			c.runHosts(span)
-		}
-		c.clock.Advance(next)
+		c.Step()
 	}
 }
 
-// Step advances every host one dense tick and then the cluster clock,
-// firing any cluster events due on the new tick boundary. It returns
-// the new time. (Run is the normal driver; Step exists for
-// single-tick-grained tests and the steady-state benchmark.)
+// Step advances every host one tick, in node order, and then the
+// cluster clock, firing any cluster events due on the new tick boundary
+// with every host parked there. It returns the new time.
 func (c *Cluster) Step() sim.Time {
 	for _, n := range c.nodes {
 		n.Host.Step()
 	}
-	return c.clock.Advance(c.clock.Now() + c.tick)
-}
-
-// runHosts advances every host by span, in node order.
-func (c *Cluster) runHosts(span time.Duration) {
-	for _, n := range c.nodes {
-		n.Host.Run(span)
-	}
+	return c.clock.Step()
 }

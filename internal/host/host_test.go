@@ -168,9 +168,10 @@ func TestAddProgramDuringPollSurvivesCompaction(t *testing.T) {
 }
 
 // staleHost returns an idle host with one container under a 50 ms
-// staleness budget and ns_monitor's update timer an hour out, so the
-// container view's expiry is the only event in the next 100 ms. It also
-// returns the tracer and that instant.
+// staleness budget and ns_monitor's update period pinned to an hour, so
+// no update round runs in the next 100 ms (the caller checks that
+// sysns.updates stays 0) and the container view's expiry is the only
+// event there. It also returns the tracer and that instant.
 func staleHost(t *testing.T) (*Host, *telemetry.Tracer, sim.Time) {
 	t.Helper()
 	h := newHost()
@@ -178,11 +179,10 @@ func staleHost(t *testing.T) (*Host, *telemetry.Tracer, sim.Time) {
 	h.Run(time.Second) // the first round at the default period re-arms with the pinned one
 	h.Runtime.Create(container.Spec{Name: "a"}).Exec("app")
 	h.Monitor.SetDegradation(50*time.Millisecond, 0)
-	tr := h.EnableTelemetry(0)
-	if d, ok := h.Clock.NextDeadline(); ok && d < h.Now()+time.Minute {
-		t.Fatalf("a timer is due at %v, within the test span", d)
+	if p := h.Monitor.Period(); p != time.Hour {
+		t.Fatalf("update period %v, want 1h", p)
 	}
-	return h, tr, h.Now() + 50*time.Millisecond
+	return h, h.EnableTelemetry(0), h.Now() + 50*time.Millisecond
 }
 
 // TestStaleFallbackSameTickDenseAndRun: the kernel calls ns_monitor's
@@ -209,6 +209,9 @@ func TestStaleFallbackSameTickDenseAndRun(t *testing.T) {
 		}
 		if n := side.tr.Count(telemetry.CtrStaleFallbacks); n != 1 {
 			t.Fatalf("%s: stale_fallbacks = %d, want 1", side.name, n)
+		}
+		if n := side.tr.Count(telemetry.CtrNSUpdates); n != 0 {
+			t.Fatalf("%s: sysns.updates = %d over the span, want 0", side.name, n)
 		}
 		if n := side.tr.Count(telemetry.CtrSteps); n != 100 {
 			t.Fatalf("%s: steps = %d, want 100", side.name, n)

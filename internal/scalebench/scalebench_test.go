@@ -131,10 +131,10 @@ func TestWindowSettlesVisitOnlyActiveGroups(t *testing.T) {
 	}
 }
 
-// TestCommittedScaleRows re-runs every committed BENCH_scale.json row
-// with at most 4096 containers and holds its simulated work to the
-// committed record: scheduler ticks, repair ticks, namespace updates and
-// limit churns must match exactly. Wall time and allocations are
+// TestCommittedScaleRows re-runs every committed BENCH_scale.json row,
+// up to n = 16 384, and holds its simulated work to the committed
+// record: scheduler ticks, repair ticks, namespace updates and limit
+// churns must match exactly. Wall time and allocations are
 // machine-dependent and left to the bench gate.
 func TestCommittedScaleRows(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_scale.json")
@@ -147,11 +147,10 @@ func TestCommittedScaleRows(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	if len(doc.Runs) == 0 {
+		t.Fatal("no BENCH_scale.json row")
+	}
 	for _, want := range doc.Runs {
-		if want.Containers > 4096 {
-			continue
-		}
 		cfg := Defaults(want.Containers)
 		cfg.CPUs = want.CPUs
 		cfg.Churn = want.Churn
@@ -164,9 +163,5 @@ func TestCommittedScaleRows(t *testing.T) {
 				want.Containers, got.Ticks, got.TickRepairs, got.NSUpdates, got.LimitChurns,
 				want.Ticks, want.TickRepairs, want.NSUpdates, want.LimitChurns)
 		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no BENCH_scale.json row with at most 4096 containers")
 	}
 }

@@ -10,13 +10,13 @@ import (
 
 // FuzzClockOrder drives the clock and a reference model with the same
 // decoded op sequence and requires identical behaviour: the sequence of
-// (timer id, now) firings, Reset's result, and NextDeadline and the
-// number of queued timers after every op. The model keeps pending
-// timers in a slice sorted by (when, seq), so it shares nothing with
-// the calendar queue. Besides the quarter-tick delays and spans of the
-// plain ops, the lap op schedules, resets and advances whole laps of the
-// wheel ahead, so timers share buckets with timers laps nearer and long
-// Advances re-queue periodic timers inside the jump. A one-shot is
+// (timer id, now) firings, Reset's result, and the number of queued
+// timers after every op. The model keeps pending timers in a slice
+// sorted by (when, seq), so it shares nothing with the calendar queue.
+// Besides the quarter-tick delays and the runs of steps of the plain
+// ops, the lap op schedules, resets and steps whole laps of the wheel
+// ahead, so timers share buckets with timers laps nearer and wait in
+// them for their lap to come round. A one-shot is
 // either an After Timer or an Alarm embedded in a handler struct (Arm),
 // picked by a bit the model ignores, so both forms interleave in one
 // queue and callbacks Stop and Reset alarms from inside Fire. Alarms are
@@ -32,7 +32,7 @@ func FuzzClockOrder(f *testing.F) {
 		{0, 8, 0, 3, 0, 2, 5, 5, 5},                       // Reset of a pending timer
 		{0, 1, 0, 5, 3, 0, 4, 5, 5},                       // Reset of a fired timer
 		{0, 6, 0, 2, 0, 3, 0, 1, 5, 5},                    // Reset of a stopped timer
-		{1, 2, 1, 6, 40},                                  // periodic stops itself, across Advance
+		{1, 2, 1, 6, 40},                                  // periodic stops itself, across a run of steps
 		{1, 4, 13, 0, 2, 0, 5, 5, 5, 5},                   // periodic resets itself
 		{0, 4, 2, 0, 4, 0, 5, 5},                          // callback stops another timer
 		{1, 1, 19, 6, 12, 4, 0, 9, 6, 30},                 // callback spawns same-instant timers; retired op 4
@@ -43,7 +43,7 @@ func FuzzClockOrder(f *testing.F) {
 		{0, 18, 1, 3, 0, 0, 5, 5},                         // Alarm stops itself in Fire, then is Reset
 		{0, 20, 9, 5, 5},                                  // Alarm spawns a same-instant Timer
 		{0, 20, 0, 0, 20, 0, 5},                           // two Alarms, same deadline: a warmed batch
-		{4, 164, 0x33, 4, 130, 8},                         // lap-out Alarm re-arms itself inside a long Advance
+		{4, 164, 0x33, 4, 130, 8},                         // an Alarm two laps out stays queued across a lap-long run of steps
 		growthSeed(),                                      // more pending than buckets: the wheel grows mid-run
 	} {
 		f.Add(seed)
@@ -61,8 +61,8 @@ const (
 	// turns of a smaller one.
 	lap = maxWheel * 4 * quantum
 	// maxFirings bounds one input's cost: a callback that fires past it
-	// stops its timer, so a lap-long Advance over quarter-tick periodic
-	// timers ends. No committed seed reaches it.
+	// stops its timer, so a lap-long run of steps over quarter-tick
+	// periodic timers ends. No committed seed reaches it.
 	maxFirings = 1 << 14
 )
 
@@ -81,9 +81,7 @@ type clockUnderTest interface {
 	stop(id int)
 	reset(id int, d time.Duration) bool
 	step()
-	advance(to Time)
 	now() Time
-	nextDeadline() (Time, bool)
 	pending() int
 	timers() int
 }
@@ -142,8 +140,8 @@ func (h *harness) schedule(kind int, d time.Duration, a action) {
 // growthSeed schedules 96 one-shots before the first Step, alternating
 // Timers and Alarms over deadlines a quarter tick to four ticks out,
 // each fifth stopping another timer and each seventh spawning one, then
-// steps and advances through them: the clock's wheel grows while
-// timers sit in its buckets and in the due batch.
+// steps through them: the clock's wheel grows while timers sit in its
+// buckets and in the due batch.
 func growthSeed() []byte {
 	var b []byte
 	for i := 0; i < 96; i++ {
@@ -199,7 +197,7 @@ func runOps(t *testing.T, data []byte, impls ...clockUnderTest) {
 		return data[pos-1]
 	}
 	// The firing budget keeps one input's cost bounded: periodic timers
-	// with quarter-tick periods fire up to 64 times per Advance.
+	// with quarter-tick periods fire up to 64 times per run of op 6.
 	for ops := 0; pos < len(data) && ops < 256 && len(hs[0].fired) < 2048; ops++ {
 		op := next() % 7
 		var desc string
@@ -257,10 +255,8 @@ func runOps(t *testing.T, data []byte, impls ...clockUnderTest) {
 			}
 		case 6:
 			to := hs[0].clk.now() + time.Duration(next()%64)*quantum
-			desc = fmt.Sprintf("op %d: Advance(%v)", ops, to)
-			for _, h := range hs {
-				h.clk.advance(to)
-			}
+			desc = fmt.Sprintf("op %d: StepTo(%v)", ops, to)
+			stepTo(hs, to)
 		}
 		want := hs[0]
 		for i, h := range hs[1:] {
@@ -270,11 +266,6 @@ func runOps(t *testing.T, data []byte, impls ...clockUnderTest) {
 			if !slices.Equal(h.fired[checked:], want.fired[checked:]) {
 				t.Fatalf("%s: firings diverge\n clock: %v\n model: %v", desc, want.fired, h.fired)
 			}
-			wd, wok := want.clk.nextDeadline()
-			d, ok := h.clk.nextDeadline()
-			if wd != d || wok != ok {
-				t.Fatalf("%s: NextDeadline = %v,%v, model %v,%v", desc, wd, wok, d, ok)
-			}
 			if want.clk.pending() != h.clk.pending() {
 				t.Fatalf("%s: pending timers = %d, model %d", desc, want.clk.pending(), h.clk.pending())
 			}
@@ -283,10 +274,20 @@ func runOps(t *testing.T, data []byte, impls ...clockUnderTest) {
 	}
 }
 
+// stepTo steps every harness, tick by tick, to the first tick boundary
+// at or after to: op 6 and the lap op's span case.
+func stepTo(hs []*harness, to Time) {
+	for hs[0].clk.now() < to {
+		for _, h := range hs {
+			h.clk.step()
+		}
+	}
+}
+
 // lapOp runs the lap op (op 4 with first byte b >= 128) on every
 // harness and returns its description and any Reset results. Bits 0-1
-// of b pick After, Every, Advance or Reset; bits 2-4 the number of laps
-// (1-8) in the delay, period or span; bit 5, for After, an Alarm
+// of b pick After, Every, a run of steps or Reset; bits 2-4 the number
+// of laps (1-8) in the delay, period or span; bit 5, for After, an Alarm
 // instead; arg the quarter-tick remainder and, for After and Every, the
 // callback's action (high nibble) or, for Reset, the timer.
 func lapOp(ops int, hs []*harness, b, arg byte) (string, []bool) {
@@ -307,10 +308,8 @@ func lapOp(ops int, hs []*harness, b, arg byte) (string, []bool) {
 		return fmt.Sprintf("op %d: After/Every/Arm[%d](%v, %+v)", ops, kind, d, a), nil
 	case 2:
 		to := hs[0].clk.now() + laps + time.Duration(arg%64)*quantum
-		for _, h := range hs {
-			h.clk.advance(to)
-		}
-		return fmt.Sprintf("op %d: Advance(%v)", ops, to), nil
+		stepTo(hs, to)
+		return fmt.Sprintf("op %d: StepTo(%v)", ops, to), nil
 	default:
 		n := hs[0].clk.timers()
 		if n == 0 {
@@ -375,9 +374,7 @@ func (r *realClock) every(p time.Duration, fn func(Time)) int {
 func (r *realClock) stop(id int)                        { r.tm[id].Stop() }
 func (r *realClock) reset(id int, d time.Duration) bool { return r.tm[id].Reset(d) }
 func (r *realClock) step()                              { r.c.Step() }
-func (r *realClock) advance(to Time)                    { r.c.Advance(to) }
 func (r *realClock) now() Time                          { return r.c.Now() }
-func (r *realClock) nextDeadline() (Time, bool)         { return r.c.NextDeadline() }
 func (r *realClock) pending() int                       { return r.c.pending }
 func (r *realClock) timers() int                        { return len(r.tm) }
 
@@ -446,10 +443,8 @@ func (m *modelClock) reset(id int, d time.Duration) bool {
 	return was
 }
 
-func (m *modelClock) step() { m.advance(m.t + m.tick) }
-
-func (m *modelClock) advance(to Time) {
-	m.t = to
+func (m *modelClock) step() {
+	m.t += m.tick
 	for len(m.queue) > 0 && m.queue[0].when <= m.t {
 		mt := m.queue[0]
 		when, seq := mt.when, mt.seq
@@ -462,13 +457,6 @@ func (m *modelClock) advance(to Time) {
 }
 
 func (m *modelClock) now() Time { return m.t }
-
-func (m *modelClock) nextDeadline() (Time, bool) {
-	if len(m.queue) == 0 {
-		return 0, false
-	}
-	return m.queue[0].when, true
-}
 
 func (m *modelClock) pending() int { return len(m.queue) }
 func (m *modelClock) timers() int  { return len(m.ts) }

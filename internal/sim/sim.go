@@ -18,19 +18,19 @@
 // small and one with thousands spreads them a tick apiece. Once the
 // wheel has stopped growing the queue allocates nothing. A timer more
 // than one lap ahead shares its bucket with nearer ones and stays there
-// until its lap comes round. Step moves the due timers of the bucket it
-// reaches into the due batch, sorts the batch by (when, seq) and fires
-// it in that order; Advance does the same for every bucket its span
-// covers, across any number of laps. The firing order depends on
-// (when, seq) alone, never on the wheel size.
+// until its lap comes round. Step is the only way the clock moves: it
+// advances one tick, moves the due timers of that tick's bucket into the
+// due batch, sorts the batch by (when, seq) and fires it in that order.
+// The firing order depends on (when, seq) alone, never on the wheel
+// size.
 //
 // Before a due batch of two or more timers fires, a warm pass walks the
-// next 64 of them (a window, run again as the batch drains, so a long
-// Advance does not evict its own lines) and calls Warm on each handler
-// that is a Warmer. Each Warm loads the state its Fire will touch, and
-// the loads of different timers do not depend on each other, so their
-// cache misses overlap; the firings then run in the same (when, seq)
-// order on warm lines. Warm only reads, so the pass cannot change a
+// next 64 of them (a window, run again as the batch drains, so a batch
+// of thousands does not evict its own lines) and calls Warm on each
+// handler that is a Warmer. Each Warm loads the state its Fire will
+// touch, and the loads of different timers do not depend on each other,
+// so their cache misses overlap; the firings then run in the same
+// (when, seq) order on warm lines. Warm only reads, so the pass cannot change a
 // firing: it is a prefetch, the "group prefetching" of hash joins.
 // Whether a handler is a Warmer is decided once, when its timer is
 // armed.
@@ -47,8 +47,8 @@
 // seq is a per-clock counter stamped when a timer is scheduled or
 // reset, so (when, seq) is a total order: equal deadlines fire in
 // scheduling order. A callback that schedules a timer at or before now,
-// or a periodic timer re-queued at or before now (inside a long
-// Advance), joins the due batch at its (when, seq) position, so the
+// or a periodic timer re-queued at or before now (a period shorter than
+// the tick), joins the due batch at its (when, seq) position, so the
 // firing order is the one a single priority queue would give. A
 // self-re-arming callback that calls Reset on its own handle or Alarm
 // reuses its timer and schedules without allocating.
@@ -74,8 +74,6 @@ const (
 	// is idle), dueList, or s+1 for bucket s.
 	notQueued = 0
 	dueList   = -1
-
-	maxTime = Time(1<<63 - 1)
 )
 
 // Handler is what a timer runs when it fires. An owner that embeds an
@@ -102,13 +100,11 @@ func (f funcHandler) Fire(now Time) { f(now) }
 type Clock struct {
 	now  Time
 	tick time.Duration
-	// cur is the index of the tick now falls in, floor(now/tick), and
-	// off how far now lies past that tick's start (0 on a tick
-	// boundary). Every timer in a bucket is due after now, so its tick
-	// index is above cur; the due batch holds the timers due at or
+	// cur is the index of the tick now ends, now/tick (Step keeps now on
+	// the tick grid). Every timer in a bucket is due after now, so its
+	// tick index is above cur; the due batch holds the timers due at or
 	// before now.
 	cur int64
-	off time.Duration
 	// next is a tick before which no timer in a bucket is due, so
 	// steps before it skip their buckets.
 	next int64
@@ -143,75 +139,43 @@ func (c *Clock) Now() Time { return c.now }
 // has been reached, in deadline order (FIFO among equal deadlines). It
 // returns the new time. Timer callbacks may schedule further timers,
 // including for the current instant; those fire within the same Step.
+// Step is the only way the clock moves, so now is always on the tick
+// grid.
 func (c *Clock) Step() Time {
 	c.now += c.tick
 	c.cur++
-	// Most steps of a host with few timers reach an empty bucket on a
-	// tick boundary and have nothing to do.
-	if c.cur >= c.next || c.off != 0 || c.due != nil {
-		c.fire(c.cur)
+	// Most steps of a host with few timers reach an empty bucket and have
+	// nothing to do.
+	if c.cur >= c.next || c.due != nil {
+		c.fire()
 	}
 	return c.now
 }
 
-// Advance jumps the clock to instant `to` in one step and fires any
-// timer whose deadline falls within the span, in deadline order. Unlike
-// dense stepping, callbacks observe now == to, so Advance is meant for
-// jumping across spans the caller knows to be timer-free: the cluster
-// kernel bounds every jump of its clock with NextDeadline, so each
-// cluster event still fires on the tick boundary it was scheduled for.
-func (c *Clock) Advance(to Time) Time {
-	if to < c.now {
-		panic(fmt.Sprintf("sim: Advance to %v before now %v", to, c.now))
-	}
-	first := c.cur + 1
-	c.off += to - c.now
-	c.now = to
-	if c.off >= c.tick {
-		c.cur = int64(to / c.tick)
-		c.off = to - Time(c.cur)*c.tick
-	}
-	c.fire(first)
-	return c.now
-}
-
-// fire collects the timers due by now, from the buckets of ticks first
-// on, and fires the due batch.
-func (c *Clock) fire(first int64) {
-	c.collect(first)
+// fire collects the timers due in tick cur and fires the due batch.
+func (c *Clock) fire() {
+	c.collect()
 	// The next non-empty bucket's tick: a lower bound on the next
 	// bucket timer's due tick.
-	c.next = c.cur + 1 + int64(c.nextOccupied(int(c.cur+1)&c.mask(), 0))
+	c.next = c.cur + 1 + int64(c.nextOccupied(int(c.cur+1)&c.mask()))
 	c.fireDue()
 }
 
-// collect moves every timer due at or before now out of the buckets of
-// ticks first through cur — plus tick cur+1 when now lies inside it —
-// into the due batch. A span of a lap or more visits every bucket once.
-func (c *Clock) collect(first int64) {
-	last := c.cur
-	if c.off != 0 {
-		last++
-	}
-	if first > last {
-		return
-	}
-	span := int(min(last-first+1, int64(len(c.heads))))
-	mask := c.mask()
-	s0 := int(first) & mask
+// collect moves every timer of tick cur's bucket that is due by now into
+// the due batch. A timer a lap or more ahead shares the bucket and stays.
+func (c *Clock) collect() {
+	s := int(c.cur) & c.mask()
 	var batch *timer
 	n := 0
-	for i := c.nextOccupied(s0, 0); i < span; i = c.nextOccupied(s0, i+1) {
-		for t := c.heads[(s0+i)&mask]; t != nil; {
-			next := t.next
-			if t.when <= c.now {
-				c.unlinkBucket(t)
-				t.next = batch
-				batch = t
-				n++
-			}
-			t = next
+	for t := c.heads[s]; t != nil; {
+		next := t.next
+		if t.when <= c.now {
+			c.unlinkBucket(t)
+			t.next = batch
+			batch = t
+			n++
 		}
+		t = next
 	}
 	if n > 0 {
 		c.mergeDue(sortChain(batch, n))
@@ -221,12 +185,12 @@ func (c *Clock) collect(first int64) {
 // mask maps a tick index to its bucket.
 func (c *Clock) mask() int { return len(c.heads) - 1 }
 
-// nextOccupied returns the least offset j >= i whose bucket,
-// (s0+j) mod the wheel size, is non-empty, or the wheel size when there
-// is none within a lap of s0.
-func (c *Clock) nextOccupied(s0, i int) int {
+// nextOccupied returns the least offset j whose bucket, (s0+j) mod the
+// wheel size, is non-empty, or the wheel size when there is none within
+// a lap of s0.
+func (c *Clock) nextOccupied(s0 int) int {
 	n := len(c.heads)
-	for i < n {
+	for i := 0; i < n; {
 		s := (s0 + i) & (n - 1)
 		if word := c.occupied[s>>6] >> (s & 63); word != 0 {
 			return min(i+bits.TrailingZeros64(word), n)
@@ -238,8 +202,8 @@ func (c *Clock) nextOccupied(s0, i int) int {
 
 // warmWindow bounds one warm pass: the next warmWindow due timers are
 // warmed together, and the pass runs again when they have fired, so a
-// long Advance with thousands of due timers does not evict the lines it
-// warmed before it reaches them.
+// due batch of thousands of timers does not evict the lines it warmed
+// before it reaches them.
 const warmWindow = 64
 
 // fireDue pops and runs the due batch in (when, seq) order. A periodic
@@ -281,49 +245,6 @@ func (c *Clock) warm(t *timer) int {
 	}
 	c.warmSum += sum
 	return n
-}
-
-// NextDeadline returns the deadline of the earliest pending timer.
-// ok is false when no timer is scheduled. Cancelled timers are removed
-// eagerly by Stop, so the returned deadline is always live.
-func (c *Clock) NextDeadline() (Time, bool) {
-	if c.pending == 0 {
-		return 0, false
-	}
-	if t := c.due; t != nil {
-		return t.when, true
-	}
-	// Scan one lap of buckets from tick cur+1 on. The first bucket that
-	// holds a timer of the lap in reach (due by the bucket's tick
-	// boundary) holds the earliest deadline: later buckets of the lap,
-	// and every timer a lap or more out, are due after that boundary.
-	n := len(c.heads)
-	s0 := int(c.cur+1) & (n - 1)
-	for i := c.nextOccupied(s0, 0); i < n; i = c.nextOccupied(s0, i+1) {
-		if when, ok := minDeadline(c.heads[(s0+i)&(n-1)], c.now-c.off+Time(i+1)*c.tick); ok {
-			return when, true
-		}
-	}
-	// Every timer is more than a lap ahead. Their deadlines are after
-	// now >= 0, so earliest == 0 means none seen yet.
-	var earliest Time
-	for s := c.nextOccupied(0, 0); s < n; s = c.nextOccupied(0, s+1) {
-		if when, _ := minDeadline(c.heads[s], maxTime); earliest == 0 || when < earliest {
-			earliest = when
-		}
-	}
-	return earliest, true
-}
-
-// minDeadline returns the earliest deadline at or before limit on the
-// list starting at t; ok is false when there is none.
-func minDeadline(t *timer, limit Time) (when Time, ok bool) {
-	for ; t != nil; t = t.next {
-		if t.when <= limit && (!ok || t.when < when) {
-			when, ok = t.when, true
-		}
-	}
-	return when, ok
 }
 
 // Timer is a handle to a scheduled callback.

@@ -155,74 +155,6 @@ func TestStopOtherTimerFromCallback(t *testing.T) {
 	}
 }
 
-func TestNextDeadline(t *testing.T) {
-	c := NewClock(time.Millisecond)
-	if _, ok := c.NextDeadline(); ok {
-		t.Fatal("empty clock reports a deadline")
-	}
-	tm := c.After(7*time.Millisecond, func(Time) {})
-	c.After(3*time.Millisecond, func(Time) {})
-	if d, ok := c.NextDeadline(); !ok || d != 3*time.Millisecond {
-		t.Fatalf("NextDeadline = %v,%v, want 3ms", d, ok)
-	}
-	runUntil(c, 3*time.Millisecond)
-	if d, ok := c.NextDeadline(); !ok || d != 7*time.Millisecond {
-		t.Fatalf("NextDeadline after first fire = %v,%v, want 7ms", d, ok)
-	}
-	tm.Stop()
-	if _, ok := c.NextDeadline(); ok {
-		t.Fatal("deadline survives Stop of the only timer")
-	}
-}
-
-func TestAdvanceJumpsTimerFreeSpan(t *testing.T) {
-	c := NewClock(time.Millisecond)
-	fired := Time(-1)
-	c.After(100*time.Millisecond, func(now Time) { fired = now })
-	c.Advance(99 * time.Millisecond)
-	if c.Now() != 99*time.Millisecond || fired != -1 {
-		t.Fatalf("now=%v fired=%v after timer-free jump", c.Now(), fired)
-	}
-	// The next dense step fires the timer on its normal boundary.
-	c.Step()
-	if fired != 100*time.Millisecond {
-		t.Fatalf("timer fired at %v, want 100ms", fired)
-	}
-}
-
-func TestAdvanceFiresSpannedTimersInOrder(t *testing.T) {
-	c := NewClock(time.Millisecond)
-	var order []Time
-	c.After(4*time.Millisecond, func(now Time) { order = append(order, now) })
-	c.After(2*time.Millisecond, func(now Time) { order = append(order, now) })
-	c.Advance(10 * time.Millisecond)
-	if len(order) != 2 || order[0] != 10*time.Millisecond || order[1] != 10*time.Millisecond {
-		t.Fatalf("order = %v; spanned timers must fire (at the jump target)", order)
-	}
-}
-
-func TestAdvanceBackwardsPanics(t *testing.T) {
-	c := NewClock(time.Millisecond)
-	c.Advance(5 * time.Millisecond)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic advancing backwards")
-		}
-	}()
-	c.Advance(time.Millisecond)
-}
-
-func TestPeriodicTimerSurvivesAdvance(t *testing.T) {
-	c := NewClock(time.Millisecond)
-	n := 0
-	c.Every(2*time.Millisecond, func(Time) { n++ })
-	c.Advance(time.Millisecond) // before the first deadline
-	runUntil(c, 7*time.Millisecond)
-	if n != 3 {
-		t.Fatalf("periodic fired %d times, want 3 (at 2,4,6ms)", n)
-	}
-}
-
 func TestResetOrdersLikeAfter(t *testing.T) {
 	c := NewClock(time.Millisecond)
 	var order []string
@@ -408,20 +340,21 @@ func TestWarmPass(t *testing.T) {
 		}
 	})
 	t.Run("window drains a long batch in order", func(t *testing.T) {
-		// One Advance over more due timers than a window: every timer is
-		// warmed exactly once, while due, no more than a window ahead of
-		// its firing, and the firings keep their (when, seq) order.
+		// One Step whose due batch holds more timers than a window: every
+		// timer is warmed exactly once, while due, no more than a window
+		// ahead of its firing, and the firings keep their (when, seq)
+		// order.
 		const n = 3*warmWindow + 5
 		c := NewClock(time.Millisecond)
 		var log []string
 		ws := make([]*warmLog, n)
 		for i := range ws {
-			// Later ids get earlier deadlines, so the batch order differs
-			// from the arming order.
+			// Later ids get earlier deadlines, all within the first tick,
+			// so the batch order differs from the arming order.
 			ws[i] = &warmLog{id: i, log: &log}
-			c.Arm(&ws[i].Alarm, time.Duration(n-i)*time.Millisecond, ws[i])
+			c.Arm(&ws[i].Alarm, time.Duration(n-i)*time.Microsecond, ws[i])
 		}
-		c.Advance(n * time.Millisecond)
+		c.Step()
 		warmedAt := map[int]int{}
 		fired := 0
 		var order []int
