@@ -32,13 +32,15 @@ race:
 # HTTP routes against arbitrary paths (internal/fsd FuzzRoutes), and the
 # scenario interpreter against arbitrary script lines (internal/scenario
 # FuzzLine). The committed seed corpora under each package's
-# testdata/fuzz run in every plain `go test` as well.
+# testdata/fuzz run in every plain `go test` as well. Minimizing a new
+# interesting input is capped at 100 execs: at Go's default (60 s) a
+# smoke spent most of its 10 s minimizing at 0 execs/s.
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzClockOrder -fuzztime 10s -parallel 2 ./internal/sim
-	$(GO) test -run xxx -fuzz FuzzRepairMirror -fuzztime 10s -parallel 2 ./internal/cfs
-	$(GO) test -run xxx -fuzz FuzzMonitorMirror -fuzztime 10s -parallel 2 ./internal/sysns
-	$(GO) test -run xxx -fuzz FuzzRoutes -fuzztime 10s -parallel 2 ./internal/fsd
-	$(GO) test -run xxx -fuzz FuzzLine -fuzztime 10s -parallel 2 ./internal/scenario
+	$(GO) test -run xxx -fuzz FuzzClockOrder -fuzztime 10s -fuzzminimizetime 100x -parallel 2 ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzRepairMirror -fuzztime 10s -fuzzminimizetime 100x -parallel 2 ./internal/cfs
+	$(GO) test -run xxx -fuzz FuzzMonitorMirror -fuzztime 10s -fuzzminimizetime 100x -parallel 2 ./internal/sysns
+	$(GO) test -run xxx -fuzz FuzzRoutes -fuzztime 10s -fuzzminimizetime 100x -parallel 2 ./internal/fsd
+	$(GO) test -run xxx -fuzz FuzzLine -fuzztime 10s -fuzzminimizetime 100x -parallel 2 ./internal/scenario
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x .
@@ -63,8 +65,11 @@ bench-scale:
 # repair every tick), the timer queue under churn (TimerChurn
 # in internal/sim: 16 384 self-re-arming timers), the churn driver
 # (ChurnFire in internal/faults: one tick of 16 384 churn rules firing
-# and re-arming their embedded alarms) and view-update rounds
-# stay allocation-free, as does the whole kernel loop of a churning host
+# and re-arming their embedded alarms), ns_monitor's marks under a
+# storm of limit events (MonitorMarkStorm in internal/sysns: four quota
+# writes to each of 1024 containers, then one flush) and view-update
+# rounds stay allocation-free, as does the whole kernel loop of a
+# churning host
 # (ScaleSteadyChurn: churn timers re-arm in place), snapshot reads allocate nothing, a snapshot
 # publication costs exactly its three buffers (header + two slices;
 # DESIGN.md §11), a steady-state cluster step — four host steps plus a
@@ -90,7 +95,8 @@ bench-gate:
 	$(GO) test -run xxx -bench 'SchedulerRebuild|SchedulerRepairStorm' -benchmem -benchtime=20x ./internal/cfs | tee -a bench-steady.txt
 	$(GO) test -run xxx -bench TimerChurn -benchmem -benchtime=20x ./internal/sim | tee -a bench-steady.txt
 	$(GO) test -run xxx -bench ChurnFire -benchmem -benchtime=20x ./internal/faults | tee -a bench-steady.txt
-	$(GO) run ./internal/tools/benchgate -match 'SchedulerTick|SchedulerRebuild|SchedulerRepairStorm|TimerChurn|ChurnFire|ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
+	$(GO) test -run xxx -bench MonitorMarkStorm -benchmem -benchtime=20x ./internal/sysns | tee -a bench-steady.txt
+	$(GO) run ./internal/tools/benchgate -match 'SchedulerTick|SchedulerRebuild|SchedulerRepairStorm|TimerChurn|ChurnFire|MonitorMarkStorm|ScaleSteady|SnapshotRead|ClusterSteady|AutoscaleSteady' -max-allocs 0 bench-steady.txt
 	$(GO) run ./internal/tools/benchgate -match SnapshotPublish -max-allocs 3 bench-steady.txt
 	rm -f bench-steady.txt
 	set -e; \

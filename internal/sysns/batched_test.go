@@ -1,6 +1,7 @@
 package sysns
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -201,16 +202,16 @@ func TestBatchedSuppressionRecovery(t *testing.T) {
 		t.Fatalf("production monitor seenSuppressed = %d, hierarchy %d: recovery did not resynchronize",
 			p.mB.seenSuppressed, p.hier.Suppressed())
 	}
-	if p.mB.boundsDirtyAll || len(p.mB.dirtyTops) != 0 {
-		t.Fatal("recovery FullRecompute left stale dirty marks behind")
+	if err := noMarks(p.mB); err != nil {
+		t.Fatalf("recovery FullRecompute left stale marks behind: %v", err)
 	}
 }
 
 // TestBoundsFlushCounts pins where the one flush runs, in work counts:
 // n quota writes to one pod between two bounds reads cost a single
-// flush at the second read. Every write's mark still recomputes the
-// pod's two members once — the flush coalesces passes, and duplicate
-// marks on one top still recompute it each time.
+// flush at the second read, which recomputes the pod's two members
+// once — a top already marked is not queued again, so the flush costs
+// the distinct tops, not the writes.
 func TestBoundsFlushCounts(t *testing.T) {
 	t.Run("batched", func(t *testing.T) {
 		const n = 5
@@ -232,8 +233,40 @@ func TestBoundsFlushCounts(t *testing.T) {
 		if got := tr.Count(telemetry.CtrBoundsFlushes); got != 1 {
 			t.Errorf("bounds flushes = %d, want 1", got)
 		}
-		if got := tr.Count(telemetry.CtrBoundsRecomputed); got != 2*n {
-			t.Errorf("bounds recomputed = %d, want %d", got, 2*n)
+		if got := tr.Count(telemetry.CtrBoundsRecomputed); got != 2 {
+			t.Errorf("bounds recomputed = %d, want 2", got)
+		}
+	})
+
+	// Writes to most of the fleet's tops still recompute only those tops:
+	// no number of marks turns the flush into a pass over every
+	// namespace.
+	t.Run("distinct", func(t *testing.T) {
+		const n, written = 8, 7
+		clock := sim.NewClock(time.Millisecond)
+		hier := cgroups.NewHierarchy(cfs.NewScheduler(8), memctl.New(memctl.Config{Total: 16 * units.GiB}))
+		mon := NewMonitor(hier, clock, Options{})
+		cgs := make([]*cgroups.Cgroup, n)
+		for i := range cgs {
+			cgs[i] = hier.Create(fmt.Sprintf("c%d", i))
+			mon.Attach(cgs[i])
+		}
+		nsLast := mon.nsOf(cgs[n-1])
+		nsLast.CPUBounds()
+
+		tr := telemetry.New(0)
+		mon.Trace = tr
+		for range 3 {
+			for _, cg := range cgs[:written] {
+				cg.SetQuotaCPUs(2)
+			}
+		}
+		nsLast.CPUBounds()
+		if got := tr.Count(telemetry.CtrBoundsFlushes); got != 1 {
+			t.Errorf("bounds flushes = %d, want 1", got)
+		}
+		if got := tr.Count(telemetry.CtrBoundsRecomputed); got != written {
+			t.Errorf("bounds recomputed = %d, want %d", got, written)
 		}
 	})
 }
@@ -297,4 +330,62 @@ func TestPendingMarkKeepsDroppedEventStale(t *testing.T) {
 			t.Fatalf("k1 upper = %d after the next delivered trigger, want 2", got)
 		}
 	})
+}
+
+// TestDroppedMarksClearTheirBits pins the trap of the mark bits: a path
+// that drops dirtyTops without flushing them must clear the bits of the
+// tops it held, or a stale bit swallows every later mark of its top.
+// Each case leaves a pod's mark pending, drops the marks one way, and
+// then writes the pod's quota, which must reach its member's bounds.
+func TestDroppedMarksClearTheirBits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// drop drops the pending marks; c is a flat container, kid the
+		// pod's one attached member.
+		drop func(hier *cgroups.Hierarchy, mon *Monitor, c, kid *cgroups.Cgroup)
+	}{
+		// markAllDirty: the pod's last namespace leaves Σw_j, and its
+		// re-attach brings the pod back as a new top.
+		{"detach-last", func(_ *cgroups.Hierarchy, mon *Monitor, _, kid *cgroups.Cgroup) {
+			mon.Detach(kid)
+			mon.Attach(kid)
+		}},
+		// FullRecompute: a delivered event after a dropped one recovers.
+		{"recovery", func(hier *cgroups.Hierarchy, _ *Monitor, c, kid *cgroups.Cgroup) {
+			dropNext(hier, func() { c.SetShares(2048) })
+			kid.SetMemLimits(units.GiB, units.GiB/2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hier := cgroups.NewHierarchy(cfs.NewScheduler(8), memctl.New(memctl.Config{Total: 16 * units.GiB}))
+			mon := NewMonitor(hier, sim.NewClock(time.Millisecond), Options{})
+			c := hier.Create("c")
+			mon.Attach(c)
+			pod := hier.Create("pod")
+			kid := hier.CreateChild(pod, "pod/k")
+			mon.Attach(kid)
+			upper := func() int { _, u := mon.nsOf(kid).CPUBounds(); return u }
+			upper()
+
+			pod.SetQuotaCPUs(4)
+			if !mon.byID[pod.ID()].marked || len(mon.dirtyTops) != 1 {
+				t.Fatalf("pod quota write: marked=%v, dirtyTops %v; want the pod queued once",
+					mon.byID[pod.ID()].marked, mon.dirtyTops)
+			}
+			tc.drop(hier, mon, c, kid)
+			if err := marksConsistent(mon); err != nil {
+				t.Fatalf("after dropping the marks: %v", err)
+			}
+			if got := upper(); got != 4 {
+				t.Fatalf("kid upper = %d after the drop, want 4", got)
+			}
+			pod.SetQuotaCPUs(2)
+			if got := upper(); got != 2 {
+				t.Fatalf("kid upper = %d after the pod's next quota write, want 2", got)
+			}
+			if err := noMarks(mon); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"arv/internal/cfs"
 	"arv/internal/cgroups"
@@ -74,12 +75,20 @@ func (m *mirror) detach(cg *cgroups.Cgroup) { m.mA.Detach(cg); m.mB.Detach(cg) }
 //     no bound and no E_CPU. A lost or mis-scoped mark would leave some
 //     namespace's flushed bounds behind the hierarchy, and the rebuild
 //     would expose it.
+//  5. Both monitors' marks are consistent before the flush
+//     (marksConsistent), and on the production monitor a flush or a
+//     FullRecompute leaves none: no dirtyTops entry and no marked bit.
 //
 // E_CPU is not compared across the two monitors: the reference clamps it
 // at every trigger, the production monitor only at reads, and the clamp
 // is stateful (DESIGN.md §14).
 func (m *mirror) check(t *testing.T, step int, op string) {
 	t.Helper()
+	for _, mon := range []*Monitor{m.mA, m.mB} {
+		if err := marksConsistent(mon); err != nil {
+			t.Fatalf("step %d (%s): before the flush: %v", step, op, err)
+		}
+	}
 	if la, lb := len(m.mA.order), len(m.mB.order); la != lb {
 		t.Fatalf("step %d (%s): namespace counts diverged: %d vs %d", step, op, la, lb)
 	}
@@ -97,6 +106,11 @@ func (m *mirror) check(t *testing.T, step int, op string) {
 		if e := nsA.EffectiveCPU(); e < al || e > au {
 			t.Fatalf("step %d (%s): %s E_CPU %d outside bounds [%d,%d]", step, op, nsA.cg.Name, e, al, au)
 		}
+	}
+
+	m.mA.flush() // the reads above flushed unless no namespace is left
+	if err := noMarks(m.mA); err != nil {
+		t.Fatalf("step %d (%s): after the flush: %v", step, op, err)
 	}
 
 	flushed := views(m.mA)
@@ -125,6 +139,44 @@ func (m *mirror) check(t *testing.T, step int, op string) {
 	if err := sameViews(m.mA, flushed); err != nil {
 		t.Fatalf("step %d (%s): flush lost a mark: %v", step, op, err)
 	}
+	if err := noMarks(m.mA); err != nil {
+		t.Fatalf("step %d (%s): after FullRecompute: %v", step, op, err)
+	}
+}
+
+// marksConsistent checks the bounds marks' bookkeeping: dirtyTops holds
+// each top once, every top in it has its marked bit set unless its
+// entry was cleared by the cgroup's removal, no other entry has the bit
+// set, and a pending boundsDirtyAll has subsumed every top mark.
+func marksConsistent(m *Monitor) error {
+	queued := make(map[int]bool, len(m.dirtyTops))
+	for _, top := range m.dirtyTops {
+		if queued[top] {
+			return fmt.Errorf("top %d queued twice in dirtyTops %v", top, m.dirtyTops)
+		}
+		queued[top] = true
+		if e := m.byID[top]; !e.marked && e.cg != nil {
+			return fmt.Errorf("top %d (%s) queued without its marked bit", top, e.cg.Name)
+		}
+	}
+	for id, e := range m.byID {
+		if e.marked && !queued[id] {
+			return fmt.Errorf("entry %d marked but not queued", id)
+		}
+	}
+	if m.boundsDirtyAll && len(m.dirtyTops) > 0 {
+		return fmt.Errorf("boundsDirtyAll set with %d top marks queued", len(m.dirtyTops))
+	}
+	return nil
+}
+
+// noMarks checks that m holds no bounds mark: the state every flush and
+// every FullRecompute must leave.
+func noMarks(m *Monitor) error {
+	if m.BoundsDeferred() {
+		return fmt.Errorf("marks left: boundsDirtyAll=%v, dirtyTops %v", m.boundsDirtyAll, m.dirtyTops)
+	}
+	return marksConsistent(m)
 }
 
 // view is one namespace's flushed Algorithm 1 state.
@@ -578,5 +630,14 @@ func TestFullRecomputeResetsOnlyTrackedEntries(t *testing.T) {
 		if want := int64(4 * 1024); mon.totalTop != want {
 			t.Fatalf("totalTop = %d after FullRecompute, want %d", mon.totalTop, want)
 		}
+	}
+}
+
+// TestEntrySize pins the per-ID cost of byID, which never shrinks: a
+// field added past cgEntry's padding would grow it for every cgroup
+// ever created (DESIGN.md §10).
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(cgEntry{}); got != 48 {
+		t.Fatalf("cgEntry is %d bytes, want 48", got)
 	}
 }

@@ -70,7 +70,10 @@ type Monitor struct {
 
 	// Bounds marks (DESIGN.md §14). Every trigger only marks:
 	// boundsDirtyAll for "every fraction changed", dirtyTops (entity IDs)
-	// for one subtree. flush applies them at the next read boundary.
+	// for one subtree. A queued top's entry keeps its marked bit set
+	// until the marks are dropped (or the cgroup's removal zeroes the
+	// entry), so the list holds each top once, in first-mark order.
+	// flush applies the marks at the next read boundary.
 	boundsDirtyAll bool
 	dirtyTops      []int
 
@@ -176,7 +179,8 @@ func (m *Monitor) SetDegradation(budget, resyncMin time.Duration) {
 // namespaces in a top-level entity's subtree (itself included, for a
 // flat container); an entry with refs == 0 is untracked, its shares
 // outside totalTop. cg is the cgroup itself, for the walk over a pod's
-// members.
+// members. marked is set while the entry's ID is queued in dirtyTops;
+// it sits in the struct's padding, so an entry stays 48 bytes.
 type cgEntry struct {
 	ns     *SysNamespace
 	slot   int32
@@ -185,6 +189,7 @@ type cgEntry struct {
 	sum    int64
 	cg     *cgroups.Cgroup
 	cap    int32
+	marked bool
 }
 
 // coldSlot is the update round's pointer group for one namespace slot:
@@ -422,26 +427,35 @@ func (m *Monitor) queueDilution(cg *cgroups.Cgroup) {
 
 // markAllDirty records that every namespace's bounds must be recomputed
 // at the next flush (a Σw_j change reaches every container), subsuming
-// any finer marks.
+// any finer marks: it drops them, clearing their bits.
 func (m *Monitor) markAllDirty() {
 	m.boundsDirtyAll = true
+	m.dropTopMarks()
+}
+
+// dropTopMarks empties dirtyTops and clears the marked bit of every top
+// it held. Every path that drops the list goes through here: a bit left
+// set would swallow every later mark of its top.
+func (m *Monitor) dropTopMarks() {
+	for _, top := range m.dirtyTops {
+		m.byID[top].marked = false
+	}
 	m.dirtyTops = m.dirtyTops[:0]
 }
 
 // markBoundsDirty queues one top-level subtree, by entity ID, for
-// recomputation at the next flush. Once the dirty list covers more than
-// half the fleet the per-subtree bookkeeping (an entry load per mark,
-// duplicate marks) costs more than the one dense full pass it avoids, so
-// the marks escalate to boundsDirtyAll — the flush stays
-// O(min(events, n)).
+// recomputation at the next flush. A top already queued stays where it
+// is, so a flush costs O(distinct tops marked) however many events
+// touched them.
 func (m *Monitor) markBoundsDirty(top int) {
 	if m.boundsDirtyAll {
 		return
 	}
-	if len(m.dirtyTops) >= 64 && len(m.dirtyTops) >= len(m.order)/2 {
-		m.markAllDirty()
+	e := &m.byID[top]
+	if e.marked {
 		return
 	}
+	e.marked = true
 	m.dirtyTops = append(m.dirtyTops, top)
 }
 
@@ -457,20 +471,19 @@ func (m *Monitor) flush() {
 	}
 }
 
-// applyMarks recomputes the marked bounds and clears the marks.
+// applyMarks recomputes the marked bounds and clears the marks. A mark
+// may outlive its subtree (detach, removal); its top then recomputes
+// nothing.
 func (m *Monitor) applyMarks() {
 	n := 0
 	if m.boundsDirtyAll {
 		m.boundsDirtyAll = false
 		n = m.recomputeBoundsAll()
 	} else {
-		// Marks may outlive their subtree (detach, removal), and
-		// duplicates recompute twice — idempotent, and bounded by the
-		// escalation threshold in markBoundsDirty.
 		for _, top := range m.dirtyTops {
 			n += m.recomputeTop(top)
 		}
-		m.dirtyTops = m.dirtyTops[:0]
+		m.dropTopMarks()
 	}
 	m.Trace.Add(telemetry.CtrBoundsFlushes, 1)
 	m.Trace.Add(telemetry.CtrBoundsRecomputed, uint64(n))
@@ -552,7 +565,7 @@ func (m *Monitor) FullRecompute() {
 		}
 		e.refs++
 	}
-	m.dirtyTops = m.dirtyTops[:0]
+	m.dropTopMarks()
 	m.boundsDirtyAll = false
 	m.seenSuppressed = m.hier.Suppressed()
 	n := m.recomputeBoundsAll()
